@@ -6,7 +6,7 @@
 //! transactional workloads since it offers no support for transactions"
 //! (§4).
 //!
-//! Expected shape (checked in EXPERIMENTS.md):
+//! Expected shape (recorded in BENCH.md):
 //! * both systems well under 200 ms p99 at 100 RPS;
 //! * StateFun ≈ flat across A/B and zipf/uniform (no locking, every op pays
 //!   the same broker + remote-runtime round trips);

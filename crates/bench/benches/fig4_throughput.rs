@@ -11,7 +11,7 @@
 //!
 //! Keys are drawn uniformly (the paper does not state M's distribution; at
 //! 4000 req/s a Zipfian hot key would exceed any serial per-key commit
-//! capacity under entity-granularity conflicts — see EXPERIMENTS.md).
+//! capacity under entity-granularity conflicts).
 
 use se_bench::{emit, fig4_requests, key_count, Row};
 use se_core::{deploy, RuntimeChoice};

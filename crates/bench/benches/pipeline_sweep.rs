@@ -1,5 +1,5 @@
 //! **Scaling sweep** — StateFlow saturation throughput and p99 across
-//! workers × exec_threads × pipeline_depth × backend.
+//! workers × exec_threads × pipeline_depth.
 //!
 //! Grown from the original pipeline-depth sweep into the repository's
 //! scaling bench: every cell drives an open-loop load far above capacity so
@@ -13,15 +13,14 @@
 //!   conflicts and the intra-partition exec pool (`exec_threads`) is the
 //!   lever — throughput should scale with pool size until cores run out.
 //! * **Contended** (workloads A/T, Zipfian keys): serial-fallback retries
-//!   dominate and `pipeline_depth` is the lever (solo batches commit at
-//!   their final hop); the exec pool barely moves these cells.
+//!   dominate (solo batches commit at their final hop, overlapping up to
+//!   `pipeline_depth` deep); the exec pool barely moves these cells.
 //!
 //! Environment ladders (comma-separated lists):
 //!
 //! * `SE_SWEEP_WORKERS`      — worker counts            (default `5`)
 //! * `SE_SWEEP_EXEC_THREADS` — exec-pool sizes          (default `1,4`)
 //! * `SE_SWEEP_DEPTHS`       — pipeline depths          (default `1,2`)
-//! * `SE_SWEEP_BACKENDS`     — `interp` / `vm`          (default `interp`)
 //! * `SE_SWEEP_KEYS`         — key-space sizes          (default `SE_KEYS`,
 //!   itself defaulting to 1000; the nightly ladder runs `1000,100000,1000000`)
 //! * `SE_SWEEP_CELLS`        — workload-distribution cells
@@ -39,11 +38,11 @@
 //!   outside that self-test.
 //!
 //! Rows are emitted in the workspace's uniform JSON schema (see
-//! `se_bench::Row`) with labels like `C-uniform@w5x4d2-interp`:
-//! workers 5 × exec_threads 4, depth 2, interpreter backend.
+//! `se_bench::Row`) with labels like `C-uniform@w5x4d2`: workers 5 ×
+//! exec_threads 4, depth 2.
 
 use se_bench::{emit, key_count, Row};
-use se_core::{compile, EntityRuntime, ExecBackend, StateflowRuntime};
+use se_core::{compile, EntityRuntime, StateflowRuntime};
 use se_workloads::{load_accounts, run_open_loop, Distribution, DriverConfig, WorkloadSpec};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -106,19 +105,6 @@ fn main() {
     let depth_ladder = env_ladder("SE_SWEEP_DEPTHS", &[1, 2]);
     let keys_ladder = env_ladder("SE_SWEEP_KEYS", &[key_count()]);
     let spin_iters = env_usize("SE_SPIN_ITERS", 256) as i64;
-    let backends: Vec<ExecBackend> = std::env::var("SE_SWEEP_BACKENDS")
-        .unwrap_or_else(|_| "interp".to_string())
-        .split(',')
-        .filter_map(|s| match s.trim() {
-            "interp" => Some(ExecBackend::Interp),
-            "vm" => Some(ExecBackend::Vm),
-            "" => None,
-            other => {
-                eprintln!("warning: ignoring unknown backend {other:?}");
-                None
-            }
-        })
-        .collect();
     let cells: Vec<(String, WorkloadSpec, Distribution)> = std::env::var("SE_SWEEP_CELLS")
         .unwrap_or_else(|_| "C-uniform,A-zipfian,T-zipfian,A-uniform".to_string())
         .split(',')
@@ -148,8 +134,7 @@ fn main() {
     println!(
         "pipeline_sweep: {requests} requests/cell, keys {keys_ladder:?}, \
          workers {workers_ladder:?}, exec_threads {exec_ladder:?}, \
-         depths {depth_ladder:?}, backends {}, time_scale {}",
-        backends.len(),
+         depths {depth_ladder:?}, time_scale {}",
         se_bench::time_scale()
     );
 
@@ -159,71 +144,61 @@ fn main() {
             for &workers in &workers_ladder {
                 for &exec_threads in &exec_ladder {
                     for &depth in &depth_ladder {
-                        for &backend in &backends {
-                            let mut cfg = se_bench::stateflow_bench_config();
-                            cfg.workers = workers;
-                            cfg.exec_threads = forced_exec.unwrap_or(exec_threads);
-                            cfg.pipeline_depth = depth;
-                            cfg.backend = backend;
-                            // The queue/utilization/fsync columns come from
-                            // the se-obs registry, so this bench records
-                            // metrics even without SE_OBS set (an explicit
-                            // SE_OBS=off|trace still wins).
-                            if std::env::var("SE_OBS").is_err() {
-                                cfg.obs.mode = se_obs::ObsMode::Metrics;
-                            }
-                            let deployed_exec = cfg.exec_threads;
-                            let program = se_workloads::ycsb_program();
-                            let graph = compile(&program).expect("compile");
-                            let rt = StateflowRuntime::deploy(graph, cfg);
-                            let deployed_at = std::time::Instant::now();
-                            load_accounts(&rt, n_keys, 1024, 1_000_000);
-                            let driver = DriverConfig {
-                                rps: offered,
-                                requests,
-                                seed: 0x51EE9,
-                                value_size: 1024,
-                                time_scale: se_bench::time_scale(),
-                                spin_iters,
-                                latency_hist: rt.obs().histogram("driver.latency"),
-                            };
-                            let report = run_open_loop(&rt, *spec, *dist, n_keys, &driver);
-                            // Registry counters/hists cover the deployment's
-                            // whole life, so the utilization window must too.
-                            let obs_window = deployed_at.elapsed();
-                            let backend_name = match backend {
-                                ExecBackend::Interp => "interp",
-                                ExecBackend::Vm => "vm",
-                            };
-                            let mut label = format!(
-                                "{cell_name}@w{workers}x{exec_threads}d{depth}-{backend_name}"
-                            );
-                            if keys_ladder.len() > 1 {
-                                label.push_str(&format!("-k{n_keys}"));
-                            }
-                            eprintln!(
-                                "  {label:<34} tput {:>7.0} rps  p50 {:>7.2} ms  \
-                                 p99 {:>8.2} ms  (timeouts {})",
-                                report.throughput_rps(),
-                                se_bench::ms(report.latency.p50),
-                                se_bench::ms(report.latency.p99),
-                                report.timed_out,
-                            );
-                            rows.push(
-                                Row::from_report(label, "stateflow", offered, &report)
-                                    .with_obs(rt.obs(), obs_window, workers * deployed_exec)
-                                    .with_param("workers", workers)
-                                    .with_param("exec_threads", exec_threads)
-                                    .with_param("depth", depth)
-                                    .with_param("backend", backend_name)
-                                    .with_param("keys", n_keys)
-                                    .with_param("workload", spec.name)
-                                    .with_param("dist", dist.label())
-                                    .with_param("spin_iters", spin_iters)
-                                    .with_param("requests", requests),
-                            );
-                            rt.shutdown();
+                        let mut cfg = se_bench::stateflow_bench_config();
+                        cfg.workers = workers;
+                        cfg.exec_threads = forced_exec.unwrap_or(exec_threads);
+                        cfg.pipeline_depth = depth;
+                        // The queue/utilization/fsync columns come from the
+                        // se-obs registry, so this bench records metrics
+                        // even without SE_OBS set (an explicit
+                        // SE_OBS=off|trace still wins).
+                        if std::env::var("SE_OBS").is_err() {
+                            cfg.obs.mode = se_obs::ObsMode::Metrics;
                         }
+                        let deployed_exec = cfg.exec_threads;
+                        let program = se_workloads::ycsb_program();
+                        let graph = compile(&program).expect("compile");
+                        let rt = StateflowRuntime::deploy(graph, cfg);
+                        let deployed_at = std::time::Instant::now();
+                        load_accounts(&rt, n_keys, 1024, 1_000_000);
+                        let driver = DriverConfig {
+                            rps: offered,
+                            requests,
+                            seed: 0x51EE9,
+                            value_size: 1024,
+                            time_scale: se_bench::time_scale(),
+                            spin_iters,
+                            latency_hist: rt.obs().histogram("driver.latency"),
+                        };
+                        let report = run_open_loop(&rt, *spec, *dist, n_keys, &driver);
+                        // Registry counters/hists cover the deployment's
+                        // whole life, so the utilization window must too.
+                        let obs_window = deployed_at.elapsed();
+                        let mut label = format!("{cell_name}@w{workers}x{exec_threads}d{depth}");
+                        if keys_ladder.len() > 1 {
+                            label.push_str(&format!("-k{n_keys}"));
+                        }
+                        eprintln!(
+                            "  {label:<34} tput {:>7.0} rps  p50 {:>7.2} ms  \
+                             p99 {:>8.2} ms  (timeouts {})",
+                            report.throughput_rps(),
+                            se_bench::ms(report.latency.p50),
+                            se_bench::ms(report.latency.p99),
+                            report.timed_out,
+                        );
+                        rows.push(
+                            Row::from_report(label, "stateflow", offered, &report)
+                                .with_obs(rt.obs(), obs_window, workers * deployed_exec)
+                                .with_param("workers", workers)
+                                .with_param("exec_threads", exec_threads)
+                                .with_param("depth", depth)
+                                .with_param("keys", n_keys)
+                                .with_param("workload", spec.name)
+                                .with_param("dist", dist.label())
+                                .with_param("spin_iters", spin_iters)
+                                .with_param("requests", requests),
+                        );
+                        rt.shutdown();
                     }
                 }
             }
@@ -245,14 +220,8 @@ fn main() {
         for (cell_name, ..) in &cells {
             for &workers in &workers_ladder {
                 for &depth in &depth_ladder {
-                    let base = tput(
-                        &rows,
-                        &format!("{cell_name}@w{workers}x{lo}d{depth}-interp"),
-                    );
-                    let wide = tput(
-                        &rows,
-                        &format!("{cell_name}@w{workers}x{hi}d{depth}-interp"),
-                    );
+                    let base = tput(&rows, &format!("{cell_name}@w{workers}x{lo}d{depth}"));
+                    let wide = tput(&rows, &format!("{cell_name}@w{workers}x{hi}d{depth}"));
                     if let (Some((base, _)), Some((wide, wide_p99))) = (base, wide) {
                         if base > 0.0 {
                             let ratio = wide / base;
@@ -292,129 +261,9 @@ fn main() {
         }
     }
 
-    // Same-run VM-optimization speedup rows: each compute-bound (workload C)
-    // cell runs twice on the VM backend — the full optimization pipeline vs
-    // `SE_VM_OPT=off` — and `tput_rps` holds the on/off throughput ratio.
-    // Same-run pairing cancels run-wide noise exactly like the exec-pool
-    // ratios above; the CI perf gate keys on these rows so a regression in
-    // the VM's lowering optimizations (folding, superinstructions,
-    // quickening) turns the gate red even though both sides still "work".
-    //
-    // The spin count is scaled ×16 over the sweep default (4096 turns at
-    // the canonical config, `SE_VM_OPT_SPIN_ITERS` overrides): at the
-    // default 256 the body costs ≤ ~15 µs either way and the coordinator's
-    // ~90 µs/request floor hides the lowering entirely (on/off ≈ 1.0×, so
-    // a total fusion regression would sit inside the gate tolerance). At
-    // 4096 turns the single exec thread is the bottleneck and the ratio
-    // directly tracks dispatch-loop quality.
-    {
-        let workers = workers_ladder[0];
-        let exec_threads = exec_ladder[0];
-        let depth = depth_ladder[0];
-        let n_keys = keys_ladder[0];
-        let spin_iters = env_usize("SE_VM_OPT_SPIN_ITERS", spin_iters as usize * 16) as i64;
-        let prev_opt = std::env::var("SE_VM_OPT").ok();
-        for (cell_name, spec, dist) in &cells {
-            if spec.name != "C" {
-                continue;
-            }
-            let mut measured = Vec::new();
-            for opt in ["off", "on"] {
-                std::env::set_var("SE_VM_OPT", if opt == "on" { "all" } else { "off" });
-                let mut cfg = se_bench::stateflow_bench_config();
-                cfg.workers = workers;
-                cfg.exec_threads = forced_exec.unwrap_or(exec_threads);
-                cfg.pipeline_depth = depth;
-                cfg.backend = ExecBackend::Vm;
-                let program = se_workloads::ycsb_program();
-                let graph = compile(&program).expect("compile");
-                let rt = StateflowRuntime::deploy(graph, cfg);
-                load_accounts(&rt, n_keys, 1024, 1_000_000);
-                let driver = DriverConfig {
-                    rps: offered,
-                    requests,
-                    seed: 0x51EE9,
-                    value_size: 1024,
-                    time_scale: se_bench::time_scale(),
-                    spin_iters,
-                    latency_hist: rt.obs().histogram("driver.latency"),
-                };
-                let report = run_open_loop(&rt, *spec, *dist, n_keys, &driver);
-                let label = format!("{cell_name}@w{workers}x{exec_threads}d{depth}-vm-opt-{opt}");
-                eprintln!(
-                    "  {label:<34} tput {:>7.0} rps  p99 {:>8.2} ms",
-                    report.throughput_rps(),
-                    se_bench::ms(report.latency.p99),
-                );
-                measured.push((report.throughput_rps(), report.latency.p99));
-                rows.push(
-                    Row::from_report(label, "stateflow", offered, &report)
-                        .with_param("workers", workers)
-                        .with_param("exec_threads", exec_threads)
-                        .with_param("depth", depth)
-                        .with_param("backend", "vm")
-                        .with_param("vm_opt", opt)
-                        .with_param("keys", n_keys)
-                        .with_param("workload", spec.name)
-                        .with_param("dist", dist.label())
-                        .with_param("spin_iters", spin_iters)
-                        .with_param("requests", requests),
-                );
-                rt.shutdown();
-            }
-            let ((off_tput, _), (on_tput, on_p99)) = (measured[0], measured[1]);
-            if off_tput > 0.0 {
-                let ratio = on_tput / off_tput;
-                eprintln!(
-                    "  vm_opt speedup {cell_name}@w{workers}d{depth}: on vs off = {ratio:.2}x"
-                );
-                rows.push(
-                    Row {
-                        bench: String::new(),
-                        label: format!(
-                            "{cell_name}@w{workers}x{exec_threads}d{depth}-vm-opt-speedup"
-                        ),
-                        system: "stateflow".to_string(),
-                        params: Default::default(),
-                        rps: offered,
-                        mean_ms: 0.0,
-                        p50_ms: 0.0,
-                        p99_ms: se_bench::ms(on_p99),
-                        tput_rps: ratio,
-                        count: requests,
-                        errors: 0,
-                        queue_p99_ms: 0.0,
-                        exec_utilization: 0.0,
-                        fsync_p99_ms: 0.0,
-                        commit: String::new(),
-                    }
-                    .with_param("metric", "speedup")
-                    .with_param("vm_opt", "ratio-on-vs-off")
-                    .with_param("requests", requests),
-                );
-            }
-        }
-        match prev_opt {
-            Some(v) => std::env::set_var("SE_VM_OPT", v),
-            None => std::env::remove_var("SE_VM_OPT"),
-        }
-    }
-
     emit(
         "pipeline_sweep",
-        "Scaling sweep — saturation throughput across workers × exec_threads × depth × backend",
+        "Scaling sweep — saturation throughput across workers × exec_threads × depth",
         &rows,
     );
-    for cell in ["A-zipfian", "T-zipfian"] {
-        let d1 = tput(&rows, &format!("{cell}@w5x1d1-interp"));
-        let d2 = tput(&rows, &format!("{cell}@w5x1d2-interp"));
-        if let (Some((d1, _)), Some((d2, _))) = (d1, d2) {
-            if d2 <= d1 {
-                eprintln!(
-                    "WARN: expected depth 2 to beat stop-and-wait on {cell} \
-                     ({d2:.0} vs {d1:.0} rps)"
-                );
-            }
-        }
-    }
 }

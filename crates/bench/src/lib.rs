@@ -1,9 +1,9 @@
 //! Shared harness utilities for the figure/table benchmarks.
 //!
 //! Every bench target regenerates one artifact of the paper's evaluation
-//! (see DESIGN.md §5 and EXPERIMENTS.md). Absolute numbers depend on the
-//! simulated-network calibration below; the *shapes* — who wins, by roughly
-//! what factor, where saturation starts — are what EXPERIMENTS.md records.
+//! (see BENCH.md). Absolute numbers depend on the simulated-network
+//! calibration below; the *shapes* — who wins, by roughly what factor, where
+//! saturation starts — are what BENCH.md records.
 //!
 //! Environment knobs:
 //!
@@ -82,12 +82,8 @@ pub fn statefun_bench_config() -> StatefunConfig {
         remote_workers: 3,
         net: bench_net(),
         service_time: Duration::from_micros(900),
-        checkpoint: se_core::CheckpointMode::None,
-        snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
-        chaos: Default::default(),
-        history: None,
-        backend: se_core::ExecBackend::from_env_or(se_core::ExecBackend::Interp),
         obs: se_obs::ObsConfig::from_env("statefun-bench"),
+        ..StatefunConfig::default()
     }
 }
 
@@ -97,23 +93,12 @@ pub fn statefun_bench_config() -> StatefunConfig {
 pub fn stateflow_bench_config() -> StateflowConfig {
     StateflowConfig {
         workers: 5,
-        exec_threads: se_core::exec_threads_from_env_or(1),
         net: bench_net(),
         batch_interval: Duration::from_millis(10).mul_f64(time_scale()),
-        max_batch: 512,
-        pipeline_depth: se_core::pipeline_depth_from_env_or(1),
-        commit_rule: se_aria::CommitRule::Reordering,
-        fallback: se_aria::FallbackPolicy::Serial,
         snapshot_every_batches: 0,
-        snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
         service_time: Duration::from_micros(300),
-        chaos: Default::default(),
-        history: None,
-        inject_reserve_bug: false,
-        inject_torn_upgrade: false,
-        backend: se_core::ExecBackend::from_env_or(se_core::ExecBackend::Interp),
-        durability: Default::default(),
         obs: se_obs::ObsConfig::from_env("stateflow-bench"),
+        ..StateflowConfig::default()
     }
 }
 
@@ -122,7 +107,7 @@ pub fn stateflow_bench_config() -> StateflowConfig {
 /// Every bench target emits this exact schema — the perf gate
 /// (`ci/perf_gate.rs`) and the CI artifact merge step key on it. `bench` and
 /// `commit` are stamped by [`emit`]; `params` carries the sweep coordinates
-/// (workers, exec_threads, depth, backend, …) so a row is interpretable
+/// (workers, exec_threads, depth, …) so a row is interpretable
 /// without parsing its label.
 #[derive(Debug, Clone, Serialize)]
 pub struct Row {
@@ -246,7 +231,7 @@ pub fn commit_sha() -> String {
 }
 
 /// Prints a markdown table of rows and writes them as JSON under
-/// `bench_results/<name>.json` for EXPERIMENTS.md and the CI perf gate.
+/// `bench_results/<name>.json` for BENCH.md and the CI perf gate.
 /// Stamps the bench name and commit sha into every row on the way out.
 pub fn emit(name: &str, title: &str, rows: &[Row]) {
     let sha = commit_sha();

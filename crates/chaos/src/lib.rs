@@ -6,11 +6,10 @@
 //! hostile schedules instead of happy paths:
 //!
 //! * [`plan`] — [`ChaosPlan`]: a seed-reproducible runtime fault injector
-//!   generalizing the old one-shot `FailurePlan` to scripted *sequences* of
-//!   faults: multiple crashes per node (per-incarnation, at chosen protocol
-//!   points), message drop/duplicate/delay/reorder at the channel seams of
-//!   both engines, and broker outage windows. `FailurePlan` survives as a
-//!   thin compatibility wrapper, so there is one injection path, not two.
+//!   executing scripted *sequences* of faults: multiple crashes per node
+//!   (per-incarnation, at chosen protocol points), message
+//!   drop/duplicate/delay/reorder at the channel seams of both engines, and
+//!   broker outage windows. It is the one injection path.
 //! * [`script`] — the declarative [`FaultScript`] a plan executes, its
 //!   seeded generator (same seed ⇒ byte-identical script) and the
 //!   enumeration hooks the scenario driver uses to shrink a failing script
@@ -43,7 +42,7 @@ pub use check::{
     check_history, check_statefun_history, serial_order, CheckError, CheckSummary, SerialOp,
 };
 pub use history::{BatchKindTag, History, HistoryEvent, TxnOutcome};
-pub use plan::{ChaosPlan, CrashPoint, FailurePlan, FsyncFaultAction, MsgFaultAction, Seam};
+pub use plan::{ChaosPlan, CrashPoint, FsyncFaultAction, MsgFaultAction, Seam};
 pub use script::{
     BrokerOutage, CrashFault, DiskFault, DiskFaultKind, FaultScript, MessageFault, MsgFaultKind,
     ScriptConfig,

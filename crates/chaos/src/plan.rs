@@ -426,63 +426,6 @@ impl ChaosPlan {
     }
 }
 
-/// The legacy one-shot failure trigger, kept as a thin compatibility
-/// wrapper over [`ChaosPlan`] so there is a single fault-injection path.
-///
-/// `fail_node_after(node, n)` is exactly a one-entry crash script; the
-/// countdown is **per-incarnation** (it resets when the node restarts), and
-/// multi-crash scripts — the thing the old global one-shot semantics could
-/// not express — are written directly as a [`FaultScript`] with several
-/// [`CrashFault`] entries for the node.
-#[derive(Debug, Clone, Default)]
-pub struct FailurePlan {
-    plan: ChaosPlan,
-}
-
-impl FailurePlan {
-    /// A plan that never fires.
-    pub fn none() -> Self {
-        Self {
-            plan: ChaosPlan::none(),
-        }
-    }
-
-    /// Fails node `node` after it has processed `after_events` events of
-    /// its current incarnation.
-    pub fn fail_node_after(node: impl Into<String>, after_events: u64) -> Self {
-        Self {
-            plan: ChaosPlan::single_crash(node, after_events),
-        }
-    }
-
-    /// Called by `node` once per processed event; returns `true` exactly
-    /// once per scheduled crash — at the moment the crash should happen.
-    pub fn should_fail(&self, node: &str) -> bool {
-        self.plan.should_crash(node, CrashPoint::Exec)
-    }
-
-    /// Whether the planned failure has already fired.
-    pub fn has_fired(&self) -> bool {
-        self.plan.crashes_fired() > 0
-    }
-
-    /// Whether a failure is planned at all (fired or not).
-    pub fn is_armed(&self) -> bool {
-        self.plan.is_armed()
-    }
-
-    /// The underlying chaos plan (what engines actually consult).
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
-    }
-}
-
-impl From<FailurePlan> for ChaosPlan {
-    fn from(f: FailurePlan) -> ChaosPlan {
-        f.plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,8 +464,8 @@ mod tests {
         assert!(!p.should_crash("w2", CrashPoint::Exec));
     }
 
-    /// The per-incarnation semantics the old one-shot `FailurePlan`
-    /// lacked: a recovered node is killed again by a multi-crash script.
+    /// Per-incarnation semantics: a recovered node is killed again by a
+    /// multi-crash script.
     #[test]
     fn double_crash_of_same_worker_fires_per_incarnation() {
         let script = FaultScript {
@@ -698,19 +641,5 @@ mod tests {
         let p = ChaosPlan::none();
         assert_eq!(p.crash_disk_fault("w0"), None);
         assert_eq!(p.fsync_fault("w0"), FsyncFaultAction::Proceed);
-    }
-
-    #[test]
-    fn failure_plan_wrapper_matches_legacy_semantics() {
-        let p = FailurePlan::fail_node_after("w1", 3);
-        assert!(p.is_armed());
-        assert!(!p.should_fail("w1"));
-        assert!(!p.should_fail("w0"));
-        assert!(!p.should_fail("w1"));
-        assert!(p.should_fail("w1"));
-        assert!(p.has_fired());
-        assert!(!p.should_fail("w1"));
-        let none = FailurePlan::none();
-        assert!(!none.is_armed() && !none.should_fail("w1"));
     }
 }

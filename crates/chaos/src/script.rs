@@ -17,8 +17,7 @@ use crate::plan::{CrashPoint, Seam};
 /// One scheduled crash of a node. The i-th entry for a node fires in the
 /// node's i-th incarnation (counting restarts): a node crashed by entry 0
 /// must be restored before entry 1 arms, so a recovered node can be killed
-/// again — the per-incarnation semantics the old one-shot `FailurePlan`
-/// lacked.
+/// again.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashFault {
     /// Node to kill (`worker0`, `task1`, …).
@@ -169,8 +168,7 @@ impl FaultScript {
         Self::default()
     }
 
-    /// A single crash of `node` after `after_events` executed events — the
-    /// classic `FailurePlan::fail_node_after` scenario.
+    /// A single crash of `node` after `after_events` executed events.
     pub fn single_crash(node: impl Into<String>, after_events: u64) -> Self {
         Self {
             crashes: vec![CrashFault {

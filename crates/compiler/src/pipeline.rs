@@ -228,7 +228,7 @@ impl RecompileStats {
 }
 
 /// Aggregate statistics of a compiled graph (used by the compiler
-/// micro-benchmarks and EXPERIMENTS.md).
+/// micro-benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileStats {
     /// Number of entity classes / operators.

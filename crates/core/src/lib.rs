@@ -20,15 +20,14 @@
 //! assert_eq!(ok, Value::Bool(true));
 //! ```
 //!
-//! Four environment knobs flip a whole run without touching code:
-//! `SE_EXEC_BACKEND` (`interp` | `vm`) selects the body-execution backend on
-//! every engine, `SE_PIPELINE_DEPTH` (positive integer, default 1) selects
-//! how many Aria batches the StateFlow coordinator keeps in flight
-//! ([`pipeline_depth_from_env_or`]), `SE_EXEC_THREADS` (positive integer,
-//! default 1) sizes each StateFlow worker's intra-partition execution pool
-//! ([`exec_threads_from_env_or`]), and `SE_DURABILITY` (`off` | `wal`,
-//! default `off`) puts a per-partition write-ahead log and incremental
-//! snapshots under StateFlow state ([`durability_mode_from_env_or`]).
+//! Three environment overrides flip a whole run without touching code:
+//! `SE_EXEC_THREADS` (positive integer, default 1) sizes each StateFlow
+//! worker's segment-execution pool, `SE_DURABILITY` (`off` | `wal`, default
+//! `off`) puts a per-partition write-ahead log and incremental snapshots
+//! under StateFlow state, and `SE_OBS` (`off` | `metrics` | `trace`) turns
+//! on observability for both engines. Method bodies always run on the
+//! `se-vm` bytecode VM; the tree-walk interpreter is the [`LocalRuntime`]
+//! oracle.
 
 #![warn(missing_docs)]
 
@@ -46,12 +45,10 @@ pub use se_compiler::{compile, compile_with, stats, CompileOptions, CompileStats
 pub use se_dataflow::{
     DurableOptions, DurableStore, EntityRuntime, FsyncPolicy, NetConfig, ResponseWaiter,
 };
-pub use se_ir::{DataflowGraph, ExecBackend, StateMachine};
+pub use se_ir::{DataflowGraph, StateMachine};
 pub use se_lang::{builder, programs, typecheck, EntityRef, Type, Value};
 pub use se_stateflow::{
-    default_workers, durability_mode_from_env_or, exec_threads_from_env_or,
-    pipeline_depth_from_env_or, DurabilityConfig, DurabilityMode, StateflowConfig,
-    StateflowRuntime,
+    default_workers, BugLever, DurabilityConfig, DurabilityMode, StateflowConfig, StateflowRuntime,
 };
 pub use se_statefun::{CheckpointMode, StatefunConfig, StatefunRuntime};
 pub use se_vm::VmProgram;

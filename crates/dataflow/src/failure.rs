@@ -1,14 +1,13 @@
 //! Fault injection, re-exported from `se-chaos`.
 //!
-//! The original one-shot [`FailurePlan`] grew into the scripted
-//! [`ChaosPlan`] (sequences of per-incarnation crashes, message faults at
-//! the channel seams, broker outages); both live in `se-chaos` and are
-//! re-exported here so engine crates keep a single import path. This
+//! The scripted [`ChaosPlan`] (sequences of per-incarnation crashes,
+//! message faults at the channel seams, broker outages) lives in `se-chaos`
+//! and is re-exported here so engine crates keep a single import path. This
 //! module adds the one piece that needs the dataflow substrate:
 //! [`send_with_chaos`], the seam-injection helper that interprets a
 //! [`MsgFaultAction`] against a [`DelaySender`].
 
-pub use se_chaos::{ChaosPlan, CrashPoint, FailurePlan, MsgFaultAction, Seam};
+pub use se_chaos::{ChaosPlan, CrashPoint, MsgFaultAction, Seam};
 
 use std::time::Duration;
 

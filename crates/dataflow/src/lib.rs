@@ -14,7 +14,7 @@
 //!   records, group-commit fsync policies, torn-tail-safe reader);
 //! * [`durable`] — the durable layer over [`wal`]: incremental epoch
 //!   persistence, base snapshots, checked recovery and log compaction;
-//! * [`metrics`] — latency histograms and per-component overhead timers.
+//! * [`metrics`] — latency summaries and per-component overhead timers.
 
 #![warn(missing_docs)]
 
@@ -32,8 +32,8 @@ pub mod wal;
 pub use api::{EntityRuntime, ResponseCompleter, ResponseWaiter};
 pub use delay::{delay_channel, DelayReceiver, DelaySender};
 pub use durable::{DurableOptions, DurableStore};
-pub use failure::{send_with_chaos, ChaosPlan, CrashPoint, FailurePlan, MsgFaultAction, Seam};
-pub use metrics::{ComponentTimers, LatencyRecorder, LatencySummary, Throughput};
+pub use failure::{send_with_chaos, ChaosPlan, CrashPoint, MsgFaultAction, Seam};
+pub use metrics::{ComponentTimers, LatencySummary};
 pub use net::{burn, NetConfig};
 pub use snapshot::{Epoch, SnapshotStore, DEFAULT_SNAPSHOT_RETENTION};
 pub use source::{ReplayableSource, SourceReader};

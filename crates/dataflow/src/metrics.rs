@@ -1,6 +1,6 @@
-//! Measurement utilities: latency histograms and per-component timers.
+//! Measurement utilities: latency summaries and per-component timers.
 //!
-//! `LatencyRecorder` backs the end-to-end latency experiments (Figures 3 and
+//! `LatencySummary` backs the end-to-end latency experiments (Figures 3 and
 //! 4: mean, p50, p99). `ComponentTimers` backs the system-overhead
 //! experiment (§4): "for each event, we measured the duration of different
 //! runtime components" — object construction, state (de)serialization,
@@ -10,39 +10,6 @@
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-
-/// Thread-safe collector of latency samples.
-#[derive(Debug, Default)]
-pub struct LatencyRecorder {
-    samples: Mutex<Vec<Duration>>,
-}
-
-impl LatencyRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&self, d: Duration) {
-        self.samples.lock().push(d);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.lock().len()
-    }
-
-    /// Snapshot of all samples.
-    pub fn samples(&self) -> Vec<Duration> {
-        self.samples.lock().clone()
-    }
-
-    /// Summary statistics over the recorded samples.
-    pub fn summary(&self) -> LatencySummary {
-        LatencySummary::from_samples(&self.samples.lock())
-    }
-}
 
 /// Summary statistics of a latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -181,49 +148,6 @@ impl ComponentTimers {
     }
 }
 
-/// A simple throughput counter (events per second over a window).
-#[derive(Debug)]
-pub struct Throughput {
-    start: Instant,
-    count: std::sync::atomic::AtomicU64,
-}
-
-impl Default for Throughput {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Throughput {
-    /// Starts counting now.
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-            count: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Counts one event.
-    pub fn incr(&self) {
-        self.count
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Total events counted.
-    pub fn count(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Events per second since creation.
-    pub fn rate(&self) -> f64 {
-        let secs = self.start.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.count() as f64 / secs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,25 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_is_thread_safe() {
-        let rec = std::sync::Arc::new(LatencyRecorder::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let rec = std::sync::Arc::clone(&rec);
-                std::thread::spawn(move || {
-                    for i in 0..250 {
-                        rec.record(Duration::from_micros(i));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.count(), 1000);
-    }
-
-    #[test]
     fn component_timers_fraction() {
         let t = ComponentTimers::new();
         t.add("exec", Duration::from_millis(99));
@@ -309,14 +214,5 @@ mod tests {
         assert_eq!(report.len(), 2);
         t.reset();
         assert_eq!(t.grand_total(), Duration::ZERO);
-    }
-
-    #[test]
-    fn throughput_counts() {
-        let t = Throughput::new();
-        for _ in 0..10 {
-            t.incr();
-        }
-        assert_eq!(t.count(), 10);
     }
 }

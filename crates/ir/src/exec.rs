@@ -12,61 +12,10 @@
 
 use se_lang::interp::{DenyRemoteCalls, Flow, Interpreter};
 use se_lang::{ClassName, EntityState, Env, LangError, Symbol, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockId, CompiledMethod, Terminator};
 use crate::event::{Frame, Invocation, InvocationKind, Response};
 use crate::graph::CompiledProgram;
-
-/// Which engine-independent execution backend runs split method bodies.
-///
-/// Both engines (`se-statefun`, `se-stateflow`) expose this as a config
-/// knob; the environment variable `SE_EXEC_BACKEND` (`interp` | `vm`)
-/// overrides the default so a whole test/bench run can be flipped without
-/// touching code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ExecBackend {
-    /// Tree-walk the block statements/terminators with the
-    /// [`se_lang::Interpreter`] — the reference semantics.
-    #[default]
-    Interp,
-    /// Execute bodies pre-compiled to `se-vm` register bytecode. Compiled
-    /// once at deploy time; byte-identical effects to [`ExecBackend::Interp`].
-    Vm,
-}
-
-impl ExecBackend {
-    /// Reads the `SE_EXEC_BACKEND` override (case-insensitive), falling
-    /// back to `default` when the variable is unset. An unrecognized value
-    /// also falls back, but warns on stderr once per process — a typo must
-    /// not silently void a "whole suite on the VM backend" run.
-    pub fn from_env_or(default: ExecBackend) -> ExecBackend {
-        match std::env::var("SE_EXEC_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("vm") => ExecBackend::Vm,
-            Ok(v) if v.eq_ignore_ascii_case("interp") => ExecBackend::Interp,
-            Ok(other) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_EXEC_BACKEND={other:?} \
-                         (expected \"interp\" or \"vm\")"
-                    );
-                });
-                default
-            }
-            Err(_) => default,
-        }
-    }
-}
-
-impl std::fmt::Display for ExecBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecBackend::Interp => write!(f, "interp"),
-            ExecBackend::Vm => write!(f, "vm"),
-        }
-    }
-}
 
 /// One method activation, as handed to a [`BodyRunner`].
 ///

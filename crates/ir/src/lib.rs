@@ -33,7 +33,7 @@ pub use event::{
 };
 pub use exec::{
     drive_chain, drive_chain_with, process_invocation, process_invocation_with, run_from_block,
-    Activation, BlockOutcome, BodyOutcome, BodyRunner, ExecBackend, InterpBody, StepEffect,
+    Activation, BlockOutcome, BodyOutcome, BodyRunner, InterpBody, StepEffect,
 };
 pub use graph::{
     CompiledClass, CompiledProgram, DataflowGraph, EdgeKind, EdgeSpec, NodeRef, OperatorId,

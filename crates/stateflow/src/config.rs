@@ -6,7 +6,6 @@ use std::time::Duration;
 use se_aria::{CommitRule, FallbackPolicy};
 use se_chaos::{ChaosPlan, History};
 use se_dataflow::{FsyncPolicy, NetConfig};
-use se_ir::ExecBackend;
 
 /// Whether worker state survives a crash on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,23 +34,24 @@ pub struct DurabilityConfig {
     /// Full base snapshots every this many epoch cuts (≥ 1); between bases
     /// an epoch costs O(dirty keys), not O(state).
     pub full_snapshot_every: u64,
-    /// Test-only: skip WAL checksum verification on recovery, re-applying
-    /// silently corrupted records. Exists so the chaos harness can prove
-    /// the checker catches a checksum-skip bug; never enable outside tests.
-    /// The `chaos_explore` driver maps `SE_CHAOS_INJECT_BUG=wal-no-crc`
-    /// onto this flag.
-    #[doc(hidden)]
-    pub inject_wal_no_crc: bool,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
         Self {
-            mode: durability_mode_from_env_or(DurabilityMode::Off),
+            mode: env_override(
+                "SE_DURABILITY",
+                "\"off\" or \"wal\"",
+                DurabilityMode::Off,
+                |v| match v.to_ascii_lowercase().as_str() {
+                    "off" => Some(DurabilityMode::Off),
+                    "wal" => Some(DurabilityMode::Wal),
+                    _ => None,
+                },
+            ),
             dir: None,
             fsync: FsyncPolicy::OnEpoch,
             full_snapshot_every: 4,
-            inject_wal_no_crc: false,
         }
     }
 }
@@ -67,6 +67,26 @@ impl DurabilityConfig {
     }
 }
 
+/// Test-only regression levers: each re-introduces one real, historical
+/// bug so the chaos harness can prove its checker catches it. Never set
+/// outside tests; `chaos_explore` maps `SE_CHAOS_INJECT_BUG` onto it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BugLever {
+    /// `reserve-errored`: errored chains reserve their buffered writes
+    /// again, knocking healthy higher-id transactions into pointless
+    /// retries — unjustified aborts in the history.
+    ReserveErrored,
+    /// `torn-upgrade`: the coordinator flips to the new version and resumes
+    /// sealing *before* the workers acknowledge the migration pass, so
+    /// post-switch transactions race the migration writes — a
+    /// version-atomicity violation.
+    TornUpgrade,
+    /// `wal-no-crc`: WAL recovery skips checksum verification and
+    /// re-applies silently corrupted records (needs `DurabilityMode::Wal`).
+    WalNoCrc,
+}
+
 /// Tunables of the StateFlow deployment.
 ///
 /// Defaults mirror the paper's setup (§4): "StateFlow requires a single core
@@ -77,14 +97,14 @@ impl DurabilityConfig {
 pub struct StateflowConfig {
     /// Number of worker threads (state partitions).
     pub workers: usize,
-    /// Threads in each worker's intra-partition execution pool. `1` (the
-    /// default) executes on the worker's protocol thread — the exact
-    /// pre-pool serial schedule. At ≥ 2 a batch's transactions execute
-    /// concurrently on a work-stealing pool: Aria's deterministic batches
-    /// make intra-batch execution embarrassingly parallel (every execution
-    /// reads the committed snapshot plus its own buffer; writes wait for
-    /// the commit phase), so the pool changes timing, never outcomes. The
-    /// `SE_EXEC_THREADS` env var overrides the default.
+    /// Threads executing each worker's chain segments. `1` (the default)
+    /// runs segments inline on the worker's protocol thread; at ≥ 2 the
+    /// same segment function runs on a work-stealing pool: Aria's
+    /// deterministic batches make intra-batch execution embarrassingly
+    /// parallel (every execution reads the committed snapshot plus its own
+    /// buffer; writes wait for the commit phase), so the pool changes
+    /// timing, never outcomes. The `SE_EXEC_THREADS` env var overrides the
+    /// default.
     pub exec_threads: usize,
     /// Network latency model.
     pub net: NetConfig,
@@ -92,15 +112,11 @@ pub struct StateflowConfig {
     pub batch_interval: Duration,
     /// Maximum transactions per batch.
     pub max_batch: usize,
-    /// Maximum batches in flight at the coordinator. `1` (the default) is
-    /// classic stop-and-wait: a batch fully commits before the next one is
-    /// sealed. At depth ≥ 2 the coordinator seals and dispatches batch
-    /// *N+1* as soon as batch *N* enters its reservation round (Aria's
-    /// cross-batch pipelining), workers order execution with a
-    /// committed-batch watermark, and single-transaction serial-fallback
-    /// batches commit at their final hop without a coordinator round trip —
-    /// the big lever for contended (hot-key) workloads. The
-    /// `SE_PIPELINE_DEPTH` env var overrides the default.
+    /// Maximum batches in flight at the coordinator (default 4): batch
+    /// *N+1* is sealed and dispatched as soon as batch *N* enters its
+    /// reservation round (Aria's cross-batch pipelining) while fewer than
+    /// this many are in flight; workers order execution with a
+    /// committed-batch watermark. `1` degenerates to "seal only when idle".
     pub pipeline_depth: usize,
     /// Aria commit rule (the ablation knob).
     pub commit_rule: CommitRule,
@@ -121,36 +137,15 @@ pub struct StateflowConfig {
     pub service_time: Duration,
     /// Fault injection: scripted crashes (per incarnation, at chosen
     /// protocol points), message faults at the coordinator/worker channel
-    /// seams, or nothing (`ChaosPlan::none()`, the default). The legacy
-    /// `FailurePlan` converts into a one-crash plan via `Into`.
+    /// seams, or nothing (`ChaosPlan::none()`, the default).
     pub chaos: ChaosPlan,
     /// Optional execution-history recording for the serializability
     /// checker. `None` (the default) records nothing and costs one branch
     /// per protocol step.
     pub history: Option<History>,
-    /// Test-only: revert the errored-transaction reservation fix (errored
-    /// chains reserve their buffered writes again, knocking healthy
-    /// higher-id transactions into pointless retries). Exists so the chaos
-    /// harness can prove it catches a real, historical bug; never enable
-    /// outside tests. The `chaos_explore` driver maps
-    /// `SE_CHAOS_INJECT_BUG=reserve-errored` onto this flag.
+    /// Test-only bug injection (see [`BugLever`]); `None` everywhere else.
     #[doc(hidden)]
-    pub inject_reserve_bug: bool,
-    /// Test-only: break the live-upgrade epoch barrier — the coordinator
-    /// flips to the new version and resumes sealing batches *before* the
-    /// workers acknowledge the migration pass, so post-switch transactions
-    /// race the migration writes (a torn upgrade). Exists so the chaos
-    /// harness can prove the history checker catches version-atomicity
-    /// violations; never enable outside tests. The `chaos_explore` driver
-    /// maps `SE_CHAOS_INJECT_BUG=torn-upgrade` onto this flag.
-    #[doc(hidden)]
-    pub inject_torn_upgrade: bool,
-    /// Which execution backend runs split method bodies: tree-walking
-    /// interpretation, or bytecode compiled once at deploy time and run on
-    /// the `se-vm` register VM. Semantically identical; the VM trades a
-    /// deploy-time lowering pass for cheaper per-invocation dispatch. The
-    /// `SE_EXEC_BACKEND` env var (`interp` | `vm`) overrides the default.
-    pub backend: ExecBackend,
+    pub bug: Option<BugLever>,
     /// Durable storage under the workers' state stores: `Off` (default,
     /// byte-identical to no durable layer) or WAL-backed with incremental
     /// epoch snapshots and disk recovery. The `SE_DURABILITY` env var
@@ -167,11 +162,13 @@ impl Default for StateflowConfig {
     fn default() -> Self {
         Self {
             workers: default_workers(),
-            exec_threads: exec_threads_from_env_or(1),
+            exec_threads: env_override("SE_EXEC_THREADS", "a positive integer", 1, |v| {
+                v.parse().ok().filter(|&threads| threads >= 1)
+            }),
             net: NetConfig::default(),
             batch_interval: Duration::from_millis(10),
             max_batch: 512,
-            pipeline_depth: pipeline_depth_from_env_or(1),
+            pipeline_depth: 4,
             commit_rule: CommitRule::Reordering,
             fallback: FallbackPolicy::Serial,
             snapshot_every_batches: 16,
@@ -179,9 +176,7 @@ impl Default for StateflowConfig {
             service_time: Duration::from_micros(350),
             chaos: ChaosPlan::none(),
             history: None,
-            inject_reserve_bug: false,
-            inject_torn_upgrade: false,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
+            bug: None,
             durability: DurabilityConfig::default(),
             obs: se_obs::ObsConfig::from_env("stateflow"),
         }
@@ -189,27 +184,18 @@ impl Default for StateflowConfig {
 }
 
 impl StateflowConfig {
-    /// A configuration with tiny delays for fast unit tests.
+    /// A configuration with tiny delays for fast unit tests: the default
+    /// with only the test-speed fields (and the obs label) changed.
     pub fn fast_test(workers: usize) -> Self {
         Self {
             workers,
-            exec_threads: exec_threads_from_env_or(1),
             net: NetConfig::fast_test(),
             batch_interval: Duration::from_millis(2),
             max_batch: 256,
-            pipeline_depth: pipeline_depth_from_env_or(1),
-            commit_rule: CommitRule::Reordering,
-            fallback: FallbackPolicy::Serial,
             snapshot_every_batches: 4,
-            snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
             service_time: Duration::from_micros(10),
-            chaos: ChaosPlan::none(),
-            history: None,
-            inject_reserve_bug: false,
-            inject_torn_upgrade: false,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
-            durability: DurabilityConfig::default(),
             obs: se_obs::ObsConfig::from_env("stateflow-test"),
+            ..Self::default()
         }
     }
 }
@@ -226,73 +212,28 @@ pub fn default_workers() -> usize {
     available.saturating_sub(1).max(5)
 }
 
-/// Reads the `SE_DURABILITY` override (`off` | `wal`), falling back to
-/// `default` when the variable is unset. An unrecognized value also falls
-/// back, but warns on stderr once per process — a typo must not silently
-/// void a "whole suite durable" run (mirrors `SE_EXEC_BACKEND`).
-pub fn durability_mode_from_env_or(default: DurabilityMode) -> DurabilityMode {
-    match std::env::var("SE_DURABILITY") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "off" => DurabilityMode::Off,
-            "wal" => DurabilityMode::Wal,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_DURABILITY={v:?} \
-                         (expected \"off\" or \"wal\")"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
-/// Reads the `SE_EXEC_THREADS` override (a positive integer), falling back
-/// to `default` when the variable is unset. An unrecognized value also falls
-/// back, but warns on stderr once per process (mirrors `SE_PIPELINE_DEPTH`).
-pub fn exec_threads_from_env_or(default: usize) -> usize {
-    match std::env::var("SE_EXEC_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(threads) if threads >= 1 => threads,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_EXEC_THREADS={v:?} \
-                         (expected a positive integer)"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
-/// Reads the `SE_PIPELINE_DEPTH` override (a positive integer), falling
-/// back to `default` when the variable is unset. An unrecognized value also
-/// falls back, but warns on stderr once per process — a typo must not
-/// silently void a "whole suite pipelined" run (mirrors `SE_EXEC_BACKEND`).
-pub fn pipeline_depth_from_env_or(default: usize) -> usize {
-    match std::env::var("SE_PIPELINE_DEPTH") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(depth) if depth >= 1 => depth,
-            _ => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unrecognized SE_PIPELINE_DEPTH={v:?} \
-                         (expected a positive integer)"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
-    }
+/// Reads the environment override `name`: unset yields `default`, a value
+/// `parse` accepts yields that value, and anything else also yields
+/// `default` but warns on stderr once per variable — a typo must not
+/// silently void a "whole suite durable" run.
+fn env_override<T>(
+    name: &'static str,
+    expected: &str,
+    default: T,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let Ok(v) = std::env::var(name) else {
+        return default;
+    };
+    parse(v.trim()).unwrap_or_else(|| {
+        static WARNED: parking_lot::Mutex<Vec<&'static str>> = parking_lot::Mutex::new(Vec::new());
+        let mut warned = WARNED.lock();
+        if !warned.contains(&name) {
+            warned.push(name);
+            eprintln!("warning: ignoring unrecognized {name}={v:?} (expected {expected})");
+        }
+        default
+    })
 }
 
 #[cfg(test)]
@@ -309,12 +250,46 @@ mod tests {
         );
         assert_eq!(c.commit_rule, CommitRule::Reordering);
         assert!(c.snapshot_every_batches > 0);
-        // The pipeline knob may be raised via SE_PIPELINE_DEPTH (CI runs
-        // the suite at depth 3), but never below stop-and-wait.
-        assert!(c.pipeline_depth >= 1);
-        // The exec-pool knob may be raised via SE_EXEC_THREADS (CI runs the
-        // suite at 4), but never below the serial schedule.
+        assert_eq!(c.pipeline_depth, 4, "the measured-fast window");
+        // The exec-pool size may be raised via SE_EXEC_THREADS (a CI lane
+        // runs the suite at 4), but never below inline execution.
         assert!(c.exec_threads >= 1);
+        assert_eq!(c.bug, None);
+    }
+
+    /// `fast_test` is a struct update over `Default`: resetting exactly the
+    /// documented test-speed fields must give the default back.
+    #[test]
+    fn fast_test_differs_from_default_only_in_test_speed_fields() {
+        let d = StateflowConfig::default();
+        let t = StateflowConfig::fast_test(3);
+        assert_eq!(t.workers, 3);
+        assert!(t.batch_interval < d.batch_interval && t.service_time < d.service_time);
+        let reset = StateflowConfig {
+            workers: d.workers,
+            net: d.net.clone(),
+            batch_interval: d.batch_interval,
+            max_batch: d.max_batch,
+            snapshot_every_batches: d.snapshot_every_batches,
+            service_time: d.service_time,
+            obs: d.obs.clone(),
+            ..t
+        };
+        assert_eq!(format!("{reset:?}"), format!("{d:?}"));
+    }
+
+    #[test]
+    fn env_override_parses_defaults_and_rejects() {
+        // A variable name nothing else reads, so parallel tests never race.
+        let name = "SE_TEST_ENV_OVERRIDE";
+        let read = || env_override(name, "a positive integer", 7usize, |v| v.parse().ok());
+        std::env::remove_var(name);
+        assert_eq!(read(), 7, "unset falls back");
+        std::env::set_var(name, " 3 ");
+        assert_eq!(read(), 3, "accepted values are trimmed and parsed");
+        std::env::set_var(name, "many");
+        assert_eq!(read(), 7, "junk falls back (and warns once)");
+        std::env::remove_var(name);
     }
 
     #[test]

@@ -13,12 +13,11 @@
 //! with batch *i*'s commit round — instead of waiting for *N*'s commit
 //! broadcast. Ordering correctness lives at the workers (committed-batch
 //! watermarks); the coordinator only bounds the window and keeps commit
-//! decisions flowing in batch order. At depth ≥ 2 single-transaction
-//! serial-fallback batches become *solo* batches that commit at their final
-//! hop without a coordinator round trip, which is what lets hot-key retry
-//! storms drain at execution speed instead of one network round trip per
-//! transaction. `pipeline_depth = 1` (the default) reproduces the classic
-//! stop-and-wait schedule exactly.
+//! decisions flowing in batch order. Single-transaction serial-fallback
+//! batches are *solo* batches that commit at their final hop without a
+//! coordinator round trip, which is what lets hot-key retry storms drain at
+//! execution speed instead of one network round trip per transaction. At
+//! `pipeline_depth = 1` the window degenerates to "seal only when idle".
 //!
 //! Chaos hardening: data-plane messages (`Exec`/`Reserve`/`Commit` out,
 //! `ExecDone`/`Flags`/`CommitAck` in) may be duplicated, delayed or
@@ -45,7 +44,7 @@ use se_dataflow::{
 use se_ir::{partition_for, Invocation, InvocationKind, RequestId, Response, INITIAL_VERSION};
 use se_lang::Value;
 
-use crate::config::StateflowConfig;
+use crate::config::{BugLever, StateflowConfig};
 use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, WorkerMsg};
 
 /// Shared counters exposed to tests and benchmarks — registry-backed
@@ -111,23 +110,17 @@ enum BatchKind {
     /// A sealed multi-transaction batch: executes, reserves, decides.
     Regular,
     /// A single-transaction serial-fallback batch (skips reservation — a
-    /// lone transaction cannot lose a conflict). With `solo` set (pipeline
-    /// depth ≥ 2) the final-hop worker decides and commits it locally and
-    /// the coordinator merely records the outcome; otherwise the
-    /// coordinator broadcasts the commit as for any batch (the depth-1
-    /// stop-and-wait path).
-    Fallback {
-        /// Commits at the final hop, no coordinator round trip.
-        solo: bool,
-    },
+    /// lone transaction cannot lose a conflict): the final-hop worker
+    /// decides and commits it locally, no coordinator round trip, and the
+    /// coordinator merely records the outcome.
+    Solo,
 }
 
 impl BatchKind {
     fn tag(self) -> BatchKindTag {
         match self {
             BatchKind::Regular => BatchKindTag::Regular,
-            BatchKind::Fallback { solo: false } => BatchKindTag::Fallback,
-            BatchKind::Fallback { solo: true } => BatchKindTag::Solo,
+            BatchKind::Solo => BatchKindTag::Solo,
         }
     }
 }
@@ -163,13 +156,12 @@ struct InFlightBatch {
 }
 
 impl InFlightBatch {
-    /// Whether this batch blocks sealing the next one: regular (and
-    /// coordinator-committed fallback) batches must enter their reservation
-    /// round first; solo batches never block — they are decided at their
-    /// final hop, and overlapping them is the whole point.
+    /// Whether this batch blocks sealing the next one: regular batches
+    /// must enter their reservation round first; solo batches never block —
+    /// they are decided at their final hop, and overlapping them is the
+    /// whole point.
     fn blocks_sealing(&self) -> bool {
-        matches!(self.stage, BatchStage::Executing)
-            && self.kind != (BatchKind::Fallback { solo: true })
+        matches!(self.stage, BatchStage::Executing) && self.kind != BatchKind::Solo
     }
 }
 
@@ -299,7 +291,7 @@ pub struct Coordinator {
     /// history events so upgrade-free histories stay byte-identical to
     /// builds without the upgrade layer.
     versioned: bool,
-    /// Side state of the `inject_torn_upgrade` bug lever: the upgrade whose
+    /// Side state of the [`BugLever::TornUpgrade`] bug lever: the upgrade whose
     /// migration acks are still being counted while the coordinator — the
     /// bug — already resumed sealing. `(upgrade, epoch, acks)`.
     injected_migrating: Option<(PendingUpgrade, Epoch, usize)>,
@@ -425,10 +417,6 @@ impl Coordinator {
         if let Some(h) = &self.cfg.history {
             h.record(mk());
         }
-    }
-
-    fn pipeline_depth(&self) -> usize {
-        self.cfg.pipeline_depth.max(1)
     }
 
     /// The coordinator loop.
@@ -577,7 +565,7 @@ impl Coordinator {
             version,
             epoch,
         });
-        if self.cfg.inject_torn_upgrade {
+        if self.cfg.bug == Some(BugLever::TornUpgrade) {
             let p = self.pending_upgrades.pop_front().expect("front checked");
             self.active_version = version;
             self.injected_migrating = Some((p, epoch, 0));
@@ -612,13 +600,12 @@ impl Coordinator {
 
     /// Seals as many batches as the pipeline window allows. A new batch may
     /// start once every in-flight regular batch has entered its reservation
-    /// round and fewer than `pipeline_depth` batches are in flight — at
-    /// depth 1 that degenerates to the stop-and-wait "seal only when idle".
+    /// round and fewer than `pipeline_depth` batches are in flight.
     fn maybe_seal_batches(&mut self) {
         if !matches!(self.mode, Mode::Running) {
             return;
         }
-        while self.in_flight.len() < self.pipeline_depth()
+        while self.in_flight.len() < self.cfg.pipeline_depth
             && self.in_flight.values().all(|b| !b.blocks_sealing())
             && self.seal_next_batch()
         {}
@@ -630,9 +617,7 @@ impl Coordinator {
     fn seal_next_batch(&mut self) -> bool {
         let (txns, kind): (Vec<TxnId>, BatchKind) =
             if let Some(txn) = self.fallback_queue.pop_front() {
-                // At depth ≥ 2 the fallback batch commits at its final hop.
-                let solo = self.pipeline_depth() >= 2;
-                (vec![txn], BatchKind::Fallback { solo })
+                (vec![txn], BatchKind::Solo)
             } else {
                 if self.queue.is_empty() {
                     return false;
@@ -660,7 +645,7 @@ impl Coordinator {
             let version = self.active_version;
             self.record(|| HistoryEvent::BatchVersion { batch, version });
         }
-        let solo = kind == (BatchKind::Fallback { solo: true });
+        let solo = kind == BatchKind::Solo;
         for txn in &txns {
             // Roots are stamped with the active version at *seal* time:
             // continuations inherit it hop by hop, so an in-flight chain
@@ -693,7 +678,7 @@ impl Coordinator {
             // batches skip the accumulation queue; their seal is a point.
             let opened = match kind {
                 BatchKind::Regular => self.queue_since_ns.take().unwrap_or(sealed_ns),
-                BatchKind::Fallback { .. } => sealed_ns,
+                BatchKind::Solo => sealed_ns,
             };
             self.obs
                 .stage_span(se_obs::Stage::BatchSeal, batch, opened, sealed_ns);
@@ -923,17 +908,10 @@ impl Coordinator {
             );
         }
         match batch.kind {
-            BatchKind::Fallback { solo: true } => {
+            BatchKind::Solo => {
                 // The final-hop worker already decided and committed; this
                 // is the commit record.
                 self.finalize_solo(batch_id);
-            }
-            BatchKind::Fallback { solo: false } => {
-                // A single-transaction batch cannot conflict: commit
-                // directly, skipping the reservation round. Errored chains
-                // still abort.
-                let aborted = batch.errors.clone();
-                self.finish_batch(batch_id, aborted, Vec::new());
             }
             BatchKind::Regular => {
                 let txns = Arc::clone(&batch.txns);

@@ -13,11 +13,11 @@
 //! internal delay channels) → reserve → decide (WAW/RAW/WAR, optional
 //! deterministic reordering) → commit in transaction-id order → respond;
 //! aborted transactions re-run at the head of the next batch with their
-//! original ids. At `pipeline_depth ≥ 2` (knob on [`StateflowConfig`], env
-//! override `SE_PIPELINE_DEPTH`) batches overlap Aria-style: batch *N+1* is
-//! sealed as soon as batch *N* enters its reservation round, workers order
-//! execution with committed-batch watermarks, and serial-fallback retries
-//! commit at their final hop without a coordinator round trip.
+//! original ids. Up to `pipeline_depth` batches ([`StateflowConfig`])
+//! overlap Aria-style: batch *N+1* is sealed as soon as batch *N* enters its
+//! reservation round, workers order execution with committed-batch
+//! watermarks, and serial-fallback retries commit at their final hop without
+//! a coordinator round trip.
 
 #![warn(missing_docs)]
 
@@ -28,10 +28,7 @@ pub mod query;
 pub mod runtime;
 pub mod worker;
 
-pub use config::{
-    default_workers, durability_mode_from_env_or, exec_threads_from_env_or,
-    pipeline_depth_from_env_or, DurabilityConfig, DurabilityMode, StateflowConfig,
-};
+pub use config::{default_workers, BugLever, DurabilityConfig, DurabilityMode, StateflowConfig};
 pub use coordinator::CoordStats;
 pub use query::QueryResult;
 pub use runtime::StateflowRuntime;

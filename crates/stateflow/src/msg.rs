@@ -106,8 +106,7 @@ pub enum WorkerMsg {
         /// A single-transaction fallback batch that commits at the final
         /// hop: the executing worker decides (commit unless errored),
         /// applies its own writes, and broadcasts the commit record to its
-        /// peers — no coordinator round trip. Only used at
-        /// `pipeline_depth ≥ 2`; depth 1 keeps the stop-and-wait path.
+        /// peers — no coordinator round trip.
         solo: bool,
     },
     /// Execute the reservation phase for a sealed batch.
@@ -155,8 +154,7 @@ pub enum WorkerMsg {
         /// Transaction id.
         txn: TxnId,
         /// The chain position dedup resumes at: entry hop + 1, advanced
-        /// further by same-partition continuations inside the segment
-        /// (mirrors the serial path's bookkeeping exactly).
+        /// further by same-partition continuations inside the segment.
         next_hop: u32,
         /// The transaction's buffer with this segment's effects recorded.
         buffer: TxnBuffer,
@@ -207,11 +205,12 @@ pub enum WorkerMsg {
     Shutdown,
 }
 
-/// How a pool-executed chain segment ended (see [`WorkerMsg::SegmentDone`]).
+/// How a chain segment ended (returned by the worker's segment runner;
+/// carried by [`WorkerMsg::SegmentDone`] when it ran on the pool).
 #[derive(Debug, Clone)]
 pub enum SegmentOutcome {
     /// The chain finished; the protocol thread reports `ExecDone` (and for
-    /// solo batches decides + commits first, as the serial path does).
+    /// solo batches decides + commits first).
     Respond(Response),
     /// The chain suspended at a cross-partition call: forward `inv` to
     /// `owner` at chain position `hop`.

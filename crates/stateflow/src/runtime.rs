@@ -24,7 +24,7 @@ use crate::worker::Worker;
 /// bytecode for unchanged classes.
 struct CurrentDeploy {
     graph: Arc<DataflowGraph>,
-    vm: Option<Arc<se_vm::VmProgram>>,
+    vm: Arc<se_vm::VmProgram>,
 }
 
 /// A deployed StateFlow application: coordinator + workers over the compiled
@@ -62,14 +62,11 @@ pub struct StateflowRuntime {
 
 impl StateflowRuntime {
     /// Deploys a compiled dataflow graph on a fresh StateFlow cluster.
-    ///
-    /// `cfg.pipeline_depth` selects the coordinator schedule: 1 is classic
-    /// stop-and-wait, ≥ 2 pipelines batches (see [`crate::coordinator`]).
     pub fn deploy(graph: DataflowGraph, mut cfg: StateflowConfig) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(
             cfg.pipeline_depth >= 1,
-            "pipeline_depth 0 would never seal a batch; 1 = stop-and-wait"
+            "pipeline_depth 0 would never seal a batch"
         );
         // WAL durability needs a directory; deployments that did not pick
         // one get a unique temp dir owned (and removed) by this runtime.
@@ -89,17 +86,16 @@ impl StateflowRuntime {
         let graph = Arc::new(graph);
         let obs = se_obs::Obs::new(&cfg.obs);
         let obs_snapshots = Mutex::new(obs.spawn_periodic_snapshots());
-        // Deploy-time backend selection: for the VM backend every method
-        // body is lowered to bytecode exactly once, here, and the compiled
-        // program is shared by all workers.
+        // Every method body is lowered to bytecode exactly once, here, and
+        // the compiled program is shared by all workers.
         let compile_start = obs.now_ns();
-        let (runner, vm) = se_vm::runner_for_upgrade(cfg.backend, &graph.program, None);
+        let vm = Arc::new(se_vm::VmProgram::compile(&graph.program));
         obs.stage_span(se_obs::Stage::VmCompile, 0, compile_start, obs.now_ns());
         obs.counter("vm.compile_runs").inc();
         if obs.enabled() {
             se_compiler::stats(&graph).publish(&obs);
         }
-        let registry = VersionRegistry::new(Arc::clone(&graph), runner);
+        let registry = VersionRegistry::new(Arc::clone(&graph), Arc::clone(&vm) as _);
         obs.gauge("deploy.active_version").set(graph.version as i64);
         let snapshots = Arc::new(SnapshotStore::with_retention(cfg.snapshot_retention));
         let timers = Arc::new(ComponentTimers::new());
@@ -243,11 +239,10 @@ impl StateflowRuntime {
             &se_compiler::CompileOptions::default(),
         )?;
         let graph = Arc::new(graph);
-        let (runner, vm) = se_vm::runner_for_upgrade(
-            self.cfg.backend,
+        let vm = Arc::new(se_vm::VmProgram::compile_reusing(
             &graph.program,
-            cur.vm.as_deref().map(|v| (&cur.graph.program, v)),
-        );
+            Some((&cur.graph.program, &cur.vm)),
+        ));
         let version = graph.version;
         self.obs.stage_span(
             se_obs::Stage::VmCompile,
@@ -259,7 +254,8 @@ impl StateflowRuntime {
         if self.obs.enabled() {
             recompile.publish(&self.obs);
         }
-        self.registry.insert(version, Arc::clone(&graph), runner);
+        self.registry
+            .insert(version, Arc::clone(&graph), Arc::clone(&vm) as _);
         let waiter = self.submit(ClientOp::Redeploy { version });
         waiter.wait().map_err(|e| vec![e])?;
         *cur = CurrentDeploy { graph, vm };

@@ -6,29 +6,27 @@
 //! advantage: "it allows for internal function-to-function communication and
 //! does not require the roundtrips to Kafka" (§4).
 //!
-//! With pipelining (`pipeline_depth ≥ 2`) batches overlap: the coordinator
-//! dispatches batch *N+1* while batch *N* is still deciding, so per-channel
-//! FIFO no longer guarantees that a batch's `Exec` messages arrive after the
-//! previous batch's `Commit`. Each worker therefore keeps a committed-batch
-//! [`CommitWatermark`] and defers any `Exec` (root or chain hop) of batch
-//! *B* until the commit of batch *B−1* has been applied locally — every
-//! execution still reads exactly the snapshot Aria's serial batch order
-//! prescribes.
+//! Batches overlap: the coordinator dispatches batch *N+1* while batch *N*
+//! is still deciding, so per-channel FIFO does not guarantee that a batch's
+//! `Exec` messages arrive after the previous batch's `Commit`. Each worker
+//! therefore keeps a committed-batch [`CommitWatermark`] and defers any
+//! `Exec` (root or chain hop) of batch *B* until the commit of batch *B−1*
+//! has been applied locally — every execution still reads exactly the
+//! snapshot Aria's serial batch order prescribes.
 //!
-//! Shard-parallel execution (`exec_threads ≥ 2`): each worker owns an
-//! intra-partition work-stealing exec pool. Aria's deterministic batches
-//! make intra-batch execution embarrassingly parallel — every transaction
-//! reads the committed snapshot overlaid with its own private buffer, and
-//! the store is never mutated inside a batch's execution window (the commit
-//! of batch *B* requires every `ExecDone` of *B*, and the watermark defers
-//! batch *B+1*'s executions until that commit applied) — so chain segments
-//! fan out to the pool while the protocol thread keeps exclusive ownership
-//! of all protocol state. A segment checks out the transaction's buffer,
-//! executes hops (including same-partition continuations), and checks back
-//! in via a node-local [`WorkerMsg::SegmentDone`]; the protocol thread then
-//! performs the sends, solo commits and bookkeeping exactly where the
-//! serial path would. At `exec_threads = 1` the pool does not exist and the
-//! pre-pool serial schedule is preserved instruction for instruction.
+//! One segment runner: a chain segment — the entry hop plus any
+//! same-partition continuations — is executed by [`run_segment`] against
+//! the committed snapshot overlaid with the transaction's checked-out
+//! buffer. At `exec_threads = 1` the protocol thread calls it inline; at
+//! `≥ 2` it runs on the worker's work-stealing pool and checks back in via
+//! a node-local [`WorkerMsg::SegmentDone`]. Either way the protocol thread
+//! alone performs the sends, solo commits and bookkeeping
+//! ([`Worker::handle_segment_done`]) and keeps exclusive ownership of all
+//! protocol state. Fanning out is sound because Aria's deterministic
+//! batches make intra-batch execution embarrassingly parallel: the store
+//! is never mutated inside a batch's execution window (the commit of batch
+//! *B* requires every `ExecDone` of *B*, and the watermark defers batch
+//! *B+1*'s executions until that commit applied).
 //!
 //! Chaos hardening: with a scripted [`se_chaos::ChaosPlan`] armed, any
 //! data-plane message may arrive duplicated, late or not at all (until a
@@ -57,7 +55,7 @@ use se_ir::{
 };
 use se_lang::LangError;
 
-use crate::config::{DurabilityMode, StateflowConfig};
+use crate::config::{BugLever, DurabilityMode, StateflowConfig};
 use crate::msg::{ConflictFlags, CoordMsg, SegmentOutcome, WorkerMsg};
 
 /// A commit record as applied by a worker: the batch's transactions
@@ -84,12 +82,14 @@ pub struct Worker {
     /// flight across a live upgrade keep running the version they were
     /// stamped with at their root while new roots pick up the upgrade.
     registry: Arc<VersionRegistry>,
-    /// The partition store. The protocol thread is the only writer; with an
-    /// exec pool, pool tasks read the committed snapshot through it.
+    /// The partition store. The protocol thread is the only writer;
+    /// segments read the committed snapshot through it.
     store: SharedStateStore,
-    /// The intra-partition exec pool plus the shared context its tasks
-    /// capture; `None` at `exec_threads = 1` (serial schedule).
-    pool: Option<(rayon::ThreadPool, Arc<PoolCtx>)>,
+    /// What [`run_segment`] executes against, shared with pool tasks.
+    exec: Arc<ExecCtx>,
+    /// The intra-partition exec pool; `None` at `exec_threads = 1`
+    /// (segments run inline on the protocol thread).
+    pool: Option<rayon::ThreadPool>,
     /// Per-batch buffered accesses: batches overlap under pipelining, so
     /// reservation state must be keyed by batch, not just transaction.
     buffers: HashMap<BatchId, HashMap<TxnId, TxnBuffer>>,
@@ -119,8 +119,6 @@ pub struct Worker {
     /// Observability handle: exec-pool spans and WAL spans flow through it
     /// (a single predicted branch per probe when `SE_OBS=off`).
     obs: se_obs::Obs,
-    /// Method bodies executed on the protocol thread (serial schedule).
-    body_runs: se_obs::Counter,
     gen: u64,
     /// Set after a simulated crash until the next Restore.
     dead: bool,
@@ -156,34 +154,33 @@ impl Worker {
                 DurableOptions {
                     policy: cfg.durability.fsync,
                     full_snapshot_every: cfg.durability.full_snapshot_every.max(1),
-                    skip_crc: cfg.durability.inject_wal_no_crc,
+                    skip_crc: cfg.bug == Some(BugLever::WalNoCrc),
                 },
             )
             .expect("open durable store");
             d.set_obs(obs.clone());
             d
         });
+        let exec = Arc::new(ExecCtx {
+            cfg: cfg.clone(),
+            registry: Arc::clone(&registry),
+            store: store.clone(),
+            timers: Arc::clone(&timers),
+            home: peers[id].clone(),
+            id,
+            name: name.clone(),
+            n_workers: peers.len(),
+            busy_ns: obs.counter("exec.busy_ns"),
+            segments: obs.counter("exec.segments"),
+            body_runs: obs.counter("vm.body_runs"),
+            obs: obs.clone(),
+        });
         let pool = (cfg.exec_threads > 1).then(|| {
-            let ctx = Arc::new(PoolCtx {
-                cfg: cfg.clone(),
-                registry: Arc::clone(&registry),
-                store: store.clone(),
-                timers: Arc::clone(&timers),
-                home: peers[id].clone(),
-                id,
-                name: name.clone(),
-                n_workers: peers.len(),
-                busy_ns: obs.counter("exec.busy_ns"),
-                segments: obs.counter("exec.segments"),
-                body_runs: obs.counter("vm.body_runs"),
-                obs: obs.clone(),
-            });
-            let pool = rayon::ThreadPoolBuilder::new()
+            rayon::ThreadPoolBuilder::new()
                 .num_threads(cfg.exec_threads)
                 .thread_name(move |t| format!("stateflow-worker{id}-exec{t}"))
                 .build()
-                .expect("build exec pool");
-            (pool, ctx)
+                .expect("build exec pool")
         });
         Self {
             name,
@@ -191,6 +188,7 @@ impl Worker {
             cfg,
             registry,
             store,
+            exec,
             pool,
             buffers: HashMap::new(),
             expected_hops: HashMap::new(),
@@ -203,7 +201,6 @@ impl Worker {
             snapshots,
             timers,
             durable,
-            body_runs: obs.counter("vm.body_runs"),
             obs,
             gen: 0,
             dead: false,
@@ -428,24 +425,19 @@ impl Worker {
         self.run_or_spawn(batch, txn, hop, inv, solo);
     }
 
-    /// Routes a runnable exec: inline on the protocol thread (serial
-    /// schedule), or checked out to the exec pool.
+    /// Runs one chain segment of a runnable exec: inline on the protocol
+    /// thread, or checked out to the exec pool.
+    ///
+    /// Hop-sequence dedup happens here (protocol thread): chains advance
+    /// strictly forward, so a delivery at or below the last executed hop is
+    /// a duplicate — re-running it would double-apply effects like
+    /// `balance += a` through the buffer overlay. Then the transaction's
+    /// buffer moves into the segment for its duration. Sound on the pool
+    /// because nothing else can need that buffer until the segment checks
+    /// it back in: reservation only starts after every `ExecDone` of the
+    /// batch, and this transaction's `ExecDone` (or its next remote hop) is
+    /// sent from `handle_segment_done`, after reinstalling the buffer.
     fn run_or_spawn(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
-        if self.pool.is_some() {
-            self.spawn_segment(batch, txn, hop, inv, solo);
-        } else {
-            self.run_chain(batch, txn, hop, inv, solo);
-        }
-    }
-
-    /// Checks a runnable exec out to the intra-partition pool: hop dedup
-    /// happens here (protocol thread), then the transaction's buffer moves
-    /// into the pool task for the duration of the segment. Sound because
-    /// nothing else can need that buffer until the segment checks it back
-    /// in: reservation only starts after every `ExecDone` of the batch, and
-    /// this transaction's `ExecDone` (or its next remote hop) is sent from
-    /// `handle_segment_done`, after reinstalling the buffer.
-    fn spawn_segment(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
         {
             let expected = self
                 .expected_hops
@@ -464,19 +456,45 @@ impl Worker {
             .or_default()
             .remove(&txn)
             .unwrap_or_default();
-        let (pool, ctx) = self.pool.as_ref().expect("spawn_segment requires a pool");
-        let ctx = Arc::clone(ctx);
+        let Some(pool) = &self.pool else {
+            let (next_hop, buffer, outcome) = run_segment(&self.exec, hop, inv, buffer);
+            self.handle_segment_done(batch, txn, next_hop, buffer, outcome, solo);
+            return;
+        };
+        let ctx = Arc::clone(&self.exec);
         let gen = self.gen;
         // Queue-wait span start: stamped on the protocol thread so the gap
         // until a pool thread picks the segment up is visible per se.
         let spawned_ns = self.obs.now_ns();
-        pool.spawn(move || run_segment(&ctx, gen, batch, txn, hop, inv, solo, buffer, spawned_ns));
+        pool.spawn(move || {
+            let run_start = ctx.obs.now_ns();
+            ctx.obs
+                .stage_span(se_obs::Stage::SegQueueWait, txn, spawned_ns, run_start);
+            ctx.segments.inc();
+            let (next_hop, buffer, outcome) = run_segment(&ctx, hop, inv, buffer);
+            let run_end = ctx.obs.now_ns();
+            ctx.obs
+                .stage_span(se_obs::Stage::SegRun, txn, run_start, run_end);
+            ctx.busy_ns.add(run_end.saturating_sub(run_start));
+            ctx.home.send_after(
+                WorkerMsg::SegmentDone {
+                    gen,
+                    batch,
+                    txn,
+                    next_hop,
+                    buffer,
+                    outcome,
+                    solo,
+                },
+                Duration::ZERO,
+            );
+        });
     }
 
-    /// A pool segment finished: check the buffer back in, mirror the
-    /// segment's hop bookkeeping, then perform the protocol action the
-    /// serial path would have performed inline (report/solo-commit, or
-    /// forward the chain to its next partition).
+    /// A segment finished (inline call or pool completion): check the
+    /// buffer back in, advance the dedup position past the segment's local
+    /// continuations, then perform its protocol action (report/solo-commit,
+    /// or forward the chain to its next partition).
     fn handle_segment_done(
         &mut self,
         batch: BatchId,
@@ -487,14 +505,14 @@ impl Worker {
         solo: bool,
     ) {
         if matches!(outcome, SegmentOutcome::Crashed) {
-            // The scripted crash fired on a pool thread; the "process"
-            // (protocol thread included) dies here.
+            // The scripted crash fired inside the segment; the "process"
+            // dies here, on the protocol thread.
             self.crash();
             return;
         }
         if !self.watermark.runnable(batch) {
             // Safety net: the batch already committed locally (argued
-            // unreachable — dedup prevents duplicate spawns and commits
+            // unreachable — dedup prevents duplicate segments and commits
             // wait for ExecDone — but reinstalling a buffer into a
             // committed batch would leak it forever).
             return;
@@ -548,140 +566,17 @@ impl Worker {
                 continue;
             };
             if queue.is_empty() {
-                // Drop the entry before running: a solo commit inside
-                // run_chain advances the watermark past this batch, after
-                // which the loop would never revisit (and clean) its key.
+                // Drop the entry before running: a solo commit inside an
+                // inline segment advances the watermark past this batch,
+                // after which the loop would never revisit (and clean) its
+                // key.
                 self.deferred.remove(&batch);
             }
             self.run_or_spawn(batch, item.txn, item.hop, item.inv, item.solo);
-            // A solo commit inside run_chain may have advanced the
-            // watermark; re-resolve the runnable batch from scratch. A
+            // A solo commit may have advanced the watermark; re-resolve
+            // the runnable batch from scratch. A
             // batch's queue only holds work that arrived before the batch
             // became runnable, so an advance past it cannot strand items.
-        }
-    }
-
-    /// The execute phase for one hop of a transaction's invocation chain.
-    ///
-    /// Reads see the committed snapshot overlaid with the transaction's own
-    /// buffered writes; effects are buffered, never applied — Aria defers
-    /// all writes to the commit phase. Solo (single-transaction fallback)
-    /// batches commit at the final hop; see [`Worker::commit_solo`].
-    fn run_chain(
-        &mut self,
-        batch: BatchId,
-        txn: TxnId,
-        mut hop: u32,
-        mut inv: Invocation,
-        solo: bool,
-    ) {
-        {
-            // Hop-sequence dedup: chains advance strictly forward, so a
-            // delivery at or below the last executed hop is a duplicate —
-            // re-running it would double-apply effects like `balance += a`
-            // through the buffer overlay.
-            let expected = self
-                .expected_hops
-                .entry(batch)
-                .or_default()
-                .entry(txn)
-                .or_insert(0);
-            if hop < *expected {
-                return;
-            }
-            *expected = hop + 1;
-        }
-        loop {
-            // Failure injection: scripted crashes land per executed hop.
-            if self
-                .cfg
-                .chaos
-                .should_crash(self.node_name(), CrashPoint::Exec)
-            {
-                self.crash();
-                return;
-            }
-            // Synthetic service time: burned on this thread, a partition is
-            // sequential.
-            se_dataflow::burn(self.cfg.net.scaled(self.cfg.service_time));
-
-            let target = inv.target;
-            let request = inv.request;
-            // O(1): entity state is copy-on-write, so "read the committed
-            // snapshot" is a refcount bump, not a deep copy. The read guard
-            // must drop before finish_chain (a solo commit takes the write
-            // lock), hence the two-step clone.
-            let committed = self.store.read().get(&target).cloned();
-            let Some(committed) = committed else {
-                let response = Response {
-                    request,
-                    result: Err(LangError::runtime(format!("unknown entity {target}"))),
-                };
-                self.finish_chain(batch, txn, response, solo);
-                return;
-            };
-            let buffer = self
-                .buffers
-                .entry(batch)
-                .or_default()
-                .entry(txn)
-                .or_default();
-            let before = self
-                .timers
-                .time("state_read", || buffer.overlay_read(&target, &committed));
-            // Copy-on-write: `after` shares storage with `before` until the
-            // method actually writes an attribute.
-            let mut after = before.clone();
-            // Version pinning: the chain runs the program version stamped at
-            // its root (continuations inherit it), not whatever is active.
-            let entry = self.registry.resolve(inv.version);
-            let effect = self.timers.time("function_execution", || {
-                process_invocation_with(&entry.graph.program, &*entry.runner, inv, &mut after)
-            });
-            self.body_runs.inc();
-            self.timers.time("state_write_buffer", || {
-                buffer.record_effects(&target, &before, &after)
-            });
-
-            match effect {
-                StepEffect::Respond(response) => {
-                    self.finish_chain(batch, txn, response, solo);
-                    return;
-                }
-                StepEffect::Emit(next) => {
-                    hop += 1;
-                    let owner = partition_for(next.target.key.as_str(), self.peers.len());
-                    if owner == self.id {
-                        // Same-partition call: continue locally, no hop
-                        // message — but the position still advances so a
-                        // later duplicate of the *message* that started
-                        // this chain segment stays below `expected`.
-                        self.expected_hops
-                            .entry(batch)
-                            .or_default()
-                            .insert(txn, hop + 1);
-                        inv = next;
-                        continue;
-                    }
-                    let bytes = next.approx_size();
-                    send_with_chaos(
-                        &self.cfg.chaos,
-                        Seam::WorkerToWorker,
-                        &self.cfg.net,
-                        &self.peers[owner],
-                        WorkerMsg::Exec {
-                            gen: self.gen,
-                            batch,
-                            txn,
-                            hop,
-                            inv: next,
-                            solo,
-                        },
-                        self.cfg.net.f2f_latency(bytes),
-                    );
-                    return;
-                }
-            }
         }
     }
 
@@ -715,10 +610,9 @@ impl Worker {
     /// transaction can never lose a conflict, so the decision is locally
     /// determined: commit unless the chain errored. The worker applies its
     /// own buffered writes, advances its watermark, and broadcasts the
-    /// commit record to peers (who hold any remote hops' buffers) — the
-    /// coordinator round trip that stop-and-wait pays per fallback
-    /// transaction disappears, which is what lets consecutive hot-key
-    /// retries chain back-to-back on the owning worker.
+    /// commit record to peers (who hold any remote hops' buffers) — no
+    /// coordinator round trip per fallback transaction, which is what lets
+    /// consecutive hot-key retries chain back-to-back on the owning worker.
     fn commit_solo(&mut self, batch: BatchId, txn: TxnId, errored: bool) {
         debug_assert!(
             self.watermark.runnable(batch),
@@ -778,10 +672,10 @@ impl Worker {
             // out (the coordinator deduplicates reports per worker).
             return;
         }
-        // Test-only regression lever: `inject_reserve_bug` reverts to the
-        // pre-fix behavior (errored chains reserve too), which the history
-        // checker must flag as unjustified aborts. See StateflowConfig.
-        let reserve_errored = self.cfg.inject_reserve_bug;
+        // Test-only regression lever: reverts to the pre-fix behavior
+        // (errored chains reserve too), which the history checker must flag
+        // as unjustified aborts.
+        let reserve_errored = self.cfg.bug == Some(BugLever::ReserveErrored);
         let buffers = self.buffers.get(&batch);
         let buffer_of = |txn: &TxnId| buffers.and_then(|b| b.get(txn));
         let mut table = ReservationTable::new();
@@ -1091,81 +985,55 @@ impl Worker {
     }
 }
 
-/// Everything a pool-executed segment needs, captured once at pool build
-/// time (pool tasks must not borrow the `Worker` — the protocol thread keeps
+/// Everything [`run_segment`] needs, captured once at worker build time
+/// (pool tasks must not borrow the `Worker` — the protocol thread keeps
 /// mutating it while segments run).
-struct PoolCtx {
+struct ExecCtx {
     cfg: StateflowConfig,
     registry: Arc<VersionRegistry>,
     store: SharedStateStore,
     timers: Arc<ComponentTimers>,
-    /// The owning worker's own inbox: segment completions are node-local
+    /// The owning worker's own inbox: pool completions are node-local
     /// (same "process"), so they bypass the simulated network and chaos.
     home: DelaySender<WorkerMsg>,
     id: usize,
     name: String,
     n_workers: usize,
-    /// Nanoseconds pool threads spent running segments (all modes; stays 0
-    /// when `SE_OBS=off` because `now_ns` short-circuits). Feeds the bench
+    /// Nanoseconds pool threads spent running segments (stays 0 when
+    /// `SE_OBS=off` because `now_ns` short-circuits). Feeds the bench
     /// `exec_utilization` column.
     busy_ns: se_obs::Counter,
     /// Segments executed on the pool.
     segments: se_obs::Counter,
-    /// Method bodies executed on pool threads.
+    /// Method bodies executed.
     body_runs: se_obs::Counter,
     obs: se_obs::Obs,
 }
 
-/// The pool-side half of [`Worker::run_chain`]: executes one chain segment —
-/// the entry hop plus any same-partition continuations — against the
-/// committed snapshot overlaid with the transaction's checked-out buffer,
-/// then reports via [`WorkerMsg::SegmentDone`]. Mirrors the serial path's
-/// hop arithmetic exactly so `exec_threads = 1` and `≥ 2` keep identical
-/// dedup positions.
-#[allow(clippy::too_many_arguments)]
+/// The execute phase for one chain segment: the entry hop plus any
+/// same-partition continuations.
+///
+/// Reads see the committed snapshot overlaid with the transaction's own
+/// buffered writes; effects are buffered, never applied — Aria defers all
+/// writes to the commit phase. Returns the chain position dedup resumes at
+/// (`entry_hop + 1`, advanced further by local continuations so a later
+/// duplicate of the *message* that started this segment stays below it),
+/// the buffer with this segment's effects recorded, and how the segment
+/// ended.
 fn run_segment(
-    ctx: &PoolCtx,
-    gen: u64,
-    batch: BatchId,
-    txn: TxnId,
+    ctx: &ExecCtx,
     entry_hop: u32,
     mut inv: Invocation,
-    solo: bool,
     mut buffer: TxnBuffer,
-    spawned_ns: u64,
-) {
-    let run_start = ctx.obs.now_ns();
-    ctx.obs
-        .stage_span(se_obs::Stage::SegQueueWait, txn, spawned_ns, run_start);
-    ctx.segments.inc();
+) -> (u32, TxnBuffer, SegmentOutcome) {
     let mut hop = entry_hop;
-    // Mirrors `expected_hops`: entry dedup already advanced it to
-    // `entry_hop + 1` on the protocol thread; local continuations advance it
-    // further below.
     let mut next_hop = entry_hop + 1;
-    let done = |next_hop: u32, buffer: TxnBuffer, outcome: SegmentOutcome| {
-        let run_end = ctx.obs.now_ns();
-        ctx.obs
-            .stage_span(se_obs::Stage::SegRun, txn, run_start, run_end);
-        ctx.busy_ns.add(run_end.saturating_sub(run_start));
-        ctx.home.send_after(
-            WorkerMsg::SegmentDone {
-                gen,
-                batch,
-                txn,
-                next_hop,
-                buffer,
-                outcome,
-                solo,
-            },
-            Duration::ZERO,
-        );
-    };
     loop {
+        // Failure injection: scripted crashes land per executed hop.
         if ctx.cfg.chaos.should_crash(&ctx.name, CrashPoint::Exec) {
-            done(next_hop, buffer, SegmentOutcome::Crashed);
-            return;
+            return (next_hop, buffer, SegmentOutcome::Crashed);
         }
+        // Synthetic service time, burned on the executing thread.
         se_dataflow::burn(ctx.cfg.net.scaled(ctx.cfg.service_time));
 
         let target = inv.target;
@@ -1178,14 +1046,16 @@ fn run_segment(
                 request,
                 result: Err(LangError::runtime(format!("unknown entity {target}"))),
             };
-            done(next_hop, buffer, SegmentOutcome::Respond(response));
-            return;
+            return (next_hop, buffer, SegmentOutcome::Respond(response));
         };
         let before = ctx
             .timers
             .time("state_read", || buffer.overlay_read(&target, &committed));
+        // Copy-on-write: `after` shares storage with `before` until the
+        // method actually writes an attribute.
         let mut after = before.clone();
-        // Version pinning, mirroring the serial path.
+        // Version pinning: the chain runs the program version stamped at
+        // its root (continuations inherit it), not whatever is active.
         let entry = ctx.registry.resolve(inv.version);
         let effect = ctx.timers.time("function_execution", || {
             process_invocation_with(&entry.graph.program, &*entry.runner, inv, &mut after)
@@ -1197,27 +1067,23 @@ fn run_segment(
 
         match effect {
             StepEffect::Respond(response) => {
-                done(next_hop, buffer, SegmentOutcome::Respond(response));
-                return;
+                return (next_hop, buffer, SegmentOutcome::Respond(response));
             }
             StepEffect::Emit(next) => {
                 hop += 1;
                 let owner = partition_for(next.target.key.as_str(), ctx.n_workers);
                 if owner == ctx.id {
+                    // Same-partition call: continue locally, no hop message.
                     next_hop = hop + 1;
                     inv = next;
                     continue;
                 }
-                done(
-                    next_hop,
-                    buffer,
-                    SegmentOutcome::Emit {
-                        owner,
-                        hop,
-                        inv: next,
-                    },
-                );
-                return;
+                let outcome = SegmentOutcome::Emit {
+                    owner,
+                    hop,
+                    inv: next,
+                };
+                return (next_hop, buffer, outcome);
             }
         }
     }

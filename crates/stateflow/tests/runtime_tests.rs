@@ -436,9 +436,8 @@ fn transfers_survive_failure_with_conservation() {
 }
 
 /// A multi-crash script kills the *same* worker twice: the first recovery
-/// must not exhaust the plan (the old one-shot `FailurePlan` semantics), and
-/// the second incarnation's countdown starts from zero. Exactly-once must
-/// hold across both replays.
+/// must not exhaust the plan, and the second incarnation's countdown starts
+/// from zero. Exactly-once must hold across both replays.
 #[test]
 fn same_worker_crashes_twice_and_recovers_twice() {
     let program = account_program();

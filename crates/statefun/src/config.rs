@@ -4,7 +4,6 @@ use std::time::Duration;
 
 use se_chaos::{ChaosPlan, History};
 use se_dataflow::NetConfig;
-use se_ir::ExecBackend;
 
 /// How the runtime checkpoints.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,19 +50,12 @@ pub struct StatefunConfig {
     /// Fault injection: scripted task crashes, message faults on the
     /// remote-function request/response seams, and broker outage windows.
     /// Crash scripts require [`CheckpointMode::Transactional`] (nothing to
-    /// recover from otherwise). The legacy `FailurePlan` converts into a
-    /// one-crash plan via `Into`.
+    /// recover from otherwise).
     pub chaos: ChaosPlan,
     /// Optional execution-history recording (per-key dispatch/install
     /// events for the per-key serialization check). `None` (the default)
     /// records nothing and costs one branch per step.
     pub history: Option<History>,
-    /// Which execution backend runs split method bodies: tree-walking
-    /// interpretation, or bytecode compiled once at deploy time and run on
-    /// the `se-vm` register VM. Semantically identical; the VM trades a
-    /// deploy-time lowering pass for cheaper per-invocation dispatch. The
-    /// `SE_EXEC_BACKEND` env var (`interp` | `vm`) overrides the default.
-    pub backend: ExecBackend,
     /// Observability: `SE_OBS=off|metrics|trace` (default off), dump
     /// directory via `SE_OBS_DIR`. See `se_obs::ObsConfig`.
     pub obs: se_obs::ObsConfig,
@@ -80,7 +72,6 @@ impl Default for StatefunConfig {
             snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
             chaos: ChaosPlan::none(),
             history: None,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
             obs: se_obs::ObsConfig::from_env("statefun"),
         }
     }
@@ -94,12 +85,8 @@ impl StatefunConfig {
             remote_workers: partitions,
             net: NetConfig::fast_test(),
             service_time: Duration::from_micros(10),
-            checkpoint: CheckpointMode::None,
-            snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
-            chaos: ChaosPlan::none(),
-            history: None,
-            backend: ExecBackend::from_env_or(ExecBackend::Interp),
             obs: se_obs::ObsConfig::from_env("statefun-test"),
+            ..Self::default()
         }
     }
 }

@@ -25,7 +25,7 @@ use crate::task::{CtlMsg, PartitionTask, RecoveryCtl, UpgradeGate};
 /// recompilation + VM bytecode reuse).
 struct CurrentDeploy {
     graph: Arc<DataflowGraph>,
-    vm: Option<Arc<se_vm::VmProgram>>,
+    vm: Arc<se_vm::VmProgram>,
 }
 
 /// A deployed StateFun-style application.
@@ -65,17 +65,16 @@ impl StatefunRuntime {
         let graph = Arc::new(graph);
         let obs = se_obs::Obs::new(&cfg.obs);
         let obs_snapshots = Mutex::new(obs.spawn_periodic_snapshots());
-        // Deploy-time backend selection: with the VM backend, method bodies
-        // are lowered to bytecode once here and shared by all remote
-        // function workers.
+        // Method bodies are lowered to bytecode once here and shared by all
+        // remote function workers.
         let compile_start = obs.now_ns();
-        let (runner, vm) = se_vm::runner_for_upgrade(cfg.backend, &graph.program, None);
+        let vm = Arc::new(se_vm::VmProgram::compile(&graph.program));
         obs.stage_span(se_obs::Stage::VmCompile, 0, compile_start, obs.now_ns());
         obs.counter("vm.compile_runs").inc();
         if obs.enabled() {
             se_compiler::stats(&graph).publish(&obs);
         }
-        let registry = VersionRegistry::new(Arc::clone(&graph), runner);
+        let registry = VersionRegistry::new(Arc::clone(&graph), Arc::clone(&vm) as _);
         obs.gauge("deploy.active_version").set(graph.version as i64);
         let gate = Arc::new(UpgradeGate::default());
         // Outage windows in the chaos script act on broker visibility.
@@ -300,11 +299,10 @@ impl StatefunRuntime {
             &se_compiler::CompileOptions::default(),
         )?;
         let graph = Arc::new(graph);
-        let (runner, vm) = se_vm::runner_for_upgrade(
-            self.cfg.backend,
+        let vm = Arc::new(se_vm::VmProgram::compile_reusing(
             &graph.program,
-            cur.vm.as_deref().map(|v| (&cur.graph.program, v)),
-        );
+            Some((&cur.graph.program, &cur.vm)),
+        ));
         let version = graph.version;
         self.obs.stage_span(
             se_obs::Stage::VmCompile,
@@ -316,7 +314,8 @@ impl StatefunRuntime {
         if self.obs.enabled() {
             recompile.publish(&self.obs);
         }
-        self.registry.insert(version, Arc::clone(&graph), runner);
+        self.registry
+            .insert(version, Arc::clone(&graph), Arc::clone(&vm) as _);
         for p in 0..self.cfg.partitions {
             self.broker
                 .produce_to(topics::INGRESS, p, "", SfRecord::Upgrade { version }, 0)

@@ -1,11 +1,11 @@
 //! # se-vm — bytecode compiler + register VM for split entity methods
 //!
-//! The second execution backend of the repository (the first being the
-//! tree-walking interpreter in `se-lang` / `se-ir`). After the compiler
-//! pipeline splits entity methods into block CFGs, both backends can run
-//! them; this crate lowers those CFGs once — at deploy time — to a compact
-//! register instruction set with per-class constant pools, then executes
-//! them in a flat dispatch loop:
+//! The engines' body runner. After the compiler pipeline splits entity
+//! methods into block CFGs, this crate lowers those CFGs once — at deploy
+//! time — to a compact register instruction set with per-class constant
+//! pools, then executes them in a flat dispatch loop (the tree-walking
+//! interpreter in `se-lang` / `se-ir` stays as the reference semantics the
+//! lockstep suite compares against, not as something a deployment selects):
 //!
 //! * [`lower`] — the bytecode compiler: register allocation for locals,
 //!   stack-disciplined temporaries, short-circuit lowering, and a
@@ -27,7 +27,7 @@
 //! programs executed under both backends in lockstep.
 //!
 //! ```
-//! use se_ir::{ExecBackend, Invocation, RequestId, drive_chain_with};
+//! use se_ir::{Invocation, RequestId, drive_chain_with};
 //! use se_lang::{EntityRef, Value};
 //!
 //! let program = se_lang::programs::figure1_program();
@@ -65,5 +65,5 @@ pub mod vm;
 pub use disasm::{disasm_class, disasm_method};
 pub use lower::{lower_method, lower_method_with, PoolBuilder, VmOpts};
 pub use op::{CacheCell, ConstPool, Op, Reg, SuspendSpec};
-pub use program::{runner_for, runner_for_upgrade, VmClass, VmMethod, VmProgram};
+pub use program::{VmClass, VmMethod, VmProgram};
 pub use vm::Vm;

@@ -15,9 +15,9 @@
 //!   an [`Op::Defined`] check at exactly the program point where the
 //!   interpreter would raise `UndefinedVariable`.
 //!
-//! On top of the straight lowering sits an optimization pipeline (gated by
-//! [`VmOpts`], disabled wholesale with `SE_VM_OPT=off`), still bound by the
-//! same error-identity contract:
+//! On top of the straight lowering sits an optimization pipeline (always on
+//! in deployments; [`VmOpts::none`] turns it off for the lockstep tests),
+//! still bound by the same error-identity contract:
 //!
 //! 1. **constant folding** — literal-only subexpressions are evaluated at
 //!    lowering time with the *interpreter's own* evaluation functions; any
@@ -47,8 +47,8 @@ use crate::op::{CacheCell, CodeIdx, ConstPool, Op, Reg, SuspendSpec};
 use crate::program::VmMethod;
 
 /// Which lowering-time optimizations to apply. The default (and
-/// [`VmOpts::all`]) enables everything; `SE_VM_OPT=off` (via
-/// [`VmOpts::from_env`]) disables everything, making the emitted bytecode
+/// [`VmOpts::all`]) enables everything and is what every deployment runs;
+/// [`VmOpts::none`] is a test constructor making the emitted bytecode
 /// identical to the unoptimized lowering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmOpts {
@@ -76,15 +76,6 @@ impl VmOpts {
             fold: false,
             fuse: false,
             quicken: false,
-        }
-    }
-
-    /// Reads the `SE_VM_OPT` escape hatch: `off`/`0`/`false`/`none`
-    /// disables the whole pipeline, anything else (or unset) enables it.
-    pub fn from_env() -> VmOpts {
-        match std::env::var("SE_VM_OPT") {
-            Ok(v) if matches!(v.as_str(), "off" | "0" | "false" | "none") => VmOpts::none(),
-            _ => VmOpts::all(),
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Compiled bytecode artifacts: methods, classes, and the deploy-time cache.
 
 use se_ir::{
-    Activation, BlockId, BodyOutcome, BodyRunner, CompiledMethod, CompiledProgram, ExecBackend,
-    InterpBody,
+    Activation, BlockId, BodyOutcome, BodyRunner, CompiledMethod, CompiledProgram, InterpBody,
 };
 use se_lang::{ClassName, EntityState, LangError, Symbol};
 
@@ -84,67 +83,30 @@ pub struct VmProgram {
 }
 
 impl VmProgram {
-    /// Lowers every method of every class of `program` to bytecode.
+    /// Lowers every method of every class of `program` to bytecode, with
+    /// every optimization on ([`VmOpts::all`]).
     ///
     /// Methods the lowering pass rejects are skipped — recorded in
     /// [`VmProgram::skipped_methods`] and warned about on stderr — and fall
-    /// back to the interpreter at runtime. For pipeline-compiled programs
-    /// the only rejection cause is an invalid split (a remote call inside a
-    /// block body), which the interpreter then reports exactly as the
-    /// interp backend would; resource-limit rejections (constant-pool or
-    /// register overflow) would otherwise silently forfeit the VM speedup,
-    /// hence the warning.
-    ///
-    /// Optimization settings come from the environment
-    /// ([`VmOpts::from_env`], i.e. the `SE_VM_OPT` escape hatch).
+    /// back to the reference interpreter ([`InterpBody`]) at runtime. For
+    /// pipeline-compiled programs the only rejection cause is an invalid
+    /// split (a remote call inside a block body), which the interpreter
+    /// then reports; resource-limit rejections (constant-pool or register
+    /// overflow) would otherwise silently forfeit the VM speedup, hence the
+    /// warning.
     pub fn compile(program: &CompiledProgram) -> VmProgram {
-        VmProgram::compile_with_opts(program, VmOpts::from_env())
+        VmProgram::lower(program, VmOpts::all(), None)
     }
 
-    /// [`VmProgram::compile`] with explicit optimization settings.
+    /// [`VmProgram::compile`] with explicit optimization settings — the
+    /// test constructor the lockstep suite uses to pin the plain lowering
+    /// ([`VmOpts::none`]) against the optimized one.
     pub fn compile_with_opts(program: &CompiledProgram, opts: VmOpts) -> VmProgram {
-        let mut classes = Vec::with_capacity(program.classes.len());
-        let mut index = Vec::new();
-        let mut skipped = Vec::new();
-        for compiled in &program.classes {
-            let mut pool = crate::lower::PoolBuilder::default();
-            let mut methods = Vec::with_capacity(compiled.methods.len());
-            for method in &compiled.methods {
-                match crate::lower::lower_method_with(&mut pool, method, opts) {
-                    Ok(vm_method) => {
-                        index.push((
-                            (compiled.class.name, method.name),
-                            (classes.len() as u32, methods.len() as u32),
-                        ));
-                        methods.push(vm_method);
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "warning: se-vm could not lower {}.{} ({e}); \
-                             it will run on the interpreter",
-                            compiled.class.name, method.name
-                        );
-                        skipped.push((compiled.class.name, method.name, e));
-                    }
-                }
-            }
-            classes.push(VmClass {
-                class: compiled.class.name,
-                pool: pool.finish(),
-                methods,
-            });
-        }
-        index.sort_unstable_by_key(|(k, _)| *k);
-        VmProgram {
-            classes,
-            index,
-            skipped,
-            opts,
-        }
+        VmProgram::lower(program, opts, None)
     }
 
-    /// Lowers `program`, reusing the previous version's bytecode for every
-    /// class that is structurally unchanged.
+    /// [`VmProgram::compile`] for a redeploy: reuses the previous version's
+    /// bytecode for every class that is structurally unchanged.
     ///
     /// Reuse granularity is the *class*, not the method: a [`VmClass`] owns
     /// one constant pool shared by all its methods, so re-lowering a single
@@ -156,30 +118,43 @@ impl VmProgram {
         program: &CompiledProgram,
         prev: Option<(&CompiledProgram, &VmProgram)>,
     ) -> VmProgram {
-        let opts = VmOpts::from_env();
-        let Some((prev_ir, prev_vm)) = prev else {
-            return VmProgram::compile_with_opts(program, opts);
-        };
+        let opts = VmOpts::all();
         // Bytecode lowered under different optimization settings is not
         // interchangeable; recompile everything.
-        if prev_vm.opts != opts {
-            return VmProgram::compile_with_opts(program, opts);
-        }
+        VmProgram::lower(program, opts, prev.filter(|(_, vm)| vm.opts == opts))
+    }
+
+    fn lower(
+        program: &CompiledProgram,
+        opts: VmOpts,
+        prev: Option<(&CompiledProgram, &VmProgram)>,
+    ) -> VmProgram {
         let mut classes = Vec::with_capacity(program.classes.len());
         let mut index = Vec::new();
         let mut skipped = Vec::new();
         for compiled in &program.classes {
-            let reusable = prev_ir
-                .class(compiled.class.name)
-                .filter(|pc| *pc == compiled)
-                .and_then(|_| {
-                    prev_vm
-                        .classes
-                        .iter()
-                        .find(|c| c.class == compiled.class.name)
-                });
+            let reusable = prev.and_then(|(prev_ir, prev_vm)| {
+                prev_ir
+                    .class(compiled.class.name)
+                    .filter(|pc| *pc == compiled)?;
+                let class = prev_vm
+                    .classes
+                    .iter()
+                    .find(|c| c.class == compiled.class.name)?;
+                Some((class, prev_vm))
+            });
             let vm_class = match reusable {
-                Some(prev_class) => prev_class.clone(),
+                Some((prev_class, prev_vm)) => {
+                    // Carried-over classes keep their previous skip records.
+                    skipped.extend(
+                        prev_vm
+                            .skipped
+                            .iter()
+                            .filter(|(c, _, _)| *c == compiled.class.name)
+                            .cloned(),
+                    );
+                    prev_class.clone()
+                }
                 None => {
                     let mut pool = crate::lower::PoolBuilder::default();
                     let mut methods = Vec::with_capacity(compiled.methods.len());
@@ -203,12 +178,6 @@ impl VmProgram {
                     }
                 }
             };
-            // Carried-over classes keep their previous skip records too.
-            for (c, m, e) in &prev_vm.skipped {
-                if reusable.is_some() && *c == compiled.class.name {
-                    skipped.push((*c, *m, e.clone()));
-                }
-            }
             for (mi, m) in vm_class.methods.iter().enumerate() {
                 index.push(((vm_class.class, m.name), (classes.len() as u32, mi as u32)));
             }
@@ -279,41 +248,6 @@ impl BodyRunner for VmProgram {
                 .quickened(self.opts.quicken)
                 .run(vm_class, vm_method, activation, state),
             None => InterpBody.run_body(class, method, activation, state),
-        }
-    }
-}
-
-/// Builds the [`BodyRunner`] for `backend`: a unit interp runner, or the
-/// program compiled to bytecode once (the deploy-time compilation step).
-pub fn runner_for(
-    backend: ExecBackend,
-    program: &CompiledProgram,
-) -> std::sync::Arc<dyn BodyRunner> {
-    runner_for_upgrade(backend, program, None).0
-}
-
-/// [`runner_for`] for a redeploy: reuses the previous version's bytecode for
-/// unchanged classes (see [`VmProgram::compile_reusing`]).
-///
-/// Also returns the typed [`VmProgram`] handle (when the backend is the VM)
-/// so the caller can keep it for the *next* upgrade's reuse baseline — the
-/// `dyn BodyRunner` erasure cannot be undone later.
-pub fn runner_for_upgrade(
-    backend: ExecBackend,
-    program: &CompiledProgram,
-    prev: Option<(&CompiledProgram, &VmProgram)>,
-) -> (
-    std::sync::Arc<dyn BodyRunner>,
-    Option<std::sync::Arc<VmProgram>>,
-) {
-    match backend {
-        ExecBackend::Interp => (std::sync::Arc::new(se_ir::InterpBody), None),
-        ExecBackend::Vm => {
-            let vm = std::sync::Arc::new(VmProgram::compile_reusing(program, prev));
-            (
-                std::sync::Arc::clone(&vm) as std::sync::Arc<dyn BodyRunner>,
-                Some(vm),
-            )
         }
     }
 }

@@ -83,9 +83,8 @@ impl Vm {
         }
     }
 
-    /// Enables or disables inline-cache quickening (on by default; the
-    /// `SE_VM_OPT=off` escape hatch turns it off via
-    /// [`crate::lower::VmOpts`]).
+    /// Enables or disables inline-cache quickening (on by default; off
+    /// under [`crate::lower::VmOpts::none`]).
     pub fn quickened(mut self, on: bool) -> Self {
         self.quicken = on;
         self

@@ -10,9 +10,9 @@
 //!
 //! Every chain runs against *two* compilations of the bytecode — the full
 //! optimization pipeline ([`VmOpts::all`]: folding, superinstructions,
-//! quickening) and the plain lowering ([`VmOpts::none`], the `SE_VM_OPT=off`
-//! escape hatch) — each locked against the interpreter, so the histories of
-//! the two settings are byte-identical by transitivity.
+//! quickening) and the plain lowering ([`VmOpts::none`]) — each locked
+//! against the interpreter, so the histories of the two settings are
+//! byte-identical by transitivity.
 
 use std::collections::HashMap;
 

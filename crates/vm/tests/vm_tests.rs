@@ -9,7 +9,7 @@ use se_ir::{
 };
 use se_lang::builder::*;
 use se_lang::{EntityRef, EntityState, LangError, Type, Value};
-use se_vm::{PoolBuilder, VmOpts, VmProgram};
+use se_vm::{PoolBuilder, VmProgram};
 
 fn figure1_graph() -> se_ir::DataflowGraph {
     se_compiler::compile(&se_lang::programs::figure1_program()).unwrap()
@@ -346,8 +346,8 @@ method get_plus (1 blocks, 1 locals, 3 regs, 2 ops)
     assert_eq!(text, expected);
 }
 
-/// `VmOpts::none()` (the `SE_VM_OPT=off` escape hatch) must emit exactly the
-/// unoptimized lowering — this golden pins the pre-optimization bytecode.
+/// `VmOpts::none()` must emit exactly the unoptimized lowering — this golden
+/// pins the pre-optimization bytecode.
 #[test]
 fn disasm_golden_unoptimized() {
     let method = get_plus_method();
@@ -507,9 +507,9 @@ fn disasm_golden_fused_counted_loop() {
         )
         .build();
     let graph = se_compiler::compile(&se_lang::Program::new(vec![cell])).unwrap();
-    // Pin the optimized lowering: the golden is the *fused* loop, so the
-    // test must not inherit a `SE_VM_OPT=off` lane's environment.
-    let vm = VmProgram::compile_with_opts(&graph.program, VmOpts::all());
+    // The golden is the *fused* loop: `compile` lowers with every
+    // optimization on.
+    let vm = VmProgram::compile(&graph.program);
     let (class, m) = vm.method("Cell".into(), "spin".into()).unwrap();
     let text = se_vm::disasm_method(class, m);
     let expected = "\

@@ -8,7 +8,7 @@
 //! remote-call combination that exercises the paper's loop-splitting rules
 //! (§2.4) hardest.
 //!
-//! Simplifications vs. the full spec (documented per DESIGN.md): no order
+//! Simplifications vs. the full spec: no order
 //! lines or carrier/delivery queues, integer money, and item prices folded
 //! into stock entities. The *transactional shape* (multi-entity read/write
 //! sets, per-district order-id sequencing, the 10%-remote-warehouse

@@ -72,7 +72,7 @@ fn main() {
         }
     }
 
-    println!("\n━━━ stage 4b: bytecode lowering (the se-vm execution backend) ━━━");
+    println!("\n━━━ stage 4b: bytecode lowering (se-vm, the engines' body runner) ━━━");
     let vm = se_vm::VmProgram::compile(&graph.program);
     let user_vm = vm
         .classes()
@@ -86,7 +86,7 @@ fn main() {
         .expect("buy_item lowered");
     print!("{}", se_vm::disasm_method(user_vm, buy_vm));
     println!(
-        "  ({} methods lowered, {} instructions total; engines select this backend via the `backend` config knob or SE_EXEC_BACKEND=vm)",
+        "  ({} methods lowered, {} instructions total; this is what both engines execute)",
         vm.compiled_methods(),
         vm.total_ops()
     );

@@ -2,9 +2,9 @@
 //! the StateFlow engine, with script shrinking on failure.
 //!
 //! Each scenario samples a point in {workload A/T, zipfian/uniform key
-//! popularity, pipeline depth 1/2/4/8, execution backend interp/vm,
-//! exec-pool size 1/4, durability off/wal, live upgrade on/off, seeded
-//! fault script} — a 256-cell matrix — and runs a contended workload (plus,
+//! popularity, pipeline depth 1/2/4/8, exec-pool size 1/4, durability
+//! off/wal, live upgrade on/off, seeded fault script} — a 128-cell matrix
+//! (seed bits 0, 1, 2–3, 4, 5, 6 in that order) — and runs a contended workload (plus,
 //! for T, a slice of transfers to a nonexistent "ghost" account, so errored
 //! transactions share batches with healthy ones). Durable scenarios
 //! additionally sample an fsync policy and arm disk-fault generation
@@ -47,8 +47,8 @@ use serde::Serialize;
 use se_chaos::{CrashFault, CrashPoint};
 use stateful_entities::prelude::*;
 use stateful_entities::{
-    check_history, serial_order, ChaosPlan, DiskFault, DiskFaultKind, DurabilityMode, FaultScript,
-    FsyncPolicy, History, ScriptConfig, StateflowConfig, StateflowRuntime,
+    check_history, serial_order, BugLever, ChaosPlan, DiskFault, DiskFaultKind, DurabilityMode,
+    FaultScript, FsyncPolicy, History, ScriptConfig, StateflowConfig, StateflowRuntime,
 };
 
 const WORKERS: usize = 3;
@@ -79,7 +79,6 @@ struct Scenario {
     workload: &'static str,
     dist: &'static str,
     depth: usize,
-    backend: String,
     exec_threads: usize,
     durability: &'static str,
     /// Fsync policy string for durable scenarios (`"-"` with durability
@@ -94,17 +93,16 @@ struct Scenario {
 impl Scenario {
     fn sample(seed: u64) -> Scenario {
         // The workload point comes from the seed's low bits, so the
-        // sequential seeds of one run sweep the whole 256-cell matrix
-        // (A/T × zipfian/uniform × depth {1,2,4,8} × interp/vm ×
-        // exec-pool {1,4} × durability off/wal × upgrade off/on)
-        // deterministically; the fault script comes from the full seed.
+        // sequential seeds of one run sweep the whole 128-cell matrix
+        // (A/T × zipfian/uniform × depth {1,2,4,8} × exec-pool {1,4} ×
+        // durability off/wal × upgrade off/on) deterministically; the
+        // fault script comes from the full seed.
         let workload = if seed & 1 == 0 { "A" } else { "T" };
         let dist = if seed & 2 == 0 { "zipfian" } else { "uniform" };
         let depth = [1usize, 2, 4, 8][(seed >> 2) as usize % 4];
-        let backend = if seed & 16 == 0 { "interp" } else { "vm" };
-        let exec_threads = if seed & 32 == 0 { 1 } else { 4 };
-        let durability = if seed & 64 == 0 { "off" } else { "wal" };
-        let upgrade = seed & 128 != 0;
+        let exec_threads = if seed & 16 == 0 { 1 } else { 4 };
+        let durability = if seed & 32 == 0 { "off" } else { "wal" };
+        let upgrade = seed & 64 != 0;
         let mut script_cfg = ScriptConfig::stateflow(WORKERS);
         let fsync = if durability == "wal" {
             // Disk faults only make sense against a WAL; the fsync policy
@@ -121,7 +119,6 @@ impl Scenario {
             workload,
             dist,
             depth,
-            backend: backend.to_string(),
             exec_threads,
             durability,
             fsync,
@@ -212,21 +209,6 @@ fn invocation(op: &Op) -> (EntityRef, &'static str, Vec<Value>) {
     }
 }
 
-/// Which deliberately-reintroduced bug a self-test run injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Bug {
-    None,
-    /// Errored transactions reserve their buffered accesses again.
-    ReserveErrored,
-    /// WAL recovery skips checksum validation, so a flipped bit in a
-    /// replayed record silently corrupts the restored state.
-    WalNoCrc,
-    /// The coordinator resumes sealing batches while a live upgrade's
-    /// migration pass is still in flight, so batches commit inside the
-    /// (supposedly sealed) upgrade window — a non-atomic switchover.
-    TornUpgrade,
-}
-
 /// Runs one scenario under `script`; `Ok` carries a short stats line.
 /// `obs_dir`, when set, arms full span tracing and dumps the run's
 /// `metrics.json` + `trace.jsonl` under it (used to re-run a failing
@@ -235,11 +217,11 @@ fn run_scenario(
     sc: &Scenario,
     script: &FaultScript,
     time_scale: f64,
-    bug: Bug,
+    bug: Option<BugLever>,
     obs_dir: Option<&std::path::Path>,
 ) -> Result<String, String> {
     let program = se_workloads::ycsb_program();
-    let upgrading = sc.upgrade || bug == Bug::TornUpgrade;
+    let upgrading = sc.upgrade || bug == Some(BugLever::TornUpgrade);
     let mut cfg = StateflowConfig::fast_test(WORKERS);
     if let Some(dir) = obs_dir {
         cfg.obs = se_obs::ObsConfig {
@@ -252,39 +234,33 @@ fn run_scenario(
     cfg.net.time_scale = time_scale;
     cfg.pipeline_depth = sc.depth;
     cfg.exec_threads = sc.exec_threads;
-    cfg.backend = match sc.backend.as_str() {
-        "vm" => stateful_entities::ExecBackend::Vm,
-        _ => stateful_entities::ExecBackend::Interp,
-    };
     cfg.snapshot_every_batches = 4;
     if sc.durability == "wal" {
         cfg.durability.mode = DurabilityMode::Wal;
         cfg.durability.fsync = FsyncPolicy::parse(&sc.fsync).expect("sampled fsync policy");
     }
-    if bug == Bug::WalNoCrc {
+    if bug == Some(BugLever::WalNoCrc) {
         // Maximize the odds that the flipped record lands inside the
         // replayed prefix: lockstep batches, a cut after every batch, and
         // nothing fsynced (so the bit flip may target any data record).
         cfg.durability.mode = DurabilityMode::Wal;
-        cfg.durability.inject_wal_no_crc = true;
         cfg.durability.fsync = FsyncPolicy::Never;
         cfg.pipeline_depth = 1;
         cfg.snapshot_every_batches = 1;
     }
-    if bug == Bug::TornUpgrade {
+    if bug == Some(BugLever::TornUpgrade) {
         // The lever only manifests when a batch seals *inside* the open
         // upgrade window; at test-speed hops the window is microseconds
         // wide. Real-time slow control-plane hops (the directed scenario
         // overrides the ambient time scale) stretch the migration round
         // trip to ~10 ms while a short batch interval keeps records
         // sealing through it.
-        cfg.inject_torn_upgrade = true;
         cfg.net.time_scale = 1.0;
         cfg.net.f2f_hop = Duration::from_millis(5);
         cfg.batch_interval = Duration::from_millis(1);
     }
     cfg.chaos = ChaosPlan::from_script(script.clone());
-    cfg.inject_reserve_bug = bug == Bug::ReserveErrored;
+    cfg.bug = bug;
     let history = History::new();
     cfg.history = Some(history.clone());
     let rule = cfg.commit_rule;
@@ -299,13 +275,13 @@ fn run_scenario(
     let mut waiters = Vec::with_capacity(ops.len());
     // The no-CRC self-test paces harder: epoch cuts must exist before the
     // scripted crash for the corrupted record to land in a replayed prefix.
-    let (pause_every, pause) = if bug == Bug::WalNoCrc {
+    let (pause_every, pause) = if bug == Some(BugLever::WalNoCrc) {
         // Long enough for a full pipeline drain, so nearly every pause
         // completes a snapshot epoch: each batch is then preceded by an
         // epoch cut, and a mid-execution bit flip lands on the *previous*
         // batch's commit record — inside the replayed prefix.
         (5, Duration::from_millis(12))
-    } else if bug == Bug::TornUpgrade {
+    } else if bug == Some(BugLever::TornUpgrade) {
         // Space requests out so records keep arriving while the redeploy's
         // migration round trip is in flight — under the lever those seal
         // inside the open upgrade window.
@@ -404,7 +380,7 @@ fn run_scenario(
     // At least one committed upgrade must survive; a crash that rewinds
     // past the upgrade's epoch cut legitimately re-arms and re-commits it
     // in the new lineage, so the count may exceed one.
-    if upgrading && bug == Bug::None && summary.upgrades == 0 {
+    if upgrading && bug.is_none() && summary.upgrades == 0 {
         return Err("the mid-run redeploy never committed an upgrade".to_string());
     }
     let order = serial_order(&events).map_err(|e| format!("serial order: {e}"))?;
@@ -454,7 +430,12 @@ fn run_scenario(
 /// Delta-debugs a failing script down to a locally minimal one: repeatedly
 /// remove single faults, keeping any removal under which the failure still
 /// reproduces. Bounded by `max_runs` re-executions.
-fn shrink(sc: &Scenario, time_scale: f64, bug: Bug, max_runs: usize) -> (FaultScript, String) {
+fn shrink(
+    sc: &Scenario,
+    time_scale: f64,
+    bug: Option<BugLever>,
+    max_runs: usize,
+) -> (FaultScript, String) {
     let mut script = sc.script.clone();
     let mut last_error = String::new();
     let mut runs = 0;
@@ -504,7 +485,7 @@ fn trace_failure(
     sc: &Scenario,
     script: &FaultScript,
     time_scale: f64,
-    bug: Bug,
+    bug: Option<BugLever>,
 ) -> (String, String) {
     let dir = std::path::Path::new("chaos_results").join(format!("obs_{:#x}", sc.seed));
     let _ = std::fs::remove_dir_all(&dir);
@@ -553,23 +534,18 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.0);
-    let bug = match std::env::var("SE_CHAOS_INJECT_BUG").ok().as_deref() {
-        None | Some("") => Bug::None,
-        Some("reserve-errored") => Bug::ReserveErrored,
-        Some("wal-no-crc") => Bug::WalNoCrc,
-        Some("torn-upgrade") => Bug::TornUpgrade,
-        Some(other) => panic!("unknown SE_CHAOS_INJECT_BUG={other:?}"),
-    };
-    let bug_name = match bug {
-        Bug::None => "",
-        Bug::ReserveErrored => "reserve-errored",
-        Bug::WalNoCrc => "wal-no-crc",
-        Bug::TornUpgrade => "torn-upgrade",
+    let bug_name = std::env::var("SE_CHAOS_INJECT_BUG").unwrap_or_default();
+    let bug = match bug_name.as_str() {
+        "" => None,
+        "reserve-errored" => Some(BugLever::ReserveErrored),
+        "wal-no-crc" => Some(BugLever::WalNoCrc),
+        "torn-upgrade" => Some(BugLever::TornUpgrade),
+        other => panic!("unknown SE_CHAOS_INJECT_BUG={other:?}"),
     };
     println!(
         "chaos_explore: {scenarios} scenarios, master seed {seed:#x}, \
          time scale {time_scale}{}{}",
-        if bug == Bug::None {
+        if bug.is_none() {
             ""
         } else {
             ", INJECTED BUG: "
@@ -581,7 +557,7 @@ fn main() {
     for k in 0..scenarios {
         let scenario_seed = seed.wrapping_add(k as u64);
         let mut sc = Scenario::sample(scenario_seed);
-        if bug == Bug::WalNoCrc {
+        if bug == Some(BugLever::WalNoCrc) {
             // The no-CRC self-test needs a corrupted record inside the
             // replayed prefix, so the sampled script is replaced with a
             // directed one: an early-execution crash paired with a bit flip
@@ -615,7 +591,7 @@ fn main() {
                 ..FaultScript::default()
             };
         }
-        if bug == Bug::TornUpgrade {
+        if bug == Some(BugLever::TornUpgrade) {
             // Directed shape: the lever only matters when an upgrade
             // happens, and the single-entity workload A keeps the
             // slow-control-plane run short. No scripted faults — the
@@ -627,11 +603,10 @@ fn main() {
             sc.script = FaultScript::default();
         }
         let label = format!(
-            "[{k:>3}] seed {scenario_seed:#x} {}-{} depth {} {} exec {} dur {}/{}{} ({} faults)",
+            "[{k:>3}] seed {scenario_seed:#x} {}-{} depth {} exec {} dur {}/{}{} ({} faults)",
             sc.workload,
             sc.dist,
             sc.depth,
-            sc.backend,
             sc.exec_threads,
             sc.durability,
             sc.fsync,
@@ -674,7 +649,7 @@ fn main() {
                     reproduce: format!(
                         "SE_TIME_SCALE={time_scale} {}SE_CHAOS_SEED={scenario_seed} \
                          cargo run --release --bin chaos_explore -- --scenarios 1",
-                        if bug == Bug::None {
+                        if bug.is_none() {
                             String::new()
                         } else {
                             format!("SE_CHAOS_INJECT_BUG={bug_name} ")

@@ -95,7 +95,7 @@ fn errored_plus_healthy_batch(
     let mut cfg = StateflowConfig::fast_test(3);
     // Generous interval so both transactions land in one batch.
     cfg.batch_interval = Duration::from_millis(30);
-    cfg.inject_reserve_bug = inject_bug;
+    cfg.bug = inject_bug.then_some(stateful_entities::BugLever::ReserveErrored);
     let history = History::new();
     cfg.history = Some(history.clone());
     let rule = cfg.commit_rule;

@@ -256,12 +256,11 @@ fn snapshot_retention_bounds_epoch_memory() {
 }
 
 /// Pipelined StateFlow must stay byte-equivalent to the serial Local
-/// oracle, for every exec-pool size × pipeline depth × execution backend: a mix of
-/// contended transfers (which exercise abort/solo-fallback/retry across
+/// oracle, for every exec-pool size × pipeline depth: a mix of contended
+/// transfers (which exercise abort/solo-fallback/retry across
 /// overlapping batches) and deposits must land on identical final state.
 #[test]
 fn stateflow_pipelined_matches_local_oracle() {
-    use stateful_entities::ExecBackend;
     let program = se_workloads::ycsb_program();
     let n = 5usize;
     let key = |i: usize| EntityRef::new("Account", se_workloads::key_name(i % n));
@@ -297,99 +296,92 @@ fn stateflow_pipelined_matches_local_oracle() {
 
     for exec_threads in [1usize, 4] {
         for pipeline_depth in [1usize, 2, 4] {
-            for backend in [ExecBackend::Interp, ExecBackend::Vm] {
-                let mut cfg = StateflowConfig::fast_test(3);
-                cfg.exec_threads = exec_threads;
-                cfg.pipeline_depth = pipeline_depth;
-                cfg.backend = backend;
-                let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-                se_workloads::load_accounts(rt.as_ref(), n, 8, 100);
-                // Issue the ops one at a time (awaiting each) so the commit
-                // order matches the oracle's serial order; the pipeline still
-                // overlaps the protocol phases underneath.
-                for i in 0..60 {
-                    if i % 3 == 0 {
-                        rt.call(key(i), "deposit", vec![Value::Int((i % 7) as i64 + 1)])
-                            .unwrap();
-                    } else {
-                        rt.call(
-                            key(i),
-                            "transfer",
-                            vec![Value::Ref(key(i + 1)), Value::Int(2)],
-                        )
+            let mut cfg = StateflowConfig::fast_test(3);
+            cfg.exec_threads = exec_threads;
+            cfg.pipeline_depth = pipeline_depth;
+            let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+            se_workloads::load_accounts(rt.as_ref(), n, 8, 100);
+            // Issue the ops one at a time (awaiting each) so the commit
+            // order matches the oracle's serial order; the pipeline still
+            // overlaps the protocol phases underneath.
+            for i in 0..60 {
+                if i % 3 == 0 {
+                    rt.call(key(i), "deposit", vec![Value::Int((i % 7) as i64 + 1)])
                         .unwrap();
-                    }
+                } else {
+                    rt.call(
+                        key(i),
+                        "transfer",
+                        vec![Value::Ref(key(i + 1)), Value::Int(2)],
+                    )
+                    .unwrap();
                 }
-                for (i, want) in expected.iter().enumerate() {
-                    let got = rt
-                        .call(key(i), "balance", vec![])
-                        .unwrap()
-                        .as_int()
-                        .unwrap();
-                    assert_eq!(
-                        got, *want,
-                        "[exec {exec_threads}, depth {pipeline_depth}, {backend}] \
-                         account {i} diverged from oracle"
-                    );
-                }
-                rt.shutdown();
             }
+            for (i, want) in expected.iter().enumerate() {
+                let got = rt
+                    .call(key(i), "balance", vec![])
+                    .unwrap()
+                    .as_int()
+                    .unwrap();
+                assert_eq!(
+                    got, *want,
+                    "[exec {exec_threads}, depth {pipeline_depth}] \
+                     account {i} diverged from oracle"
+                );
+            }
+            rt.shutdown();
         }
     }
 }
 
-/// Concurrent contended transfers at every depth × backend: serializability
+/// Concurrent contended transfers at every depth × pool size: serializability
 /// (conservation + all-success) with real batch overlap — unlike the oracle
 /// test above, requests are issued concurrently so batches genuinely
 /// pipeline and aborted transactions drain through the fallback path.
 #[test]
 fn pipelined_concurrent_transfers_conserve_money_all_backends() {
-    use stateful_entities::ExecBackend;
     let program = se_workloads::ycsb_program();
     let n = 4usize;
     let key = |i: usize| EntityRef::new("Account", se_workloads::key_name(i % n));
     for exec_threads in [1usize, 4] {
         for pipeline_depth in [1usize, 2, 4] {
-            for backend in [ExecBackend::Interp, ExecBackend::Vm] {
-                let mut cfg = StateflowConfig::fast_test(3);
-                cfg.exec_threads = exec_threads;
-                cfg.pipeline_depth = pipeline_depth;
-                cfg.backend = backend;
-                let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-                se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
-                let waiters: Vec<_> = (0..80)
-                    .map(|i| {
-                        rt.call_async(
-                            key(i),
-                            "transfer",
-                            vec![Value::Ref(key(i + 1)), Value::Int(1)],
-                        )
-                    })
-                    .collect();
-                for w in waiters {
-                    assert_eq!(
-                        w.wait_timeout(std::time::Duration::from_secs(60))
-                            .expect("completes")
-                            .expect("no error"),
-                        Value::Bool(true),
-                        "[exec {exec_threads}, depth {pipeline_depth}, {backend}]"
-                    );
-                }
-                let total: i64 = (0..n)
-                    .map(|i| {
-                        rt.call(key(i), "balance", vec![])
-                            .unwrap()
-                            .as_int()
-                            .unwrap()
-                    })
-                    .sum();
+            let mut cfg = StateflowConfig::fast_test(3);
+            cfg.exec_threads = exec_threads;
+            cfg.pipeline_depth = pipeline_depth;
+            let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+            se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
+            let waiters: Vec<_> = (0..80)
+                .map(|i| {
+                    rt.call_async(
+                        key(i),
+                        "transfer",
+                        vec![Value::Ref(key(i + 1)), Value::Int(1)],
+                    )
+                })
+                .collect();
+            for w in waiters {
                 assert_eq!(
-                    total,
-                    1000 * n as i64,
-                    "[exec {exec_threads}, depth {pipeline_depth}, {backend}] conservation"
+                    w.wait_timeout(std::time::Duration::from_secs(60))
+                        .expect("completes")
+                        .expect("no error"),
+                    Value::Bool(true),
+                    "[exec {exec_threads}, depth {pipeline_depth}]"
                 );
-                rt.shutdown();
             }
+            let total: i64 = (0..n)
+                .map(|i| {
+                    rt.call(key(i), "balance", vec![])
+                        .unwrap()
+                        .as_int()
+                        .unwrap()
+                })
+                .sum();
+            assert_eq!(
+                total,
+                1000 * n as i64,
+                "[exec {exec_threads}, depth {pipeline_depth}] conservation"
+            );
+            rt.shutdown();
         }
     }
 }

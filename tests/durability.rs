@@ -91,6 +91,9 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
 fn crash_at_each_protocol_point_recovers_from_disk() {
     for point in [CrashPoint::Exec, CrashPoint::Reserve, CrashPoint::Commit] {
         let mut cfg = durable_cfg(3);
+        // At least 10 regular batches whatever the scheduler does, so the
+        // fifth reserve/commit round — the scripted crash — always exists.
+        cfg.max_batch = 8;
         cfg.chaos = ChaosPlan::from_script(FaultScript {
             crashes: vec![CrashFault {
                 node: "worker1".into(),
@@ -289,12 +292,51 @@ fn wal_bytes(dir: &std::path::Path) -> u64 {
     total
 }
 
+/// Drives `WAVES` waves of deposits against a fresh durable deployment in
+/// `dir` and returns the WAL bytes left on disk at shutdown.
+///
+/// With `snapshot_rounds`, every wave is followed by a live redeploy of the
+/// unchanged program. `redeploy` is the one client call that blocks on a
+/// *completed* snapshot round (its epoch boundary), so the run holds exactly
+/// one finished round per wave wherever the scheduler put the batches — no
+/// sleeping or polling for the coordinator to find a drained pipeline.
+/// Without it, snapshots are off and the log keeps every commit.
+fn wal_bytes_after_deposit_waves(dir: &std::path::Path, snapshot_rounds: bool) -> u64 {
+    const WAVES: usize = 8;
+    const PER_WAVE: usize = 25;
+    let mut cfg = durable_cfg(3);
+    cfg.max_batch = 8;
+    cfg.durability.dir = Some(dir.to_path_buf());
+    if !snapshot_rounds {
+        cfg.snapshot_every_batches = 0;
+    }
+    let program = se_workloads::ycsb_program();
+    let graph = stateful_entities::compile(&program).unwrap();
+    let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);
+    se_workloads::load_accounts(&rt, 5, 8, 200);
+    for wave in 0..WAVES {
+        let waiters: Vec<_> = (0..PER_WAVE)
+            .map(|i| rt.call_async(acct(i % 5), "deposit", vec![Value::Int((i % 9 + 1) as i64)]))
+            .collect();
+        for w in waiters {
+            w.wait_timeout(WAIT).expect("completes").expect("no error");
+        }
+        if snapshot_rounds {
+            rt.redeploy(&program)
+                .unwrap_or_else(|e| panic!("wave {wave}: barrier redeploy failed: {e:?}"));
+        }
+    }
+    rt.shutdown();
+    wal_bytes(dir)
+}
+
 /// WAL reclamation: every completed snapshot round advances the cluster
 /// durable floor, and the next snapshot marker compacts each worker's log
-/// below it — so a long run's on-disk WAL stays a fraction of the
-/// never-compacted control's. The compacted run also takes a *late* crash,
-/// proving a partition can still rejoin from its rewritten log, and both
-/// runs must stay oracle-equal.
+/// below it — so however long the run, the on-disk WAL only reaches back to
+/// the newest base at or below the floor (with a base every 2 cuts: the
+/// last two epochs), a fraction of the never-compacted control's. A second
+/// compacting run takes a *late* crash, proving a partition can still
+/// rejoin from its rewritten log and stay oracle-equal.
 #[test]
 fn snapshots_reclaim_wal_space() {
     let stamp = format!(
@@ -305,21 +347,22 @@ fn snapshots_reclaim_wal_space() {
             .unwrap()
             .as_nanos()
     );
-    let compacted_dir = std::env::temp_dir().join(format!("{stamp}-compacted"));
-    let control_dir = std::env::temp_dir().join(format!("{stamp}-control"));
-    std::fs::create_dir_all(&compacted_dir).unwrap();
-    std::fs::create_dir_all(&control_dir).unwrap();
+    let dir = |name: &str| {
+        let dir = std::env::temp_dir().join(format!("{stamp}-{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    };
+    let (crashed_dir, compacted_dir, control_dir) =
+        (dir("crashed"), dir("compacted"), dir("control"));
 
-    // Compacted run: snapshots every 2 batches, crash after the floor has
+    // Crashed run: snapshots every 2 batches, crash after the floor has
     // had time to advance past several compactions. The batch size is
     // capped well below the request count: `fast_test`'s 256-txn batches
     // can swallow the whole run in one or two seals on a quiet host, so no
-    // snapshot round completes, the durable floor never advances, and the
-    // "compacted" log equals the control's. Capping at 8 forces ≥ 25
-    // batches → ≥ 12 snapshot rounds regardless of scheduling.
+    // snapshot round completes and the durable floor never advances.
     let mut cfg = durable_cfg(3);
     cfg.max_batch = 8;
-    cfg.durability.dir = Some(compacted_dir.clone());
+    cfg.durability.dir = Some(crashed_dir.clone());
     cfg.chaos = ChaosPlan::from_script(FaultScript {
         crashes: vec![CrashFault {
             node: "worker1".into(),
@@ -329,28 +372,18 @@ fn snapshots_reclaim_wal_space() {
         ..FaultScript::default()
     });
     crashed_durable_run_matches_oracle(cfg, 200);
+    assert!(
+        wal_bytes(&crashed_dir) > 0,
+        "crashed run must leave a WAL behind"
+    );
 
-    // Control run: durability on, snapshots off — no floor, no compaction,
-    // the log keeps every commit of the run. Same batch cap so the
-    // per-batch record framing overhead is comparable across the two logs.
-    let mut cfg = durable_cfg(3);
-    cfg.max_batch = 8;
-    cfg.durability.dir = Some(control_dir.clone());
-    cfg.snapshot_every_batches = 0;
-    let program = se_workloads::ycsb_program();
-    let graph = stateful_entities::compile(&program).unwrap();
-    let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);
-    se_workloads::load_accounts(&rt, 5, 8, 200);
-    let waiters: Vec<_> = (0..200)
-        .map(|i| rt.call_async(acct(i % 5), "deposit", vec![Value::Int((i % 9 + 1) as i64)]))
-        .collect();
-    for w in waiters {
-        w.wait_timeout(WAIT).expect("completes").expect("no error");
-    }
-    rt.shutdown();
-
-    let compacted = wal_bytes(&compacted_dir);
-    let control = wal_bytes(&control_dir);
+    // What the size comparison must not depend on is where a run stops
+    // relative to its last snapshot marker, so both sides run the same
+    // waves and the compacting side ends on a completed round. After the
+    // last of its 8 rounds the log holds at most the last two waves'
+    // commits; the control holds all eight.
+    let compacted = wal_bytes_after_deposit_waves(&compacted_dir, true);
+    let control = wal_bytes_after_deposit_waves(&control_dir, false);
     assert!(control > 0, "control run must leave a WAL behind");
     assert!(compacted > 0, "compacted run must leave a WAL behind");
     assert!(
@@ -358,6 +391,7 @@ fn snapshots_reclaim_wal_space() {
         "snapshots must reclaim WAL space: compacted {compacted} bytes \
          vs never-compacted {control} bytes"
     );
-    std::fs::remove_dir_all(&compacted_dir).ok();
-    std::fs::remove_dir_all(&control_dir).ok();
+    for dir in [crashed_dir, compacted_dir, control_dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

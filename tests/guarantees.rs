@@ -4,14 +4,14 @@
 //! exercised through the public facade.
 //!
 //! Fault injection runs through `ChaosPlan` scripts (the single injection
-//! path; the legacy `FailurePlan` is a thin wrapper over the same plan).
+//! path).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use se_chaos::{ChaosPlan, CrashFault, CrashPoint, FaultScript};
 use stateful_entities::prelude::*;
-use stateful_entities::{CheckpointMode, ExecBackend, StateflowConfig, StatefunConfig};
+use stateful_entities::{CheckpointMode, StateflowConfig, StatefunConfig};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -62,32 +62,28 @@ fn run_flash_sale(rt: &dyn EntityRuntime, users: usize) -> (i64, usize) {
 
 #[test]
 fn stateflow_serializability_holds_under_contention() {
-    // The guarantee must hold for every coordinator schedule × execution
-    // backend × exec-pool size: stop-and-wait and pipelined batches,
-    // tree-walk and VM, serial and shard-parallel execution.
+    // The guarantee must hold for every pipeline window × exec-pool size:
+    // one batch in flight or several, inline or shard-parallel execution.
     let program = stateful_entities::programs::figure1_program();
     for exec_threads in [1usize, 4] {
         for pipeline_depth in [1usize, 2, 4] {
-            for backend in [ExecBackend::Interp, ExecBackend::Vm] {
-                let mut cfg = StateflowConfig::fast_test(4);
-                cfg.exec_threads = exec_threads;
-                cfg.pipeline_depth = pipeline_depth;
-                cfg.backend = backend;
-                let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-                let users = 20;
-                let (successes, negative) = run_flash_sale(rt.as_ref(), users);
-                assert_eq!(
-                    successes, users as i64,
-                    "[exec {exec_threads}, depth {pipeline_depth}, {backend}] \
-                     exactly one purchase per user must commit"
-                );
-                assert_eq!(
-                    negative, 0,
-                    "[exec {exec_threads}, depth {pipeline_depth}, {backend}] \
-                     serializable execution never overdrafts"
-                );
-                rt.shutdown();
-            }
+            let mut cfg = StateflowConfig::fast_test(4);
+            cfg.exec_threads = exec_threads;
+            cfg.pipeline_depth = pipeline_depth;
+            let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+            let users = 20;
+            let (successes, negative) = run_flash_sale(rt.as_ref(), users);
+            assert_eq!(
+                successes, users as i64,
+                "[exec {exec_threads}, depth {pipeline_depth}] \
+                 exactly one purchase per user must commit"
+            );
+            assert_eq!(
+                negative, 0,
+                "[exec {exec_threads}, depth {pipeline_depth}] \
+                 serializable execution never overdrafts"
+            );
+            rt.shutdown();
         }
     }
 }
@@ -324,6 +320,225 @@ fn history_is_byte_identical_across_exec_pool_sizes() {
             "exec pool of {exec_threads} threads changed the recorded history"
         );
     }
+}
+
+/// Asserts a recorded StateFlow history is serializable and that replaying
+/// its equivalent serial order through a `Local` oracle (entities created by
+/// `load`) reproduces every committed response; returns the summary.
+fn assert_serializable_and_replays(
+    label: &str,
+    events: &[se_chaos::HistoryEvent],
+    rule: stateful_entities::CommitRule,
+    program: &se_lang::Program,
+    load: impl Fn(&dyn EntityRuntime),
+) -> se_chaos::CheckSummary {
+    let summary = se_chaos::check_history(events, rule)
+        .unwrap_or_else(|e| panic!("[{label}] history check: {e}"));
+    let order = se_chaos::serial_order(events).unwrap();
+    let oracle = deploy(program, RuntimeChoice::Local).unwrap();
+    load(oracle.as_ref());
+    for op in &order {
+        let got = oracle
+            .call(op.target, &op.method, op.args.clone())
+            .map_err(|e| e.to_string());
+        assert_eq!(
+            got, op.result,
+            "[{label}] txn {} ({} on {}) diverged in serial replay",
+            op.txn, op.method, op.target
+        );
+    }
+    summary
+}
+
+/// A three-entity relay: `head.forward(mid, tail, n)` calls
+/// `mid.pass(tail, n)`, which calls `tail.add(n)`. Every node adds `n` to its
+/// own `total` and the response sums the totals down the chain, so a hop
+/// executed twice changes that response and every later one.
+fn relay_program() -> se_lang::Program {
+    use se_lang::builder::*;
+    use se_lang::Type;
+    let below = |callee: se_lang::Expr| {
+        vec![
+            attr_add("total", var("n")),
+            assign_ty("below", Type::Int, callee),
+            ret(add(attr("total"), var("below"))),
+        ]
+    };
+    let node = ClassBuilder::new("Node")
+        .attr_default("id", Type::Str, Value::Str(String::new()))
+        .attr_default("total", Type::Int, Value::Int(0))
+        .key("id")
+        .method(
+            MethodBuilder::new("add")
+                .param("n", Type::Int)
+                .returns(Type::Int)
+                .body(vec![attr_add("total", var("n")), ret(attr("total"))]),
+        )
+        .method(
+            MethodBuilder::new("pass")
+                .param("tail", Type::entity("Node"))
+                .param("n", Type::Int)
+                .returns(Type::Int)
+                .body(below(call(var("tail"), "add", vec![var("n")]))),
+        )
+        .method(
+            MethodBuilder::new("forward")
+                .param("mid", Type::entity("Node"))
+                .param("tail", Type::entity("Node"))
+                .param("n", Type::Int)
+                .returns(Type::Int)
+                .transactional()
+                .body(below(call(var("mid"), "pass", vec![var("tail"), var("n")]))),
+        )
+        .build();
+    se_lang::Program::new(vec![node])
+}
+
+/// Hop dedup on both call sites of the one segment runner (inline at pool
+/// size 1, pooled at 4): `mid` and `tail` share a partition that `head` does
+/// not, so the worker-to-worker `Exec` that enters `mid` at hop 1 starts a
+/// segment that continues locally through `tail` (hop 2) and back into `mid`
+/// (hop 3) before the chain returns to `head` at hop 4. Scripted duplicates
+/// of those worker-to-worker messages — on time and late — must all land
+/// below the dedup position; re-running one would double-apply `total += n`
+/// through the buffer overlay and diverge from the oracle.
+#[test]
+fn duplicated_hop_into_a_local_continuation_is_dropped_at_every_pool_size() {
+    use se_chaos::{History, MessageFault, MsgFaultKind, Seam};
+    let workers = 3usize;
+    let program = relay_program();
+    // Keys by partition: `head` alone, `mid` and `tail` together elsewhere.
+    let key_on = |partition: usize, skip: usize| {
+        (0..)
+            .map(|i| format!("n{i}"))
+            .filter(|k| se_ir::partition_for(k, workers) == partition)
+            .nth(skip)
+            .unwrap()
+    };
+    let (head, mid, tail) = (key_on(0, 0), key_on(1, 0), key_on(1, 1));
+    let node = |key: &str| EntityRef::new("Node", key);
+    let load = |rt: &dyn EntityRuntime| {
+        for key in [&head, &mid, &tail] {
+            rt.create("Node", key, vec![]).unwrap();
+        }
+    };
+    for exec_threads in [1usize, 4] {
+        let mut cfg = StateflowConfig::fast_test(workers);
+        cfg.exec_threads = exec_threads;
+        cfg.max_batch = 4;
+        // Each chain sends two worker-to-worker messages (hop 1 in, hop 4
+        // back); duplicate a few of each, on time and late.
+        cfg.chaos = ChaosPlan::from_script(FaultScript {
+            messages: [(0, 0), (1, 300), (4, 5_000), (7, 50)]
+                .into_iter()
+                .map(|(nth, gap_us)| MessageFault {
+                    seam: Seam::WorkerToWorker,
+                    nth,
+                    kind: MsgFaultKind::Duplicate { gap_us },
+                })
+                .collect(),
+            ..FaultScript::default()
+        });
+        let chaos = cfg.chaos.clone();
+        let history = History::new();
+        cfg.history = Some(history.clone());
+        let rule = cfg.commit_rule;
+        let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+        load(rt.as_ref());
+        // Concurrent forwards over one chain: every pair conflicts, so the
+        // run also drains retries through solo batches.
+        let waiters: Vec<_> = (1..=12i64)
+            .map(|n| {
+                let args = vec![
+                    Value::Ref(node(&mid)),
+                    Value::Ref(node(&tail)),
+                    Value::Int(n),
+                ];
+                rt.call_async(node(&head), "forward", args)
+            })
+            .collect();
+        for w in waiters {
+            w.wait_timeout(WAIT).expect("completes").expect("no error");
+        }
+        rt.shutdown();
+        assert_eq!(
+            chaos.msg_faults_fired(),
+            4,
+            "[exec {exec_threads}] every scripted duplicate must fire"
+        );
+        let summary = assert_serializable_and_replays(
+            &format!("exec {exec_threads}"),
+            &history.events(),
+            rule,
+            &program,
+            load,
+        );
+        assert_eq!(summary.surviving_commits, 12);
+    }
+}
+
+/// Serial-fallback batches are solo at every pipeline depth: a depth-1
+/// hot-key run (Zipfian transfers, `FallbackPolicy::Serial`) must drain its
+/// retries through `Solo` batches — one transaction each, committed at the
+/// final hop — never through a coordinator-committed `Fallback` batch, and
+/// stay serializable and oracle-equal.
+#[test]
+fn depth_one_hot_key_retries_drain_through_solo_batches() {
+    use rand::SeedableRng;
+    use se_chaos::{BatchKindTag, History, HistoryEvent};
+    use se_workloads::KeyChooser;
+    let program = se_workloads::ycsb_program();
+    let n = 6usize;
+    let mut cfg = StateflowConfig::fast_test(3);
+    cfg.pipeline_depth = 1;
+    cfg.fallback = stateful_entities::FallbackPolicy::Serial;
+    cfg.max_batch = 8;
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let rule = cfg.commit_rule;
+    let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+    let load = |rt: &dyn EntityRuntime| se_workloads::load_accounts(rt, n, 8, 1000);
+    load(rt.as_ref());
+    let acct = |i: usize| EntityRef::new("Account", se_workloads::key_name(i));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5010);
+    let mut zipf = se_workloads::Zipfian::new(n);
+    let waiters: Vec<_> = (0..80)
+        .map(|_| {
+            let from = zipf.next_key(&mut rng);
+            let to = (from + 1 + zipf.next_key(&mut rng) % (n - 1)) % n;
+            rt.call_async(
+                acct(from),
+                "transfer",
+                vec![Value::Ref(acct(to)), Value::Int(1)],
+            )
+        })
+        .collect();
+    for w in waiters {
+        w.wait_timeout(WAIT).expect("completes").expect("no error");
+    }
+    rt.shutdown();
+    let events = history.events();
+    let mut solo_batches = 0;
+    for event in &events {
+        if let HistoryEvent::Sealed { batch, txns, kind } = event {
+            assert_ne!(
+                *kind,
+                BatchKindTag::Fallback,
+                "batch {batch}: fallback batches must be solo at depth 1 too"
+            );
+            if *kind == BatchKindTag::Solo {
+                assert_eq!(txns.len(), 1, "batch {batch}: solo batches hold one txn");
+                solo_batches += 1;
+            }
+        }
+    }
+    let summary = assert_serializable_and_replays("depth 1", &events, rule, &program, load);
+    assert_eq!(summary.surviving_commits, 80);
+    assert!(summary.retries > 0, "the hot key must force retries");
+    assert_eq!(
+        solo_batches, summary.retries,
+        "every retry runs as its own solo batch"
+    );
 }
 
 /// Regression for the snapshot pipeline-drain barrier at depth 4: the crash

@@ -1,9 +1,9 @@
 //! Live-code-upgrade acceptance tests (tentpole): a v2 class deployed while
 //! v1 serves traffic must switch at an epoch boundary — new roots route to
 //! v2, entity state migrates exactly once via `__migrate__`, in-flight v1
-//! work drains on v1 — on the StateFlow engine, under both execution
-//! backends, across crashes, and without leaking any version machinery into
-//! the recorded history of runs that never upgrade.
+//! work drains on v1 — on both engines, across crashes, and without leaking
+//! any version machinery into the recorded history of runs that never
+//! upgrade.
 
 use std::time::Duration;
 
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use se_chaos::{check_history, ChaosPlan, CrashFault, CrashPoint, FaultScript, History};
 use se_lang::arb;
 use stateful_entities::prelude::*;
-use stateful_entities::{DurabilityMode, ExecBackend, StateflowConfig, StateflowRuntime};
+use stateful_entities::{BugLever, DurabilityMode, StateflowConfig, StateflowRuntime};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -62,42 +62,35 @@ fn upgraded_counter_run(
     rt
 }
 
-/// Tentpole acceptance on StateFlow, under both execution backends: the
-/// switchover routes new roots to v2 (post-upgrade incrs count double),
-/// migration runs exactly once per entity (shadow reflects the *pre-upgrade*
-/// count and no later incr touches it), and the recorded history passes the
-/// version-atomicity checker with exactly one committed upgrade.
+/// Tentpole acceptance on StateFlow: the switchover routes new roots to v2
+/// (post-upgrade incrs count double), migration runs exactly once per entity
+/// (shadow reflects the *pre-upgrade* count and no later incr touches it),
+/// and the recorded history passes the version-atomicity checker with
+/// exactly one committed upgrade.
 #[test]
 fn redeploy_routes_new_roots_and_migrates_exactly_once() {
-    for backend in [ExecBackend::Interp, ExecBackend::Vm] {
-        let mut cfg = StateflowConfig::fast_test(3);
-        cfg.backend = backend;
-        let history = History::new();
-        cfg.history = Some(history.clone());
-        let rule = cfg.commit_rule;
-        let (counters, per) = (3usize, 8usize);
-        let rt = upgraded_counter_run(cfg, counters, per);
-        for i in 0..counters {
-            assert_eq!(
-                rt.call(counter(i), "get", vec![]).unwrap(),
-                Value::Int(3 * per as i64),
-                "[{backend:?}] counter {i}: k v1 incrs + k doubled v2 incrs"
-            );
-            assert_eq!(
-                rt.call(counter(i), "get_shadow", vec![]).unwrap(),
-                Value::Int(10 * per as i64),
-                "[{backend:?}] counter {i}: shadow must reflect the pre-upgrade \
-                 count exactly once — v2 incrs must not re-migrate"
-            );
-        }
-        rt.shutdown();
-        let summary =
-            check_history(&history.events(), rule).expect("upgraded run stays serializable");
+    let mut cfg = StateflowConfig::fast_test(3);
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let rule = cfg.commit_rule;
+    let (counters, per) = (3usize, 8usize);
+    let rt = upgraded_counter_run(cfg, counters, per);
+    for i in 0..counters {
         assert_eq!(
-            summary.upgrades, 1,
-            "[{backend:?}] exactly one committed upgrade"
+            rt.call(counter(i), "get", vec![]).unwrap(),
+            Value::Int(3 * per as i64),
+            "counter {i}: k v1 incrs + k doubled v2 incrs"
+        );
+        assert_eq!(
+            rt.call(counter(i), "get_shadow", vec![]).unwrap(),
+            Value::Int(10 * per as i64),
+            "counter {i}: shadow must reflect the pre-upgrade count exactly \
+             once — v2 incrs must not re-migrate"
         );
     }
+    rt.shutdown();
+    let summary = check_history(&history.events(), rule).expect("upgraded run stays serializable");
+    assert_eq!(summary.upgrades, 1, "exactly one committed upgrade");
 }
 
 /// Version pinning is visible in the history: every batch sealed before the
@@ -259,7 +252,7 @@ fn crash_near_upgrade_replays_from_wal_and_commits() {
 fn injected_torn_upgrade_is_caught_by_checker() {
     fn attempt(inject: bool) -> Result<(), String> {
         let mut cfg = StateflowConfig::fast_test(3);
-        cfg.inject_torn_upgrade = inject;
+        cfg.bug = inject.then_some(BugLever::TornUpgrade);
         // Slow control-plane hops stretch the migration round trip
         // (Migrate out, MigrateAck back) to ~10 ms, so the bug's illegally
         // resumed sealing has room to cut batches *inside* the upgrade
@@ -324,17 +317,23 @@ fn injected_torn_upgrade_is_caught_by_checker() {
     );
 }
 
-/// Drives one upgraded run of an arbitrary caller/callee program pair and
-/// returns every response plus the committed upgrade count.
-fn arb_upgrade_responses(
-    v1: &Program,
-    v2: &Program,
-    backend: ExecBackend,
-) -> (Vec<Result<Value, String>>, usize) {
+/// The request stream both sides of the lockstep test drive: two `go`
+/// chains and a `poke` per phase.
+fn arb_requests(n: i64) -> [(EntityRef, &'static str, Vec<Value>); 3] {
     let caller = EntityRef::new("ArbCaller", "a1");
     let callee = EntityRef::new("ArbCallee", "b1");
+    [
+        (caller, "go", vec![Value::Int(n), Value::Ref(callee)]),
+        (caller, "go", vec![Value::Int(n + 1), Value::Ref(callee)]),
+        (callee, "poke", vec![Value::Int(n)]),
+    ]
+}
+
+/// Drives one upgraded StateFlow run (VM bodies) of an arbitrary
+/// caller/callee program pair and returns every response plus the committed
+/// upgrade count.
+fn arb_upgrade_responses(v1: &Program, v2: &Program) -> (Vec<Result<Value, String>>, usize) {
     let mut cfg = StateflowConfig::fast_test(2);
-    cfg.backend = backend;
     cfg.net.time_scale = 0.0;
     let history = History::new();
     cfg.history = Some(history.clone());
@@ -345,16 +344,9 @@ fn arb_upgrade_responses(
     rt.create("ArbCallee", "b1", vec![]).unwrap();
     let mut out = Vec::new();
     let mut drive = |rt: &StateflowRuntime, n: i64| {
-        for args in [
-            vec![Value::Int(n), Value::Ref(callee)],
-            vec![Value::Int(n + 1), Value::Ref(callee)],
-        ] {
-            out.push(rt.call(caller, "go", args).map_err(|e| e.to_string()));
+        for (target, method, args) in arb_requests(n) {
+            out.push(rt.call(target, method, args).map_err(|e| e.to_string()));
         }
-        out.push(
-            rt.call(callee, "poke", vec![Value::Int(n)])
-                .map_err(|e| e.to_string()),
-        );
     };
     drive(&rt, 3);
     rt.redeploy(v2).expect("generated v2 must redeploy");
@@ -364,21 +356,46 @@ fn arb_upgrade_responses(
     (out, summary.upgrades)
 }
 
+/// The same upgraded run on the tree-walk interpreter oracle
+/// ([`se_lang::LocalExecutor`]): serial execution, a call that errors
+/// leaves no effects (the engine aborts it), and the switchover runs
+/// `__migrate__` once on the callee — a failing migration keeps the
+/// pre-migration shape, as on the engine.
+fn arb_upgrade_oracle(v1: &Program, v2: &Program) -> Vec<Result<Value, String>> {
+    use se_lang::{LocalExecutor, LocalStore};
+    let mut store = LocalStore::new();
+    store.create(v1, "ArbCaller", "a1", vec![]).unwrap();
+    store.create(v1, "ArbCallee", "b1", vec![]).unwrap();
+    let call = |program: &Program, store: &mut LocalStore, (target, method, args)| {
+        let mut exec = LocalExecutor::with_store(program, store.clone());
+        let result = exec.invoke(&target, method, args);
+        if result.is_ok() {
+            *store = exec.into_store();
+        }
+        result.map_err(|e| e.to_string())
+    };
+    let mut out = Vec::new();
+    out.extend(arb_requests(3).map(|req| call(v1, &mut store, req)));
+    let callee = EntityRef::new("ArbCallee", "b1");
+    let _ = call(v2, &mut store, (callee, se_lang::MIGRATION_METHOD, vec![]));
+    out.extend(arb_requests(7).map(|req| call(v2, &mut store, req)));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, max_shrink_iters: 0 })]
 
     /// Interp-vs-VM lockstep across the switchover: for arbitrary (v1, v2)
     /// program pairs — v2 changes `poke`, keeps `bump`/`go` byte-identical
     /// (incremental-recompile reuse) and adds a `__migrate__` body — the
-    /// full response stream of an upgraded run must be identical under both
-    /// execution backends, and both must commit exactly one upgrade.
+    /// full response stream of an upgraded engine run (VM bodies) must be
+    /// identical to the interpreter oracle's, with exactly one committed
+    /// upgrade.
     #[test]
     fn upgrade_lockstep_interp_vs_vm((v1, v2, _, _) in arb::arb_upgrade_pair()) {
-        let (interp, upgrades_i) = arb_upgrade_responses(&v1, &v2, ExecBackend::Interp);
-        let (vm, upgrades_v) = arb_upgrade_responses(&v1, &v2, ExecBackend::Vm);
-        prop_assert_eq!(interp, vm, "backends diverged across the upgrade");
-        prop_assert_eq!(upgrades_i, 1);
-        prop_assert_eq!(upgrades_v, 1);
+        let (vm, upgrades) = arb_upgrade_responses(&v1, &v2);
+        prop_assert_eq!(arb_upgrade_oracle(&v1, &v2), vm, "engine diverged from the oracle");
+        prop_assert_eq!(upgrades, 1);
     }
 }
 
@@ -391,59 +408,56 @@ proptest! {
 fn statefun_redeploy_routes_and_migrates_exactly_once() {
     use se_chaos::check_statefun_history;
     use stateful_entities::{StatefunConfig, StatefunRuntime};
-    for backend in [ExecBackend::Interp, ExecBackend::Vm] {
-        let mut cfg = StatefunConfig::fast_test(3);
-        cfg.backend = backend;
-        let history = History::new();
-        cfg.history = Some(history.clone());
-        let partitions = cfg.partitions;
-        let graph = stateful_entities::compile(&se_lang::programs::counter_program()).unwrap();
-        let rt = StatefunRuntime::deploy(graph, cfg);
-        assert_eq!(rt.active_version(), 1);
-        let (counters, per) = (3usize, 8usize);
-        for i in 0..counters {
-            rt.create("Counter", &se_workloads::key_name(i), vec![])
-                .unwrap();
+    let mut cfg = StatefunConfig::fast_test(3);
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let partitions = cfg.partitions;
+    let graph = stateful_entities::compile(&se_lang::programs::counter_program()).unwrap();
+    let rt = StatefunRuntime::deploy(graph, cfg);
+    assert_eq!(rt.active_version(), 1);
+    let (counters, per) = (3usize, 8usize);
+    for i in 0..counters {
+        rt.create("Counter", &se_workloads::key_name(i), vec![])
+            .unwrap();
+    }
+    let phase = |rt: &StatefunRuntime| {
+        let waiters: Vec<_> = (0..counters * per)
+            .map(|i| rt.call_async(counter(i % counters), "incr", vec![Value::Int(1)]))
+            .collect();
+        for w in waiters {
+            w.wait_timeout(WAIT).expect("completes").expect("no error");
         }
-        let phase = |rt: &StatefunRuntime| {
-            let waiters: Vec<_> = (0..counters * per)
-                .map(|i| rt.call_async(counter(i % counters), "incr", vec![Value::Int(1)]))
-                .collect();
-            for w in waiters {
-                w.wait_timeout(WAIT).expect("completes").expect("no error");
-            }
-        };
-        phase(&rt);
-        let v2 = rt
-            .redeploy(&se_lang::programs::counter_v2_program())
-            .expect("v2 redeploys on statefun");
-        assert_eq!(v2, 2);
-        assert_eq!(rt.active_version(), 2);
-        phase(&rt);
-        for i in 0..counters {
-            assert_eq!(
-                rt.call(counter(i), "get", vec![]).unwrap(),
-                Value::Int(3 * per as i64),
-                "[{backend:?}] counter {i}: k v1 incrs + k doubled v2 incrs"
-            );
-            assert_eq!(
-                rt.call(counter(i), "get_shadow", vec![]).unwrap(),
-                Value::Int(10 * per as i64),
-                "[{backend:?}] counter {i}: migration must run exactly once"
-            );
-        }
-        rt.shutdown();
-        let events = history.events();
-        check_statefun_history(&events).expect("upgraded statefun run passes the checker");
-        let upgrades = events
-            .iter()
-            .filter(|e| matches!(e, se_chaos::HistoryEvent::SfUpgrade { .. }))
-            .count();
+    };
+    phase(&rt);
+    let v2 = rt
+        .redeploy(&se_lang::programs::counter_v2_program())
+        .expect("v2 redeploys on statefun");
+    assert_eq!(v2, 2);
+    assert_eq!(rt.active_version(), 2);
+    phase(&rt);
+    for i in 0..counters {
         assert_eq!(
-            upgrades, partitions,
-            "[{backend:?}] every partition records exactly one switch"
+            rt.call(counter(i), "get", vec![]).unwrap(),
+            Value::Int(3 * per as i64),
+            "counter {i}: k v1 incrs + k doubled v2 incrs"
+        );
+        assert_eq!(
+            rt.call(counter(i), "get_shadow", vec![]).unwrap(),
+            Value::Int(10 * per as i64),
+            "counter {i}: migration must run exactly once"
         );
     }
+    rt.shutdown();
+    let events = history.events();
+    check_statefun_history(&events).expect("upgraded statefun run passes the checker");
+    let upgrades = events
+        .iter()
+        .filter(|e| matches!(e, se_chaos::HistoryEvent::SfUpgrade { .. }))
+        .count();
+    assert_eq!(
+        upgrades, partitions,
+        "every partition records exactly one switch"
+    );
 }
 
 /// Crash-mid-upgrade on StateFun: a scripted task crash with transactional
@@ -512,7 +526,7 @@ fn statefun_crash_near_upgrade_recovers_and_commits() {
     }
 }
 
-/// The VM backend's quickened attribute caches across the switchover: heavy
+/// The VM's quickened attribute caches across the switchover: heavy
 /// pre-upgrade traffic warms the inline caches for `count`, the upgrade's
 /// `__migrate__` pass then rewrites every entity's state (inserting `shadow`
 /// changes each state map's layout), and carried-over bytecode keeps its
@@ -525,9 +539,7 @@ fn vm_attr_caches_serve_no_stale_entries_after_migration() {
     let (counters, per) = (4usize, 12usize);
     // StateFlow engine.
     {
-        let mut cfg = StateflowConfig::fast_test(3);
-        cfg.backend = ExecBackend::Vm;
-        let rt = upgraded_counter_run(cfg, counters, per);
+        let rt = upgraded_counter_run(StateflowConfig::fast_test(3), counters, per);
         for round in 0..3 {
             for i in 0..counters {
                 assert_eq!(
@@ -549,10 +561,8 @@ fn vm_attr_caches_serve_no_stale_entries_after_migration() {
     // StateFun engine.
     {
         use stateful_entities::{StatefunConfig, StatefunRuntime};
-        let mut cfg = StatefunConfig::fast_test(3);
-        cfg.backend = ExecBackend::Vm;
         let graph = stateful_entities::compile(&se_lang::programs::counter_program()).unwrap();
-        let rt = StatefunRuntime::deploy(graph, cfg);
+        let rt = StatefunRuntime::deploy(graph, StatefunConfig::fast_test(3));
         for i in 0..counters {
             rt.create("Counter", &se_workloads::key_name(i), vec![])
                 .unwrap();
