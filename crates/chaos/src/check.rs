@@ -784,11 +784,11 @@ mod tests {
             HistoryEvent::Sealed {
                 batch: 1,
                 txns: vec![1],
-                kind: BatchKindTag::Fallback,
+                kind: BatchKindTag::Solo,
             },
             HistoryEvent::Decided {
                 batch: 1,
-                kind: BatchKindTag::Fallback,
+                kind: BatchKindTag::Solo,
                 committed: vec![outcome(1, 11)],
                 failed: vec![],
                 retried: vec![],
@@ -819,11 +819,11 @@ mod tests {
                 HistoryEvent::Sealed {
                     batch: 1,
                     txns: retried,
-                    kind: BatchKindTag::Fallback,
+                    kind: BatchKindTag::Solo,
                 },
                 HistoryEvent::Decided {
                     batch: 1,
-                    kind: BatchKindTag::Fallback,
+                    kind: BatchKindTag::Solo,
                     committed: vec![outcome(1, 11)],
                     failed: vec![],
                     retried: vec![],
@@ -849,7 +849,7 @@ mod tests {
     fn duplicate_commit_without_recovery_is_flagged() {
         let decided = |batch: u64, txn: u64| HistoryEvent::Decided {
             batch,
-            kind: BatchKindTag::Fallback,
+            kind: BatchKindTag::Solo,
             committed: vec![outcome(txn, 10)],
             failed: vec![],
             retried: vec![],
@@ -857,7 +857,7 @@ mod tests {
         let sealed = |batch: u64, txn: u64| HistoryEvent::Sealed {
             batch,
             txns: vec![txn],
-            kind: BatchKindTag::Fallback,
+            kind: BatchKindTag::Solo,
         };
         let dup = vec![sealed(0, 0), decided(0, 0), sealed(1, 1), decided(1, 1)];
         let e = check_history(&dup, CommitRule::Reordering).unwrap_err();
@@ -917,11 +917,11 @@ mod tests {
             HistoryEvent::Sealed {
                 batch: 0,
                 txns: vec![0],
-                kind: BatchKindTag::Fallback,
+                kind: BatchKindTag::Solo,
             },
             HistoryEvent::Decided {
                 batch: 0,
-                kind: BatchKindTag::Fallback,
+                kind: BatchKindTag::Solo,
                 committed: vec![outcome(0, 10)],
                 failed: vec![],
                 retried: vec![],
@@ -935,11 +935,11 @@ mod tests {
             HistoryEvent::Sealed {
                 batch: 1,
                 txns: vec![5],
-                kind: BatchKindTag::Fallback,
+                kind: BatchKindTag::Solo,
             },
             HistoryEvent::Decided {
                 batch: 1,
-                kind: BatchKindTag::Fallback,
+                kind: BatchKindTag::Solo,
                 committed: vec![outcome(5, 10)],
                 failed: vec![],
                 retried: vec![],

@@ -24,11 +24,8 @@ use se_lang::{EntityRef, Value};
 pub enum BatchKindTag {
     /// A sealed multi-transaction batch (executes, reserves, decides).
     Regular,
-    /// A single-transaction serial-fallback batch decided by the
-    /// coordinator (depth-1 stop-and-wait path).
-    Fallback,
-    /// A single-transaction fallback batch decided and committed at its
-    /// final hop (pipelined path).
+    /// A single-transaction serial-fallback batch, decided and committed
+    /// at its final hop.
     Solo,
 }
 

@@ -12,15 +12,20 @@
 //! an upgrade commits — the pipeline fully drained to cut it), it calls
 //! [`VersionRegistry::evict_below`] and the superseded program text and
 //! bytecode are dropped.
+//!
+//! The switchover's per-entity state migration is
+//! [`VersionEntry::migrate_entity`]: the engines differ in when they run the
+//! pass and where its result goes, not in what it does to an entity.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use se_lang::{EntityRef, EntityState, MIGRATION_METHOD};
 
-use crate::event::INITIAL_VERSION;
-use crate::exec::BodyRunner;
+use crate::event::{Invocation, RequestId, INITIAL_VERSION};
+use crate::exec::{process_invocation_with, BodyRunner, StepEffect};
 use crate::graph::DataflowGraph;
 
 /// One deployed program version: the compiled graph and the body runner
@@ -31,6 +36,65 @@ pub struct VersionEntry {
     pub graph: Arc<DataflowGraph>,
     /// Executes this version's method bodies.
     pub runner: Arc<dyn BodyRunner>,
+}
+
+impl VersionEntry {
+    /// The per-entity step of a live upgrade's migration pass — the one
+    /// copy both engines run over their slice of the store, with the
+    /// pipeline drained. `state` is the entity's committed state; the
+    /// result is its post-migration state and whether `__migrate__` ran to
+    /// completion, or `None` when the entity needs no pass (unknown class,
+    /// or no `__migrate__` and no attribute new in this version).
+    ///
+    /// Attributes new in this version materialize with their declared
+    /// defaults first: the entity predates the class shape, and
+    /// `__migrate__` (and every body after it) must never read a hole. An
+    /// entity whose `__migrate__` errors keeps that backfilled shape — a
+    /// bad migration body must not wedge the cluster. Typecheck rejects
+    /// remote calls inside `__migrate__`, so a suspension means a stale
+    /// registry entry; it is treated the same way rather than deadlocking
+    /// the drained pipeline on a chain hop. `node` names the caller in the
+    /// two warnings.
+    pub fn migrate_entity(
+        &self,
+        version: u64,
+        node: &str,
+        target: EntityRef,
+        state: &EntityState,
+    ) -> Option<(EntityState, bool)> {
+        let program = &self.graph.program;
+        let class = &program.class(target.class)?.class;
+        let has_body = class.migration_method().is_some();
+        if !has_body && class.attrs.iter().all(|a| state.contains_key(a.name)) {
+            return None;
+        }
+        let mut after = state.clone();
+        for attr in &class.attrs {
+            if !after.contains_key(attr.name) {
+                after.insert(attr.name, attr.default.clone());
+            }
+        }
+        if !has_body {
+            return Some((after, false));
+        }
+        let backfilled = after.clone();
+        let inv = Invocation::root(RequestId(0), target, MIGRATION_METHOD, Vec::new())
+            .at_version(version);
+        match process_invocation_with(program, &*self.runner, inv, &mut after) {
+            StepEffect::Respond(resp) => match resp.result {
+                Ok(_) => return Some((after, true)),
+                Err(e) => eprintln!(
+                    "warning: {node}: __migrate__ to v{version} failed for {target}: {e}; \
+                     entity keeps its backfilled-but-unmigrated shape"
+                ),
+            },
+            StepEffect::Emit(_) => eprintln!(
+                "warning: {node}: __migrate__ to v{version} suspended for {target} \
+                 (remote call); entity keeps its backfilled shape"
+            ),
+        }
+        Some((backfilled, false))
+    }
 }
 
 /// All live program versions of one deployment, keyed by version number.

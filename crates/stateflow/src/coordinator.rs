@@ -1,11 +1,30 @@
 //! The StateFlow coordinator: batch sealing, the reserve/commit barrier, and
-//! recovery orchestration.
+//! the quiesce round behind snapshots, live upgrades and recovery.
 //!
 //! "StateFlow requires a single core coordinator, and the rest are used for
 //! its workers" (§4). The coordinator sequences transactions (assigning
-//! globally ordered ids), drives batches through Aria's three phases,
-//! answers clients, schedules consistent snapshots at pipeline-drain points,
-//! and fences + restores workers after a failure.
+//! globally ordered ids), drives batches through Aria's three phases and
+//! answers clients. Everything that touches state *outside* a transaction
+//! happens at a consistent cut, through one primitive:
+//!
+//! **The round.** Sealing stops, the pipeline drains (`drained`), one
+//! control message goes to every worker (`open_round`), each worker owes
+//! one ack (`handle` fences stale generations, `on_round_ack` strikes the
+//! worker off a set), and the last ack runs the round's completion
+//! (`complete_round`) and resumes sealing (`Mode` is `Running` or
+//! `Round`). Each feature is one `RoundKind`:
+//!
+//! * `Cut` — a consistent snapshot: (state, source offset) at a new epoch.
+//!   Completion counts it and raises the cluster durable floor.
+//! * `Migrate` — a live upgrade's per-entity migration pass. Always chained
+//!   from a `Cut { upgrade: true }` (the pre-upgrade epoch boundary), so
+//!   sealing never resumes in between; completion commits the upgrade and
+//!   only then are new roots stamped with the new version.
+//! * `Restore` — recovery. A worker failure may land anywhere, including
+//!   inside another round, so opening it does not wait for a drain: it
+//!   fences with a fresh generation and *drops* the scheduling state and
+//!   whatever round was open. Completion re-opens it at the minimum epoch
+//!   the workers actually reached, if a damaged disk fell short.
 //!
 //! Batches are pipelined: up to `pipeline_depth` batches are in flight at
 //! once, and batch *N+1* is sealed and dispatched as soon as batch *N*
@@ -24,8 +43,8 @@
 //! quarantined by a scripted [`ChaosPlan`], so every per-message state
 //! transition here is idempotent — flag reports are deduplicated per
 //! worker, commit acks are tracked as per-batch worker sets, and stale
-//! completions are dropped. Control-plane traffic (restore, snapshot
-//! markers, failure notifications) bypasses injection: it models the
+//! completions are dropped. Control-plane traffic (the round's messages
+//! and acks, failure notifications) bypasses injection: it models the
 //! failure detector and alignment protocol the engine assumes reliable.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -104,27 +123,6 @@ impl Default for CoordStats {
     }
 }
 
-/// What kind of batch an in-flight entry is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchKind {
-    /// A sealed multi-transaction batch: executes, reserves, decides.
-    Regular,
-    /// A single-transaction serial-fallback batch (skips reservation — a
-    /// lone transaction cannot lose a conflict): the final-hop worker
-    /// decides and commits it locally, no coordinator round trip, and the
-    /// coordinator merely records the outcome.
-    Solo,
-}
-
-impl BatchKind {
-    fn tag(self) -> BatchKindTag {
-        match self {
-            BatchKind::Regular => BatchKindTag::Regular,
-            BatchKind::Solo => BatchKindTag::Solo,
-        }
-    }
-}
-
 /// Progress of one in-flight batch.
 enum BatchStage {
     /// Waiting for every transaction's `ExecDone`.
@@ -146,7 +144,11 @@ struct InFlightBatch {
     responses: HashMap<TxnId, Response>,
     /// Transactions whose chain errored (abort without retry).
     errors: BTreeSet<TxnId>,
-    kind: BatchKind,
+    /// Regular (executes, reserves, decides) or solo: a single-transaction
+    /// serial-fallback batch skips reservation — a lone transaction cannot
+    /// lose a conflict — so its final-hop worker decides and commits it
+    /// locally and the coordinator merely records the outcome.
+    kind: BatchKindTag,
     stage: BatchStage,
     /// Obs timestamps (0 with observability off): when the batch was sealed
     /// and when its last `ExecDone` arrived — the `batch_exec` /
@@ -161,7 +163,7 @@ impl InFlightBatch {
     /// they are decided at their final hop, and overlapping them is the
     /// whole point.
     fn blocks_sealing(&self) -> bool {
-        matches!(self.stage, BatchStage::Executing) && self.kind != BatchKind::Solo
+        matches!(self.stage, BatchStage::Executing) && self.kind != BatchKindTag::Solo
     }
 }
 
@@ -177,8 +179,6 @@ struct PendingUpgrade {
     /// decide whether the record replays from the source (offset at or
     /// past the restored cut) or must be re-armed manually.
     offset: u64,
-    /// Whether the epoch-boundary snapshot for this upgrade has started.
-    started: bool,
 }
 
 /// A committed live upgrade, kept for recovery bookkeeping.
@@ -191,28 +191,21 @@ struct CommittedUpgrade {
     offset: u64,
 }
 
-/// Exclusive coordinator modes. Batches are only in flight while `Running`;
-/// snapshots, migrations and restores require a fully drained pipeline.
-enum Mode {
-    Running,
-    Snapshotting {
-        epoch: Epoch,
-        acks: usize,
-        /// This snapshot is a live upgrade's epoch boundary: on completion
-        /// the coordinator dispatches the migration pass instead of
-        /// resuming sealing.
-        upgrade: bool,
-    },
-    /// Live-upgrade migration pass in flight: waiting for every worker's
-    /// `MigrateAck` before stamping new roots with the new version.
-    Migrating {
-        version: u64,
-        epoch: Epoch,
-        acks: usize,
-    },
-    Restoring {
-        gen: u64,
-        acks: usize,
+/// What a round tells every worker and what its last ack does — the three
+/// features built on the one quiesce round (see the module doc).
+#[derive(Debug, Clone, Copy)]
+enum RoundKind {
+    /// Epoch cut (`Snapshot` out, `SnapshotAck` back): a consistent
+    /// snapshot. With `upgrade` it is a live upgrade's epoch boundary: on
+    /// completion the coordinator chains into `Migrate` instead of
+    /// resuming sealing.
+    Cut { epoch: Epoch, upgrade: bool },
+    /// Live-upgrade migration pass (`Migrate` out, `MigrateAck` back):
+    /// new roots are stamped with `version` only after the last ack.
+    Migrate { version: u64, epoch: Epoch },
+    /// Recovery (`Restore` out, `RestoreAck` back), fenced by the fresh
+    /// generation the round was opened under.
+    Restore {
         /// The epoch this round asked every worker to restore to.
         target: Option<Epoch>,
         /// Minimum epoch actually reached so far (`None` = initial state).
@@ -222,6 +215,33 @@ enum Mode {
         /// at this floor so every partition rejoins at the same cut.
         floor: Option<Epoch>,
     },
+}
+
+/// One open quiesce round: what it is for, and who still owes an ack.
+struct Round {
+    kind: RoundKind,
+    /// Workers whose ack is outstanding — a set, not a counter, by the
+    /// same duplicate-proofing rule as `pending_acks`.
+    waiting: BTreeSet<usize>,
+}
+
+impl Round {
+    /// Strikes `worker` off if `accept` recognizes the ack as this round's
+    /// (folding the ack's payload into the kind); true on the last ack.
+    fn ack(&mut self, worker: usize, accept: impl FnOnce(&mut RoundKind) -> bool) -> bool {
+        accept(&mut self.kind) && {
+            self.waiting.remove(&worker);
+            self.waiting.is_empty()
+        }
+    }
+}
+
+/// Exclusive coordinator modes. Batches are only sealed while `Running`; a
+/// round opens on a fully drained pipeline and holds sealing until every
+/// worker acknowledged.
+enum Mode {
+    Running,
+    Round(Round),
 }
 
 /// The coordinator thread.
@@ -291,10 +311,11 @@ pub struct Coordinator {
     /// history events so upgrade-free histories stay byte-identical to
     /// builds without the upgrade layer.
     versioned: bool,
-    /// Side state of the [`BugLever::TornUpgrade`] bug lever: the upgrade whose
-    /// migration acks are still being counted while the coordinator — the
-    /// bug — already resumed sealing. `(upgrade, epoch, acks)`.
-    injected_migrating: Option<(PendingUpgrade, Epoch, usize)>,
+    /// Side state of the [`BugLever::TornUpgrade`] bug lever: a `Migrate`
+    /// round left open *beside* `Mode::Running`, with the upgrade it
+    /// serves — acks are still collected while the coordinator (the bug)
+    /// already resumed sealing.
+    torn: Option<(Round, PendingUpgrade)>,
 }
 
 impl Coordinator {
@@ -342,7 +363,7 @@ impl Coordinator {
             pending_upgrades: VecDeque::new(),
             upgrades: Vec::new(),
             versioned: false,
-            injected_migrating: None,
+            torn: None,
         }
     }
 
@@ -427,7 +448,7 @@ impl Coordinator {
                 return;
             }
             self.drain_source();
-            self.maybe_begin_upgrade();
+            self.cut_epoch(true);
             self.maybe_seal_batches();
             // Drain every due message before blocking: decide rounds for
             // batch N+1 must not queue behind the apply traffic of batch N
@@ -449,7 +470,7 @@ impl Coordinator {
     fn drain_source(&mut self) {
         // Requests are not consumed while restoring: the generation fence
         // must be in place first.
-        if matches!(self.mode, Mode::Restoring { .. }) {
+        if matches!(&self.mode, Mode::Round(r) if matches!(r.kind, RoundKind::Restore { .. })) {
             return;
         }
         loop {
@@ -506,94 +527,167 @@ impl Coordinator {
                         version,
                         request: Some(req.request),
                         offset,
-                        started: false,
                     });
                 }
             }
         }
     }
 
-    /// Starts the front pending upgrade once the pipeline has fully
-    /// drained: cuts the pre-upgrade epoch (a normal snapshot round whose
-    /// completion dispatches the migration pass instead of resuming
-    /// sealing). Mirrors [`Coordinator::maybe_snapshot`]'s drain
-    /// conditions — (state, source offset) is a consistent cut here too.
-    fn maybe_begin_upgrade(&mut self) {
-        let can_start = matches!(self.mode, Mode::Running)
-            && self.in_flight.is_empty()
+    /// Whether the pipeline has fully drained: no in-flight batch, no
+    /// pending work, and every commit acknowledged — every consumed request
+    /// is then reflected in worker state, so (state, source offset) is a
+    /// consistent cut. Every `Cut` round opens on this condition (a
+    /// `Restore` round forces it by dropping the scheduling state).
+    fn drained(&self) -> bool {
+        self.in_flight.is_empty()
             && self.queue.is_empty()
             && self.fallback_queue.is_empty()
-            && self.pending_acks.is_empty();
-        let Some(p) = self.pending_upgrades.front_mut() else {
-            return;
-        };
-        if p.started || !can_start {
-            return;
-        }
-        p.started = true;
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.snapshots.begin_epoch(epoch, self.workers.len());
-        self.snapshots
-            .put_source_offset(epoch, "requests", self.reader.offset());
-        let durable_floor = self.durable_floor;
-        self.broadcast(|| WorkerMsg::Snapshot {
-            gen: self.gen,
-            epoch,
-            durable_floor,
-        });
-        self.mode = Mode::Snapshotting {
-            epoch,
-            acks: 0,
-            upgrade: true,
-        };
+            && self.pending_acks.is_empty()
     }
 
-    /// Dispatches the migration pass for the front pending upgrade (its
-    /// epoch-boundary snapshot just completed). Under the torn-upgrade bug
-    /// lever the coordinator flips the version and resumes sealing without
-    /// waiting for the workers' acks — the atomicity violation the chaos
-    /// checker must catch.
-    fn start_migration(&mut self, epoch: Epoch) {
-        let Some(p) = self.pending_upgrades.front() else {
-            return;
-        };
-        let version = p.version;
-        self.record(|| HistoryEvent::UpgradeStarted { version, epoch });
-        self.broadcast(|| WorkerMsg::Migrate {
-            gen: self.gen,
-            version,
-            epoch,
-        });
-        if self.cfg.bug == Some(BugLever::TornUpgrade) {
-            let p = self.pending_upgrades.pop_front().expect("front checked");
-            self.active_version = version;
-            self.injected_migrating = Some((p, epoch, 0));
-            // Mode stays Running: sealing resumes while migration races.
+    /// Cuts an epoch — opens a `Cut` round — once one is wanted and the
+    /// pipeline has drained. With `upgrade` the cut is the front pending
+    /// upgrade's epoch boundary (wanted as soon as an upgrade is queued);
+    /// otherwise it is the periodic snapshot (wanted every
+    /// `snapshot_every_batches` batches).
+    fn cut_epoch(&mut self, upgrade: bool) {
+        let wanted = if upgrade {
+            !self.pending_upgrades.is_empty()
         } else {
-            self.mode = Mode::Migrating {
-                version,
-                epoch,
-                acks: 0,
-            };
+            self.cfg.snapshot_every_batches > 0
+                && self.batches_since_snapshot >= self.cfg.snapshot_every_batches
+        };
+        if !wanted || !matches!(self.mode, Mode::Running) || !self.drained() {
+            return;
+        }
+        self.epoch += 1;
+        self.open_round(RoundKind::Cut {
+            epoch: self.epoch,
+            upgrade,
+        });
+    }
+
+    /// Opens a round: the per-kind broadcast, after which every worker
+    /// owes one ack and sealing holds until the last one. Opening replaces
+    /// whatever round was open — only a `Restore` ever opens over another
+    /// round (a crash landed inside it), and recovery supersedes it.
+    fn open_round(&mut self, kind: RoundKind) {
+        let gen = self.gen;
+        match kind {
+            RoundKind::Cut { epoch, .. } => {
+                self.snapshots.begin_epoch(epoch, self.workers.len());
+                self.snapshots
+                    .put_source_offset(epoch, "requests", self.reader.offset());
+                let durable_floor = self.durable_floor;
+                self.broadcast(|| WorkerMsg::Snapshot {
+                    gen,
+                    epoch,
+                    durable_floor,
+                });
+            }
+            RoundKind::Migrate { version, epoch } => {
+                self.record(|| HistoryEvent::UpgradeStarted { version, epoch });
+                self.broadcast(|| WorkerMsg::Migrate {
+                    gen,
+                    version,
+                    epoch,
+                });
+            }
+            RoundKind::Restore { target, .. } => {
+                // Batch numbering continues past the fenced-off window; the
+                // workers re-arm their watermarks at `next_batch` so
+                // replayed batches run without waiting for commits that
+                // died with the old generation.
+                let next_batch = self.next_batch;
+                self.broadcast(|| WorkerMsg::Restore {
+                    gen,
+                    epoch: target,
+                    next_batch,
+                });
+            }
+        }
+        let round = Round {
+            kind,
+            waiting: (0..self.workers.len()).collect(),
+        };
+        match kind {
+            RoundKind::Migrate { version, .. } if self.cfg.bug == Some(BugLever::TornUpgrade) => {
+                // The torn-upgrade bug lever: flip the version and leave
+                // the round open beside `Running`, so sealing resumes while
+                // the migration races — the atomicity violation the chaos
+                // checker must catch.
+                let p = self.pending_upgrades.pop_front().expect("front checked");
+                self.active_version = version;
+                self.torn = Some((round, p));
+            }
+            _ => self.mode = Mode::Round(round),
         }
     }
 
-    /// Commits an upgrade after every worker acknowledged its migration
-    /// pass: new roots stamp the new version from here on.
-    fn commit_upgrade(&mut self, p: PendingUpgrade, epoch: Epoch) {
-        let version = p.version;
-        self.active_version = version;
-        self.obs.gauge("deploy.active_version").set(version as i64);
-        self.upgrades.push(CommittedUpgrade {
-            epoch,
-            version,
-            offset: p.offset,
-        });
-        self.record(|| HistoryEvent::UpgradeCommitted { version, epoch });
-        if let Some(request) = p.request {
-            if let Some(completer) = self.waiters.lock().remove(&request) {
-                completer.complete(Ok(Value::Unit));
+    /// The one ack handler of every round kind (stale generations are
+    /// already fenced, see [`Coordinator::handle`]): `accept` matches the
+    /// ack against the open round, and the last ack closes the round and
+    /// runs its completion.
+    fn on_round_ack(&mut self, worker: usize, accept: impl Fn(&mut RoundKind) -> bool) {
+        if let Mode::Round(round) = &mut self.mode {
+            if round.ack(worker, &accept) {
+                let kind = round.kind;
+                self.mode = Mode::Running;
+                self.complete_round(kind);
+            }
+        }
+        if let Some((round, _)) = &mut self.torn {
+            // Torn-upgrade bug lever: acks are still collected so the
+            // upgrade eventually "commits" — after the damage. Its upgrade
+            // goes back to the front of the queue it was popped from.
+            if round.ack(worker, &accept) {
+                let (round, p) = self.torn.take().expect("checked above");
+                self.pending_upgrades.push_front(p);
+                self.complete_round(round.kind);
+            }
+        }
+    }
+
+    /// A round's last ack arrived and the mode is back to `Running`: the
+    /// per-kind completion.
+    fn complete_round(&mut self, kind: RoundKind) {
+        match kind {
+            RoundKind::Cut { epoch, upgrade } => {
+                self.stats.snapshots.inc();
+                self.batches_since_snapshot = 0;
+                // Old epochs are pruned by the snapshot store's own
+                // retention policy (`snapshot_retention`).
+                self.update_durable_floor();
+                if let (true, Some(p)) = (upgrade, self.pending_upgrades.front()) {
+                    let version = p.version;
+                    self.open_round(RoundKind::Migrate { version, epoch });
+                }
+            }
+            RoundKind::Migrate { version, epoch } => {
+                // Every worker acknowledged its migration pass: the upgrade
+                // commits, and new roots stamp the new version from here on.
+                let p = self.pending_upgrades.pop_front();
+                let p = p.expect("a Migrate round serves the front upgrade");
+                self.active_version = version;
+                self.obs.gauge("deploy.active_version").set(version as i64);
+                self.upgrades.push(CommittedUpgrade {
+                    epoch,
+                    version,
+                    offset: p.offset,
+                });
+                self.record(|| HistoryEvent::UpgradeCommitted { version, epoch });
+                if let Some(completer) = p.request.and_then(|r| self.waiters.lock().remove(&r)) {
+                    completer.complete(Ok(Value::Unit));
+                }
+            }
+            RoundKind::Restore { target, floor } => {
+                if floor != target {
+                    // Some partition's disk fell short of the target:
+                    // rejoin everyone at the cluster minimum. Workers that
+                    // already restored higher truncate down — their
+                    // re-executed suffix replays from the source.
+                    self.restore_to(floor);
+                }
             }
         }
     }
@@ -615,9 +709,9 @@ impl Coordinator {
     /// did. Serial-fallback transactions run first, as single-transaction
     /// batches (which can never lose a conflict).
     fn seal_next_batch(&mut self) -> bool {
-        let (txns, kind): (Vec<TxnId>, BatchKind) =
+        let (txns, kind): (Vec<TxnId>, BatchKindTag) =
             if let Some(txn) = self.fallback_queue.pop_front() {
-                (vec![txn], BatchKind::Solo)
+                (vec![txn], BatchKindTag::Solo)
             } else {
                 if self.queue.is_empty() {
                     return false;
@@ -628,7 +722,7 @@ impl Coordinator {
                     return false;
                 }
                 let take = self.queue.len().min(self.cfg.max_batch);
-                (self.queue.drain(..take).collect(), BatchKind::Regular)
+                (self.queue.drain(..take).collect(), BatchKindTag::Regular)
             };
         debug_assert!(
             txns.windows(2).all(|w| w[0] < w[1]),
@@ -639,13 +733,13 @@ impl Coordinator {
         self.record(|| HistoryEvent::Sealed {
             batch,
             txns: txns.clone(),
-            kind: kind.tag(),
+            kind,
         });
         if self.versioned {
             let version = self.active_version;
             self.record(|| HistoryEvent::BatchVersion { batch, version });
         }
-        let solo = kind == BatchKind::Solo;
+        let solo = kind == BatchKindTag::Solo;
         for txn in &txns {
             // Roots are stamped with the active version at *seal* time:
             // continuations inherit it hop by hop, so an in-flight chain
@@ -677,12 +771,12 @@ impl Coordinator {
             // Seal span: queue started filling → dispatched. Fallback
             // batches skip the accumulation queue; their seal is a point.
             let opened = match kind {
-                BatchKind::Regular => self.queue_since_ns.take().unwrap_or(sealed_ns),
-                BatchKind::Solo => sealed_ns,
+                BatchKindTag::Regular => self.queue_since_ns.take().unwrap_or(sealed_ns),
+                BatchKindTag::Solo => sealed_ns,
             };
             self.obs
                 .stage_span(se_obs::Stage::BatchSeal, batch, opened, sealed_ns);
-            if matches!(kind, BatchKind::Regular) && !self.queue.is_empty() {
+            if matches!(kind, BatchKindTag::Regular) && !self.queue.is_empty() {
                 // The queue keeps filling toward the next batch.
                 self.queue_since_ns = Some(sealed_ns);
             }
@@ -703,84 +797,54 @@ impl Coordinator {
     }
 
     fn handle(&mut self, msg: CoordMsg) {
+        // The generation fence: anything a worker sent before the last
+        // restore round opened is stale — except a failure notification,
+        // which always starts a recovery.
+        let gen = match &msg {
+            CoordMsg::WorkerFailed { .. } => self.gen,
+            CoordMsg::RestoreAck { gen, .. }
+            | CoordMsg::CreateDone { gen, .. }
+            | CoordMsg::ExecDone { gen, .. }
+            | CoordMsg::Flags { gen, .. }
+            | CoordMsg::CommitAck { gen, .. }
+            | CoordMsg::SnapshotAck { gen, .. }
+            | CoordMsg::MigrateAck { gen, .. } => *gen,
+        };
+        if gen != self.gen {
+            return;
+        }
         match msg {
-            CoordMsg::WorkerFailed { .. } => self.begin_recovery(),
+            CoordMsg::WorkerFailed { .. } => self.restore_to(self.snapshots.latest_complete()),
             CoordMsg::RestoreAck {
-                gen,
-                worker: _,
-                reached,
-            } => {
-                if gen != self.gen {
-                    return;
+                worker, reached, ..
+            } => self.on_round_ack(worker, |kind| match kind {
+                RoundKind::Restore { floor, .. } => {
+                    // `None` ("initial state") orders below every epoch.
+                    *floor = (*floor).min(reached);
+                    true
                 }
-                if let Mode::Restoring {
-                    gen: g,
-                    acks,
-                    target,
-                    floor,
-                } = &mut self.mode
-                {
-                    if *g == gen {
-                        *acks += 1;
-                        // min treating None ("initial state") as lowest.
-                        *floor = match (*floor, reached) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            _ => None,
-                        };
-                        if *acks == self.workers.len() {
-                            let (floor, target) = (*floor, *target);
-                            if floor == target {
-                                self.mode = Mode::Running;
-                            } else {
-                                // Some partition's disk fell short of the
-                                // target: rejoin everyone at the cluster
-                                // minimum. Workers that already restored
-                                // higher truncate down — their re-executed
-                                // suffix replays from the source.
-                                self.start_restore_round(floor);
-                            }
-                        }
-                    }
-                }
-            }
+                _ => false,
+            }),
             CoordMsg::CreateDone {
-                gen,
-                request,
-                result,
+                request, result, ..
             } => {
-                if gen != self.gen {
-                    return;
-                }
                 if let Some(completer) = self.waiters.lock().remove(&request) {
                     completer.complete(result.map(|()| Value::Unit));
                 }
             }
             CoordMsg::ExecDone {
-                gen,
                 batch,
                 txn,
                 response,
-            } => {
-                if gen != self.gen {
-                    return;
-                }
-                self.on_exec_done(batch, txn, response);
-            }
+                ..
+            } => self.on_exec_done(batch, txn, response),
             CoordMsg::Flags {
-                gen,
                 batch,
                 worker,
                 flags,
-            } => {
-                if gen != self.gen {
-                    return;
-                }
-                self.on_flags(batch, worker, flags);
-            }
-            CoordMsg::CommitAck { gen, batch, worker } => {
-                if gen != self.gen {
-                    return;
-                }
+                ..
+            } => self.on_flags(batch, worker, flags),
+            CoordMsg::CommitAck { batch, worker, .. } => {
                 // Set-removal is naturally idempotent under duplicated
                 // acks; an ack for a batch that is neither pending nor in
                 // flight is stale and ignored.
@@ -802,80 +866,26 @@ impl Coordinator {
                     // ack immediately): credit it when the batch finalizes.
                     self.early_acks.entry(batch).or_default().insert(worker);
                 }
-                self.maybe_snapshot();
+                self.cut_epoch(false);
             }
             CoordMsg::SnapshotAck {
-                gen,
                 epoch,
                 worker,
                 durable,
+                ..
             } => {
-                if gen != self.gen {
-                    return;
-                }
                 self.durable_epochs.insert(worker, durable);
-                if let Mode::Snapshotting {
-                    epoch: e,
-                    acks,
-                    upgrade,
-                } = &mut self.mode
-                {
-                    if *e == epoch {
-                        *acks += 1;
-                        if *acks == self.workers.len() {
-                            let upgrade = *upgrade;
-                            self.stats.snapshots.inc();
-                            self.batches_since_snapshot = 0;
-                            // Old epochs are pruned by the snapshot store's
-                            // own retention policy (`snapshot_retention`).
-                            self.mode = Mode::Running;
-                            self.update_durable_floor();
-                            if upgrade {
-                                self.start_migration(epoch);
-                            }
-                        }
-                    }
-                }
+                self.on_round_ack(
+                    worker,
+                    |kind| matches!(kind, RoundKind::Cut { epoch: e, .. } if *e == epoch),
+                );
             }
             CoordMsg::MigrateAck {
-                gen,
-                version,
-                worker: _,
-            } => {
-                if gen != self.gen {
-                    return;
-                }
-                if let Mode::Migrating {
-                    version: v,
-                    epoch,
-                    acks,
-                } = &mut self.mode
-                {
-                    if *v == version {
-                        *acks += 1;
-                        if *acks == self.workers.len() {
-                            let epoch = *epoch;
-                            self.mode = Mode::Running;
-                            let p = self
-                                .pending_upgrades
-                                .pop_front()
-                                .expect("migrating implies a pending upgrade");
-                            self.commit_upgrade(p, epoch);
-                        }
-                    }
-                } else if let Some((p, _, acks)) = &mut self.injected_migrating {
-                    // Torn-upgrade bug lever: acks are still counted so the
-                    // upgrade eventually "commits" — after the damage.
-                    if p.version == version {
-                        *acks += 1;
-                        if *acks == self.workers.len() {
-                            let (p, epoch, _) =
-                                self.injected_migrating.take().expect("checked above");
-                            self.commit_upgrade(p, epoch);
-                        }
-                    }
-                }
-            }
+                version, worker, ..
+            } => self.on_round_ack(
+                worker,
+                |kind| matches!(kind, RoundKind::Migrate { version: v, .. } if *v == version),
+            ),
         }
     }
 
@@ -898,22 +908,20 @@ impl Coordinator {
         if batch.responses.len() < batch.txns.len() {
             return;
         }
-        if self.obs.enabled() {
-            batch.exec_done_ns = self.obs.now_ns();
-            self.obs.stage_span(
-                se_obs::Stage::BatchExec,
-                batch_id,
-                batch.sealed_ns,
-                batch.exec_done_ns,
-            );
-        }
+        batch.exec_done_ns = self.obs.now_ns();
+        self.obs.stage_span(
+            se_obs::Stage::BatchExec,
+            batch_id,
+            batch.sealed_ns,
+            batch.exec_done_ns,
+        );
         match batch.kind {
-            BatchKind::Solo => {
+            BatchKindTag::Solo => {
                 // The final-hop worker already decided and committed; this
                 // is the commit record.
-                self.finalize_solo(batch_id);
+                self.close_batch(batch_id, None);
             }
-            BatchKind::Regular => {
+            BatchKindTag::Regular => {
                 let txns = Arc::clone(&batch.txns);
                 let errors = Arc::new(batch.errors.clone());
                 batch.stage = BatchStage::Deciding {
@@ -956,35 +964,35 @@ impl Coordinator {
         if reported.len() < self.workers.len() {
             return;
         }
-        // All partitions reported: decide.
+        // All partitions reported: decide which transactions lost a
+        // conflict and retry. Failed chains abort without retry; the error
+        // is the answer.
         let rule = self.cfg.commit_rule;
-        let mut aborted = BTreeSet::new();
-        let mut retry = Vec::new();
-        for txn in batch.txns.iter() {
-            if batch.errors.contains(txn) {
-                // Failed chains abort without retry; the error is the answer.
-                aborted.insert(*txn);
-                continue;
-            }
+        let lost = |txn: &TxnId| {
             let f = flags.get(txn).copied().unwrap_or_default();
-            let abort = f.waw
+            f.waw
                 || match rule {
                     CommitRule::Basic => f.raw,
                     CommitRule::Reordering => f.raw && f.war,
-                };
-            if abort {
-                aborted.insert(*txn);
-                retry.push(*txn);
-            }
-        }
-        self.finish_batch(batch_id, aborted, retry);
+                }
+        };
+        let retry = (batch.txns.iter().copied())
+            .filter(|txn| !batch.errors.contains(txn) && lost(txn))
+            .collect();
+        self.close_batch(batch_id, Some(retry));
     }
 
-    /// Broadcasts the commit decision, answers clients, requeues aborted
-    /// transactions, and frees the pipeline slot without waiting for commit
-    /// acks (workers order commit application by batch id via their
-    /// watermarks; acks only gate snapshots).
-    fn finish_batch(&mut self, batch_id: BatchId, aborted: BTreeSet<TxnId>, retry: Vec<TxnId>) {
+    /// Closes a batch: broadcasts the commit decision, answers clients,
+    /// requeues aborted transactions, and frees the pipeline slot without
+    /// waiting for commit acks (workers order commit application by batch
+    /// id via their watermarks; acks only gate epoch cuts).
+    ///
+    /// `retry` is the reservation round's verdict: the conflict losers,
+    /// ascending. A solo batch has no decision to broadcast: its final-hop
+    /// worker already decided it (commit unless errored), applied its
+    /// writes and sent the record to its peers — the `ExecDone` doubles as
+    /// the commit record, so the slot frees after one worker→coordinator hop.
+    fn close_batch(&mut self, batch_id: BatchId, retry: Option<Vec<TxnId>>) {
         let Some(batch) = self.in_flight.remove(&batch_id) else {
             return;
         };
@@ -996,27 +1004,43 @@ impl Coordinator {
             exec_done_ns,
             ..
         } = batch;
-        let decided_ns = if self.obs.enabled() {
-            let now = self.obs.now_ns();
-            self.obs
-                .stage_span(se_obs::Stage::BatchDecide, batch_id, exec_done_ns, now);
-            now
-        } else {
-            0
+        let decided_ns = self.obs.now_ns();
+        let retry = match retry {
+            Some(retry) => {
+                self.obs.stage_span(
+                    se_obs::Stage::BatchDecide,
+                    batch_id,
+                    exec_done_ns,
+                    decided_ns,
+                );
+                // Workers discard the effects of errored chains and of the
+                // conflict losers alike.
+                let aborted: Arc<BTreeSet<TxnId>> =
+                    Arc::new(errors.iter().chain(&retry).copied().collect());
+                let txns = Arc::clone(&txns);
+                let gen = self.gen;
+                self.broadcast_chaos(move || WorkerMsg::Commit {
+                    gen,
+                    batch: batch_id,
+                    txns: Arc::clone(&txns),
+                    aborted: Arc::clone(&aborted),
+                });
+                retry
+            }
+            None => {
+                debug_assert_eq!(txns.len(), 1, "solo batches hold exactly one txn");
+                // The decision happened at the final-hop worker; on the
+                // coordinator's timeline it is a point at the commit record.
+                self.obs
+                    .stage_span(se_obs::Stage::BatchDecide, batch_id, decided_ns, decided_ns);
+                Vec::new()
+            }
         };
-        let aborted = Arc::new(aborted);
-        let txns2 = Arc::clone(&txns);
-        let aborted2 = Arc::clone(&aborted);
-        let gen = self.gen;
-        self.broadcast_chaos(move || WorkerMsg::Commit {
-            gen,
-            batch: batch_id,
-            txns: Arc::clone(&txns2),
-            aborted: Arc::clone(&aborted2),
-        });
+        // One ack per worker arrives either way: for a solo batch the
+        // deciding worker's own, and one from each peer applying the
+        // broadcast record.
         self.arm_pending_acks(batch_id);
         self.track_commit_span(batch_id, decided_ns);
-        let retry_set: BTreeSet<TxnId> = retry.iter().copied().collect();
 
         // Respond to committed and hard-failed transactions (the latter are
         // answered with their error and counted apart — they never commit).
@@ -1027,7 +1051,7 @@ impl Coordinator {
         let mut failed_outcomes: Vec<TxnOutcome> = Vec::new();
         let recording = self.cfg.history.is_some();
         for txn in txns.iter() {
-            if retry_set.contains(txn) {
+            if retry.binary_search(txn).is_ok() {
                 continue;
             }
             if errors.contains(txn) {
@@ -1052,12 +1076,16 @@ impl Coordinator {
                 answers.push(resp);
             }
         }
-        // Record the decision *before* answering clients: a client woken by
-        // its response may immediately snapshot the history and must see
-        // the commit that produced it.
+        // Count and record the decision *before* answering clients: a
+        // client woken by its response may immediately read the stats or
+        // snapshot the history and must see the commit that produced it.
+        self.stats.commits.add(committed);
+        self.stats.failed.add(failed);
+        self.stats.aborts.add(retry.len() as u64);
+        self.stats.batches.inc();
         self.record(|| HistoryEvent::Decided {
             batch: batch_id,
-            kind: kind.tag(),
+            kind,
             committed: committed_outcomes,
             failed: failed_outcomes,
             retried: retry.clone(),
@@ -1067,10 +1095,6 @@ impl Coordinator {
                 completer.complete(resp.result);
             }
         }
-        self.stats.commits.add(committed);
-        self.stats.failed.add(failed);
-        self.stats.aborts.add(retry.len() as u64);
-        self.stats.batches.inc();
 
         // Aborted transactions keep their (lower) ids so the oldest can
         // never lose again — also across overlapping batches: anything
@@ -1092,108 +1116,7 @@ impl Coordinator {
         }
 
         self.batches_since_snapshot += 1;
-        self.maybe_snapshot();
-    }
-
-    /// Records a solo batch's outcome: the final-hop worker already decided
-    /// it (commit unless errored), applied its writes and broadcast the
-    /// record to its peers — the `ExecDone` doubles as the commit record,
-    /// so the pipeline slot frees after one worker→coordinator hop.
-    fn finalize_solo(&mut self, batch_id: BatchId) {
-        let Some(batch) = self.in_flight.remove(&batch_id) else {
-            return;
-        };
-        let InFlightBatch {
-            txns,
-            mut responses,
-            errors,
-            kind,
-            ..
-        } = batch;
-        debug_assert_eq!(txns.len(), 1, "solo batches hold exactly one txn");
-        // One ack per worker arrives: the deciding worker's own, and one
-        // from each peer applying the broadcast record.
-        self.arm_pending_acks(batch_id);
-        // A solo batch's decision happened at its final-hop worker; on the
-        // coordinator's timeline it is a point at the commit record.
-        let decided_ns = if self.obs.enabled() {
-            let now = self.obs.now_ns();
-            self.obs
-                .stage_span(se_obs::Stage::BatchDecide, batch_id, now, now);
-            now
-        } else {
-            0
-        };
-        self.track_commit_span(batch_id, decided_ns);
-        let txn = txns[0];
-        let errored = errors.contains(&txn);
-        if errored {
-            self.stats.failed.inc();
-        } else {
-            self.stats.commits.inc();
-        }
-        self.stats.batches.inc();
-        self.roots.remove(&txn);
-        if let Some(resp) = responses.remove(&txn) {
-            self.record(|| {
-                let outcome = TxnOutcome {
-                    txn,
-                    request: resp.request.0,
-                    result: resp.result.clone().map_err(|e| e.to_string()),
-                };
-                let (committed, failed) = if errored {
-                    (Vec::new(), vec![outcome])
-                } else {
-                    (vec![outcome], Vec::new())
-                };
-                HistoryEvent::Decided {
-                    batch: batch_id,
-                    kind: kind.tag(),
-                    committed,
-                    failed,
-                    retried: Vec::new(),
-                }
-            });
-            if let Some(completer) = self.waiters.lock().remove(&resp.request) {
-                completer.complete(resp.result);
-            }
-        }
-        self.batches_since_snapshot += 1;
-        self.maybe_snapshot();
-    }
-
-    /// Takes a consistent snapshot when due and the pipeline has drained:
-    /// no in-flight batch, no pending work, and every commit acknowledged —
-    /// every consumed request is then reflected in worker state, so
-    /// (state, source offset) is a consistent cut.
-    fn maybe_snapshot(&mut self) {
-        let snapshot_due = self.cfg.snapshot_every_batches > 0
-            && self.batches_since_snapshot >= self.cfg.snapshot_every_batches;
-        if !snapshot_due
-            || !matches!(self.mode, Mode::Running)
-            || !self.in_flight.is_empty()
-            || !self.queue.is_empty()
-            || !self.fallback_queue.is_empty()
-            || !self.pending_acks.is_empty()
-        {
-            return;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.snapshots.begin_epoch(epoch, self.workers.len());
-        self.snapshots
-            .put_source_offset(epoch, "requests", self.reader.offset());
-        let durable_floor = self.durable_floor;
-        self.broadcast(|| WorkerMsg::Snapshot {
-            gen: self.gen,
-            epoch,
-            durable_floor,
-        });
-        self.mode = Mode::Snapshotting {
-            epoch,
-            acks: 0,
-            upgrade: false,
-        };
+        self.cut_epoch(false);
     }
 
     /// Recomputes the cluster durable floor after a completed snapshot
@@ -1205,36 +1128,25 @@ impl Coordinator {
         if self.durable_epochs.len() < self.workers.len() {
             return;
         }
-        let mut min: Option<Epoch> = None;
-        for d in self.durable_epochs.values() {
-            let Some(e) = d else { return };
-            min = Some(match min {
-                Some(m) => m.min(*e),
-                None => *e,
-            });
-        }
-        if let Some(floor) = min {
-            if self.durable_floor.is_none_or(|f| floor > f) {
-                self.durable_floor = Some(floor);
-                self.snapshots.set_pin_floor(floor);
-            }
+        // `None` (nothing durable yet) orders below every epoch.
+        let Some(&Some(floor)) = self.durable_epochs.values().min() else {
+            return;
+        };
+        if self.durable_floor.is_none_or(|f| floor > f) {
+            self.durable_floor = Some(floor);
+            self.snapshots.set_pin_floor(floor);
         }
     }
 
-    fn begin_recovery(&mut self) {
-        let target = self.snapshots.latest_complete();
-        self.start_restore_round(target);
-    }
-
-    /// One restore round: fence with a fresh generation, roll the request
-    /// cursor back to `target`'s offset, drop all volatile scheduling
-    /// state, and tell every worker to restore to `target`. With
-    /// durability on the round can end below its target (a damaged disk),
-    /// in which case the `RestoreAck` handler starts another round at the
-    /// cluster minimum; each round records its own `Recovery` event, and
-    /// the history checker treats consecutive recoveries as one lineage
-    /// ending at the last.
-    fn start_restore_round(&mut self, target: Option<Epoch>) {
+    /// Opens one restore round: fence with a fresh generation, roll the
+    /// request cursor back to `target`'s offset, drop all volatile
+    /// scheduling state (and whatever round the failure landed in), and
+    /// tell every worker to restore to `target`. With durability on the
+    /// round can end below its target (a damaged disk), in which case its
+    /// completion opens another round at the cluster minimum; each round
+    /// records its own `Recovery` event, and the history checker treats
+    /// consecutive recoveries as one lineage ending at the last.
+    fn restore_to(&mut self, target: Option<Epoch>) {
         // A target whose source offset is gone cannot be replayed to: fall
         // back to a full restart. Unreachable while the durable floor pins
         // retention correctly, but silently replaying from offset 0 into
@@ -1263,21 +1175,10 @@ impl Coordinator {
         self.batch_deadline = None;
         self.batches_since_snapshot = 0;
         self.rewind_upgrades(target, offset);
-        // Batch numbering continues past the fenced-off window; the workers
-        // re-arm their watermarks at `next_batch` so replayed batches run
-        // without waiting for commits that died with the old generation.
-        let next_batch = self.next_batch;
-        self.broadcast(|| WorkerMsg::Restore {
-            gen,
-            epoch: target,
-            next_batch,
-        });
-        self.mode = Mode::Restoring {
-            gen,
-            acks: 0,
+        self.open_round(RoundKind::Restore {
             target,
             floor: target,
-        };
+        });
     }
 
     /// Rolls the upgrade bookkeeping back to the restored cut, replaying
@@ -1294,10 +1195,11 @@ impl Coordinator {
     ///   manually (without a waiter — the client was answered in the
     ///   previous lineage; completion of a missing waiter is a no-op).
     ///
-    /// Not-yet-committed upgrades (including one interrupted mid-migration,
-    /// whose epoch-boundary snapshot is pre-migration by construction)
-    /// follow the same offset rule with `started` reset. Idempotent across
-    /// consecutive restore rounds at decreasing targets.
+    /// Not-yet-committed upgrades (including one interrupted inside its
+    /// `Cut → Migrate` chain, whose epoch-boundary snapshot is pre-migration
+    /// by construction) follow the same offset rule; the interrupted round
+    /// itself is dropped by the `Restore` round opening over it. Idempotent
+    /// across consecutive restore rounds at decreasing targets.
     fn rewind_upgrades(&mut self, target: Option<Epoch>, offset: u64) {
         let mut rearmed: Vec<PendingUpgrade> = Vec::new();
         let mut kept: Vec<CommittedUpgrade> = Vec::new();
@@ -1309,22 +1211,18 @@ impl Coordinator {
                     version: u.version,
                     request: None,
                     offset: u.offset,
-                    started: false,
                 });
             }
             // else: the Redeploy record replays from the source.
         }
         self.upgrades = kept;
-        let mut pending: Vec<PendingUpgrade> = self.pending_upgrades.drain(..).collect();
-        if let Some((p, _, _)) = self.injected_migrating.take() {
-            pending.push(p);
-        }
-        for mut p in pending {
-            if p.offset < offset {
-                p.started = false;
-                rearmed.push(p);
-            }
-        }
+        let torn = self.torn.take().map(|(_, p)| p);
+        rearmed.extend(
+            self.pending_upgrades
+                .drain(..)
+                .chain(torn)
+                .filter(|p| p.offset < offset),
+        );
         rearmed.sort_by_key(|p| p.version);
         self.pending_upgrades = rearmed.into();
         self.active_version = self
@@ -1332,10 +1230,8 @@ impl Coordinator {
             .last()
             .map(|u| u.version)
             .unwrap_or(INITIAL_VERSION);
-        if self.obs.enabled() {
-            self.obs
-                .gauge("deploy.active_version")
-                .set(self.active_version as i64);
-        }
+        self.obs
+            .gauge("deploy.active_version")
+            .set(self.active_version as i64);
     }
 }

@@ -50,8 +50,7 @@ use se_dataflow::{
     SharedStateStore, SnapshotStore, StateStore,
 };
 use se_ir::{
-    partition_for, process_invocation_with, Invocation, RequestId, Response, StepEffect,
-    VersionRegistry,
+    partition_for, process_invocation_with, Invocation, Response, StepEffect, VersionRegistry,
 };
 use se_lang::LangError;
 
@@ -352,7 +351,7 @@ impl Worker {
                     durable: durable.flatten(),
                 });
             }
-            WorkerMsg::Migrate { version, epoch, .. } => self.handle_migrate(version, epoch),
+            WorkerMsg::Migrate { version, .. } => self.handle_migrate(version),
             WorkerMsg::Restore { .. } | WorkerMsg::Shutdown => unreachable!("handled in run()"),
         }
     }
@@ -788,44 +787,34 @@ impl Worker {
     }
 
     /// The live-upgrade migration pass. Runs with the pipeline fully
-    /// drained and the pre-upgrade epoch cut: for every entity this
-    /// partition owns whose class defines `__migrate__` in the new version,
-    /// execute that method as a synthetic single-hop invocation and collect
-    /// its effects into one batch of writes. The WAL sees the writes first
-    /// and then a `VersionCut` marker — a replay that reaches the marker
-    /// recovers post-migration state, one that falls short recovers the
-    /// pre-upgrade cut (and the coordinator re-arms the upgrade). An entity
-    /// whose migration errors keeps its old shape: a bad `__migrate__`
-    /// must not wedge the cluster, and the new version's methods see
-    /// whatever defaults the class declares for attributes never written.
-    fn handle_migrate(&mut self, version: u64, _epoch: se_dataflow::Epoch) {
+    /// drained and the pre-upgrade epoch cut: every entity this partition
+    /// owns goes through [`se_ir::VersionEntry::migrate_entity`] (default
+    /// backfill, then `__migrate__` as a synthetic single-hop invocation)
+    /// and the before→after diffs collect into one batch of writes. The WAL
+    /// sees the writes first and then a `VersionCut` marker — a replay that
+    /// reaches the marker recovers post-migration state, one that falls
+    /// short recovers the pre-upgrade cut (and the coordinator re-arms the
+    /// upgrade).
+    fn handle_migrate(&mut self, version: u64) {
         let t0 = self.obs.now_ns();
         let entry = self.registry.resolve(version);
-        let program = &entry.graph.program;
-        // Collect targets first: the read guard must drop before execution
-        // (migration bodies read the store through the same guard path).
-        // An entity needs the pass when its class declares `__migrate__` OR
-        // gained attributes in the new version — those are backfilled with
-        // their declared defaults so v2 bodies never read a hole.
-        let targets: Vec<se_lang::EntityRef> = {
+        // Snapshot the partition first (O(1) copy-on-write clones): the
+        // read guard must drop before bodies run, and with the pipeline
+        // drained this pass is the store's only writer.
+        let entities: Vec<(se_lang::EntityRef, se_lang::EntityState)> = {
             let store = self.store.read();
-            store
-                .iter()
-                .filter(|(r, state)| {
-                    program.class(r.class).is_some_and(|c| {
-                        c.class.migration_method().is_some()
-                            || c.class.attrs.iter().any(|a| !state.contains_key(a.name))
-                    })
-                })
-                .map(|(r, _)| *r)
-                .collect()
+            store.iter().map(|(r, state)| (*r, state.clone())).collect()
         };
         let mut buffer = TxnBuffer::default();
         let mut migrated = 0u64;
-        for target in targets {
+        for (target, before) in entities {
+            let Some((after, ran)) = entry.migrate_entity(version, &self.name, target, &before)
+            else {
+                continue;
+            };
             // Migration executes method bodies, so scripted exec-point
             // crashes land here too — the crash-mid-upgrade chaos tests
-            // kill a worker with the pass half applied (in memory only:
+            // kill a worker with the pass half done (in memory only:
             // nothing below logged a commit yet, so recovery rewinds to
             // the pre-upgrade cut and the coordinator re-arms the upgrade).
             if self
@@ -836,79 +825,16 @@ impl Worker {
                 self.crash();
                 return;
             }
-            let committed = match self.store.read().get(&target) {
-                Some(state) => state.clone(),
-                None => continue,
-            };
-            let before = buffer.overlay_read(&target, &committed);
-            let class = match program.class(target.class) {
-                Some(c) => &c.class,
-                None => continue,
-            };
-            // New-in-this-version attributes first: the entity predates the
-            // class shape, so missing declarations materialize with their
-            // defaults — `__migrate__` (and every v2 body after it) then
-            // sees a complete state.
-            let mut after = before.clone();
-            for attr in &class.attrs {
-                if !after.contains_key(attr.name) {
-                    after.insert(attr.name, attr.default.clone());
-                }
-            }
-            if class.migration_method().is_none() {
-                buffer.record_effects(&target, &before, &after);
-                continue;
-            }
-            let backfilled = after.clone();
-            let inv = Invocation::root(RequestId(0), target, se_lang::MIGRATION_METHOD, Vec::new())
-                .at_version(version);
-            match process_invocation_with(program, &*entry.runner, inv, &mut after) {
-                StepEffect::Respond(resp) => {
-                    if let Err(e) = resp.result {
-                        eprintln!(
-                            "warning: {}: __migrate__ to v{version} failed for {target}: {e}; \
-                             entity keeps its backfilled-but-unmigrated shape",
-                            self.name
-                        );
-                        // The backfill still commits — v2 bodies must not
-                        // read holes even when the migration body is buggy.
-                        buffer.record_effects(&target, &before, &backfilled);
-                        continue;
-                    }
-                    buffer.record_effects(&target, &before, &after);
-                    migrated += 1;
-                }
-                // Typecheck rejects remote calls inside `__migrate__`, so a
-                // suspension here means a stale registry entry; skip rather
-                // than deadlock the drained pipeline on a chain hop.
-                StepEffect::Emit(_) => {
-                    eprintln!(
-                        "warning: {}: __migrate__ to v{version} suspended for {target} \
-                         (remote call); entity keeps its backfilled shape",
-                        self.name
-                    );
-                    buffer.record_effects(&target, &before, &backfilled);
-                }
-            }
+            buffer.record_effects(&target, &before, &after);
+            migrated += u64::from(ran);
         }
+        // WAL-first, marker last: the synthetic batch id (`u64::MAX`) never
+        // collides with a sealed batch, and replay does not key on batch
+        // ids anyway — it applies commit records in log order.
+        self.apply_writes(u64::MAX, buffer);
         if let Some(d) = &mut self.durable {
-            // WAL-first, marker last: the synthetic batch id (`u64::MAX`)
-            // never collides with a sealed batch, and replay does not key
-            // on batch ids anyway — it applies commit records in log order.
-            if !buffer.writes.is_empty() {
-                d.log_commit(u64::MAX, &buffer.writes)
-                    .expect("log migration commit");
-            }
             d.log_version_cut(version).expect("log version cut");
         }
-        self.timers.time("state_store", || {
-            let mut store = self.store.write();
-            for (entity, writes) in buffer.writes {
-                for (attr, value) in writes {
-                    let _ = store.apply_write(&entity, attr, value);
-                }
-            }
-        });
         self.registry.set_active(version);
         self.obs.counter("upgrade.migrated_entities").add(migrated);
         self.obs.stage_span(

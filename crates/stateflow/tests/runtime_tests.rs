@@ -514,3 +514,185 @@ fn overhead_timers_populated() {
     assert!(names.contains(&"state_read"), "{names:?}");
     rt.shutdown();
 }
+
+/// Coordinator-level test of the quiesce round, with the test thread playing
+/// both workers (every step is a channel handshake, no sleeps): a worker
+/// failure lands *inside* the `Cut → Migrate` chain, the restore round that
+/// replaces it ends below its target (one "disk" fell short) and re-opens at
+/// the floor, and the coordinator still comes back to `Running` with the
+/// upgrade committed exactly once on the surviving lineage.
+#[test]
+fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
+    use se_chaos::{History, HistoryEvent};
+    use se_dataflow::{
+        delay_channel, DelayReceiver, ReplayableSource, ResponseWaiter, SnapshotStore,
+        SourceReader, StateStore,
+    };
+    use se_ir::{Invocation, RequestId};
+    use se_stateflow::coordinator::{CoordStats, Coordinator};
+    use se_stateflow::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.snapshot_every_batches = 0; // only the upgrade cuts epochs
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let source = ReplayableSource::new();
+    let waiters = Arc::new(parking_lot::Mutex::new(std::collections::HashMap::new()));
+    let snapshots = Arc::new(SnapshotStore::<StateStore>::new());
+    let stats = Arc::new(CoordStats::default());
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let (coord_tx, coord_rx) = delay_channel::<CoordMsg>();
+    let (worker_txs, workers): (Vec<_>, Vec<DelayReceiver<WorkerMsg>>) =
+        (0..2).map(|_| delay_channel::<WorkerMsg>()).unzip();
+    let coordinator = Coordinator::new(
+        cfg,
+        worker_txs,
+        coord_rx,
+        SourceReader::at(&source, 0),
+        Arc::clone(&waiters),
+        Arc::clone(&snapshots),
+        Arc::clone(&stats),
+        se_obs::Obs::noop(),
+        Arc::clone(&shutdown),
+    );
+    let thread = std::thread::spawn(move || coordinator.run());
+    // Every worker receives the round's broadcast; the matcher extracts what
+    // the script needs from it.
+    let expect = |what: &str, matcher: &dyn Fn(&WorkerMsg) -> bool| {
+        for rx in &workers {
+            let msg = rx.recv_timeout(WAIT).unwrap_or_else(|| panic!("no {what}"));
+            assert!(matcher(&msg), "expected {what}, got {msg:?}");
+        }
+    };
+    let send = |msg: CoordMsg| coord_tx.send_after(msg, Duration::ZERO);
+    let cut = |gen: u64, epoch: u64| {
+        expect(
+            "Snapshot",
+            &|m| matches!(m, WorkerMsg::Snapshot { gen: g, epoch: e, .. } if (*g, *e) == (gen, epoch)),
+        );
+        for worker in 0..2 {
+            snapshots.put(epoch, &format!("worker{worker}"), StateStore::new());
+            send(CoordMsg::SnapshotAck {
+                gen,
+                epoch,
+                worker,
+                durable: None,
+            });
+        }
+        // The chain: the cut's last ack opens the migration pass at once.
+        expect(
+            "Migrate",
+            &|m| matches!(m, WorkerMsg::Migrate { gen: g, version: 2, epoch: e } if (*g, *e) == (gen, epoch)),
+        );
+    };
+
+    let (completer, redeployed) = ResponseWaiter::new();
+    waiters.lock().insert(RequestId(1), completer);
+    source.append(ClientRequest {
+        request: RequestId(1),
+        op: ClientOp::Redeploy { version: 2 },
+    });
+    cut(0, 1);
+    // Worker 0 finishes its pass; worker 1 dies in the middle of its own.
+    send(CoordMsg::MigrateAck {
+        gen: 0,
+        version: 2,
+        worker: 0,
+    });
+    send(CoordMsg::WorkerFailed { gen: 0, worker: 1 });
+    // Round 1 targets the pre-upgrade cut, but worker 1's disk has nothing.
+    expect("Restore to the cut", &|m| {
+        matches!(
+            m,
+            WorkerMsg::Restore {
+                gen: 1,
+                epoch: Some(1),
+                ..
+            }
+        )
+    });
+    // A straggler from the dead round must stay fenced.
+    send(CoordMsg::MigrateAck {
+        gen: 0,
+        version: 2,
+        worker: 1,
+    });
+    for (worker, reached) in [(0, Some(1)), (1, None)] {
+        send(CoordMsg::RestoreAck {
+            gen: 1,
+            worker,
+            reached,
+        });
+    }
+    // Round 2 rejoins everyone at the floor: a full restart.
+    expect("Restore to the floor", &|m| {
+        matches!(
+            m,
+            WorkerMsg::Restore {
+                gen: 2,
+                epoch: None,
+                ..
+            }
+        )
+    });
+    for worker in 0..2 {
+        send(CoordMsg::RestoreAck {
+            gen: 2,
+            worker,
+            reached: None,
+        });
+    }
+    // Running again: the `Redeploy` record replays from the source and the
+    // whole chain runs a second time, this time to completion.
+    cut(2, 2);
+    assert!(redeployed.wait_timeout(Duration::ZERO).is_none());
+    for worker in 0..2 {
+        send(CoordMsg::MigrateAck {
+            gen: 2,
+            version: 2,
+            worker,
+        });
+    }
+    redeployed
+        .wait_timeout(WAIT)
+        .expect("the upgrade commits")
+        .expect("without error");
+    // Sealing resumed, on the new version.
+    let target = EntityRef::new("Account", "a");
+    source.append(ClientRequest {
+        request: RequestId(2),
+        op: ClientOp::Invoke(Invocation::root(RequestId(2), target, "balance", vec![])),
+    });
+    let owner = se_ir::partition_for("a", 2);
+    match workers[owner].recv_timeout(WAIT).expect("a sealed batch") {
+        WorkerMsg::Exec { gen: 2, inv, .. } => assert_eq!(inv.version, 2),
+        other => panic!("expected Exec, got {other:?}"),
+    }
+    shutdown.store(true, Ordering::SeqCst);
+    thread.join().unwrap();
+
+    let events = history.events();
+    let count = |f: &dyn Fn(&HistoryEvent) -> bool| events.iter().filter(|e| f(e)).count();
+    assert_eq!(
+        count(&|e| matches!(e, HistoryEvent::UpgradeStarted { .. })),
+        2
+    );
+    assert_eq!(
+        count(&|e| matches!(
+            e,
+            HistoryEvent::UpgradeCommitted {
+                version: 2,
+                epoch: 2
+            }
+        )),
+        1,
+        "committed once, at the surviving lineage's cut"
+    );
+    assert_eq!(
+        count(&|e| matches!(e, HistoryEvent::UpgradeCommitted { .. })),
+        1
+    );
+    assert_eq!(stats.recoveries.get(), 2);
+    assert_eq!(stats.snapshots.get(), 2);
+}

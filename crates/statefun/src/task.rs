@@ -26,10 +26,7 @@ use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
     send_with_chaos, ComponentTimers, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore,
 };
-use se_ir::{
-    process_invocation_with, Invocation, InvocationKind, RequestId, Response, StepEffect,
-    VersionRegistry, INITIAL_VERSION,
-};
+use se_ir::{Invocation, InvocationKind, Response, StepEffect, VersionRegistry, INITIAL_VERSION};
 use se_lang::{EntityRef, LangError};
 
 use crate::config::{CheckpointMode, StatefunConfig};
@@ -86,6 +83,9 @@ impl UpgradeGate {
 /// One partition task (run on its own thread).
 pub struct PartitionTask {
     id: usize,
+    /// `task<id>`, computed once: the chaos hooks consult it on every
+    /// ingress record, and the hot path must not allocate per call.
+    name: String,
     cfg: StatefunConfig,
     broker: Broker<SfRecord>,
     /// All live program versions: roots are stamped with this task's
@@ -146,6 +146,7 @@ impl PartitionTask {
     ) -> Self {
         Self {
             id,
+            name: format!("task{id}"),
             cfg,
             broker,
             registry,
@@ -170,10 +171,6 @@ impl PartitionTask {
             dead: false,
             last_epoch: 0,
         }
-    }
-
-    fn node_name(&self) -> String {
-        format!("task{}", self.id)
     }
 
     fn transactional(&self) -> bool {
@@ -234,7 +231,6 @@ impl PartitionTask {
                 key,
                 init,
             } => {
-                self.timers.time("routing", || {});
                 let entry = self.registry.resolve(self.active_version);
                 let result = match entry.graph.program.class_or_err(&class) {
                     Ok(c) => {
@@ -247,26 +243,17 @@ impl PartitionTask {
                 self.emit_egress(Response { request, result });
             }
             SfRecord::Invoke(inv) => {
-                if self
-                    .cfg
-                    .chaos
-                    .should_crash(&self.node_name(), CrashPoint::Exec)
-                {
+                if self.cfg.chaos.should_crash(&self.name, CrashPoint::Exec) {
                     self.crash();
                     return;
                 }
-                self.timers.time("routing", || {});
                 self.dispatch_or_queue(inv);
             }
             SfRecord::Barrier { epoch } => {
                 // A crash while a checkpoint barrier drains — mid-epoch,
                 // staged produces unflushed — is the window exactly-once
                 // recovery must cover.
-                if self
-                    .cfg
-                    .chaos
-                    .should_crash(&self.node_name(), CrashPoint::Commit)
-                {
+                if self.cfg.chaos.should_crash(&self.name, CrashPoint::Commit) {
                     self.crash();
                     return;
                 }
@@ -276,11 +263,7 @@ impl PartitionTask {
                 // Crash-mid-upgrade window: the marker consumed but the
                 // switch not yet applied (or applied in memory only, ahead
                 // of the next durable barrier).
-                if self
-                    .cfg
-                    .chaos
-                    .should_crash(&self.node_name(), CrashPoint::Commit)
-                {
+                if self.cfg.chaos.should_crash(&self.name, CrashPoint::Commit) {
                     self.crash();
                     return;
                 }
@@ -412,50 +395,9 @@ impl PartitionTask {
         }
     }
 
-    /// Aligned barrier: drain in-flight work, snapshot, then flush staged
-    /// produces — flush-after-snapshot makes replay duplicate-free.
-    fn on_barrier(&mut self, epoch: Epoch) {
-        if !self.transactional() || epoch <= self.last_epoch {
-            return;
-        }
-        // Drain: every dispatched invocation must complete so its effects
-        // are in the snapshot.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !self.inflight.is_empty() {
-            if std::time::Instant::now() > deadline {
-                break; // avoid hanging the whole pipeline on a lost response
-            }
-            if let Some(resp) = self.resp_rx.recv_timeout(Duration::from_millis(5)) {
-                if resp.gen == self.gen {
-                    self.on_response(resp);
-                }
-            }
-        }
-        self.snapshots
-            .put(epoch, &self.node_name(), self.store.clone());
-        self.snapshots
-            .put_source_offset(epoch, &self.node_name(), self.offset);
-        self.last_epoch = epoch;
-        // Flush the epoch's staged outputs.
-        for (topic, key, rec, bytes) in std::mem::take(&mut self.staged) {
-            let _ = self.broker.produce(topic, &key, rec, bytes);
-        }
-    }
-
-    /// Applies a live upgrade: aligned drain (the same sync point a
-    /// checkpoint barrier uses — the switch lands with zero dispatches in
-    /// flight), per-entity backfill + `__migrate__` over this partition's
-    /// slice of the store, then the root-stamping version bump. The gate
-    /// notification lets the blocked `redeploy` call return once every
-    /// partition has switched.
-    fn on_upgrade(&mut self, version: u64) {
-        // Replayed or duplicated marker for a version this incarnation
-        // already runs (e.g. the restored snapshot post-dates the switch):
-        // nothing to do, and it must not count into the gate again.
-        if version <= self.active_version {
-            return;
-        }
-        let t0 = self.obs.now_ns();
+    /// The sync point checkpoint barriers and live upgrades share: waits
+    /// until no dispatch is in flight, applying responses as they arrive.
+    fn drain_inflight(&mut self) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while !self.inflight.is_empty() {
             if std::time::Instant::now() > deadline {
@@ -467,77 +409,66 @@ impl PartitionTask {
                 }
             }
         }
+    }
+
+    /// Aligned barrier: drain in-flight work, snapshot, then flush staged
+    /// produces — flush-after-snapshot makes replay duplicate-free.
+    fn on_barrier(&mut self, epoch: Epoch) {
+        if !self.transactional() || epoch <= self.last_epoch {
+            return;
+        }
+        // Every dispatched invocation must complete so its effects are in
+        // the snapshot.
+        self.drain_inflight();
+        self.snapshots.put(epoch, &self.name, self.store.clone());
+        self.snapshots
+            .put_source_offset(epoch, &self.name, self.offset);
+        self.last_epoch = epoch;
+        // Flush the epoch's staged outputs.
+        for (topic, key, rec, bytes) in std::mem::take(&mut self.staged) {
+            let _ = self.broker.produce(topic, &key, rec, bytes);
+        }
+    }
+
+    /// Applies a live upgrade: aligned drain (the same sync point a
+    /// checkpoint barrier uses — the switch lands with zero dispatches in
+    /// flight), [`se_ir::VersionEntry::migrate_entity`] over this
+    /// partition's slice of the store, then the root-stamping version bump.
+    /// The gate notification lets the blocked `redeploy` call return once
+    /// every partition has switched.
+    fn on_upgrade(&mut self, version: u64) {
+        // Replayed or duplicated marker for a version this incarnation
+        // already runs (e.g. the restored snapshot post-dates the switch):
+        // nothing to do, and it must not count into the gate again.
+        if version <= self.active_version {
+            return;
+        }
+        let t0 = self.obs.now_ns();
+        self.drain_inflight();
         let entry = self.registry.resolve(version);
-        let program = &entry.graph.program;
-        let targets: Vec<EntityRef> = self
+        // O(1) copy-on-write clones: the pass replaces entries as it goes.
+        let entities: Vec<(EntityRef, se_lang::EntityState)> = self
             .store
             .iter()
-            .filter(|(r, state)| {
-                program.class(r.class).is_some_and(|c| {
-                    c.class.migration_method().is_some()
-                        || c.class.attrs.iter().any(|a| !state.contains_key(a.name))
-                })
-            })
-            .map(|(r, _)| *r)
+            .map(|(r, state)| (*r, state.clone()))
             .collect();
         let mut migrated = 0u64;
-        for target in targets {
+        for (target, before) in entities {
+            let Some((after, ran)) = entry.migrate_entity(version, &self.name, target, &before)
+            else {
+                continue;
+            };
             // Migration executes method bodies: scripted exec-point crashes
             // land here too, leaving the pass half applied in memory — the
             // replayed `Upgrade` record redoes it from the restored state.
-            if self
-                .cfg
-                .chaos
-                .should_crash(&self.node_name(), CrashPoint::Exec)
-            {
+            if self.cfg.chaos.should_crash(&self.name, CrashPoint::Exec) {
                 self.crash();
                 return;
-            }
-            let Some(committed) = self.store.get(&target) else {
-                continue;
-            };
-            let class = match program.class(target.class) {
-                Some(c) => &c.class,
-                None => continue,
-            };
-            // Attributes new in this version materialize with their
-            // declared defaults before anything runs (see the StateFlow
-            // worker's migration pass for the rationale).
-            let mut after = committed.clone();
-            for attr in &class.attrs {
-                if !after.contains_key(attr.name) {
-                    after.insert(attr.name, attr.default.clone());
-                }
-            }
-            if class.migration_method().is_some() {
-                let backfilled = after.clone();
-                let inv =
-                    Invocation::root(RequestId(0), target, se_lang::MIGRATION_METHOD, Vec::new())
-                        .at_version(version);
-                match process_invocation_with(program, &*entry.runner, inv, &mut after) {
-                    StepEffect::Respond(resp) if resp.result.is_ok() => migrated += 1,
-                    StepEffect::Respond(resp) => {
-                        let e = resp.result.unwrap_err();
-                        eprintln!(
-                            "warning: task{}: __migrate__ to v{version} failed for \
-                             {target}: {e}; entity keeps its backfilled shape",
-                            self.id
-                        );
-                        after = backfilled;
-                    }
-                    StepEffect::Emit(_) => {
-                        eprintln!(
-                            "warning: task{}: __migrate__ to v{version} suspended for \
-                             {target} (remote call); entity keeps its backfilled shape",
-                            self.id
-                        );
-                        after = backfilled;
-                    }
-                }
             }
             self.timers.time("state_storage", || {
                 self.store.insert(target, after);
             });
+            migrated += u64::from(ran);
         }
         self.active_version = version;
         self.upgrades.push((self.offset, version));
@@ -568,12 +499,11 @@ impl PartitionTask {
 
     fn restore(&mut self, gen: u64) {
         let epoch = *self.recovery.restore_epoch.lock();
-        let name = self.node_name();
         self.store = epoch
-            .and_then(|e| self.snapshots.get(e, &name))
+            .and_then(|e| self.snapshots.get(e, &self.name))
             .unwrap_or_default();
         self.offset = epoch
-            .and_then(|e| self.snapshots.source_offset(e, &name))
+            .and_then(|e| self.snapshots.source_offset(e, &self.name))
             .unwrap_or(0);
         self.last_epoch = epoch.unwrap_or(0);
         self.inflight.clear();
@@ -594,7 +524,7 @@ impl PartitionTask {
         self.dead = false;
         // The next incarnation begins: re-arm per-node chaos counters so a
         // multi-crash script can kill this task again.
-        self.cfg.chaos.notify_restart(&self.node_name());
+        self.cfg.chaos.notify_restart(&self.name);
         if let Some(h) = &self.cfg.history {
             h.record(HistoryEvent::SfRecovery { task: self.id, gen });
         }

@@ -249,7 +249,6 @@ fn overhead_timers_cover_components() {
     }
     let names: Vec<&str> = rt.timers().report().iter().map(|(n, _, _)| *n).collect();
     for expect in [
-        "routing",
         "state_serialization",
         "state_deserialization",
         "object_construction",

@@ -480,8 +480,8 @@ fn duplicated_hop_into_a_local_continuation_is_dropped_at_every_pool_size() {
 /// Serial-fallback batches are solo at every pipeline depth: a depth-1
 /// hot-key run (Zipfian transfers, `FallbackPolicy::Serial`) must drain its
 /// retries through `Solo` batches — one transaction each, committed at the
-/// final hop — never through a coordinator-committed `Fallback` batch, and
-/// stay serializable and oracle-equal.
+/// final hop (the only non-regular kind there is) — and stay serializable
+/// and oracle-equal.
 #[test]
 fn depth_one_hot_key_retries_drain_through_solo_batches() {
     use rand::SeedableRng;
@@ -521,11 +521,6 @@ fn depth_one_hot_key_retries_drain_through_solo_batches() {
     let mut solo_batches = 0;
     for event in &events {
         if let HistoryEvent::Sealed { batch, txns, kind } = event {
-            assert_ne!(
-                *kind,
-                BatchKindTag::Fallback,
-                "batch {batch}: fallback batches must be solo at depth 1 too"
-            );
             if *kind == BatchKindTag::Solo {
                 assert_eq!(txns.len(), 1, "batch {batch}: solo batches hold one txn");
                 solo_batches += 1;
