@@ -16,11 +16,11 @@
 //!   the produce+consume network cost from [`NetConfig`] has elapsed.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use se_dataflow::{ChaosPlan, NetConfig};
+use se_dataflow::{ChaosPlan, NetConfig, Waker};
 use se_ir::partition_for;
 
 /// Broker operation errors.
@@ -67,9 +67,44 @@ struct Entry<T> {
     visible_at: Instant,
 }
 
+/// What a blocked fetch re-checks, under the one lock it waits on.
+struct Log<T> {
+    entries: Vec<Entry<T>>,
+    /// Set by [`Broker::close`]: blocking fetches return what is visible.
+    closed: bool,
+    /// Fetches inside `fetch_blocking`'s wait; produces skip the condvar
+    /// (an unconditional `futex` syscall in `std`) while it is zero.
+    parked: usize,
+}
+
 struct Partition<T> {
-    entries: Mutex<Vec<Entry<T>>>,
+    log: Mutex<Log<T>>,
     appended: Condvar,
+    /// Fired on every produce: how a consumer that parks on its own inbox
+    /// rather than in `fetch_blocking` learns of new records.
+    waker: OnceLock<Waker>,
+}
+
+impl<T> Partition<T> {
+    /// Appends a record visible after `delay`, returning its offset.
+    fn append(&self, key: &str, value: T, delay: Duration) -> u64 {
+        let mut log = self.log.lock();
+        let offset = log.entries.len() as u64;
+        log.entries.push(Entry {
+            key: key.to_owned(),
+            value,
+            visible_at: Instant::now() + delay,
+        });
+        let parked = log.parked > 0;
+        drop(log);
+        if parked {
+            self.appended.notify_all();
+        }
+        if let Some(waker) = self.waker.get() {
+            waker.wake();
+        }
+        offset
+    }
 }
 
 struct TopicData<T> {
@@ -140,8 +175,13 @@ impl<T: Clone> Broker<T> {
             Arc::new(TopicData {
                 partitions: (0..partitions)
                     .map(|_| Partition {
-                        entries: Mutex::new(Vec::new()),
+                        log: Mutex::new(Log {
+                            entries: Vec::new(),
+                            closed: false,
+                            parked: 0,
+                        }),
                         appended: Condvar::new(),
+                        waker: OnceLock::new(),
                     })
                     .collect(),
             })
@@ -155,6 +195,24 @@ impl<T: Clone> Broker<T> {
             .get(name)
             .cloned()
             .ok_or_else(|| BrokerError::UnknownTopic(name.to_owned()))
+    }
+
+    /// Runs `f` on one partition of a topic.
+    fn with_partition<R>(
+        &self,
+        topic: &str,
+        partition: usize,
+        f: impl FnOnce(&Partition<T>) -> R,
+    ) -> Result<R, BrokerError> {
+        let t = self.topic(topic)?;
+        let p = t
+            .partitions
+            .get(partition)
+            .ok_or_else(|| BrokerError::UnknownPartition {
+                topic: topic.to_owned(),
+                partition,
+            })?;
+        Ok(f(p))
     }
 
     /// Number of partitions of a topic.
@@ -177,17 +235,7 @@ impl<T: Clone> Broker<T> {
     ) -> Result<(usize, u64), BrokerError> {
         let t = self.topic(topic)?;
         let partition = partition_for(key, t.partitions.len());
-        let delay = self.produce_delay(bytes);
-        let p = &t.partitions[partition];
-        let mut entries = p.entries.lock();
-        let offset = entries.len() as u64;
-        entries.push(Entry {
-            key: key.to_owned(),
-            value,
-            visible_at: Instant::now() + delay,
-        });
-        drop(entries);
-        p.appended.notify_all();
+        let offset = t.partitions[partition].append(key, value, self.produce_delay(bytes));
         Ok((partition, offset))
     }
 
@@ -202,25 +250,26 @@ impl<T: Clone> Broker<T> {
         value: T,
         bytes: usize,
     ) -> Result<u64, BrokerError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition)
-            .ok_or_else(|| BrokerError::UnknownPartition {
-                topic: topic.to_owned(),
-                partition,
-            })?;
-        let delay = self.produce_delay(bytes);
-        let mut entries = p.entries.lock();
-        let offset = entries.len() as u64;
-        entries.push(Entry {
-            key: key.to_owned(),
-            value,
-            visible_at: Instant::now() + delay,
-        });
-        drop(entries);
-        p.appended.notify_all();
-        Ok(offset)
+        self.with_partition(topic, partition, |p| {
+            p.append(key, value, self.produce_delay(bytes))
+        })
+    }
+
+    /// Registers the waker of the thread that consumes a partition through
+    /// [`Broker::fetch`]: every later produce to it fires the waker — at
+    /// the produce, not at visibility; the consumer times that itself from
+    /// [`Broker::next_visible_at`]. A partition wakes one consumer;
+    /// registering a second waker panics.
+    pub fn wake_on_produce(
+        &self,
+        topic: &str,
+        partition: usize,
+        waker: Waker,
+    ) -> Result<(), BrokerError> {
+        self.with_partition(topic, partition, |p| {
+            let set = p.waker.set(waker);
+            assert!(set.is_ok(), "a partition wakes one consumer");
+        })
     }
 
     /// Fetches up to `max` *visible* records from `offset` onward.
@@ -231,55 +280,70 @@ impl<T: Clone> Broker<T> {
         offset: u64,
         max: usize,
     ) -> Result<Vec<ConsumerRecord<T>>, BrokerError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition)
-            .ok_or_else(|| BrokerError::UnknownPartition {
-                topic: topic.to_owned(),
-                partition,
-            })?;
-        let entries = p.entries.lock();
-        Ok(Self::visible_from(&entries, offset, max))
+        self.with_partition(topic, partition, |p| {
+            Self::visible_from(&p.log.lock().entries, offset, max)
+        })
     }
 
-    /// Like [`Broker::fetch`], but blocks up to `timeout` for at least one
-    /// visible record.
+    /// When the record at `offset` becomes (or became) visible; `None`
+    /// while nothing is produced there yet. Offsets are consumed in order,
+    /// so this is the instant an empty [`Broker::fetch`] from `offset`
+    /// stops being empty.
+    pub fn next_visible_at(
+        &self,
+        topic: &str,
+        partition: usize,
+        offset: u64,
+    ) -> Result<Option<Instant>, BrokerError> {
+        self.with_partition(topic, partition, |p| {
+            let log = p.log.lock();
+            log.entries.get(offset as usize).map(|e| e.visible_at)
+        })
+    }
+
+    /// Like [`Broker::fetch`], but blocks for at least one visible record —
+    /// up to `timeout` if one is given — or until the broker is closed.
     pub fn fetch_blocking(
         &self,
         topic: &str,
         partition: usize,
         offset: u64,
         max: usize,
-        timeout: Duration,
+        timeout: Option<Duration>,
     ) -> Result<Vec<ConsumerRecord<T>>, BrokerError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition)
-            .ok_or_else(|| BrokerError::UnknownPartition {
-                topic: topic.to_owned(),
-                partition,
-            })?;
-        let deadline = Instant::now() + timeout;
-        let mut entries = p.entries.lock();
-        loop {
-            let got = Self::visible_from(&entries, offset, max);
-            if !got.is_empty() {
-                return Ok(got);
+        let deadline = timeout.map(|t| Instant::now() + t);
+        self.with_partition(topic, partition, |p| {
+            let mut log = p.log.lock();
+            loop {
+                let got = Self::visible_from(&log.entries, offset, max);
+                let expired = deadline.is_some_and(|d| Instant::now() >= d);
+                if !got.is_empty() || log.closed || expired {
+                    return got;
+                }
+                // Wake when the next record in log order becomes visible, a
+                // new record is appended, the broker closes, or the
+                // deadline passes.
+                let next_visible = log.entries.get(offset as usize).map(|e| e.visible_at);
+                log.parked += 1;
+                match next_visible.into_iter().chain(deadline).min() {
+                    Some(until) => {
+                        p.appended.wait_until(&mut log, until);
+                    }
+                    None => p.appended.wait(&mut log),
+                }
+                log.parked -= 1;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(Vec::new());
-            }
-            // Wake when the next pending record becomes visible, a new
-            // record is appended, or the deadline passes.
-            let next_visible = entries
-                .get(offset as usize..)
-                .and_then(|s| s.iter().map(|e| e.visible_at).min())
-                .unwrap_or(deadline);
-            p.appended
-                .wait_until(&mut entries, next_visible.min(deadline));
+        })
+    }
+
+    /// Closes the broker for blocked consumers: every `fetch_blocking`,
+    /// parked now or called later, returns at once with what is visible.
+    /// Produces and plain fetches keep working.
+    pub fn close(&self) {
+        let topics: Vec<_> = self.inner.topics.lock().values().cloned().collect();
+        for p in topics.iter().flat_map(|t| &t.partitions) {
+            p.log.lock().closed = true;
+            p.appended.notify_all();
         }
     }
 
@@ -303,16 +367,7 @@ impl<T: Clone> Broker<T> {
 
     /// The next offset that would be assigned in a partition (log end).
     pub fn end_offset(&self, topic: &str, partition: usize) -> Result<u64, BrokerError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .partitions
-            .get(partition)
-            .ok_or_else(|| BrokerError::UnknownPartition {
-                topic: topic.to_owned(),
-                partition,
-            })?;
-        let len = p.entries.lock().len() as u64;
-        Ok(len)
+        self.with_partition(topic, partition, |p| p.log.lock().entries.len() as u64)
     }
 
     /// Commits a consumer group's offset (the next offset to read).
@@ -432,7 +487,7 @@ mod tests {
                 partition_for("k", 4),
                 0,
                 10,
-                Duration::from_secs(2),
+                Some(Duration::from_secs(2)),
             )
         });
         std::thread::sleep(Duration::from_millis(10));
@@ -445,7 +500,7 @@ mod tests {
     fn blocking_fetch_times_out_empty() {
         let b = broker();
         let got = b
-            .fetch_blocking("events", 0, 0, 10, Duration::from_millis(30))
+            .fetch_blocking("events", 0, 0, 10, Some(Duration::from_millis(30)))
             .unwrap();
         assert!(got.is_empty());
     }
@@ -494,5 +549,44 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..400).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn produce_fires_the_partition_waker_and_tells_when_it_shows() {
+        let mut net = NetConfig::fast_test();
+        net.broker_hop = Duration::from_millis(20);
+        let b = Broker::new(net);
+        b.create_topic("t", 2);
+        let (_tx, rx) = se_dataflow::delay_channel::<u8>();
+        b.wake_on_produce("t", 1, rx.waker()).unwrap();
+        assert_eq!(b.next_visible_at("t", 1, 0).unwrap(), None);
+        let before = Instant::now();
+        b.produce_to("t", 1, "k", "v".to_string(), 0).unwrap();
+        // The wake comes with the produce (this untimed receive would hang
+        // without it), ahead of visibility.
+        assert_eq!(rx.recv_until(None), None);
+        assert!(b.fetch("t", 1, 0, 10).unwrap().is_empty());
+        let visible_at = b.next_visible_at("t", 1, 0).unwrap().expect("produced");
+        assert!(visible_at >= before + Duration::from_millis(40));
+        // Blocking until that instant is exactly enough.
+        assert_eq!(rx.recv_until(Some(visible_at)), None);
+        assert_eq!(b.fetch("t", 1, 0, 10).unwrap().len(), 1);
+        // The other partition has no waker and is left alone.
+        b.produce_to("t", 0, "k", "v".to_string(), 0).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), None);
+    }
+
+    #[test]
+    fn close_releases_blocked_and_later_blocking_fetches() {
+        let b = broker();
+        let b2 = b.clone();
+        let start = Instant::now();
+        let h = std::thread::spawn(move || b2.fetch_blocking("events", 0, 0, 10, None));
+        std::thread::sleep(Duration::from_millis(10));
+        b.close();
+        assert!(h.join().unwrap().unwrap().is_empty());
+        let late = b.fetch_blocking("events", 1, 0, 10, None);
+        assert!(late.unwrap().is_empty());
+        assert!(start.elapsed() < Duration::from_secs(10));
     }
 }

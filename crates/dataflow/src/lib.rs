@@ -30,7 +30,7 @@ pub mod state;
 pub mod wal;
 
 pub use api::{EntityRuntime, ResponseCompleter, ResponseWaiter};
-pub use delay::{delay_channel, DelayReceiver, DelaySender};
+pub use delay::{delay_channel, DelayReceiver, DelaySender, Waker};
 pub use durable::{DurableOptions, DurableStore};
 pub use failure::{send_with_chaos, ChaosPlan, CrashPoint, MsgFaultAction, Seam};
 pub use metrics::{ComponentTimers, LatencySummary};

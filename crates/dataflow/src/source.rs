@@ -6,14 +6,29 @@
 //! retained (never destructively consumed), and any number of readers can
 //! read from any offset.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::delay::Waker;
+
+/// Everything a blocked reader re-checks, under the one lock it waits on:
+/// a flag flipped beside that lock could change between a reader's check
+/// and its wait, and the notify would find nobody to wake.
+struct Log<T> {
+    events: Vec<T>,
+    closed: bool,
+    /// Readers inside `read_blocking`'s wait; appends skip the condvar (an
+    /// unconditional `futex` syscall in `std`) while it is zero.
+    parked: usize,
+}
+
 struct Inner<T> {
-    log: Mutex<Vec<T>>,
+    log: Mutex<Log<T>>,
     appended: Condvar,
-    closed: Mutex<bool>,
+    /// Fired on every append and on close: how a consumer that parks on
+    /// its own inbox rather than in `read_blocking` learns of them.
+    waker: OnceLock<Waker>,
 }
 
 /// A shareable, replayable, append-only event log.
@@ -40,26 +55,42 @@ impl<T: Clone> ReplayableSource<T> {
     pub fn new() -> Self {
         Self {
             inner: Arc::new(Inner {
-                log: Mutex::new(Vec::new()),
+                log: Mutex::new(Log {
+                    events: Vec::new(),
+                    closed: false,
+                    parked: 0,
+                }),
                 appended: Condvar::new(),
-                closed: Mutex::new(false),
+                waker: OnceLock::new(),
             }),
+        }
+    }
+
+    /// Tells blocked readers and the registered waker that the log changed;
+    /// `parked` is what the caller read under the lock it has released.
+    fn announce(&self, parked: bool) {
+        if parked {
+            self.inner.appended.notify_all();
+        }
+        if let Some(waker) = self.inner.waker.get() {
+            waker.wake();
         }
     }
 
     /// Appends an event, returning its offset.
     pub fn append(&self, event: T) -> u64 {
         let mut log = self.inner.log.lock();
-        log.push(event);
-        let off = (log.len() - 1) as u64;
+        log.events.push(event);
+        let off = (log.events.len() - 1) as u64;
+        let parked = log.parked > 0;
         drop(log);
-        self.inner.appended.notify_all();
+        self.announce(parked);
         off
     }
 
     /// Reads the event at `offset` if it exists.
     pub fn read(&self, offset: u64) -> Option<T> {
-        self.inner.log.lock().get(offset as usize).cloned()
+        self.inner.log.lock().events.get(offset as usize).cloned()
     }
 
     /// Blocks until an event at `offset` exists (or the source is closed),
@@ -68,22 +99,21 @@ impl<T: Clone> ReplayableSource<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut log = self.inner.log.lock();
         loop {
-            if let Some(e) = log.get(offset as usize) {
+            if let Some(e) = log.events.get(offset as usize) {
                 return Some(e.clone());
             }
-            if *self.inner.closed.lock() {
+            if log.closed || std::time::Instant::now() >= deadline {
                 return None;
             }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
+            log.parked += 1;
             self.inner.appended.wait_until(&mut log, deadline);
+            log.parked -= 1;
         }
     }
 
     /// Number of events appended so far (== next offset).
     pub fn len(&self) -> u64 {
-        self.inner.log.lock().len() as u64
+        self.inner.log.lock().events.len() as u64
     }
 
     /// Whether no events were appended.
@@ -93,13 +123,16 @@ impl<T: Clone> ReplayableSource<T> {
 
     /// Marks the source closed: blocked readers wake and see the end.
     pub fn close(&self) {
-        *self.inner.closed.lock() = true;
-        self.inner.appended.notify_all();
+        let mut log = self.inner.log.lock();
+        log.closed = true;
+        let parked = log.parked > 0;
+        drop(log);
+        self.announce(parked);
     }
 
     /// Whether the source is closed.
     pub fn is_closed(&self) -> bool {
-        *self.inner.closed.lock()
+        self.inner.log.lock().closed
     }
 }
 
@@ -122,6 +155,14 @@ impl<T: Clone> SourceReader<T> {
     /// Current offset (the next event to read).
     pub fn offset(&self) -> u64 {
         self.offset
+    }
+
+    /// Registers the waker of the thread that consumes this source through
+    /// [`SourceReader::poll`]: every later append, and `close`, fires it. A
+    /// source wakes one consumer; registering a second waker panics.
+    pub fn wake_on_append(&self, waker: Waker) {
+        let set = self.source.inner.waker.set(waker);
+        assert!(set.is_ok(), "a source wakes one consumer");
     }
 
     /// Rewinds to `offset` (replay after recovery).
@@ -212,5 +253,58 @@ mod tests {
         assert_eq!(r2.poll(), Some(5));
         assert_eq!(r1.offset(), 1);
         assert_eq!(r2.offset(), 6);
+    }
+
+    /// Regression: `closed` used to sit under its own mutex, flipped and
+    /// notified without the log lock, so a `close` landing between a
+    /// reader's `closed` check and its wait went unheard and the reader
+    /// slept out its whole timeout. Every round releases one `close`
+    /// against one reader just entering `read_blocking`; with the flag
+    /// under the log lock no interleaving can lose the notify, so every
+    /// reader returns long before its timeout.
+    #[test]
+    fn close_racing_a_blocking_read_is_never_lost() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for round in 0..3000 {
+            let src = ReplayableSource::<u8>::new();
+            let entering = Arc::new(AtomicBool::new(false));
+            let (src2, entering2) = (src.clone(), Arc::clone(&entering));
+            let reader = std::thread::spawn(move || {
+                entering2.store(true, Ordering::SeqCst);
+                let start = std::time::Instant::now();
+                let got = src2.read_blocking(0, Duration::from_secs(5));
+                (got, start.elapsed())
+            });
+            while !entering.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            // Spread the close over the reader's first few hundred ns.
+            for _ in 0..round % 64 {
+                std::hint::spin_loop();
+            }
+            src.close();
+            let (got, took) = reader.join().unwrap();
+            assert_eq!(got, None);
+            assert!(
+                took < Duration::from_secs(2),
+                "round {round}: a reader slept through close()"
+            );
+        }
+    }
+
+    #[test]
+    fn append_and_close_fire_the_registered_waker() {
+        let (tx, rx) = crate::delay_channel::<u8>();
+        let src = ReplayableSource::new();
+        let mut rd = SourceReader::at(&src, 0);
+        rd.wake_on_append(rx.waker());
+        // Each wake ends one untimed receive; without it this would hang.
+        src.append(7);
+        assert_eq!(rx.recv_until(None), None);
+        assert_eq!(rd.poll(), Some(7));
+        src.close();
+        assert_eq!(rx.recv_until(None), None);
+        assert!(src.is_closed());
+        drop(tx);
     }
 }

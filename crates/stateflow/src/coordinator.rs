@@ -332,6 +332,9 @@ impl Coordinator {
         obs: se_obs::Obs,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
+        // The source is the one thing the coordinator watches that is not
+        // a message: have its appends (and its close) end the inbox wait.
+        reader.wake_on_append(inbox.waker());
         Self {
             cfg,
             workers,
@@ -440,7 +443,26 @@ impl Coordinator {
         }
     }
 
-    /// The coordinator loop.
+    /// The coordinator loop: event-driven, one turn per event.
+    ///
+    /// A turn consumes what the source holds, seals what the window and the
+    /// batch timer allow, and handles every message already due. Only a
+    /// turn that found no message blocks, on the inbox, until one of
+    /// exactly three things: a **message** comes due (worker traffic, and
+    /// every simulated hop delay or chaos quarantine — those are due times
+    /// in the inbox's delay heap), a **wake** (the source fires the inbox's
+    /// waker on every append and on close, which is also how shutdown gets
+    /// in), or **`batch_deadline`**, the only timer the coordinator owns —
+    /// and it counts only while the window is open, since a batch the
+    /// pipeline cannot take is unblocked by a message, not by time.
+    ///
+    /// The park is keyed on "no wake since the last turn" (the waker's
+    /// token), never on "the source has unread records": records are left
+    /// unread on purpose behind a pending `Redeploy` and during a `Restore`
+    /// round. An append there costs one empty turn and the coordinator
+    /// parks again; whatever ends the round is a message, and the turn it
+    /// starts drains the source. A busy coordinator never sleeps, an idle
+    /// one never wakes.
     pub fn run(mut self) {
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -460,7 +482,8 @@ impl Coordinator {
                 handled = true;
             }
             if !handled {
-                if let Some(msg) = self.inbox.recv_timeout(Duration::from_micros(500)) {
+                let deadline = self.batch_deadline.filter(|_| self.window_open());
+                if let Some(msg) = self.inbox.recv_until(deadline) {
                     self.handle(msg);
                 }
             }
@@ -696,13 +719,16 @@ impl Coordinator {
     /// start once every in-flight regular batch has entered its reservation
     /// round and fewer than `pipeline_depth` batches are in flight.
     fn maybe_seal_batches(&mut self) {
-        if !matches!(self.mode, Mode::Running) {
-            return;
-        }
-        while self.in_flight.len() < self.cfg.pipeline_depth
+        while self.window_open() && self.seal_next_batch() {}
+    }
+
+    /// Whether the pipeline would take a batch now: no round holds sealing,
+    /// a slot is free, and every in-flight regular batch has entered its
+    /// reservation round. While it is closed only a message can open it.
+    fn window_open(&self) -> bool {
+        matches!(self.mode, Mode::Running)
+            && self.in_flight.len() < self.cfg.pipeline_depth
             && self.in_flight.values().all(|b| !b.blocks_sealing())
-            && self.seal_next_batch()
-        {}
     }
 
     /// Seals and dispatches one batch if one is ready; returns whether it
@@ -1090,8 +1116,16 @@ impl Coordinator {
             failed: failed_outcomes,
             retried: retry.clone(),
         });
-        for resp in answers {
-            if let Some(completer) = self.waiters.lock().remove(&resp.request) {
+        // One pass over the waiter table: clients take the same lock once
+        // per submit, so it is held for the removals only, not across the
+        // wake-ups.
+        let completers: Vec<_> = {
+            let mut waiters = self.waiters.lock();
+            let removed = answers.iter().map(|resp| waiters.remove(&resp.request));
+            removed.collect()
+        };
+        for (resp, completer) in answers.into_iter().zip(completers) {
+            if let Some(completer) = completer {
                 completer.complete(resp.result);
             }
         }

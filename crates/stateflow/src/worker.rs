@@ -214,7 +214,9 @@ impl Worker {
     /// senders disconnect.
     pub fn run(mut self) {
         loop {
-            let Some(msg) = self.inbox.recv_timeout(Duration::from_millis(50)) else {
+            // Everything a worker reacts to is a message (shutdown too), so
+            // it blocks with no timer; `None` is closure or a stray wake.
+            let Some(msg) = self.inbox.recv_until(None) else {
                 if self.inbox.is_closed() {
                     return;
                 }

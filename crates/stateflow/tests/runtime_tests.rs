@@ -515,65 +515,180 @@ fn overhead_timers_populated() {
     rt.shutdown();
 }
 
-/// Coordinator-level test of the quiesce round, with the test thread playing
-/// both workers (every step is a channel handshake, no sleeps): a worker
-/// failure lands *inside* the `Cut → Migrate` chain, the restore round that
-/// replaces it ends below its target (one "disk" fell short) and re-opens at
-/// the floor, and the coordinator still comes back to `Running` with the
-/// upgrade committed exactly once on the surviving lineage.
-#[test]
-fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
-    use se_chaos::{History, HistoryEvent};
-    use se_dataflow::{
-        delay_channel, DelayReceiver, ReplayableSource, ResponseWaiter, SnapshotStore,
-        SourceReader, StateStore,
-    };
-    use se_ir::{Invocation, RequestId};
-    use se_stateflow::coordinator::{CoordStats, Coordinator};
-    use se_stateflow::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
-    use std::sync::atomic::{AtomicBool, Ordering};
+/// A coordinator on its own thread with the test thread playing both
+/// workers: every step is a channel handshake. The coordinator blocks with
+/// no timeout, so whatever a test expects of it either happens because
+/// something woke it or never happens (`WAIT` turns "never" into a failure).
+struct CoordRig {
+    source: se_dataflow::ReplayableSource<se_stateflow::msg::ClientRequest>,
+    waiters: Arc<
+        parking_lot::Mutex<
+            std::collections::HashMap<se_ir::RequestId, se_dataflow::ResponseCompleter>,
+        >,
+    >,
+    snapshots: Arc<se_dataflow::SnapshotStore<se_dataflow::StateStore>>,
+    stats: Arc<se_stateflow::coordinator::CoordStats>,
+    coord_tx: se_dataflow::DelaySender<se_stateflow::msg::CoordMsg>,
+    workers: Vec<se_dataflow::DelayReceiver<se_stateflow::msg::WorkerMsg>>,
+    shutdown: Arc<std::sync::atomic::AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+    /// The coordinator thread's `/proc` task directory (Linux only).
+    task_dir: Option<std::path::PathBuf>,
+}
 
-    let mut cfg = StateflowConfig::fast_test(2);
-    cfg.snapshot_every_batches = 0; // only the upgrade cuts epochs
-    let history = History::new();
-    cfg.history = Some(history.clone());
-    let source = ReplayableSource::new();
-    let waiters = Arc::new(parking_lot::Mutex::new(std::collections::HashMap::new()));
-    let snapshots = Arc::new(SnapshotStore::<StateStore>::new());
-    let stats = Arc::new(CoordStats::default());
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (coord_tx, coord_rx) = delay_channel::<CoordMsg>();
-    let (worker_txs, workers): (Vec<_>, Vec<DelayReceiver<WorkerMsg>>) =
-        (0..2).map(|_| delay_channel::<WorkerMsg>()).unzip();
-    let coordinator = Coordinator::new(
-        cfg,
-        worker_txs,
-        coord_rx,
-        SourceReader::at(&source, 0),
-        Arc::clone(&waiters),
-        Arc::clone(&snapshots),
-        Arc::clone(&stats),
-        se_obs::Obs::noop(),
-        Arc::clone(&shutdown),
-    );
-    let thread = std::thread::spawn(move || coordinator.run());
-    // Every worker receives the round's broadcast; the matcher extracts what
-    // the script needs from it.
-    let expect = |what: &str, matcher: &dyn Fn(&WorkerMsg) -> bool| {
-        for rx in &workers {
+impl CoordRig {
+    fn start(cfg: StateflowConfig) -> CoordRig {
+        use se_dataflow::{delay_channel, ReplayableSource, SnapshotStore, SourceReader};
+        use se_stateflow::coordinator::{CoordStats, Coordinator};
+        let source = ReplayableSource::new();
+        let waiters = Arc::new(parking_lot::Mutex::new(std::collections::HashMap::new()));
+        let snapshots = Arc::new(SnapshotStore::new());
+        let stats = Arc::new(CoordStats::default());
+        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (coord_tx, coord_rx) = delay_channel();
+        let (worker_txs, workers): (Vec<_>, Vec<_>) =
+            (0..cfg.workers).map(|_| delay_channel()).unzip();
+        let coordinator = Coordinator::new(
+            cfg,
+            worker_txs,
+            coord_rx,
+            SourceReader::at(&source, 0),
+            Arc::clone(&waiters),
+            Arc::clone(&snapshots),
+            Arc::clone(&stats),
+            se_obs::Obs::noop(),
+            Arc::clone(&shutdown),
+        );
+        let (dir_tx, dir_rx) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let dir = std::fs::read_link("/proc/thread-self").ok();
+            dir_tx
+                .send(dir.map(|d| std::path::Path::new("/proc").join(d)))
+                .unwrap();
+            coordinator.run()
+        });
+        CoordRig {
+            source,
+            waiters,
+            snapshots,
+            stats,
+            coord_tx,
+            workers,
+            shutdown,
+            thread: Some(thread),
+            task_dir: dir_rx.recv().unwrap(),
+        }
+    }
+
+    fn send(&self, msg: se_stateflow::msg::CoordMsg) {
+        self.coord_tx.send(msg);
+    }
+
+    /// Appends a root invocation of `Account(key).balance()`.
+    fn invoke(&self, request: u64, key: &str) {
+        use se_ir::{Invocation, RequestId};
+        use se_stateflow::msg::{ClientOp, ClientRequest};
+        let target = EntityRef::new("Account", key);
+        self.source.append(ClientRequest {
+            request: RequestId(request),
+            op: ClientOp::Invoke(Invocation::root(
+                RequestId(request),
+                target,
+                "balance",
+                vec![],
+            )),
+        });
+    }
+
+    /// Every worker receives one message matching `matcher` (a broadcast).
+    fn expect_all(&self, what: &str, matcher: &dyn Fn(&se_stateflow::msg::WorkerMsg) -> bool) {
+        for rx in &self.workers {
             let msg = rx.recv_timeout(WAIT).unwrap_or_else(|| panic!("no {what}"));
             assert!(matcher(&msg), "expected {what}, got {msg:?}");
         }
-    };
-    let send = |msg: CoordMsg| coord_tx.send_after(msg, Duration::ZERO);
+    }
+
+    /// The `Exec` of the next sealed single-key batch, from `key`'s owner.
+    fn expect_exec(&self, key: &str) -> se_stateflow::msg::WorkerMsg {
+        let owner = se_ir::partition_for(key, self.workers.len());
+        let msg = self.workers[owner]
+            .recv_timeout(WAIT)
+            .expect("a sealed batch");
+        assert!(
+            matches!(msg, se_stateflow::msg::WorkerMsg::Exec { .. }),
+            "expected Exec, got {msg:?}"
+        );
+        msg
+    }
+
+    /// Asserts that no worker hears anything for `window` — and, on Linux,
+    /// that the coordinator spends that window parked rather than spinning
+    /// on whatever it is deliberately not consuming: `schedstat` counts the
+    /// thread's on-CPU nanoseconds and its timeslices.
+    fn assert_quiet(&self, window: Duration) {
+        let sched = |dir: &std::path::Path| -> Option<(u64, u64)> {
+            let text = std::fs::read_to_string(dir.join("schedstat")).ok()?;
+            let mut fields = text.split_whitespace().map(|f| f.parse::<u64>().ok());
+            let cpu_ns = fields.next()??;
+            Some((cpu_ns, fields.nth(1)??))
+        };
+        let before = self.task_dir.as_deref().and_then(sched);
+        for rx in &self.workers {
+            let msg = rx.recv_timeout(window / self.workers.len() as u32);
+            assert!(msg.is_none(), "unexpected {msg:?}");
+        }
+        let after = self.task_dir.as_deref().and_then(sched);
+        if let (Some((cpu0, slices0)), Some((cpu1, slices1))) = (before, after) {
+            assert!(
+                cpu1 - cpu0 < window.as_nanos() as u64 / 10 && slices1 - slices0 < 10,
+                "the coordinator is not parked: {} ns on CPU, {} timeslices in {window:?}",
+                cpu1 - cpu0,
+                slices1 - slices0
+            );
+        }
+    }
+
+    /// Stops the coordinator: it blocks with no timeout, so the flag alone
+    /// would never be seen — closing the source is what wakes it, as
+    /// `StateflowRuntime::shutdown` does.
+    fn stop(&mut self) {
+        self.shutdown
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.source.close();
+        self.thread.take().expect("stopped once").join().unwrap();
+    }
+}
+
+/// Coordinator-level test of the quiesce round: a worker
+/// failure lands *inside* the `Cut → Migrate` chain, the restore round that
+/// replaces it ends below its target (one "disk" fell short) and re-opens at
+/// the floor, and the coordinator still comes back to `Running` with the
+/// upgrade committed exactly once on the surviving lineage. No step sleeps
+/// and — with `batch_interval = 0` — no timer exists anywhere in it: the
+/// coordinator is parked between steps, and each append from the test
+/// thread is what produces the next broadcast or `Exec`.
+#[test]
+fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
+    use se_chaos::{History, HistoryEvent};
+    use se_dataflow::{ResponseWaiter, StateStore};
+    use se_ir::RequestId;
+    use se_stateflow::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
+
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.snapshot_every_batches = 0; // only the upgrade cuts epochs
+    cfg.batch_interval = Duration::ZERO; // a batch seals on the turn it fills
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let mut rig = CoordRig::start(cfg);
     let cut = |gen: u64, epoch: u64| {
-        expect(
+        rig.expect_all(
             "Snapshot",
             &|m| matches!(m, WorkerMsg::Snapshot { gen: g, epoch: e, .. } if (*g, *e) == (gen, epoch)),
         );
         for worker in 0..2 {
-            snapshots.put(epoch, &format!("worker{worker}"), StateStore::new());
-            send(CoordMsg::SnapshotAck {
+            rig.snapshots
+                .put(epoch, &format!("worker{worker}"), StateStore::new());
+            rig.send(CoordMsg::SnapshotAck {
                 gen,
                 epoch,
                 worker,
@@ -581,28 +696,32 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
             });
         }
         // The chain: the cut's last ack opens the migration pass at once.
-        expect(
+        rig.expect_all(
             "Migrate",
             &|m| matches!(m, WorkerMsg::Migrate { gen: g, version: 2, epoch: e } if (*g, *e) == (gen, epoch)),
         );
     };
 
     let (completer, redeployed) = ResponseWaiter::new();
-    waiters.lock().insert(RequestId(1), completer);
-    source.append(ClientRequest {
+    rig.waiters.lock().insert(RequestId(1), completer);
+    rig.source.append(ClientRequest {
         request: RequestId(1),
         op: ClientOp::Redeploy { version: 2 },
     });
     cut(0, 1);
+    // Appended behind the pending `Redeploy`: must wait for the new version
+    // — unread, without the coordinator spinning on it, and not forgotten.
+    rig.invoke(2, "a");
+    rig.assert_quiet(Duration::from_millis(100));
     // Worker 0 finishes its pass; worker 1 dies in the middle of its own.
-    send(CoordMsg::MigrateAck {
+    rig.send(CoordMsg::MigrateAck {
         gen: 0,
         version: 2,
         worker: 0,
     });
-    send(CoordMsg::WorkerFailed { gen: 0, worker: 1 });
+    rig.send(CoordMsg::WorkerFailed { gen: 0, worker: 1 });
     // Round 1 targets the pre-upgrade cut, but worker 1's disk has nothing.
-    expect("Restore to the cut", &|m| {
+    rig.expect_all("Restore to the cut", &|m| {
         matches!(
             m,
             WorkerMsg::Restore {
@@ -613,20 +732,23 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
         )
     });
     // A straggler from the dead round must stay fenced.
-    send(CoordMsg::MigrateAck {
+    rig.send(CoordMsg::MigrateAck {
         gen: 0,
         version: 2,
         worker: 1,
     });
+    // Appended during the `Restore` round: same rule.
+    rig.invoke(3, "b");
+    rig.assert_quiet(Duration::from_millis(100));
     for (worker, reached) in [(0, Some(1)), (1, None)] {
-        send(CoordMsg::RestoreAck {
+        rig.send(CoordMsg::RestoreAck {
             gen: 1,
             worker,
             reached,
         });
     }
     // Round 2 rejoins everyone at the floor: a full restart.
-    expect("Restore to the floor", &|m| {
+    rig.expect_all("Restore to the floor", &|m| {
         matches!(
             m,
             WorkerMsg::Restore {
@@ -637,7 +759,7 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
         )
     });
     for worker in 0..2 {
-        send(CoordMsg::RestoreAck {
+        rig.send(CoordMsg::RestoreAck {
             gen: 2,
             worker,
             reached: None,
@@ -648,7 +770,7 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
     cut(2, 2);
     assert!(redeployed.wait_timeout(Duration::ZERO).is_none());
     for worker in 0..2 {
-        send(CoordMsg::MigrateAck {
+        rig.send(CoordMsg::MigrateAck {
             gen: 2,
             version: 2,
             worker,
@@ -658,19 +780,64 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
         .wait_timeout(WAIT)
         .expect("the upgrade commits")
         .expect("without error");
-    // Sealing resumed, on the new version.
-    let target = EntityRef::new("Account", "a");
-    source.append(ClientRequest {
-        request: RequestId(2),
-        op: ClientOp::Invoke(Invocation::root(RequestId(2), target, "balance", vec![])),
-    });
-    let owner = se_ir::partition_for("a", 2);
-    match workers[owner].recv_timeout(WAIT).expect("a sealed batch") {
-        WorkerMsg::Exec { gen: 2, inv, .. } => assert_eq!(inv.version, 2),
-        other => panic!("expected Exec, got {other:?}"),
+    // Sealing resumed, on the new version: the two requests that waited
+    // behind the upgrade and the restore go out as one batch.
+    let (answers, answered): (Vec<_>, Vec<_>) = (0..2).map(|_| ResponseWaiter::new()).unzip();
+    for (request, completer) in [2, 3].into_iter().zip(answers) {
+        rig.waiters.lock().insert(RequestId(request), completer);
     }
-    shutdown.store(true, Ordering::SeqCst);
-    thread.join().unwrap();
+    for (key, request) in [("a", 2), ("b", 3)] {
+        let WorkerMsg::Exec {
+            gen: 2,
+            batch: 0,
+            txn,
+            inv,
+            ..
+        } = rig.expect_exec(key)
+        else {
+            panic!("expected a gen-2 Exec of batch 0");
+        };
+        assert_eq!((inv.version, inv.request), (2, RequestId(request)));
+        rig.send(CoordMsg::ExecDone {
+            gen: 2,
+            batch: 0,
+            txn,
+            response: se_ir::Response {
+                request: inv.request,
+                result: Ok(Value::Int(request as i64)),
+            },
+        });
+    }
+    rig.expect_all(
+        "Reserve",
+        &|m| matches!(m, WorkerMsg::Reserve { gen: 2, batch: 0, txns, .. } if txns.len() == 2),
+    );
+    // Batch 0 is in its reservation round and the coordinator has nothing
+    // to do: an append is what seals batch 1.
+    rig.invoke(4, "a");
+    match rig.expect_exec("a") {
+        WorkerMsg::Exec {
+            gen: 2, batch, inv, ..
+        } => assert_eq!((batch, inv.version), (1, 2)),
+        other => panic!("expected a gen-2 Exec, got {other:?}"),
+    }
+    // Both clients of batch 0 are answered from one pass over the waiter
+    // table, after the decision is counted.
+    for worker in 0..2 {
+        rig.send(CoordMsg::Flags {
+            gen: 2,
+            batch: 0,
+            worker,
+            flags: Vec::new(),
+        });
+    }
+    for (request, waiter) in [2, 3].into_iter().zip(answered) {
+        let answer = waiter.wait_timeout(WAIT).expect("batch 0 is decided");
+        assert_eq!(answer.unwrap(), Value::Int(request));
+        assert_eq!(rig.stats.commits.get(), 2, "counted before any answer");
+    }
+    assert!(rig.waiters.lock().is_empty());
+    rig.stop();
 
     let events = history.events();
     let count = |f: &dyn Fn(&HistoryEvent) -> bool| events.iter().filter(|e| f(e)).count();
@@ -693,6 +860,50 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
         count(&|e| matches!(e, HistoryEvent::UpgradeCommitted { .. })),
         1
     );
-    assert_eq!(stats.recoveries.get(), 2);
-    assert_eq!(stats.snapshots.get(), 2);
+    assert_eq!(rig.stats.recoveries.get(), 2);
+    assert_eq!(rig.stats.snapshots.get(), 2);
+}
+
+/// The batch timer is the one timer the coordinator owns: a lone queued
+/// request seals when `batch_interval` runs out — not at once, not never —
+/// and a queue that reaches `max_batch` seals without waiting for it.
+#[test]
+fn a_batch_seals_at_its_deadline_or_when_full_whichever_is_first() {
+    use se_stateflow::msg::WorkerMsg;
+
+    let mut cfg = StateflowConfig::fast_test(1);
+    cfg.snapshot_every_batches = 0;
+    cfg.batch_interval = Duration::from_millis(20);
+    cfg.max_batch = 4;
+    let mut rig = CoordRig::start(cfg.clone());
+    let appended = std::time::Instant::now();
+    rig.invoke(1, "a");
+    rig.expect_exec("a");
+    let waited = appended.elapsed();
+    assert!(
+        waited >= cfg.batch_interval,
+        "sealed {waited:?} after the append, before the deadline"
+    );
+    // (No upper bound on a shared host; `expect_exec` bounds it at `WAIT`.)
+    rig.stop();
+
+    // A deadline far beyond `WAIT`: only the fill can seal this batch.
+    cfg.batch_interval = 10 * WAIT;
+    let mut rig = CoordRig::start(cfg);
+    for request in 1..=4 {
+        rig.invoke(request, "a");
+    }
+    for txn in 0..4 {
+        match rig.expect_exec("a") {
+            WorkerMsg::Exec {
+                batch: 0, txn: t, ..
+            } => assert_eq!(t, txn),
+            other => panic!("expected batch 0, got {other:?}"),
+        }
+    }
+    // The fifth request is alone again and waits for a timer that is not
+    // coming — parked, not spinning.
+    rig.invoke(5, "a");
+    rig.assert_quiet(Duration::from_millis(100));
+    rig.stop();
 }

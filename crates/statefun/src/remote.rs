@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use se_chaos::Seam;
 use se_dataflow::{send_with_chaos, ComponentTimers, DelayReceiver, DelaySender};
@@ -40,9 +39,16 @@ pub fn run_remote_worker(
     let body_runs = obs.counter("vm.body_runs");
     loop {
         if shutdown.load(Ordering::SeqCst) {
+            // The queue is shared and a wake ends one receive: pass the
+            // runtime's shutdown wake on to a sibling still parked on it.
+            requests.waker().wake();
             return;
         }
-        let Some(req) = requests.recv_timeout(Duration::from_millis(20)) else {
+        // Requests and the shutdown wake are all there is to wait for.
+        let Some(req) = requests.recv_until(None) else {
+            if requests.is_closed() {
+                return;
+            }
             continue;
         };
         let invoke_start = obs.now_ns();

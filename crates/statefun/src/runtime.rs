@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 use se_broker::Broker;
 use se_dataflow::{
     delay_channel, ComponentTimers, EntityRuntime, ResponseCompleter, ResponseWaiter,
-    SnapshotStore, StateStore,
+    SnapshotStore, StateStore, Waker,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId, VersionRegistry};
 use se_lang::{EntityRef, LangError, Value};
@@ -19,6 +19,7 @@ use crate::config::{CheckpointMode, StatefunConfig};
 use crate::record::{topics, SfRecord};
 use crate::remote::run_remote_worker;
 use crate::task::{CtlMsg, PartitionTask, RecoveryCtl, UpgradeGate};
+use crossbeam::channel::RecvTimeoutError;
 
 /// The newest deployed version: the baseline the next
 /// [`StatefunRuntime::redeploy`] compiles against (incremental
@@ -43,6 +44,9 @@ pub struct StatefunRuntime {
     waiters: Arc<Mutex<HashMap<RequestId, ResponseCompleter>>>,
     next_request: AtomicU64,
     shutdown: Arc<AtomicBool>,
+    /// One per partition task plus the remote workers' shared queue: what
+    /// `shutdown` fires so parked threads see the flag.
+    wakers: Vec<Waker>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     snapshots: Arc<SnapshotStore<StateStore>>,
     timers: Arc<ComponentTimers>,
@@ -102,6 +106,18 @@ impl StatefunRuntime {
             resp_rxs.push(rx);
         }
 
+        // A task parks on its response channel; produces to its ingress
+        // partition, recovery and shutdown reach it through that channel's
+        // waker.
+        let task_wakers: Vec<Waker> = resp_rxs.iter().map(|rx| rx.waker()).collect();
+        for (id, waker) in task_wakers.iter().enumerate() {
+            broker
+                .wake_on_produce(topics::INGRESS, id, waker.clone())
+                .expect("ingress partition exists");
+        }
+        let mut wakers = task_wakers.clone();
+        wakers.push(pool_rx.waker());
+
         let mut threads = Vec::new();
         for (id, resp_rx) in resp_rxs.into_iter().enumerate() {
             let task = PartitionTask::new(
@@ -144,7 +160,8 @@ impl StatefunRuntime {
             );
         }
 
-        // Egress dispatcher: completes client waiters.
+        // Egress dispatcher: completes client waiters. Blocks in the broker
+        // until a response is visible; `Broker::close` ends the wait.
         {
             let broker2 = broker.clone();
             let waiters2 = Arc::clone(&waiters);
@@ -155,16 +172,11 @@ impl StatefunRuntime {
                     .spawn(move || {
                         let mut offset = 0u64;
                         while !sd.load(Ordering::SeqCst) {
-                            let records = match broker2.fetch_blocking(
-                                topics::EGRESS,
-                                0,
-                                offset,
-                                64,
-                                Duration::from_millis(20),
-                            ) {
-                                Ok(r) => r,
-                                Err(_) => return,
-                            };
+                            let records =
+                                match broker2.fetch_blocking(topics::EGRESS, 0, offset, 64, None) {
+                                    Ok(r) => r,
+                                    Err(_) => return,
+                                };
                             for rec in records {
                                 offset = rec.offset + 1;
                                 if let SfRecord::Response(resp) = rec.value {
@@ -182,13 +194,16 @@ impl StatefunRuntime {
             );
         }
 
-        // Checkpoint + recovery controller.
+        // Checkpoint + recovery controller. Blocks on the control channel
+        // until a task reports a failure or the next barrier is due (the
+        // one timer it owns). The tasks hold the only senders, so the
+        // channel disconnects — and the controller exits — once every task
+        // has left at shutdown.
         {
             let broker2 = broker.clone();
             let cfg2 = cfg.clone();
             let snapshots2 = Arc::clone(&snapshots);
             let recovery2 = Arc::clone(&recovery);
-            let sd = Arc::clone(&shutdown);
             threads.push(
                 std::thread::Builder::new()
                     .name("statefun-controller".into())
@@ -199,12 +214,22 @@ impl StatefunRuntime {
                             CheckpointMode::None => None,
                         };
                         let mut next_barrier = interval.map(|i| Instant::now() + i);
-                        while !sd.load(Ordering::SeqCst) {
-                            if let Ok(CtlMsg::TaskFailed(_)) =
-                                ctl_rx.recv_timeout(Duration::from_millis(1))
-                            {
-                                *recovery2.restore_epoch.lock() = snapshots2.latest_complete();
-                                recovery2.gen.fetch_add(1, Ordering::SeqCst);
+                        loop {
+                            let msg = match next_barrier {
+                                Some(nb) => ctl_rx
+                                    .recv_timeout(nb.saturating_duration_since(Instant::now())),
+                                None => ctl_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                            };
+                            match msg {
+                                Ok(CtlMsg::TaskFailed(_)) => {
+                                    *recovery2.restore_epoch.lock() = snapshots2.latest_complete();
+                                    recovery2.gen.fetch_add(1, Ordering::SeqCst);
+                                    // Every task restores, the parked ones
+                                    // (crashed or idle) included.
+                                    task_wakers.iter().for_each(Waker::wake);
+                                }
+                                Err(RecvTimeoutError::Disconnected) => return,
+                                Err(RecvTimeoutError::Timeout) => {}
                             }
                             if let (Some(nb), Some(i)) = (next_barrier, interval) {
                                 if Instant::now() >= nb {
@@ -237,6 +262,7 @@ impl StatefunRuntime {
             waiters,
             next_request: AtomicU64::new(1),
             shutdown,
+            wakers,
             threads: Mutex::new(threads),
             snapshots,
             timers,
@@ -403,6 +429,10 @@ impl EntityRuntime for StatefunRuntime {
 
     fn shutdown(&self) {
         let first = !self.shutdown.swap(true, Ordering::SeqCst);
+        // Nothing polls the flag: end every wait a thread may be parked in.
+        // (The controller follows the tasks out, see `deploy`.)
+        self.wakers.iter().for_each(Waker::wake);
+        self.broker.close();
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }

@@ -177,7 +177,19 @@ impl PartitionTask {
         matches!(self.cfg.checkpoint, CheckpointMode::Transactional { .. })
     }
 
-    /// The task loop.
+    /// The task loop: event-driven, one turn per event.
+    ///
+    /// A turn applies every remote response already due and handles every
+    /// ingress record already visible. Only a turn that found no record
+    /// blocks, on the response channel, until one of: a **response** comes
+    /// due; a **wake** — the broker fires this channel's waker on every
+    /// produce to the task's ingress partition, the controller when it
+    /// bumps the recovery generation, the runtime at shutdown; or the next
+    /// ingress record's **`visible_at`**, the one instant nobody announces
+    /// (a produce wakes the task when it happens, which with a broker hop
+    /// is before the record may be consumed). A crashed task waits the same
+    /// way, with nothing to time: only the generation bump (or shutdown)
+    /// concerns it. A busy task never sleeps, an idle one never wakes.
     pub fn run(mut self) {
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
@@ -189,15 +201,14 @@ impl PartitionTask {
                 self.restore(g);
             }
             if self.dead {
-                std::thread::sleep(Duration::from_millis(1));
+                // Whatever still arrives belongs to the dead incarnation.
+                let _ = self.resp_rx.recv_until(None);
                 continue;
             }
 
             // Apply due remote responses first (they unblock waiting keys).
             while let Some(resp) = self.resp_rx.try_recv() {
-                if resp.gen == self.gen {
-                    self.on_response(resp);
-                }
+                self.on_response(resp);
             }
 
             let records = match self.broker.fetch(topics::INGRESS, self.id, self.offset, 32) {
@@ -205,11 +216,14 @@ impl PartitionTask {
                 Err(_) => return,
             };
             if records.is_empty() {
-                // Idle: block briefly on the response channel.
-                if let Some(resp) = self.resp_rx.recv_timeout(Duration::from_micros(500)) {
-                    if resp.gen == self.gen {
-                        self.on_response(resp);
-                    }
+                let next = self
+                    .broker
+                    .next_visible_at(topics::INGRESS, self.id, self.offset);
+                let Ok(visible_at) = next else {
+                    return;
+                };
+                if let Some(resp) = self.resp_rx.recv_until(visible_at) {
+                    self.on_response(resp);
                 }
                 continue;
             }
@@ -337,10 +351,11 @@ impl PartitionTask {
 
     fn on_response(&mut self, resp: RemoteResponse) {
         // Accept only the response to the entity's *current* outstanding
-        // dispatch: a duplicated request produces two responses, and a
-        // quarantined response can arrive after a newer dispatch — either
-        // would install stale state or double-release the per-key queue.
-        if self.inflight.get(&resp.entity) != Some(&resp.seq) {
+        // dispatch of this incarnation: a duplicated request produces two
+        // responses, and a quarantined response can arrive after a newer
+        // dispatch or a recovery — any of them would install stale state or
+        // double-release the per-key queue.
+        if resp.gen != self.gen || self.inflight.get(&resp.entity) != Some(&resp.seq) {
             return;
         }
         // Install the returned state into managed operator state.
@@ -398,15 +413,15 @@ impl PartitionTask {
     /// The sync point checkpoint barriers and live upgrades share: waits
     /// until no dispatch is in flight, applying responses as they arrive.
     fn drain_inflight(&mut self) {
+        // The deadline avoids wedging the partition on a lost response;
+        // after shutdown the remote workers may be gone for good.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !self.inflight.is_empty() {
-            if std::time::Instant::now() > deadline {
-                break; // avoid wedging the partition on a lost response
-            }
-            if let Some(resp) = self.resp_rx.recv_timeout(Duration::from_millis(5)) {
-                if resp.gen == self.gen {
-                    self.on_response(resp);
-                }
+        while !self.inflight.is_empty()
+            && std::time::Instant::now() < deadline
+            && !self.shutdown.load(Ordering::SeqCst)
+        {
+            if let Some(resp) = self.resp_rx.recv_until(Some(deadline)) {
+                self.on_response(resp);
             }
         }
     }
