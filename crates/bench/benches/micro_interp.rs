@@ -17,9 +17,8 @@
 //!   of checkpointing under write load (write amplification should track the
 //!   write set, not the store size).
 //! * **vm** — the same split-method bodies executed by the tree-walking
-//!   reference interpreter vs. the `se-vm` bytecode VM (optimized and, for
-//!   `spin`, the plain `VmOpts::none()` lowering), through the identical
-//!   invocation-event protocol, so the delta is pure dispatch cost.
+//!   reference interpreter vs. the `se-vm` bytecode VM, through the
+//!   identical invocation-event protocol, so the delta is pure dispatch cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -27,7 +26,7 @@ use se_dataflow::StateStore;
 use se_ir::{drive_chain, drive_chain_with, InterpBody, Invocation, RequestId};
 use se_lang::builder::*;
 use se_lang::{EntityRef, EntityState, LocalExecutor, Program, Type, Value};
-use se_vm::{VmOpts, VmProgram};
+use se_vm::VmProgram;
 
 /// A method that churns method-local variables: `spin(n)` runs `n` loop
 /// iterations, each performing four assignments and five variable reads.
@@ -182,16 +181,13 @@ fn bench_vm(c: &mut Criterion) {
             })
         });
     }
-    // The optimizer's gain stays visible in the same binary: `_noopt` is the
-    // plain lowering (no folding, fusion or quickening).
-    let vm_noopt = VmProgram::compile_with_opts(&graph.program, VmOpts::none());
-    for (name, vm) in [("spin_256_vm", &vm), ("spin_256_vm_noopt", &vm_noopt)] {
+    {
         let state = std::cell::RefCell::new(init.clone());
-        group.bench_function(name, |b| {
+        group.bench_function("spin_256_vm", |b| {
             b.iter(|| {
                 drive_chain_with(
                     &graph.program,
-                    vm,
+                    &vm,
                     spin_root(2),
                     |_| Ok(state.borrow().clone()),
                     |_, s| *state.borrow_mut() = s,

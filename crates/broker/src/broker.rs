@@ -267,8 +267,15 @@ impl<T: Clone> Broker<T> {
         waker: Waker,
     ) -> Result<(), BrokerError> {
         self.with_partition(topic, partition, |p| {
+            // An invariant, not input validation: only deploy-time wiring
+            // calls this (the StateFun runtime, once per ingress partition
+            // for that partition's task), so no record or peer message can
+            // reach a second call.
             let set = p.waker.set(waker);
-            assert!(set.is_ok(), "a partition wakes one consumer");
+            assert!(
+                set.is_ok(),
+                "invariant: a partition has one consumer task, which registers its waker once at deploy"
+            );
         })
     }
 

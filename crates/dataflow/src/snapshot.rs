@@ -10,12 +10,13 @@
 //! complete epoch — incomplete epochs (a failure mid-snapshot) are ignored.
 //!
 //! **Retention.** Epochs are pruned automatically: once a newer epoch
-//! completes, all but the last [`SnapshotStore::retention`] complete epochs
-//! are dropped, along with any *older* incomplete epochs (dead mid-snapshot
-//! failures). In-flight epochs newer than the latest complete one are never
-//! touched, and the latest complete epoch is always retained, so recovery
-//! semantics are unchanged — without retention the store grows without bound
-//! (every epoch holds a full copy of every node's state).
+//! completes, all but the last K complete epochs (the engines use
+//! [`DEFAULT_SNAPSHOT_RETENTION`]) are dropped, along with any *older*
+//! incomplete epochs (dead mid-snapshot failures). In-flight epochs newer
+//! than the latest complete one are never touched, and the latest complete
+//! epoch is always retained, so recovery semantics are unchanged — without
+//! retention the store grows without bound (every epoch holds a full copy of
+//! every node's state).
 //!
 //! **Durable-recovery pinning.** With the durable layer enabled, a lagging
 //! partition's newest on-disk epoch can trail the newest complete epoch by
@@ -85,11 +86,6 @@ impl<S: Clone> SnapshotStore<S> {
             pruned_below: Mutex::new(0),
             pin_floor: Mutex::new(None),
         }
-    }
-
-    /// The configured retention (complete epochs kept; 0 = unlimited).
-    pub fn retention(&self) -> usize {
-        self.retention
     }
 
     /// Pins epoch `floor` and everything newer against pruning. Called by
@@ -217,16 +213,6 @@ impl<S: Clone> SnapshotStore<S> {
             .and_then(|d| d.source_offsets.get(source).copied())
     }
 
-    /// Drops all epochs older than `keep_from` (checkpoint retention).
-    /// A durable-recovery pin below `keep_from` clamps the cut.
-    pub fn truncate_before(&self, keep_from: Epoch) {
-        let keep_from = match *self.pin_floor.lock() {
-            Some(pin) => keep_from.min(pin),
-            None => keep_from,
-        };
-        self.epochs.lock().retain(|e, _| *e >= keep_from);
-    }
-
     /// Number of stored epochs.
     pub fn epoch_count(&self) -> usize {
         self.epochs.lock().len()
@@ -272,19 +258,6 @@ mod tests {
         store.put_source_offset(3, "ingress", 42);
         assert_eq!(store.source_offset(3, "ingress"), Some(42));
         assert_eq!(store.source_offset(3, "other"), None);
-    }
-
-    #[test]
-    fn truncation_retains_recent() {
-        let store = SnapshotStore::<u32>::new();
-        for e in 1..=5 {
-            store.begin_epoch(e, 1);
-            store.put(e, "w0", e as u32);
-        }
-        store.truncate_before(4);
-        assert_eq!(store.epoch_count(), 2);
-        assert_eq!(store.latest_complete(), Some(5));
-        assert_eq!(store.get(3, "w0"), None);
     }
 
     #[test]
@@ -380,9 +353,6 @@ mod tests {
             store.put(e, "w0", e as u32);
         }
         assert_eq!(store.get(1, "w0"), Some(1), "pinned base must survive");
-        assert_eq!(store.source_offset(1, "ingress"), Some(10));
-        // Explicit truncation must not break the pin either.
-        store.truncate_before(4);
         assert_eq!(store.source_offset(1, "ingress"), Some(10));
         // Once every partition's durable floor advances, the pin moves and
         // retention catches up on the next completion.

@@ -161,8 +161,14 @@ impl<T: Clone> SourceReader<T> {
     /// [`SourceReader::poll`]: every later append, and `close`, fires it. A
     /// source wakes one consumer; registering a second waker panics.
     pub fn wake_on_append(&self, waker: Waker) {
+        // An invariant, not input validation: only deploy-time wiring calls
+        // this (the StateFlow coordinator, once, on its own source), so no
+        // request, disk record or peer message can reach a second call.
         let set = self.source.inner.waker.set(waker);
-        assert!(set.is_ok(), "a source wakes one consumer");
+        assert!(
+            set.is_ok(),
+            "invariant: a source has one consumer, which registers its waker once at deploy"
+        );
     }
 
     /// Rewinds to `offset` (replay after recovery).

@@ -177,9 +177,9 @@ pub fn arb_stmt_chunk(ctx: &ScopeCtx, depth: u32) -> BoxedStrategy<Vec<Stmt>> {
         ints.clone()
             .prop_map(|e| vec![assign("xs", append(var("xs"), e))]),
         // Attr-heavy read-modify-write: `self.a = <op>(self.a, e)` — the
-        // exact shape the VM's superinstruction pass fuses
-        // (LoadAttr+Binary, Binary+StoreAttr) and its inline caches
-        // quicken, so the differential suite stresses those paths.
+        // hot shape of entity methods (`self.balance - amount`), so the
+        // differential suite exercises attribute reads and writes around
+        // every arithmetic operator.
         (ints.clone(), 0usize..3).prop_map(move |(e, k)| {
             let a = attr(attr_name);
             let rmw = match k {

@@ -287,11 +287,9 @@ pub type SymbolMapValues<'a> =
 ///   [`Arc::make_mut`], which copies the vector only when it is shared.
 ///   Write amplification is therefore confined to entities that are actually
 ///   mutated while a snapshot (or other reader) still holds them.
-/// * **lookups are positional** — the maps are small (an entity's
+/// * **lookups are binary searches** — the maps are small (an entity's
 ///   attributes, a method's locals), so a binary search over integer keys in
-///   one contiguous allocation beats a tree; and an entry's *position* is a
-///   cheap inline-cache hint the VM's quickened attribute ops validate in
-///   O(1) ([`SymbolMap::get_hinted`]) instead of re-searching.
+///   one contiguous allocation beats a tree.
 /// * **iteration order is interning order** (see [`Symbol`]); serialization
 ///   sorts entries by name so snapshot/replay artifacts stay byte-stable
 ///   and human-readable regardless of interner state.
@@ -301,10 +299,6 @@ pub struct SymbolMap {
 }
 
 impl SymbolMap {
-    /// Sentinel position hint meaning "no cached position" (see
-    /// [`SymbolMap::get_hinted`]).
-    pub const NO_HINT: u32 = u32::MAX;
-
     /// An empty map.
     pub fn new() -> Self {
         Self::default()
@@ -323,49 +317,6 @@ impl SymbolMap {
             Ok(i) => Some(&self.inner[i].1),
             Err(_) => None,
         }
-    }
-
-    /// Hint-validated lookup: the inline-cache fast path of the VM's
-    /// quickened attribute loads.
-    ///
-    /// `hint` is a position from a previous lookup of `key` (on this map or
-    /// any map with the same layout, e.g. another entity of the same class).
-    /// If `inner[hint]` still holds `key` the value is returned without
-    /// searching; otherwise this falls back to binary search. The returned
-    /// position is the caller's next hint ([`SymbolMap::NO_HINT`] when the
-    /// key is absent). A stale hint is never unsafe — it can only point at a
-    /// wrong *symbol*, which the equality check rejects.
-    #[inline]
-    pub fn get_hinted(&self, key: Symbol, hint: u32) -> (Option<&Value>, u32) {
-        if let Some((k, v)) = self.inner.get(hint as usize) {
-            if *k == key {
-                return (Some(v), hint);
-            }
-        }
-        match self.pos(key) {
-            Ok(i) => (Some(&self.inner[i].1), i as u32),
-            Err(_) => (None, Self::NO_HINT),
-        }
-    }
-
-    /// Hint-validated write to an *existing* entry (copy-on-write): the
-    /// inline-cache fast path of the VM's quickened attribute stores.
-    ///
-    /// Returns the entry's position (the caller's next hint), or `None` —
-    /// without modifying the map — when `key` is absent.
-    #[inline]
-    pub fn set_existing_hinted(&mut self, key: Symbol, value: Value, hint: u32) -> Option<u32> {
-        let idx = if self
-            .inner
-            .get(hint as usize)
-            .is_some_and(|(k, _)| *k == key)
-        {
-            hint as usize
-        } else {
-            self.pos(key).ok()?
-        };
-        Arc::make_mut(&mut self.inner)[idx].1 = value;
-        Some(idx as u32)
     }
 
     /// Mutable access to the value under `key` (copy-on-write).

@@ -126,10 +126,6 @@ pub struct StateflowConfig {
     pub fallback: FallbackPolicy,
     /// Take a consistent snapshot every N batches (0 disables snapshots).
     pub snapshot_every_batches: u64,
-    /// Complete snapshot epochs retained before older ones are pruned
-    /// (0 = keep every epoch forever). Recovery always restores the latest
-    /// complete epoch, which is always retained.
-    pub snapshot_retention: usize,
     /// Synthetic per-invocation-step service time, modeling the work the
     /// authors' Python prototype spends per event (object construction,
     /// dispatch, bookkeeping). Burned on the worker thread, so saturation
@@ -172,7 +168,6 @@ impl Default for StateflowConfig {
             commit_rule: CommitRule::Reordering,
             fallback: FallbackPolicy::Serial,
             snapshot_every_batches: 16,
-            snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
             service_time: Duration::from_micros(350),
             chaos: ChaosPlan::none(),
             history: None,

@@ -679,7 +679,7 @@ impl Coordinator {
                 self.stats.snapshots.inc();
                 self.batches_since_snapshot = 0;
                 // Old epochs are pruned by the snapshot store's own
-                // retention policy (`snapshot_retention`).
+                // retention policy (`DEFAULT_SNAPSHOT_RETENTION`).
                 self.update_durable_floor();
                 if let (true, Some(p)) = (upgrade, self.pending_upgrades.front()) {
                     let version = p.version;

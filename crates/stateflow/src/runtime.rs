@@ -97,7 +97,7 @@ impl StateflowRuntime {
         }
         let registry = VersionRegistry::new(Arc::clone(&graph), Arc::clone(&vm) as _);
         obs.gauge("deploy.active_version").set(graph.version as i64);
-        let snapshots = Arc::new(SnapshotStore::with_retention(cfg.snapshot_retention));
+        let snapshots = Arc::new(SnapshotStore::new());
         let timers = Arc::new(ComponentTimers::new());
         let stats = Arc::new(CoordStats::register(&obs));
         let shutdown = Arc::new(AtomicBool::new(false));

@@ -43,10 +43,6 @@ pub struct StatefunConfig {
     pub service_time: Duration,
     /// Checkpointing mode.
     pub checkpoint: CheckpointMode,
-    /// Complete snapshot epochs retained before older ones are pruned
-    /// (0 = keep every epoch forever). Recovery always restores the latest
-    /// complete epoch, which is always retained.
-    pub snapshot_retention: usize,
     /// Fault injection: scripted task crashes, message faults on the
     /// remote-function request/response seams, and broker outage windows.
     /// Crash scripts require [`CheckpointMode::Transactional`] (nothing to
@@ -69,7 +65,6 @@ impl Default for StatefunConfig {
             net: NetConfig::default(),
             service_time: Duration::from_micros(700),
             checkpoint: CheckpointMode::None,
-            snapshot_retention: se_dataflow::DEFAULT_SNAPSHOT_RETENTION,
             chaos: ChaosPlan::none(),
             history: None,
             obs: se_obs::ObsConfig::from_env("statefun"),

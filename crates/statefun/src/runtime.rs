@@ -86,7 +86,7 @@ impl StatefunRuntime {
         broker.create_topic(topics::INGRESS, cfg.partitions);
         broker.create_topic(topics::EGRESS, 1);
 
-        let snapshots = Arc::new(SnapshotStore::with_retention(cfg.snapshot_retention));
+        let snapshots = Arc::new(SnapshotStore::new());
         let timers = Arc::new(ComponentTimers::new());
         let recovery = Arc::new(RecoveryCtl::default());
         let shutdown = Arc::new(AtomicBool::new(false));

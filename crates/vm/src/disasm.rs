@@ -80,10 +80,10 @@ fn render_op(class: &VmClass, m: &VmMethod, op: &Op) -> String {
         Op::Bool { dst, val } => format!("{} = bool {val}", reg(m, *dst)),
         Op::Move { dst, src } => format!("{} = {}", reg(m, *dst), reg(m, *src)),
         Op::Defined { src } => format!("defined? {}", reg(m, *src)),
-        Op::LoadAttr { dst, name, .. } => {
+        Op::LoadAttr { dst, name } => {
             format!("{} = self.{}", reg(m, *dst), class.pool.name(*name))
         }
-        Op::StoreAttr { name, src, .. } => {
+        Op::StoreAttr { name, src } => {
             format!("self.{} = {}", class.pool.name(*name), reg(m, *src))
         }
         Op::Binary { op, dst, lhs, rhs } => format!(
@@ -121,88 +121,6 @@ fn render_op(class: &VmClass, m: &VmMethod, op: &Op) -> String {
             end,
         } => format!(
             "{} = iter_next {} idx={} else jump {end}",
-            reg(m, *dst),
-            reg(m, *list),
-            reg(m, *idx)
-        ),
-        Op::LoadAttrBinary {
-            op, dst, name, rhs, ..
-        } => format!(
-            "{} = {op:?} self.{} {}",
-            reg(m, *dst),
-            class.pool.name(*name),
-            reg(m, *rhs)
-        ),
-        Op::BinaryStoreAttr {
-            op, name, lhs, rhs, ..
-        } => format!(
-            "self.{} = {op:?} {} {}",
-            class.pool.name(*name),
-            reg(m, *lhs),
-            reg(m, *rhs)
-        ),
-        Op::BinaryBinary {
-            op1,
-            dst1,
-            lhs1,
-            rhs1,
-            op2,
-            dst2,
-            lhs2,
-            rhs2,
-        } => format!(
-            "{} = {op1:?} {} {}; {} = {op2:?} {} {}",
-            reg(m, *dst1),
-            reg(m, *lhs1),
-            reg(m, *rhs1),
-            reg(m, *dst2),
-            reg(m, *lhs2),
-            reg(m, *rhs2)
-        ),
-        Op::ConstBinary { op, dst, lhs, idx } => format!(
-            "{} = {op:?} {} const[{idx}]  ; {}",
-            reg(m, *dst),
-            reg(m, *lhs),
-            class.pool.value(*idx)
-        ),
-        Op::BinaryJumpIfFalse { op, lhs, rhs, to } => {
-            format!("if not {op:?} {} {} jump {to}", reg(m, *lhs), reg(m, *rhs))
-        }
-        Op::BinaryBranch {
-            op,
-            lhs,
-            rhs,
-            iftrue,
-            iffalse,
-        } => format!(
-            "if {op:?} {} {} jump {iftrue} else jump {iffalse}",
-            reg(m, *lhs),
-            reg(m, *rhs)
-        ),
-        Op::ConstBinaryBranch {
-            op1,
-            dst,
-            lhs,
-            idx,
-            op2,
-            rhs,
-            iftrue,
-            iffalse,
-        } => format!(
-            "{} = {op1:?} {} const[{idx}]; if {op2:?} {} {} jump {iftrue} else jump {iffalse}",
-            reg(m, *dst),
-            reg(m, *lhs),
-            reg(m, *dst),
-            reg(m, *rhs)
-        ),
-        Op::IterNextJump {
-            list,
-            idx,
-            dst,
-            body,
-            end,
-        } => format!(
-            "{} = iter_next {} idx={} jump {body} else jump {end}",
             reg(m, *dst),
             reg(m, *list),
             reg(m, *idx)

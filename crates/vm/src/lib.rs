@@ -17,6 +17,13 @@
 //! * [`disasm`] — a disassembler with stable text output (see the
 //!   `compiler_explorer` example).
 //!
+//! The VM is deliberately plain: one instruction per source operation, no
+//! optimizer, no fused or cached instruction forms, and every operator
+//! result computed by `se_lang::interp`'s evaluators — the language's value
+//! semantics live in `se-lang` alone. Body execution is a fraction of a
+//! percent of request latency; what the VM buys is register slots instead
+//! of environment maps, not faster arithmetic.
+//!
 //! **Equivalence contract.** For any split program that completes within
 //! the step budget, the VM produces byte-identical return values,
 //! entity-state effects, emitted invocations and suspension frames as the
@@ -31,15 +38,15 @@
 //! use se_lang::{EntityRef, Value};
 //!
 //! let program = se_lang::programs::figure1_program();
-//! let graph = se_compiler::compile(&program).unwrap();
+//! let graph = se_compiler::compile(&program).expect("Figure 1 type-checks and splits");
 //! let vm = se_vm::VmProgram::compile(&graph.program); // deploy-time lowering
 //!
 //! let user = EntityRef::new("User", "u");
 //! let item = EntityRef::new("Item", "i");
 //! let mut store = std::collections::HashMap::new();
-//! store.insert(user, graph.program.class("User").unwrap().class.initial_state(
+//! store.insert(user, graph.program.class("User").expect("Figure 1 declares User").class.initial_state(
 //!     "u", [("balance".to_string(), Value::Int(100))]));
-//! store.insert(item, graph.program.class("Item").unwrap().class.initial_state(
+//! store.insert(item, graph.program.class("Item").expect("Figure 1 declares Item").class.initial_state(
 //!     "i", [("price".to_string(), Value::Int(30)), ("stock".to_string(), Value::Int(5))]));
 //!
 //! let store = std::cell::RefCell::new(store);
@@ -51,7 +58,7 @@
 //!     |r, s| { store.borrow_mut().insert(*r, s); },
 //!     16,
 //! );
-//! assert_eq!(resp.result.unwrap(), Value::Bool(true));
+//! assert_eq!(resp.result, Ok(Value::Bool(true)));
 //! ```
 
 #![warn(missing_docs)]
@@ -63,7 +70,7 @@ pub mod program;
 pub mod vm;
 
 pub use disasm::{disasm_class, disasm_method};
-pub use lower::{lower_method, lower_method_with, PoolBuilder, VmOpts};
-pub use op::{CacheCell, ConstPool, Op, Reg, SuspendSpec};
+pub use lower::{lower_method, PoolBuilder};
+pub use op::{ConstPool, Op, Reg, SuspendSpec};
 pub use program::{VmClass, VmMethod, VmProgram};
 pub use vm::Vm;

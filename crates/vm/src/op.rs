@@ -6,8 +6,13 @@
 //! * **registers, not an operand stack** — every method body gets a flat
 //!   register file; named locals occupy the low registers (one per distinct
 //!   name), expression temporaries live above them in stack discipline, so
-//!   an assignment like `i = i + 1` is a single [`Op::Binary`] instead of a
-//!   map lookup, two pushes and a map insert;
+//!   an assignment like `i = i + 1` is an [`Op::Const`] plus one
+//!   [`Op::Binary`] writing `i`'s register instead of map lookups and a map
+//!   insert;
+//! * **one instruction per source operation** — no fused forms or inline
+//!   caches: each op does one thing and every operator result comes from
+//!   `se_lang::interp`'s evaluators, so the VM and the interpreter share
+//!   one definition of the language's values;
 //! * **per-class constant pool** — literal [`Value`]s and attribute/method
 //!   name [`Symbol`]s are deduplicated per class (keyed on the interned
 //!   symbol / value) and referenced by `u16` index, keeping instructions
@@ -17,76 +22,14 @@
 //!   call: callee, argument window, continuation block and the exact set of
 //!   live registers to materialize into the continuation environment.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use se_ir::BlockId;
-use se_lang::{BinOp, Builtin, Symbol, SymbolMap, UnOp, Value};
+use se_lang::{BinOp, Builtin, Symbol, UnOp, Value};
 
 /// Index of a register in a method's register file.
 pub type Reg = u16;
 
 /// Index into a method's code array (jump target).
 pub type CodeIdx = u32;
-
-/// An inline-cache slot embedded in a quickened attribute instruction: the
-/// position hint of the attribute inside the entity's [`SymbolMap`], updated
-/// in place on every execution (opcode quickening).
-///
-/// The cell caches a *position*, never a value, and every use validates it
-/// against the actual map (`entries[hint].0 == name`) before trusting it —
-/// so a stale hint (after a redeploy migration reshaped the map, or across
-/// entities with different layouts) costs one re-search and can never serve
-/// a wrong value. That validation is also what makes the relaxed atomics
-/// sound: compiled code is shared by all worker threads, and racing hint
-/// updates are benign because any value of the cell produces the same
-/// observable behavior.
-pub struct CacheCell(AtomicU32);
-
-impl CacheCell {
-    /// A cold cache (first execution searches and then quickens).
-    pub fn new() -> Self {
-        CacheCell(AtomicU32::new(SymbolMap::NO_HINT))
-    }
-
-    /// The current hint.
-    #[inline]
-    pub fn load(&self) -> u32 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Quickens the instruction with a fresh hint.
-    #[inline]
-    pub fn store(&self, hint: u32) {
-        self.0.store(hint, Ordering::Relaxed)
-    }
-}
-
-impl Default for CacheCell {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for CacheCell {
-    fn clone(&self) -> Self {
-        CacheCell(AtomicU32::new(self.load()))
-    }
-}
-
-/// Cache state is runtime-mutable scratch, not program identity: two
-/// instructions are the same instruction regardless of how warm their
-/// caches are (deploy-time bytecode reuse compares ops for equality).
-impl PartialEq for CacheCell {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for CacheCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ic")
-    }
-}
 
 /// One instruction of the register VM.
 #[derive(Debug, Clone, PartialEq)]
@@ -120,25 +63,20 @@ pub enum Op {
         /// Register that must be defined.
         src: Reg,
     },
-    /// `dst = state[name].clone()` — a `self.<attr>` read, quickened with an
-    /// inline position cache.
+    /// `dst = state[name].clone()` — a `self.<attr>` read.
     LoadAttr {
         /// Destination register.
         dst: Reg,
         /// Index into the class name pool.
         name: u16,
-        /// Inline cache: position of the attribute in the entity map.
-        hint: CacheCell,
     },
     /// `state[name] = src.clone()` — a `self.<attr> = …` write; errors if
-    /// the attribute was never declared. Quickened like [`Op::LoadAttr`].
+    /// the attribute was never declared.
     StoreAttr {
         /// Index into the class name pool.
         name: u16,
         /// Register holding the value to store.
         src: Reg,
-        /// Inline cache: position of the attribute in the entity map.
-        hint: CacheCell,
     },
     /// `dst = lhs <op> rhs` for non-logical operators (logical `and`/`or`
     /// are lowered to jumps for short-circuit evaluation).
@@ -235,145 +173,6 @@ pub enum Op {
         idx: Reg,
         /// Register bound to the current element (the loop variable).
         dst: Reg,
-        /// Code index to jump to when exhausted.
-        end: CodeIdx,
-    },
-    /// Superinstruction `dst = state[name] <op> rhs` — a fused
-    /// [`Op::LoadAttr`]+[`Op::Binary`] pair (the hot shape of
-    /// `self.balance + amount`), quickened like [`Op::LoadAttr`].
-    LoadAttrBinary {
-        /// The operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Index into the class name pool.
-        name: u16,
-        /// Right operand register.
-        rhs: Reg,
-        /// Inline cache: position of the attribute in the entity map.
-        hint: CacheCell,
-    },
-    /// Superinstruction `state[name] = lhs <op> rhs` — a fused
-    /// [`Op::Binary`]+[`Op::StoreAttr`] pair (the hot shape of
-    /// `self.acc = a + b`), quickened like [`Op::StoreAttr`].
-    BinaryStoreAttr {
-        /// The operator.
-        op: BinOp,
-        /// Index into the class name pool.
-        name: u16,
-        /// Left operand register.
-        lhs: Reg,
-        /// Right operand register.
-        rhs: Reg,
-        /// Inline cache: position of the attribute in the entity map.
-        hint: CacheCell,
-    },
-    /// Superinstruction `dst = lhs <op> pool.values[idx]` — a fused
-    /// [`Op::Const`]+[`Op::Binary`] pair (the hot shape of `i + 1`).
-    ConstBinary {
-        /// The operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        lhs: Reg,
-        /// Index of the right operand in the class constant pool.
-        idx: u16,
-    },
-    /// Superinstruction: two back-to-back [`Op::Binary`]s in one dispatch —
-    /// the hot shape of paired update statements (`a = a + b; b = b + i`).
-    /// Unlike the other fused pairs there is no intermediate to discard:
-    /// both writes happen, in order, so fusion needs no liveness condition.
-    BinaryBinary {
-        /// First operator.
-        op1: BinOp,
-        /// First destination register.
-        dst1: Reg,
-        /// First left operand register.
-        lhs1: Reg,
-        /// First right operand register.
-        rhs1: Reg,
-        /// Second operator.
-        op2: BinOp,
-        /// Second destination register.
-        dst2: Reg,
-        /// Second left operand register (may be `dst1`: it reads the first
-        /// half's freshly written result, exactly like the unfused pair).
-        lhs2: Reg,
-        /// Second right operand register.
-        rhs2: Reg,
-    },
-    /// Superinstruction: jump to `to` when `lhs <op> rhs` is falsy — a fused
-    /// [`Op::Binary`]+[`Op::JumpIfFalse`] pair (the comparison heading every
-    /// `while` loop and `if`). The comparison result is discarded.
-    BinaryJumpIfFalse {
-        /// The operator.
-        op: BinOp,
-        /// Left operand register.
-        lhs: Reg,
-        /// Right operand register.
-        rhs: Reg,
-        /// Target code index when the result is falsy.
-        to: CodeIdx,
-    },
-    /// Superinstruction: a loop back-edge fused with the
-    /// [`Op::BinaryJumpIfFalse`] it jumps to — re-evaluates the loop-header
-    /// compare and jumps to `iftrue` (the header's fallthrough, i.e. the
-    /// loop body) or `iffalse` (the loop exit) in one dispatch. Replaces the
-    /// back-edge `Jump` *in place*; the original header stays for first
-    /// entry.
-    BinaryBranch {
-        /// The operator.
-        op: BinOp,
-        /// Left operand register.
-        lhs: Reg,
-        /// Right operand register.
-        rhs: Reg,
-        /// Target code index when the result is truthy.
-        iftrue: CodeIdx,
-        /// Target code index when the result is falsy.
-        iffalse: CodeIdx,
-    },
-    /// Superinstruction `dst = lhs <op1> pool.values[idx]; branch on
-    /// dst <op2> rhs` — a fused [`Op::ConstBinary`]+[`Op::BinaryBranch`]
-    /// pair: the counted-loop tail (`i = i + 1` then the back-edge
-    /// re-test `i < n`) in one dispatch. The branch's left operand is the
-    /// freshly written `dst` (the fusion condition), so it carries no
-    /// second lhs field; `dst` stays written — it is the live loop counter.
-    ConstBinaryBranch {
-        /// The arithmetic operator (first half).
-        op1: BinOp,
-        /// Destination register (the loop counter).
-        dst: Reg,
-        /// Left operand register of the first half.
-        lhs: Reg,
-        /// Index of the first half's right operand in the constant pool.
-        idx: u16,
-        /// The comparison operator (second half); its left operand is `dst`.
-        op2: BinOp,
-        /// Right operand register of the comparison.
-        rhs: Reg,
-        /// Target code index when the comparison is truthy. `u16` (not
-        /// [`CodeIdx`]) to stay inside the 16-byte op budget; fusion only
-        /// fires when both targets fit, and the later compaction remap can
-        /// only shrink them.
-        iftrue: u16,
-        /// Target code index when the comparison is falsy (`u16`, as above).
-        iffalse: u16,
-    },
-    /// Superinstruction: a loop back-edge fused with the [`Op::IterNext`] it
-    /// jumps to — advances the iterator and jumps straight to `body`, or to
-    /// `end` when exhausted. Replaces the back-edge `Jump` *in place* (the
-    /// original `IterNext` stays as the loop header for first entry).
-    IterNextJump {
-        /// Register holding the iterated list.
-        list: Reg,
-        /// Register holding the iteration counter.
-        idx: Reg,
-        /// Register bound to the current element (the loop variable).
-        dst: Reg,
-        /// Code index of the loop body (the op after the fused `IterNext`).
-        body: CodeIdx,
         /// Code index to jump to when exhausted.
         end: CodeIdx,
     },

@@ -5,7 +5,6 @@ use se_ir::{
 };
 use se_lang::{ClassName, EntityState, LangError, Symbol};
 
-use crate::lower::VmOpts;
 use crate::op::{CodeIdx, ConstPool, Op, Reg};
 use crate::vm::Vm;
 
@@ -77,14 +76,10 @@ pub struct VmProgram {
     /// Methods the lowering pass rejected, with the reason; these bodies
     /// fall back to the interpreter at runtime.
     skipped: Vec<(ClassName, Symbol, LangError)>,
-    /// The optimization settings the bytecode was lowered under; also
-    /// gates runtime quickening in [`BodyRunner::run_body`].
-    opts: VmOpts,
 }
 
 impl VmProgram {
-    /// Lowers every method of every class of `program` to bytecode, with
-    /// every optimization on ([`VmOpts::all`]).
+    /// Lowers every method of every class of `program` to bytecode.
     ///
     /// Methods the lowering pass rejects are skipped — recorded in
     /// [`VmProgram::skipped_methods`] and warned about on stderr — and fall
@@ -95,14 +90,7 @@ impl VmProgram {
     /// overflow) would otherwise silently forfeit the VM speedup, hence the
     /// warning.
     pub fn compile(program: &CompiledProgram) -> VmProgram {
-        VmProgram::lower(program, VmOpts::all(), None)
-    }
-
-    /// [`VmProgram::compile`] with explicit optimization settings — the
-    /// test constructor the lockstep suite uses to pin the plain lowering
-    /// ([`VmOpts::none`]) against the optimized one.
-    pub fn compile_with_opts(program: &CompiledProgram, opts: VmOpts) -> VmProgram {
-        VmProgram::lower(program, opts, None)
+        VmProgram::compile_reusing(program, None)
     }
 
     /// [`VmProgram::compile`] for a redeploy: reuses the previous version's
@@ -116,17 +104,6 @@ impl VmProgram {
     /// otherwise every method of that class is re-lowered together.
     pub fn compile_reusing(
         program: &CompiledProgram,
-        prev: Option<(&CompiledProgram, &VmProgram)>,
-    ) -> VmProgram {
-        let opts = VmOpts::all();
-        // Bytecode lowered under different optimization settings is not
-        // interchangeable; recompile everything.
-        VmProgram::lower(program, opts, prev.filter(|(_, vm)| vm.opts == opts))
-    }
-
-    fn lower(
-        program: &CompiledProgram,
-        opts: VmOpts,
         prev: Option<(&CompiledProgram, &VmProgram)>,
     ) -> VmProgram {
         let mut classes = Vec::with_capacity(program.classes.len());
@@ -159,7 +136,7 @@ impl VmProgram {
                     let mut pool = crate::lower::PoolBuilder::default();
                     let mut methods = Vec::with_capacity(compiled.methods.len());
                     for method in &compiled.methods {
-                        match crate::lower::lower_method_with(&mut pool, method, opts) {
+                        match crate::lower::lower_method(&mut pool, method) {
                             Ok(vm_method) => methods.push(vm_method),
                             Err(e) => {
                                 eprintln!(
@@ -188,7 +165,6 @@ impl VmProgram {
             classes,
             index,
             skipped,
-            opts,
         }
     }
 
@@ -196,11 +172,6 @@ impl VmProgram {
     /// interpreter), with the rejection reason.
     pub fn skipped_methods(&self) -> &[(ClassName, Symbol, LangError)] {
         &self.skipped
-    }
-
-    /// The optimization settings this program was lowered under.
-    pub fn opts(&self) -> VmOpts {
-        self.opts
     }
 
     /// Looks up the compiled body of `class.method`, if lowering produced
@@ -244,9 +215,7 @@ impl BodyRunner for VmProgram {
         state: &mut EntityState,
     ) -> Result<BodyOutcome, LangError> {
         match self.method(class, method.name) {
-            Some((vm_class, vm_method)) => Vm::new()
-                .quickened(self.opts.quicken)
-                .run(vm_class, vm_method, activation, state),
+            Some((vm_class, vm_method)) => Vm::new().run(vm_class, vm_method, activation, state),
             None => InterpBody.run_body(class, method, activation, state),
         }
     }

@@ -5,38 +5,31 @@
 //! [`BodyOutcome`]s, raises the same [`LangError`]s at the same program
 //! points, and materializes the same pruned continuation environments at
 //! suspension — the differential proptest suite in `tests/differential.rs`
-//! pins all of that against the tree-walking interpreter, under both the
-//! optimized and the unoptimized lowering.
+//! pins all of that against the tree-walking interpreter.
 //!
-//! Three things keep the common path to one bounds-checked fetch plus a
-//! handful of loads:
-//!
-//! * the hottest handlers ([`Op::Binary`] and the fused superinstructions)
-//!   take an `Int⊕Int` fast path that skips the interpreter's
-//!   value-clone + full type dispatch, falling back to
-//!   [`eval_binop`] (same results, same errors) for every other shape;
-//! * attribute ops are **quickened**: each carries a [`CacheCell`] position
-//!   hint into the entity's sorted attribute map, validated against the
-//!   stored key on every use (a stale hint re-searches; it can never serve
-//!   a wrong value) and refreshed in place;
-//! * the loop borrows budget/scratch/flags once up front instead of going
-//!   through `self` per instruction.
+//! Every operator result comes from the interpreter's own evaluators
+//! ([`eval_binop`], [`eval_unary`], [`eval_builtin_drain`], [`eval_index`]),
+//! so the language's value semantics live in one place (`se_lang::interp`).
+//! What the VM adds is the cheap part around them: operands come from
+//! register slots instead of environment maps, and the loop keeps the step
+//! budget and `pc` in true locals rather than going through `self` per
+//! instruction.
 //!
 //! One deliberate exception to equivalence: the **step budget** meters
 //! different units (the interpreter ticks per statement/expression, the VM
-//! per instruction — and a fused superinstruction is one instruction), so a
-//! runaway loop trips [`LangError::StepBudgetExhausted`] on both backends
-//! but not after the identical number of iterations. Programs that finish
-//! within budget — everything the differential suite generates and any
-//! realistic method body — behave identically.
+//! per instruction), so a runaway loop trips
+//! [`LangError::StepBudgetExhausted`] on both backends but not after the
+//! identical number of iterations. Programs that finish within budget —
+//! everything the differential suite generates and any realistic method
+//! body — behave identically.
 
 use se_ir::{Activation, BodyOutcome};
 use se_lang::interp::{
     eval_binop, eval_builtin_drain, eval_index, eval_unary, DEFAULT_STEP_BUDGET,
 };
-use se_lang::{BinOp, EntityState, Env, LangError, Symbol, Value};
+use se_lang::{EntityState, Env, LangError, Symbol, Value};
 
-use crate::op::{CacheCell, Op, Reg};
+use crate::op::{Op, Reg};
 use crate::program::{VmClass, VmMethod};
 
 thread_local! {
@@ -58,8 +51,6 @@ pub struct Vm {
     budget: u64,
     /// Pool of argument vectors reused across builtin calls.
     scratch: Vec<Vec<Value>>,
-    /// Use (and refresh) the inline caches of quickened attribute ops.
-    quicken: bool,
 }
 
 impl Default for Vm {
@@ -79,15 +70,7 @@ impl Vm {
         Self {
             budget,
             scratch: Vec::new(),
-            quicken: true,
         }
-    }
-
-    /// Enables or disables inline-cache quickening (on by default; off
-    /// under [`crate::lower::VmOpts::none`]).
-    pub fn quickened(mut self, on: bool) -> Self {
-        self.quicken = on;
-        self
     }
 
     /// Executes one activation of `method` until it returns or suspends.
@@ -102,53 +85,24 @@ impl Vm {
         activation: Activation,
         state: &mut EntityState,
     ) -> Result<BodyOutcome, LangError> {
-        self.run_pooled::<false>(class, method, activation, state, &mut OpPairProfile::new())
-    }
-
-    /// [`Vm::run`] with dynamic op-pair profiling: every executed
-    /// instruction records the `(previous, current)` opcode pair into
-    /// `profile`. Test/tooling instrumentation for choosing
-    /// superinstructions — not a stable API.
-    #[doc(hidden)]
-    pub fn run_profiled(
-        &mut self,
-        class: &VmClass,
-        method: &VmMethod,
-        activation: Activation,
-        state: &mut EntityState,
-        profile: &mut OpPairProfile,
-    ) -> Result<BodyOutcome, LangError> {
-        self.run_pooled::<true>(class, method, activation, state, profile)
-    }
-
-    fn run_pooled<const PROFILE: bool>(
-        &mut self,
-        class: &VmClass,
-        method: &VmMethod,
-        activation: Activation,
-        state: &mut EntityState,
-        profile: &mut OpPairProfile,
-    ) -> Result<BodyOutcome, LangError> {
         // Register files are pooled per thread: tiny method bodies (one
         // attribute read, one resume step) are the common case on the hot
         // path, so the per-activation allocation would dominate them.
         let mut regs = REG_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
         regs.resize(method.nregs as usize, None);
-        let result =
-            self.run_inner::<PROFILE>(class, method, activation, state, &mut regs, profile);
+        let result = self.run_inner(class, method, activation, state, &mut regs);
         regs.clear();
         REG_POOL.with(|p| p.borrow_mut().push(regs));
         result
     }
 
-    fn run_inner<const PROFILE: bool>(
+    fn run_inner(
         &mut self,
         class: &VmClass,
         method: &VmMethod,
         activation: Activation,
         state: &mut EntityState,
         regs: &mut [Option<Value>],
-        profile: &mut OpPairProfile,
     ) -> Result<BodyOutcome, LangError> {
         // Seed the register file by *moving* activation values in — the
         // protocol owns them exclusively at this point. Start arguments load
@@ -205,12 +159,7 @@ impl Vm {
         // a load+store round-trip on every dispatch (a loop-carried memory
         // dependency), so it is copied out here and written back on every
         // exit path of the dispatch loop.
-        let Vm {
-            budget,
-            scratch,
-            quicken,
-        } = self;
-        let quicken = *quicken;
+        let Vm { budget, scratch } = self;
         let mut fuel = *budget;
         // A direct slice borrow keeps the instruction fetch off a reload of
         // `method`'s spilled field pointer.
@@ -241,9 +190,6 @@ impl Vm {
             // block, so the slice index doubles as the internal sanity check.
             let op = &code[pc];
             pc += 1;
-            if PROFILE {
-                profile.record(op);
-            }
             match op {
                 Op::Const { dst, idx } => {
                     regs[*dst as usize] = Some(class.pool.value(*idx).clone());
@@ -258,24 +204,20 @@ impl Vm {
                 Op::Defined { src } => {
                     tri!('run, read(regs, method, *src));
                 }
-                Op::LoadAttr { dst, name, hint } => {
+                Op::LoadAttr { dst, name } => {
                     let sym = class.pool.name(*name);
-                    let v = tri!('run, load_attr(state, sym, hint, quicken)).clone();
+                    let v = tri!('run, load_attr(state, sym)).clone();
                     regs[*dst as usize] = Some(v);
                 }
-                Op::StoreAttr { name, src, hint } => {
+                Op::StoreAttr { name, src } => {
                     let sym = class.pool.name(*name);
                     let v = tri!('run, read(regs, method, *src)).clone();
-                    tri!('run, store_attr(state, sym, v, hint, quicken));
+                    tri!('run, store_attr(state, sym, v));
                 }
                 Op::Binary { op, dst, lhs, rhs } => {
-                    let l = tri!('run, read(regs, method, *lhs));
-                    let r = tri!('run, read(regs, method, *rhs));
-                    let v = match binop_fast(*op, l, r) {
-                        Some(v) => v,
-                        None => tri!('run, eval_binop(*op, l.clone(), r.clone())),
-                    };
-                    regs[*dst as usize] = Some(v);
+                    let l = tri!('run, read(regs, method, *lhs)).clone();
+                    let r = tri!('run, read(regs, method, *rhs)).clone();
+                    regs[*dst as usize] = Some(tri!('run, eval_binop(*op, l, r)));
                 }
                 Op::Unary { op, dst, src } => {
                     let v = tri!('run, read(regs, method, *src)).clone();
@@ -351,147 +293,6 @@ impl Vm {
                     }
                     None => pc = *end as usize,
                 },
-                Op::LoadAttrBinary {
-                    op,
-                    dst,
-                    name,
-                    rhs,
-                    hint,
-                } => {
-                    // Effect order of the unfused pair: attribute read
-                    // (UndefinedAttribute), rhs read, then the operator.
-                    let sym = class.pool.name(*name);
-                    let l = tri!('run, load_attr(state, sym, hint, quicken));
-                    let r = tri!('run, read(regs, method, *rhs));
-                    let v = match binop_fast(*op, l, r) {
-                        Some(v) => v,
-                        None => tri!('run, eval_binop(*op, l.clone(), r.clone())),
-                    };
-                    regs[*dst as usize] = Some(v);
-                }
-                Op::BinaryStoreAttr {
-                    op,
-                    name,
-                    lhs,
-                    rhs,
-                    hint,
-                } => {
-                    // Effect order of the unfused pair: operand reads, the
-                    // operator, then the attribute-declared check.
-                    let l = tri!('run, read(regs, method, *lhs));
-                    let r = tri!('run, read(regs, method, *rhs));
-                    let v = match binop_fast(*op, l, r) {
-                        Some(v) => v,
-                        None => tri!('run, eval_binop(*op, l.clone(), r.clone())),
-                    };
-                    let sym = class.pool.name(*name);
-                    tri!('run, store_attr(state, sym, v, hint, quicken));
-                }
-                Op::BinaryBinary {
-                    op1,
-                    dst1,
-                    lhs1,
-                    rhs1,
-                    op2,
-                    dst2,
-                    lhs2,
-                    rhs2,
-                } => {
-                    let l = tri!('run, read(regs, method, *lhs1));
-                    let r = tri!('run, read(regs, method, *rhs1));
-                    let v = match binop_fast(*op1, l, r) {
-                        Some(v) => v,
-                        None => tri!('run, eval_binop(*op1, l.clone(), r.clone())),
-                    };
-                    regs[*dst1 as usize] = Some(v);
-                    let l = tri!('run, read(regs, method, *lhs2));
-                    let r = tri!('run, read(regs, method, *rhs2));
-                    let v = match binop_fast(*op2, l, r) {
-                        Some(v) => v,
-                        None => tri!('run, eval_binop(*op2, l.clone(), r.clone())),
-                    };
-                    regs[*dst2 as usize] = Some(v);
-                }
-                Op::ConstBinary { op, dst, lhs, idx } => {
-                    let l = tri!('run, read(regs, method, *lhs));
-                    let r = class.pool.value(*idx);
-                    let v = match binop_fast(*op, l, r) {
-                        Some(v) => v,
-                        None => tri!('run, eval_binop(*op, l.clone(), r.clone())),
-                    };
-                    regs[*dst as usize] = Some(v);
-                }
-                Op::BinaryJumpIfFalse { op, lhs, rhs, to } => {
-                    let l = tri!('run, read(regs, method, *lhs));
-                    let r = tri!('run, read(regs, method, *rhs));
-                    if !tri!('run, branch_cond(*op, l, r)) {
-                        pc = *to as usize;
-                    }
-                }
-                Op::BinaryBranch {
-                    op,
-                    lhs,
-                    rhs,
-                    iftrue,
-                    iffalse,
-                } => {
-                    let l = tri!('run, read(regs, method, *lhs));
-                    let r = tri!('run, read(regs, method, *rhs));
-                    pc = if tri!('run, branch_cond(*op, l, r)) {
-                        *iftrue as usize
-                    } else {
-                        *iffalse as usize
-                    };
-                }
-                Op::ConstBinaryBranch {
-                    op1,
-                    dst,
-                    lhs,
-                    idx,
-                    op2,
-                    rhs,
-                    iftrue,
-                    iffalse,
-                } => {
-                    let l = tri!('run, read(regs, method, *lhs));
-                    let c = class.pool.value(*idx);
-                    let v = match binop_fast(*op1, l, c) {
-                        Some(v) => v,
-                        None => tri!('run, eval_binop(*op1, l.clone(), c.clone())),
-                    };
-                    // The branch's left operand is the freshly computed
-                    // `v` (kept off a register-file round-trip); when
-                    // `rhs == dst` it reads the new value too, exactly
-                    // like the unfused pair.
-                    let cond = {
-                        let r = if *rhs == *dst {
-                            &v
-                        } else {
-                            tri!('run, read(regs, method, *rhs))
-                        };
-                        tri!('run, branch_cond(*op2, &v, r))
-                    };
-                    regs[*dst as usize] = Some(v);
-                    pc = if cond {
-                        *iftrue as usize
-                    } else {
-                        *iffalse as usize
-                    };
-                }
-                Op::IterNextJump {
-                    list,
-                    idx,
-                    dst,
-                    body,
-                    end,
-                } => match tri!('run, iter_step(regs, method, *list, *idx)) {
-                    Some((v, next)) => {
-                        regs[*dst as usize] = Some(v);
-                        regs[*idx as usize] = Some(Value::Int(next));
-                        pc = *body as usize;
-                    }
-                    None => pc = *end as usize,
-                },
                 Op::EnsureRef { src } => {
                     tri!('run, tri!('run, read(regs, method, *src)).as_ref());
                 }
@@ -529,107 +330,32 @@ impl Vm {
     }
 }
 
-/// The truthiness of `lhs <op> rhs` — the condition of the fused branch
-/// ops. Int comparisons (the dominant loop-header shape) branch straight
-/// off the machine compare without building a `Value`; everything else
-/// routes through [`binop_fast`]/[`eval_binop`], so errors are identical to
-/// evaluating the unfused pair.
+/// A `self.<attr>` read; errors if the attribute was never declared.
 #[inline(always)]
-fn branch_cond(op: BinOp, l: &Value, r: &Value) -> Result<bool, LangError> {
-    if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        match op {
-            BinOp::Lt => return Ok(a < b),
-            BinOp::Le => return Ok(a <= b),
-            BinOp::Gt => return Ok(a > b),
-            BinOp::Ge => return Ok(a >= b),
-            BinOp::Eq => return Ok(a == b),
-            BinOp::Ne => return Ok(a != b),
-            _ => {}
-        }
-    }
-    match binop_fast(op, l, r) {
-        Some(v) => Ok(v.truthy()),
-        None => Ok(eval_binop(op, l.clone(), r.clone())?.truthy()),
-    }
+fn load_attr(state: &EntityState, sym: Symbol) -> Result<&Value, LangError> {
+    state
+        .get(sym)
+        .ok_or_else(|| LangError::UndefinedAttribute(sym.to_string()))
 }
 
-/// The `Int ⊕ Int` fast path of [`eval_binop`]: identical results and
-/// errors for every integer pair it accepts; `None` defers every other
-/// shape — including division/modulo by zero — to the full evaluator.
+/// A `self.<attr> = …` write: errors (without modifying the map) if the
+/// attribute was never declared.
 #[inline(always)]
-fn binop_fast(op: BinOp, l: &Value, r: &Value) -> Option<Value> {
-    let (Value::Int(a), Value::Int(b)) = (l, r) else {
-        return None;
-    };
-    let (a, b) = (*a, *b);
-    Some(match op {
-        BinOp::Add => Value::Int(a.wrapping_add(b)),
-        BinOp::Sub => Value::Int(a.wrapping_sub(b)),
-        BinOp::Mul => Value::Int(a.wrapping_mul(b)),
-        BinOp::Div if b != 0 => Value::Int(a.wrapping_div(b)),
-        BinOp::Mod if b != 0 => Value::Int(a.wrapping_rem(b)),
-        BinOp::Eq => Value::Bool(a == b),
-        BinOp::Ne => Value::Bool(a != b),
-        BinOp::Lt => Value::Bool(a < b),
-        BinOp::Le => Value::Bool(a <= b),
-        BinOp::Gt => Value::Bool(a > b),
-        BinOp::Ge => Value::Bool(a >= b),
-        _ => return None,
-    })
-}
-
-/// The quickened `self.<attr>` read: validated position hint first, full
-/// search (refreshing the hint) on miss.
-#[inline(always)]
-fn load_attr<'s>(
-    state: &'s EntityState,
-    sym: Symbol,
-    hint: &CacheCell,
-    quicken: bool,
-) -> Result<&'s Value, LangError> {
-    let v = if quicken {
-        let (v, h) = state.get_hinted(sym, hint.load());
-        hint.store(h);
-        v
-    } else {
-        state.get(sym)
-    };
-    v.ok_or_else(|| LangError::UndefinedAttribute(sym.to_string()))
-}
-
-/// The quickened `self.<attr> = …` write: errors (without modifying the
-/// map) if the attribute was never declared, exactly like the unquickened
-/// contains-then-insert sequence.
-#[inline(always)]
-fn store_attr(
-    state: &mut EntityState,
-    sym: Symbol,
-    v: Value,
-    hint: &CacheCell,
-    quicken: bool,
-) -> Result<(), LangError> {
-    if quicken {
-        match state.set_existing_hinted(sym, v, hint.load()) {
-            Some(h) => {
-                hint.store(h);
-                Ok(())
-            }
-            None => Err(LangError::UndefinedAttribute(sym.to_string())),
+fn store_attr(state: &mut EntityState, sym: Symbol, v: Value) -> Result<(), LangError> {
+    match state.get_mut(sym) {
+        Some(slot) => {
+            *slot = v;
+            Ok(())
         }
-    } else {
-        if !state.contains_key(sym) {
-            return Err(LangError::UndefinedAttribute(sym.to_string()));
-        }
-        state.insert(sym, v);
-        Ok(())
+        None => Err(LangError::UndefinedAttribute(sym.to_string())),
     }
 }
 
 /// One `for`-loop step: the element at the counter plus the bumped counter,
-/// or `None` when exhausted. A counter outside `0..=len` (only reachable if
-/// an optimized body ever aliased the counter register — never by emitted
-/// code) raises the interpreter's list-index error instead of wrapping
-/// through `as usize`.
+/// or `None` when exhausted. A counter outside `0..=len` (only reachable by
+/// hand-assembled code — emitted loops never alias the counter register)
+/// raises the interpreter's list-index error instead of wrapping through
+/// `as usize`.
 #[inline(always)]
 fn iter_step(
     regs: &[Option<Value>],
@@ -682,72 +408,5 @@ fn unset(method: &VmMethod, r: Reg) -> LangError {
         // Temporaries are written before they are read by construction; an
         // unset temp is a lowering bug surfaced as a runtime error.
         None => LangError::runtime(format!("vm: read of unset temporary register r{r}")),
-    }
-}
-
-/// Dynamic op-pair frequency profile (see [`Vm::run_profiled`]): counts
-/// every executed `(previous, current)` opcode pair, the data the
-/// superinstruction selection in `crate::lower` is derived from.
-#[doc(hidden)]
-#[derive(Debug, Default)]
-pub struct OpPairProfile {
-    counts: std::collections::HashMap<(&'static str, &'static str), u64>,
-    prev: Option<&'static str>,
-}
-
-impl OpPairProfile {
-    /// An empty profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    fn record(&mut self, op: &Op) {
-        let name = opname(op);
-        if let Some(p) = self.prev {
-            *self.counts.entry((p, name)).or_insert(0) += 1;
-        }
-        self.prev = Some(name);
-    }
-
-    /// All observed pairs, most frequent first.
-    pub fn pairs_by_count(&self) -> Vec<((&'static str, &'static str), u64)> {
-        let mut v: Vec<_> = self.counts.iter().map(|(k, c)| (*k, *c)).collect();
-        v.sort_by_key(|(pair, c)| (std::cmp::Reverse(*c), *pair));
-        v
-    }
-}
-
-/// Stable opcode mnemonic for profiling output.
-fn opname(op: &Op) -> &'static str {
-    match op {
-        Op::Const { .. } => "Const",
-        Op::Bool { .. } => "Bool",
-        Op::Move { .. } => "Move",
-        Op::Defined { .. } => "Defined",
-        Op::LoadAttr { .. } => "LoadAttr",
-        Op::StoreAttr { .. } => "StoreAttr",
-        Op::Binary { .. } => "Binary",
-        Op::Unary { .. } => "Unary",
-        Op::Truthy { .. } => "Truthy",
-        Op::CallBuiltin { .. } => "CallBuiltin",
-        Op::Index { .. } => "Index",
-        Op::MakeList { .. } => "MakeList",
-        Op::Jump { .. } => "Jump",
-        Op::JumpIfTrue { .. } => "JumpIfTrue",
-        Op::JumpIfFalse { .. } => "JumpIfFalse",
-        Op::IterInit { .. } => "IterInit",
-        Op::IterNext { .. } => "IterNext",
-        Op::LoadAttrBinary { .. } => "LoadAttrBinary",
-        Op::BinaryStoreAttr { .. } => "BinaryStoreAttr",
-        Op::BinaryBinary { .. } => "BinaryBinary",
-        Op::ConstBinary { .. } => "ConstBinary",
-        Op::BinaryJumpIfFalse { .. } => "BinaryJumpIfFalse",
-        Op::BinaryBranch { .. } => "BinaryBranch",
-        Op::ConstBinaryBranch { .. } => "ConstBinaryBranch",
-        Op::IterNextJump { .. } => "IterNextJump",
-        Op::EnsureRef { .. } => "EnsureRef",
-        Op::Return { .. } => "Return",
-        Op::Suspend { .. } => "Suspend",
     }
 }

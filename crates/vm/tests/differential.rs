@@ -7,12 +7,6 @@
 //! [`StepEffect`] (same emitted invocation — frames, pruned environments,
 //! arguments — or same response, including errors) and identical entity
 //! states across the whole store.
-//!
-//! Every chain runs against *two* compilations of the bytecode — the full
-//! optimization pipeline ([`VmOpts::all`]: folding, superinstructions,
-//! quickening) and the plain lowering ([`VmOpts::none`]) — each locked
-//! against the interpreter, so the histories of the two settings are
-//! byte-identical by transitivity.
 
 use std::collections::HashMap;
 
@@ -22,7 +16,7 @@ use se_ir::{
     StepEffect,
 };
 use se_lang::{arb, EntityRef, EntityState, Value};
-use se_vm::{VmOpts, VmProgram};
+use se_vm::VmProgram;
 
 /// Drives one invocation chain under both backends, asserting identical
 /// effects and stores after every hop. Returns the final response and the
@@ -112,34 +106,32 @@ proptest! {
     ) {
         let graph = se_compiler::compile(&program)
             .unwrap_or_else(|e| panic!("generated program must compile, got {e:?}"));
-        for opts in [VmOpts::all(), VmOpts::none()] {
-            let vm = VmProgram::compile_with_opts(&graph.program, opts);
-            prop_assert_eq!(
-                vm.compiled_methods(),
-                3,
-                "all split methods must lower to bytecode"
-            );
+        let vm = VmProgram::compile(&graph.program);
+        prop_assert_eq!(
+            vm.compiled_methods(),
+            3,
+            "all split methods must lower to bytecode"
+        );
 
-            let (caller, callee, init) = initial_store(&graph.program);
-            let root = Invocation::root(
-                RequestId(1),
-                caller,
-                "go",
-                vec![Value::Int(n), Value::Ref(callee)],
-            );
-            let (_, after) = run_lockstep(&graph.program, &vm, root, &init);
+        let (caller, callee, init) = initial_store(&graph.program);
+        let root = Invocation::root(
+            RequestId(1),
+            caller,
+            "go",
+            vec![Value::Int(n), Value::Ref(callee)],
+        );
+        let (_, after) = run_lockstep(&graph.program, &vm, root, &init);
 
-            let bump = Invocation::root(
-                RequestId(2),
-                callee,
-                "bump",
-                vec![Value::Int(x), Value::Int(y)],
-            );
-            let (_, after) = run_lockstep(&graph.program, &vm, bump, &after);
+        let bump = Invocation::root(
+            RequestId(2),
+            callee,
+            "bump",
+            vec![Value::Int(x), Value::Int(y)],
+        );
+        let (_, after) = run_lockstep(&graph.program, &vm, bump, &after);
 
-            let poke = Invocation::root(RequestId(3), callee, "poke", vec![Value::Int(x)]);
-            run_lockstep(&graph.program, &vm, poke, &after);
-        }
+        let poke = Invocation::root(RequestId(3), callee, "poke", vec![Value::Int(x)]);
+        run_lockstep(&graph.program, &vm, poke, &after);
     }
 
     /// Error paths diverge neither: wrong arity and unknown methods produce
@@ -148,16 +140,14 @@ proptest! {
     fn error_responses_agree((program, _, _) in arb::arb_two_class_program(), n in -50i64..50) {
         let graph = se_compiler::compile(&program)
             .unwrap_or_else(|e| panic!("generated program must compile, got {e:?}"));
-        for opts in [VmOpts::all(), VmOpts::none()] {
-            let vm = VmProgram::compile_with_opts(&graph.program, opts);
-            let (caller, callee, init) = initial_store(&graph.program);
-            for root in [
-                Invocation::root(RequestId(9), caller, "go", vec![Value::Int(n)]),
-                Invocation::root(RequestId(10), callee, "bump", vec![]),
-                Invocation::root(RequestId(11), callee, "nope", vec![]),
-            ] {
-                run_lockstep(&graph.program, &vm, root, &init);
-            }
+        let vm = VmProgram::compile(&graph.program);
+        let (caller, callee, init) = initial_store(&graph.program);
+        for root in [
+            Invocation::root(RequestId(9), caller, "go", vec![Value::Int(n)]),
+            Invocation::root(RequestId(10), callee, "bump", vec![]),
+            Invocation::root(RequestId(11), callee, "nope", vec![]),
+        ] {
+            run_lockstep(&graph.program, &vm, root, &init);
         }
     }
 }

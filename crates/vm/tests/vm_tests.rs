@@ -307,8 +307,11 @@ fn disasm_is_stable_and_complete() {
     assert!(text1.contains("self.balance"));
 }
 
-fn get_plus_method() -> CompiledMethod {
-    CompiledMethod {
+/// Golden disassembly of a tiny hand-built method, pinning the text format
+/// and the plain one-op-per-operation lowering.
+#[test]
+fn disasm_golden() {
+    let method = CompiledMethod {
         name: "get_plus".into(),
         params: vec![("d".into(), Type::Int)],
         ret: Type::Int,
@@ -320,39 +323,9 @@ fn get_plus_method() -> CompiledMethod {
             terminator: Terminator::Return(add(attr("n"), var("d"))),
         }],
         entry: BlockId(0),
-    }
-}
-
-/// Golden disassembly of a tiny hand-built method, pinning the text format —
-/// and that the optimizing lowering fuses the `LoadAttr`+`Binary` pair.
-#[test]
-fn disasm_golden() {
-    let method = get_plus_method();
+    };
     let mut pool = PoolBuilder::default();
     let vm_method = se_vm::lower_method(&mut pool, &method).unwrap();
-    let class = se_vm::VmClass {
-        class: "Counter".into(),
-        pool: pool.finish(),
-        methods: vec![vm_method],
-    };
-    let text = se_vm::disasm_method(&class, &class.methods[0]);
-    let expected = "\
-method get_plus (1 blocks, 1 locals, 3 regs, 2 ops)
-  locals: r0=d
-  b0:
-       0  r1 = Add self.n r0(d)
-       1  return r1
-";
-    assert_eq!(text, expected);
-}
-
-/// `VmOpts::none()` must emit exactly the unoptimized lowering — this golden
-/// pins the pre-optimization bytecode.
-#[test]
-fn disasm_golden_unoptimized() {
-    let method = get_plus_method();
-    let mut pool = PoolBuilder::default();
-    let vm_method = se_vm::lower_method_with(&mut pool, &method, se_vm::VmOpts::none()).unwrap();
     let class = se_vm::VmClass {
         class: "Counter".into(),
         pool: pool.finish(),
@@ -366,167 +339,6 @@ method get_plus (1 blocks, 1 locals, 3 regs, 3 ops)
        0  r2 = self.n
        1  r1 = Add r2 r0(d)
        2  return r1
-";
-    assert_eq!(text, expected);
-}
-
-/// Golden render of every superinstruction opcode (hand-assembled so each
-/// variant's stable text form is pinned independent of fusion heuristics).
-#[test]
-fn disasm_golden_superinstructions() {
-    use se_lang::BinOp;
-    use se_vm::{CacheCell, ConstPool, Op};
-    let m = se_vm::VmMethod {
-        name: "ops".into(),
-        code: vec![
-            Op::LoadAttrBinary {
-                op: BinOp::Add,
-                dst: 1,
-                name: 0,
-                rhs: 0,
-                hint: CacheCell::new(),
-            },
-            Op::BinaryStoreAttr {
-                op: BinOp::Sub,
-                name: 0,
-                lhs: 0,
-                rhs: 1,
-                hint: CacheCell::new(),
-            },
-            Op::ConstBinary {
-                op: BinOp::Add,
-                dst: 0,
-                lhs: 0,
-                idx: 0,
-            },
-            Op::BinaryJumpIfFalse {
-                op: BinOp::Lt,
-                lhs: 0,
-                rhs: 1,
-                to: 0,
-            },
-            Op::BinaryBinary {
-                op1: BinOp::Add,
-                dst1: 1,
-                lhs1: 0,
-                rhs1: 1,
-                op2: BinOp::Sub,
-                dst2: 2,
-                lhs2: 1,
-                rhs2: 0,
-            },
-            Op::BinaryBranch {
-                op: BinOp::Lt,
-                lhs: 0,
-                rhs: 1,
-                iftrue: 1,
-                iffalse: 8,
-            },
-            Op::ConstBinaryBranch {
-                op1: BinOp::Add,
-                dst: 0,
-                lhs: 0,
-                idx: 0,
-                op2: BinOp::Lt,
-                rhs: 1,
-                iftrue: 1,
-                iffalse: 8,
-            },
-            Op::IterNextJump {
-                list: 1,
-                idx: 2,
-                dst: 0,
-                body: 1,
-                end: 8,
-            },
-            Op::Return { src: 0 },
-        ],
-        block_entry: vec![0],
-        entry: BlockId(0),
-        locals: vec!["x".into()],
-        local_index: vec![("x".into(), 0)],
-        nparams: 1,
-        nregs: 3,
-    };
-    let class = se_vm::VmClass {
-        class: "Golden".into(),
-        pool: ConstPool {
-            values: vec![Value::Int(1)],
-            names: vec!["acc".into()],
-        },
-        methods: vec![m],
-    };
-    let text = se_vm::disasm_method(&class, &class.methods[0]);
-    let expected = "\
-method ops (1 blocks, 1 locals, 3 regs, 9 ops)
-  locals: r0=x
-  b0:
-       0  r1 = Add self.acc r0(x)
-       1  self.acc = Sub r0(x) r1
-       2  r0(x) = Add r0(x) const[0]  ; 1
-       3  if not Lt r0(x) r1 jump 0
-       4  r1 = Add r0(x) r1; r2 = Sub r1 r0(x)
-       5  if Lt r0(x) r1 jump 1 else jump 8
-       6  r0(x) = Add r0(x) const[0]; if Lt r0(x) r1 jump 1 else jump 8
-       7  r0(x) = iter_next r1 idx=r2 jump 1 else jump 8
-       8  return r0(x)
-";
-    assert_eq!(text, expected);
-}
-
-/// End-to-end golden through the full pipeline (compiler → lowering →
-/// every fusion pass): the counted loop — the dominant hot-path shape —
-/// must collapse to *two* dispatches per iteration, one [`BinaryBinary`]
-/// for the paired updates and one [`ConstBinaryBranch`] for the counter
-/// bump + back-edge re-test.
-#[test]
-fn disasm_golden_fused_counted_loop() {
-    let cell = se_lang::builder::ClassBuilder::new("Cell")
-        .attr_default("cell_id", Type::Str, Value::Str(String::new()))
-        .attr_default("acc", Type::Int, Value::Int(0))
-        .key("cell_id")
-        .method(
-            se_lang::builder::MethodBuilder::new("spin")
-                .param("n", Type::Int)
-                .returns(Type::Int)
-                .body(vec![
-                    assign("i", int(0)),
-                    assign("a", int(1)),
-                    assign("b", int(2)),
-                    while_(
-                        lt(var("i"), var("n")),
-                        vec![
-                            assign("a", add(var("a"), var("b"))),
-                            assign("b", add(var("b"), var("i"))),
-                            assign("i", add(var("i"), int(1))),
-                        ],
-                    ),
-                    attr_assign("acc", var("a")),
-                    ret(var("a")),
-                ]),
-        )
-        .build();
-    let graph = se_compiler::compile(&se_lang::Program::new(vec![cell])).unwrap();
-    // The golden is the *fused* loop: `compile` lowers with every
-    // optimization on.
-    let vm = VmProgram::compile(&graph.program);
-    let (class, m) = vm.method("Cell".into(), "spin".into()).unwrap();
-    let text = se_vm::disasm_method(class, m);
-    let expected = "\
-method spin (4 blocks, 4 locals, 5 regs, 8 ops)
-  locals: r0=n r1=i r2=a r3=b
-  b0:
-       0  r1(i) = const[0]  ; 0
-       1  r2(a) = const[1]  ; 1
-       2  r3(b) = const[2]  ; 2
-  b1:
-       3  if not Lt r1(i) r0(n) jump 6
-  b2:
-       4  r2(a) = Add r2(a) r3(b); r3(b) = Add r3(b) r1(i)
-       5  r1(i) = Add r1(i) const[1]; if Lt r1(i) r0(n) jump 4 else jump 6
-  b3:
-       6  self.acc = r2(a)
-       7  return r2(a)
 ";
     assert_eq!(text, expected);
 }

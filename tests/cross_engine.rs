@@ -128,13 +128,14 @@ fn errors_are_consistent_across_engines() {
 /// Churn workload over copy-on-write state: a completed snapshot epoch must
 /// stay frozen while the live store keeps mutating (entity state shares
 /// storage with snapshots until a write diverges them), and the final state
-/// must agree with the Local serial oracle.
+/// must agree with the Local serial oracle. The test holds its own clones of
+/// the frozen epoch's per-worker stores, so retention pruning the epoch out
+/// of the snapshot store during phase 2 cannot hide a leak.
 #[test]
 fn snapshot_epochs_stay_frozen_under_cow_churn() {
     let program = stateful_entities::programs::counter_program();
     let mut cfg = StateflowConfig::fast_test(3);
     cfg.snapshot_every_batches = 1;
-    cfg.snapshot_retention = 0; // keep every epoch: this test re-reads old ones
     let graph = stateful_entities::compile(&program).unwrap();
     let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg.clone());
     let oracle = deploy(&program, RuntimeChoice::Local).unwrap();
@@ -169,18 +170,25 @@ fn snapshot_epochs_stay_frozen_under_cow_churn() {
         .snapshots()
         .latest_complete()
         .expect("snapshot completed after quiescence");
-    let epoch_sum = |epoch| {
+    // The epoch's per-worker stores, cloned out (an O(1) share of the
+    // snapshot's copy-on-write storage) while the epoch is still retained.
+    let frozen: Vec<_> = (0..cfg.workers)
+        .map(|w| {
+            rt.snapshots()
+                .get(frozen_epoch, &format!("worker{w}"))
+                .expect("every worker contributed to the completed epoch")
+        })
+        .collect();
+    let frozen_sum = || {
         let mut sum = 0i64;
-        for w in 0..cfg.workers {
-            if let Some(store) = rt.snapshots().get(epoch, &format!("worker{w}")) {
-                for (_, state) in store.iter() {
-                    sum += state["count"].as_int().unwrap();
-                }
+        for store in &frozen {
+            for (_, state) in store.iter() {
+                sum += state["count"].as_int().unwrap();
             }
         }
         sum
     };
-    assert_eq!(epoch_sum(frozen_epoch), expected_phase1);
+    assert_eq!(frozen_sum(), expected_phase1);
 
     // Phase 2: mutate every entity *after* the snapshot. Under copy-on-write
     // the live store initially shares storage with the frozen epoch; the
@@ -194,7 +202,7 @@ fn snapshot_epochs_stay_frozen_under_cow_churn() {
         }
     }
     assert_eq!(
-        epoch_sum(frozen_epoch),
+        frozen_sum(),
         expected_phase1,
         "mutations after the cut leaked into the frozen epoch"
     );
@@ -222,7 +230,7 @@ fn snapshot_retention_bounds_epoch_memory() {
     let program = stateful_entities::programs::counter_program();
     let mut cfg = StateflowConfig::fast_test(2);
     cfg.snapshot_every_batches = 1; // snapshot as often as possible
-    let retention = cfg.snapshot_retention;
+    let retention = se_dataflow::DEFAULT_SNAPSHOT_RETENTION;
     assert!(retention > 0, "default retention must bound memory");
     let graph = stateful_entities::compile(&program).unwrap();
     let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);

@@ -526,16 +526,14 @@ fn statefun_crash_near_upgrade_recovers_and_commits() {
     }
 }
 
-/// The VM's quickened attribute caches across the switchover: heavy
-/// pre-upgrade traffic warms the inline caches for `count`, the upgrade's
-/// `__migrate__` pass then rewrites every entity's state (inserting `shadow`
-/// changes each state map's layout), and carried-over bytecode keeps its
-/// pre-upgrade hints. No post-migration read may serve a stale cached
-/// entry: repeated reads interleaved across entities — the access pattern
-/// that most reshuffles a shared cache cell's hint — must return the exact
-/// migrated values on both engines.
+/// Reads across the switchover: heavy pre-upgrade traffic runs the v1
+/// bytecode, the upgrade's `__migrate__` pass then rewrites every entity's
+/// state (inserting `shadow` changes each state map's layout), and `get` is
+/// carried over to v2 unchanged. Every post-migration read — repeated and
+/// interleaved across entities — must return the exact migrated values on
+/// both engines.
 #[test]
-fn vm_attr_caches_serve_no_stale_entries_after_migration() {
+fn post_migration_reads_return_migrated_values_on_both_engines() {
     let (counters, per) = (4usize, 12usize);
     // StateFlow engine.
     {
@@ -545,14 +543,14 @@ fn vm_attr_caches_serve_no_stale_entries_after_migration() {
                 assert_eq!(
                     rt.call(counter(i), "get", vec![]).unwrap(),
                     Value::Int(3 * per as i64),
-                    "[stateflow round {round}] counter {i}: `get` served a stale \
-                     cached `count` entry"
+                    "[stateflow round {round}] counter {i}: `get` did not return \
+                     the migrated `count`"
                 );
                 assert_eq!(
                     rt.call(counter(i), "get_shadow", vec![]).unwrap(),
                     Value::Int(10 * per as i64),
-                    "[stateflow round {round}] counter {i}: `get_shadow` served a \
-                     stale cached entry"
+                    "[stateflow round {round}] counter {i}: `get_shadow` did not \
+                     return the migrated `shadow`"
                 );
             }
         }
@@ -584,14 +582,14 @@ fn vm_attr_caches_serve_no_stale_entries_after_migration() {
                 assert_eq!(
                     rt.call(counter(i), "get", vec![]).unwrap(),
                     Value::Int(3 * per as i64),
-                    "[statefun round {round}] counter {i}: `get` served a stale \
-                     cached `count` entry"
+                    "[statefun round {round}] counter {i}: `get` did not return \
+                     the migrated `count`"
                 );
                 assert_eq!(
                     rt.call(counter(i), "get_shadow", vec![]).unwrap(),
                     Value::Int(10 * per as i64),
-                    "[statefun round {round}] counter {i}: `get_shadow` served a \
-                     stale cached entry"
+                    "[statefun round {round}] counter {i}: `get_shadow` did not \
+                     return the migrated `shadow`"
                 );
             }
         }
