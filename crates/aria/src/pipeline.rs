@@ -14,14 +14,14 @@
 //! runnable, and absorbs commit records (in order, buffering any that arrive
 //! early).
 //!
-//! The watermark also carries the invariant that makes **intra-batch
-//! parallel execution** sound: a batch's store writes happen only when its
+//! The watermark also carries the invariant that makes **execution order
+//! within a batch** irrelevant: a batch's store writes happen only when its
 //! commit record is applied, which the watermark orders strictly after the
 //! batch stopped being runnable — so during a batch's execution window the
 //! committed snapshot is immutable, every transaction reads it overlaid with
 //! only its own private buffer, and executions of one batch can proceed
-//! concurrently (and in any order) without changing any outcome. The
-//! StateFlow exec pool (`exec_threads ≥ 2`) leans on exactly this; see
+//! in any order without changing any outcome. The StateFlow worker runs a
+//! batch's segments in arrival order and leans on exactly this; see
 //! `exec_window_never_overlaps_commit_application` below for the pinned
 //! contract.
 
@@ -160,7 +160,7 @@ mod tests {
         w.advance_past(3);
     }
 
-    /// The contract the shard-parallel exec pool relies on: while a batch
+    /// The contract order-independent execution relies on: while a batch
     /// is runnable (its execution window), no commit record — its own or a
     /// successor's — can be applied, so the committed snapshot cannot move
     /// under a concurrently executing transaction. Equivalently: a batch is

@@ -1,5 +1,5 @@
 //! **Scaling sweep** — StateFlow saturation throughput and p99 across
-//! workers × exec_threads × pipeline_depth.
+//! workers × pipeline_depth.
 //!
 //! Grown from the original pipeline-depth sweep into the repository's
 //! scaling bench: every cell drives an open-loop load far above capacity so
@@ -10,16 +10,15 @@
 //!
 //! * **Compute-bound, conflict-free** (workload C, uniform keys): bodies
 //!   are loop-heavy `spin` calls with no writes, so Aria batches carry no
-//!   conflicts and the intra-partition exec pool (`exec_threads`) is the
-//!   lever — throughput should scale with pool size until cores run out.
+//!   conflicts and the partition count (`workers`) is the lever —
+//!   throughput should scale with it until cores run out.
 //! * **Contended** (workloads A/T, Zipfian keys): serial-fallback retries
 //!   dominate (solo batches commit at their final hop, overlapping up to
-//!   `pipeline_depth` deep); the exec pool barely moves these cells.
+//!   `pipeline_depth` deep).
 //!
 //! Environment ladders (comma-separated lists):
 //!
 //! * `SE_SWEEP_WORKERS`      — worker counts            (default `5`)
-//! * `SE_SWEEP_EXEC_THREADS` — exec-pool sizes          (default `1,4`)
 //! * `SE_SWEEP_DEPTHS`       — pipeline depths          (default `1,2`)
 //! * `SE_SWEEP_KEYS`         — key-space sizes          (default `SE_KEYS`,
 //!   itself defaulting to 1000; the nightly ladder runs `1000,100000,1000000`)
@@ -30,16 +29,9 @@
 //! * `SE_SERVICE_SLEEP`      — service-time mode (default **1** here:
 //!   sleep-based service so simulated cores stay independent on a
 //!   core-starved host; `0` restores the spin burns the figure benches use)
-//! * `SE_SWEEP_FORCE_EXEC_THREADS` — **CI self-test lever**: forces the
-//!   deployed pool size to this value while labels and params keep claiming
-//!   the swept value. Running the smoke sweep with this set to 1 against a
-//!   baseline recorded at exec_threads 4 must turn the perf gate red — it
-//!   seeds exactly the regression the gate exists to catch. Never set it
-//!   outside that self-test.
 //!
 //! Rows are emitted in the workspace's uniform JSON schema (see
-//! `se_bench::Row`) with labels like `C-uniform@w5x4d2`: workers 5 ×
-//! exec_threads 4, depth 2.
+//! `se_bench::Row`) with labels like `C-uniform@w5d2`: workers 5, depth 2.
 
 use se_bench::{emit, key_count, Row};
 use se_core::{compile, EntityRuntime, StateflowRuntime};
@@ -94,14 +86,13 @@ fn main() {
     // like independent simulated cores even when the host has fewer real
     // ones: default to sleep-based service (spin burns monopolize their
     // timeslice and serialize on an oversubscribed host, hiding exactly the
-    // exec-pool overlap this bench exists to measure). Explicit
+    // cross-partition overlap this bench exists to measure). Explicit
     // SE_SERVICE_SLEEP=0 restores spinning.
     if std::env::var("SE_SERVICE_SLEEP").is_err() {
         std::env::set_var("SE_SERVICE_SLEEP", "1");
     }
     let requests = env_usize("SE_PIPELINE_REQUESTS", 1200);
     let workers_ladder = env_ladder("SE_SWEEP_WORKERS", &[5]);
-    let exec_ladder = env_ladder("SE_SWEEP_EXEC_THREADS", &[1, 4]);
     let depth_ladder = env_ladder("SE_SWEEP_DEPTHS", &[1, 2]);
     let keys_ladder = env_ladder("SE_SWEEP_KEYS", &[key_count()]);
     let spin_iters = env_usize("SE_SPIN_ITERS", 256) as i64;
@@ -118,23 +109,13 @@ fn main() {
             cell.map(|(spec, dist)| (name.to_string(), spec, dist))
         })
         .collect();
-    let forced_exec: Option<usize> = std::env::var("SE_SWEEP_FORCE_EXEC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    if let Some(f) = forced_exec {
-        eprintln!(
-            "SEEDED REGRESSION: every cell actually runs exec_threads={f} \
-             regardless of its label (perf-gate self-test mode)"
-        );
-    }
     // Offered load far above capacity: the issue phase finishes fast and
     // completion throughput measures saturation.
     let offered = 50_000.0;
 
     println!(
         "pipeline_sweep: {requests} requests/cell, keys {keys_ladder:?}, \
-         workers {workers_ladder:?}, exec_threads {exec_ladder:?}, \
-         depths {depth_ladder:?}, time_scale {}",
+         workers {workers_ladder:?}, depths {depth_ladder:?}, time_scale {}",
         se_bench::time_scale()
     );
 
@@ -142,128 +123,62 @@ fn main() {
     for (cell_name, spec, dist) in &cells {
         for &n_keys in &keys_ladder {
             for &workers in &workers_ladder {
-                for &exec_threads in &exec_ladder {
-                    for &depth in &depth_ladder {
-                        let mut cfg = se_bench::stateflow_bench_config();
-                        cfg.workers = workers;
-                        cfg.exec_threads = forced_exec.unwrap_or(exec_threads);
-                        cfg.pipeline_depth = depth;
-                        // The queue/utilization/fsync columns come from the
-                        // se-obs registry, so this bench records metrics
-                        // even without SE_OBS set (an explicit
-                        // SE_OBS=off|trace still wins).
-                        if std::env::var("SE_OBS").is_err() {
-                            cfg.obs.mode = se_obs::ObsMode::Metrics;
-                        }
-                        let deployed_exec = cfg.exec_threads;
-                        let program = se_workloads::ycsb_program();
-                        let graph = compile(&program).expect("compile");
-                        let rt = StateflowRuntime::deploy(graph, cfg);
-                        let deployed_at = std::time::Instant::now();
-                        load_accounts(&rt, n_keys, 1024, 1_000_000);
-                        let driver = DriverConfig {
-                            rps: offered,
-                            requests,
-                            seed: 0x51EE9,
-                            value_size: 1024,
-                            time_scale: se_bench::time_scale(),
-                            spin_iters,
-                            latency_hist: rt.obs().histogram("driver.latency"),
-                        };
-                        let report = run_open_loop(&rt, *spec, *dist, n_keys, &driver);
-                        // Registry counters/hists cover the deployment's
-                        // whole life, so the utilization window must too.
-                        let obs_window = deployed_at.elapsed();
-                        let mut label = format!("{cell_name}@w{workers}x{exec_threads}d{depth}");
-                        if keys_ladder.len() > 1 {
-                            label.push_str(&format!("-k{n_keys}"));
-                        }
-                        eprintln!(
-                            "  {label:<34} tput {:>7.0} rps  p50 {:>7.2} ms  \
-                             p99 {:>8.2} ms  (timeouts {})",
-                            report.throughput_rps(),
-                            se_bench::ms(report.latency.p50),
-                            se_bench::ms(report.latency.p99),
-                            report.timed_out,
-                        );
-                        rows.push(
-                            Row::from_report(label, "stateflow", offered, &report)
-                                .with_obs(rt.obs(), obs_window, workers * deployed_exec)
-                                .with_param("workers", workers)
-                                .with_param("exec_threads", exec_threads)
-                                .with_param("depth", depth)
-                                .with_param("keys", n_keys)
-                                .with_param("workload", spec.name)
-                                .with_param("dist", dist.label())
-                                .with_param("spin_iters", spin_iters)
-                                .with_param("requests", requests),
-                        );
-                        rt.shutdown();
-                    }
-                }
-            }
-        }
-    }
-
-    // Derived exec-pool speedup rows: `tput_rps` holds the x{hi}/x{lo}
-    // throughput ratio of two cells from the *same* run, which cancels the
-    // run-wide noise (host load, frequency drift) that makes absolute
-    // throughput a flaky gate metric. The CI perf gate keys on these rows.
-    let tput = |rows: &[Row], label: &str| {
-        rows.iter()
-            .find(|r| r.label == label)
-            .map(|r| (r.tput_rps, r.p99_ms))
-    };
-    if exec_ladder.len() > 1 {
-        let (lo, hi) = (exec_ladder[0], *exec_ladder.last().unwrap());
-        let mut speedups = Vec::new();
-        for (cell_name, ..) in &cells {
-            for &workers in &workers_ladder {
                 for &depth in &depth_ladder {
-                    let base = tput(&rows, &format!("{cell_name}@w{workers}x{lo}d{depth}"));
-                    let wide = tput(&rows, &format!("{cell_name}@w{workers}x{hi}d{depth}"));
-                    if let (Some((base, _)), Some((wide, wide_p99))) = (base, wide) {
-                        if base > 0.0 {
-                            let ratio = wide / base;
-                            eprintln!(
-                                "  speedup {cell_name}@w{workers}d{depth}: \
-                                 exec {hi} vs {lo} = {ratio:.2}x"
-                            );
-                            speedups.push(Row {
-                                bench: String::new(),
-                                label: format!("{cell_name}@w{workers}d{depth}-speedup-x{hi}v{lo}"),
-                                system: "stateflow".to_string(),
-                                params: Default::default(),
-                                rps: offered,
-                                mean_ms: 0.0,
-                                p50_ms: 0.0,
-                                p99_ms: wide_p99,
-                                tput_rps: ratio,
-                                count: requests,
-                                errors: 0,
-                                queue_p99_ms: 0.0,
-                                exec_utilization: 0.0,
-                                fsync_p99_ms: 0.0,
-                                commit: String::new(),
-                            });
-                        }
+                    let mut cfg = se_bench::stateflow_bench_config();
+                    cfg.workers = workers;
+                    cfg.pipeline_depth = depth;
+                    // The fsync column comes from the se-obs registry, so
+                    // this bench records metrics even without SE_OBS set (an
+                    // explicit SE_OBS=off|trace still wins).
+                    if std::env::var("SE_OBS").is_err() {
+                        cfg.obs.mode = se_obs::ObsMode::Metrics;
                     }
+                    let program = se_workloads::ycsb_program();
+                    let graph = compile(&program).expect("compile");
+                    let rt = StateflowRuntime::deploy(graph, cfg);
+                    load_accounts(&rt, n_keys, 1024, 1_000_000);
+                    let driver = DriverConfig {
+                        rps: offered,
+                        requests,
+                        seed: 0x51EE9,
+                        value_size: 1024,
+                        time_scale: se_bench::time_scale(),
+                        spin_iters,
+                        latency_hist: rt.obs().histogram("driver.latency"),
+                    };
+                    let report = run_open_loop(&rt, *spec, *dist, n_keys, &driver);
+                    let mut label = format!("{cell_name}@w{workers}d{depth}");
+                    if keys_ladder.len() > 1 {
+                        label.push_str(&format!("-k{n_keys}"));
+                    }
+                    eprintln!(
+                        "  {label:<34} tput {:>7.0} rps  p50 {:>7.2} ms  \
+                         p99 {:>8.2} ms  (timeouts {})",
+                        report.throughput_rps(),
+                        se_bench::ms(report.latency.p50),
+                        se_bench::ms(report.latency.p99),
+                        report.timed_out,
+                    );
+                    rows.push(
+                        Row::from_report(label, "stateflow", offered, &report)
+                            .with_obs(rt.obs())
+                            .with_param("workers", workers)
+                            .with_param("depth", depth)
+                            .with_param("keys", n_keys)
+                            .with_param("workload", spec.name)
+                            .with_param("dist", dist.label())
+                            .with_param("spin_iters", spin_iters)
+                            .with_param("requests", requests),
+                    );
+                    rt.shutdown();
                 }
             }
-        }
-        for s in speedups {
-            rows.push(
-                s.with_param("metric", "speedup")
-                    .with_param("exec_hi", hi)
-                    .with_param("exec_lo", lo)
-                    .with_param("requests", requests),
-            );
         }
     }
 
     emit(
         "pipeline_sweep",
-        "Scaling sweep — saturation throughput across workers × exec_threads × depth",
+        "Scaling sweep — saturation throughput across workers × depth",
         &rows,
     );
 }

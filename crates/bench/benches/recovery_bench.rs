@@ -209,8 +209,6 @@ fn rows_for(cell: &Cell, reps: usize, fsync: &str) -> Vec<Row> {
         tput_rps: 0.0,
         count,
         errors: 0,
-        queue_p99_ms: 0.0,
-        exec_utilization: 0.0,
         fsync_p99_ms: cell.fsync_p99_ms,
         commit: String::new(),
     };

@@ -70,8 +70,6 @@ fn row(label: String, system: &str, samples: &[f64]) -> Row {
         tput_rps: 0.0,
         count: samples.len(),
         errors: 0,
-        queue_p99_ms: 0.0,
-        exec_utilization: 0.0,
         fsync_p99_ms: 0.0,
         commit: String::new(),
     }

@@ -104,11 +104,10 @@ pub fn stateflow_bench_config() -> StateflowConfig {
 
 /// One labeled measurement row, serialized into the bench report JSON.
 ///
-/// Every bench target emits this exact schema — the perf gate
-/// (`ci/perf_gate.rs`) and the CI artifact merge step key on it. `bench` and
-/// `commit` are stamped by [`emit`]; `params` carries the sweep coordinates
-/// (workers, exec_threads, depth, …) so a row is interpretable
-/// without parsing its label.
+/// Every bench target emits this exact schema — the CI artifact merge step
+/// keys on it. `bench` and `commit` are stamped by [`emit`]; `params`
+/// carries the sweep coordinates (workers, depth, …) so a row is
+/// interpretable without parsing its label.
 #[derive(Debug, Clone, Serialize)]
 pub struct Row {
     /// Bench target name (e.g. "pipeline_sweep"); stamped by [`emit`].
@@ -134,14 +133,6 @@ pub struct Row {
     pub count: usize,
     /// Errored requests.
     pub errors: usize,
-    /// p99 exec-pool queue wait, ms of *wall-clock* time (segment spawn →
-    /// run start, from the `stage.seg_queue_wait` histogram). 0 when the run
-    /// had no obs registry, no exec pool, or SE_OBS=off.
-    pub queue_p99_ms: f64,
-    /// Fraction of exec-pool slot-time spent running segments
-    /// (`exec.busy_ns` / (elapsed × slots)), in [0, 1]. 0 on the serial
-    /// path (no pool, so no queueing to attribute) or with SE_OBS=off.
-    pub exec_utilization: f64,
     /// p99 WAL fsync, ms of wall-clock time (`stage.wal_fsync` histogram).
     /// 0 for non-durable runs or SE_OBS=off.
     pub fsync_p99_ms: f64,
@@ -169,8 +160,6 @@ impl Row {
             tput_rps: report.throughput_rps(),
             count: report.latency.count,
             errors: report.errors,
-            queue_p99_ms: 0.0,
-            exec_utilization: 0.0,
             fsync_p99_ms: 0.0,
             commit: String::new(),
         }
@@ -182,30 +171,15 @@ impl Row {
         self
     }
 
-    /// Fills the observability columns from a deployment's `se-obs` registry
-    /// (builder-style). `elapsed` is the measured wall-clock window and
-    /// `exec_slots` the total exec-pool slot count (exec_threads × workers);
-    /// these wall-clock stage timings are *not* time-scaled, unlike the
-    /// request-latency columns. All three columns stay 0 when the run was
+    /// Fills the fsync column from a deployment's `se-obs` registry
+    /// (builder-style). The wall-clock stage timing is *not* time-scaled,
+    /// unlike the request-latency columns, and stays 0 when the run was
     /// started with SE_OBS=off.
-    pub fn with_obs(mut self, obs: &se_obs::Obs, elapsed: Duration, exec_slots: usize) -> Self {
-        let p99_ms = |name: &str| {
-            let h = obs.histogram(name);
-            if h.count() == 0 {
-                0.0
-            } else {
-                h.value_at(0.99) as f64 / 1e6
-            }
-        };
-        self.queue_p99_ms = p99_ms("stage.seg_queue_wait");
-        self.fsync_p99_ms = p99_ms("stage.wal_fsync");
-        let busy_ns = obs.counter("exec.busy_ns").get() as f64;
-        let slot_ns = elapsed.as_secs_f64() * 1e9 * exec_slots as f64;
-        self.exec_utilization = if slot_ns > 0.0 {
-            (busy_ns / slot_ns).min(1.0)
-        } else {
-            0.0
-        };
+    pub fn with_obs(mut self, obs: &se_obs::Obs) -> Self {
+        let h = obs.histogram("stage.wal_fsync");
+        if h.count() > 0 {
+            self.fsync_p99_ms = h.value_at(0.99) as f64 / 1e6;
+        }
         self
     }
 }
@@ -231,7 +205,7 @@ pub fn commit_sha() -> String {
 }
 
 /// Prints a markdown table of rows and writes them as JSON under
-/// `bench_results/<name>.json` for BENCH.md and the CI perf gate.
+/// `bench_results/<name>.json` for BENCH.md and the CI artifacts.
 /// Stamps the bench name and commit sha into every row on the way out.
 pub fn emit(name: &str, title: &str, rows: &[Row]) {
     let sha = commit_sha();
@@ -247,12 +221,12 @@ pub fn emit(name: &str, title: &str, rows: &[Row]) {
     println!("\n## {title}\n");
     println!(
         "| label | system | offered rps | mean ms | p50 ms | p99 ms | tput rps | n | errors \
-         | queue p99 ms | exec util | fsync p99 ms |"
+         | fsync p99 ms |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     for r in &rows {
         println!(
-            "| {} | {} | {:.0} | {:.2} | {:.2} | {:.2} | {:.0} | {} | {} | {:.2} | {:.2} | {:.2} |",
+            "| {} | {} | {:.0} | {:.2} | {:.2} | {:.2} | {:.0} | {} | {} | {:.2} |",
             r.label,
             r.system,
             r.rps,
@@ -262,8 +236,6 @@ pub fn emit(name: &str, title: &str, rows: &[Row]) {
             r.tput_rps,
             r.count,
             r.errors,
-            r.queue_p99_ms,
-            r.exec_utilization,
             r.fsync_p99_ms
         );
     }

@@ -142,8 +142,8 @@ pub fn check_history(
     // reservation round for a transaction runs exactly once per lineage, so
     // within a recovery epoch any re-record must be a duplicate delivery
     // carrying the *identical* sets. A divergent re-record is the footprint
-    // of a double-executed transaction (e.g. an exec-pool segment raced its
-    // own completion) and must fail the check rather than silently merge.
+    // of a double-executed transaction (e.g. a duplicated hop that slipped
+    // past dedup) and must fail the check rather than silently merge.
     let mut recorded: HashMap<(usize, u64, u64, usize), AccessSets> = HashMap::new();
     // txn -> batch it was aborted in, awaiting its retry.
     let mut pending_retries: BTreeMap<u64, u64> = BTreeMap::new();
@@ -732,7 +732,7 @@ mod tests {
     fn divergent_access_re_record_is_flagged() {
         // The same partition reporting two *different* access sets for one
         // (batch, txn) in one lineage is the footprint of a transaction
-        // executed twice — exactly what a buggy exec pool would leave.
+        // executed twice — exactly what a broken hop dedup would leave.
         let events = vec![
             HistoryEvent::Sealed {
                 batch: 0,

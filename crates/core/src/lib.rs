@@ -20,12 +20,11 @@
 //! assert_eq!(ok, Value::Bool(true));
 //! ```
 //!
-//! Three environment overrides flip a whole run without touching code:
-//! `SE_EXEC_THREADS` (positive integer, default 1) sizes each StateFlow
-//! worker's segment-execution pool, `SE_DURABILITY` (`off` | `wal`, default
-//! `off`) puts a per-partition write-ahead log and incremental snapshots
-//! under StateFlow state, and `SE_OBS` (`off` | `metrics` | `trace`) turns
-//! on observability for both engines. Method bodies always run on the
+//! Two environment overrides flip a whole run without touching code:
+//! `SE_DURABILITY` (`off` | `wal`, default `off`) puts a per-partition
+//! write-ahead log and incremental snapshots under StateFlow state, and
+//! `SE_OBS` (`off` | `metrics` | `trace`) turns on observability for both
+//! engines. Method bodies always run on the
 //! `se-vm` bytecode VM; the tree-walk interpreter is the [`LocalRuntime`]
 //! oracle.
 

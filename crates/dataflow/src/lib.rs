@@ -37,5 +37,5 @@ pub use metrics::{ComponentTimers, LatencySummary};
 pub use net::{burn, NetConfig};
 pub use snapshot::{Epoch, SnapshotStore, DEFAULT_SNAPSHOT_RETENTION};
 pub use source::{ReplayableSource, SourceReader};
-pub use state::{SharedStateStore, StateStore};
+pub use state::StateStore;
 pub use wal::{read_wal, FsyncPolicy, WalRecord, WalScan, WalWriter};

@@ -48,11 +48,12 @@ pub fn burn(d: Duration) {
 /// and on a host with fewer cores than simulated service threads the two
 /// are irreconcilable: a spinning thread monopolizes its timeslice, so
 /// concurrent service burns serialize in wall-clock time and any intra-host
-/// parallelism (worker threads, the exec pool) is invisible. Sleep mode
-/// trades sub-millisecond timer precision for the scheduling behavior the
+/// parallelism across worker threads is invisible. Sleep mode trades
+/// sub-millisecond timer precision for the scheduling behavior the
 /// simulated cluster would have with one core per thread; the scaling
-/// bench (`pipeline_sweep`) turns it on by default for exactly that
-/// reason, while the latency-calibrated figure benches keep spinning.
+/// bench (`pipeline_sweep`) turns it on by default so its workers ladder
+/// measures partitions, while the latency-calibrated figure benches keep
+/// spinning.
 pub fn service_sleeps() -> bool {
     static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *MODE.get_or_init(|| {

@@ -10,9 +10,6 @@
 //! entity's map before diverging.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use se_lang::{EntityRef, EntityState, LangError, Value};
 
@@ -102,48 +99,6 @@ impl StateStore {
             .iter()
             .map(|(r, s)| 16 + r.class.len() + r.key.len() + s.approx_size())
             .sum()
-    }
-}
-
-/// A partition store shared between its owning protocol thread and an
-/// intra-partition execution pool.
-///
-/// The protocol thread is the only writer (commit application, creates,
-/// restores); pool threads are pure readers of the committed snapshot. Under
-/// Aria's phase discipline reads and writes never semantically overlap — a
-/// batch's writes are applied only after every one of its executions
-/// finished — so the read/write lock here is contention-free in steady state
-/// and exists to make the sharing sound, not to arbitrate races.
-#[derive(Debug, Clone, Default)]
-pub struct SharedStateStore {
-    inner: Arc<RwLock<StateStore>>,
-}
-
-impl SharedStateStore {
-    /// A handle to a fresh, empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Read access (any thread).
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, StateStore> {
-        self.inner.read()
-    }
-
-    /// Write access (protocol thread only, by convention).
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, StateStore> {
-        self.inner.write()
-    }
-
-    /// Swaps in a whole new store (crash wipe / snapshot restore).
-    pub fn replace(&self, store: StateStore) {
-        *self.inner.write() = store;
-    }
-
-    /// A point-in-time copy (O(entities) refcount bumps — entity state is
-    /// copy-on-write).
-    pub fn snapshot(&self) -> StateStore {
-        self.inner.read().clone()
     }
 }
 
@@ -272,24 +227,6 @@ mod tests {
                 "epoch {epoch} diverged"
             );
         }
-    }
-
-    #[test]
-    fn shared_store_readers_see_point_in_time_snapshots() {
-        let shared = SharedStateStore::new();
-        let (r, s) = user("alice", 10);
-        shared.write().insert(r, s);
-        // Concurrent readers hold the committed image while the writer
-        // swaps in new state between their acquisitions.
-        let snap = shared.snapshot();
-        shared
-            .write()
-            .apply_write(&r, "balance", Value::Int(77))
-            .unwrap();
-        assert_eq!(snap.get(&r).unwrap()["balance"], Value::Int(10));
-        assert_eq!(shared.read().get(&r).unwrap()["balance"], Value::Int(77));
-        shared.replace(StateStore::new());
-        assert!(shared.read().is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! error of `1/SUB_BUCKETS` (≈6%) at every magnitude while the whole table
 //! stays a fixed 976-slot atomic array: `record` is one index computation
 //! plus one `fetch_add`, with no allocation and no locking, so it is safe
-//! to call from the coordinator decide loop, exec-pool workers, and the WAL
-//! fsync path alike. `merge` adds another histogram bucket-wise, which is
+//! to call from the coordinator decide loop, the workers, and the WAL fsync
+//! path alike. `merge` adds another histogram bucket-wise, which is
 //! exactly recording the union of both sample streams (see the property
 //! test in `tests/hist_prop.rs`).
 

@@ -5,10 +5,9 @@
 //!
 //! * **Metrics** — lock-free counters/gauges plus log-bucketed HDR-style
 //!   histograms ([`Histogram`]), O(1) to record from any thread.
-//! * **Spans** — per-batch lifecycle (seal → exec → decide → commit),
-//!   per-segment exec-pool spans (queue wait vs run), WAL spans (append,
-//!   fsync, epoch cut), VM compile — fixed-size events in bounded
-//!   per-thread rings with monotonic timestamps.
+//! * **Spans** — per-batch lifecycle (seal → exec → decide → commit), WAL
+//!   spans (append, fsync, epoch cut), VM compile — fixed-size events in
+//!   bounded per-thread rings with monotonic timestamps.
 //! * **Exporters** — periodic JSON snapshot + end-of-run dump
 //!   (`metrics.json` + `trace.jsonl`), rendered by the `obs_report` bin.
 //!
@@ -157,8 +156,8 @@ struct ObsInner {
     snapshot_every_ms: u64,
 }
 
-/// Cheap-to-clone handle threaded through an engine's coordinator, workers,
-/// exec pool, and durable layer. All recording goes through this.
+/// Cheap-to-clone handle threaded through an engine's coordinator, workers
+/// and durable layer. All recording goes through this.
 #[derive(Clone)]
 pub struct Obs(Arc<ObsInner>);
 

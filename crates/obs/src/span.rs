@@ -5,8 +5,8 @@
 //! one bounded ring with the tracer (oldest events are overwritten on
 //! overflow, so a long run cannot exhaust memory) and from then on records
 //! under an uncontended per-thread lock. Timestamps are nanoseconds from a
-//! process-wide monotonic epoch, so spans from the coordinator, workers,
-//! exec pool, and WAL threads all line up on one timeline.
+//! process-wide monotonic epoch, so spans from the coordinator, workers
+//! and WAL threads all line up on one timeline.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -21,23 +21,19 @@ pub fn monotonic_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// The instrumented stages. Batch-lifecycle stages carry the batch id,
-/// segment stages the transaction/segment id, WAL stages the epoch.
+/// The instrumented stages. Batch-lifecycle stages carry the batch id, WAL
+/// stages the epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum Stage {
     /// Batch accumulation: first transaction enqueued → batch sealed.
     BatchSeal,
-    /// Sealed batch executing on the workers (includes exec-pool time).
+    /// Sealed batch executing on the workers.
     BatchExec,
     /// Reservation aggregation + commit/abort decision on the coordinator.
     BatchDecide,
     /// Decision broadcast → all workers applied/confirmed the batch.
     BatchCommit,
-    /// Exec-pool segment: spawned → picked up by a pool thread.
-    SegQueueWait,
-    /// Exec-pool segment: running a transaction segment.
-    SegRun,
     /// WAL frame append (buffered write, excludes fsync).
     WalAppend,
     /// WAL fsync (group-commit flush).
@@ -54,13 +50,11 @@ pub enum Stage {
 }
 
 /// All stages, in declaration order (index = `stage as usize`).
-pub const STAGES: [Stage; 12] = [
+pub const STAGES: [Stage; 10] = [
     Stage::BatchSeal,
     Stage::BatchExec,
     Stage::BatchDecide,
     Stage::BatchCommit,
-    Stage::SegQueueWait,
-    Stage::SegRun,
     Stage::WalAppend,
     Stage::WalFsync,
     Stage::EpochCut,
@@ -77,8 +71,6 @@ impl Stage {
             Stage::BatchExec => "batch_exec",
             Stage::BatchDecide => "batch_decide",
             Stage::BatchCommit => "batch_commit",
-            Stage::SegQueueWait => "seg_queue_wait",
-            Stage::SegRun => "seg_run",
             Stage::WalAppend => "wal_append",
             Stage::WalFsync => "wal_fsync",
             Stage::EpochCut => "epoch_cut",
@@ -99,7 +91,7 @@ impl Stage {
 pub struct SpanEvent {
     /// Which stage this span measured.
     pub stage: Stage,
-    /// Correlation id: batch id, segment id, or epoch (stage-dependent).
+    /// Correlation id: batch id, epoch or version (stage-dependent).
     pub id: u64,
     /// Start, ns since the process monotonic epoch.
     pub start_ns: u64,
@@ -245,7 +237,7 @@ mod tests {
     fn ring_is_bounded_and_counts_drops() {
         let t = Tracer::new(16);
         for i in 0..40u64 {
-            t.record(Stage::SegRun, i, i, i + 1);
+            t.record(Stage::WalAppend, i, i, i + 1);
         }
         let (evs, dropped) = t.drain();
         assert_eq!(evs.len(), 16);
@@ -259,10 +251,10 @@ mod tests {
     fn threads_get_distinct_rings() {
         let t = Arc::new(Tracer::new(64));
         let t2 = t.clone();
-        std::thread::spawn(move || t2.record(Stage::SegRun, 1, 1, 2))
+        std::thread::spawn(move || t2.record(Stage::WalAppend, 1, 1, 2))
             .join()
             .unwrap();
-        t.record(Stage::SegRun, 2, 3, 4);
+        t.record(Stage::WalAppend, 2, 3, 4);
         let (evs, _) = t.drain();
         assert_eq!(evs.len(), 2);
         assert_ne!(evs[0].tid, evs[1].tid);

@@ -95,17 +95,9 @@ pub enum BugLever {
 /// [`default_workers`]).
 #[derive(Debug, Clone)]
 pub struct StateflowConfig {
-    /// Number of worker threads (state partitions).
+    /// Number of worker threads (state partitions); each runs its
+    /// partition's chain segments on its own thread.
     pub workers: usize,
-    /// Threads executing each worker's chain segments. `1` (the default)
-    /// runs segments inline on the worker's protocol thread; at ≥ 2 the
-    /// same segment function runs on a work-stealing pool: Aria's
-    /// deterministic batches make intra-batch execution embarrassingly
-    /// parallel (every execution reads the committed snapshot plus its own
-    /// buffer; writes wait for the commit phase), so the pool changes
-    /// timing, never outcomes. The `SE_EXEC_THREADS` env var overrides the
-    /// default.
-    pub exec_threads: usize,
     /// Network latency model.
     pub net: NetConfig,
     /// How long the coordinator waits to fill a batch before sealing it.
@@ -158,9 +150,6 @@ impl Default for StateflowConfig {
     fn default() -> Self {
         Self {
             workers: default_workers(),
-            exec_threads: env_override("SE_EXEC_THREADS", "a positive integer", 1, |v| {
-                v.parse().ok().filter(|&threads| threads >= 1)
-            }),
             net: NetConfig::default(),
             batch_interval: Duration::from_millis(10),
             max_batch: 512,
@@ -246,9 +235,6 @@ mod tests {
         assert_eq!(c.commit_rule, CommitRule::Reordering);
         assert!(c.snapshot_every_batches > 0);
         assert_eq!(c.pipeline_depth, 4, "the measured-fast window");
-        // The exec-pool size may be raised via SE_EXEC_THREADS (a CI lane
-        // runs the suite at 4), but never below inline execution.
-        assert!(c.exec_threads >= 1);
         assert_eq!(c.bug, None);
     }
 

@@ -474,8 +474,8 @@ impl Coordinator {
             self.maybe_seal_batches();
             // Drain every due message before blocking: decide rounds for
             // batch N+1 must not queue behind the apply traffic of batch N
-            // when an exec pool lets many completions land at once. Bounded
-            // per turn — try_recv only yields messages already due.
+            // when many completions land at once. Bounded per turn —
+            // try_recv only yields messages already due.
             let mut handled = false;
             while let Some(msg) = self.inbox.try_recv() {
                 self.handle(msg);

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use se_aria::{BatchId, TxnBuffer, TxnId};
+use se_aria::{BatchId, TxnId};
 use se_dataflow::Epoch;
 use se_ir::{Invocation, RequestId, Response};
 use se_lang::{LangError, Value};
@@ -134,35 +134,6 @@ pub enum WorkerMsg {
         /// Ids whose effects must be discarded.
         aborted: Arc<BTreeSet<TxnId>>,
     },
-    /// A pool-executed chain segment finished (node-local: sent by a
-    /// worker's own exec pool to its own inbox, never across the simulated
-    /// network, so it is neither delayed nor chaos-faulted).
-    ///
-    /// With `exec_threads ≥ 2` the protocol thread checks the segment out —
-    /// hop dedup, then the transaction's buffer moves into the pool task —
-    /// and this message checks it back in. All protocol state transitions
-    /// (buffer reinstall, expected-hop advance, remote-hop send, solo
-    /// commit, `ExecDone`) happen on the protocol thread when this message
-    /// is handled, which is what keeps reservation and commit handling
-    /// single-writer while execution itself fans out.
-    SegmentDone {
-        /// Generation the segment was spawned under; fences zombie
-        /// completions from before a crash/restore.
-        gen: u64,
-        /// Batch the transaction belongs to.
-        batch: BatchId,
-        /// Transaction id.
-        txn: TxnId,
-        /// The chain position dedup resumes at: entry hop + 1, advanced
-        /// further by same-partition continuations inside the segment.
-        next_hop: u32,
-        /// The transaction's buffer with this segment's effects recorded.
-        buffer: TxnBuffer,
-        /// How the segment ended.
-        outcome: SegmentOutcome,
-        /// Solo-batch marker, threaded through unchanged.
-        solo: bool,
-    },
     /// Contribute this partition's state to a consistent snapshot.
     Snapshot {
         /// Fencing generation.
@@ -203,29 +174,6 @@ pub enum WorkerMsg {
     },
     /// Stop the worker thread.
     Shutdown,
-}
-
-/// How a chain segment ended (returned by the worker's segment runner;
-/// carried by [`WorkerMsg::SegmentDone`] when it ran on the pool).
-#[derive(Debug, Clone)]
-pub enum SegmentOutcome {
-    /// The chain finished; the protocol thread reports `ExecDone` (and for
-    /// solo batches decides + commits first).
-    Respond(Response),
-    /// The chain suspended at a cross-partition call: forward `inv` to
-    /// `owner` at chain position `hop`.
-    Emit {
-        /// Destination partition.
-        owner: usize,
-        /// Hop number the outgoing `Exec` carries (distinct from
-        /// `next_hop`, which is this worker's dedup position).
-        hop: u32,
-        /// The continuation invocation.
-        inv: Invocation,
-    },
-    /// A scripted chaos crash fired inside the segment; the protocol thread
-    /// performs the actual crash (wiping state, notifying the coordinator).
-    Crashed,
 }
 
 /// Worker → coordinator messages.

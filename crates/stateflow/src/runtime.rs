@@ -202,11 +202,25 @@ impl StateflowRuntime {
         &self.cfg
     }
 
-    fn submit(&self, op: ClientOp) -> ResponseWaiter {
+    /// Registers a fresh request's waiter and appends the op `op` builds
+    /// for it to the source. After `shutdown` no thread reads the source,
+    /// so a request submitted then fails at once instead of hanging.
+    fn submit(&self, op: impl FnOnce(RequestId) -> ClientOp) -> ResponseWaiter {
         let request = self.fresh_request();
         let (completer, waiter) = ResponseWaiter::new();
         self.waiters.lock().insert(request, completer);
-        self.source.append(ClientRequest { request, op });
+        // Checked after the insert: a concurrent shutdown either clears this
+        // completer with the map or has already set the flag.
+        if self.shutdown.load(Ordering::SeqCst) {
+            if let Some(c) = self.waiters.lock().remove(&request) {
+                c.complete(Err(LangError::runtime("runtime is shut down")));
+            }
+            return waiter;
+        }
+        self.source.append(ClientRequest {
+            request,
+            op: op(request),
+        });
         waiter
     }
 
@@ -256,7 +270,7 @@ impl StateflowRuntime {
         }
         self.registry
             .insert(version, Arc::clone(&graph), Arc::clone(&vm) as _);
-        let waiter = self.submit(ClientOp::Redeploy { version });
+        let waiter = self.submit(|_| ClientOp::Redeploy { version });
         waiter.wait().map_err(|e| vec![e])?;
         *cur = CurrentDeploy { graph, vm };
         self.registry.evict_below(prev_version);
@@ -275,7 +289,7 @@ impl EntityRuntime for StateflowRuntime {
         key: &str,
         init: Vec<(String, Value)>,
     ) -> Result<EntityRef, LangError> {
-        let waiter = self.submit(ClientOp::Create {
+        let waiter = self.submit(|_| ClientOp::Create {
             class: class.to_owned(),
             key: key.to_owned(),
             init,
@@ -285,25 +299,19 @@ impl EntityRuntime for StateflowRuntime {
     }
 
     fn call_async(&self, target: EntityRef, method: &str, args: Vec<Value>) -> ResponseWaiter {
-        let request = self.fresh_request();
-        let (completer, waiter) = ResponseWaiter::new();
-        self.waiters.lock().insert(request, completer);
-        let inv = Invocation {
-            request,
-            target,
-            method: method.into(),
-            kind: InvocationKind::Start { args },
-            stack: Vec::new(),
-            // Roots are stamped with the engine's active version by the
-            // coordinator when their batch is sealed; the client does not
-            // know (and must not race on) the switchover point.
-            version: se_ir::INITIAL_VERSION,
-        };
-        self.source.append(ClientRequest {
-            request,
-            op: ClientOp::Invoke(inv),
-        });
-        waiter
+        self.submit(|request| {
+            ClientOp::Invoke(Invocation {
+                request,
+                target,
+                method: method.into(),
+                kind: InvocationKind::Start { args },
+                stack: Vec::new(),
+                // Roots are stamped with the engine's active version by the
+                // coordinator when their batch is sealed; the client does
+                // not know (and must not race on) the switchover point.
+                version: se_ir::INITIAL_VERSION,
+            })
+        })
     }
 
     fn supports_transactions(&self) -> bool {

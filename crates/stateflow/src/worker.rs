@@ -14,19 +14,16 @@
 //! has been applied locally — every execution still reads exactly the
 //! snapshot Aria's serial batch order prescribes.
 //!
-//! One segment runner: a chain segment — the entry hop plus any
-//! same-partition continuations — is executed by [`run_segment`] against
-//! the committed snapshot overlaid with the transaction's checked-out
-//! buffer. At `exec_threads = 1` the protocol thread calls it inline; at
-//! `≥ 2` it runs on the worker's work-stealing pool and checks back in via
-//! a node-local [`WorkerMsg::SegmentDone`]. Either way the protocol thread
-//! alone performs the sends, solo commits and bookkeeping
-//! ([`Worker::handle_segment_done`]) and keeps exclusive ownership of all
-//! protocol state. Fanning out is sound because Aria's deterministic
-//! batches make intra-batch execution embarrassingly parallel: the store
-//! is never mutated inside a batch's execution window (the commit of batch
-//! *B* requires every `ExecDone` of *B*, and the watermark defers batch
-//! *B+1*'s executions until that commit applied).
+//! One thread per partition, as in the paper's deployment: the worker owns
+//! its store and every piece of protocol state outright. A chain segment —
+//! the entry hop plus any same-partition continuations — runs on that
+//! thread through [`Worker::run_segment`], against the committed snapshot
+//! overlaid with the transaction's buffer; [`Worker::run_exec`] then
+//! performs its protocol action (report, solo commit, or forward to the
+//! next partition). The store is never mutated inside a batch's execution
+//! window (the commit of batch *B* requires every `ExecDone` of *B*, and
+//! the watermark defers batch *B+1*'s executions until that commit
+//! applied), so the order segments of one batch run in changes no outcome.
 //!
 //! Chaos hardening: with a scripted [`se_chaos::ChaosPlan`] armed, any
 //! data-plane message may arrive duplicated, late or not at all (until a
@@ -41,13 +38,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
     send_with_chaos, ComponentTimers, DelayReceiver, DelaySender, DurableOptions, DurableStore,
-    SharedStateStore, SnapshotStore, StateStore,
+    SnapshotStore, StateStore,
 };
 use se_ir::{
     partition_for, process_invocation_with, Invocation, Response, StepEffect, VersionRegistry,
@@ -55,7 +51,7 @@ use se_ir::{
 use se_lang::LangError;
 
 use crate::config::{BugLever, DurabilityMode, StateflowConfig};
-use crate::msg::{ConflictFlags, CoordMsg, SegmentOutcome, WorkerMsg};
+use crate::msg::{ConflictFlags, CoordMsg, WorkerMsg};
 
 /// A commit record as applied by a worker: the batch's transactions
 /// (ascending) and the subset whose effects must be discarded.
@@ -67,6 +63,24 @@ struct DeferredExec {
     hop: u32,
     inv: Invocation,
     solo: bool,
+}
+
+/// How a chain segment ended.
+enum SegmentOutcome {
+    /// The chain finished: report `ExecDone` (and for solo batches decide
+    /// and commit first).
+    Respond(Response),
+    /// The chain suspended at a cross-partition call: forward `inv` to
+    /// `owner` at chain position `hop`.
+    Emit {
+        /// Destination partition.
+        owner: usize,
+        /// Hop number the outgoing `Exec` carries (distinct from the
+        /// segment's `next_hop`, which is this worker's dedup position).
+        hop: u32,
+        /// The continuation invocation.
+        inv: Invocation,
+    },
 }
 
 /// A worker thread's state and message loop.
@@ -81,14 +95,9 @@ pub struct Worker {
     /// flight across a live upgrade keep running the version they were
     /// stamped with at their root while new roots pick up the upgrade.
     registry: Arc<VersionRegistry>,
-    /// The partition store. The protocol thread is the only writer;
-    /// segments read the committed snapshot through it.
-    store: SharedStateStore,
-    /// What [`run_segment`] executes against, shared with pool tasks.
-    exec: Arc<ExecCtx>,
-    /// The intra-partition exec pool; `None` at `exec_threads = 1`
-    /// (segments run inline on the protocol thread).
-    pool: Option<rayon::ThreadPool>,
+    /// The partition store: segments read the committed snapshot, commits
+    /// and creates write it.
+    store: StateStore,
     /// Per-batch buffered accesses: batches overlap under pipelining, so
     /// reservation state must be keyed by batch, not just transaction.
     buffers: HashMap<BatchId, HashMap<TxnId, TxnBuffer>>,
@@ -115,9 +124,11 @@ pub struct Worker {
     /// snapshot store. `None` with durability off — every durable hook is
     /// then a skipped `if`, keeping the volatile path byte-identical.
     durable: Option<DurableStore>,
-    /// Observability handle: exec-pool spans and WAL spans flow through it
-    /// (a single predicted branch per probe when `SE_OBS=off`).
+    /// Observability handle: migration and WAL spans flow through it (a
+    /// single predicted branch per probe when `SE_OBS=off`).
     obs: se_obs::Obs,
+    /// Method bodies executed.
+    body_runs: se_obs::Counter,
     gen: u64,
     /// Set after a simulated crash until the next Restore.
     dead: bool,
@@ -138,7 +149,6 @@ impl Worker {
         obs: se_obs::Obs,
     ) -> Self {
         let name = format!("worker{id}");
-        let store = SharedStateStore::new();
         let durable = (cfg.durability.mode == DurabilityMode::Wal).then(|| {
             let dir = cfg
                 .durability
@@ -160,35 +170,12 @@ impl Worker {
             d.set_obs(obs.clone());
             d
         });
-        let exec = Arc::new(ExecCtx {
-            cfg: cfg.clone(),
-            registry: Arc::clone(&registry),
-            store: store.clone(),
-            timers: Arc::clone(&timers),
-            home: peers[id].clone(),
-            id,
-            name: name.clone(),
-            n_workers: peers.len(),
-            busy_ns: obs.counter("exec.busy_ns"),
-            segments: obs.counter("exec.segments"),
-            body_runs: obs.counter("vm.body_runs"),
-            obs: obs.clone(),
-        });
-        let pool = (cfg.exec_threads > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(cfg.exec_threads)
-                .thread_name(move |t| format!("stateflow-worker{id}-exec{t}"))
-                .build()
-                .expect("build exec pool")
-        });
         Self {
             name,
             id,
             cfg,
             registry,
-            store,
-            exec,
-            pool,
+            store: StateStore::new(),
             buffers: HashMap::new(),
             expected_hops: HashMap::new(),
             reserved: BTreeSet::new(),
@@ -200,6 +187,7 @@ impl Worker {
             snapshots,
             timers,
             durable,
+            body_runs: obs.counter("vm.body_runs"),
             obs,
             gen: 0,
             dead: false,
@@ -245,7 +233,6 @@ impl Worker {
         match m {
             WorkerMsg::Create { gen, .. }
             | WorkerMsg::Exec { gen, .. }
-            | WorkerMsg::SegmentDone { gen, .. }
             | WorkerMsg::Reserve { gen, .. }
             | WorkerMsg::Commit { gen, .. }
             | WorkerMsg::Snapshot { gen, .. }
@@ -279,15 +266,6 @@ impl Worker {
                 solo,
                 ..
             } => self.handle_exec(batch, txn, hop, inv, solo),
-            WorkerMsg::SegmentDone {
-                batch,
-                txn,
-                next_hop,
-                buffer,
-                outcome,
-                solo,
-                ..
-            } => self.handle_segment_done(batch, txn, next_hop, buffer, outcome, solo),
             WorkerMsg::Reserve {
                 batch,
                 txns,
@@ -337,15 +315,14 @@ impl Worker {
                 // policy) is what makes the epoch durable, and costs only
                 // the dirty set already in the log — O(dirty), not O(state).
                 let durable = self.durable.as_mut().map(|d| {
-                    d.cut_epoch(epoch, &self.store.read())
-                        .expect("cut durable epoch");
+                    d.cut_epoch(epoch, &self.store).expect("cut durable epoch");
                     if let Some(floor) = durable_floor {
                         d.compact_below(floor).expect("compact WAL");
                     }
                     d.last_durable_epoch()
                 });
                 self.snapshots
-                    .put(epoch, self.node_name(), self.store.snapshot());
+                    .put(epoch, self.node_name(), self.store.clone());
                 self.send_coord_ctl(CoordMsg::SnapshotAck {
                     gen: self.gen,
                     epoch,
@@ -396,7 +373,7 @@ impl Worker {
         if let Some(d) = &mut self.durable {
             d.log_create(r, &state).expect("log create");
         }
-        self.store.write().insert(r, state);
+        self.store.insert(r, state);
         Ok(())
     }
 
@@ -423,111 +400,45 @@ impl Worker {
             // into a buffer nobody will ever apply.
             return;
         }
-        self.run_or_spawn(batch, txn, hop, inv, solo);
+        self.run_exec(batch, txn, hop, inv, solo);
     }
 
-    /// Runs one chain segment of a runnable exec: inline on the protocol
-    /// thread, or checked out to the exec pool.
+    /// Runs a runnable exec and performs its protocol action.
     ///
-    /// Hop-sequence dedup happens here (protocol thread): chains advance
-    /// strictly forward, so a delivery at or below the last executed hop is
-    /// a duplicate — re-running it would double-apply effects like
-    /// `balance += a` through the buffer overlay. Then the transaction's
-    /// buffer moves into the segment for its duration. Sound on the pool
-    /// because nothing else can need that buffer until the segment checks
-    /// it back in: reservation only starts after every `ExecDone` of the
-    /// batch, and this transaction's `ExecDone` (or its next remote hop) is
-    /// sent from `handle_segment_done`, after reinstalling the buffer.
-    fn run_or_spawn(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
-        {
-            let expected = self
-                .expected_hops
-                .entry(batch)
-                .or_default()
-                .entry(txn)
-                .or_insert(0);
-            if hop < *expected {
-                return;
-            }
-            *expected = hop + 1;
-        }
-        let buffer = self
-            .buffers
-            .entry(batch)
-            .or_default()
-            .remove(&txn)
-            .unwrap_or_default();
-        let Some(pool) = &self.pool else {
-            let (next_hop, buffer, outcome) = run_segment(&self.exec, hop, inv, buffer);
-            self.handle_segment_done(batch, txn, next_hop, buffer, outcome, solo);
-            return;
-        };
-        let ctx = Arc::clone(&self.exec);
-        let gen = self.gen;
-        // Queue-wait span start: stamped on the protocol thread so the gap
-        // until a pool thread picks the segment up is visible per se.
-        let spawned_ns = self.obs.now_ns();
-        pool.spawn(move || {
-            let run_start = ctx.obs.now_ns();
-            ctx.obs
-                .stage_span(se_obs::Stage::SegQueueWait, txn, spawned_ns, run_start);
-            ctx.segments.inc();
-            let (next_hop, buffer, outcome) = run_segment(&ctx, hop, inv, buffer);
-            let run_end = ctx.obs.now_ns();
-            ctx.obs
-                .stage_span(se_obs::Stage::SegRun, txn, run_start, run_end);
-            ctx.busy_ns.add(run_end.saturating_sub(run_start));
-            ctx.home.send_after(
-                WorkerMsg::SegmentDone {
-                    gen,
-                    batch,
-                    txn,
-                    next_hop,
-                    buffer,
-                    outcome,
-                    solo,
-                },
-                Duration::ZERO,
-            );
-        });
-    }
-
-    /// A segment finished (inline call or pool completion): check the
-    /// buffer back in, advance the dedup position past the segment's local
-    /// continuations, then perform its protocol action (report/solo-commit,
-    /// or forward the chain to its next partition).
-    fn handle_segment_done(
-        &mut self,
-        batch: BatchId,
-        txn: TxnId,
-        next_hop: u32,
-        buffer: TxnBuffer,
-        outcome: SegmentOutcome,
-        solo: bool,
-    ) {
-        if matches!(outcome, SegmentOutcome::Crashed) {
-            // The scripted crash fired inside the segment; the "process"
-            // dies here, on the protocol thread.
-            self.crash();
-            return;
-        }
-        if !self.watermark.runnable(batch) {
-            // Safety net: the batch already committed locally (argued
-            // unreachable — dedup prevents duplicate segments and commits
-            // wait for ExecDone — but reinstalling a buffer into a
-            // committed batch would leak it forever).
-            return;
-        }
-        // Buffer check-in must precede finish_chain: a solo commit applies
-        // this buffer, and the reservation round scans it.
-        self.buffers.entry(batch).or_default().insert(txn, buffer);
+    /// Hop-sequence dedup first: chains advance strictly forward, so a
+    /// delivery at or below the last executed hop is a duplicate — re-running
+    /// it would double-apply effects like `balance += a` through the buffer
+    /// overlay. Then the segment runs against the transaction's buffer, the
+    /// dedup position advances past its local continuations, and the chain
+    /// is reported (solo batches commit first) or forwarded to its next
+    /// partition.
+    fn run_exec(&mut self, batch: BatchId, txn: TxnId, hop: u32, inv: Invocation, solo: bool) {
         let expected = self
             .expected_hops
             .entry(batch)
             .or_default()
             .entry(txn)
             .or_insert(0);
-        *expected = (*expected).max(next_hop);
+        if hop < *expected {
+            return;
+        }
+        let mut buffer = self
+            .buffers
+            .entry(batch)
+            .or_default()
+            .remove(&txn)
+            .unwrap_or_default();
+        let Some((next_hop, outcome)) = self.run_segment(hop, inv, &mut buffer) else {
+            // A scripted crash fired inside the segment.
+            return;
+        };
+        // Buffer check-in must precede finish_chain: a solo commit applies
+        // this buffer, and the reservation round scans it.
+        self.buffers.entry(batch).or_default().insert(txn, buffer);
+        self.expected_hops
+            .entry(batch)
+            .or_default()
+            .insert(txn, next_hop);
         match outcome {
             SegmentOutcome::Respond(response) => self.finish_chain(batch, txn, response, solo),
             SegmentOutcome::Emit { owner, hop, inv } => {
@@ -548,7 +459,6 @@ impl Worker {
                     self.cfg.net.f2f_latency(bytes),
                 );
             }
-            SegmentOutcome::Crashed => unreachable!("handled above"),
         }
     }
 
@@ -567,13 +477,13 @@ impl Worker {
                 continue;
             };
             if queue.is_empty() {
-                // Drop the entry before running: a solo commit inside an
-                // inline segment advances the watermark past this batch,
+                // Drop the entry before running: a solo commit at the end
+                // of the exec advances the watermark past this batch,
                 // after which the loop would never revisit (and clean) its
                 // key.
                 self.deferred.remove(&batch);
             }
-            self.run_or_spawn(batch, item.txn, item.hop, item.inv, item.solo);
+            self.run_exec(batch, item.txn, item.hop, item.inv, item.solo);
             // A solo commit may have advanced the watermark; re-resolve
             // the runnable batch from scratch. A
             // batch's queue only holds work that arrived before the batch
@@ -776,13 +686,12 @@ impl Worker {
             }
         }
         self.timers.time("state_store", || {
-            let mut store = self.store.write();
             for (entity, writes) in buffer.writes {
                 for (attr, value) in writes {
                     // Entities written here were read from this store
                     // during execute; they exist unless a concurrent
                     // create raced, which batching forbids.
-                    let _ = store.apply_write(&entity, attr, value);
+                    let _ = self.store.apply_write(&entity, attr, value);
                 }
             }
         });
@@ -800,13 +709,14 @@ impl Worker {
     fn handle_migrate(&mut self, version: u64) {
         let t0 = self.obs.now_ns();
         let entry = self.registry.resolve(version);
-        // Snapshot the partition first (O(1) copy-on-write clones): the
-        // read guard must drop before bodies run, and with the pipeline
-        // drained this pass is the store's only writer.
-        let entities: Vec<(se_lang::EntityRef, se_lang::EntityState)> = {
-            let store = self.store.read();
-            store.iter().map(|(r, state)| (*r, state.clone())).collect()
-        };
+        // Snapshot the partition first (O(1) copy-on-write clones): a
+        // scripted crash mid-pass wipes the store the loop would otherwise
+        // iterate.
+        let entities: Vec<(se_lang::EntityRef, se_lang::EntityState)> = self
+            .store
+            .iter()
+            .map(|(r, state)| (*r, state.clone()))
+            .collect();
         let mut buffer = TxnBuffer::default();
         let mut migrated = 0u64;
         for (target, before) in entities {
@@ -859,10 +769,8 @@ impl Worker {
         if let Some(d) = &mut self.durable {
             d.simulate_crash().expect("simulate disk crash");
         }
-        // Volatile state dies with the "process". In-flight pool segments
-        // are zombies of the dead incarnation; their completions are fenced
-        // by the generation check (`dead` now, generation after restore).
-        self.store.replace(StateStore::new());
+        // Volatile state dies with the "process".
+        self.store = StateStore::new();
         self.buffers.clear();
         self.expected_hops.clear();
         self.reserved.clear();
@@ -889,14 +797,12 @@ impl Worker {
             // right, since the coordinator replays the source from the
             // target's offset and re-executed batches re-log from there.
             let (state, reached) = d.recover(epoch).expect("recover from disk");
-            self.store.replace(state);
+            self.store = state;
             reached
         } else {
-            self.store.replace(
-                epoch
-                    .and_then(|e| self.snapshots.get(e, self.node_name()))
-                    .unwrap_or_default(),
-            );
+            self.store = epoch
+                .and_then(|e| self.snapshots.get(e, self.node_name()))
+                .unwrap_or_default();
             // The in-memory snapshot is complete by construction: a
             // volatile worker always reaches the requested epoch.
             epoch
@@ -911,107 +817,84 @@ impl Worker {
             reached,
         });
     }
-}
 
-/// Everything [`run_segment`] needs, captured once at worker build time
-/// (pool tasks must not borrow the `Worker` — the protocol thread keeps
-/// mutating it while segments run).
-struct ExecCtx {
-    cfg: StateflowConfig,
-    registry: Arc<VersionRegistry>,
-    store: SharedStateStore,
-    timers: Arc<ComponentTimers>,
-    /// The owning worker's own inbox: pool completions are node-local
-    /// (same "process"), so they bypass the simulated network and chaos.
-    home: DelaySender<WorkerMsg>,
-    id: usize,
-    name: String,
-    n_workers: usize,
-    /// Nanoseconds pool threads spent running segments (stays 0 when
-    /// `SE_OBS=off` because `now_ns` short-circuits). Feeds the bench
-    /// `exec_utilization` column.
-    busy_ns: se_obs::Counter,
-    /// Segments executed on the pool.
-    segments: se_obs::Counter,
-    /// Method bodies executed.
-    body_runs: se_obs::Counter,
-    obs: se_obs::Obs,
-}
-
-/// The execute phase for one chain segment: the entry hop plus any
-/// same-partition continuations.
-///
-/// Reads see the committed snapshot overlaid with the transaction's own
-/// buffered writes; effects are buffered, never applied — Aria defers all
-/// writes to the commit phase. Returns the chain position dedup resumes at
-/// (`entry_hop + 1`, advanced further by local continuations so a later
-/// duplicate of the *message* that started this segment stays below it),
-/// the buffer with this segment's effects recorded, and how the segment
-/// ended.
-fn run_segment(
-    ctx: &ExecCtx,
-    entry_hop: u32,
-    mut inv: Invocation,
-    mut buffer: TxnBuffer,
-) -> (u32, TxnBuffer, SegmentOutcome) {
-    let mut hop = entry_hop;
-    let mut next_hop = entry_hop + 1;
-    loop {
-        // Failure injection: scripted crashes land per executed hop.
-        if ctx.cfg.chaos.should_crash(&ctx.name, CrashPoint::Exec) {
-            return (next_hop, buffer, SegmentOutcome::Crashed);
-        }
-        // Synthetic service time, burned on the executing thread.
-        se_dataflow::burn(ctx.cfg.net.scaled(ctx.cfg.service_time));
-
-        let target = inv.target;
-        let request = inv.request;
-        // O(1): copy-on-write entity state makes the committed read a
-        // refcount bump under a briefly held read guard.
-        let committed = ctx.store.read().get(&target).cloned();
-        let Some(committed) = committed else {
-            let response = Response {
-                request,
-                result: Err(LangError::runtime(format!("unknown entity {target}"))),
-            };
-            return (next_hop, buffer, SegmentOutcome::Respond(response));
-        };
-        let before = ctx
-            .timers
-            .time("state_read", || buffer.overlay_read(&target, &committed));
-        // Copy-on-write: `after` shares storage with `before` until the
-        // method actually writes an attribute.
-        let mut after = before.clone();
-        // Version pinning: the chain runs the program version stamped at
-        // its root (continuations inherit it), not whatever is active.
-        let entry = ctx.registry.resolve(inv.version);
-        let effect = ctx.timers.time("function_execution", || {
-            process_invocation_with(&entry.graph.program, &*entry.runner, inv, &mut after)
-        });
-        ctx.body_runs.inc();
-        ctx.timers.time("state_write_buffer", || {
-            buffer.record_effects(&target, &before, &after)
-        });
-
-        match effect {
-            StepEffect::Respond(response) => {
-                return (next_hop, buffer, SegmentOutcome::Respond(response));
+    /// The execute phase for one chain segment: the entry hop plus any
+    /// same-partition continuations.
+    ///
+    /// Reads see the committed snapshot overlaid with the transaction's own
+    /// buffered writes; effects are recorded in `buffer`, never applied —
+    /// Aria defers all writes to the commit phase. Returns the chain
+    /// position dedup resumes at (`entry_hop + 1`, advanced further by local
+    /// continuations so a later duplicate of the *message* that started
+    /// this segment stays below it) and how the segment ended, or `None`
+    /// when a scripted crash fired and the worker is dead.
+    fn run_segment(
+        &mut self,
+        entry_hop: u32,
+        mut inv: Invocation,
+        buffer: &mut TxnBuffer,
+    ) -> Option<(u32, SegmentOutcome)> {
+        let mut hop = entry_hop;
+        let mut next_hop = entry_hop + 1;
+        loop {
+            // Failure injection: scripted crashes land per executed hop.
+            if self
+                .cfg
+                .chaos
+                .should_crash(self.node_name(), CrashPoint::Exec)
+            {
+                self.crash();
+                return None;
             }
-            StepEffect::Emit(next) => {
-                hop += 1;
-                let owner = partition_for(next.target.key.as_str(), ctx.n_workers);
-                if owner == ctx.id {
-                    // Same-partition call: continue locally, no hop message.
-                    next_hop = hop + 1;
-                    inv = next;
-                    continue;
-                }
-                let outcome = SegmentOutcome::Emit {
-                    owner,
-                    hop,
-                    inv: next,
+            // Synthetic service time, burned on the worker thread.
+            se_dataflow::burn(self.cfg.net.scaled(self.cfg.service_time));
+
+            let target = inv.target;
+            let request = inv.request;
+            let Some(committed) = self.store.get(&target) else {
+                let response = Response {
+                    request,
+                    result: Err(LangError::runtime(format!("unknown entity {target}"))),
                 };
-                return (next_hop, buffer, outcome);
+                return Some((next_hop, SegmentOutcome::Respond(response)));
+            };
+            let before = self
+                .timers
+                .time("state_read", || buffer.overlay_read(&target, committed));
+            // Copy-on-write: `after` shares storage with `before` until the
+            // method actually writes an attribute.
+            let mut after = before.clone();
+            // Version pinning: the chain runs the program version stamped at
+            // its root (continuations inherit it), not whatever is active.
+            let entry = self.registry.resolve(inv.version);
+            let effect = self.timers.time("function_execution", || {
+                process_invocation_with(&entry.graph.program, &*entry.runner, inv, &mut after)
+            });
+            self.body_runs.inc();
+            self.timers.time("state_write_buffer", || {
+                buffer.record_effects(&target, &before, &after)
+            });
+
+            match effect {
+                StepEffect::Respond(response) => {
+                    return Some((next_hop, SegmentOutcome::Respond(response)));
+                }
+                StepEffect::Emit(next) => {
+                    hop += 1;
+                    let owner = partition_for(next.target.key.as_str(), self.peers.len());
+                    if owner == self.id {
+                        // Same-partition call: continue locally, no hop message.
+                        next_hop = hop + 1;
+                        inv = next;
+                        continue;
+                    }
+                    let outcome = SegmentOutcome::Emit {
+                        owner,
+                        hop,
+                        inv: next,
+                    };
+                    return Some((next_hop, outcome));
+                }
             }
         }
     }

@@ -276,6 +276,36 @@ impl StatefunRuntime {
         RequestId(self.next_request.fetch_add(1, Ordering::SeqCst))
     }
 
+    /// Registers a fresh request's waiter and produces the record `rec`
+    /// builds for it (with its size in bytes) to `key`'s ingress partition.
+    /// After `shutdown` no task reads the broker, so a request submitted
+    /// then — like one the broker refuses — fails at once instead of
+    /// hanging.
+    fn submit(
+        &self,
+        key: &str,
+        rec: impl FnOnce(RequestId) -> (SfRecord, usize),
+    ) -> ResponseWaiter {
+        let request = self.fresh_request();
+        let (completer, waiter) = ResponseWaiter::new();
+        self.waiters.lock().insert(request, completer);
+        // Checked after the insert: a concurrent shutdown either clears this
+        // completer with the map or has already set the flag.
+        let refused = if self.shutdown.load(Ordering::SeqCst) {
+            Some("runtime is shut down".to_string())
+        } else {
+            let (rec, bytes) = rec(request);
+            let produced = self.broker.produce(topics::INGRESS, key, rec, bytes);
+            produced.err().map(|e| e.to_string())
+        };
+        if let Some(e) = refused {
+            if let Some(c) = self.waiters.lock().remove(&request) {
+                c.complete(Err(LangError::runtime(e)));
+            }
+        }
+        waiter
+    }
+
     /// Per-component timing breakdown (overhead experiment).
     pub fn timers(&self) -> &ComponentTimers {
         &self.timers
@@ -376,48 +406,34 @@ impl EntityRuntime for StatefunRuntime {
         key: &str,
         init: Vec<(String, Value)>,
     ) -> Result<EntityRef, LangError> {
-        let request = self.fresh_request();
-        let (completer, waiter) = ResponseWaiter::new();
-        self.waiters.lock().insert(request, completer);
-        let rec = SfRecord::Create {
-            request,
-            class: class.to_owned(),
-            key: key.to_owned(),
-            init,
-        };
-        self.broker
-            .produce(topics::INGRESS, key, rec, 128)
-            .map_err(|e| LangError::runtime(e.to_string()))?;
+        let waiter = self.submit(key, |request| {
+            let rec = SfRecord::Create {
+                request,
+                class: class.to_owned(),
+                key: key.to_owned(),
+                init,
+            };
+            (rec, 128)
+        });
         waiter.wait()?;
         Ok(EntityRef::new(class, key))
     }
 
     fn call_async(&self, target: EntityRef, method: &str, args: Vec<Value>) -> ResponseWaiter {
-        let request = self.fresh_request();
-        let (completer, waiter) = ResponseWaiter::new();
-        self.waiters.lock().insert(request, completer);
-        let inv = Invocation {
-            request,
-            target,
-            method: method.into(),
-            kind: InvocationKind::Start { args },
-            stack: Vec::new(),
-            // Roots are stamped with the active version by the partition
-            // task when dispatched; the switchover point is per-partition.
-            version: se_ir::INITIAL_VERSION,
-        };
-        let bytes = inv.approx_size();
-        if let Err(e) = self.broker.produce(
-            topics::INGRESS,
-            target.key.as_str(),
-            SfRecord::Invoke(inv),
-            bytes,
-        ) {
-            if let Some(c) = self.waiters.lock().remove(&request) {
-                c.complete(Err(LangError::runtime(e.to_string())));
-            }
-        }
-        waiter
+        self.submit(target.key.as_str(), |request| {
+            let inv = Invocation {
+                request,
+                target,
+                method: method.into(),
+                kind: InvocationKind::Start { args },
+                stack: Vec::new(),
+                // Roots are stamped with the active version by the partition
+                // task when dispatched; the switchover point is per-partition.
+                version: se_ir::INITIAL_VERSION,
+            };
+            let bytes = inv.approx_size();
+            (SfRecord::Invoke(inv), bytes)
+        })
     }
 
     /// StateFun offers no multi-entity transactions: "we did not run

@@ -178,7 +178,7 @@ impl WorkloadSpec {
     };
     /// C: compute-bound spins only — single-entity, read-only, loop-heavy
     /// bodies. With uniform keys it is conflict-free, the regime where
-    /// intra-partition exec-pool scaling is purest.
+    /// scaling by partition count is purest.
     pub const C: WorkloadSpec = WorkloadSpec {
         name: "C",
         read_pct: 0,

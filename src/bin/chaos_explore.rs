@@ -2,9 +2,9 @@
 //! the StateFlow engine, with script shrinking on failure.
 //!
 //! Each scenario samples a point in {workload A/T, zipfian/uniform key
-//! popularity, pipeline depth 1/2/4/8, exec-pool size 1/4, durability
-//! off/wal, live upgrade on/off, seeded fault script} — a 128-cell matrix
-//! (seed bits 0, 1, 2–3, 4, 5, 6 in that order) — and runs a contended workload (plus,
+//! popularity, pipeline depth 1/2/4/8, durability off/wal, live upgrade
+//! on/off, seeded fault script} — a 64-cell matrix (seed bits 0, 1, 2–3, 4,
+//! 5 in that order) — and runs a contended workload (plus,
 //! for T, a slice of transfers to a nonexistent "ghost" account, so errored
 //! transactions share batches with healthy ones). Durable scenarios
 //! additionally sample an fsync policy and arm disk-fault generation
@@ -79,7 +79,6 @@ struct Scenario {
     workload: &'static str,
     dist: &'static str,
     depth: usize,
-    exec_threads: usize,
     durability: &'static str,
     /// Fsync policy string for durable scenarios (`"-"` with durability
     /// off): `every-commit`, `on-epoch`, `every-3` or `never`.
@@ -93,16 +92,15 @@ struct Scenario {
 impl Scenario {
     fn sample(seed: u64) -> Scenario {
         // The workload point comes from the seed's low bits, so the
-        // sequential seeds of one run sweep the whole 128-cell matrix
-        // (A/T × zipfian/uniform × depth {1,2,4,8} × exec-pool {1,4} ×
-        // durability off/wal × upgrade off/on) deterministically; the
-        // fault script comes from the full seed.
+        // sequential seeds of one run sweep the whole 64-cell matrix
+        // (A/T × zipfian/uniform × depth {1,2,4,8} × durability off/wal ×
+        // upgrade off/on) deterministically; the fault script comes from
+        // the full seed.
         let workload = if seed & 1 == 0 { "A" } else { "T" };
         let dist = if seed & 2 == 0 { "zipfian" } else { "uniform" };
         let depth = [1usize, 2, 4, 8][(seed >> 2) as usize % 4];
-        let exec_threads = if seed & 16 == 0 { 1 } else { 4 };
-        let durability = if seed & 32 == 0 { "off" } else { "wal" };
-        let upgrade = seed & 64 != 0;
+        let durability = if seed & 16 == 0 { "off" } else { "wal" };
+        let upgrade = seed & 32 != 0;
         let mut script_cfg = ScriptConfig::stateflow(WORKERS);
         let fsync = if durability == "wal" {
             // Disk faults only make sense against a WAL; the fsync policy
@@ -119,7 +117,6 @@ impl Scenario {
             workload,
             dist,
             depth,
-            exec_threads,
             durability,
             fsync,
             upgrade,
@@ -233,7 +230,6 @@ fn run_scenario(
     }
     cfg.net.time_scale = time_scale;
     cfg.pipeline_depth = sc.depth;
-    cfg.exec_threads = sc.exec_threads;
     cfg.snapshot_every_batches = 4;
     if sc.durability == "wal" {
         cfg.durability.mode = DurabilityMode::Wal;
@@ -603,11 +599,10 @@ fn main() {
             sc.script = FaultScript::default();
         }
         let label = format!(
-            "[{k:>3}] seed {scenario_seed:#x} {}-{} depth {} exec {} dur {}/{}{} ({} faults)",
+            "[{k:>3}] seed {scenario_seed:#x} {}-{} depth {} dur {}/{}{} ({} faults)",
             sc.workload,
             sc.dist,
             sc.depth,
-            sc.exec_threads,
             sc.durability,
             sc.fsync,
             if sc.upgrade { " upg" } else { "" },

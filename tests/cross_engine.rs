@@ -264,7 +264,7 @@ fn snapshot_retention_bounds_epoch_memory() {
 }
 
 /// Pipelined StateFlow must stay byte-equivalent to the serial Local
-/// oracle, for every exec-pool size × pipeline depth: a mix of contended
+/// oracle, at every pipeline depth: a mix of contended
 /// transfers (which exercise abort/solo-fallback/retry across
 /// overlapping batches) and deposits must land on identical final state.
 #[test]
@@ -302,47 +302,44 @@ fn stateflow_pipelined_matches_local_oracle() {
         .collect();
     oracle.shutdown();
 
-    for exec_threads in [1usize, 4] {
-        for pipeline_depth in [1usize, 2, 4] {
-            let mut cfg = StateflowConfig::fast_test(3);
-            cfg.exec_threads = exec_threads;
-            cfg.pipeline_depth = pipeline_depth;
-            let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-            se_workloads::load_accounts(rt.as_ref(), n, 8, 100);
-            // Issue the ops one at a time (awaiting each) so the commit
-            // order matches the oracle's serial order; the pipeline still
-            // overlaps the protocol phases underneath.
-            for i in 0..60 {
-                if i % 3 == 0 {
-                    rt.call(key(i), "deposit", vec![Value::Int((i % 7) as i64 + 1)])
-                        .unwrap();
-                } else {
-                    rt.call(
-                        key(i),
-                        "transfer",
-                        vec![Value::Ref(key(i + 1)), Value::Int(2)],
-                    )
+    for pipeline_depth in [1usize, 2, 4] {
+        let mut cfg = StateflowConfig::fast_test(3);
+        cfg.pipeline_depth = pipeline_depth;
+        let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+        se_workloads::load_accounts(rt.as_ref(), n, 8, 100);
+        // Issue the ops one at a time (awaiting each) so the commit
+        // order matches the oracle's serial order; the pipeline still
+        // overlaps the protocol phases underneath.
+        for i in 0..60 {
+            if i % 3 == 0 {
+                rt.call(key(i), "deposit", vec![Value::Int((i % 7) as i64 + 1)])
                     .unwrap();
-                }
+            } else {
+                rt.call(
+                    key(i),
+                    "transfer",
+                    vec![Value::Ref(key(i + 1)), Value::Int(2)],
+                )
+                .unwrap();
             }
-            for (i, want) in expected.iter().enumerate() {
-                let got = rt
-                    .call(key(i), "balance", vec![])
-                    .unwrap()
-                    .as_int()
-                    .unwrap();
-                assert_eq!(
-                    got, *want,
-                    "[exec {exec_threads}, depth {pipeline_depth}] \
-                     account {i} diverged from oracle"
-                );
-            }
-            rt.shutdown();
         }
+        for (i, want) in expected.iter().enumerate() {
+            let got = rt
+                .call(key(i), "balance", vec![])
+                .unwrap()
+                .as_int()
+                .unwrap();
+            assert_eq!(
+                got, *want,
+                "[depth {pipeline_depth}] \
+                 account {i} diverged from oracle"
+            );
+        }
+        rt.shutdown();
     }
 }
 
-/// Concurrent contended transfers at every depth × pool size: serializability
+/// Concurrent contended transfers at every depth: serializability
 /// (conservation + all-success) with real batch overlap — unlike the oracle
 /// test above, requests are issued concurrently so batches genuinely
 /// pipeline and aborted transactions drain through the fallback path.
@@ -351,46 +348,43 @@ fn pipelined_concurrent_transfers_conserve_money_all_backends() {
     let program = se_workloads::ycsb_program();
     let n = 4usize;
     let key = |i: usize| EntityRef::new("Account", se_workloads::key_name(i % n));
-    for exec_threads in [1usize, 4] {
-        for pipeline_depth in [1usize, 2, 4] {
-            let mut cfg = StateflowConfig::fast_test(3);
-            cfg.exec_threads = exec_threads;
-            cfg.pipeline_depth = pipeline_depth;
-            let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-            se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
-            let waiters: Vec<_> = (0..80)
-                .map(|i| {
-                    rt.call_async(
-                        key(i),
-                        "transfer",
-                        vec![Value::Ref(key(i + 1)), Value::Int(1)],
-                    )
-                })
-                .collect();
-            for w in waiters {
-                assert_eq!(
-                    w.wait_timeout(std::time::Duration::from_secs(60))
-                        .expect("completes")
-                        .expect("no error"),
-                    Value::Bool(true),
-                    "[exec {exec_threads}, depth {pipeline_depth}]"
-                );
-            }
-            let total: i64 = (0..n)
-                .map(|i| {
-                    rt.call(key(i), "balance", vec![])
-                        .unwrap()
-                        .as_int()
-                        .unwrap()
-                })
-                .sum();
+    for pipeline_depth in [1usize, 2, 4] {
+        let mut cfg = StateflowConfig::fast_test(3);
+        cfg.pipeline_depth = pipeline_depth;
+        let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+        se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
+        let waiters: Vec<_> = (0..80)
+            .map(|i| {
+                rt.call_async(
+                    key(i),
+                    "transfer",
+                    vec![Value::Ref(key(i + 1)), Value::Int(1)],
+                )
+            })
+            .collect();
+        for w in waiters {
             assert_eq!(
-                total,
-                1000 * n as i64,
-                "[exec {exec_threads}, depth {pipeline_depth}] conservation"
+                w.wait_timeout(std::time::Duration::from_secs(60))
+                    .expect("completes")
+                    .expect("no error"),
+                Value::Bool(true),
+                "[depth {pipeline_depth}]"
             );
-            rt.shutdown();
         }
+        let total: i64 = (0..n)
+            .map(|i| {
+                rt.call(key(i), "balance", vec![])
+                    .unwrap()
+                    .as_int()
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(
+            total,
+            1000 * n as i64,
+            "[depth {pipeline_depth}] conservation"
+        );
+        rt.shutdown();
     }
 }
 
@@ -405,68 +399,64 @@ fn recorded_history_is_serializable_and_replays_to_oracle() {
     let program = se_workloads::ycsb_program();
     let n = 4usize;
     let key = |i: usize| EntityRef::new("Account", se_workloads::key_name(i % n));
-    for exec_threads in [1usize, 4] {
-        for pipeline_depth in [1usize, 4] {
-            let mut cfg = StateflowConfig::fast_test(3);
-            cfg.exec_threads = exec_threads;
-            cfg.pipeline_depth = pipeline_depth;
-            let history = History::new();
-            cfg.history = Some(history.clone());
-            let rule = cfg.commit_rule;
-            let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-            se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
-            let waiters: Vec<_> = (0..60)
-                .map(|i| {
-                    rt.call_async(
-                        key(i),
-                        "transfer",
-                        vec![Value::Ref(key(i + 1)), Value::Int(1)],
-                    )
-                })
-                .collect();
-            for w in waiters {
-                w.wait_timeout(std::time::Duration::from_secs(60))
-                    .expect("completes")
-                    .expect("no error");
-            }
-            let events = history.events();
-            let summary = check_history(&events, rule).unwrap_or_else(|e| {
-                panic!("[exec {exec_threads}, depth {pipeline_depth}] history check: {e}")
-            });
-            assert_eq!(
-                summary.surviving_commits, 60,
-                "[exec {exec_threads}, depth {pipeline_depth}] \
-                 every transfer commits exactly once"
-            );
-
-            // Replay the equivalent serial order through the Local oracle.
-            let order = serial_order(&events).unwrap();
-            assert_eq!(order.len(), 60);
-            let oracle = deploy(&program, RuntimeChoice::Local).unwrap();
-            se_workloads::load_accounts(oracle.as_ref(), n, 8, 1000);
-            for op in &order {
-                let got = oracle
-                    .call(op.target, &op.method, op.args.clone())
-                    .map_err(|e| e.to_string());
-                assert_eq!(
-                    got,
-                    op.result.clone(),
-                    "[exec {exec_threads}, depth {pipeline_depth}] \
-                     txn {} response diverged in serial replay",
-                    op.txn
-                );
-            }
-            for i in 0..n {
-                assert_eq!(
-                    rt.call(key(i), "balance", vec![]).unwrap(),
-                    oracle.call(key(i), "balance", vec![]).unwrap(),
-                    "[exec {exec_threads}, depth {pipeline_depth}] \
-                     account {i} final state diverged"
-                );
-            }
-            rt.shutdown();
-            oracle.shutdown();
+    for pipeline_depth in [1usize, 4] {
+        let mut cfg = StateflowConfig::fast_test(3);
+        cfg.pipeline_depth = pipeline_depth;
+        let history = History::new();
+        cfg.history = Some(history.clone());
+        let rule = cfg.commit_rule;
+        let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+        se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
+        let waiters: Vec<_> = (0..60)
+            .map(|i| {
+                rt.call_async(
+                    key(i),
+                    "transfer",
+                    vec![Value::Ref(key(i + 1)), Value::Int(1)],
+                )
+            })
+            .collect();
+        for w in waiters {
+            w.wait_timeout(std::time::Duration::from_secs(60))
+                .expect("completes")
+                .expect("no error");
         }
+        let events = history.events();
+        let summary = check_history(&events, rule)
+            .unwrap_or_else(|e| panic!("[depth {pipeline_depth}] history check: {e}"));
+        assert_eq!(
+            summary.surviving_commits, 60,
+            "[depth {pipeline_depth}] \
+             every transfer commits exactly once"
+        );
+
+        // Replay the equivalent serial order through the Local oracle.
+        let order = serial_order(&events).unwrap();
+        assert_eq!(order.len(), 60);
+        let oracle = deploy(&program, RuntimeChoice::Local).unwrap();
+        se_workloads::load_accounts(oracle.as_ref(), n, 8, 1000);
+        for op in &order {
+            let got = oracle
+                .call(op.target, &op.method, op.args.clone())
+                .map_err(|e| e.to_string());
+            assert_eq!(
+                got,
+                op.result.clone(),
+                "[depth {pipeline_depth}] \
+                 txn {} response diverged in serial replay",
+                op.txn
+            );
+        }
+        for i in 0..n {
+            assert_eq!(
+                rt.call(key(i), "balance", vec![]).unwrap(),
+                oracle.call(key(i), "balance", vec![]).unwrap(),
+                "[depth {pipeline_depth}] \
+                 account {i} final state diverged"
+            );
+        }
+        rt.shutdown();
+        oracle.shutdown();
     }
 }
 
@@ -508,10 +498,10 @@ fn ycsb_program_runs_on_all_engines() {
 
 /// Observability is read-path-only: tracing every probe in the stack must
 /// not change one byte of the recorded logical history. Runs a
-/// deterministic burst workload at pipeline depth 4 × exec pool 4 with the
-/// WAL on — so batch-lifecycle, exec-pool, WAL *and* VM probes are all
-/// live — once with `SE_OBS=off` and once with `SE_OBS=trace`, and compares
-/// the canonical history serializations byte for byte.
+/// deterministic burst workload at pipeline depth 4 with the WAL on — so
+/// batch-lifecycle, WAL *and* VM probes are all live — once with
+/// `SE_OBS=off` and once with `SE_OBS=trace`, and compares the canonical
+/// history serializations byte for byte.
 #[test]
 fn obs_trace_vs_off_histories_are_byte_identical() {
     use se_chaos::History;
@@ -520,7 +510,6 @@ fn obs_trace_vs_off_histories_are_byte_identical() {
     let run = |mode: se_obs::ObsMode| {
         let program = se_workloads::ycsb_program();
         let mut cfg = StateflowConfig::fast_test(3);
-        cfg.exec_threads = 4;
         cfg.pipeline_depth = 4;
         cfg.durability.mode = DurabilityMode::Wal;
         cfg.snapshot_every_batches = 0;

@@ -2,13 +2,16 @@
 //! it reacts to happens, so an idle engine does not run at all, shutdown
 //! does not wait out anybody's poll interval, and a StateFun task picks a
 //! record up when it becomes visible — not when it is produced, and not at
-//! the next tick of a poll.
+//! the next tick of a poll. Once shut down, an engine answers every new
+//! request with an error at once instead of queueing it where no thread
+//! reads.
 //!
 //! The Linux tests read the kernel's own count of how often a thread was
 //! put on a CPU (`/proc/self/task/<tid>/schedstat`, third field). Engine
 //! threads are told apart by name, and the tests take turns, so the count
 //! is of one deployment.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stateful_entities::prelude::*;
@@ -132,4 +135,69 @@ fn statefun_task_wakes_when_the_record_becomes_visible() {
         );
     }
     rt.shutdown();
+}
+
+/// How long a request made after `shutdown` may take to fail.
+const REFUSAL_BOUND: Duration = Duration::from_secs(3);
+
+/// Runs `op` on a side thread and waits up to [`REFUSAL_BOUND`] for its
+/// result, so a blocking call that hangs fails the test instead of hanging
+/// it.
+fn within<T: Send + 'static>(what: &str, op: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(op());
+    });
+    match rx.recv_timeout(REFUSAL_BOUND) {
+        Ok(got) => {
+            handle
+                .join()
+                .expect("a thread that sent its result did not panic");
+            got
+        }
+        // The request panicked before answering: surface that panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("no result means a panic"))
+        }
+        // Left detached: joining a request that hangs would hang the test.
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what} after shutdown still blocked after {REFUSAL_BOUND:?}")
+        }
+    }
+}
+
+/// `call_async`, `call` and `create` after `shutdown` each fail with an
+/// error within the bound.
+fn requests_after_shutdown_fail(choice: RuntimeChoice) {
+    let _turn = one_engine();
+    let program = se_workloads::ycsb_program();
+    let rt = Arc::new(deploy(&program, choice).unwrap());
+    let account = rt.create("Account", "early", vec![]).unwrap();
+    rt.shutdown();
+
+    let got = rt
+        .call_async(account, "read", vec![])
+        .wait_timeout(REFUSAL_BOUND)
+        .expect("call_async after shutdown never completed");
+    let err = got.expect_err("call_async after shutdown must fail");
+    assert!(err.to_string().contains("shut down"), "{err}");
+    let called = Arc::clone(&rt);
+    within("call", move || called.call(account, "read", vec![]))
+        .expect_err("call after shutdown must fail");
+    let created = Arc::clone(&rt);
+    within("create", move || created.create("Account", "late", vec![]))
+        .expect_err("create after shutdown must fail");
+}
+
+#[test]
+fn stateflow_requests_after_shutdown_fail() {
+    let cfg = StateflowConfig::fast_test(2);
+    requests_after_shutdown_fail(RuntimeChoice::Stateflow(cfg));
+}
+
+#[test]
+fn statefun_requests_after_shutdown_fail() {
+    let cfg = StatefunConfig::fast_test(2);
+    requests_after_shutdown_fail(RuntimeChoice::Statefun(cfg));
 }

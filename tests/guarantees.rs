@@ -62,29 +62,24 @@ fn run_flash_sale(rt: &dyn EntityRuntime, users: usize) -> (i64, usize) {
 
 #[test]
 fn stateflow_serializability_holds_under_contention() {
-    // The guarantee must hold for every pipeline window × exec-pool size:
-    // one batch in flight or several, inline or shard-parallel execution.
+    // The guarantee must hold for every pipeline window: one batch in
+    // flight or several.
     let program = stateful_entities::programs::figure1_program();
-    for exec_threads in [1usize, 4] {
-        for pipeline_depth in [1usize, 2, 4] {
-            let mut cfg = StateflowConfig::fast_test(4);
-            cfg.exec_threads = exec_threads;
-            cfg.pipeline_depth = pipeline_depth;
-            let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-            let users = 20;
-            let (successes, negative) = run_flash_sale(rt.as_ref(), users);
-            assert_eq!(
-                successes, users as i64,
-                "[exec {exec_threads}, depth {pipeline_depth}] \
-                 exactly one purchase per user must commit"
-            );
-            assert_eq!(
-                negative, 0,
-                "[exec {exec_threads}, depth {pipeline_depth}] \
-                 serializable execution never overdrafts"
-            );
-            rt.shutdown();
-        }
+    for pipeline_depth in [1usize, 2, 4] {
+        let mut cfg = StateflowConfig::fast_test(4);
+        cfg.pipeline_depth = pipeline_depth;
+        let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+        let users = 20;
+        let (successes, negative) = run_flash_sale(rt.as_ref(), users);
+        assert_eq!(
+            successes, users as i64,
+            "[depth {pipeline_depth}] exactly one purchase per user must commit"
+        );
+        assert_eq!(
+            negative, 0,
+            "[depth {pipeline_depth}] serializable execution never overdrafts"
+        );
+        rt.shutdown();
     }
 }
 
@@ -221,16 +216,10 @@ fn transfers_with_crash_conserve_money(cfg: StateflowConfig) {
 
 #[test]
 fn transactional_transfers_with_crash_conserve_money() {
-    // Conservation under a crash must hold with and without the exec pool:
-    // a pool segment in flight when the protocol thread wipes the partition
-    // becomes a fenced zombie, never a double-applied effect.
-    for exec_threads in [1usize, 4] {
-        let mut cfg = StateflowConfig::fast_test(3);
-        cfg.exec_threads = exec_threads;
-        cfg.snapshot_every_batches = 2;
-        cfg.chaos = ChaosPlan::single_crash("worker0", 30);
-        transfers_with_crash_conserve_money(cfg);
-    }
+    let mut cfg = StateflowConfig::fast_test(3);
+    cfg.snapshot_every_batches = 2;
+    cfg.chaos = ChaosPlan::single_crash("worker0", 30);
+    transfers_with_crash_conserve_money(cfg);
 }
 
 /// Crash/restore while several batches are in flight: tiny batches + depth
@@ -240,86 +229,14 @@ fn transactional_transfers_with_crash_conserve_money() {
 /// must land exactly once.
 #[test]
 fn pipelined_crash_with_batches_in_flight_conserves_money() {
-    for exec_threads in [1usize, 4] {
-        let mut cfg = StateflowConfig::fast_test(3);
-        cfg.exec_threads = exec_threads;
-        cfg.pipeline_depth = 4;
-        cfg.max_batch = 4;
-        cfg.snapshot_every_batches = 3;
-        cfg.chaos = ChaosPlan::single_crash("worker1", 35);
-        let chaos = cfg.chaos.clone();
-        transfers_with_crash_conserve_money(cfg);
-        assert_eq!(
-            chaos.crashes_fired(),
-            1,
-            "[exec {exec_threads}] the crash must land mid-pipeline"
-        );
-    }
-}
-
-/// The exec pool must be observationally invisible: for the same request
-/// sequence, the recorded history — batch composition, access sets, commit
-/// decisions, every response — must be byte-identical in canonical JSON
-/// whether transactions execute serially or on a 2- or 4-thread pool. A wide
-/// seal window pins batch composition (each burst lands in one batch), so
-/// the only thing varying across runs is pool scheduling — which must not
-/// leak into any recorded outcome.
-#[test]
-fn history_is_byte_identical_across_exec_pool_sizes() {
-    use se_chaos::History;
-    let program = se_workloads::ycsb_program();
-    let n = 8usize;
-    let run = |exec_threads: usize| -> String {
-        let mut cfg = StateflowConfig::fast_test(3);
-        cfg.exec_threads = exec_threads;
-        cfg.pipeline_depth = 1;
-        cfg.snapshot_every_batches = 0;
-        cfg.batch_interval = Duration::from_millis(10);
-        let history = History::new();
-        cfg.history = Some(history.clone());
-        let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-        for i in 0..n {
-            rt.create(
-                "Account",
-                &se_workloads::key_name(i),
-                vec![("balance".into(), Value::Int(100))],
-            )
-            .unwrap();
-        }
-        // Two bursts of disjoint cross-partition transfers: multi-hop
-        // chains run concurrently on the pool, conflict-free, so every
-        // transaction commits and the schedule is fully pinned.
-        for round in 0..2i64 {
-            let waiters: Vec<_> = (0..n / 2)
-                .map(|p| {
-                    rt.call_async(
-                        EntityRef::new("Account", se_workloads::key_name(2 * p)),
-                        "transfer",
-                        vec![
-                            Value::Ref(EntityRef::new(
-                                "Account",
-                                se_workloads::key_name(2 * p + 1),
-                            )),
-                            Value::Int((round + p as i64) % 5 + 1),
-                        ],
-                    )
-                })
-                .collect();
-            for w in waiters {
-                w.wait_timeout(WAIT).expect("completes").expect("no error");
-            }
-        }
-        rt.shutdown();
-        history.to_json_canonical()
-    };
-    let serial = run(1);
-    for exec_threads in [2usize, 4] {
-        assert_eq!(
-            run(exec_threads),
-            serial,
-            "exec pool of {exec_threads} threads changed the recorded history"
-        );
-    }
+    let mut cfg = StateflowConfig::fast_test(3);
+    cfg.pipeline_depth = 4;
+    cfg.max_batch = 4;
+    cfg.snapshot_every_batches = 3;
+    cfg.chaos = ChaosPlan::single_crash("worker1", 35);
+    let chaos = cfg.chaos.clone();
+    transfers_with_crash_conserve_money(cfg);
+    assert_eq!(chaos.crashes_fired(), 1, "the crash must land mid-pipeline");
 }
 
 /// Asserts a recorded StateFlow history is serializable and that replaying
@@ -394,16 +311,16 @@ fn relay_program() -> se_lang::Program {
     se_lang::Program::new(vec![node])
 }
 
-/// Hop dedup on both call sites of the one segment runner (inline at pool
-/// size 1, pooled at 4): `mid` and `tail` share a partition that `head` does
-/// not, so the worker-to-worker `Exec` that enters `mid` at hop 1 starts a
-/// segment that continues locally through `tail` (hop 2) and back into `mid`
-/// (hop 3) before the chain returns to `head` at hop 4. Scripted duplicates
+/// Hop dedup around the one segment runner: `mid` and `tail` share a
+/// partition that `head` does not, so the worker-to-worker `Exec` that
+/// enters `mid` at hop 1 starts a segment that continues locally through
+/// `tail` (hop 2) and back into `mid` (hop 3) before the chain returns to
+/// `head` at hop 4. Scripted duplicates
 /// of those worker-to-worker messages — on time and late — must all land
 /// below the dedup position; re-running one would double-apply `total += n`
 /// through the buffer overlay and diverge from the oracle.
 #[test]
-fn duplicated_hop_into_a_local_continuation_is_dropped_at_every_pool_size() {
+fn duplicated_hop_into_a_local_continuation_is_dropped() {
     use se_chaos::{History, MessageFault, MsgFaultKind, Seam};
     let workers = 3usize;
     let program = relay_program();
@@ -422,59 +339,50 @@ fn duplicated_hop_into_a_local_continuation_is_dropped_at_every_pool_size() {
             rt.create("Node", key, vec![]).unwrap();
         }
     };
-    for exec_threads in [1usize, 4] {
-        let mut cfg = StateflowConfig::fast_test(workers);
-        cfg.exec_threads = exec_threads;
-        cfg.max_batch = 4;
-        // Each chain sends two worker-to-worker messages (hop 1 in, hop 4
-        // back); duplicate a few of each, on time and late.
-        cfg.chaos = ChaosPlan::from_script(FaultScript {
-            messages: [(0, 0), (1, 300), (4, 5_000), (7, 50)]
-                .into_iter()
-                .map(|(nth, gap_us)| MessageFault {
-                    seam: Seam::WorkerToWorker,
-                    nth,
-                    kind: MsgFaultKind::Duplicate { gap_us },
-                })
-                .collect(),
-            ..FaultScript::default()
-        });
-        let chaos = cfg.chaos.clone();
-        let history = History::new();
-        cfg.history = Some(history.clone());
-        let rule = cfg.commit_rule;
-        let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-        load(rt.as_ref());
-        // Concurrent forwards over one chain: every pair conflicts, so the
-        // run also drains retries through solo batches.
-        let waiters: Vec<_> = (1..=12i64)
-            .map(|n| {
-                let args = vec![
-                    Value::Ref(node(&mid)),
-                    Value::Ref(node(&tail)),
-                    Value::Int(n),
-                ];
-                rt.call_async(node(&head), "forward", args)
+    let mut cfg = StateflowConfig::fast_test(workers);
+    cfg.max_batch = 4;
+    // Each chain sends two worker-to-worker messages (hop 1 in, hop 4
+    // back); duplicate a few of each, on time and late.
+    cfg.chaos = ChaosPlan::from_script(FaultScript {
+        messages: [(0, 0), (1, 300), (4, 5_000), (7, 50)]
+            .into_iter()
+            .map(|(nth, gap_us)| MessageFault {
+                seam: Seam::WorkerToWorker,
+                nth,
+                kind: MsgFaultKind::Duplicate { gap_us },
             })
-            .collect();
-        for w in waiters {
-            w.wait_timeout(WAIT).expect("completes").expect("no error");
-        }
-        rt.shutdown();
-        assert_eq!(
-            chaos.msg_faults_fired(),
-            4,
-            "[exec {exec_threads}] every scripted duplicate must fire"
-        );
-        let summary = assert_serializable_and_replays(
-            &format!("exec {exec_threads}"),
-            &history.events(),
-            rule,
-            &program,
-            load,
-        );
-        assert_eq!(summary.surviving_commits, 12);
+            .collect(),
+        ..FaultScript::default()
+    });
+    let chaos = cfg.chaos.clone();
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let rule = cfg.commit_rule;
+    let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+    load(rt.as_ref());
+    // Concurrent forwards over one chain: every pair conflicts, so the
+    // run also drains retries through solo batches.
+    let waiters: Vec<_> = (1..=12i64)
+        .map(|n| {
+            let args = vec![
+                Value::Ref(node(&mid)),
+                Value::Ref(node(&tail)),
+                Value::Int(n),
+            ];
+            rt.call_async(node(&head), "forward", args)
+        })
+        .collect();
+    for w in waiters {
+        w.wait_timeout(WAIT).expect("completes").expect("no error");
     }
+    rt.shutdown();
+    assert_eq!(
+        chaos.msg_faults_fired(),
+        4,
+        "every scripted duplicate must fire"
+    );
+    let summary = assert_serializable_and_replays("relay", &history.events(), rule, &program, load);
+    assert_eq!(summary.surviving_commits, 12);
 }
 
 /// Serial-fallback batches are solo at every pipeline depth: a depth-1
