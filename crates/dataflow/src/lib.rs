@@ -3,6 +3,9 @@
 //! Engine-level building blocks shared by both runtime implementations
 //! (`se-statefun`, `se-stateflow`):
 //!
+//! * [`engine`] — the engine shell both runtimes own one of: deploy staging
+//!   and live-upgrade compilation, the client waiter map, the thread set,
+//!   observability and shutdown;
 //! * [`net`] — the simulated cluster network (per-hop latency, time scale);
 //! * [`delay`] — delay queues imposing hop latency without blocking senders;
 //! * [`state`] — per-partition entity state stores;
@@ -21,6 +24,7 @@
 pub mod api;
 pub mod delay;
 pub mod durable;
+pub mod engine;
 pub mod failure;
 pub mod metrics;
 pub mod net;
@@ -32,6 +36,7 @@ pub mod wal;
 pub use api::{EntityRuntime, ResponseCompleter, ResponseWaiter};
 pub use delay::{delay_channel, DelayReceiver, DelaySender, Waker};
 pub use durable::{DurableOptions, DurableStore};
+pub use engine::{EngineCore, WaiterMap};
 pub use failure::{send_with_chaos, ChaosPlan, CrashPoint, MsgFaultAction, Seam};
 pub use metrics::{ComponentTimers, LatencySummary};
 pub use net::{burn, NetConfig};

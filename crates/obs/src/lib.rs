@@ -27,7 +27,8 @@ pub mod report;
 pub mod span;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 
 pub use hist::{HistSummary, Histogram};
@@ -386,21 +387,22 @@ impl Obs {
         if !self.enabled() || self.0.snapshot_every_ms == 0 {
             return None;
         }
-        let stop = Arc::new(AtomicBool::new(false));
         let obs = self.clone();
-        let flag = stop.clone();
         let every = std::time::Duration::from_millis(self.0.snapshot_every_ms);
+        // The interval is a receive timeout on a channel nobody sends on:
+        // dropping the guard's sender ends the wait at once, not at the
+        // next tick, and without one more dump.
+        let (stop, stopped) = std::sync::mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("se-obs-snapshot".to_string())
             .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(every);
+                while stopped.recv_timeout(every) == Err(RecvTimeoutError::Timeout) {
                     let _ = obs.dump();
                 }
             })
             .ok()?;
         Some(PeriodicSnapshots {
-            stop,
+            stop: Some(stop),
             handle: Some(handle),
         })
     }
@@ -408,13 +410,13 @@ impl Obs {
 
 /// Guard for the periodic snapshot thread; stops it on drop.
 pub struct PeriodicSnapshots {
-    stop: Arc<AtomicBool>,
+    stop: Option<std::sync::mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Drop for PeriodicSnapshots {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -496,6 +498,28 @@ mod tests {
             assert!(ev.get("stage").and_then(|s| s.as_str()).is_some());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn periodic_snapshot_guard_drops_without_waiting_out_the_interval() {
+        let cfg = ObsConfig {
+            mode: ObsMode::Metrics,
+            dir: std::env::temp_dir().join("se-obs-test-periodic"),
+            snapshot_every_ms: 10_000,
+            ..ObsConfig::default()
+        };
+        let guard = Obs::new(&cfg).spawn_periodic_snapshots();
+        let guard = guard.expect("metrics mode with an interval spawns the thread");
+        // Give the thread time to start waiting: a stop that lands before
+        // its first wait is seen without one.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let asked = std::time::Instant::now();
+        drop(guard);
+        let took = asked.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(100),
+            "the guard took {took:?} to stop a 10 s snapshot thread"
+        );
     }
 
     #[test]

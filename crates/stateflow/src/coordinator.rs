@@ -4,7 +4,9 @@
 //! "StateFlow requires a single core coordinator, and the rest are used for
 //! its workers" (§4). The coordinator sequences transactions (assigning
 //! globally ordered ids), drives batches through Aria's three phases and
-//! answers clients. Everything that touches state *outside* a transaction
+//! answers clients through the runtime's [`WaiterMap`] (a decided batch's
+//! answers in one `complete_all` pass; creates and upgrade commits one at a
+//! time). Everything that touches state *outside* a transaction
 //! happens at a consistent cut, through one primitive:
 //!
 //! **The round.** Sealing stops, the pipeline drains (`drained`), one
@@ -52,13 +54,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use se_aria::{BatchId, CommitRule, TxnId};
 use se_chaos::{BatchKindTag, HistoryEvent, Seam, TxnOutcome};
 use se_dataflow::{
-    send_with_chaos, DelayReceiver, DelaySender, Epoch, ResponseCompleter, SnapshotStore,
-    SourceReader, StateStore,
+    send_with_chaos, DelayReceiver, DelaySender, Epoch, SnapshotStore, SourceReader, StateStore,
+    WaiterMap,
 };
 use se_ir::{partition_for, Invocation, InvocationKind, RequestId, Response, INITIAL_VERSION};
 use se_lang::Value;
@@ -250,7 +250,10 @@ pub struct Coordinator {
     workers: Vec<DelaySender<WorkerMsg>>,
     inbox: DelayReceiver<CoordMsg>,
     reader: SourceReader<ClientRequest>,
-    waiters: Arc<Mutex<HashMap<RequestId, ResponseCompleter>>>,
+    /// The runtime's waiter map: a client is answered by request id, and
+    /// only the first answer finds its waiter, so the answer a recovery
+    /// replays for an already-answered request is dropped here.
+    waiters: Arc<WaiterMap>,
     snapshots: Arc<SnapshotStore<StateStore>>,
     stats: Arc<CoordStats>,
     obs: se_obs::Obs,
@@ -326,7 +329,7 @@ impl Coordinator {
         workers: Vec<DelaySender<WorkerMsg>>,
         inbox: DelayReceiver<CoordMsg>,
         reader: SourceReader<ClientRequest>,
-        waiters: Arc<Mutex<HashMap<RequestId, ResponseCompleter>>>,
+        waiters: Arc<WaiterMap>,
         snapshots: Arc<SnapshotStore<StateStore>>,
         stats: Arc<CoordStats>,
         obs: se_obs::Obs,
@@ -699,8 +702,8 @@ impl Coordinator {
                     offset: p.offset,
                 });
                 self.record(|| HistoryEvent::UpgradeCommitted { version, epoch });
-                if let Some(completer) = p.request.and_then(|r| self.waiters.lock().remove(&r)) {
-                    completer.complete(Ok(Value::Unit));
+                if let Some(request) = p.request {
+                    self.waiters.complete(request, Ok(Value::Unit));
                 }
             }
             RoundKind::Restore { target, floor } => {
@@ -853,11 +856,7 @@ impl Coordinator {
             }),
             CoordMsg::CreateDone {
                 request, result, ..
-            } => {
-                if let Some(completer) = self.waiters.lock().remove(&request) {
-                    completer.complete(result.map(|()| Value::Unit));
-                }
-            }
+            } => self.waiters.complete(request, result.map(|()| Value::Unit)),
             CoordMsg::ExecDone {
                 batch,
                 txn,
@@ -1116,19 +1115,7 @@ impl Coordinator {
             failed: failed_outcomes,
             retried: retry.clone(),
         });
-        // One pass over the waiter table: clients take the same lock once
-        // per submit, so it is held for the removals only, not across the
-        // wake-ups.
-        let completers: Vec<_> = {
-            let mut waiters = self.waiters.lock();
-            let removed = answers.iter().map(|resp| waiters.remove(&resp.request));
-            removed.collect()
-        };
-        for (resp, completer) in answers.into_iter().zip(completers) {
-            if let Some(completer) = completer {
-                completer.complete(resp.result);
-            }
-        }
+        self.waiters.complete_all(answers);
 
         // Aborted transactions keep their (lower) ids so the oldest can
         // never lose again — also across overlapping batches: anything

@@ -90,8 +90,6 @@ impl StateflowRuntime {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use se_compiler::compile;
     use se_dataflow::EntityRuntime;
     use se_lang::Value;
@@ -104,6 +102,15 @@ mod tests {
         let mut cfg = StateflowConfig::fast_test(3);
         cfg.snapshot_every_batches = 1;
         StateflowRuntime::deploy(graph, cfg)
+    }
+
+    /// Returns once a snapshot round that began after every call so far
+    /// has completed: a redeploy of the unchanged program commits only
+    /// after its pre-upgrade epoch cut, and that cut is taken on a drained
+    /// pipeline.
+    fn cut_barrier(rt: &StateflowRuntime) {
+        rt.redeploy(&se_lang::programs::counter_program())
+            .expect("same-program redeploy");
     }
 
     #[test]
@@ -137,8 +144,7 @@ mod tests {
             )
             .unwrap();
         }
-        // Let a snapshot complete after the traffic.
-        std::thread::sleep(Duration::from_millis(50));
+        cut_barrier(&rt);
         let (epoch, sum) = rt.sum_attr("Counter", "count").expect("snapshot exists");
         assert!(epoch >= 1);
         // A consistent cut contains whole increments only: the sum is 45
@@ -155,15 +161,12 @@ mod tests {
     fn query_is_stale_not_dirty() {
         let rt = runtime_with_snapshots();
         rt.create("Counter", "c", vec![]).unwrap();
-        std::thread::sleep(Duration::from_millis(40));
-        let before = rt.sum_attr("Counter", "count");
+        cut_barrier(&rt);
         // No increments have run, so every consistent cut must show exactly
         // the initial state — a dirty read of in-flight create/bookkeeping
         // traffic would surface as a nonzero sum.
-        if let Some((epoch, sum)) = before {
-            assert_eq!(sum, 0, "consistent cut shows initial state only");
-            let _ = epoch;
-        }
+        let (_, sum) = rt.sum_attr("Counter", "count").expect("snapshot exists");
+        assert_eq!(sum, 0, "consistent cut shows initial state only");
         rt.shutdown();
     }
 
@@ -179,7 +182,7 @@ mod tests {
             vec![Value::Int(1)],
         )
         .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        cut_barrier(&rt);
         let q = rt.count_sum("Counter", "count").expect("snapshot");
         assert_eq!(q.rows.len(), 4);
         rt.shutdown();

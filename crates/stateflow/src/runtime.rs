@@ -1,16 +1,20 @@
 //! Deployment and client API of the StateFlow runtime.
+//!
+//! The engine shell — deploy staging, live-upgrade compilation, the waiter
+//! map, the thread set, observability and shutdown — is the shared
+//! [`EngineCore`]. What this file adds is StateFlow's protocol around it:
+//! the replayable request source, the coordinator and worker threads with
+//! their channels, the `Redeploy` source record that switches a live
+//! upgrade, and the WAL directory a durable deployment owns.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use se_dataflow::{
-    delay_channel, ComponentTimers, DelaySender, EntityRuntime, ReplayableSource,
-    ResponseCompleter, ResponseWaiter, SnapshotStore, SourceReader, StateStore,
+    delay_channel, ComponentTimers, DelaySender, EngineCore, EntityRuntime, ReplayableSource,
+    ResponseWaiter, SnapshotStore, SourceReader, StateStore,
 };
-use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId, VersionRegistry};
+use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId};
 use se_lang::{EntityRef, LangError, Value};
 
 use crate::config::{DurabilityMode, StateflowConfig};
@@ -18,42 +22,16 @@ use crate::coordinator::{CoordStats, Coordinator};
 use crate::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
 use crate::worker::Worker;
 
-/// The newest deployed version, kept by the runtime as the baseline the
-/// *next* [`StateflowRuntime::redeploy`] compiles against: incremental
-/// recompilation diffs against this graph, and the VM reuses this version's
-/// bytecode for unchanged classes.
-struct CurrentDeploy {
-    graph: Arc<DataflowGraph>,
-    vm: Arc<se_vm::VmProgram>,
-}
-
 /// A deployed StateFlow application: coordinator + workers over the compiled
 /// dataflow graph, with a replayable request source and snapshot store.
 pub struct StateflowRuntime {
+    core: EngineCore,
     cfg: StateflowConfig,
-    /// All live program versions, shared with every worker. Workers resolve
-    /// invocations through it (pinned to the version stamped at the root);
-    /// [`StateflowRuntime::redeploy`] registers new versions here before
-    /// appending the `Redeploy` record, so replay finds them too.
-    registry: Arc<VersionRegistry>,
-    /// Baseline for the next incremental redeploy (see [`CurrentDeploy`]).
-    /// The lock also serializes concurrent `redeploy` calls: versions must
-    /// be compiled against their immediate predecessor, in order.
-    current: Mutex<CurrentDeploy>,
     source: ReplayableSource<ClientRequest>,
-    waiters: Arc<Mutex<HashMap<RequestId, ResponseCompleter>>>,
-    next_request: AtomicU64,
-    shutdown: Arc<AtomicBool>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     stats: Arc<CoordStats>,
-    snapshots: Arc<SnapshotStore<StateStore>>,
-    timers: Arc<ComponentTimers>,
-    obs: se_obs::Obs,
-    /// Periodic `metrics.json` snapshot thread, if configured; stopped
-    /// (dropped) at shutdown before the final dump.
-    obs_snapshots: Mutex<Option<se_obs::PeriodicSnapshots>>,
-    worker_senders: Vec<DelaySender<WorkerMsg>>,
-    coord_sender: DelaySender<CoordMsg>,
+    /// The runtime's own senders, held for the deployment's lifetime so no
+    /// queue is seen closed while a late message may still be sent.
+    _senders: (Vec<DelaySender<WorkerMsg>>, DelaySender<CoordMsg>),
     /// A durability directory this runtime created itself (config left
     /// `durability.dir` unset): removed at shutdown. User-provided
     /// directories are never touched.
@@ -83,98 +61,48 @@ impl StateflowRuntime {
             cfg.durability.dir = Some(dir.clone());
             dir
         });
-        let graph = Arc::new(graph);
-        let obs = se_obs::Obs::new(&cfg.obs);
-        let obs_snapshots = Mutex::new(obs.spawn_periodic_snapshots());
-        // Every method body is lowered to bytecode exactly once, here, and
-        // the compiled program is shared by all workers.
-        let compile_start = obs.now_ns();
-        let vm = Arc::new(se_vm::VmProgram::compile(&graph.program));
-        obs.stage_span(se_obs::Stage::VmCompile, 0, compile_start, obs.now_ns());
-        obs.counter("vm.compile_runs").inc();
-        if obs.enabled() {
-            se_compiler::stats(&graph).publish(&obs);
-        }
-        let registry = VersionRegistry::new(Arc::clone(&graph), Arc::clone(&vm) as _);
-        obs.gauge("deploy.active_version").set(graph.version as i64);
-        let snapshots = Arc::new(SnapshotStore::new());
-        let timers = Arc::new(ComponentTimers::new());
-        let stats = Arc::new(CoordStats::register(&obs));
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let core = EngineCore::new(graph, &cfg.obs);
+        let stats = Arc::new(CoordStats::register(&core.obs));
         let source = ReplayableSource::new();
-        let waiters: Arc<Mutex<HashMap<RequestId, ResponseCompleter>>> =
-            Arc::new(Mutex::new(HashMap::new()));
 
         let (coord_tx, coord_rx) = delay_channel::<CoordMsg>();
-        let mut worker_txs = Vec::with_capacity(cfg.workers);
-        let mut worker_rxs = Vec::with_capacity(cfg.workers);
-        for _ in 0..cfg.workers {
-            let (tx, rx) = delay_channel::<WorkerMsg>();
-            worker_txs.push(tx);
-            worker_rxs.push(rx);
-        }
-
-        let mut threads = Vec::new();
+        let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) =
+            (0..cfg.workers).map(|_| delay_channel()).unzip();
         for (id, rx) in worker_rxs.into_iter().enumerate() {
             let worker = Worker::new(
                 id,
                 cfg.clone(),
-                Arc::clone(&registry),
+                Arc::clone(&core.registry),
                 rx,
                 worker_txs.clone(),
                 coord_tx.clone(),
-                Arc::clone(&snapshots),
-                Arc::clone(&timers),
-                obs.clone(),
+                Arc::clone(&core.snapshots),
+                Arc::clone(&core.timers),
+                core.obs.clone(),
             );
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("stateflow-worker{id}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn worker"),
-            );
+            core.spawn(format!("stateflow-worker{id}"), move || worker.run());
         }
-
         let coordinator = Coordinator::new(
             cfg.clone(),
             worker_txs.clone(),
             coord_rx,
             SourceReader::at(&source, 0),
-            Arc::clone(&waiters),
-            Arc::clone(&snapshots),
+            Arc::clone(&core.waiters),
+            Arc::clone(&core.snapshots),
             Arc::clone(&stats),
-            obs.clone(),
-            Arc::clone(&shutdown),
+            core.obs.clone(),
+            Arc::clone(&core.shutdown),
         );
-        threads.push(
-            std::thread::Builder::new()
-                .name("stateflow-coordinator".into())
-                .spawn(move || coordinator.run())
-                .expect("spawn coordinator"),
-        );
+        core.spawn("stateflow-coordinator".into(), move || coordinator.run());
 
         Self {
+            core,
             cfg,
-            registry,
-            current: Mutex::new(CurrentDeploy { graph, vm }),
             source,
-            waiters,
-            next_request: AtomicU64::new(1),
-            shutdown,
-            threads: Mutex::new(threads),
             stats,
-            snapshots,
-            timers,
-            obs,
-            obs_snapshots,
-            worker_senders: worker_txs,
-            coord_sender: coord_tx,
+            _senders: (worker_txs, coord_tx),
             owned_durability_dir,
         }
-    }
-
-    fn fresh_request(&self) -> RequestId {
-        RequestId(self.next_request.fetch_add(1, Ordering::SeqCst))
     }
 
     /// Protocol counters (batches, commits, aborts, snapshots, recoveries).
@@ -184,17 +112,17 @@ impl StateflowRuntime {
 
     /// Per-component timing breakdown (overhead experiment).
     pub fn timers(&self) -> &ComponentTimers {
-        &self.timers
+        &self.core.timers
     }
 
     /// The observability handle (stage histograms, counters, run dir).
     pub fn obs(&self) -> &se_obs::Obs {
-        &self.obs
+        &self.core.obs
     }
 
     /// The snapshot store (inspected by recovery tests).
     pub fn snapshots(&self) -> &SnapshotStore<StateStore> {
-        &self.snapshots
+        &self.core.snapshots
     }
 
     /// The runtime configuration.
@@ -202,79 +130,35 @@ impl StateflowRuntime {
         &self.cfg
     }
 
-    /// Registers a fresh request's waiter and appends the op `op` builds
-    /// for it to the source. After `shutdown` no thread reads the source,
-    /// so a request submitted then fails at once instead of hanging.
+    /// Appends the op `op` builds for a fresh request to the source.
     fn submit(&self, op: impl FnOnce(RequestId) -> ClientOp) -> ResponseWaiter {
-        let request = self.fresh_request();
-        let (completer, waiter) = ResponseWaiter::new();
-        self.waiters.lock().insert(request, completer);
-        // Checked after the insert: a concurrent shutdown either clears this
-        // completer with the map or has already set the flag.
-        if self.shutdown.load(Ordering::SeqCst) {
-            if let Some(c) = self.waiters.lock().remove(&request) {
-                c.complete(Err(LangError::runtime("runtime is shut down")));
-            }
-            return waiter;
-        }
-        self.source.append(ClientRequest {
-            request,
-            op: op(request),
-        });
-        waiter
+        self.core.submit(|request| {
+            let op = op(request);
+            self.source.append(ClientRequest { request, op });
+            Ok(())
+        })
     }
 
     /// The program version new roots are currently stamped with.
     pub fn active_version(&self) -> u64 {
-        self.registry.active()
+        self.core.registry.active()
     }
 
-    /// Live code upgrade: compiles `program` as the next version after the
-    /// current deploy (incrementally — unchanged methods reuse the previous
-    /// version's split artifacts and bytecode), registers it with every
-    /// worker's version registry, and appends a `Redeploy` record to the
-    /// replayable source. Blocks until the coordinator commits the switch:
-    /// pipeline drained, pre-upgrade epoch cut, per-entity `__migrate__`
-    /// pass acknowledged by every worker. Returns the now-active version.
+    /// Live code upgrade (compilation and version bookkeeping:
+    /// [`EngineCore::redeploy`]). The switch is a `Redeploy` record appended
+    /// to the replayable source; this call blocks until the coordinator
+    /// commits it: pipeline drained, pre-upgrade epoch cut, per-entity
+    /// `__migrate__` pass acknowledged by every worker. Returns the
+    /// now-active version.
     ///
     /// Invocations in flight when the upgrade was requested drain on the
     /// version their root was stamped with; calls submitted after this
-    /// returns run the new version. Once the switch commits, versions
-    /// older than the *previous* deploy are evicted from the registry —
-    /// they have fully drained, and keeping the immediate predecessor
-    /// covers a recovery that rewinds past the upgrade's own epoch cut.
+    /// returns run the new version.
     pub fn redeploy(&self, program: &se_lang::Program) -> Result<u64, Vec<LangError>> {
-        let mut cur = self.current.lock();
-        let prev_version = cur.graph.version;
-        let compile_start = self.obs.now_ns();
-        let (graph, recompile) = se_compiler::compile_upgrade(
-            &cur.graph,
-            program,
-            &se_compiler::CompileOptions::default(),
-        )?;
-        let graph = Arc::new(graph);
-        let vm = Arc::new(se_vm::VmProgram::compile_reusing(
-            &graph.program,
-            Some((&cur.graph.program, &cur.vm)),
-        ));
-        let version = graph.version;
-        self.obs.stage_span(
-            se_obs::Stage::VmCompile,
-            version,
-            compile_start,
-            self.obs.now_ns(),
-        );
-        self.obs.counter("vm.compile_runs").inc();
-        if self.obs.enabled() {
-            recompile.publish(&self.obs);
-        }
-        self.registry
-            .insert(version, Arc::clone(&graph), Arc::clone(&vm) as _);
-        let waiter = self.submit(|_| ClientOp::Redeploy { version });
-        waiter.wait().map_err(|e| vec![e])?;
-        *cur = CurrentDeploy { graph, vm };
-        self.registry.evict_below(prev_version);
-        Ok(version)
+        self.core.redeploy(program, |version| {
+            let committed = self.submit(|_| ClientOp::Redeploy { version });
+            committed.wait().map(drop)
+        })
     }
 }
 
@@ -319,24 +203,11 @@ impl EntityRuntime for StateflowRuntime {
     }
 
     fn shutdown(&self) {
-        let first = !self.shutdown.swap(true, Ordering::SeqCst);
-        self.source.close();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
-        if first {
-            // Stop the periodic snapshot thread, then write the end-of-run
-            // dump (a no-op returning Ok(None) when SE_OBS=off).
-            drop(self.obs_snapshots.lock().take());
-            let _ = self.obs.dump();
-        }
-        // Pending waiters error out when their completers drop.
-        self.waiters.lock().clear();
-        // Keep the senders alive until here so late messages don't panic.
-        let _ = (&self.worker_senders, &self.coord_sender);
+        // Closing the source wakes the coordinator, which tells the workers.
+        let first = self.core.shutdown(|| self.source.close());
         // The runtime-owned durability dir dies with the deployment (all
         // worker threads have joined, so no WAL is still being written).
-        if let Some(dir) = &self.owned_durability_dir {
+        if let Some(dir) = self.owned_durability_dir.as_ref().filter(|_| first) {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

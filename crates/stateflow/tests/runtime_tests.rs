@@ -521,11 +521,7 @@ fn overhead_timers_populated() {
 /// something woke it or never happens (`WAIT` turns "never" into a failure).
 struct CoordRig {
     source: se_dataflow::ReplayableSource<se_stateflow::msg::ClientRequest>,
-    waiters: Arc<
-        parking_lot::Mutex<
-            std::collections::HashMap<se_ir::RequestId, se_dataflow::ResponseCompleter>,
-        >,
-    >,
+    waiters: Arc<se_dataflow::WaiterMap>,
     snapshots: Arc<se_dataflow::SnapshotStore<se_dataflow::StateStore>>,
     stats: Arc<se_stateflow::coordinator::CoordStats>,
     coord_tx: se_dataflow::DelaySender<se_stateflow::msg::CoordMsg>,
@@ -541,7 +537,7 @@ impl CoordRig {
         use se_dataflow::{delay_channel, ReplayableSource, SnapshotStore, SourceReader};
         use se_stateflow::coordinator::{CoordStats, Coordinator};
         let source = ReplayableSource::new();
-        let waiters = Arc::new(parking_lot::Mutex::new(std::collections::HashMap::new()));
+        let waiters = Arc::new(se_dataflow::WaiterMap::default());
         let snapshots = Arc::new(SnapshotStore::new());
         let stats = Arc::new(CoordStats::default());
         let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -670,7 +666,7 @@ impl CoordRig {
 #[test]
 fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
     use se_chaos::{History, HistoryEvent};
-    use se_dataflow::{ResponseWaiter, StateStore};
+    use se_dataflow::StateStore;
     use se_ir::RequestId;
     use se_stateflow::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
 
@@ -702,10 +698,10 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
         );
     };
 
-    let (completer, redeployed) = ResponseWaiter::new();
-    rig.waiters.lock().insert(RequestId(1), completer);
+    let (request, redeployed) = rig.waiters.register();
+    assert_eq!(request, RequestId(1));
     rig.source.append(ClientRequest {
-        request: RequestId(1),
+        request,
         op: ClientOp::Redeploy { version: 2 },
     });
     cut(0, 1);
@@ -782,10 +778,8 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
         .expect("without error");
     // Sealing resumed, on the new version: the two requests that waited
     // behind the upgrade and the restore go out as one batch.
-    let (answers, answered): (Vec<_>, Vec<_>) = (0..2).map(|_| ResponseWaiter::new()).unzip();
-    for (request, completer) in [2, 3].into_iter().zip(answers) {
-        rig.waiters.lock().insert(RequestId(request), completer);
-    }
+    let (ids, answered): (Vec<_>, Vec<_>) = (0..2).map(|_| rig.waiters.register()).unzip();
+    assert_eq!(ids, [RequestId(2), RequestId(3)]);
     for (key, request) in [("a", 2), ("b", 3)] {
         let WorkerMsg::Exec {
             gen: 2,
@@ -836,7 +830,7 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
         assert_eq!(answer.unwrap(), Value::Int(request));
         assert_eq!(rig.stats.commits.get(), 2, "counted before any answer");
     }
-    assert!(rig.waiters.lock().is_empty());
+    assert!(rig.waiters.is_empty());
     rig.stop();
 
     let events = history.events();

@@ -42,6 +42,10 @@ pub enum SfRecord {
     Upgrade {
         /// The version to switch to.
         version: u64,
+        /// This partition's acknowledgement, completed in the runtime's
+        /// waiter map once the switch is applied (a replayed marker finds
+        /// its waiter already answered).
+        request: RequestId,
     },
     /// (Egress) A root request's outcome.
     Response(Response),

@@ -25,8 +25,11 @@ use se_broker::Broker;
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
     send_with_chaos, ComponentTimers, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore,
+    WaiterMap,
 };
-use se_ir::{Invocation, InvocationKind, Response, StepEffect, VersionRegistry, INITIAL_VERSION};
+use se_ir::{
+    Invocation, InvocationKind, RequestId, Response, StepEffect, VersionRegistry, INITIAL_VERSION,
+};
 use se_lang::{EntityRef, LangError};
 
 use crate::config::{CheckpointMode, StatefunConfig};
@@ -47,37 +50,6 @@ pub struct RecoveryCtl {
 pub enum CtlMsg {
     /// A task crashed (failure injection fired).
     TaskFailed(usize),
-}
-
-/// Rendezvous between [`crate::StatefunRuntime::redeploy`] and the
-/// partition tasks: each task bumps the count for a version after applying
-/// its local switch; the redeploy call blocks until every partition has
-/// counted in. Counts only grow — a task that crashes mid-upgrade re-applies
-/// the switch on replay and counts in again, which is harmless.
-#[derive(Debug, Default)]
-pub struct UpgradeGate {
-    applied: Mutex<HashMap<u64, usize>>,
-    cv: parking_lot::Condvar,
-}
-
-impl UpgradeGate {
-    /// Counts one partition in for `version`.
-    pub fn notify(&self, version: u64) {
-        *self.applied.lock().entry(version).or_insert(0) += 1;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until `tasks` partitions applied `version`; false on timeout.
-    pub fn wait(&self, version: u64, tasks: usize, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut applied = self.applied.lock();
-        while applied.get(&version).copied().unwrap_or(0) < tasks {
-            if self.cv.wait_until(&mut applied, deadline).timed_out() {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// One partition task (run on its own thread).
@@ -101,7 +73,9 @@ pub struct PartitionTask {
     /// redo): restore keeps entries at or below the restored offset and
     /// replay re-applies the rest.
     upgrades: Vec<(u64, u64)>,
-    gate: Arc<UpgradeGate>,
+    /// The runtime's waiter map, where each applied `Upgrade` marker is
+    /// acknowledged to the blocked `redeploy` call.
+    waiters: Arc<WaiterMap>,
     store: StateStore,
     offset: u64,
     /// Outstanding dispatch per entity: the sequence number a response must
@@ -134,7 +108,7 @@ impl PartitionTask {
         cfg: StatefunConfig,
         broker: Broker<SfRecord>,
         registry: Arc<VersionRegistry>,
-        gate: Arc<UpgradeGate>,
+        waiters: Arc<WaiterMap>,
         pool_tx: DelaySender<RemoteRequest>,
         resp_rx: DelayReceiver<RemoteResponse>,
         snapshots: Arc<SnapshotStore<StateStore>>,
@@ -152,7 +126,7 @@ impl PartitionTask {
             registry,
             active_version: INITIAL_VERSION,
             upgrades: Vec::new(),
-            gate,
+            waiters,
             store: StateStore::new(),
             offset: 0,
             inflight: HashMap::new(),
@@ -273,7 +247,7 @@ impl PartitionTask {
                 }
                 self.on_barrier(epoch);
             }
-            SfRecord::Upgrade { version } => {
+            SfRecord::Upgrade { version, request } => {
                 // Crash-mid-upgrade window: the marker consumed but the
                 // switch not yet applied (or applied in memory only, ahead
                 // of the next durable barrier).
@@ -281,7 +255,7 @@ impl PartitionTask {
                     self.crash();
                     return;
                 }
-                self.on_upgrade(version);
+                self.on_upgrade(version, request);
             }
             SfRecord::Response(_) => { /* egress records never reach ingress */ }
         }
@@ -449,12 +423,14 @@ impl PartitionTask {
     /// checkpoint barrier uses — the switch lands with zero dispatches in
     /// flight), [`se_ir::VersionEntry::migrate_entity`] over this
     /// partition's slice of the store, then the root-stamping version bump.
-    /// The gate notification lets the blocked `redeploy` call return once
-    /// every partition has switched.
-    fn on_upgrade(&mut self, version: u64) {
+    /// Completing `request` acknowledges the switch straight to the blocked
+    /// `redeploy` call, which returns once every partition has switched. A
+    /// task that crashes mid-upgrade re-applies the switch on replay; its
+    /// acknowledgement then finds no waiter, which is harmless.
+    fn on_upgrade(&mut self, version: u64, request: RequestId) {
         // Replayed or duplicated marker for a version this incarnation
         // already runs (e.g. the restored snapshot post-dates the switch):
-        // nothing to do, and it must not count into the gate again.
+        // nothing to do, and its acknowledgement was already given.
         if version <= self.active_version {
             return;
         }
@@ -500,7 +476,7 @@ impl PartitionTask {
                 version,
             });
         }
-        self.gate.notify(version);
+        self.waiters.complete(request, Ok(se_lang::Value::Unit));
     }
 
     fn crash(&mut self) {

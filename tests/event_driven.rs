@@ -201,3 +201,50 @@ fn statefun_requests_after_shutdown_fail() {
     let cfg = StatefunConfig::fast_test(2);
     requests_after_shutdown_fail(RuntimeChoice::Statefun(cfg));
 }
+
+/// Starts a live upgrade on `rt`, shuts the engine down while the upgrade
+/// waits for its switchover, and requires the upgrade to fail within the
+/// bound: no engine thread is left to acknowledge the switch.
+fn redeploy_racing_shutdown<R: EntityRuntime + 'static>(
+    rt: R,
+    redeploy: fn(&R, &Program) -> Result<u64, Vec<se_lang::LangError>>,
+) {
+    let rt = Arc::new(rt);
+    let upgrading = Arc::clone(&rt);
+    let upgrade = std::thread::spawn(move || {
+        redeploy(
+            &upgrading,
+            &stateful_entities::programs::counter_v2_program(),
+        )
+    });
+    // Long enough to compile v2 and hand the switch to the engine, which
+    // the configs below keep from completing it for far longer. Were the
+    // shutdown first, the upgrade would be refused at submit instead.
+    std::thread::sleep(Duration::from_millis(100));
+    rt.shutdown();
+    let got = within("redeploy", move || {
+        upgrade.join().expect("redeploy panicked")
+    });
+    let err = got.expect_err("a redeploy cut off by shutdown must fail");
+    assert!(err[0].to_string().contains("shut down"), "{err:?}");
+}
+
+#[test]
+fn redeploy_racing_shutdown_fails_promptly() {
+    let _turn = one_engine();
+    let program = stateful_entities::programs::counter_program;
+    // Every control message to a worker (the upgrade's epoch cut, and the
+    // shutdown) takes 300 ms, so the cut cannot finish before shutdown.
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.net.f2f_hop = Duration::from_millis(300);
+    let graph = stateful_entities::compile(&program()).unwrap();
+    let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);
+    redeploy_racing_shutdown(rt, stateful_entities::StateflowRuntime::redeploy);
+    // A produced `Upgrade` marker stays invisible to the partition tasks
+    // for the whole test, so they leave at shutdown without reading it.
+    let mut cfg = StatefunConfig::fast_test(2);
+    cfg.net.broker_hop = Duration::from_secs(30);
+    let graph = stateful_entities::compile(&program()).unwrap();
+    let rt = stateful_entities::StatefunRuntime::deploy(graph, cfg);
+    redeploy_racing_shutdown(rt, stateful_entities::StatefunRuntime::redeploy);
+}
