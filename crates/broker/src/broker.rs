@@ -9,18 +9,22 @@
 //!
 //! * **topics with key-hashed partitions** (stable routing, see
 //!   [`se_ir::partition_for`]);
-//! * **offset-addressed, replayable logs** — records are never destroyed by
-//!   consumption, and consumer groups track committed offsets, which is what
-//!   makes exactly-once recovery possible;
+//! * **offset-addressed, replayable logs** — each partition is a
+//!   [`ReplayableSource`]: records are never destroyed by consumption, so a
+//!   recovering consumer re-reads from the offset its snapshot recorded;
 //! * **hop latency** — a record becomes *visible* to consumers only after
 //!   the produce+consume network cost from [`NetConfig`] has elapsed.
+//!
+//! Nobody blocks in the broker: a consumer registers its inbox's waker with
+//! [`Broker::wake_on_produce`] and parks on that inbox until the instant
+//! [`Broker::next_visible_at`] names.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-use se_dataflow::{ChaosPlan, NetConfig, Waker};
+use parking_lot::Mutex;
+use se_dataflow::{ChaosPlan, NetConfig, ReplayableSource, Waker};
 use se_ir::partition_for;
 
 /// Broker operation errors.
@@ -67,54 +71,11 @@ struct Entry<T> {
     visible_at: Instant,
 }
 
-/// What a blocked fetch re-checks, under the one lock it waits on.
-struct Log<T> {
-    entries: Vec<Entry<T>>,
-    /// Set by [`Broker::close`]: blocking fetches return what is visible.
-    closed: bool,
-    /// Fetches inside `fetch_blocking`'s wait; produces skip the condvar
-    /// (an unconditional `futex` syscall in `std`) while it is zero.
-    parked: usize,
-}
-
-struct Partition<T> {
-    log: Mutex<Log<T>>,
-    appended: Condvar,
-    /// Fired on every produce: how a consumer that parks on its own inbox
-    /// rather than in `fetch_blocking` learns of new records.
-    waker: OnceLock<Waker>,
-}
-
-impl<T> Partition<T> {
-    /// Appends a record visible after `delay`, returning its offset.
-    fn append(&self, key: &str, value: T, delay: Duration) -> u64 {
-        let mut log = self.log.lock();
-        let offset = log.entries.len() as u64;
-        log.entries.push(Entry {
-            key: key.to_owned(),
-            value,
-            visible_at: Instant::now() + delay,
-        });
-        let parked = log.parked > 0;
-        drop(log);
-        if parked {
-            self.appended.notify_all();
-        }
-        if let Some(waker) = self.waker.get() {
-            waker.wake();
-        }
-        offset
-    }
-}
-
-struct TopicData<T> {
-    partitions: Vec<Partition<T>>,
-}
+/// One partition's log.
+type Partition<T> = ReplayableSource<Entry<T>>;
 
 struct Inner<T> {
-    topics: Mutex<HashMap<String, Arc<TopicData<T>>>>,
-    // (group, topic, partition) → committed offset
-    offsets: Mutex<HashMap<(String, String, usize), u64>>,
+    topics: Mutex<HashMap<String, Arc<[Partition<T>]>>>,
     net: NetConfig,
     /// Scripted outage windows: affected produces become visible late,
     /// and log order stalls consumers behind them — the broker is "down".
@@ -146,49 +107,36 @@ impl<T: Clone> Broker<T> {
         Self {
             inner: Arc::new(Inner {
                 topics: Mutex::new(HashMap::new()),
-                offsets: Mutex::new(HashMap::new()),
                 net,
                 chaos,
             }),
         }
     }
 
-    /// Base visibility delay of a produce plus any scripted outage delay.
-    fn produce_delay(&self, bytes: usize) -> Duration {
+    /// Appends a record to `p`, visible once the produce and consume hops
+    /// (plus any scripted outage delay) have elapsed; returns its offset.
+    fn append(&self, p: &Partition<T>, key: &str, value: T, bytes: usize) -> u64 {
         let mut delay = self.inner.net.broker_latency(bytes) * 2;
         if let Some(extra_us) = self.inner.chaos.broker_delay() {
             delay += self.inner.net.scaled(Duration::from_micros(extra_us));
         }
-        delay
-    }
-
-    /// The broker's network model.
-    pub fn net(&self) -> &NetConfig {
-        &self.inner.net
+        p.append(Entry {
+            key: key.to_owned(),
+            value,
+            visible_at: Instant::now() + delay,
+        })
     }
 
     /// Creates a topic with `partitions` partitions (idempotent).
     pub fn create_topic(&self, name: &str, partitions: usize) {
         assert!(partitions > 0, "topics need at least one partition");
         let mut topics = self.inner.topics.lock();
-        topics.entry(name.to_owned()).or_insert_with(|| {
-            Arc::new(TopicData {
-                partitions: (0..partitions)
-                    .map(|_| Partition {
-                        log: Mutex::new(Log {
-                            entries: Vec::new(),
-                            closed: false,
-                            parked: 0,
-                        }),
-                        appended: Condvar::new(),
-                        waker: OnceLock::new(),
-                    })
-                    .collect(),
-            })
-        });
+        topics
+            .entry(name.to_owned())
+            .or_insert_with(|| (0..partitions).map(|_| Partition::new()).collect());
     }
 
-    fn topic(&self, name: &str) -> Result<Arc<TopicData<T>>, BrokerError> {
+    fn topic(&self, name: &str) -> Result<Arc<[Partition<T>]>, BrokerError> {
         self.inner
             .topics
             .lock()
@@ -206,18 +154,12 @@ impl<T: Clone> Broker<T> {
     ) -> Result<R, BrokerError> {
         let t = self.topic(topic)?;
         let p = t
-            .partitions
             .get(partition)
             .ok_or_else(|| BrokerError::UnknownPartition {
                 topic: topic.to_owned(),
                 partition,
             })?;
         Ok(f(p))
-    }
-
-    /// Number of partitions of a topic.
-    pub fn partitions(&self, topic: &str) -> Result<usize, BrokerError> {
-        Ok(self.topic(topic)?.partitions.len())
     }
 
     /// Produces a record routed by `key`; `bytes` is the payload size used
@@ -234,8 +176,8 @@ impl<T: Clone> Broker<T> {
         bytes: usize,
     ) -> Result<(usize, u64), BrokerError> {
         let t = self.topic(topic)?;
-        let partition = partition_for(key, t.partitions.len());
-        let offset = t.partitions[partition].append(key, value, self.produce_delay(bytes));
+        let partition = partition_for(key, t.len());
+        let offset = self.append(&t[partition], key, value, bytes);
         Ok((partition, offset))
     }
 
@@ -250,9 +192,7 @@ impl<T: Clone> Broker<T> {
         value: T,
         bytes: usize,
     ) -> Result<u64, BrokerError> {
-        self.with_partition(topic, partition, |p| {
-            p.append(key, value, self.produce_delay(bytes))
-        })
+        self.with_partition(topic, partition, |p| self.append(p, key, value, bytes))
     }
 
     /// Registers the waker of the thread that consumes a partition through
@@ -266,17 +206,7 @@ impl<T: Clone> Broker<T> {
         partition: usize,
         waker: Waker,
     ) -> Result<(), BrokerError> {
-        self.with_partition(topic, partition, |p| {
-            // An invariant, not input validation: only deploy-time wiring
-            // calls this (the StateFun runtime, once per ingress partition
-            // for that partition's task), so no record or peer message can
-            // reach a second call.
-            let set = p.waker.set(waker);
-            assert!(
-                set.is_ok(),
-                "invariant: a partition has one consumer task, which registers its waker once at deploy"
-            );
-        })
+        self.with_partition(topic, partition, |p| p.wake_on_append(waker))
     }
 
     /// Fetches up to `max` *visible* records from `offset` onward.
@@ -288,7 +218,20 @@ impl<T: Clone> Broker<T> {
         max: usize,
     ) -> Result<Vec<ConsumerRecord<T>>, BrokerError> {
         self.with_partition(topic, partition, |p| {
-            Self::visible_from(&p.log.lock().entries, offset, max)
+            p.read_from(offset, |tail| {
+                let now = Instant::now();
+                // Offsets must be consumed in order; stop at the first
+                // not-yet-visible record to preserve log order.
+                (tail.iter().take(max))
+                    .take_while(|e| e.visible_at <= now)
+                    .zip(offset..)
+                    .map(|(e, offset)| ConsumerRecord {
+                        offset,
+                        key: e.key.clone(),
+                        value: e.value.clone(),
+                    })
+                    .collect()
+            })
         })
     }
 
@@ -303,96 +246,8 @@ impl<T: Clone> Broker<T> {
         offset: u64,
     ) -> Result<Option<Instant>, BrokerError> {
         self.with_partition(topic, partition, |p| {
-            let log = p.log.lock();
-            log.entries.get(offset as usize).map(|e| e.visible_at)
+            p.read_from(offset, |tail| tail.first().map(|e| e.visible_at))
         })
-    }
-
-    /// Like [`Broker::fetch`], but blocks for at least one visible record —
-    /// up to `timeout` if one is given — or until the broker is closed.
-    pub fn fetch_blocking(
-        &self,
-        topic: &str,
-        partition: usize,
-        offset: u64,
-        max: usize,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<ConsumerRecord<T>>, BrokerError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        self.with_partition(topic, partition, |p| {
-            let mut log = p.log.lock();
-            loop {
-                let got = Self::visible_from(&log.entries, offset, max);
-                let expired = deadline.is_some_and(|d| Instant::now() >= d);
-                if !got.is_empty() || log.closed || expired {
-                    return got;
-                }
-                // Wake when the next record in log order becomes visible, a
-                // new record is appended, the broker closes, or the
-                // deadline passes.
-                let next_visible = log.entries.get(offset as usize).map(|e| e.visible_at);
-                log.parked += 1;
-                match next_visible.into_iter().chain(deadline).min() {
-                    Some(until) => {
-                        p.appended.wait_until(&mut log, until);
-                    }
-                    None => p.appended.wait(&mut log),
-                }
-                log.parked -= 1;
-            }
-        })
-    }
-
-    /// Closes the broker for blocked consumers: every `fetch_blocking`,
-    /// parked now or called later, returns at once with what is visible.
-    /// Produces and plain fetches keep working.
-    pub fn close(&self) {
-        let topics: Vec<_> = self.inner.topics.lock().values().cloned().collect();
-        for p in topics.iter().flat_map(|t| &t.partitions) {
-            p.log.lock().closed = true;
-            p.appended.notify_all();
-        }
-    }
-
-    fn visible_from(entries: &[Entry<T>], offset: u64, max: usize) -> Vec<ConsumerRecord<T>> {
-        let now = Instant::now();
-        let mut out = Vec::new();
-        for (i, e) in entries.iter().enumerate().skip(offset as usize) {
-            // Offsets must be consumed in order; stop at the first
-            // not-yet-visible record to preserve log order.
-            if e.visible_at > now || out.len() >= max {
-                break;
-            }
-            out.push(ConsumerRecord {
-                offset: i as u64,
-                key: e.key.clone(),
-                value: e.value.clone(),
-            });
-        }
-        out
-    }
-
-    /// The next offset that would be assigned in a partition (log end).
-    pub fn end_offset(&self, topic: &str, partition: usize) -> Result<u64, BrokerError> {
-        self.with_partition(topic, partition, |p| p.log.lock().entries.len() as u64)
-    }
-
-    /// Commits a consumer group's offset (the next offset to read).
-    pub fn commit(&self, group: &str, topic: &str, partition: usize, offset: u64) {
-        self.inner
-            .offsets
-            .lock()
-            .insert((group.to_owned(), topic.to_owned(), partition), offset);
-    }
-
-    /// The committed offset of a group (0 when none committed yet).
-    pub fn committed(&self, group: &str, topic: &str, partition: usize) -> u64 {
-        self.inner
-            .offsets
-            .lock()
-            .get(&(group.to_owned(), topic.to_owned(), partition))
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -400,8 +255,12 @@ impl<T: Clone> Broker<T> {
 mod tests {
     use super::*;
 
+    /// A broker whose records are visible as soon as they are produced.
     fn broker() -> Broker<String> {
-        let b = Broker::new(NetConfig::fast_test());
+        let b = Broker::new(NetConfig {
+            broker_hop: Duration::ZERO,
+            ..NetConfig::fast_test()
+        });
         b.create_topic("events", 4);
         b
     }
@@ -411,7 +270,6 @@ mod tests {
         let b = broker();
         let (p, o) = b.produce("events", "alice", "hello".into(), 0).unwrap();
         assert_eq!(o, 0);
-        std::thread::sleep(Duration::from_millis(2));
         let got = b.fetch("events", p, 0, 10).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].value, "hello");
@@ -433,12 +291,21 @@ mod tests {
         net.broker_hop = Duration::from_millis(30);
         let b = Broker::new(net);
         b.create_topic("t", 1);
+        let (_tx, rx) = se_dataflow::delay_channel::<u8>();
+        b.wake_on_produce("t", 0, rx.waker()).unwrap();
+        let before = Instant::now();
         b.produce("t", "k", "v".to_string(), 0).unwrap();
         assert!(
             b.fetch("t", 0, 0, 10).unwrap().is_empty(),
             "not visible yet"
         );
-        std::thread::sleep(Duration::from_millis(70));
+        let visible_at = b.next_visible_at("t", 0, 0).unwrap().expect("produced");
+        assert!(visible_at >= before + Duration::from_millis(60), "two hops");
+        // The produce's wake ends the first receive; the second lasts
+        // until the record shows.
+        assert_eq!(rx.recv_until(Some(visible_at)), None);
+        assert_eq!(rx.recv_until(Some(visible_at)), None);
+        assert!(Instant::now() >= visible_at);
         assert_eq!(b.fetch("t", 0, 0, 10).unwrap().len(), 1);
     }
 
@@ -448,7 +315,6 @@ mod tests {
         for i in 0..20 {
             b.produce("events", "bob", format!("m{i}"), 0).unwrap();
         }
-        std::thread::sleep(Duration::from_millis(3));
         let p = partition_for("bob", 4);
         let got = b.fetch("events", p, 0, 100).unwrap();
         let values: Vec<String> = got.iter().map(|r| r.value.clone()).collect();
@@ -457,59 +323,19 @@ mod tests {
     }
 
     #[test]
-    fn consumer_groups_track_independent_offsets() {
-        let b = broker();
-        b.commit("g1", "events", 0, 5);
-        b.commit("g2", "events", 0, 9);
-        assert_eq!(b.committed("g1", "events", 0), 5);
-        assert_eq!(b.committed("g2", "events", 0), 9);
-        assert_eq!(b.committed("g3", "events", 0), 0);
-    }
-
-    #[test]
-    fn replay_from_committed_offset() {
+    fn replay_from_an_offset() {
         let b = broker();
         let p = partition_for("carol", 4);
         for i in 0..5 {
             b.produce("events", "carol", format!("m{i}"), 0).unwrap();
         }
-        std::thread::sleep(Duration::from_millis(3));
-        // Consume two, commit, "crash", replay from committed.
+        // Consume two, "crash", replay from the offset after them.
         let first = b.fetch("events", p, 0, 2).unwrap();
-        b.commit("g", "events", p, first.last().unwrap().offset + 1);
-        let replayed = b
-            .fetch("events", p, b.committed("g", "events", p), 100)
-            .unwrap();
+        let resume = first.last().unwrap().offset + 1;
+        let replayed = b.fetch("events", p, resume, 100).unwrap();
         assert_eq!(replayed.len(), 3);
         assert_eq!(replayed[0].value, "m2");
-    }
-
-    #[test]
-    fn blocking_fetch_wakes_on_produce() {
-        let b = broker();
-        let b2 = b.clone();
-        let h = std::thread::spawn(move || {
-            b2.fetch_blocking(
-                "events",
-                partition_for("k", 4),
-                0,
-                10,
-                Some(Duration::from_secs(2)),
-            )
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        b.produce("events", "k", "late".into(), 0).unwrap();
-        let got = h.join().unwrap().unwrap();
-        assert_eq!(got.len(), 1);
-    }
-
-    #[test]
-    fn blocking_fetch_times_out_empty() {
-        let b = broker();
-        let got = b
-            .fetch_blocking("events", 0, 0, 10, Some(Duration::from_millis(30)))
-            .unwrap();
-        assert!(got.is_empty());
+        assert_eq!(replayed[0].offset, 2);
     }
 
     #[test]
@@ -523,17 +349,6 @@ mod tests {
             b.fetch("events", 99, 0, 1).unwrap_err(),
             BrokerError::UnknownPartition { .. }
         ));
-    }
-
-    #[test]
-    fn end_offset_counts_invisible_records() {
-        let mut net = NetConfig::fast_test();
-        net.broker_hop = Duration::from_secs(10);
-        let b = Broker::new(net);
-        b.create_topic("t", 1);
-        b.produce("t", "k", "v".to_string(), 0).unwrap();
-        assert_eq!(b.end_offset("t", 0).unwrap(), 1);
-        assert!(b.fetch("t", 0, 0, 1).unwrap().is_empty());
     }
 
     #[test]
@@ -581,19 +396,5 @@ mod tests {
         // The other partition has no waker and is left alone.
         b.produce_to("t", 0, "k", "v".to_string(), 0).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), None);
-    }
-
-    #[test]
-    fn close_releases_blocked_and_later_blocking_fetches() {
-        let b = broker();
-        let b2 = b.clone();
-        let start = Instant::now();
-        let h = std::thread::spawn(move || b2.fetch_blocking("events", 0, 0, 10, None));
-        std::thread::sleep(Duration::from_millis(10));
-        b.close();
-        assert!(h.join().unwrap().unwrap().is_empty());
-        let late = b.fetch_blocking("events", 1, 0, 10, None);
-        assert!(late.unwrap().is_empty());
-        assert!(start.elapsed() < Duration::from_secs(10));
     }
 }

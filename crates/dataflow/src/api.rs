@@ -7,29 +7,24 @@
 //! StateFlow runtime all implement [`EntityRuntime`], and everything above
 //! (examples, workloads, benchmarks) is written against it.
 
-use std::time::{Duration, Instant};
-
-use crossbeam::channel;
+use std::time::Duration;
 
 use se_lang::{EntityRef, LangError, Value};
 
-/// A pending response to an asynchronous invocation.
+use crate::delay::{delay_channel, DelayReceiver, DelaySender};
+
+/// A pending response to an asynchronous invocation: the receiving end of a
+/// delay queue, so a client parks in [`DelayReceiver::recv_until`] like any
+/// engine thread, and a completion signals only a waiter actually parked.
 pub struct ResponseWaiter {
-    rx: channel::Receiver<Result<Value, LangError>>,
-    issued: Instant,
+    rx: DelayReceiver<Result<Value, LangError>>,
 }
 
 impl ResponseWaiter {
     /// Creates a waiter and the sender used to complete it.
     pub fn new() -> (ResponseCompleter, ResponseWaiter) {
-        let (tx, rx) = channel::bounded(1);
-        (
-            ResponseCompleter { tx },
-            ResponseWaiter {
-                rx,
-                issued: Instant::now(),
-            },
-        )
+        let (tx, rx) = delay_channel();
+        (ResponseCompleter { tx }, ResponseWaiter { rx })
     }
 
     /// A waiter that is already completed (for immediate errors).
@@ -39,38 +34,36 @@ impl ResponseWaiter {
         w
     }
 
-    /// Blocks until the response arrives.
+    /// Blocks until the response arrives. Nobody holds this queue's waker,
+    /// so the receive ends only with the answer or with the completer gone,
+    /// which means the runtime shut down.
     pub fn wait(self) -> Result<Value, LangError> {
         self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(LangError::runtime("runtime shut down before responding")))
+            .recv_until(None)
+            .unwrap_or_else(|| Err(LangError::runtime("runtime shut down before responding")))
     }
 
     /// Blocks up to `timeout`; `None` on timeout.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Value, LangError>> {
-        self.rx.recv_timeout(timeout).ok()
+        self.rx.recv_timeout(timeout)
     }
 
     /// Non-blocking poll.
     pub fn try_wait(&self) -> Option<Result<Value, LangError>> {
-        self.rx.try_recv().ok()
-    }
-
-    /// When the invocation was issued (for latency measurement).
-    pub fn issued_at(&self) -> Instant {
-        self.issued
+        self.rx.try_recv()
     }
 }
 
 /// Completion side of a [`ResponseWaiter`].
 pub struct ResponseCompleter {
-    tx: channel::Sender<Result<Value, LangError>>,
+    tx: DelaySender<Result<Value, LangError>>,
 }
 
 impl ResponseCompleter {
-    /// Delivers the response (ignores an already-dropped waiter).
+    /// Delivers the response; the first of several is the one a waiter
+    /// sees, and one nobody waits for any more is dropped with the queue.
     pub fn complete(&self, result: Result<Value, LangError>) {
-        let _ = self.tx.try_send(result);
+        self.tx.send(result);
     }
 }
 
@@ -143,5 +136,30 @@ mod tests {
         c.complete(Ok(Value::Int(1)));
         c.complete(Ok(Value::Int(2)));
         assert_eq!(w.wait().unwrap(), Value::Int(1));
+    }
+
+    /// Runs `wait` on another thread, and `release` once that wait is
+    /// parked; returns what the wait returned.
+    fn parked_wait(release: impl FnOnce(ResponseCompleter)) -> Result<Value, LangError> {
+        let (c, w) = ResponseWaiter::new();
+        let parked = w.rx.park_probe();
+        let waiter = std::thread::spawn(move || w.wait());
+        while !parked() {
+            std::thread::yield_now();
+        }
+        release(c);
+        waiter.join().expect("the waiter thread")
+    }
+
+    #[test]
+    fn parked_wait_returns_on_complete() {
+        let got = parked_wait(|c| c.complete(Ok(Value::Int(3))));
+        assert_eq!(got.unwrap(), Value::Int(3));
+    }
+
+    #[test]
+    fn parked_wait_fails_when_the_last_completer_drops() {
+        let got = parked_wait(drop);
+        assert!(got.unwrap_err().to_string().contains("shut down"));
     }
 }

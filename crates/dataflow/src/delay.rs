@@ -1,5 +1,8 @@
 //! A delay queue: the in-process stand-in for a network link, and the one
-//! thing an engine thread parks on.
+//! thing an engine thread parks on. [`DelayReceiver::recv_until`] is the
+//! only blocking call in the engine crates (`se-dataflow`, `se-broker`,
+//! `se-stateflow`, `se-statefun`) and this file holds their only condvar;
+//! a client's [`crate::ResponseWaiter`] is a delay queue too.
 //!
 //! Senders enqueue messages with a delivery delay; the receiver sees a
 //! message only once its delivery instant has passed. This is how simulated
@@ -24,10 +27,11 @@
 //! a receive returns, look at everything watched *before* blocking again.
 //!
 //! **Cost.** A receiver announces that it parks in one atomic word, changed
-//! only under the queue lock. `send*` reads it under the lock it already
-//! holds and `wake` in its single `fetch_or`, and both skip the condvar —
-//! an unconditional `futex` syscall in `std` — unless a receive is actually
-//! parked. Waking or sending to a busy receiver costs no syscall.
+//! only under the queue lock. `send*` and the last sender's drop read it
+//! under the queue lock and `wake` in its single `fetch_or`, and all three
+//! skip the condvar — an unconditional `futex` syscall in `std` — unless a
+//! receive is actually parked. Waking, sending to or closing a busy
+//! receiver costs no syscall.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -95,11 +99,15 @@ impl<T> Clone for DelaySender<T> {
 impl<T> Drop for DelaySender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last sender gone: wake every receive so it can observe
-            // closure — through the lock, or one that just read a non-zero
-            // sender count would start waiting after this notify.
-            drop(self.shared.queue.lock());
-            self.shared.available.notify_all();
+            // Last sender gone: wake every parked receive so it can observe
+            // closure — read under the lock, or one that just read a
+            // non-zero sender count would start waiting after this check.
+            let guard = self.shared.queue.lock();
+            let parked = self.shared.park.load(Ordering::SeqCst) >= PARKED;
+            drop(guard);
+            if parked {
+                self.shared.available.notify_all();
+            }
         }
     }
 }
@@ -248,6 +256,17 @@ impl<T> DelayReceiver<T> {
     /// Whether all senders were dropped.
     pub fn is_closed(&self) -> bool {
         self.shared.senders.load(Ordering::SeqCst) == 0
+    }
+
+    /// Tells whether a receive on this queue is inside its condvar wait,
+    /// also after the receiver itself moved to the thread that parks.
+    #[cfg(test)]
+    pub(crate) fn park_probe(&self) -> impl Fn() -> bool + Send + 'static
+    where
+        T: Send + 'static,
+    {
+        let shared = Arc::clone(&self.shared);
+        move || shared.park.load(Ordering::SeqCst) >= PARKED
     }
 }
 

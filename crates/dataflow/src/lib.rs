@@ -7,10 +7,12 @@
 //!   and live-upgrade compilation, the client waiter map, the thread set,
 //!   observability and shutdown;
 //! * [`net`] — the simulated cluster network (per-hop latency, time scale);
-//! * [`delay`] — delay queues imposing hop latency without blocking senders;
+//! * [`delay`] — delay queues imposing hop latency without blocking senders,
+//!   and the one place an engine thread parks;
 //! * [`state`] — per-partition entity state stores;
 //! * [`snapshot`] — consistent-snapshot (epoch) storage for exactly-once;
-//! * [`source`] — replayable, offset-addressed ingress logs;
+//! * [`source`] — the replayable, offset-addressed log (request sources and
+//!   broker partitions alike);
 //! * [`failure`] — scripted fault injection (re-exported from `se-chaos`)
 //!   plus the seam-injection send helper;
 //! * [`wal`] — the per-partition append-only write-ahead log (CRC-framed

@@ -1,33 +1,27 @@
-//! A replayable source: the durable, offset-addressed ingress log.
+//! A replayable source: the durable, offset-addressed log — the one log type
+//! in the workspace.
 //!
 //! Exactly-once recovery requires the ingress to be *replayable*: after a
 //! failure the system restores the latest complete snapshot and re-reads the
 //! source from the offset recorded in that snapshot (§3). Appends are
 //! retained (never destructively consumed), and any number of readers can
-//! read from any offset.
+//! read from any offset. StateFlow's request source is one; every broker
+//! partition is another.
+//!
+//! Nobody blocks in here: a consumer parks on its own inbox
+//! ([`crate::DelayReceiver::recv_until`]) and registers that inbox's
+//! [`Waker`] with the one source it consumes, so every append ends the wait.
 
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::delay::Waker;
 
-/// Everything a blocked reader re-checks, under the one lock it waits on:
-/// a flag flipped beside that lock could change between a reader's check
-/// and its wait, and the notify would find nobody to wake.
-struct Log<T> {
-    events: Vec<T>,
-    closed: bool,
-    /// Readers inside `read_blocking`'s wait; appends skip the condvar (an
-    /// unconditional `futex` syscall in `std`) while it is zero.
-    parked: usize,
-}
-
 struct Inner<T> {
-    log: Mutex<Log<T>>,
-    appended: Condvar,
-    /// Fired on every append and on close: how a consumer that parks on
-    /// its own inbox rather than in `read_blocking` learns of them.
+    events: Mutex<Vec<T>>,
+    /// Fired on every append: how the consumer, parked on its own inbox,
+    /// learns of it.
     waker: OnceLock<Waker>,
 }
 
@@ -44,95 +38,54 @@ impl<T> Clone for ReplayableSource<T> {
     }
 }
 
-impl<T: Clone> Default for ReplayableSource<T> {
+impl<T> Default for ReplayableSource<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Clone> ReplayableSource<T> {
+impl<T> ReplayableSource<T> {
     /// An empty source.
     pub fn new() -> Self {
         Self {
             inner: Arc::new(Inner {
-                log: Mutex::new(Log {
-                    events: Vec::new(),
-                    closed: false,
-                    parked: 0,
-                }),
-                appended: Condvar::new(),
+                events: Mutex::new(Vec::new()),
                 waker: OnceLock::new(),
             }),
         }
     }
 
-    /// Tells blocked readers and the registered waker that the log changed;
-    /// `parked` is what the caller read under the lock it has released.
-    fn announce(&self, parked: bool) {
-        if parked {
-            self.inner.appended.notify_all();
-        }
+    /// Appends an event, returning its offset.
+    pub fn append(&self, event: T) -> u64 {
+        let mut events = self.inner.events.lock();
+        events.push(event);
+        let off = (events.len() - 1) as u64;
+        drop(events);
         if let Some(waker) = self.inner.waker.get() {
             waker.wake();
         }
-    }
-
-    /// Appends an event, returning its offset.
-    pub fn append(&self, event: T) -> u64 {
-        let mut log = self.inner.log.lock();
-        log.events.push(event);
-        let off = (log.events.len() - 1) as u64;
-        let parked = log.parked > 0;
-        drop(log);
-        self.announce(parked);
         off
     }
 
-    /// Reads the event at `offset` if it exists.
-    pub fn read(&self, offset: u64) -> Option<T> {
-        self.inner.log.lock().events.get(offset as usize).cloned()
+    /// Runs `f` on the events from `offset` on (empty past the end), under
+    /// one lock however many it looks at.
+    pub fn read_from<R>(&self, offset: u64, f: impl FnOnce(&[T]) -> R) -> R {
+        let events = self.inner.events.lock();
+        f(events.get(offset as usize..).unwrap_or_default())
     }
 
-    /// Blocks until an event at `offset` exists (or the source is closed),
-    /// waiting at most `timeout`.
-    pub fn read_blocking(&self, offset: u64, timeout: std::time::Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut log = self.inner.log.lock();
-        loop {
-            if let Some(e) = log.events.get(offset as usize) {
-                return Some(e.clone());
-            }
-            if log.closed || std::time::Instant::now() >= deadline {
-                return None;
-            }
-            log.parked += 1;
-            self.inner.appended.wait_until(&mut log, deadline);
-            log.parked -= 1;
-        }
-    }
-
-    /// Number of events appended so far (== next offset).
-    pub fn len(&self) -> u64 {
-        self.inner.log.lock().events.len() as u64
-    }
-
-    /// Whether no events were appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Marks the source closed: blocked readers wake and see the end.
-    pub fn close(&self) {
-        let mut log = self.inner.log.lock();
-        log.closed = true;
-        let parked = log.parked > 0;
-        drop(log);
-        self.announce(parked);
-    }
-
-    /// Whether the source is closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.log.lock().closed
+    /// Registers the waker of the thread that consumes this source: every
+    /// later append fires it. A source wakes one consumer; registering a
+    /// second waker panics.
+    pub fn wake_on_append(&self, waker: Waker) {
+        // An invariant, not input validation: only deploy-time wiring calls
+        // this (once per source, for its one consumer thread), so no
+        // request, disk record or peer message can reach a second call.
+        let set = self.inner.waker.set(waker);
+        assert!(
+            set.is_ok(),
+            "invariant: a source has one consumer, which registers its waker once at deploy"
+        );
     }
 }
 
@@ -157,20 +110,6 @@ impl<T: Clone> SourceReader<T> {
         self.offset
     }
 
-    /// Registers the waker of the thread that consumes this source through
-    /// [`SourceReader::poll`]: every later append, and `close`, fires it. A
-    /// source wakes one consumer; registering a second waker panics.
-    pub fn wake_on_append(&self, waker: Waker) {
-        // An invariant, not input validation: only deploy-time wiring calls
-        // this (the StateFlow coordinator, once, on its own source), so no
-        // request, disk record or peer message can reach a second call.
-        let set = self.source.inner.waker.set(waker);
-        assert!(
-            set.is_ok(),
-            "invariant: a source has one consumer, which registers its waker once at deploy"
-        );
-    }
-
     /// Rewinds to `offset` (replay after recovery).
     pub fn seek(&mut self, offset: u64) {
         self.offset = offset;
@@ -178,14 +117,9 @@ impl<T: Clone> SourceReader<T> {
 
     /// Reads the next event if available, advancing the cursor.
     pub fn poll(&mut self) -> Option<T> {
-        let e = self.source.read(self.offset)?;
-        self.offset += 1;
-        Some(e)
-    }
-
-    /// Blocking read of the next event, advancing the cursor.
-    pub fn poll_blocking(&mut self, timeout: std::time::Duration) -> Option<T> {
-        let e = self.source.read_blocking(self.offset, timeout)?;
+        let e = self
+            .source
+            .read_from(self.offset, |tail| tail.first().cloned())?;
         self.offset += 1;
         Some(e)
     }
@@ -194,16 +128,16 @@ impl<T: Clone> SourceReader<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn append_read_roundtrip() {
         let src = ReplayableSource::new();
         assert_eq!(src.append("a"), 0);
         assert_eq!(src.append("b"), 1);
-        assert_eq!(src.read(0), Some("a"));
-        assert_eq!(src.read(2), None);
-        assert_eq!(src.len(), 2);
+        assert_eq!(src.read_from(0, <[_]>::to_vec), vec!["a", "b"]);
+        assert_eq!(src.read_from(1, <[_]>::to_vec), vec!["b"]);
+        assert!(src.read_from(2, <[_]>::is_empty));
+        assert!(src.read_from(7, <[_]>::is_empty), "past the end is empty");
     }
 
     #[test]
@@ -227,27 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn blocking_read_wakes_on_append() {
-        let src = ReplayableSource::new();
-        let src2 = src.clone();
-        let h = std::thread::spawn(move || src2.read_blocking(0, Duration::from_secs(2)));
-        std::thread::sleep(Duration::from_millis(20));
-        src.append(42);
-        assert_eq!(h.join().unwrap(), Some(42));
-    }
-
-    #[test]
-    fn blocking_read_sees_close() {
-        let src = ReplayableSource::<u8>::new();
-        let src2 = src.clone();
-        let h = std::thread::spawn(move || src2.read_blocking(0, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        src.close();
-        assert_eq!(h.join().unwrap(), None);
-        assert!(src.is_closed());
-    }
-
-    #[test]
     fn multiple_independent_readers() {
         let src = ReplayableSource::new();
         for i in 0..10 {
@@ -261,56 +174,19 @@ mod tests {
         assert_eq!(r2.offset(), 6);
     }
 
-    /// Regression: `closed` used to sit under its own mutex, flipped and
-    /// notified without the log lock, so a `close` landing between a
-    /// reader's `closed` check and its wait went unheard and the reader
-    /// slept out its whole timeout. Every round releases one `close`
-    /// against one reader just entering `read_blocking`; with the flag
-    /// under the log lock no interleaving can lose the notify, so every
-    /// reader returns long before its timeout.
     #[test]
-    fn close_racing_a_blocking_read_is_never_lost() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        for round in 0..3000 {
-            let src = ReplayableSource::<u8>::new();
-            let entering = Arc::new(AtomicBool::new(false));
-            let (src2, entering2) = (src.clone(), Arc::clone(&entering));
-            let reader = std::thread::spawn(move || {
-                entering2.store(true, Ordering::SeqCst);
-                let start = std::time::Instant::now();
-                let got = src2.read_blocking(0, Duration::from_secs(5));
-                (got, start.elapsed())
-            });
-            while !entering.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
-            // Spread the close over the reader's first few hundred ns.
-            for _ in 0..round % 64 {
-                std::hint::spin_loop();
-            }
-            src.close();
-            let (got, took) = reader.join().unwrap();
-            assert_eq!(got, None);
-            assert!(
-                took < Duration::from_secs(2),
-                "round {round}: a reader slept through close()"
-            );
-        }
-    }
-
-    #[test]
-    fn append_and_close_fire_the_registered_waker() {
+    fn append_fires_the_registered_waker() {
         let (tx, rx) = crate::delay_channel::<u8>();
         let src = ReplayableSource::new();
         let mut rd = SourceReader::at(&src, 0);
-        rd.wake_on_append(rx.waker());
+        src.wake_on_append(rx.waker());
         // Each wake ends one untimed receive; without it this would hang.
         src.append(7);
         assert_eq!(rx.recv_until(None), None);
         assert_eq!(rd.poll(), Some(7));
-        src.close();
+        src.append(8);
         assert_eq!(rx.recv_until(None), None);
-        assert!(src.is_closed());
+        assert_eq!(rd.poll(), Some(8));
         drop(tx);
     }
 }

@@ -3,7 +3,6 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use se_aria::{CommitRule, FallbackPolicy};
 use se_chaos::{ChaosPlan, History};
 use se_dataflow::{FsyncPolicy, NetConfig};
 
@@ -110,12 +109,6 @@ pub struct StateflowConfig {
     /// this many are in flight; workers order execution with a
     /// committed-batch watermark. `1` degenerates to "seal only when idle".
     pub pipeline_depth: usize,
-    /// Aria commit rule (the ablation knob).
-    pub commit_rule: CommitRule,
-    /// What happens to aborted transactions: re-enqueue into the next
-    /// batch, or Aria's serial fallback (single-transaction batches run
-    /// immediately, bounding hot-key retry storms).
-    pub fallback: FallbackPolicy,
     /// Take a consistent snapshot every N batches (0 disables snapshots).
     pub snapshot_every_batches: u64,
     /// Synthetic per-invocation-step service time, modeling the work the
@@ -154,8 +147,6 @@ impl Default for StateflowConfig {
             batch_interval: Duration::from_millis(10),
             max_batch: 512,
             pipeline_depth: 4,
-            commit_rule: CommitRule::Reordering,
-            fallback: FallbackPolicy::Serial,
             snapshot_every_batches: 16,
             service_time: Duration::from_micros(350),
             chaos: ChaosPlan::none(),
@@ -232,7 +223,6 @@ mod tests {
             default_workers(),
             "workers default derives from available parallelism"
         );
-        assert_eq!(c.commit_rule, CommitRule::Reordering);
         assert!(c.snapshot_every_batches > 0);
         assert_eq!(c.pipeline_depth, 4, "the measured-fast window");
         assert_eq!(c.bug, None);

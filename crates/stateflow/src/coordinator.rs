@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use se_aria::{BatchId, CommitRule, TxnId};
+use se_aria::{BatchId, TxnId};
 use se_chaos::{BatchKindTag, HistoryEvent, Seam, TxnOutcome};
 use se_dataflow::{
     send_with_chaos, DelayReceiver, DelaySender, Epoch, SnapshotStore, SourceReader, StateStore,
@@ -335,9 +335,6 @@ impl Coordinator {
         obs: se_obs::Obs,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
-        // The source is the one thing the coordinator watches that is not
-        // a message: have its appends (and its close) end the inbox wait.
-        reader.wake_on_append(inbox.waker());
         Self {
             cfg,
             workers,
@@ -454,10 +451,11 @@ impl Coordinator {
     /// exactly three things: a **message** comes due (worker traffic, and
     /// every simulated hop delay or chaos quarantine — those are due times
     /// in the inbox's delay heap), a **wake** (the source fires the inbox's
-    /// waker on every append and on close, which is also how shutdown gets
-    /// in), or **`batch_deadline`**, the only timer the coordinator owns —
-    /// and it counts only while the window is open, since a batch the
-    /// pipeline cannot take is unblocked by a message, not by time.
+    /// waker on every append, and shutdown fires it too — the runtime
+    /// registers it with the source at deploy), or **`batch_deadline`**, the
+    /// only timer the coordinator owns — and it counts only while the window
+    /// is open, since a batch the pipeline cannot take is unblocked by a
+    /// message, not by time.
     ///
     /// The park is keyed on "no wake since the last turn" (the waker's
     /// token), never on "the source has unread records": records are left
@@ -990,16 +988,11 @@ impl Coordinator {
             return;
         }
         // All partitions reported: decide which transactions lost a
-        // conflict and retry. Failed chains abort without retry; the error
-        // is the answer.
-        let rule = self.cfg.commit_rule;
+        // conflict under Aria's reordering rule and retry. Failed chains
+        // abort without retry; the error is the answer.
         let lost = |txn: &TxnId| {
             let f = flags.get(txn).copied().unwrap_or_default();
-            f.waw
-                || match rule {
-                    CommitRule::Basic => f.raw,
-                    CommitRule::Reordering => f.raw && f.war,
-                }
+            f.waw || (f.raw && f.war)
         };
         let retry = (batch.txns.iter().copied())
             .filter(|txn| !batch.errors.contains(txn) && lost(txn))
@@ -1121,17 +1114,8 @@ impl Coordinator {
         // never lose again — also across overlapping batches: anything
         // sealed meanwhile holds strictly newer (higher) ids, so a retried
         // transaction still enters its next batch as the lowest id there.
-        // Routing depends on the fallback policy.
-        match self.cfg.fallback {
-            se_aria::FallbackPolicy::Retry => {
-                for txn in retry.into_iter().rev() {
-                    self.queue.push_front(txn);
-                }
-            }
-            se_aria::FallbackPolicy::Serial => {
-                self.fallback_queue.extend(retry);
-            }
-        }
+        // They run as Aria's serial fallback: one solo batch each.
+        self.fallback_queue.extend(retry);
         if !self.queue.is_empty() && self.batch_deadline.is_none() {
             self.batch_deadline = Some(Instant::now() + self.cfg.batch_interval);
         }

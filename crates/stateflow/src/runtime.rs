@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use se_dataflow::{
     delay_channel, ComponentTimers, DelaySender, EngineCore, EntityRuntime, ReplayableSource,
-    ResponseWaiter, SnapshotStore, SourceReader, StateStore,
+    ResponseWaiter, SnapshotStore, SourceReader, StateStore, Waker,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId};
 use se_lang::{EntityRef, LangError, Value};
@@ -28,6 +28,8 @@ pub struct StateflowRuntime {
     core: EngineCore,
     cfg: StateflowConfig,
     source: ReplayableSource<ClientRequest>,
+    /// Ends the coordinator's wait: every append fires it, and `shutdown`.
+    coord_waker: Waker,
     stats: Arc<CoordStats>,
     /// The runtime's own senders, held for the deployment's lifetime so no
     /// queue is seen closed while a late message may still be sent.
@@ -66,6 +68,10 @@ impl StateflowRuntime {
         let source = ReplayableSource::new();
 
         let (coord_tx, coord_rx) = delay_channel::<CoordMsg>();
+        // The source is the one thing the coordinator watches that is not a
+        // message: its appends end the inbox wait.
+        let coord_waker = coord_rx.waker();
+        source.wake_on_append(coord_waker.clone());
         let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) =
             (0..cfg.workers).map(|_| delay_channel()).unzip();
         for (id, rx) in worker_rxs.into_iter().enumerate() {
@@ -99,6 +105,7 @@ impl StateflowRuntime {
             core,
             cfg,
             source,
+            coord_waker,
             stats,
             _senders: (worker_txs, coord_tx),
             owned_durability_dir,
@@ -203,8 +210,8 @@ impl EntityRuntime for StateflowRuntime {
     }
 
     fn shutdown(&self) {
-        // Closing the source wakes the coordinator, which tells the workers.
-        let first = self.core.shutdown(|| self.source.close());
+        // The woken coordinator sees the flag and tells the workers.
+        let first = self.core.shutdown(|| self.coord_waker.wake());
         // The runtime-owned durability dir dies with the deployment (all
         // worker threads have joined, so no WAL is still being written).
         if let Some(dir) = self.owned_durability_dir.as_ref().filter(|_| first) {

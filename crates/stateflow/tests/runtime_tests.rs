@@ -525,6 +525,7 @@ struct CoordRig {
     snapshots: Arc<se_dataflow::SnapshotStore<se_dataflow::StateStore>>,
     stats: Arc<se_stateflow::coordinator::CoordStats>,
     coord_tx: se_dataflow::DelaySender<se_stateflow::msg::CoordMsg>,
+    coord_waker: se_dataflow::Waker,
     workers: Vec<se_dataflow::DelayReceiver<se_stateflow::msg::WorkerMsg>>,
     shutdown: Arc<std::sync::atomic::AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -542,6 +543,8 @@ impl CoordRig {
         let stats = Arc::new(CoordStats::default());
         let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let (coord_tx, coord_rx) = delay_channel();
+        let coord_waker = coord_rx.waker();
+        source.wake_on_append(coord_waker.clone());
         let (worker_txs, workers): (Vec<_>, Vec<_>) =
             (0..cfg.workers).map(|_| delay_channel()).unzip();
         let coordinator = Coordinator::new(
@@ -569,6 +572,7 @@ impl CoordRig {
             snapshots,
             stats,
             coord_tx,
+            coord_waker,
             workers,
             shutdown,
             thread: Some(thread),
@@ -645,12 +649,12 @@ impl CoordRig {
     }
 
     /// Stops the coordinator: it blocks with no timeout, so the flag alone
-    /// would never be seen — closing the source is what wakes it, as
+    /// would never be seen — firing its inbox's waker is what wakes it, as
     /// `StateflowRuntime::shutdown` does.
     fn stop(&mut self) {
         self.shutdown
             .store(true, std::sync::atomic::Ordering::SeqCst);
-        self.source.close();
+        self.coord_waker.wake();
         self.thread.take().expect("stopped once").join().unwrap();
     }
 }

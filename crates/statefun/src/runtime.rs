@@ -24,15 +24,14 @@ use crate::config::{CheckpointMode, StatefunConfig};
 use crate::record::{topics, SfRecord};
 use crate::remote::run_remote_worker;
 use crate::task::{CtlMsg, PartitionTask, RecoveryCtl};
-use crossbeam::channel::RecvTimeoutError;
 
 /// A deployed StateFun-style application.
 pub struct StatefunRuntime {
     core: EngineCore,
     cfg: StatefunConfig,
     broker: Broker<SfRecord>,
-    /// One per partition task plus the remote workers' shared queue: what
-    /// `shutdown` fires so parked threads see the flag.
+    /// One per partition task, the remote workers' shared queue and the
+    /// egress thread: what `shutdown` fires so parked threads see the flag.
     wakers: Vec<Waker>,
     recovery: Arc<RecoveryCtl>,
 }
@@ -54,7 +53,7 @@ impl StatefunRuntime {
         broker.create_topic(topics::INGRESS, cfg.partitions);
         broker.create_topic(topics::EGRESS, 1);
         let recovery = Arc::new(RecoveryCtl::default());
-        let (ctl_tx, ctl_rx) = crossbeam::channel::unbounded::<CtlMsg>();
+        let (ctl_tx, ctl_rx) = delay_channel::<CtlMsg>();
 
         // Remote-function channels: one shared request queue, one response
         // channel per partition task.
@@ -72,8 +71,17 @@ impl StatefunRuntime {
                 .wake_on_produce(topics::INGRESS, id, waker.clone())
                 .expect("ingress partition exists");
         }
+        // The egress thread parks on a queue nobody sends to: only its
+        // waker, fired by produces to the egress topic and by shutdown, and
+        // the next response's `visible_at` end the wait. Its sender stays
+        // with the thread, so the queue never reads as closed.
+        let (egress_open, egress_park) = delay_channel::<()>();
+        broker
+            .wake_on_produce(topics::EGRESS, 0, egress_park.waker())
+            .expect("egress partition exists");
         let mut wakers = task_wakers.clone();
         wakers.push(pool_rx.waker());
+        wakers.push(egress_park.waker());
 
         for (id, resp_rx) in resp_rxs.into_iter().enumerate() {
             let task = PartitionTask::new(
@@ -106,21 +114,28 @@ impl StatefunRuntime {
             });
         }
 
-        // Egress dispatcher: completes client waiters. Blocks in the broker
-        // until a response is visible; `Broker::close` ends the wait.
+        // Egress dispatcher: completes client waiters. Parks the way a
+        // partition task does, until a response is visible.
         {
             let broker2 = broker.clone();
             let waiters2 = Arc::clone(&core.waiters);
             let sd = Arc::clone(&core.shutdown);
             core.spawn("statefun-egress".into(), move || {
+                let _open = egress_open;
                 let mut offset = 0u64;
                 while !sd.load(Ordering::SeqCst) {
-                    let records = match broker2.fetch_blocking(topics::EGRESS, 0, offset, 64, None)
-                    {
-                        Ok(r) => r,
-                        Err(_) => return,
+                    let Ok(records) = broker2.fetch(topics::EGRESS, 0, offset, 64) else {
+                        return;
                     };
-                    offset = records.last().map_or(offset, |rec| rec.offset + 1);
+                    let Some(last) = records.last() else {
+                        let Ok(visible_at) = broker2.next_visible_at(topics::EGRESS, 0, offset)
+                        else {
+                            return;
+                        };
+                        egress_park.recv_until(visible_at);
+                        continue;
+                    };
+                    offset = last.offset + 1;
                     // First response wins; replayed duplicates find no
                     // waiter and are dropped.
                     let answers = records.into_iter().filter_map(|rec| match rec.value {
@@ -150,22 +165,16 @@ impl StatefunRuntime {
                 };
                 let mut next_barrier = interval.map(|i| Instant::now() + i);
                 loop {
-                    let msg = match next_barrier {
-                        Some(nb) => {
-                            ctl_rx.recv_timeout(nb.saturating_duration_since(Instant::now()))
-                        }
-                        None => ctl_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                    };
-                    match msg {
-                        Ok(CtlMsg::TaskFailed(_)) => {
+                    match ctl_rx.recv_until(next_barrier) {
+                        Some(CtlMsg::TaskFailed(_)) => {
                             *recovery2.restore_epoch.lock() = snapshots2.latest_complete();
                             recovery2.gen.fetch_add(1, Ordering::SeqCst);
                             // Every task restores, the parked ones (crashed
                             // or idle) included.
                             task_wakers.iter().for_each(Waker::wake);
                         }
-                        Err(RecvTimeoutError::Disconnected) => return,
-                        Err(RecvTimeoutError::Timeout) => {}
+                        None if ctl_rx.is_closed() => return,
+                        None => {}
                     }
                     if let (Some(nb), Some(i)) = (next_barrier, interval) {
                         if Instant::now() >= nb {
@@ -316,10 +325,8 @@ impl EntityRuntime for StatefunRuntime {
     fn shutdown(&self) {
         // End every wait a thread may be parked in. (The controller follows
         // the tasks out, see `deploy`.)
-        self.core.shutdown(|| {
-            self.wakers.iter().for_each(Waker::wake);
-            self.broker.close();
-        });
+        self.core
+            .shutdown(|| self.wakers.iter().for_each(Waker::wake));
     }
 }
 

@@ -92,7 +92,7 @@ pub struct PartitionTask {
     snapshots: Arc<SnapshotStore<StateStore>>,
     timers: Arc<ComponentTimers>,
     recovery: Arc<RecoveryCtl>,
-    ctl_tx: crossbeam::channel::Sender<CtlMsg>,
+    ctl_tx: DelaySender<CtlMsg>,
     shutdown: Arc<AtomicBool>,
     obs: se_obs::Obs,
     gen: u64,
@@ -114,7 +114,7 @@ impl PartitionTask {
         snapshots: Arc<SnapshotStore<StateStore>>,
         timers: Arc<ComponentTimers>,
         recovery: Arc<RecoveryCtl>,
-        ctl_tx: crossbeam::channel::Sender<CtlMsg>,
+        ctl_tx: DelaySender<CtlMsg>,
         shutdown: Arc<AtomicBool>,
         obs: se_obs::Obs,
     ) -> Self {
@@ -485,7 +485,7 @@ impl PartitionTask {
         self.waiting.clear();
         self.staged.clear();
         self.dead = true;
-        let _ = self.ctl_tx.send(CtlMsg::TaskFailed(self.id));
+        self.ctl_tx.send(CtlMsg::TaskFailed(self.id));
     }
 
     fn restore(&mut self, gen: u64) {

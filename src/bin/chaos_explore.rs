@@ -259,7 +259,7 @@ fn run_scenario(
     cfg.bug = bug;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let chaos = cfg.chaos.clone();
 
     let graph =

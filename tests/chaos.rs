@@ -30,7 +30,7 @@ fn serial_history_run(script: &FaultScript) -> String {
     cfg.chaos = ChaosPlan::from_script(script.clone());
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let n = 3usize;
     for i in 0..n {
@@ -98,7 +98,7 @@ fn errored_plus_healthy_batch(
     cfg.bug = inject_bug.then_some(stateful_entities::BugLever::ReserveErrored);
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     rt.create("Account", "src", vec![("balance".into(), Value::Int(100))])
         .unwrap();
@@ -197,7 +197,7 @@ fn stateflow_message_weather_stays_serializable() {
     let chaos = cfg.chaos.clone();
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let n = 4usize;
     se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);

@@ -404,7 +404,7 @@ fn recorded_history_is_serializable_and_replays_to_oracle() {
         cfg.pipeline_depth = pipeline_depth;
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = cfg.commit_rule;
+        let rule = stateful_entities::CommitRule::Reordering;
         let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
         se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
         let waiters: Vec<_> = (0..60)

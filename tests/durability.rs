@@ -39,7 +39,7 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
     let history = History::new();
     let mut cfg = cfg;
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let program = se_workloads::ycsb_program();
     let graph = stateful_entities::compile(&program).unwrap();
     let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);
@@ -132,7 +132,7 @@ fn torn_and_lost_tails_recover_to_last_durable_prefix() {
         let chaos = cfg.chaos.clone();
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = cfg.commit_rule;
+        let rule = stateful_entities::CommitRule::Reordering;
         let program = se_workloads::ycsb_program();
         let rt = Arc::new(deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap());
         let n = 6usize;
@@ -240,7 +240,7 @@ fn serial_history_run(mode: DurabilityMode) -> String {
     cfg.snapshot_every_batches = 2;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let n = 3usize;
     for i in 0..n {

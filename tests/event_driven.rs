@@ -84,6 +84,52 @@ fn idle_statefun_does_not_run() {
     idle_engine_does_not_run(RuntimeChoice::Statefun(cfg), "statefun-");
 }
 
+/// With checkpoints on, an idle StateFun deployment keeps exactly one timer:
+/// the controller's barrier interval. The controller runs about once per
+/// barrier; the egress thread, which an idle barrier gives nothing to
+/// answer, stays parked; and shutdown is as prompt as without checkpoints.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_statefun_with_checkpoints_runs_per_barrier() {
+    let _turn = one_engine();
+    let interval = Duration::from_millis(20);
+    let mut cfg = StatefunConfig::fast_test(2);
+    cfg.checkpoint = stateful_entities::CheckpointMode::Transactional { interval };
+    let program = se_workloads::ycsb_program();
+    let rt = deploy(&program, RuntimeChoice::Statefun(cfg)).unwrap();
+    let account = rt.create("Account", "idle", vec![]).unwrap();
+    rt.call(account, "read", vec![]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+
+    let idle = Duration::from_millis(500);
+    let barriers = (idle.as_millis() / interval.as_millis()) as u64;
+    let controller_before = timeslices("statefun-contro");
+    let egress_before = timeslices("statefun-egress");
+    assert!(
+        controller_before > 0 && egress_before > 0,
+        "threads not found"
+    );
+    std::thread::sleep(idle);
+    let controller = timeslices("statefun-contro") - controller_before;
+    let egress = timeslices("statefun-egress") - egress_before;
+    assert!(
+        controller <= 2 * barriers,
+        "the controller ran {controller} timeslices for {barriers} barriers"
+    );
+    assert!(
+        egress < 5,
+        "the egress thread ran {egress} timeslices in {idle:?} of idleness"
+    );
+
+    let asked = Instant::now();
+    rt.shutdown();
+    let took = asked.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "an idle engine with checkpoints took {took:?} to shut down"
+    );
+}
+
 /// With a broker hop, a record is produced well before it may be consumed.
 /// The produce wakes the partition task, which must then sleep until the
 /// record's `visible_at` — handling it then, neither earlier nor a poll

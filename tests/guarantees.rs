@@ -357,7 +357,7 @@ fn duplicated_hop_into_a_local_continuation_is_dropped() {
     let chaos = cfg.chaos.clone();
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     load(rt.as_ref());
     // Concurrent forwards over one chain: every pair conflicts, so the
@@ -386,7 +386,7 @@ fn duplicated_hop_into_a_local_continuation_is_dropped() {
 }
 
 /// Serial-fallback batches are solo at every pipeline depth: a depth-1
-/// hot-key run (Zipfian transfers, `FallbackPolicy::Serial`) must drain its
+/// hot-key run (Zipfian transfers, Aria's serial fallback) must drain its
 /// retries through `Solo` batches — one transaction each, committed at the
 /// final hop (the only non-regular kind there is) — and stay serializable
 /// and oracle-equal.
@@ -399,11 +399,10 @@ fn depth_one_hot_key_retries_drain_through_solo_batches() {
     let n = 6usize;
     let mut cfg = StateflowConfig::fast_test(3);
     cfg.pipeline_depth = 1;
-    cfg.fallback = stateful_entities::FallbackPolicy::Serial;
     cfg.max_batch = 8;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let load = |rt: &dyn EntityRuntime| se_workloads::load_accounts(rt, n, 8, 1000);
     load(rt.as_ref());

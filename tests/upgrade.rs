@@ -72,7 +72,7 @@ fn redeploy_routes_new_roots_and_migrates_exactly_once() {
     let mut cfg = StateflowConfig::fast_test(3);
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let (counters, per) = (3usize, 8usize);
     let rt = upgraded_counter_run(cfg, counters, per);
     for i in 0..counters {
@@ -135,7 +135,7 @@ fn histories_without_upgrade_carry_no_version_events() {
     cfg.net.time_scale = 0.0;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     rt.create("Counter", &se_workloads::key_name(0), vec![])
         .unwrap();
@@ -207,7 +207,7 @@ fn crash_near_upgrade_replays_from_wal_and_commits() {
         let chaos = cfg.chaos.clone();
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = cfg.commit_rule;
+        let rule = stateful_entities::CommitRule::Reordering;
         let (counters, per) = (3usize, 8usize);
         let rt = upgraded_counter_run(cfg, counters, per);
         assert_eq!(
@@ -262,7 +262,7 @@ fn injected_torn_upgrade_is_caught_by_checker() {
         cfg.batch_interval = Duration::from_millis(1);
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = cfg.commit_rule;
+        let rule = stateful_entities::CommitRule::Reordering;
         let graph = stateful_entities::compile(&se_lang::programs::counter_program()).unwrap();
         let rt = std::sync::Arc::new(StateflowRuntime::deploy(graph, cfg));
         for i in 0..3 {
@@ -337,7 +337,7 @@ fn arb_upgrade_responses(v1: &Program, v2: &Program) -> (Vec<Result<Value, Strin
     cfg.net.time_scale = 0.0;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = cfg.commit_rule;
+    let rule = stateful_entities::CommitRule::Reordering;
     let graph = stateful_entities::compile(v1).unwrap();
     let rt = StateflowRuntime::deploy(graph, cfg);
     rt.create("ArbCaller", "a1", vec![]).unwrap();
