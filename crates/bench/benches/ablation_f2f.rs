@@ -18,6 +18,7 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use se_core::{deploy, RuntimeChoice};
+use se_dataflow::LatencySummary;
 use se_lang::{EntityRef, Value};
 
 fn main() {
@@ -58,20 +59,19 @@ fn main() {
                 rt.create(&format!("C{i}"), "n", init).expect("create");
             }
 
-            let mut samples = Vec::with_capacity(calls_per_depth);
+            let latency = se_obs::Histogram::new();
             for i in 0..calls_per_depth {
-                let start = std::time::Instant::now();
-                let out = rt
-                    .call(
+                let out = latency.time(|| {
+                    rt.call(
                         EntityRef::new("C0", "n"),
                         "relay",
                         vec![Value::Int(i as i64)],
                     )
-                    .expect("relay");
-                samples.push(start.elapsed());
+                    .expect("relay")
+                });
                 assert_eq!(out, Value::Int(i as i64 + depth as i64));
             }
-            let summary = se_dataflow_summary(&samples).unscale(se_bench::time_scale());
+            let summary = LatencySummary::from_hist(&latency).unscale(se_bench::time_scale());
             println!(
                 "| {depth} | {system} | {:.2} | {:.2} |",
                 se_bench::ms(summary.mean),
@@ -95,8 +95,4 @@ fn main() {
             serde_json::to_string_pretty(&json_rows).expect("serialize")
         );
     }
-}
-
-fn se_dataflow_summary(samples: &[Duration]) -> se_dataflow::LatencySummary {
-    se_dataflow::LatencySummary::from_samples(samples)
 }

@@ -13,6 +13,7 @@
 //! {50, 100, 150, 200} KiB, and checks the < 1% claim.
 
 use std::io::Write as _;
+use std::time::Duration;
 
 use se_core::{EntityRuntime, StatefunRuntime};
 use se_lang::EntityRef;
@@ -43,7 +44,7 @@ fn main() {
         let graph = se_core::compile(&program).expect("compile");
         let rt = StatefunRuntime::deploy(graph, cfg);
         load_accounts(&rt, n_keys, bytes, 0);
-        rt.timers().reset();
+        let loaded = rt.timers().report();
 
         // Alternate reads and updates over the big-payload records.
         let payload = se_lang::Value::Bytes(vec![7u8; bytes]);
@@ -57,8 +58,8 @@ fn main() {
             result.expect("op succeeds");
         }
 
-        let report = rt.timers().report();
-        let total: std::time::Duration = report.iter().map(|(_, d, _)| *d).sum();
+        let report = since(&loaded, rt.timers().report());
+        let total: Duration = report.iter().map(|(_, d, _)| *d).sum();
         for (component, dur, count) in &report {
             let share = dur.as_secs_f64() / total.as_secs_f64() * 100.0;
             let per_event = dur.as_secs_f64() * 1e6 / (*count as f64).max(1.0);
@@ -96,4 +97,23 @@ fn main() {
             serde_json::to_string_pretty(&json_rows).expect("serialize")
         );
     }
+}
+
+/// The rows of `now` less what `before` had already counted: the timers
+/// are cumulative over a deployment, so this is what the events between
+/// the two reports cost.
+fn since(
+    before: &[(&'static str, Duration, u64)],
+    now: Vec<(&'static str, Duration, u64)>,
+) -> Vec<(&'static str, Duration, u64)> {
+    now.into_iter()
+        .map(|(component, total, count)| {
+            let (t0, c0) = before
+                .iter()
+                .find(|(c, _, _)| *c == component)
+                .map_or((Duration::ZERO, 0), |(_, t, c)| (*t, *c));
+            (component, total - t0, count - c0)
+        })
+        .filter(|(_, _, count)| *count > 0)
+        .collect()
 }

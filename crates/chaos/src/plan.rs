@@ -124,6 +124,18 @@ pub enum FsyncFaultAction {
     Fail,
 }
 
+/// `node`'s bookkeeping, created on first use.
+fn node_state<'a>(nodes: &'a mut Vec<(String, NodeState)>, node: &str) -> &'a mut NodeState {
+    let i = match nodes.iter().position(|(n, _)| n == node) {
+        Some(i) => i,
+        None => {
+            nodes.push((node.to_owned(), NodeState::default()));
+            nodes.len() - 1
+        }
+    };
+    &mut nodes[i].1
+}
+
 fn point_index(p: CrashPoint) -> usize {
     match p {
         CrashPoint::Exec => 0,
@@ -248,13 +260,7 @@ impl ChaosPlan {
             return false;
         }
         let mut nodes = inner.nodes.lock();
-        let state = match nodes.iter_mut().find(|(n, _)| n == node) {
-            Some((_, s)) => s,
-            None => {
-                nodes.push((node.to_owned(), NodeState::default()));
-                &mut nodes.last_mut().expect("just pushed").1
-            }
-        };
+        let state = node_state(&mut nodes, node);
         state.counts[point_index(point)] += 1;
         // The node's next pending crash, if it is armed for this
         // incarnation (crash i fires in incarnation i).
@@ -290,13 +296,7 @@ impl ChaosPlan {
             return None;
         }
         let mut nodes = inner.nodes.lock();
-        let state = match nodes.iter_mut().find(|(n, _)| n == node) {
-            Some((_, s)) => s,
-            None => {
-                nodes.push((node.to_owned(), NodeState::default()));
-                &mut nodes.last_mut().expect("just pushed").1
-            }
-        };
+        let state = node_state(&mut nodes, node);
         let fault = inner
             .script
             .disk
@@ -321,13 +321,7 @@ impl ChaosPlan {
             return FsyncFaultAction::Proceed;
         }
         let mut nodes = inner.nodes.lock();
-        let state = match nodes.iter_mut().find(|(n, _)| n == node) {
-            Some((_, s)) => s,
-            None => {
-                nodes.push((node.to_owned(), NodeState::default()));
-                &mut nodes.last_mut().expect("just pushed").1
-            }
-        };
+        let state = node_state(&mut nodes, node);
         let nth = state.fsyncs;
         state.fsyncs += 1;
         let fault = inner.script.disk.iter().find_map(|d| {

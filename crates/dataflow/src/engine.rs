@@ -95,8 +95,9 @@ pub struct EngineCore {
     pub shutdown: Arc<AtomicBool>,
     /// The observability handle (stage histograms, counters, run dir).
     pub obs: se_obs::Obs,
-    /// Per-component timing breakdown (overhead experiment).
-    pub timers: Arc<ComponentTimers>,
+    /// Per-component timing breakdown (overhead experiment): a read view
+    /// of `obs`'s `timer.*` histograms.
+    pub timers: ComponentTimers,
     /// Consistent-snapshot storage for recovery and queries.
     pub snapshots: Arc<SnapshotStore<StateStore>>,
     /// Baseline for the next redeploy. The lock also serializes concurrent
@@ -128,8 +129,8 @@ impl EngineCore {
             registry,
             waiters: Arc::default(),
             shutdown: Arc::default(),
+            timers: ComponentTimers::new(&obs),
             obs,
-            timers: Arc::default(),
             snapshots: Arc::new(SnapshotStore::new()),
             current: Mutex::new(CurrentDeploy { graph, vm }),
             threads: Mutex::default(),

@@ -19,7 +19,9 @@
 //!   records, group-commit fsync policies, torn-tail-safe reader);
 //! * [`durable`] — the durable layer over [`wal`]: incremental epoch
 //!   persistence, base snapshots, checked recovery and log compaction;
-//! * [`metrics`] — latency summaries and per-component overhead timers.
+//! * [`metrics`] — read views over se-obs histograms: latency summaries,
+//!   and the per-component overhead breakdown, whose timers are always-on
+//!   `timer.*` histograms in the deployment's registry.
 
 #![warn(missing_docs)]
 
@@ -40,7 +42,7 @@ pub use delay::{delay_channel, DelayReceiver, DelaySender, Waker};
 pub use durable::{DurableOptions, DurableStore};
 pub use engine::{EngineCore, WaiterMap};
 pub use failure::{send_with_chaos, ChaosPlan, CrashPoint, MsgFaultAction, Seam};
-pub use metrics::{ComponentTimers, LatencySummary};
+pub use metrics::{timer, ComponentTimers, LatencySummary};
 pub use net::{burn, NetConfig};
 pub use snapshot::{Epoch, SnapshotStore, DEFAULT_SNAPSHOT_RETENTION};
 pub use source::{ReplayableSource, SourceReader};

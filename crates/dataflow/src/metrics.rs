@@ -1,15 +1,20 @@
-//! Measurement utilities: latency summaries and per-component timers.
+//! Measurement read views: latency summaries and per-component timers.
 //!
 //! `LatencySummary` backs the end-to-end latency experiments (Figures 3 and
 //! 4: mean, p50, p99). `ComponentTimers` backs the system-overhead
 //! experiment (§4): "for each event, we measured the duration of different
 //! runtime components" — object construction, state (de)serialization,
-//! function execution, state storage, routing, and the overhead attributable
-//! to program transformation.
+//! function execution, state storage, and the overhead attributable to
+//! program transformation. Neither stores anything of its own: both read
+//! se-obs histograms. Each engine thread looks up its component histograms
+//! once with [`timer`] and times into them with [`se_obs::Histogram::time`];
+//! they are live in every observability mode, and dumped with the rest of
+//! the registry in every mode but `off`.
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use se_obs::{Histogram, Obs};
 
 /// Summary statistics of a latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -29,35 +34,12 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Computes the summary of a sample set (empty sets yield zeros).
-    pub fn from_samples(samples: &[Duration]) -> Self {
-        if samples.is_empty() {
-            return Self::default();
-        }
-        let mut sorted: Vec<Duration> = samples.to_vec();
-        sorted.sort_unstable();
-        let total: Duration = sorted.iter().sum();
-        let pct = |p: f64| -> Duration {
-            // Nearest-rank percentile.
-            let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-            sorted[rank.min(sorted.len()) - 1]
-        };
-        Self {
-            count: sorted.len(),
-            mean: total / sorted.len() as u32,
-            p50: pct(50.0),
-            p95: pct(95.0),
-            p99: pct(99.0),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
-
     /// Computes the summary from a shared `se-obs` histogram of nanosecond
     /// samples. This is the bench drivers' path: workers record latencies
     /// into one lock-free histogram instead of each bench sorting its own
     /// `Vec<Duration>`; percentiles are bucket-quantized (≤ ~6% relative
     /// error), count/mean/max are exact.
-    pub fn from_hist(hist: &se_obs::Histogram) -> Self {
+    pub fn from_hist(hist: &Histogram) -> Self {
         let s = hist.summary();
         if s.count == 0 {
             return Self::default();
@@ -89,62 +71,47 @@ impl LatencySummary {
     }
 }
 
-/// Named accumulating timers for the per-component overhead breakdown.
-#[derive(Debug, Default)]
+/// The timed runtime components, sorted by name. Component `c` records
+/// into the registry histogram `timer.c`.
+const COMPONENTS: [&str; 9] = [
+    "function_execution",
+    "object_construction",
+    "split_overhead",
+    "state_deserialization",
+    "state_read",
+    "state_serialization",
+    "state_storage",
+    "state_store",
+    "state_write_buffer",
+];
+
+/// The always-on histogram `component` is timed into on `obs`'s registry.
+pub fn timer(obs: &Obs, component: &'static str) -> Arc<Histogram> {
+    debug_assert!(COMPONENTS.contains(&component), "unlisted {component}");
+    obs.histogram(&format!("timer.{component}"))
+}
+
+/// The per-component overhead breakdown of one deployment: a read view of
+/// its `timer.*` histograms.
+#[derive(Debug)]
 pub struct ComponentTimers {
-    totals: Mutex<std::collections::BTreeMap<&'static str, (Duration, u64)>>,
+    hists: Vec<(&'static str, Arc<Histogram>)>,
 }
 
 impl ComponentTimers {
-    /// An empty timer set.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new(obs: &Obs) -> Self {
+        let hists = COMPONENTS.iter().map(|&c| (c, timer(obs, c))).collect();
+        Self { hists }
     }
 
-    /// Times `f`, charging its duration to `component`.
-    pub fn time<R>(&self, component: &'static str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        self.add(component, start.elapsed());
-        r
-    }
-
-    /// Adds an externally measured duration to `component`.
-    pub fn add(&self, component: &'static str, d: Duration) {
-        let mut g = self.totals.lock();
-        let e = g.entry(component).or_insert((Duration::ZERO, 0));
-        e.0 += d;
-        e.1 += 1;
-    }
-
-    /// Snapshot of `(component, total, count)` rows, sorted by name.
+    /// `(component, total, count)` of every component timed at least once,
+    /// sorted by name. Totals are the histograms' exact nanosecond sums.
     pub fn report(&self) -> Vec<(&'static str, Duration, u64)> {
-        self.totals
-            .lock()
+        self.hists
             .iter()
-            .map(|(k, (d, c))| (*k, *d, *c))
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(c, h)| (*c, Duration::from_nanos(h.sum()), h.count()))
             .collect()
-    }
-
-    /// Total across all components.
-    pub fn grand_total(&self) -> Duration {
-        self.totals.lock().values().map(|(d, _)| *d).sum()
-    }
-
-    /// Fraction (0..=1) of the grand total charged to `component`.
-    pub fn fraction(&self, component: &'static str) -> f64 {
-        let g = self.totals.lock();
-        let total: Duration = g.values().map(|(d, _)| *d).sum();
-        if total.is_zero() {
-            return 0.0;
-        }
-        let part = g.get(component).map(|(d, _)| *d).unwrap_or(Duration::ZERO);
-        part.as_secs_f64() / total.as_secs_f64()
-    }
-
-    /// Clears all accumulated data.
-    pub fn reset(&self) {
-        self.totals.lock().clear();
     }
 }
 
@@ -153,33 +120,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_percentiles() {
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50, Duration::from_millis(50));
-        assert_eq!(s.p99, Duration::from_millis(99));
-        assert_eq!(s.max, Duration::from_millis(100));
-        assert_eq!(s.mean, Duration::from_micros(50_500));
-    }
-
-    #[test]
-    fn summary_single_sample() {
-        let s = LatencySummary::from_samples(&[Duration::from_millis(7)]);
-        assert_eq!(s.p50, Duration::from_millis(7));
-        assert_eq!(s.p99, Duration::from_millis(7));
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = LatencySummary::from_samples(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.p99, Duration::ZERO);
-    }
-
-    #[test]
     fn summary_from_hist_matches_samples() {
-        let hist = se_obs::Histogram::new();
+        let hist = Histogram::new();
+        assert_eq!(LatencySummary::from_hist(&hist), LatencySummary::default());
         for ms in 1..=100u64 {
             hist.record(ms * 1_000_000);
         }
@@ -198,21 +141,28 @@ mod tests {
 
     #[test]
     fn unscale_divides() {
-        let s = LatencySummary::from_samples(&[Duration::from_millis(10)]);
-        let u = s.unscale(0.1);
+        let hist = Histogram::new();
+        hist.record(10_000_000);
+        let u = LatencySummary::from_hist(&hist).unscale(0.1);
         assert_eq!(u.p50, Duration::from_millis(100));
     }
 
     #[test]
-    fn component_timers_fraction() {
-        let t = ComponentTimers::new();
-        t.add("exec", Duration::from_millis(99));
-        t.add("split_overhead", Duration::from_millis(1));
-        assert!((t.fraction("split_overhead") - 0.01).abs() < 1e-9);
-        assert_eq!(t.grand_total(), Duration::from_millis(100));
-        let report = t.report();
-        assert_eq!(report.len(), 2);
-        t.reset();
-        assert_eq!(t.grand_total(), Duration::ZERO);
+    fn component_timers_report_sorted_nonzero_exact_rows() {
+        assert!(COMPONENTS.windows(2).all(|w| w[0] < w[1]), "{COMPONENTS:?}");
+        // Timers record with observability off.
+        let obs = Obs::noop();
+        let timers = ComponentTimers::new(&obs);
+        assert!(timers.report().is_empty());
+        timer(&obs, "state_store").record(1_500);
+        timer(&obs, "function_execution").record(99_000);
+        timer(&obs, "function_execution").record(1_001);
+        assert_eq!(
+            timers.report(),
+            vec![
+                ("function_execution", Duration::from_nanos(100_001), 2),
+                ("state_store", Duration::from_nanos(1_500), 1),
+            ]
+        );
     }
 }

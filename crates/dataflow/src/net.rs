@@ -126,15 +126,6 @@ impl NetConfig {
         self.scaled(self.f2f_hop + self.size_cost(bytes))
     }
 
-    /// Un-scales a measured duration so reports are scale-independent.
-    pub fn unscale(&self, d: Duration) -> Duration {
-        if self.time_scale > 0.0 {
-            d.div_f64(self.time_scale)
-        } else {
-            d
-        }
-    }
-
     fn size_cost(&self, bytes: usize) -> Duration {
         self.per_kib.mul_f64(bytes as f64 / 1024.0)
     }
@@ -154,8 +145,6 @@ mod tests {
             cfg.scaled(Duration::from_millis(10)),
             Duration::from_millis(5)
         );
-        let measured = Duration::from_millis(5);
-        assert_eq!(cfg.unscale(measured), Duration::from_millis(10));
     }
 
     #[test]
@@ -177,12 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_scale_does_not_divide_by_zero() {
+    fn zero_scale_zeroes_every_delay() {
         let cfg = NetConfig {
             time_scale: 0.0,
             ..NetConfig::default()
         };
         assert_eq!(cfg.scaled(Duration::from_millis(10)), Duration::ZERO);
-        let _ = cfg.unscale(Duration::from_millis(1));
     }
 }

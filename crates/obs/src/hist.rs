@@ -12,6 +12,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::span::monotonic_ns;
+
 /// Sub-bucket resolution: 2^4 = 16 linear sub-buckets per octave.
 const SUB_BITS: u32 = 4;
 /// Sub-buckets per power of two.
@@ -124,6 +126,16 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Runs `f` and records how long it took, in nanoseconds. Live in every
+    /// mode: the clock is read whatever the [`crate::ObsMode`].
+    #[inline]
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        let start = monotonic_ns();
+        let r = f();
+        self.record(monotonic_ns().saturating_sub(start));
+        r
     }
 
     /// Number of recorded samples.
@@ -305,6 +317,14 @@ mod tests {
         h.record(777);
         assert_eq!(h.value_at(0.5), 777);
         assert_eq!(h.value_at(0.99), 777);
+    }
+
+    #[test]
+    fn time_records_one_sample_per_call() {
+        let h = Histogram::new();
+        assert_eq!(h.time(|| 7), 7);
+        h.time(|| ());
+        assert_eq!(h.count(), 2);
     }
 
     #[test]

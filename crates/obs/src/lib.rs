@@ -16,8 +16,9 @@
 //! histories are byte-identical and overhead is noise; `metrics` feeds the
 //! registry + stage histograms; `trace` additionally records span events.
 //! Counters obtained via [`Obs::counter`] are live in every mode — they
-//! replace the engines' always-on ad-hoc stats structs — but nothing is
-//! written to disk unless the mode is not `off`.
+//! replace the engines' always-on ad-hoc stats structs — and so are the
+//! engines' `timer.*` component histograms, fed through [`Histogram::time`];
+//! but nothing is written to disk unless the mode is not `off`.
 
 #![warn(missing_docs)]
 

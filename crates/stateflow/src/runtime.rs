@@ -83,7 +83,6 @@ impl StateflowRuntime {
                 worker_txs.clone(),
                 coord_tx.clone(),
                 Arc::clone(&core.snapshots),
-                Arc::clone(&core.timers),
                 core.obs.clone(),
             );
             core.spawn(format!("stateflow-worker{id}"), move || worker.run());

@@ -42,13 +42,14 @@ use std::sync::Arc;
 use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
-    send_with_chaos, ComponentTimers, DelayReceiver, DelaySender, DurableOptions, DurableStore,
+    send_with_chaos, timer, DelayReceiver, DelaySender, DurableOptions, DurableStore,
     SnapshotStore, StateStore,
 };
 use se_ir::{
     partition_for, process_invocation_with, Invocation, Response, StepEffect, VersionRegistry,
 };
 use se_lang::LangError;
+use se_obs::Histogram;
 
 use crate::config::{BugLever, DurabilityMode, StateflowConfig};
 use crate::msg::{ConflictFlags, CoordMsg, WorkerMsg};
@@ -117,7 +118,11 @@ pub struct Worker {
     peers: Vec<DelaySender<WorkerMsg>>,
     coord: DelaySender<CoordMsg>,
     snapshots: Arc<SnapshotStore<StateStore>>,
-    timers: Arc<ComponentTimers>,
+    /// The component timers this worker feeds (`timer.*` histograms).
+    read_timer: Arc<Histogram>,
+    exec_timer: Arc<Histogram>,
+    buffer_timer: Arc<Histogram>,
+    store_timer: Arc<Histogram>,
     /// The partition's durable layer (`DurabilityMode::Wal`): commits and
     /// creates are logged as they apply, epochs cut on snapshot markers,
     /// and `Restore` recovers state from disk instead of the in-memory
@@ -127,8 +132,6 @@ pub struct Worker {
     /// Observability handle: migration and WAL spans flow through it (a
     /// single predicted branch per probe when `SE_OBS=off`).
     obs: se_obs::Obs,
-    /// Method bodies executed.
-    body_runs: se_obs::Counter,
     gen: u64,
     /// Set after a simulated crash until the next Restore.
     dead: bool,
@@ -145,7 +148,6 @@ impl Worker {
         peers: Vec<DelaySender<WorkerMsg>>,
         coord: DelaySender<CoordMsg>,
         snapshots: Arc<SnapshotStore<StateStore>>,
-        timers: Arc<ComponentTimers>,
         obs: se_obs::Obs,
     ) -> Self {
         let name = format!("worker{id}");
@@ -185,9 +187,11 @@ impl Worker {
             peers,
             coord,
             snapshots,
-            timers,
+            read_timer: timer(&obs, "state_read"),
+            exec_timer: timer(&obs, "function_execution"),
+            buffer_timer: timer(&obs, "state_write_buffer"),
+            store_timer: timer(&obs, "state_store"),
             durable,
-            body_runs: obs.counter("vm.body_runs"),
             obs,
             gen: 0,
             dead: false,
@@ -685,7 +689,7 @@ impl Worker {
                 d.log_commit(batch, &buffer.writes).expect("log commit");
             }
         }
-        self.timers.time("state_store", || {
+        self.store_timer.time(|| {
             for (entity, writes) in buffer.writes {
                 for (attr, value) in writes {
                     // Entities written here were read from this store
@@ -859,21 +863,19 @@ impl Worker {
                 return Some((next_hop, SegmentOutcome::Respond(response)));
             };
             let before = self
-                .timers
-                .time("state_read", || buffer.overlay_read(&target, committed));
+                .read_timer
+                .time(|| buffer.overlay_read(&target, committed));
             // Copy-on-write: `after` shares storage with `before` until the
             // method actually writes an attribute.
             let mut after = before.clone();
             // Version pinning: the chain runs the program version stamped at
             // its root (continuations inherit it), not whatever is active.
             let entry = self.registry.resolve(inv.version);
-            let effect = self.timers.time("function_execution", || {
+            let effect = self.exec_timer.time(|| {
                 process_invocation_with(&entry.graph.program, &*entry.runner, inv, &mut after)
             });
-            self.body_runs.inc();
-            self.timers.time("state_write_buffer", || {
-                buffer.record_effects(&target, &before, &after)
-            });
+            self.buffer_timer
+                .time(|| buffer.record_effects(&target, &before, &after));
 
             match effect {
                 StepEffect::Respond(response) => {

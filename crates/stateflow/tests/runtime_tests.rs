@@ -500,19 +500,56 @@ fn same_worker_crashes_twice_and_recovers_twice() {
     rt.shutdown();
 }
 
+/// Runs `calls` single-hop calls (alternating reads and deposits) and
+/// shuts down, so no timer records after the caller reads the report.
+fn timed_calls(cfg: StateflowConfig, calls: i64) -> StateflowRuntime {
+    let rt = deploy(&account_program(), cfg);
+    let a = rt
+        .create("Account", "a", vec![("balance".into(), Value::Int(1))])
+        .unwrap();
+    for i in 0..calls {
+        let (method, args) = match i % 2 {
+            0 => ("balance", vec![]),
+            _ => ("deposit", vec![Value::Int(1)]),
+        };
+        rt.call(a, method, args).unwrap();
+    }
+    rt.shutdown();
+    rt
+}
+
 #[test]
 fn overhead_timers_populated() {
-    let program = account_program();
-    let rt = deploy(&program, StateflowConfig::fast_test(2));
-    rt.create("Account", "a", vec![("balance".into(), Value::Int(1))])
-        .unwrap();
-    rt.call(EntityRef::new("Account", "a"), "balance", vec![])
-        .unwrap();
+    let rt = timed_calls(StateflowConfig::fast_test(2), 6);
     let report = rt.timers().report();
     let names: Vec<&str> = report.iter().map(|(n, _, _)| *n).collect();
-    assert!(names.contains(&"function_execution"), "{names:?}");
-    assert!(names.contains(&"state_read"), "{names:?}");
-    rt.shutdown();
+    for expect in [
+        "function_execution",
+        "state_read",
+        "state_store",
+        "state_write_buffer",
+    ] {
+        assert!(names.contains(&expect), "missing {expect}: {names:?}");
+    }
+    // The report is a read of the registry's `timer.*` histograms.
+    for (component, total, count) in &report {
+        let hist = rt.obs().histogram(&format!("timer.{component}"));
+        assert_eq!(
+            (total.as_nanos() as u64, *count),
+            (hist.sum(), hist.count()),
+            "{component}"
+        );
+    }
+    let bodies = report.iter().find(|r| r.0 == "function_execution");
+    assert_eq!(bodies.map(|r| r.2), Some(6), "one body per call");
+}
+
+#[test]
+fn overhead_timers_record_with_observability_off() {
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.obs.mode = se_obs::ObsMode::Off;
+    let rt = timed_calls(cfg, 2);
+    assert!(!rt.timers().report().is_empty());
 }
 
 /// A coordinator on its own thread with the test thread playing both

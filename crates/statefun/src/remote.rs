@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use se_chaos::Seam;
-use se_dataflow::{send_with_chaos, ComponentTimers, DelayReceiver, DelaySender};
+use se_dataflow::{send_with_chaos, timer, DelayReceiver, DelaySender};
 use se_ir::{process_invocation_with, InvocationKind, VersionRegistry};
 use se_lang::Env;
 
@@ -25,18 +25,20 @@ use crate::record::{RemoteRequest, RemoteResponse};
 /// version stamped on the invocation — the dispatch-side half of the live
 /// upgrade: chains pinned to an old version keep executing old code while
 /// freshly stamped roots already run the new deploy.
-#[allow(clippy::too_many_arguments)]
 pub fn run_remote_worker(
     cfg: StatefunConfig,
     registry: Arc<VersionRegistry>,
     requests: Arc<DelayReceiver<RemoteRequest>>,
     responders: Vec<DelaySender<RemoteResponse>>,
-    timers: Arc<ComponentTimers>,
     obs: se_obs::Obs,
     shutdown: Arc<AtomicBool>,
 ) {
     let invocations = obs.counter("statefun.invocations");
-    let body_runs = obs.counter("vm.body_runs");
+    let deserialization = timer(&obs, "state_deserialization");
+    let construction = timer(&obs, "object_construction");
+    let split_overhead = timer(&obs, "split_overhead");
+    let execution = timer(&obs, "function_execution");
+    let serialization = timer(&obs, "state_serialization");
     loop {
         if shutdown.load(Ordering::SeqCst) {
             // The queue is shared and a wake ends one receive: pass the
@@ -61,11 +63,11 @@ pub fn run_remote_worker(
         // Deserialize the shipped state — modeled as a *materialized* deep
         // copy (a plain clone of copy-on-write state would be a refcount
         // bump and measure nothing).
-        let state = timers.time("state_deserialization", || req.state.deep_clone());
+        let state = deserialization.time(|| req.state.deep_clone());
         // Reconstruct the entity object from its state (§2.3: "the system
         // reconstructs the object using the operator's code and the
         // function's state").
-        let mut state = timers.time("object_construction", || {
+        let mut state = construction.time(|| {
             let mut s = se_lang::EntityState::new();
             for (k, v) in state {
                 s.insert(k, v);
@@ -75,7 +77,7 @@ pub fn run_remote_worker(
         // Program-transformation overhead probe: the cost of carrying the
         // split-function machinery (continuation frames + saved
         // environments) in events — what E3 shows to be < 1% of the total.
-        timers.time("split_overhead", || {
+        split_overhead.time(|| {
             let _frames = req.inv.stack.clone();
             let _env = match &req.inv.kind {
                 InvocationKind::Resume { env, .. } => env.clone(),
@@ -86,11 +88,10 @@ pub fn run_remote_worker(
         let entity = req.inv.target;
         let request_id = req.inv.request.0;
         let entry = registry.resolve(req.inv.version);
-        let effect = timers.time("function_execution", || {
+        let effect = execution.time(|| {
             process_invocation_with(&entry.graph.program, &*entry.runner, req.inv, &mut state)
         });
         invocations.inc();
-        body_runs.inc();
         obs.stage_span(
             se_obs::Stage::Invoke,
             request_id,
@@ -99,7 +100,7 @@ pub fn run_remote_worker(
         );
         // Serialize the mutated state for the trip back (materialized, as
         // above).
-        let new_state = timers.time("state_serialization", || state.deep_clone());
+        let new_state = serialization.time(|| state.deep_clone());
         let bytes = new_state.approx_size();
 
         send_with_chaos(

@@ -93,7 +93,6 @@ impl StatefunRuntime {
                 pool_tx.clone(),
                 resp_rx,
                 Arc::clone(&core.snapshots),
-                Arc::clone(&core.timers),
                 Arc::clone(&recovery),
                 ctl_tx.clone(),
                 Arc::clone(&core.shutdown),
@@ -106,11 +105,10 @@ impl StatefunRuntime {
             let registry2 = Arc::clone(&core.registry);
             let rx = Arc::clone(&pool_rx);
             let responders = resp_txs.clone();
-            let timers2 = Arc::clone(&core.timers);
             let sd = Arc::clone(&core.shutdown);
             let obs2 = core.obs.clone();
             core.spawn(format!("statefun-remote{id}"), move || {
-                run_remote_worker(cfg2, registry2, rx, responders, timers2, obs2, sd)
+                run_remote_worker(cfg2, registry2, rx, responders, obs2, sd)
             });
         }
 

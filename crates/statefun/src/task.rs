@@ -24,8 +24,7 @@ use parking_lot::Mutex;
 use se_broker::Broker;
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
-    send_with_chaos, ComponentTimers, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore,
-    WaiterMap,
+    send_with_chaos, timer, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore, WaiterMap,
 };
 use se_ir::{
     Invocation, InvocationKind, RequestId, Response, StepEffect, VersionRegistry, INITIAL_VERSION,
@@ -90,7 +89,9 @@ pub struct PartitionTask {
     pool_tx: DelaySender<RemoteRequest>,
     resp_rx: DelayReceiver<RemoteResponse>,
     snapshots: Arc<SnapshotStore<StateStore>>,
-    timers: Arc<ComponentTimers>,
+    /// The component timers this task feeds (`timer.*` histograms).
+    serialization_timer: Arc<se_obs::Histogram>,
+    storage_timer: Arc<se_obs::Histogram>,
     recovery: Arc<RecoveryCtl>,
     ctl_tx: DelaySender<CtlMsg>,
     shutdown: Arc<AtomicBool>,
@@ -112,7 +113,6 @@ impl PartitionTask {
         pool_tx: DelaySender<RemoteRequest>,
         resp_rx: DelayReceiver<RemoteResponse>,
         snapshots: Arc<SnapshotStore<StateStore>>,
-        timers: Arc<ComponentTimers>,
         recovery: Arc<RecoveryCtl>,
         ctl_tx: DelaySender<CtlMsg>,
         shutdown: Arc<AtomicBool>,
@@ -136,7 +136,8 @@ impl PartitionTask {
             pool_tx,
             resp_rx,
             snapshots,
-            timers,
+            serialization_timer: timer(&obs, "state_serialization"),
+            storage_timer: timer(&obs, "state_storage"),
             recovery,
             ctl_tx,
             shutdown,
@@ -292,9 +293,7 @@ impl PartitionTask {
         // *materialized* copy on purpose: entity state is copy-on-write, so
         // a plain clone would be a refcount bump and the experiment's
         // state-serialization component would measure nothing.
-        let shipped = self
-            .timers
-            .time("state_serialization", || state.deep_clone());
+        let shipped = self.serialization_timer.time(|| state.deep_clone());
         let bytes = shipped.approx_size() + inv.approx_size();
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -333,7 +332,7 @@ impl PartitionTask {
             return;
         }
         // Install the returned state into managed operator state.
-        self.timers.time("state_storage", || {
+        self.storage_timer.time(|| {
             self.store.insert(resp.entity, resp.new_state);
         });
         self.inflight.remove(&resp.entity);
@@ -456,7 +455,7 @@ impl PartitionTask {
                 self.crash();
                 return;
             }
-            self.timers.time("state_storage", || {
+            self.storage_timer.time(|| {
                 self.store.insert(target, after);
             });
             migrated += u64::from(ran);

@@ -238,16 +238,23 @@ fn exactly_once_with_transactional_checkpoints_and_failure() {
     rt.shutdown();
 }
 
+/// Runs `calls` increments and shuts down, so no timer records after the
+/// caller reads the report.
+fn timed_increments(cfg: StatefunConfig, calls: usize) -> StatefunRuntime {
+    let rt = deploy(&se_lang::programs::counter_program(), cfg);
+    let c = rt.create("Counter", "c", vec![]).unwrap();
+    for _ in 0..calls {
+        rt.call(c, "incr", vec![Value::Int(1)]).unwrap();
+    }
+    rt.shutdown();
+    rt
+}
+
 #[test]
 fn overhead_timers_cover_components() {
-    let program = se_lang::programs::counter_program();
-    let rt = deploy(&program, StatefunConfig::fast_test(2));
-    rt.create("Counter", "c", vec![]).unwrap();
-    for _ in 0..10 {
-        rt.call(EntityRef::new("Counter", "c"), "incr", vec![Value::Int(1)])
-            .unwrap();
-    }
-    let names: Vec<&str> = rt.timers().report().iter().map(|(n, _, _)| *n).collect();
+    let rt = timed_increments(StatefunConfig::fast_test(2), 10);
+    let report = rt.timers().report();
+    let names: Vec<&str> = report.iter().map(|(n, _, _)| *n).collect();
     for expect in [
         "state_serialization",
         "state_deserialization",
@@ -261,5 +268,24 @@ fn overhead_timers_cover_components() {
             "missing component {expect}: {names:?}"
         );
     }
-    rt.shutdown();
+    // The report is a read of the registry's `timer.*` histograms.
+    for (component, total, count) in &report {
+        let hist = rt.obs().histogram(&format!("timer.{component}"));
+        assert_eq!(
+            (total.as_nanos() as u64, *count),
+            (hist.sum(), hist.count()),
+            "{component}"
+        );
+    }
+    let bodies = report.iter().find(|r| r.0 == "function_execution");
+    let invocations = rt.obs().counter("statefun.invocations").get();
+    assert_eq!(bodies.map(|r| r.2), Some(invocations));
+}
+
+#[test]
+fn overhead_timers_record_with_observability_off() {
+    let mut cfg = StatefunConfig::fast_test(2);
+    cfg.obs.mode = se_obs::ObsMode::Off;
+    let rt = timed_increments(cfg, 2);
+    assert!(!rt.timers().report().is_empty());
 }
