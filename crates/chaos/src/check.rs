@@ -19,8 +19,9 @@
 //!    strictly later batch with the same id, and no decided retry may
 //!    dangle at the end of a quiesced run.
 //! 4. **Batch sanity.** Batch ids seal in ascending order, transaction
-//!    lists are ascending, fallback/solo batches hold exactly one
-//!    transaction and never retry.
+//!    lists are ascending, a batch is solo iff it holds exactly one
+//!    transaction (a one-transaction batch sealed regular is a violation),
+//!    and solo batches never retry.
 //!
 //! [`serial_order`] then derives the *equivalent serial order* of the
 //! surviving commits — batches ascending; within a batch a topological
@@ -177,9 +178,13 @@ pub fn check_history(
                 if txns.windows(2).any(|w| w[0] >= w[1]) {
                     return err(format!("batch {batch}: transaction ids not ascending"));
                 }
-                if !matches!(kind, BatchKindTag::Regular) && txns.len() != 1 {
+                // A batch is solo iff it holds one transaction: a lone
+                // transaction sealed regular paid a reservation round that
+                // could not change its outcome.
+                if (*kind == BatchKindTag::Solo) != (txns.len() == 1) {
                     return err(format!(
-                        "batch {batch}: {kind:?} batch holds {} transactions, expected 1",
+                        "batch {batch}: {kind:?} batch holds {} transactions \
+                         (a batch is solo iff it holds exactly 1)",
                         txns.len()
                     ));
                 }
@@ -709,23 +714,54 @@ mod tests {
         // A duplicated delivery re-records the same sets: allowed.
         let events = vec![
             root(0, 10, "a"),
+            root(1, 11, "b"),
             HistoryEvent::Sealed {
                 batch: 0,
-                txns: vec![0],
+                txns: vec![0, 1],
                 kind: BatchKindTag::Regular,
             },
             access(0, 0, &["a"], &["a"]),
             access(0, 0, &["a"], &["a"]),
+            access(0, 1, &["b"], &["b"]),
             HistoryEvent::Decided {
                 batch: 0,
                 kind: BatchKindTag::Regular,
-                committed: vec![outcome(0, 10)],
+                committed: vec![outcome(0, 10), outcome(1, 11)],
                 failed: vec![],
                 retried: vec![],
             },
         ];
         let s = check_history(&events, CommitRule::Reordering).unwrap();
-        assert_eq!(s.surviving_commits, 1);
+        assert_eq!(s.surviving_commits, 2);
+    }
+
+    #[test]
+    fn one_txn_regular_batch_is_flagged() {
+        // A lone transaction cannot lose a conflict: sealing it regular
+        // (with a reservation round) breaks the solo-iff-one rule, and so
+        // does a solo batch of two.
+        let sealed = |txns: Vec<u64>, kind| {
+            vec![HistoryEvent::Sealed {
+                batch: 0,
+                txns,
+                kind,
+            }]
+        };
+        let e = check_history(
+            &sealed(vec![0], BatchKindTag::Regular),
+            CommitRule::Reordering,
+        )
+        .unwrap_err();
+        assert!(
+            e.message.contains("Regular batch holds 1 transactions"),
+            "{e}"
+        );
+        let e = check_history(
+            &sealed(vec![0, 1], BatchKindTag::Solo),
+            CommitRule::Reordering,
+        )
+        .unwrap_err();
+        assert!(e.message.contains("Solo batch holds 2 transactions"), "{e}");
     }
 
     #[test]
@@ -736,7 +772,7 @@ mod tests {
         let events = vec![
             HistoryEvent::Sealed {
                 batch: 0,
-                txns: vec![0],
+                txns: vec![0, 1],
                 kind: BatchKindTag::Regular,
             },
             access(0, 0, &["a"], &["a"]),

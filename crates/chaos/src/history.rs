@@ -19,13 +19,14 @@ use serde::{Deserialize, Serialize};
 
 use se_lang::{EntityRef, Value};
 
-/// How a batch was formed (mirrors the coordinator's batch kinds).
+/// How a batch runs (mirrors the coordinator's batch kinds, which follow
+/// from batch size alone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchKindTag {
     /// A sealed multi-transaction batch (executes, reserves, decides).
     Regular,
-    /// A single-transaction serial-fallback batch, decided and committed
-    /// at its final hop.
+    /// A one-transaction batch — a lone request or a serial-fallback
+    /// retry — decided and committed at its final hop.
     Solo,
 }
 

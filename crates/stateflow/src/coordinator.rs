@@ -34,10 +34,13 @@
 //! with batch *i*'s commit round — instead of waiting for *N*'s commit
 //! broadcast. Ordering correctness lives at the workers (committed-batch
 //! watermarks); the coordinator only bounds the window and keeps commit
-//! decisions flowing in batch order. Single-transaction serial-fallback
-//! batches are *solo* batches that commit at their final hop without a
-//! coordinator round trip, which is what lets hot-key retry storms drain at
-//! execution speed instead of one network round trip per transaction. At
+//! decisions flowing in batch order. A batch is *solo* iff it holds one
+//! transaction — a serial-fallback retry, or a lone request that found the
+//! queue otherwise empty. A lone transaction cannot lose a conflict, so a
+//! solo batch skips the reservation round and commits at its final hop
+//! without a coordinator round trip: a request arriving at an idle engine
+//! costs `Exec` → `ExecDone`, and hot-key retry storms drain at execution
+//! speed instead of one round trip per transaction. At
 //! `pipeline_depth = 1` the window degenerates to "seal only when idle".
 //!
 //! Chaos hardening: data-plane messages (`Exec`/`Reserve`/`Commit` out,
@@ -79,6 +82,9 @@ use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, WorkerMsg};
 pub struct CoordStats {
     /// Batches decided (committed or solo-finalized).
     pub batches: se_obs::Counter,
+    /// The solo share of `batches`: one-transaction batches, committed at
+    /// their final hop without a reservation round.
+    pub solo_batches: se_obs::Counter,
     /// Transactions committed successfully.
     pub commits: se_obs::Counter,
     /// Transactions that finished with an application/runtime error: the
@@ -100,6 +106,7 @@ impl CoordStats {
     pub fn register(obs: &se_obs::Obs) -> CoordStats {
         CoordStats {
             batches: obs.counter("coord.batches"),
+            solo_batches: obs.counter("coord.solo_batches"),
             commits: obs.counter("coord.commits"),
             failed: obs.counter("coord.failed"),
             aborts: obs.counter("coord.aborts"),
@@ -137,18 +144,27 @@ enum BatchStage {
     },
 }
 
-/// Coordinator-side bookkeeping for one sealed, not-yet-finished batch.
+/// The kind of a batch, a function of its size alone: one transaction is a
+/// solo batch — it cannot lose a conflict, so it skips reservation and its
+/// final-hop worker decides and commits it locally, the coordinator merely
+/// recording the outcome — and more are a regular batch (executes,
+/// reserves, decides), the only kind a reservation can change.
+fn batch_kind(txns: &[TxnId]) -> BatchKindTag {
+    if txns.len() == 1 {
+        BatchKindTag::Solo
+    } else {
+        BatchKindTag::Regular
+    }
+}
+
+/// Coordinator-side bookkeeping for one sealed, not-yet-finished batch. Its
+/// kind is not stored: [`batch_kind`] derives it from `txns`.
 struct InFlightBatch {
     /// The batch's transaction ids, ascending.
     txns: Arc<Vec<TxnId>>,
     responses: HashMap<TxnId, Response>,
     /// Transactions whose chain errored (abort without retry).
     errors: BTreeSet<TxnId>,
-    /// Regular (executes, reserves, decides) or solo: a single-transaction
-    /// serial-fallback batch skips reservation — a lone transaction cannot
-    /// lose a conflict — so its final-hop worker decides and commits it
-    /// locally and the coordinator merely records the outcome.
-    kind: BatchKindTag,
     stage: BatchStage,
     /// Obs timestamps (0 with observability off): when the batch was sealed
     /// and when its last `ExecDone` arrived — the `batch_exec` /
@@ -158,12 +174,13 @@ struct InFlightBatch {
 }
 
 impl InFlightBatch {
-    /// Whether this batch blocks sealing the next one: regular batches
-    /// must enter their reservation round first; solo batches never block —
-    /// they are decided at their final hop, and overlapping them is the
-    /// whole point.
+    /// Whether this batch blocks sealing the next one: a regular batch still
+    /// executing must enter its reservation round first; solo batches never
+    /// block — they are decided at their final hop, and overlapping them is
+    /// the whole point.
     fn blocks_sealing(&self) -> bool {
-        matches!(self.stage, BatchStage::Executing) && self.kind != BatchKindTag::Solo
+        matches!(self.stage, BatchStage::Executing)
+            && batch_kind(&self.txns) == BatchKindTag::Regular
     }
 }
 
@@ -733,12 +750,13 @@ impl Coordinator {
     }
 
     /// Seals and dispatches one batch if one is ready; returns whether it
-    /// did. Serial-fallback transactions run first, as single-transaction
-    /// batches (which can never lose a conflict).
+    /// did. Serial-fallback transactions run first, one per batch; otherwise
+    /// the batch takes up to `max_batch` transactions from the queue. Either
+    /// way its kind follows from its size ([`batch_kind`]).
     fn seal_next_batch(&mut self) -> bool {
-        let (txns, kind): (Vec<TxnId>, BatchKindTag) =
+        let (txns, fallback): (Vec<TxnId>, bool) =
             if let Some(txn) = self.fallback_queue.pop_front() {
-                (vec![txn], BatchKindTag::Solo)
+                (vec![txn], true)
             } else {
                 if self.queue.is_empty() {
                     return false;
@@ -749,12 +767,13 @@ impl Coordinator {
                     return false;
                 }
                 let take = self.queue.len().min(self.cfg.max_batch);
-                (self.queue.drain(..take).collect(), BatchKindTag::Regular)
+                (self.queue.drain(..take).collect(), false)
             };
         debug_assert!(
             txns.windows(2).all(|w| w[0] < w[1]),
             "queue must stay ascending"
         );
+        let kind = batch_kind(&txns);
         let batch = self.next_batch;
         self.next_batch += 1;
         self.record(|| HistoryEvent::Sealed {
@@ -795,15 +814,17 @@ impl Coordinator {
         let mut sealed_ns = 0;
         if self.obs.enabled() {
             sealed_ns = self.obs.now_ns();
-            // Seal span: queue started filling → dispatched. Fallback
-            // batches skip the accumulation queue; their seal is a point.
-            let opened = match kind {
-                BatchKindTag::Regular => self.queue_since_ns.take().unwrap_or(sealed_ns),
-                BatchKindTag::Solo => sealed_ns,
+            // Seal span: queue started filling → dispatched, whatever the
+            // batch's size. Fallback transactions skip the accumulation
+            // queue; their seal is a point.
+            let opened = if fallback {
+                sealed_ns
+            } else {
+                self.queue_since_ns.take().unwrap_or(sealed_ns)
             };
             self.obs
                 .stage_span(se_obs::Stage::BatchSeal, batch, opened, sealed_ns);
-            if matches!(kind, BatchKindTag::Regular) && !self.queue.is_empty() {
+            if !fallback && !self.queue.is_empty() {
                 // The queue keeps filling toward the next batch.
                 self.queue_since_ns = Some(sealed_ns);
             }
@@ -814,7 +835,6 @@ impl Coordinator {
                 txns: Arc::new(txns),
                 responses: HashMap::new(),
                 errors: BTreeSet::new(),
-                kind,
                 stage: BatchStage::Executing,
                 sealed_ns,
                 exec_done_ns: 0,
@@ -938,7 +958,7 @@ impl Coordinator {
             batch.sealed_ns,
             batch.exec_done_ns,
         );
-        match batch.kind {
+        match batch_kind(&batch.txns) {
             BatchKindTag::Solo => {
                 // The final-hop worker already decided and committed; this
                 // is the commit record.
@@ -1018,10 +1038,10 @@ impl Coordinator {
             txns,
             mut responses,
             errors,
-            kind,
             exec_done_ns,
             ..
         } = batch;
+        let kind = batch_kind(&txns);
         let decided_ns = self.obs.now_ns();
         let retry = match retry {
             Some(retry) => {
@@ -1046,7 +1066,6 @@ impl Coordinator {
                 retry
             }
             None => {
-                debug_assert_eq!(txns.len(), 1, "solo batches hold exactly one txn");
                 // The decision happened at the final-hop worker; on the
                 // coordinator's timeline it is a point at the commit record.
                 self.obs
@@ -1101,6 +1120,9 @@ impl Coordinator {
         self.stats.failed.add(failed);
         self.stats.aborts.add(retry.len() as u64);
         self.stats.batches.inc();
+        if kind == BatchKindTag::Solo {
+            self.stats.solo_batches.inc();
+        }
         self.record(|| HistoryEvent::Decided {
             batch: batch_id,
             kind,

@@ -20,7 +20,11 @@
 //! thread through [`Worker::run_segment`], against the committed snapshot
 //! overlaid with the transaction's buffer; [`Worker::run_exec`] then
 //! performs its protocol action (report, solo commit, or forward to the
-//! next partition). The store is never mutated inside a batch's execution
+//! next partition). A batch of one transaction — the coordinator seals
+//! every lone request and every serial-fallback retry that way — is *solo*:
+//! its final-hop worker decides, applies and answers it with no
+//! reservation round ([`Worker::commit_solo`]); only batches of two or more
+//! see a `Reserve`. The store is never mutated inside a batch's execution
 //! window (the commit of batch *B* requires every `ExecDone` of *B*, and
 //! the watermark defers batch *B+1*'s executions until that commit
 //! applied), so the order segments of one batch run in changes no outcome.
@@ -521,13 +525,21 @@ impl Worker {
         }
     }
 
-    /// Commits a single-transaction fallback batch at its final hop. A lone
-    /// transaction can never lose a conflict, so the decision is locally
-    /// determined: commit unless the chain errored. The worker applies its
-    /// own buffered writes, advances its watermark, and broadcasts the
-    /// commit record to peers (who hold any remote hops' buffers) — no
-    /// coordinator round trip per fallback transaction, which is what lets
-    /// consecutive hot-key retries chain back-to-back on the owning worker.
+    /// Commits a solo batch — one transaction, a lone request or a
+    /// serial-fallback retry — at its final hop. A lone transaction can
+    /// never lose a conflict, so the decision is locally determined: commit
+    /// unless the chain errored. The worker applies its own buffered writes,
+    /// advances its watermark, and sends the commit record to its peers (who
+    /// hold any remote hops' buffers). No reservation round and no
+    /// coordinator round trip, which is what lets a request at an idle
+    /// engine finish in one hop to the coordinator and consecutive hot-key
+    /// retries chain back-to-back on the owning worker.
+    ///
+    /// The record leaves before the `ExecDone`: on a shared core the peers'
+    /// acks then tend to reach the coordinator's inbox before it runs, so
+    /// one wake-up takes the answer and every ack. Answering first lowers
+    /// latency a little but costs the coordinator about one more wake-up
+    /// per request.
     fn commit_solo(&mut self, batch: BatchId, txn: TxnId, errored: bool) {
         debug_assert!(
             self.watermark.runnable(batch),

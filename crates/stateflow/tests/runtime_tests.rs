@@ -899,6 +899,110 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
     assert_eq!(rig.stats.snapshots.get(), 2);
 }
 
+/// A batch is solo iff it holds one transaction. A lone request goes out as
+/// a solo `Exec` and its `ExecDone` is the commit record: the client is
+/// answered with no reservation round, and only the epoch cut still waits
+/// for every worker's `CommitAck`. Two requests queued together remain one
+/// regular batch that reserves.
+#[test]
+fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
+    use se_ir::Response;
+    use se_stateflow::msg::{CoordMsg, WorkerMsg};
+
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.snapshot_every_batches = 1; // cut an epoch after every batch
+    cfg.batch_interval = Duration::ZERO;
+    let mut rig = CoordRig::start(cfg);
+    let done = |batch, txn, request: u64| CoordMsg::ExecDone {
+        gen: 0,
+        batch,
+        txn,
+        response: Response {
+            request: se_ir::RequestId(request),
+            result: Ok(Value::Int(request as i64)),
+        },
+    };
+
+    let (request, answer) = rig.waiters.register();
+    rig.invoke(request.0, "a");
+    match rig.expect_exec("a") {
+        WorkerMsg::Exec {
+            batch: 0,
+            txn: 0,
+            hop: 0,
+            solo: true,
+            ..
+        } => {}
+        other => panic!("expected a solo Exec of batch 0 at hop 0, got {other:?}"),
+    }
+    // No `Reserve` (nor anything else) follows a lone transaction's `Exec`.
+    rig.assert_quiet(Duration::from_millis(50));
+    rig.send(done(0, 0, request.0));
+    let got = answer.wait_timeout(WAIT).expect("the ExecDone answers");
+    assert_eq!(got.unwrap(), Value::Int(request.0 as i64));
+    assert_eq!(rig.stats.commits.get(), 1, "counted before the answer");
+    assert_eq!(rig.stats.solo_batches.get(), 1);
+
+    // The epoch cut waits for the commit ack of every worker.
+    let ack = |worker| CoordMsg::CommitAck {
+        gen: 0,
+        batch: 0,
+        worker,
+    };
+    rig.send(ack(0));
+    rig.assert_quiet(Duration::from_millis(50));
+    rig.send(ack(1));
+    rig.expect_all("Snapshot", &|m| {
+        matches!(
+            m,
+            WorkerMsg::Snapshot {
+                gen: 0,
+                epoch: 1,
+                ..
+            }
+        )
+    });
+
+    // Appended while the cut holds sealing: both queue, and seal together
+    // once the round completes.
+    let (first, _) = rig.waiters.register();
+    let (second, _) = rig.waiters.register();
+    rig.invoke(first.0, "a");
+    rig.invoke(second.0, "b");
+    for worker in 0..2 {
+        rig.snapshots.put(
+            1,
+            &format!("worker{worker}"),
+            se_dataflow::StateStore::new(),
+        );
+        rig.send(CoordMsg::SnapshotAck {
+            gen: 0,
+            epoch: 1,
+            worker,
+            durable: None,
+        });
+    }
+    for (key, request) in [("a", first), ("b", second)] {
+        let WorkerMsg::Exec {
+            batch: 1,
+            txn,
+            hop: 0,
+            solo: false,
+            ..
+        } = rig.expect_exec(key)
+        else {
+            panic!("expected a regular Exec of batch 1");
+        };
+        rig.send(done(1, txn, request.0));
+    }
+    rig.expect_all(
+        "Reserve",
+        &|m| matches!(m, WorkerMsg::Reserve { gen: 0, batch: 1, txns, .. } if txns.len() == 2),
+    );
+    assert_eq!(rig.stats.solo_batches.get(), 1);
+    rig.stop();
+}
+
 /// The batch timer is the one timer the coordinator owns: a lone queued
 /// request seals when `batch_interval` runs out — not at once, not never —
 /// and a queue that reaches `max_batch` seals without waiting for it.

@@ -91,9 +91,13 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
 fn crash_at_each_protocol_point_recovers_from_disk() {
     for point in [CrashPoint::Exec, CrashPoint::Reserve, CrashPoint::Commit] {
         let mut cfg = durable_cfg(3);
-        // At least 10 regular batches whatever the scheduler does, so the
-        // fifth reserve/commit round — the scripted crash — always exists.
+        // Batches seal when full, long before a deadline far beyond the
+        // 4 ms between bursts: at least 9 regular batches of 8 whatever the
+        // scheduler does, so the fifth reservation round — the scripted
+        // crash — always exists (a lone transaction is a solo batch and
+        // reserves nothing).
         cfg.max_batch = 8;
+        cfg.batch_interval = Duration::from_millis(50);
         cfg.chaos = ChaosPlan::from_script(FaultScript {
             crashes: vec![CrashFault {
                 node: "worker1".into(),

@@ -84,6 +84,57 @@ fn idle_statefun_does_not_run() {
     idle_engine_does_not_run(RuntimeChoice::Statefun(cfg), "statefun-");
 }
 
+/// A lone request is a solo batch: its final-hop worker commits it and
+/// answers through one `ExecDone`, with no reservation round behind it. So
+/// sequential calls cost the coordinator about two timeslices each (the
+/// append, the answer) and the workers about two between them (the owner's
+/// `Exec`, the peer's commit record). A `Reserve`/`Flags`/`Commit` round per
+/// call puts the coordinator above three and the workers above four.
+#[cfg(target_os = "linux")]
+#[test]
+fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
+    let _turn = one_engine();
+    let mut cfg = StateflowConfig::fast_test(2);
+    // No simulated hop, no batch timer, no snapshot round: every timeslice
+    // counted below is a message of the request path.
+    cfg.net.time_scale = 0.0;
+    cfg.batch_interval = Duration::ZERO;
+    cfg.snapshot_every_batches = 0;
+    let program = se_workloads::ycsb_program();
+    let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
+    let accounts = [
+        rt.create("Account", "left", vec![]).unwrap(),
+        rt.create("Account", "right", vec![]).unwrap(),
+    ];
+    rt.call(accounts[0], "read", vec![]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+
+    const CALLS: u64 = 200;
+    let coord_before = timeslices("stateflow-coord");
+    let workers_before = timeslices("stateflow-worke");
+    for i in 0..CALLS {
+        let account = accounts[i as usize % 2];
+        match i % 4 {
+            0 | 1 => rt.call(account, "read", vec![]).unwrap(),
+            _ => rt.call(account, "deposit", vec![Value::Int(1)]).unwrap(),
+        };
+    }
+    // Let the last call's trailing commit acks land.
+    std::thread::sleep(Duration::from_millis(50));
+    let coord = timeslices("stateflow-coord") - coord_before;
+    let workers = timeslices("stateflow-worke") - workers_before;
+    let per_call = |slices: u64| slices as f64 / CALLS as f64;
+    assert!(
+        per_call(coord) <= 2.5,
+        "the coordinator ran {coord} timeslices for {CALLS} calls"
+    );
+    assert!(
+        per_call(workers) <= 2.5,
+        "the workers ran {workers} timeslices for {CALLS} calls"
+    );
+    rt.shutdown();
+}
+
 /// With checkpoints on, an idle StateFun deployment keeps exactly one timer:
 /// the controller's barrier interval. The controller runs about once per
 /// barrier; the egress thread, which an idle barrier gives nothing to
