@@ -10,8 +10,10 @@
 //! * **topics with key-hashed partitions** (stable routing, see
 //!   [`se_ir::partition_for`]);
 //! * **offset-addressed, replayable logs** — each partition is a
-//!   [`ReplayableSource`]: records are never destroyed by consumption, so a
-//!   recovering consumer re-reads from the offset its snapshot recorded;
+//!   [`ReplayableSource`]: reading does not consume, so a recovering
+//!   consumer re-reads from the offset its snapshot recorded. Records go
+//!   only when the consumer truncates below the floor its recovery can
+//!   still reach ([`Broker::truncate_below`]); offsets stay absolute;
 //! * **hop latency** — a record becomes *visible* to consumers only after
 //!   the produce+consume network cost from [`NetConfig`] has elapsed.
 //!
@@ -222,7 +224,7 @@ impl<T: Clone> Broker<T> {
                 let now = Instant::now();
                 // Offsets must be consumed in order; stop at the first
                 // not-yet-visible record to preserve log order.
-                (tail.iter().take(max))
+                (tail.take(max))
                     .take_while(|e| e.visible_at <= now)
                     .zip(offset..)
                     .map(|(e, offset)| ConsumerRecord {
@@ -246,8 +248,26 @@ impl<T: Clone> Broker<T> {
         offset: u64,
     ) -> Result<Option<Instant>, BrokerError> {
         self.with_partition(topic, partition, |p| {
-            p.read_from(offset, |tail| tail.first().map(|e| e.visible_at))
+            p.read_from(offset, |mut tail| tail.next().map(|e| e.visible_at))
         })
+    }
+
+    /// The lowest offset one partition still holds.
+    pub fn floor(&self, topic: &str, partition: usize) -> Result<u64, BrokerError> {
+        self.with_partition(topic, partition, Partition::floor)
+    }
+
+    /// Frees one partition's records below `offset`: its consumer's
+    /// recovery can no longer reach them (see
+    /// [`ReplayableSource::truncate_below`]). Returns how many were freed;
+    /// a later fetch below `offset` panics.
+    pub fn truncate_below(
+        &self,
+        topic: &str,
+        partition: usize,
+        offset: u64,
+    ) -> Result<u64, BrokerError> {
+        self.with_partition(topic, partition, |p| p.truncate_below(offset))
     }
 }
 
@@ -396,5 +416,47 @@ mod tests {
         // The other partition has no waker and is left alone.
         b.produce_to("t", 0, "k", "v".to_string(), 0).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), None);
+    }
+
+    #[test]
+    fn truncation_keeps_offsets_absolute_per_partition() {
+        let b = broker();
+        let p = partition_for("dave", 4);
+        let other = (p + 1) % 4;
+        for i in 0..5 {
+            b.produce("events", "dave", format!("m{i}"), 0).unwrap();
+            b.produce_to("events", other, "k", format!("o{i}"), 0)
+                .unwrap();
+        }
+        assert_eq!(b.truncate_below("events", p, 3).unwrap(), 3);
+        assert_eq!(b.truncate_below("events", p, 3).unwrap(), 0, "no-op");
+        assert_eq!(b.floor("events", p).unwrap(), 3);
+        let got = b.fetch("events", p, 3, 10).unwrap();
+        assert_eq!(got.iter().map(|r| r.offset).collect::<Vec<_>>(), [3, 4]);
+        assert_eq!(got[0].value, "m3");
+        assert!(b.next_visible_at("events", p, 4).unwrap().is_some());
+        assert_eq!(b.next_visible_at("events", p, 5).unwrap(), None);
+        let (_, o) = b.produce("events", "dave", "m5".into(), 0).unwrap();
+        assert_eq!(o, 5);
+        assert_eq!(b.fetch("events", p, 5, 10).unwrap()[0].value, "m5");
+        // The neighbouring partition keeps its whole log.
+        assert_eq!(b.fetch("events", other, 0, 10).unwrap().len(), 5);
+        assert_eq!(b.truncate_below("events", other, 99).unwrap(), 5, "clamps");
+        assert!(b.fetch("events", other, 5, 10).unwrap().is_empty());
+        assert!(matches!(
+            b.truncate_below("events", 99, 1).unwrap_err(),
+            BrokerError::UnknownPartition { .. }
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: no read below a source's truncation floor")]
+    fn fetch_below_the_floor_panics() {
+        let b = broker();
+        for i in 0..3 {
+            b.produce_to("events", 0, "k", format!("m{i}"), 0).unwrap();
+        }
+        b.truncate_below("events", 0, 2).unwrap();
+        let _ = b.fetch("events", 0, 1, 10);
     }
 }

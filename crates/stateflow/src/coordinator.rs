@@ -1173,6 +1173,16 @@ impl Coordinator {
     /// completion opens another round at the cluster minimum; each round
     /// records its own `Recovery` event, and the history checker treats
     /// consecutive recoveries as one lineage ending at the last.
+    ///
+    /// `None` replays the request source from offset 0, which is why
+    /// StateFlow never truncates that source (StateFun does, see
+    /// `ReplayableSource::truncate_below`). Two paths reach `None` after
+    /// epochs have completed: a restore round whose minimum `reached` over
+    /// the `RestoreAck`s is `None` re-opens at `None`, and
+    /// `DurableStore::recover` reports `None` when a partition's base
+    /// snapshot is missing and `compact_below` already dropped the log
+    /// that preceded it. Until both restore a durable floor instead, every
+    /// request ever served stays in the log.
     fn restore_to(&mut self, target: Option<Epoch>) {
         // A target whose source offset is gone cannot be replayed to: fall
         // back to a full restart. Unreachable while the durable floor pins

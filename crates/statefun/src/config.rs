@@ -9,7 +9,11 @@ use se_dataflow::NetConfig;
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckpointMode {
     /// No checkpoints: at-most/at-least-once, minimal latency. This is the
-    /// low-latency configuration the paper's latency figures imply.
+    /// low-latency configuration the paper's latency figures imply. With
+    /// nothing to restore there is no recovery (deploy refuses crash
+    /// scripts), so each partition task frees its ingress records as soon
+    /// as it has read them: the broker's memory stays flat however many
+    /// requests pass.
     None,
     /// Aligned checkpoint barriers every `interval`, with *transactional
     /// produces*: loopback and egress records are staged per epoch and

@@ -118,6 +118,7 @@ impl StatefunRuntime {
             let broker2 = broker.clone();
             let waiters2 = Arc::clone(&core.waiters);
             let sd = Arc::clone(&core.shutdown);
+            let log_truncated = core.obs.counter("statefun.log_truncated");
             core.spawn("statefun-egress".into(), move || {
                 let _open = egress_open;
                 let mut offset = 0u64;
@@ -141,6 +142,12 @@ impl StatefunRuntime {
                         _ => None,
                     });
                     waiters2.complete_all(answers.collect());
+                    // The egress reader never rewinds: a recovery replays
+                    // responses to new offsets, so everything read is
+                    // garbage.
+                    if let Ok(n) = broker2.truncate_below(topics::EGRESS, 0, offset) {
+                        log_truncated.add(n);
+                    }
                 }
             });
         }
@@ -165,8 +172,7 @@ impl StatefunRuntime {
                 loop {
                     match ctl_rx.recv_until(next_barrier) {
                         Some(CtlMsg::TaskFailed(_)) => {
-                            *recovery2.restore_epoch.lock() = snapshots2.latest_complete();
-                            recovery2.gen.fetch_add(1, Ordering::SeqCst);
+                            recovery2.begin(&snapshots2);
                             // Every task restores, the parked ones (crashed
                             // or idle) included.
                             task_wakers.iter().for_each(Waker::wake);
@@ -223,6 +229,13 @@ impl StatefunRuntime {
     /// The snapshot store (inspected by recovery tests).
     pub fn snapshots(&self) -> &SnapshotStore<StateStore> {
         &self.core.snapshots
+    }
+
+    /// The lowest offset ingress partition `partition` still holds: what
+    /// its task has freed below its recovery floor (inspected by recovery
+    /// tests).
+    pub fn ingress_floor(&self, partition: usize) -> Result<u64, BrokerError> {
+        self.broker.floor(topics::INGRESS, partition)
     }
 
     /// The runtime configuration.

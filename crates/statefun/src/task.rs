@@ -40,8 +40,39 @@ use crate::record::{topics, RemoteRequest, RemoteResponse, SfRecord};
 pub struct RecoveryCtl {
     /// Current fencing generation.
     pub gen: AtomicU64,
-    /// Epoch to restore (`None` = initial empty state).
+    /// Epoch to restore (`None` = initial empty state). Its lock also
+    /// orders recovery against truncation, see [`RecoveryCtl::replay_floor`].
     pub restore_epoch: Mutex<Option<Epoch>>,
+}
+
+impl RecoveryCtl {
+    /// Starts a recovery: every task restores the latest complete epoch.
+    pub fn begin(&self, snapshots: &SnapshotStore<StateStore>) {
+        let mut restore = self.restore_epoch.lock();
+        *restore = snapshots.latest_complete();
+        self.gen.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The lowest ingress offset `task`, running in generation `gen`, can
+    /// be rewound to: its offset in the latest complete epoch. `None` while
+    /// no epoch is complete, or once a recovery has begun that generation
+    /// `gen` has not applied yet. Recovery picks the latest complete epoch
+    /// *when it begins*, and that only grows; reading both under one lock
+    /// keeps a task that is still finishing its batch from truncating at an
+    /// epoch that completed after the recovery chose an older one.
+    pub fn replay_floor(
+        &self,
+        gen: u64,
+        snapshots: &SnapshotStore<StateStore>,
+        task: &str,
+    ) -> Option<u64> {
+        let _restore = self.restore_epoch.lock();
+        if self.gen.load(Ordering::SeqCst) != gen {
+            return None;
+        }
+        let epoch = snapshots.latest_complete()?;
+        snapshots.source_offset(epoch, task)
+    }
 }
 
 /// Controller notifications.
@@ -92,6 +123,8 @@ pub struct PartitionTask {
     /// The component timers this task feeds (`timer.*` histograms).
     serialization_timer: Arc<se_obs::Histogram>,
     storage_timer: Arc<se_obs::Histogram>,
+    /// `statefun.log_truncated`: ingress records freed below the floor.
+    log_truncated: se_obs::Counter,
     recovery: Arc<RecoveryCtl>,
     ctl_tx: DelaySender<CtlMsg>,
     shutdown: Arc<AtomicBool>,
@@ -138,6 +171,7 @@ impl PartitionTask {
             snapshots,
             serialization_timer: timer(&obs, "state_serialization"),
             storage_timer: timer(&obs, "state_storage"),
+            log_truncated: obs.counter("statefun.log_truncated"),
             recovery,
             ctl_tx,
             shutdown,
@@ -209,6 +243,18 @@ impl PartitionTask {
                     break;
                 }
             }
+            // Without checkpoints nothing ever rewinds (deploy refuses crash
+            // scripts), so what this task has read is garbage.
+            if !self.transactional() {
+                self.truncate_below(self.offset);
+            }
+        }
+    }
+
+    /// Frees this task's ingress records below `offset`.
+    fn truncate_below(&self, offset: u64) {
+        if let Ok(n) = self.broker.truncate_below(topics::INGRESS, self.id, offset) {
+            self.log_truncated.add(n);
         }
     }
 
@@ -416,6 +462,14 @@ impl PartitionTask {
         for (topic, key, rec, bytes) in std::mem::take(&mut self.staged) {
             let _ = self.broker.produce(topic, &key, rec, bytes);
         }
+        // Recovery rewinds to the latest complete epoch or a later one, so
+        // this task's ingress below its offset there is never read again.
+        if let Some(floor) = self
+            .recovery
+            .replay_floor(self.gen, &self.snapshots, &self.name)
+        {
+            self.truncate_below(floor);
+        }
     }
 
     /// Applies a live upgrade: aligned drain (the same sync point a
@@ -538,7 +592,28 @@ fn fmt_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
 
 #[cfg(test)]
 mod tests {
-    use super::fmt_u64;
+    use super::*;
+
+    #[test]
+    fn replay_floor_is_fenced_by_a_begun_recovery() {
+        let snapshots = SnapshotStore::new();
+        let ctl = RecoveryCtl::default();
+        assert_eq!(
+            ctl.replay_floor(0, &snapshots, "task0"),
+            None,
+            "no epoch yet"
+        );
+        snapshots.begin_epoch(1, 1);
+        snapshots.put(1, "task0", StateStore::new());
+        snapshots.put_source_offset(1, "task0", 7);
+        assert_eq!(ctl.replay_floor(0, &snapshots, "task0"), Some(7));
+        ctl.begin(&snapshots);
+        assert_eq!(*ctl.restore_epoch.lock(), Some(1));
+        // Until the task applies the recovery, it may not truncate at all:
+        // the epoch recovery chose is fixed, later ones may complete.
+        assert_eq!(ctl.replay_floor(0, &snapshots, "task0"), None);
+        assert_eq!(ctl.replay_floor(1, &snapshots, "task0"), Some(7));
+    }
 
     #[test]
     fn fmt_u64_matches_to_string() {

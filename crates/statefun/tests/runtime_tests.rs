@@ -187,6 +187,18 @@ fn documented_race_multi_entity_chains_can_overspend() {
     rt.shutdown();
 }
 
+/// Without checkpoints nothing can be restored, and each task frees its
+/// ingress as soon as it has read it: a crash script must be refused at
+/// deploy, before any task runs.
+#[test]
+#[should_panic(expected = "crash injection requires CheckpointMode::Transactional")]
+fn crash_script_without_checkpoints_is_refused() {
+    let mut cfg = StatefunConfig::fast_test(2);
+    cfg.chaos = ChaosPlan::single_crash("task0", 1);
+    assert_eq!(cfg.checkpoint, CheckpointMode::None);
+    deploy(&se_lang::programs::counter_program(), cfg);
+}
+
 /// Exactly-once with transactional checkpoints: kill a partition task
 /// mid-stream; replay from the last complete epoch must yield every deposit
 /// exactly once.

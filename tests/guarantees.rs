@@ -523,3 +523,122 @@ fn crash_while_snapshot_barrier_drains_replays_to_oracle_state() {
         "per-batch snapshots must complete around the crash window"
     );
 }
+
+/// Checkpoints let a StateFun task free the front of its ingress partition;
+/// the task then crashes. Recovery rewinds it to the latest complete epoch,
+/// which sits at or above that floor (a rewind below it would panic the
+/// task and leave its requests unanswered), and replays exactly once: every
+/// request is answered, transfers conserve money, and each balance matches
+/// the arithmetic of the ops.
+#[test]
+fn statefun_crash_after_truncation_replays_exactly_once() {
+    use se_chaos::{check_statefun_history, History};
+    use stateful_entities::StatefunRuntime;
+
+    const PARTITIONS: usize = 3;
+    const ACCOUNTS: usize = 6;
+    const START: i64 = 1_000;
+    const PHASE1: usize = 30;
+    const PHASE2: usize = 70;
+    let mut cfg = StatefunConfig::fast_test(PARTITIONS);
+    cfg.checkpoint = CheckpointMode::Transactional {
+        interval: Duration::from_millis(10),
+    };
+    // Every phase-1 op runs at most two invocations (a transfer's withdraw
+    // and deposit), so task1 crashes in phase 2, whose ops all start there.
+    cfg.chaos = ChaosPlan::from_script(FaultScript {
+        crashes: vec![CrashFault {
+            node: "task1".into(),
+            point: CrashPoint::Exec,
+            after_events: 2 * PHASE1 as u64 + 1,
+        }],
+        ..FaultScript::default()
+    });
+    let chaos = cfg.chaos.clone();
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let graph = stateful_entities::compile(&se_workloads::ycsb_program()).unwrap();
+    let rt = StatefunRuntime::deploy(graph, cfg);
+
+    let key = |i: usize| se_workloads::key_name(i % ACCOUNTS);
+    let acct = |i: usize| EntityRef::new("Account", key(i));
+    let hot = (0..ACCOUNTS)
+        .find(|&i| se_ir::partition_for(&key(i), PARTITIONS) == 1)
+        .expect("an account lives on task1's partition");
+    for i in 0..ACCOUNTS {
+        rt.create(
+            "Account",
+            &key(i),
+            vec![("balance".into(), Value::Int(START))],
+        )
+        .unwrap();
+    }
+    // Amounts are small against the balances, so every transfer succeeds
+    // and the final balances do not depend on the interleaving.
+    let mut expected = vec![START; ACCOUNTS];
+    let mut run = |ops: &mut dyn Iterator<Item = (bool, usize, usize, i64)>| {
+        let waiters: Vec<_> = ops
+            .enumerate()
+            .map(|(n, (transfer, from, to, amount))| {
+                if n % 10 == 9 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                if transfer {
+                    expected[from] -= amount;
+                    expected[to] += amount;
+                    let args = vec![Value::Ref(acct(to)), Value::Int(amount)];
+                    (true, rt.call_async(acct(from), "transfer", args))
+                } else {
+                    expected[from] += amount;
+                    (
+                        false,
+                        rt.call_async(acct(from), "deposit", vec![Value::Int(amount)]),
+                    )
+                }
+            })
+            .collect();
+        for (transfer, w) in waiters {
+            let got = w.wait_timeout(WAIT).expect("answered").expect("no error");
+            if transfer {
+                assert_eq!(got, Value::Bool(true), "every transfer is covered");
+            }
+        }
+    };
+    let amount = |i: usize| (i % 5 + 1) as i64;
+    run(&mut (0..PHASE1).map(|i| (i % 3 != 0, i % ACCOUNTS, (i + 1) % ACCOUNTS, amount(i))));
+
+    // Idle barriers keep completing epochs; wait until task1 has freed
+    // ingress below one of them.
+    let deadline = std::time::Instant::now() + WAIT;
+    while rt.ingress_floor(1).unwrap() == 0 || rt.snapshots().latest_complete() < Some(2) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "task1 never truncated"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(chaos.crashes_fired(), 0, "the crash waits for phase 2");
+    run(&mut (0..PHASE2).map(|i| (i % 2 == 1, hot, (hot + 1 + i) % ACCOUNTS, amount(i))));
+    assert_eq!(chaos.crashes_fired(), 1, "task1 crashed after truncating");
+    assert_eq!(rt.recoveries(), 1);
+
+    let balances: Vec<i64> = (0..ACCOUNTS)
+        .map(|i| {
+            let got = rt.call(acct(i), "balance", vec![]).unwrap();
+            got.as_int().unwrap()
+        })
+        .collect();
+    assert_eq!(balances, expected, "exactly-once violated across the crash");
+    let deposited: i64 = (0..PHASE1)
+        .filter(|i| i % 3 == 0)
+        .chain((0..PHASE2).filter(|i| i % 2 == 0))
+        .map(amount)
+        .sum();
+    assert_eq!(
+        balances.iter().sum::<i64>(),
+        START * ACCOUNTS as i64 + deposited,
+        "transfers conserve money"
+    );
+    check_statefun_history(&history.events()).expect("statefun checker");
+    rt.shutdown();
+}
