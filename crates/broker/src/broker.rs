@@ -252,11 +252,6 @@ impl<T: Clone> Broker<T> {
         })
     }
 
-    /// The lowest offset one partition still holds.
-    pub fn floor(&self, topic: &str, partition: usize) -> Result<u64, BrokerError> {
-        self.with_partition(topic, partition, Partition::floor)
-    }
-
     /// Frees one partition's records below `offset`: its consumer's
     /// recovery can no longer reach them (see
     /// [`ReplayableSource::truncate_below`]). Returns how many were freed;
@@ -430,7 +425,6 @@ mod tests {
         }
         assert_eq!(b.truncate_below("events", p, 3).unwrap(), 3);
         assert_eq!(b.truncate_below("events", p, 3).unwrap(), 0, "no-op");
-        assert_eq!(b.floor("events", p).unwrap(), 3);
         let got = b.fetch("events", p, 3, 10).unwrap();
         assert_eq!(got.iter().map(|r| r.offset).collect::<Vec<_>>(), [3, 4]);
         assert_eq!(got[0].value, "m3");

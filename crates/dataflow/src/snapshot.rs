@@ -179,6 +179,19 @@ impl<S: Clone> SnapshotStore<S> {
         data.source_offsets.insert(source.to_owned(), offset);
     }
 
+    /// Drops every contribution to the epochs after `epoch` (to all epochs
+    /// for `None`), which stay begun: a recovery that restores `epoch`
+    /// re-collects them as its replay passes their barriers, so none of
+    /// them completes from contributions of the failed generation.
+    pub fn discard_after(&self, epoch: Option<Epoch>) {
+        let mut g = self.epochs.lock();
+        let from = epoch.map_or(0, |e| e + 1);
+        for data in g.range_mut(from..).map(|(_, d)| d) {
+            data.states.clear();
+            data.source_offsets.clear();
+        }
+    }
+
     /// Whether all expected nodes contributed to `epoch`.
     pub fn is_complete(&self, epoch: Epoch) -> bool {
         self.epochs
@@ -234,6 +247,28 @@ mod tests {
         assert!(store.is_complete(1));
         assert_eq!(store.latest_complete(), Some(1));
         assert_eq!(store.get(1, "w0"), Some(vec![1]));
+    }
+
+    #[test]
+    fn discard_after_reopens_later_epochs_only() {
+        let store = SnapshotStore::<Vec<u8>>::new();
+        for e in 1..=3 {
+            store.begin_epoch(e, 2);
+            store.put(e, "a", vec![]);
+            store.put_source_offset(e, "a", e * 10);
+        }
+        store.put(1, "b", vec![]);
+        store.put(2, "b", vec![]);
+        store.discard_after(Some(1));
+        assert_eq!(store.latest_complete(), Some(1));
+        assert_eq!(store.source_offset(1, "a"), Some(10));
+        assert_eq!(store.source_offset(2, "a"), None);
+        // The reopened epoch completes again from fresh contributions.
+        store.put(2, "a", vec![]);
+        store.put(2, "b", vec![]);
+        assert_eq!(store.latest_complete(), Some(2));
+        store.discard_after(None);
+        assert_eq!(store.latest_complete(), None);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl<T> ReplayableSource<T> {
         f(log.events.range(start..))
     }
 
-    /// The lowest offset still held: every read starts at or above it.
-    pub fn floor(&self) -> u64 {
-        self.inner.log.lock().base
-    }
-
     /// Frees every event below `offset`, which becomes the new floor
     /// (clamped to the end of the log; at or below the current floor this
     /// does nothing). Returns how many events were freed. Their destructors
@@ -251,7 +246,6 @@ mod tests {
             src.append(i);
         }
         assert_eq!(src.truncate_below(3), 3);
-        assert_eq!(src.floor(), 3);
         assert_eq!(read_all(&src, 3), vec![3, 4]);
         assert_eq!(read_all(&src, 4), vec![4]);
         assert_eq!(src.append(5), 5, "appends keep counting from the end");
@@ -272,7 +266,6 @@ mod tests {
         assert_eq!(src.truncate_below(1), 0, "below the floor");
         assert_eq!(read_all(&src, 2), vec![2, 3]);
         assert_eq!(src.truncate_below(100), 2, "clamped to the end");
-        assert_eq!(src.floor(), 4);
         assert!(read_all(&src, 4).is_empty());
         assert_eq!(src.append(4), 4, "the floor sits at the end, not at 100");
         assert_eq!(read_all(&src, 4), vec![4]);

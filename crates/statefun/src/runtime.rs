@@ -231,13 +231,6 @@ impl StatefunRuntime {
         &self.core.snapshots
     }
 
-    /// The lowest offset ingress partition `partition` still holds: what
-    /// its task has freed below its recovery floor (inspected by recovery
-    /// tests).
-    pub fn ingress_floor(&self, partition: usize) -> Result<u64, BrokerError> {
-        self.broker.floor(topics::INGRESS, partition)
-    }
-
     /// The runtime configuration.
     pub fn config(&self) -> &StatefunConfig {
         &self.cfg

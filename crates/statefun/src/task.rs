@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use se_broker::Broker;
+use se_broker::{Broker, ConsumerRecord};
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
     send_with_chaos, timer, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore, WaiterMap,
@@ -41,16 +41,44 @@ pub struct RecoveryCtl {
     /// Current fencing generation.
     pub gen: AtomicU64,
     /// Epoch to restore (`None` = initial empty state). Its lock also
-    /// orders recovery against truncation, see [`RecoveryCtl::replay_floor`].
+    /// orders recovery against snapshots and truncation: see
+    /// [`RecoveryCtl::put_snapshot`] and [`RecoveryCtl::replay_floor`].
     pub restore_epoch: Mutex<Option<Epoch>>,
 }
 
 impl RecoveryCtl {
     /// Starts a recovery: every task restores the latest complete epoch.
+    /// The later epochs are all incomplete; what the failed generation
+    /// contributed to them is dropped, so each completes again only once
+    /// every task has restored and replayed its barrier. Until then the
+    /// restored epoch is the latest complete one and cannot be pruned.
     pub fn begin(&self, snapshots: &SnapshotStore<StateStore>) {
         let mut restore = self.restore_epoch.lock();
         *restore = snapshots.latest_complete();
+        snapshots.discard_after(*restore);
         self.gen.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Contributes `task`'s state and ingress `offset` to `epoch`, unless
+    /// a recovery has begun that generation `gen` has not applied yet: that
+    /// incarnation is dead, and a snapshot from it could complete an epoch
+    /// before every task has restored. Returns whether it was stored.
+    pub fn put_snapshot(
+        &self,
+        gen: u64,
+        snapshots: &SnapshotStore<StateStore>,
+        task: &str,
+        epoch: Epoch,
+        state: StateStore,
+        offset: u64,
+    ) -> bool {
+        let _restore = self.restore_epoch.lock();
+        if self.gen.load(Ordering::SeqCst) != gen {
+            return false;
+        }
+        snapshots.put(epoch, task, state);
+        snapshots.put_source_offset(epoch, task, offset);
+        true
     }
 
     /// The lowest ingress offset `task`, running in generation `gen`, can
@@ -236,18 +264,23 @@ impl PartitionTask {
                 }
                 continue;
             }
-            for rec in records {
-                self.offset = rec.offset + 1;
-                self.handle_record(rec.value);
-                if self.dead || self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
+            self.handle_batch(records);
+        }
+    }
+
+    /// Handles one fetched batch in offset order, up to a crash or shutdown.
+    fn handle_batch(&mut self, records: Vec<ConsumerRecord<SfRecord>>) {
+        for rec in records {
+            self.offset = rec.offset + 1;
+            self.handle_record(rec.value);
+            if self.dead || self.shutdown.load(Ordering::SeqCst) {
+                break;
             }
-            // Without checkpoints nothing ever rewinds (deploy refuses crash
-            // scripts), so what this task has read is garbage.
-            if !self.transactional() {
-                self.truncate_below(self.offset);
-            }
+        }
+        // Without checkpoints nothing ever rewinds (deploy refuses crash
+        // scripts), so what this task has read is garbage.
+        if !self.transactional() {
+            self.truncate_below(self.offset);
         }
     }
 
@@ -454,9 +487,19 @@ impl PartitionTask {
         // Every dispatched invocation must complete so its effects are in
         // the snapshot.
         self.drain_inflight();
-        self.snapshots.put(epoch, &self.name, self.store.clone());
-        self.snapshots
-            .put_source_offset(epoch, &self.name, self.offset);
+        let state = self.store.clone();
+        if !self.recovery.put_snapshot(
+            self.gen,
+            &self.snapshots,
+            &self.name,
+            epoch,
+            state,
+            self.offset,
+        ) {
+            // A recovery has begun: drop the epoch as a crash would, the
+            // restore replays it.
+            return;
+        }
         self.last_epoch = epoch;
         // Flush the epoch's staged outputs.
         for (topic, key, rec, bytes) in std::mem::take(&mut self.staged) {
@@ -464,11 +507,15 @@ impl PartitionTask {
         }
         // Recovery rewinds to the latest complete epoch or a later one, so
         // this task's ingress below its offset there is never read again.
+        // After a recovery an epoch completes only once every task has
+        // replayed its barrier, so that offset is not above this task's
+        // own; the `min` keeps it so, as a task never frees what it has yet
+        // to read.
         if let Some(floor) = self
             .recovery
             .replay_floor(self.gen, &self.snapshots, &self.name)
         {
-            self.truncate_below(floor);
+            self.truncate_below(floor.min(self.offset));
         }
     }
 
@@ -613,6 +660,124 @@ mod tests {
         // the epoch recovery chose is fixed, later ones may complete.
         assert_eq!(ctl.replay_floor(0, &snapshots, "task0"), None);
         assert_eq!(ctl.replay_floor(1, &snapshots, "task0"), Some(7));
+    }
+
+    /// Two partition tasks over a zero-latency broker, each partition
+    /// holding barriers 1–3 (barrier `e` at offset `e - 1`, so a task
+    /// snapshots offset `e`). task0 has passed all three, task1 only the
+    /// first, and task0 has crashed: the recovery restores epoch 1.
+    struct Rig {
+        _core: se_dataflow::EngineCore,
+        broker: Broker<SfRecord>,
+        snapshots: Arc<SnapshotStore<StateStore>>,
+        recovery: Arc<RecoveryCtl>,
+        tasks: Vec<PartitionTask>,
+    }
+
+    impl Rig {
+        fn after_task0_crashed() -> Self {
+            let mut cfg = StatefunConfig::fast_test(2);
+            cfg.checkpoint = CheckpointMode::Transactional {
+                interval: Duration::from_secs(3600),
+            };
+            cfg.net.time_scale = 0.0;
+            let graph = se_compiler::compile(&se_lang::programs::counter_program()).unwrap();
+            let core = se_dataflow::EngineCore::new(graph, &cfg.obs);
+            let broker = Broker::new(cfg.net.clone());
+            broker.create_topic(topics::INGRESS, 2);
+            broker.create_topic(topics::EGRESS, 1);
+            let recovery = Arc::new(RecoveryCtl::default());
+            let snapshots = Arc::clone(&core.snapshots);
+            let (pool_tx, _) = se_dataflow::delay_channel();
+            let (ctl_tx, _) = se_dataflow::delay_channel();
+            let tasks = (0..2)
+                .map(|id| {
+                    PartitionTask::new(
+                        id,
+                        cfg.clone(),
+                        broker.clone(),
+                        Arc::clone(&core.registry),
+                        Arc::clone(&core.waiters),
+                        pool_tx.clone(),
+                        se_dataflow::delay_channel().1,
+                        Arc::clone(&snapshots),
+                        Arc::clone(&recovery),
+                        ctl_tx.clone(),
+                        Arc::clone(&core.shutdown),
+                        core.obs.clone(),
+                    )
+                })
+                .collect();
+            for epoch in 1..=3 {
+                snapshots.begin_epoch(epoch, 2);
+                for p in 0..2 {
+                    let barrier = SfRecord::Barrier { epoch };
+                    broker
+                        .produce_to(topics::INGRESS, p, "", barrier, 0)
+                        .unwrap();
+                }
+            }
+            let mut rig = Rig {
+                _core: core,
+                broker,
+                snapshots,
+                recovery,
+                tasks,
+            };
+            rig.consume(1, 1);
+            rig.consume(0, 3);
+            assert_eq!(rig.snapshots.latest_complete(), Some(1));
+            rig.recovery.begin(&rig.snapshots);
+            rig
+        }
+
+        /// Hands task `id` its next `max` ingress records; the fetch panics
+        /// if they lie below the partition's truncation floor.
+        fn consume(&mut self, id: usize, max: usize) {
+            let task = &mut self.tasks[id];
+            let records = self
+                .broker
+                .fetch(topics::INGRESS, id, task.offset, max)
+                .unwrap();
+            task.handle_batch(records);
+        }
+
+        /// Restores task `id` to epoch 1 and replays it to the end.
+        fn restore_and_replay(&mut self, id: usize) {
+            let gen = self.recovery.gen.load(Ordering::SeqCst);
+            self.tasks[id].restore(gen);
+            assert_eq!(self.tasks[id].offset, 1, "epoch 1 is still stored");
+            self.consume(id, 32);
+            let task = &self.tasks[id];
+            assert_eq!((task.offset, task.last_epoch), (3, 3), "replayed");
+        }
+    }
+
+    /// task1 passes barriers 2 and 3 before it notices the recovery, after
+    /// task0 has replayed them. Its late snapshots must not complete the
+    /// epochs: epoch 1 would be pruned before task1 restores it.
+    #[test]
+    fn a_recovery_fences_the_dead_generation_out_of_later_epochs() {
+        let mut rig = Rig::after_task0_crashed();
+        rig.restore_and_replay(0);
+        rig.consume(1, 2);
+        assert_eq!(rig.tasks[1].last_epoch, 1, "no snapshot from gen 0");
+        assert_eq!(rig.snapshots.latest_complete(), Some(1));
+        rig.restore_and_replay(1);
+        assert_eq!(rig.snapshots.latest_complete(), Some(3));
+    }
+
+    /// task0's snapshots of epochs 2 and 3 predate its crash. Combined with
+    /// task1's replay they would complete both epochs, and prune epoch 1,
+    /// before task0 has restored it.
+    #[test]
+    fn a_recovery_discards_the_dead_generations_later_snapshots() {
+        let mut rig = Rig::after_task0_crashed();
+        assert_eq!(rig.snapshots.source_offset(3, "task0"), None);
+        rig.restore_and_replay(1);
+        assert_eq!(rig.snapshots.latest_complete(), Some(1), "task0 owes 2");
+        rig.restore_and_replay(0);
+        assert_eq!(rig.snapshots.latest_complete(), Some(3));
     }
 
     #[test]

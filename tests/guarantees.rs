@@ -607,16 +607,35 @@ fn statefun_crash_after_truncation_replays_exactly_once() {
     let amount = |i: usize| (i % 5 + 1) as i64;
     run(&mut (0..PHASE1).map(|i| (i % 3 != 0, i % ACCOUNTS, (i + 1) % ACCOUNTS, amount(i))));
 
-    // Idle barriers keep completing epochs; wait until task1 has freed
-    // ingress below one of them.
+    // Idle barriers keep completing epochs. Once one holds a positive
+    // offset for task1, every barrier task1 passes frees its ingress below
+    // that offset or a later one. The store keeps the begun epochs as one
+    // run that starts at or below the latest complete epoch, so epoch
+    // `fresh` is begun, and its barrier reaches task1, only after that
+    // moment: once it completes, task1 has truncated.
+    let snaps = rt.snapshots();
     let deadline = std::time::Instant::now() + WAIT;
-    while rt.ingress_floor(1).unwrap() == 0 || rt.snapshots().latest_complete() < Some(2) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "task1 never truncated"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let wait_for = |done: &dyn Fn() -> bool, what: &str| {
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    let task1_read = |e: u64| snaps.source_offset(e, "task1") > Some(0);
+    wait_for(
+        &|| {
+            snaps
+                .latest_complete()
+                .is_some_and(|e| e >= 2 && task1_read(e))
+        },
+        "no complete epoch past task1's first records",
+    );
+    let begun = snaps.epoch_count() as u64;
+    let fresh = snaps.latest_complete().unwrap() + begun;
+    wait_for(
+        &|| snaps.latest_complete() >= Some(fresh),
+        "task1 never truncated",
+    );
     assert_eq!(chaos.crashes_fired(), 0, "the crash waits for phase 2");
     run(&mut (0..PHASE2).map(|i| (i % 2 == 1, hot, (hot + 1 + i) % ACCOUNTS, amount(i))));
     assert_eq!(chaos.crashes_fired(), 1, "task1 crashed after truncating");
