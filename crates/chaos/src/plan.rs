@@ -204,7 +204,11 @@ impl ChaosPlan {
         self.inner.is_some()
     }
 
-    /// Whether any crash is scripted.
+    /// Whether any crash is scripted: whether the deployment can ever
+    /// recover. Two users rely on that. StateFun's deploy check refuses a
+    /// crash script without checkpoints (no epoch to restore), and
+    /// StateFlow's retention floor frees each request once polled when no
+    /// crash is scripted (no recovery can replay it).
     pub fn has_crashes(&self) -> bool {
         self.inner
             .as_ref()

@@ -9,7 +9,9 @@
 //! reach below it any more ([`ReplayableSource::truncate_below`]); offsets
 //! stay absolute across truncation (offset = floor + index), and a read below
 //! the floor is an invariant violation, not an empty result. StateFlow's
-//! request source is one such log; every broker partition is another.
+//! request source is one such log, truncated by its coordinator at the
+//! replay floor next to `restore_to`; every broker partition is another,
+//! truncated by StateFun at its consumer's recovery floor.
 //!
 //! Nobody blocks in here: a consumer parks on its own inbox
 //! ([`crate::DelayReceiver::recv_until`]) and registers that inbox's
@@ -168,6 +170,13 @@ impl<T: Clone> SourceReader<T> {
         self.offset += 1;
         Some(e)
     }
+
+    /// Frees the source's events below `offset`
+    /// ([`ReplayableSource::truncate_below`]), for a consumer that holds
+    /// only its reader. Returns how many were freed.
+    pub fn truncate_below(&self, offset: u64) -> u64 {
+        self.source.truncate_below(offset)
+    }
 }
 
 #[cfg(test)]
@@ -269,6 +278,20 @@ mod tests {
         assert!(read_all(&src, 4).is_empty());
         assert_eq!(src.append(4), 4, "the floor sits at the end, not at 100");
         assert_eq!(read_all(&src, 4), vec![4]);
+    }
+
+    #[test]
+    fn reader_truncates_its_source() {
+        let src = ReplayableSource::new();
+        for i in 0..4 {
+            src.append(i);
+        }
+        let mut rd = SourceReader::at(&src, 0);
+        rd.poll();
+        rd.poll();
+        assert_eq!(rd.truncate_below(rd.offset()), 2);
+        assert_eq!(read_all(&src, 2), vec![2, 3], "shared with the source");
+        assert_eq!(rd.poll(), Some(2));
     }
 
     #[test]

@@ -70,7 +70,8 @@ use crate::config::{BugLever, StateflowConfig};
 use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, WorkerMsg};
 
 /// Shared counters exposed to tests and benchmarks — registry-backed
-/// `se-obs` handles published under `coord.*`, so the engine's decision
+/// `se-obs` handles published under `coord.*` (and the log's
+/// `stateflow.log_truncated`), so the engine's decision
 /// counts and the observability snapshot come from one source (they used to
 /// be a private `AtomicU64` struct the exporters could not see).
 ///
@@ -98,6 +99,10 @@ pub struct CoordStats {
     pub snapshots: se_obs::Counter,
     /// Recoveries performed.
     pub recoveries: se_obs::Counter,
+    /// Request-source records freed below the replay floor
+    /// (`Coordinator::replay_floor`); StateFun's broker logs count theirs
+    /// in `statefun.log_truncated`.
+    pub log_truncated: se_obs::Counter,
 }
 
 impl CoordStats {
@@ -112,6 +117,7 @@ impl CoordStats {
             aborts: obs.counter("coord.aborts"),
             snapshots: obs.counter("coord.snapshots"),
             recoveries: obs.counter("coord.recoveries"),
+            log_truncated: obs.counter("stateflow.log_truncated"),
         }
     }
 
@@ -462,7 +468,8 @@ impl Coordinator {
 
     /// The coordinator loop: event-driven, one turn per event.
     ///
-    /// A turn consumes what the source holds, seals what the window and the
+    /// A turn consumes what the source holds (freeing the records below
+    /// `replay_floor`), seals what the window and the
     /// batch timer allow, and handles every message already due. Only a
     /// turn that found no message blocks, on the inbox, until one of
     /// exactly three things: a **message** comes due (worker traffic, and
@@ -487,7 +494,12 @@ impl Coordinator {
                 self.broadcast(|| WorkerMsg::Shutdown);
                 return;
             }
+            let cursor = self.reader.offset();
             self.drain_source();
+            if self.reader.offset() != cursor {
+                let freed = self.reader.truncate_below(self.replay_floor());
+                self.stats.log_truncated.add(freed);
+            }
             self.cut_epoch(true);
             self.maybe_seal_batches();
             // Drain every due message before blocking: decide rounds for
@@ -861,7 +873,16 @@ impl Coordinator {
             return;
         }
         match msg {
-            CoordMsg::WorkerFailed { .. } => self.restore_to(self.snapshots.latest_complete()),
+            CoordMsg::WorkerFailed { .. } => {
+                // An invariant, not input validation: only a scripted crash
+                // point sends this, and without one `replay_floor` already
+                // freed the requests a restore would replay.
+                assert!(
+                    self.cfg.chaos.has_crashes(),
+                    "invariant: a deployment with no scripted crash never recovers"
+                );
+                self.restore_to(self.snapshots.latest_complete())
+            }
             CoordMsg::RestoreAck {
                 worker, reached, ..
             } => self.on_round_ack(worker, |kind| match kind {
@@ -1174,15 +1195,13 @@ impl Coordinator {
     /// records its own `Recovery` event, and the history checker treats
     /// consecutive recoveries as one lineage ending at the last.
     ///
-    /// `None` replays the request source from offset 0, which is why
-    /// StateFlow never truncates that source (StateFun does, see
-    /// `ReplayableSource::truncate_below`). Two paths reach `None` after
-    /// epochs have completed: a restore round whose minimum `reached` over
-    /// the `RestoreAck`s is `None` re-opens at `None`, and
-    /// `DurableStore::recover` reports `None` when a partition's base
-    /// snapshot is missing and `compact_below` already dropped the log
-    /// that preceded it. Until both restore a durable floor instead, every
-    /// request ever served stays in the log.
+    /// `None` replays the request source from offset 0, so a deployment
+    /// that can recover keeps its whole source ([`Self::replay_floor`]).
+    /// Two paths reach `None` after epochs have completed: a restore round
+    /// whose minimum `reached` over the `RestoreAck`s is `None` re-opens at
+    /// `None`, and `DurableStore::recover` reports `None` when a
+    /// partition's base snapshot is missing and `compact_below` already
+    /// dropped the log that preceded it.
     fn restore_to(&mut self, target: Option<Epoch>) {
         // A target whose source offset is gone cannot be replayed to: fall
         // back to a full restart. Unreachable while the durable floor pins
@@ -1216,6 +1235,26 @@ impl Coordinator {
             target,
             floor: target,
         });
+    }
+
+    /// The lowest request-source offset a recovery of this deployment can
+    /// still seek to: the run loop frees every record below it
+    /// (`ReplayableSource::truncate_below`) on each turn that moved the
+    /// cursor.
+    ///
+    /// * **No crash scripted**: the cursor. Only a scripted crash point
+    ///   sends `WorkerFailed` (`handle` holds that as an invariant), so no
+    ///   `Restore` round ever opens, and a polled record lives on in
+    ///   `roots` or `pending_upgrades` for as long as it is needed.
+    /// * **Crash scripted**: 0. Both `None` paths named at
+    ///   [`Self::restore_to`] replay from offset 0, so nothing is freed
+    ///   until they restore a durable floor instead.
+    fn replay_floor(&self) -> u64 {
+        if self.cfg.chaos.has_crashes() {
+            0
+        } else {
+            self.reader.offset()
+        }
     }
 
     /// Rolls the upgrade bookkeeping back to the restored cut, replaying

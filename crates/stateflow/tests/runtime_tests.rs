@@ -712,6 +712,10 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
     use se_stateflow::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
 
     let mut cfg = StateflowConfig::fast_test(2);
+    // The test thread plays the crashing worker, so the deployment must
+    // declare a crash: only then does it keep the requests a restore
+    // replays. The rig has no real worker, so this one never fires.
+    cfg.chaos = ChaosPlan::single_crash("worker1", u64::MAX);
     cfg.snapshot_every_batches = 0; // only the upgrade cuts epochs
     cfg.batch_interval = Duration::ZERO; // a batch seals on the turn it fills
     let history = History::new();
@@ -897,6 +901,41 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
     );
     assert_eq!(rig.stats.recoveries.get(), 2);
     assert_eq!(rig.stats.snapshots.get(), 2);
+}
+
+/// With no crash scripted the coordinator frees each request once polled,
+/// so no restore could replay it. A `WorkerFailed` there (no worker of such
+/// a deployment sends one) stops the coordinator at a named invariant on
+/// the spot, not at a read below the source's floor once a restore round
+/// re-opens consumption.
+#[test]
+fn worker_failed_without_a_scripted_crash_is_an_invariant_violation() {
+    use se_stateflow::msg::{CoordMsg, WorkerMsg};
+
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.snapshot_every_batches = 0;
+    cfg.batch_interval = Duration::ZERO; // a batch seals on the turn it fills
+    let mut rig = CoordRig::start(cfg);
+    rig.invoke(1, "a");
+    assert!(matches!(
+        rig.expect_exec("a"),
+        WorkerMsg::Exec {
+            gen: 0,
+            batch: 0,
+            ..
+        }
+    ));
+    assert_eq!(rig.stats.log_truncated.get(), 1, "freed once polled");
+    rig.send(CoordMsg::WorkerFailed { gen: 0, worker: 1 });
+    let panic = rig.thread.take().unwrap().join().expect_err("stops");
+    let msg = (panic.downcast_ref::<&str>().copied())
+        .or(panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or_default();
+    assert_eq!(
+        msg,
+        "invariant: a deployment with no scripted crash never recovers"
+    );
+    assert_eq!(rig.stats.recoveries.get(), 0);
 }
 
 /// A batch is solo iff it holds one transaction. A lone request goes out as

@@ -524,6 +524,117 @@ fn crash_while_snapshot_barrier_drains_replays_to_oracle_state() {
     );
 }
 
+/// A deployment with a crash scripted keeps StateFlow's whole request
+/// source: with no snapshot taken, the one recovery restores the initial
+/// state and replays every request from offset 0, long after the first
+/// ones were polled. The replay lands exactly once: every transfer is
+/// covered, each balance matches the arithmetic of the ops, money is
+/// conserved, and the history is serializable and replays to the oracle.
+#[test]
+fn stateflow_crash_without_snapshots_replays_the_whole_source() {
+    use se_chaos::{History, HistoryEvent};
+    use stateful_entities::{DurabilityMode, StateflowRuntime};
+
+    const ACCOUNTS: usize = 6;
+    const START: i64 = 1_000;
+    const OPS: usize = 400;
+    let program = se_workloads::ycsb_program();
+    let mut cfg = StateflowConfig::fast_test(3);
+    cfg.snapshot_every_batches = 0;
+    cfg.durability.mode = DurabilityMode::Off;
+    // worker1 owns three of the six accounts and runs at least 267 hops of
+    // the ops even with no retry, so it dies partway through them.
+    cfg.chaos = ChaosPlan::single_crash("worker1", 250);
+    let chaos = cfg.chaos.clone();
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let rt = StateflowRuntime::deploy(stateful_entities::compile(&program).unwrap(), cfg);
+    let key = |i: usize| se_workloads::key_name(i % ACCOUNTS);
+    let acct = |i: usize| EntityRef::new("Account", key(i));
+    let load = |rt: &dyn EntityRuntime| {
+        for i in 0..ACCOUNTS {
+            let init = vec![("balance".into(), Value::Int(START))];
+            rt.create("Account", &key(i), init).unwrap();
+        }
+    };
+    load(&rt);
+    // Amounts are small against the balances, so every transfer succeeds
+    // and the final balances do not depend on the interleaving.
+    let mut expected = vec![START; ACCOUNTS];
+    let waiters: Vec<_> = (0..OPS)
+        .map(|i| {
+            if i % 10 == 9 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let amount = (i % 5 + 1) as i64;
+            let (from, to) = (i % ACCOUNTS, (i + 1) % ACCOUNTS);
+            if i % 3 == 0 {
+                expected[from] += amount;
+                (
+                    false,
+                    rt.call_async(acct(from), "deposit", vec![Value::Int(amount)]),
+                )
+            } else {
+                expected[from] -= amount;
+                expected[to] += amount;
+                let args = vec![Value::Ref(acct(to)), Value::Int(amount)];
+                (true, rt.call_async(acct(from), "transfer", args))
+            }
+        })
+        .collect();
+    for (transfer, w) in waiters {
+        let got = w.wait_timeout(WAIT).expect("answered").expect("no error");
+        if transfer {
+            assert_eq!(got, Value::Bool(true), "every transfer is covered");
+        }
+    }
+    assert_eq!(chaos.crashes_fired(), 1);
+    assert_eq!(rt.stats().recoveries.get(), 1);
+    assert_eq!(rt.stats().snapshots.get(), 0, "recovery replayed from 0");
+    assert_eq!(
+        rt.stats().log_truncated.get(),
+        0,
+        "a deployment that can recover frees no request"
+    );
+    let balances: Vec<i64> = (0..ACCOUNTS)
+        .map(|i| {
+            rt.call(acct(i), "balance", vec![])
+                .unwrap()
+                .as_int()
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(balances, expected, "exactly-once violated across the crash");
+    let deposited: i64 = (0..OPS)
+        .filter(|i| i % 3 == 0)
+        .map(|i| (i % 5 + 1) as i64)
+        .sum();
+    assert_eq!(
+        balances.iter().sum::<i64>(),
+        START * ACCOUNTS as i64 + deposited,
+        "transfers conserve money"
+    );
+    rt.shutdown();
+    let events = history.events();
+    let recovery = (events.iter())
+        .position(|e| matches!(e, HistoryEvent::Recovery { .. }))
+        .unwrap();
+    assert!(matches!(
+        events[recovery],
+        HistoryEvent::Recovery {
+            source_offset: 0,
+            ..
+        }
+    ));
+    let polled = (events[..recovery].iter())
+        .filter(|e| matches!(e, HistoryEvent::Root { .. }))
+        .count();
+    assert!(polled >= OPS / 8, "the crash came after {polled} requests");
+    let rule = stateful_entities::CommitRule::Reordering;
+    let summary = assert_serializable_and_replays("replay from 0", &events, rule, &program, load);
+    assert_eq!(summary.surviving_commits, OPS + ACCOUNTS);
+}
+
 /// Checkpoints let a StateFun task free the front of its ingress partition;
 /// the task then crashes. Recovery rewinds it to the latest complete epoch,
 /// which sits at or above that floor (a rewind below it would panic the

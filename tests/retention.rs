@@ -1,8 +1,9 @@
-//! Bytes retained per request: a StateFun deployment serving a steady
-//! stream of requests over a fixed key set must hold a flat live heap. The
-//! broker logs are the one per-request structure that could grow, so this
-//! pins their truncation at the recovery floor, with and without
-//! checkpoints.
+//! Bytes retained per request: a deployment serving a steady stream of
+//! requests over a fixed key set must hold a flat live heap. The logs are
+//! the one per-request structure that could grow, so this pins their
+//! truncation at the recovery floor: StateFun's broker logs with and
+//! without checkpoints, and the request source of a StateFlow deployment
+//! with no crash scripted, with durability off and on.
 //!
 //! The live heap is counted by this binary's global allocator, so this file
 //! holds exactly one test: nothing else may allocate while it measures.
@@ -13,7 +14,7 @@ use std::time::Duration;
 
 use se_dataflow::NetConfig;
 use stateful_entities::prelude::*;
-use stateful_entities::{CheckpointMode, StatefunConfig};
+use stateful_entities::{CheckpointMode, DurabilityMode, StateflowConfig, StatefunConfig};
 
 /// `System`, plus a running count of the bytes currently allocated.
 struct Counting;
@@ -91,24 +92,49 @@ fn serve(rt: &dyn EntityRuntime, from: usize, n: usize) {
     }
 }
 
-/// Live-heap growth per request over `MEASURED` requests on a warmed-up
-/// deployment of `checkpoint`.
-fn bytes_retained_per_request(checkpoint: CheckpointMode) -> isize {
+/// The default network model with the simulated hops and service time
+/// scaled away: retention counts bytes, not microseconds.
+fn untimed_net() -> NetConfig {
+    NetConfig {
+        time_scale: 0.0,
+        ..NetConfig::default()
+    }
+}
+
+/// Under `SE_OBS=trace` every thread fills a span ring up to its fixed
+/// capacity; a small one fills during the warm-up.
+const RING_CAPACITY: usize = 16;
+
+/// The default StateFun deployment in `checkpoint` mode.
+fn statefun(checkpoint: CheckpointMode) -> RuntimeChoice {
     let mut cfg = StatefunConfig {
-        // The default deployment, with the simulated hops and service time
-        // scaled away: retention counts bytes, not microseconds.
-        net: NetConfig {
-            time_scale: 0.0,
-            ..NetConfig::default()
-        },
+        net: untimed_net(),
         checkpoint,
         ..StatefunConfig::default()
     };
-    // Under `SE_OBS=trace` every thread fills a span ring up to its fixed
-    // capacity; a small one fills during the warm-up.
-    cfg.obs.ring_capacity = 16;
+    cfg.obs.ring_capacity = RING_CAPACITY;
+    RuntimeChoice::Statefun(cfg)
+}
+
+/// The default StateFlow deployment (no crash scripted) in `durability`
+/// mode. A lone request seals at once instead of waiting out the batch
+/// timer.
+fn stateflow(durability: DurabilityMode) -> RuntimeChoice {
+    let mut cfg = StateflowConfig {
+        net: untimed_net(),
+        batch_interval: Duration::ZERO,
+        ..StateflowConfig::default()
+    };
+    cfg.durability.mode = durability;
+    cfg.obs.ring_capacity = RING_CAPACITY;
+    RuntimeChoice::Stateflow(cfg)
+}
+
+/// Live-heap growth per request over `MEASURED` requests on a warmed-up
+/// deployment.
+fn bytes_retained_per_request(choice: RuntimeChoice) -> isize {
     let program = se_workloads::ycsb_program();
-    let rt = deploy(&program, RuntimeChoice::Statefun(cfg)).unwrap();
+    let rt = deploy(&program, choice).unwrap();
     for k in 0..KEYS {
         rt.create("Account", &se_workloads::key_name(k), vec![])
             .unwrap();
@@ -124,17 +150,37 @@ fn bytes_retained_per_request(checkpoint: CheckpointMode) -> isize {
 }
 
 #[test]
-fn statefun_live_heap_stays_flat_per_request() {
-    let none = bytes_retained_per_request(CheckpointMode::None);
-    let transactional = bytes_retained_per_request(CheckpointMode::Transactional {
-        interval: Duration::from_millis(2),
-    });
-    assert!(
-        none <= MAX_BYTES_PER_REQUEST,
-        "CheckpointMode::None retains {none} B per request"
-    );
-    assert!(
-        transactional <= MAX_BYTES_PER_REQUEST,
-        "CheckpointMode::Transactional retains {transactional} B per request"
-    );
+fn live_heap_stays_flat_per_request() {
+    let deployments = [
+        (
+            "StateFun, CheckpointMode::None",
+            statefun(CheckpointMode::None),
+        ),
+        (
+            "StateFun, CheckpointMode::Transactional",
+            statefun(CheckpointMode::Transactional {
+                interval: Duration::from_millis(2),
+            }),
+        ),
+        (
+            "StateFlow, DurabilityMode::Off",
+            stateflow(DurabilityMode::Off),
+        ),
+        (
+            "StateFlow, DurabilityMode::Wal",
+            stateflow(DurabilityMode::Wal),
+        ),
+    ];
+    // Every deployment is measured before any is judged, so one failure
+    // reports them all.
+    let retained: Vec<(&str, isize)> = deployments
+        .into_iter()
+        .map(|(name, choice)| (name, bytes_retained_per_request(choice)))
+        .collect();
+    for (name, bytes) in &retained {
+        assert!(
+            *bytes <= MAX_BYTES_PER_REQUEST,
+            "{name} retains {bytes} B per request (all: {retained:?})"
+        );
+    }
 }
