@@ -29,7 +29,16 @@
 //! passed a base, the log prefix up to that base is dead weight; the log is
 //! rewritten to start at the base's cut and older bases are deleted. Gating
 //! on the cluster floor — not the local one — is what keeps a lagging
-//! partition's fallback target recoverable everywhere.
+//! partition's fallback target recoverable everywhere. The rewrite reads
+//! nothing before the cut and copies only the live tail, file to file in
+//! the kernel (`copy_file_range` on Linux), so it costs O(1) memory
+//! however long the log has grown; the `wal_compact` span times it and
+//! `durable.compact_bytes` counts the bytes it copies.
+//!
+//! **Maintenance writes** (a base, a compacted log) go to a `*.tmp` file,
+//! are fsynced, then renamed into place, so a crash midway never leaves a
+//! torn file under a name recovery reads. [`DurableStore::open`] and
+//! [`DurableStore::recover`] delete any `*.tmp` such a crash left behind.
 //!
 //! **Crash simulation** ([`DurableStore::simulate_crash`]): a plain process
 //! crash keeps every written byte (the page cache survives the process);
@@ -39,14 +48,21 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use se_chaos::{ChaosPlan, DiskFaultKind};
 use se_lang::{EntityRef, EntityState, Symbol, Value};
 
 use crate::state::StateStore;
-use crate::wal::{read_wal, FsyncPolicy, WalRecord, WalWriter};
+use crate::wal::{put_create_frame, read_wal, FsyncPolicy, WalRecord, WalWriter};
+
+/// A base snapshot is encoded into a buffer of about this size before each
+/// `write(2)`: a handful of writes per base, not one per entity.
+const BASE_WRITE_CHUNK: usize = 256 << 10;
+
+/// Name of the log a compaction builds before renaming it over `wal.log`.
+const WAL_TMP: &str = "wal.log.tmp";
 
 /// Durable-layer knobs (a value type so configs stay `Clone + Debug`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,9 +107,11 @@ pub struct DurableStore {
     /// Cuts since the last base snapshot (drives `full_snapshot_every`).
     cuts_since_base: u64,
     /// Observability handle (noop unless attached via
-    /// [`DurableStore::set_obs`]): epoch-cut spans here, WAL append/fsync
-    /// spans forwarded to the writer.
+    /// [`DurableStore::set_obs`]): epoch-cut and compaction spans here, WAL
+    /// append/fsync spans forwarded to the writer.
     obs: se_obs::Obs,
+    /// `durable.compact_bytes`: log bytes compaction copied (always on).
+    compact_bytes: se_obs::Counter,
 }
 
 impl DurableStore {
@@ -119,25 +137,37 @@ impl DurableStore {
             bases: Vec::new(),
             cuts_since_base: 0,
             obs: se_obs::Obs::noop(),
+            compact_bytes: se_obs::Counter::detached(),
         };
-        store.bases = store.list_bases()?;
+        store.bases = store.scan_dir()?;
         let wal = store.wal_path();
         if wal.exists() {
             let scan = read_wal(&wal, store.opts.skip_crc)?;
             store.index_scan(&scan.records);
-            store.writer = Some(WalWriter::reopen(&wal, scan.valid_len, store.opts.policy)?);
+            store.writer = Some(WalWriter::reopen(
+                &wal,
+                scan.valid_len,
+                store.opts.policy,
+                store.obs.clone(),
+            )?);
         } else {
-            store.writer = Some(WalWriter::create(&wal, 0, store.opts.policy)?);
+            store.writer = Some(WalWriter::create(
+                &wal,
+                0,
+                store.opts.policy,
+                store.obs.clone(),
+            )?);
         }
         Ok(store)
     }
 
     /// Attaches an observability handle to the store and its WAL writer.
-    /// Survives crash/recover cycles: reopened writers re-inherit it.
+    /// Survives crash/recover cycles: reopened writers are built with it.
     pub fn set_obs(&mut self, obs: se_obs::Obs) {
         if let Some(w) = self.writer.as_mut() {
             w.set_obs(obs.clone());
         }
+        self.compact_bytes = obs.counter("durable.compact_bytes");
         self.obs = obs;
     }
 
@@ -149,13 +179,18 @@ impl DurableStore {
         self.dir.join(format!("base-{epoch:020}.snap"))
     }
 
-    /// Base snapshot epochs present on disk, ascending.
-    fn list_bases(&self) -> io::Result<Vec<u64>> {
+    /// Base snapshot epochs present on disk, ascending. Deletes on the way
+    /// the `base-*.tmp` / `wal.log.tmp` of a maintenance write that died
+    /// before its rename: nothing ever reads them.
+    fn scan_dir(&self) -> io::Result<Vec<u64>> {
         let mut bases = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
+            let entry = entry?;
+            let name = entry.file_name();
             let name = name.to_string_lossy();
-            if let Some(epoch) = name
+            if name == WAL_TMP || (name.starts_with("base-") && name.ends_with(".tmp")) {
+                fs::remove_file(entry.path())?;
+            } else if let Some(epoch) = name
                 .strip_prefix("base-")
                 .and_then(|s| s.strip_suffix(".snap"))
                 .and_then(|s| s.parse::<u64>().ok())
@@ -258,22 +293,25 @@ impl DurableStore {
 
     /// Writes a full base snapshot at `epoch` (tmp + rename, every frame
     /// CRC'd, fsynced before the rename so a crash never leaves a torn
-    /// base under the final name).
+    /// base under the final name). Frames are encoded straight from the
+    /// borrowed state into one buffer, written every `BASE_WRITE_CHUNK`.
     fn write_base(&mut self, epoch: u64, state: &StateStore) -> io::Result<()> {
         let tmp = self.dir.join(format!("base-{epoch:020}.tmp"));
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(&WalRecord::BaseRef { epoch }.encode_frame())?;
+            let mut buf = WalRecord::BaseRef { epoch }.encode_frame();
+            buf.reserve(BASE_WRITE_CHUNK);
             // Deterministic file bytes: entities in key order.
             let mut entities: Vec<(&EntityRef, &EntityState)> = state.iter().collect();
             entities.sort_by_key(|(r, _)| **r);
             for (entity, st) in entities {
-                let record = WalRecord::Create {
-                    entity: *entity,
-                    state: st.clone(),
-                };
-                f.write_all(&record.encode_frame())?;
+                put_create_frame(&mut buf, entity, st);
+                if buf.len() >= BASE_WRITE_CHUNK {
+                    f.write_all(&buf)?;
+                    buf.clear();
+                }
             }
+            f.write_all(&buf)?;
             f.sync_data()?;
         }
         fs::rename(&tmp, self.base_path(epoch))?;
@@ -343,6 +381,7 @@ impl DurableStore {
     /// of the source; all durable state is reset.
     pub fn recover(&mut self, target: Option<u64>) -> io::Result<(StateStore, Option<u64>)> {
         self.writer = None;
+        self.bases = self.scan_dir()?;
         let Some(target) = target else {
             self.reset_all()?;
             return Ok((StateStore::new(), None));
@@ -357,7 +396,6 @@ impl DurableStore {
                 truncated: false,
             }
         };
-        self.bases = self.list_bases()?;
         self.index_scan(&scan.records);
 
         // Base frame end (records at or before it precede the log's first
@@ -458,12 +496,21 @@ impl DurableStore {
         };
         let wal = self.wal_path();
         if wal.exists() {
-            self.writer = Some(WalWriter::reopen(&wal, valid_end, self.opts.policy)?);
+            self.writer = Some(WalWriter::reopen(
+                &wal,
+                valid_end,
+                self.opts.policy,
+                self.obs.clone(),
+            )?);
         } else {
-            self.writer = Some(WalWriter::create(&wal, 0, self.opts.policy)?);
+            self.writer = Some(WalWriter::create(
+                &wal,
+                0,
+                self.opts.policy,
+                self.obs.clone(),
+            )?);
             self.wal_base = 0;
         }
-        self.set_obs(self.obs.clone());
         Ok(())
     }
 
@@ -476,8 +523,12 @@ impl DurableStore {
         self.cuts.clear();
         self.cuts_since_base = 0;
         self.wal_base = 0;
-        self.writer = Some(WalWriter::create(&self.wal_path(), 0, self.opts.policy)?);
-        self.set_obs(self.obs.clone());
+        self.writer = Some(WalWriter::create(
+            &self.wal_path(),
+            0,
+            self.opts.policy,
+            self.obs.clone(),
+        )?);
         Ok(())
     }
 
@@ -485,8 +536,11 @@ impl DurableStore {
     /// `wal.log` to start at the newest base ≤ `floor` and deletes older
     /// bases. A no-op until such a base exists past the current log base.
     ///
-    /// The rewrite fsyncs what it copies (a deliberate maintenance write),
-    /// so compaction also promotes the copied tail to durable.
+    /// Only the tail after the base's cut is read, and it is copied file to
+    /// file (in the kernel where the OS can), so memory stays O(1) in the
+    /// log's length. The rewrite fsyncs what it copies (a deliberate
+    /// maintenance write), so compaction also promotes the copied tail to
+    /// durable.
     pub fn compact_below(&mut self, floor: u64) -> io::Result<()> {
         let Some(&keep) = self.bases.iter().rev().find(|&&e| e <= floor) else {
             return Ok(());
@@ -497,37 +551,46 @@ impl DurableStore {
         let Some((_, cut_end)) = self.cuts.iter().find(|(e, _)| *e == keep).copied() else {
             return Ok(());
         };
+        let t0 = self.obs.now_ns();
         let wal = self.wal_path();
-        let bytes = fs::read(&wal)?;
-        if cut_end as usize > bytes.len() {
+        let mut old = fs::File::open(&wal)?;
+        if cut_end > old.metadata()?.len() {
             return Ok(());
         }
-        let tmp = self.dir.join("wal.log.tmp");
-        {
+        old.seek(SeekFrom::Start(cut_end))?;
+        let base_ref = WalRecord::BaseRef { epoch: keep }.encode_frame();
+        let tmp = self.dir.join(WAL_TMP);
+        let copied = {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(&WalRecord::BaseRef { epoch: keep }.encode_frame())?;
-            f.write_all(&bytes[cut_end as usize..])?;
+            f.write_all(&base_ref)?;
+            // File to file: std hands this to `copy_file_range` on Linux,
+            // so the tail never passes through a user-space buffer.
+            let copied = io::copy(&mut old, &mut f)?;
             f.sync_data()?;
-        }
-        fs::rename(&tmp, &wal)?;
-        let shift = |off: u64| -> u64 {
-            let new_base_end = WalRecord::BaseRef { epoch: keep }.encode_frame().len() as u64;
-            off - cut_end + new_base_end
+            copied
         };
+        fs::rename(&tmp, &wal)?;
+        let new_base_end = base_ref.len() as u64;
         self.cuts = self
             .cuts
             .iter()
             .filter(|(e, _)| *e > keep)
-            .map(|(e, off)| (*e, shift(*off)))
+            .map(|(e, off)| (*e, off - cut_end + new_base_end))
             .collect();
         self.wal_base = keep;
         for &epoch in self.bases.iter().filter(|&&e| e < keep) {
             fs::remove_file(self.base_path(epoch)).ok();
         }
         self.bases.retain(|&e| e >= keep);
-        let len = fs::metadata(&wal)?.len();
-        self.writer = Some(WalWriter::reopen(&wal, len, self.opts.policy)?);
-        self.set_obs(self.obs.clone());
+        self.writer = Some(WalWriter::reopen(
+            &wal,
+            new_base_end + copied,
+            self.opts.policy,
+            self.obs.clone(),
+        )?);
+        self.compact_bytes.add(copied);
+        self.obs
+            .stage_span(se_obs::Stage::WalCompact, keep, t0, self.obs.now_ns());
         Ok(())
     }
 
@@ -848,6 +911,102 @@ mod tests {
             assert_eq!(reached, Some(target));
             assert_eq!(recovered.len() as u64, target);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_copies_exactly_the_tail_after_the_kept_cut() {
+        let dir = tempdir("compact-tail");
+        let mut store =
+            DurableStore::open(&dir, "w0", ChaosPlan::none(), opts(FsyncPolicy::OnEpoch, 2))
+                .unwrap();
+        let obs = se_obs::Obs::new(&se_obs::ObsConfig {
+            mode: se_obs::ObsMode::Metrics,
+            ..se_obs::ObsConfig::default()
+        });
+        store.set_obs(obs.clone());
+        let mut state = StateStore::new();
+        populate(&mut store, &mut state, 6);
+        let before = fs::read(store.wal_path()).unwrap();
+        let (_, cut_end) = *store.cuts.iter().find(|(e, _)| *e == 4).unwrap();
+        store.compact_below(4).unwrap();
+        let mut expected = WalRecord::BaseRef { epoch: 4 }.encode_frame();
+        expected.extend_from_slice(&before[cut_end as usize..]);
+        assert_eq!(fs::read(store.wal_path()).unwrap(), expected);
+        assert_eq!(store.wal_len(), expected.len() as u64);
+        assert_eq!(
+            obs.counter("durable.compact_bytes").get(),
+            before.len() as u64 - cut_end
+        );
+        assert_eq!(obs.stage_hist(se_obs::Stage::WalCompact).count(), 1);
+        // Nothing left to compact below the same floor: no second span.
+        store.compact_below(4).unwrap();
+        assert_eq!(obs.stage_hist(se_obs::Stage::WalCompact).count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn base_file_is_the_frames_of_its_records_in_key_order() {
+        let dir = tempdir("base-bytes");
+        let mut store =
+            DurableStore::open(&dir, "w0", ChaosPlan::none(), opts(FsyncPolicy::OnEpoch, 1))
+                .unwrap();
+        // Well past one write chunk, so the base takes several writes.
+        let mut state = StateStore::new();
+        for k in 0..700 {
+            let blob = Value::Bytes(vec![k as u8; 1024]);
+            state.insert(acct(&format!("k{k}")), EntityState::from([("blob", blob)]));
+        }
+        store.cut_epoch(1, &state).unwrap();
+        let mut expected = WalRecord::BaseRef { epoch: 1 }.encode_frame();
+        let mut entities: Vec<_> = state.iter().collect();
+        entities.sort_by_key(|(r, _)| **r);
+        for (entity, st) in entities {
+            let record = WalRecord::Create {
+                entity: *entity,
+                state: st.clone(),
+            };
+            expected.extend_from_slice(&record.encode_frame());
+        }
+        assert!(expected.len() > 2 * BASE_WRITE_CHUNK);
+        assert_eq!(fs::read(store.base_path(1)).unwrap(), expected);
+        let loaded = store.load_base(1).unwrap().expect("base reads back");
+        assert_eq!(loaded.len(), 700);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_and_recover_delete_stale_tmp_files() {
+        let dir = tempdir("stale-tmp");
+        // What a base write or a compaction that died before its rename
+        // leaves behind.
+        let stale = ["base-00000000000000000009.tmp", WAL_TMP];
+        let plant = || {
+            for name in stale {
+                fs::write(dir.join(name), b"torn").unwrap();
+            }
+        };
+        let assert_gone = |after: &str| {
+            for name in stale {
+                assert!(!dir.join(name).exists(), "{after} left {name} behind");
+            }
+        };
+        plant();
+        let mut store =
+            DurableStore::open(&dir, "w0", ChaosPlan::none(), opts(FsyncPolicy::OnEpoch, 2))
+                .unwrap();
+        assert_gone("open");
+        let mut state = StateStore::new();
+        populate(&mut store, &mut state, 2);
+        plant();
+        let (recovered, reached) = store.recover(Some(2)).unwrap();
+        assert_gone("recover");
+        assert_eq!(reached, Some(2));
+        assert_eq!(recovered.len(), 2);
+        assert_eq!(store.bases, vec![2], "the real base is kept");
+        plant();
+        store.recover(None).unwrap();
+        assert_gone("recover(None)");
         std::fs::remove_dir_all(&dir).ok();
     }
 

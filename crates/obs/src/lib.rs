@@ -6,8 +6,8 @@
 //! * **Metrics** — lock-free counters/gauges plus log-bucketed HDR-style
 //!   histograms ([`Histogram`]), O(1) to record from any thread.
 //! * **Spans** — per-batch lifecycle (seal → exec → decide → commit), WAL
-//!   spans (append, fsync, epoch cut), VM compile — fixed-size events in
-//!   bounded per-thread rings with monotonic timestamps.
+//!   spans (append, fsync, epoch cut, compaction), VM compile — fixed-size
+//!   events in bounded per-thread rings with monotonic timestamps.
 //! * **Exporters** — periodic JSON snapshot + end-of-run dump
 //!   (`metrics.json` + `trace.jsonl`), rendered by the `obs_report` bin.
 //!

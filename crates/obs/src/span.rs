@@ -40,6 +40,9 @@ pub enum Stage {
     WalFsync,
     /// Durable epoch cut: snapshot delta + WAL mark.
     EpochCut,
+    /// WAL compaction below the cluster durable floor: the live tail copied
+    /// into a fresh log (id = the epoch the new log starts after).
+    WalCompact,
     /// Backend (VM/interp) program compilation at deploy.
     VmCompile,
     /// One function invocation end-to-end (StateFun engine).
@@ -50,7 +53,7 @@ pub enum Stage {
 }
 
 /// All stages, in declaration order (index = `stage as usize`).
-pub const STAGES: [Stage; 10] = [
+pub const STAGES: [Stage; 11] = [
     Stage::BatchSeal,
     Stage::BatchExec,
     Stage::BatchDecide,
@@ -58,6 +61,7 @@ pub const STAGES: [Stage; 10] = [
     Stage::WalAppend,
     Stage::WalFsync,
     Stage::EpochCut,
+    Stage::WalCompact,
     Stage::VmCompile,
     Stage::Invoke,
     Stage::UpgradeMigrate,
@@ -74,6 +78,7 @@ impl Stage {
             Stage::WalAppend => "wal_append",
             Stage::WalFsync => "wal_fsync",
             Stage::EpochCut => "epoch_cut",
+            Stage::WalCompact => "wal_compact",
             Stage::VmCompile => "vm_compile",
             Stage::Invoke => "invoke",
             Stage::UpgradeMigrate => "upgrade_migrate",

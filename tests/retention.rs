@@ -5,33 +5,49 @@
 //! without checkpoints, and the request source of a StateFlow deployment
 //! with no crash scripted, with durability off and on.
 //!
+//! A durable phase pins the one maintenance pass that touches a whole log:
+//! compacting a WAL whose live tail is ≥ 16 MiB must peak at a constant
+//! heap, because the tail is copied file to file, never read into memory.
+//!
 //! The live heap is counted by this binary's global allocator, so this file
 //! holds exactly one test: nothing else may allocate while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::time::Duration;
 
-use se_dataflow::NetConfig;
+use se_dataflow::{ChaosPlan, DurableOptions, DurableStore, NetConfig, StateStore};
+use se_lang::Symbol;
 use stateful_entities::prelude::*;
 use stateful_entities::{CheckpointMode, DurabilityMode, StateflowConfig, StatefunConfig};
 
-/// `System`, plus a running count of the bytes currently allocated.
+/// `System`, plus a running count of the bytes currently allocated and
+/// their high-water mark.
 struct Counting;
 
 /// Bytes currently allocated. A statistic that publishes no other data,
 /// hence `Relaxed` updates.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 
+/// Highest value `LIVE` reached since a reader last reset it to `LIVE`.
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Adds `delta` to `LIVE` and raises `PEAK` to the result.
+fn grow(delta: isize) {
+    let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, so the
 // caller's `GlobalAlloc` obligations pass straight through and `System`'s
-// guarantees come straight back; the only addition is an atomic counter,
-// which neither allocates nor touches the memory handed out.
+// guarantees come straight back; the only additions are two atomic
+// counters, which neither allocate nor touch the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            grow(layout.size() as isize);
         }
         p
     }
@@ -39,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            grow(layout.size() as isize);
         }
         p
     }
@@ -52,10 +68,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
+            grow(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -149,8 +162,52 @@ fn bytes_retained_per_request(choice: RuntimeChoice) -> isize {
     (after - before) / MEASURED as isize
 }
 
+/// Commit records logged past the kept cut, and the payload of each:
+/// 256 × 64 KiB = 16 MiB of live tail for compaction to carry over.
+const TAIL_RECORDS: usize = 256;
+const TAIL_RECORD_BYTES: usize = 64 << 10;
+/// Allowed live-heap peak while compacting that log. Reading the log into
+/// memory, even once, costs its whole length.
+const MAX_COMPACT_PEAK: isize = 1 << 20;
+
+/// Peak live-heap growth while `DurableStore::compact_below` rewrites a log
+/// whose tail past the kept base is over 16 MiB.
+fn compaction_peak_heap() -> isize {
+    let dir = std::env::temp_dir().join(format!("se-retention-compact-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts = DurableOptions {
+        full_snapshot_every: 1,
+        ..DurableOptions::default()
+    };
+    let mut store = DurableStore::open(&dir, "w0", ChaosPlan::none(), opts).unwrap();
+    // Every cut writes a base; an empty state keeps the bases tiny, so the
+    // log is all there is to copy.
+    let state = StateStore::new();
+    store.cut_epoch(1, &state).unwrap();
+    let entity = EntityRef::new("Account", "a");
+    for batch in 0..TAIL_RECORDS {
+        let blob = Value::Bytes(vec![batch as u8; TAIL_RECORD_BYTES]);
+        let writes = BTreeMap::from([(entity, BTreeMap::from([(Symbol::from("blob"), blob)]))]);
+        store.log_commit(batch as u64, &writes).unwrap();
+    }
+    store.cut_epoch(2, &state).unwrap();
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    store.compact_below(1).unwrap();
+    let peak = PEAK.load(Ordering::SeqCst);
+    assert!(
+        store.wal_len() >= (TAIL_RECORDS * TAIL_RECORD_BYTES) as u64,
+        "compaction must carry the whole tail past the kept cut over"
+    );
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+    peak - before
+}
+
 #[test]
 fn live_heap_stays_flat_per_request() {
+    // First, while no deployment's threads exist to allocate alongside it.
+    let compact_peak = compaction_peak_heap();
     let deployments = [
         (
             "StateFun, CheckpointMode::None",
@@ -183,4 +240,8 @@ fn live_heap_stays_flat_per_request() {
             "{name} retains {bytes} B per request (all: {retained:?})"
         );
     }
+    assert!(
+        compact_peak <= MAX_COMPACT_PEAK,
+        "compacting a 16 MiB WAL tail peaks at {compact_peak} B of live heap"
+    );
 }
