@@ -90,24 +90,6 @@ impl TxnBuffer {
     pub fn read_keys(&self) -> impl Iterator<Item = &EntityRef> {
         self.reads.iter()
     }
-
-    /// Whether the transaction performed no writes (read-only transactions
-    /// can never cause WAW/WAR conflicts for others).
-    pub fn is_read_only(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// Merges another buffer (the same transaction executed across several
-    /// partitions) into this one.
-    pub fn merge(&mut self, other: TxnBuffer) {
-        self.reads.extend(other.reads);
-        for (entity, ws) in other.writes {
-            let slot = self.writes.entry(entity).or_default();
-            for (attr, v) in ws {
-                slot.insert(attr, v);
-            }
-        }
-    }
 }
 
 /// Commit/abort decision for one transaction in a batch.
@@ -166,20 +148,6 @@ mod tests {
         let a = er("a");
         let s = state(5);
         buf.record_effects(&a, &s, &s.clone());
-        assert!(buf.is_read_only());
-    }
-
-    #[test]
-    fn merge_combines_partitions() {
-        let a = er("a");
-        let b = er("b");
-        let mut buf1 = TxnBuffer::new();
-        buf1.overlay_read(&a, &state(1));
-        buf1.record_effects(&a, &state(1), &state(2));
-        let mut buf2 = TxnBuffer::new();
-        buf2.overlay_read(&b, &state(3));
-        buf1.merge(buf2);
-        assert_eq!(buf1.reads.len(), 2);
-        assert_eq!(buf1.writes.len(), 1);
+        assert!(buf.writes.is_empty());
     }
 }

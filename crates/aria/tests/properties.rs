@@ -1,165 +1,126 @@
-//! Property-based tests of the Aria protocol: determinism, conservation,
-//! exactly-once effects, policy equivalence, and the reordering dominance
-//! claim — over randomly generated transfer/audit workloads.
+//! Property-based tests of Aria's reservation round over random batches:
+//! the progress guarantee, conflict-serializability of the committed set,
+//! and independence from reservation order.
+//!
+//! Engine-level conservation and exactly-once are covered end to end by the
+//! root package's `tests/guarantees.rs` and by `se-stateflow`'s tests.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use se_aria::{run_to_completion_with, CommitRule, FallbackPolicy, Store, TxnCtx};
-use se_lang::{EntityRef, EntityState, Value};
+use se_aria::{CommitRule, Decision, ReservationTable, TxnBuffer, TxnId};
+use se_lang::{EntityRef, Value};
 
-#[derive(Debug, Clone)]
-enum Job {
-    Transfer { from: usize, to: usize, amount: i64 },
-    Audit { a: usize, b: usize },
+const KEYS: usize = 6;
+
+fn key(i: usize) -> EntityRef {
+    EntityRef::new("K", format!("k{i}"))
 }
 
-fn account(i: usize) -> EntityRef {
-    EntityRef::new("Account", format!("a{i}"))
+/// A transaction's access sets: 0–3 reads and 0–3 writes over `KEYS` keys.
+fn arb_txn() -> impl Strategy<Value = TxnBuffer> {
+    let keys = || proptest::collection::vec(0..KEYS, 0..4);
+    (keys(), keys()).prop_map(|(reads, writes)| TxnBuffer {
+        reads: reads.into_iter().map(key).collect(),
+        writes: writes
+            .into_iter()
+            .map(|k| (key(k), BTreeMap::from([("v".into(), Value::Int(1))])))
+            .collect(),
+    })
 }
 
-fn exec_job(job: &Job, ctx: &mut TxnCtx<'_>) {
-    match job {
-        Job::Transfer { from, to, amount } => {
-            // Ample balances: transfers always succeed, making final state
-            // order-independent (pure deltas) — any duplication or loss is
-            // detectable exactly.
-            ctx.update(&account(*from), |s| {
-                let b = s["balance"].as_int().unwrap();
-                s.insert("balance", Value::Int(b - amount));
-            });
-            ctx.update(&account(*to), |s| {
-                let b = s["balance"].as_int().unwrap();
-                s.insert("balance", Value::Int(b + amount));
-            });
-        }
-        Job::Audit { a, b } => {
-            let _ = ctx.read(&account(*a));
-            let _ = ctx.read(&account(*b));
-        }
+/// A batch of 1–12 transactions with ascending ids starting at `base`.
+fn arb_batch() -> impl Strategy<Value = Vec<(TxnId, TxnBuffer)>> {
+    (0u64..1_000, proptest::collection::vec(arb_txn(), 1..13))
+        .prop_map(|(base, txns)| (base..).zip(txns).collect::<Vec<(TxnId, TxnBuffer)>>())
+}
+
+/// Reserves `batch` in the order `order` (indices into `batch`), then
+/// decides every transaction.
+fn decisions(batch: &[(TxnId, TxnBuffer)], order: &[usize]) -> Vec<Decision> {
+    let mut table = ReservationTable::new();
+    for &i in order {
+        let (id, buf) = &batch[i];
+        table.reserve(*id, buf);
     }
-}
-
-fn fresh_store(n: usize) -> Store {
-    (0..n)
-        .map(|i| {
-            (
-                account(i),
-                EntityState::from([("balance".to_string(), Value::Int(1_000_000))]),
-            )
-        })
+    batch
+        .iter()
+        .map(|(id, buf)| table.decide(*id, buf, CommitRule::Reordering))
         .collect()
 }
 
-fn balances(store: &Store, n: usize) -> Vec<i64> {
-    (0..n)
-        .map(|i| store[&account(i)]["balance"].as_int().unwrap())
-        .collect()
-}
-
-fn arb_jobs(n_accounts: usize) -> impl Strategy<Value = Vec<Job>> {
-    proptest::collection::vec(
-        (0..n_accounts, 0..n_accounts, 1i64..20, any::<bool>()).prop_map(
-            move |(a, b, amount, is_transfer)| {
-                let b = if a == b { (b + 1) % n_accounts } else { b };
-                if is_transfer {
-                    Job::Transfer {
-                        from: a,
-                        to: b,
-                        amount,
-                    }
-                } else {
-                    Job::Audit { a, b }
-                }
-            },
-        ),
-        1..80,
-    )
-}
-
-const N: usize = 8;
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Exactly-once: the final balances equal the initial balances plus the
-    /// net transfer deltas, no matter the batching, rule or fallback.
-    #[test]
-    fn effects_apply_exactly_once(
-        jobs in arb_jobs(N),
-        batch_size in 1usize..32,
-        rule in prop_oneof![Just(CommitRule::Basic), Just(CommitRule::Reordering)],
-        fallback in prop_oneof![Just(FallbackPolicy::Retry), Just(FallbackPolicy::Serial)],
-    ) {
-        let mut expected = vec![1_000_000i64; N];
-        for j in &jobs {
-            if let Job::Transfer { from, to, amount } = j {
-                expected[*from] -= amount;
-                expected[*to] += amount;
+/// Whether the committed transactions are conflict-serializable: no two
+/// write the same key, and the precedence graph — every reader of a key
+/// before every other writer of it, since all of a batch read the
+/// batch-start snapshot — is acyclic.
+fn conflict_serializable(committed: &[&TxnBuffer]) -> bool {
+    let n = committed.len();
+    let mut written = BTreeSet::new();
+    for buf in committed {
+        for k in buf.write_keys() {
+            if !written.insert(*k) {
+                return false;
             }
         }
-        let mut store = fresh_store(N);
-        let stats = run_to_completion_with(&mut store, jobs, exec_job, rule, batch_size, fallback);
-        prop_assert_eq!(balances(&store, N), expected);
-        prop_assert_eq!(stats.commits, stats.executions - stats.aborts);
     }
-
-    /// Determinism: identical inputs produce identical schedules and state.
-    #[test]
-    fn schedule_is_deterministic(jobs in arb_jobs(N), batch_size in 1usize..32) {
-        let run = || {
-            let mut store = fresh_store(N);
-            let stats = run_to_completion_with(
-                &mut store, jobs.clone(), exec_job, CommitRule::Reordering, batch_size,
-                FallbackPolicy::Retry,
-            );
-            (stats, balances(&store, N))
-        };
-        prop_assert_eq!(run(), run());
+    // Kahn's algorithm over reader → writer edges.
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut indegree = vec![0usize; n];
+    for (r, reader) in committed.iter().enumerate() {
+        for (w, writer) in committed.iter().enumerate() {
+            if r != w && reader.read_keys().any(|k| writer.writes.contains_key(k)) {
+                succ[r].push(w);
+                indegree[w] += 1;
+            }
+        }
     }
-
-    /// Both fallback policies converge to the same final state.
-    #[test]
-    fn fallback_policies_agree_on_state(jobs in arb_jobs(N), batch_size in 1usize..32) {
-        let run = |fallback| {
-            let mut store = fresh_store(N);
-            run_to_completion_with(
-                &mut store, jobs.clone(), exec_job, CommitRule::Reordering, batch_size, fallback,
-            );
-            balances(&store, N)
-        };
-        prop_assert_eq!(run(FallbackPolicy::Retry), run(FallbackPolicy::Serial));
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut ordered = 0;
+    while let Some(t) = ready.pop() {
+        ordered += 1;
+        for &w in &succ[t] {
+            indegree[w] -= 1;
+            if indegree[w] == 0 {
+                ready.push(w);
+            }
+        }
     }
+    ordered == n
+}
 
-    /// Deterministic reordering never aborts more than the basic rule, and
-    /// the serial fallback never needs more batches than retry.
-    #[test]
-    fn reordering_dominates_basic(jobs in arb_jobs(N), batch_size in 1usize..32) {
-        let run = |rule, fallback| {
-            let mut store = fresh_store(N);
-            run_to_completion_with(&mut store, jobs.clone(), exec_job, rule, batch_size, fallback)
-        };
-        let basic = run(CommitRule::Basic, FallbackPolicy::Retry);
-        let reorder = run(CommitRule::Reordering, FallbackPolicy::Retry);
-        prop_assert!(reorder.aborts <= basic.aborts,
-            "reordering {} > basic {}", reorder.aborts, basic.aborts);
-        let serial = run(CommitRule::Reordering, FallbackPolicy::Serial);
-        prop_assert!(serial.batches <= reorder.batches);
-    }
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2_000, ..ProptestConfig::default() })]
 
-    /// Money is conserved at every batch size even under pure contention.
     #[test]
-    fn conservation_under_hot_keys(amounts in proptest::collection::vec(1i64..10, 1..60), batch_size in 1usize..16) {
-        let jobs: Vec<Job> = amounts
+    fn reservation_round_is_serializable_and_order_independent(
+        batch in arb_batch(),
+        shuffle_keys in proptest::collection::vec(any::<u64>(), 12..13),
+    ) {
+        let ascending: Vec<usize> = (0..batch.len()).collect();
+        let decided = decisions(&batch, &ascending);
+
+        // (a) Progress: the lowest id cannot lose a conflict, which is what
+        // lets the coordinator's retry loop terminate.
+        prop_assert_eq!(decided[0], Decision::Commit, "batch {:?}", batch);
+
+        // (b) The committed set is conflict-serializable.
+        let committed: Vec<&TxnBuffer> = batch
             .iter()
-            .map(|a| Job::Transfer { from: 0, to: 1, amount: *a })
+            .zip(&decided)
+            .filter(|(_, d)| **d == Decision::Commit)
+            .map(|((_, buf), _)| buf)
             .collect();
-        let mut store = fresh_store(2);
-        run_to_completion_with(
-            &mut store, jobs, exec_job, CommitRule::Basic, batch_size, FallbackPolicy::Serial,
+        prop_assert!(
+            conflict_serializable(&committed),
+            "non-serializable commits {:?} in batch {:?}", decided, batch
         );
-        let total: i64 = balances(&store, 2).iter().sum();
-        prop_assert_eq!(total, 2_000_000);
-        let net: i64 = amounts.iter().sum();
-        prop_assert_eq!(balances(&store, 2), vec![1_000_000 - net, 1_000_000 + net]);
+
+        // (c) Reservation order changes no decision.
+        let reversed: Vec<usize> = ascending.iter().rev().copied().collect();
+        prop_assert_eq!(decisions(&batch, &reversed), decided.clone());
+        let mut shuffled = ascending.clone();
+        shuffled.sort_by_key(|&i| shuffle_keys[i]);
+        prop_assert_eq!(decisions(&batch, &shuffled), decided);
     }
 }

@@ -7,10 +7,10 @@
 //! 1. **Decisions are justified.** For every regular batch it rebuilds the
 //!    reservation table from the recorded per-partition access sets
 //!    (errored transactions excluded, exactly as the protocol specifies)
-//!    and recomputes every commit/abort decision under the configured
-//!    [`CommitRule`]. An abort without a conflict, or a commit that the
-//!    rule forbids, is a violation — this is what catches a regressed
-//!    reservation path.
+//!    and recomputes every commit/abort decision under Aria's reordering
+//!    rule ([`ReservationTable::decide`]). An abort without a conflict, or
+//!    a commit that the rule forbids, is a violation — this is what
+//!    catches a regressed reservation path.
 //! 2. **Exactly-once.** A request may commit at most once per recovery
 //!    lineage: two commits of the same request without an intervening
 //!    recovery (which rolls the later one's predecessor back) are a
@@ -32,7 +32,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use se_aria::{CommitRule, ReservationTable, TxnBuffer};
+use se_aria::{CommitRule, Decision, ReservationTable, TxnBuffer};
 use se_lang::{EntityRef, Value};
 
 use crate::history::{BatchKindTag, HistoryEvent, TxnOutcome};
@@ -126,10 +126,7 @@ impl AccessSets {
 /// Verifies a recorded StateFlow history against the Aria batch order.
 ///
 /// Returns summary statistics, or the first violation found.
-pub fn check_history(
-    events: &[HistoryEvent],
-    rule: CommitRule,
-) -> Result<CheckSummary, CheckError> {
+pub fn check_history(events: &[HistoryEvent]) -> Result<CheckSummary, CheckError> {
     let mut summary = CheckSummary::default();
     // (batch, txn) -> merged access sets across partitions.
     let mut accesses: HashMap<(u64, u64), AccessSets> = HashMap::new();
@@ -306,7 +303,7 @@ pub fn check_history(
                 // Decision justification (regular batches only; a lone
                 // transaction has nothing to conflict with).
                 if matches!(kind, BatchKindTag::Regular) {
-                    verify_decisions(*batch, txns, committed, failed, retried, &accesses, rule)?;
+                    verify_decisions(*batch, txns, committed, failed, retried, &accesses)?;
                 }
             }
             HistoryEvent::Recovery { .. } => {
@@ -386,7 +383,6 @@ pub fn check_history(
 
 /// Recomputes a regular batch's commit decisions from the recorded access
 /// sets and compares them with what the coordinator actually decided.
-#[allow(clippy::too_many_arguments)]
 fn verify_decisions(
     batch: u64,
     txns: &[u64],
@@ -394,7 +390,6 @@ fn verify_decisions(
     failed: &[TxnOutcome],
     retried: &[u64],
     accesses: &HashMap<(u64, u64), AccessSets>,
-    rule: CommitRule,
 ) -> Result<(), CheckError> {
     let errored: BTreeSet<u64> = failed.iter().map(|o| o.txn).collect();
     let empty = AccessSets::default();
@@ -412,7 +407,7 @@ fn verify_decisions(
     let committed_set: BTreeSet<u64> = committed.iter().map(|o| o.txn).collect();
     let retried_set: BTreeSet<u64> = retried.iter().copied().collect();
     for (txn, buf) in &buffers {
-        let expect_commit = table.decide(*txn, buf, rule) == se_aria::Decision::Commit;
+        let expect_commit = table.decide(*txn, buf, CommitRule::Reordering) == Decision::Commit;
         if expect_commit && retried_set.contains(txn) {
             return err(format!(
                 "batch {batch}: txn {txn} aborted without a justifying \
@@ -424,7 +419,7 @@ fn verify_decisions(
         if !expect_commit && committed_set.contains(txn) {
             return err(format!(
                 "batch {batch}: txn {txn} committed despite a conflict the \
-                 {rule:?} rule must abort"
+                 reordering rule must abort"
             ));
         }
     }
@@ -440,8 +435,8 @@ fn verify_decisions(
 /// transactions are topologically ordered so that a transaction reading a
 /// key precedes the transaction writing it — every execution in a batch
 /// read the batch-start snapshot, so readers serialize before writers
-/// (Aria's deterministic reordering; the graph is acyclic because a
-/// read-write cycle always aborts under both commit rules). Ties break by
+/// (Aria's deterministic reordering; the graph is acyclic because the
+/// commit rule always aborts a read-write cycle). Ties break by
 /// transaction id.
 pub fn serial_order(events: &[HistoryEvent]) -> Result<Vec<SerialOp>, CheckError> {
     // txn -> root info (replays record fresh Root events per new txn id).
@@ -701,7 +696,7 @@ mod tests {
                 retried: vec![],
             },
         ];
-        let s = check_history(&events, CommitRule::Reordering).unwrap();
+        let s = check_history(&events).unwrap();
         assert_eq!(s.batches, 1);
         assert_eq!(s.commits, 2);
         assert_eq!(s.surviving_commits, 2);
@@ -731,7 +726,7 @@ mod tests {
                 retried: vec![],
             },
         ];
-        let s = check_history(&events, CommitRule::Reordering).unwrap();
+        let s = check_history(&events).unwrap();
         assert_eq!(s.surviving_commits, 2);
     }
 
@@ -747,20 +742,12 @@ mod tests {
                 kind,
             }]
         };
-        let e = check_history(
-            &sealed(vec![0], BatchKindTag::Regular),
-            CommitRule::Reordering,
-        )
-        .unwrap_err();
+        let e = check_history(&sealed(vec![0], BatchKindTag::Regular)).unwrap_err();
         assert!(
             e.message.contains("Regular batch holds 1 transactions"),
             "{e}"
         );
-        let e = check_history(
-            &sealed(vec![0, 1], BatchKindTag::Solo),
-            CommitRule::Reordering,
-        )
-        .unwrap_err();
+        let e = check_history(&sealed(vec![0, 1], BatchKindTag::Solo)).unwrap_err();
         assert!(e.message.contains("Solo batch holds 2 transactions"), "{e}");
     }
 
@@ -778,7 +765,7 @@ mod tests {
             access(0, 0, &["a"], &["a"]),
             access(0, 0, &["a", "b"], &["a"]),
         ];
-        let e = check_history(&events, CommitRule::Reordering).unwrap_err();
+        let e = check_history(&events).unwrap_err();
         assert!(e.message.contains("divergent access set"), "{e}");
     }
 
@@ -794,7 +781,7 @@ mod tests {
             },
             access(0, 0, &["a", "b"], &["a"]),
         ];
-        check_history(&events, CommitRule::Reordering).unwrap();
+        check_history(&events).unwrap();
     }
 
     #[test]
@@ -830,7 +817,7 @@ mod tests {
                 retried: vec![],
             },
         ];
-        let e = check_history(&events, CommitRule::Reordering).unwrap_err();
+        let e = check_history(&events).unwrap_err();
         assert!(e.message.contains("aborted without a justifying"), "{e}");
     }
 
@@ -867,17 +854,10 @@ mod tests {
             ]
         };
         // Correct: lower id commits, higher id retried (WAW).
-        check_history(
-            &conflicted(vec![outcome(0, 10)], vec![1]),
-            CommitRule::Reordering,
-        )
-        .unwrap();
+        check_history(&conflicted(vec![outcome(0, 10)], vec![1])).unwrap();
         // Wrong: both committed despite the WAW.
-        let e = check_history(
-            &conflicted(vec![outcome(0, 10), outcome(1, 11)], vec![]),
-            CommitRule::Reordering,
-        )
-        .unwrap_err();
+        let e =
+            check_history(&conflicted(vec![outcome(0, 10), outcome(1, 11)], vec![])).unwrap_err();
         assert!(e.message.contains("committed despite a conflict"), "{e}");
     }
 
@@ -896,7 +876,7 @@ mod tests {
             kind: BatchKindTag::Solo,
         };
         let dup = vec![sealed(0, 0), decided(0, 0), sealed(1, 1), decided(1, 1)];
-        let e = check_history(&dup, CommitRule::Reordering).unwrap_err();
+        let e = check_history(&dup).unwrap_err();
         assert!(e.message.contains("committed twice"), "{e}");
         // With a recovery in between, the re-commit is the replay.
         let replayed = vec![
@@ -909,7 +889,7 @@ mod tests {
             sealed(1, 1),
             decided(1, 1),
         ];
-        let s = check_history(&replayed, CommitRule::Reordering).unwrap();
+        let s = check_history(&replayed).unwrap();
         assert_eq!(s.recoveries, 1);
         assert_eq!(s.surviving_commits, 1, "one request, one surviving commit");
     }
@@ -937,7 +917,7 @@ mod tests {
                 retried: vec![],
             },
         ];
-        check_history(&events, CommitRule::Reordering).unwrap();
+        check_history(&events).unwrap();
         let order = serial_order(&events).unwrap();
         assert_eq!(
             order.iter().map(|o| o.txn).collect::<Vec<_>>(),

@@ -35,7 +35,6 @@ pub mod local_runtime;
 use se_lang::{LangError, Program};
 
 pub use local_runtime::LocalRuntime;
-pub use se_aria::CommitRule;
 pub use se_chaos::{
     check_history, check_statefun_history, serial_order, ChaosPlan, CheckError, CheckSummary,
     DiskFault, DiskFaultKind, FaultScript, FsyncFaultAction, History, ScriptConfig, SerialOp,

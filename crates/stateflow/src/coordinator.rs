@@ -1031,10 +1031,7 @@ impl Coordinator {
         // All partitions reported: decide which transactions lost a
         // conflict under Aria's reordering rule and retry. Failed chains
         // abort without retry; the error is the answer.
-        let lost = |txn: &TxnId| {
-            let f = flags.get(txn).copied().unwrap_or_default();
-            f.waw || (f.raw && f.war)
-        };
+        let lost = |txn: &TxnId| flags.get(txn).copied().unwrap_or_default().loses();
         let retry = (batch.txns.iter().copied())
             .filter(|txn| !batch.errors.contains(txn) && lost(txn))
             .collect();

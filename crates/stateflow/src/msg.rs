@@ -64,6 +64,14 @@ impl ConflictFlags {
         self.raw |= other.raw;
         self.war |= other.war;
     }
+
+    /// Whether the transaction loses its conflicts under Aria's reordering
+    /// rule: a WAW, or a stale read (RAW) whose writes an earlier
+    /// transaction read (WAR). The history checker recomputes the same rule
+    /// independently in `ReservationTable::decide`.
+    pub fn loses(self) -> bool {
+        self.waw || (self.raw && self.war)
+    }
 }
 
 /// Coordinator → worker messages.
@@ -268,6 +276,8 @@ pub enum CoordMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use se_aria::{CommitRule, Decision, ReservationTable, TxnBuffer};
+    use se_lang::EntityRef;
 
     #[test]
     fn flags_merge_is_or() {
@@ -290,5 +300,49 @@ mod tests {
                 war: false
             }
         );
+    }
+
+    /// The coordinator's copy of the commit rule (`loses`) agrees with the
+    /// checker's (`ReservationTable::decide`) on all eight flag patterns.
+    #[test]
+    fn loses_matches_the_checkers_decide() {
+        let key = |k: &str| EntityRef::new("K", k);
+        let buffer = |reads: &[&str], writes: &[&str]| TxnBuffer {
+            reads: reads.iter().map(|k| key(k)).collect(),
+            writes: writes
+                .iter()
+                .map(|k| (key(k), Default::default()))
+                .collect(),
+        };
+        // The transaction under test (id 10) reads `r` and writes `w` and
+        // `v`; lower ids switch on one flag each: a writer of `w` (WAW), a
+        // writer of `r` (RAW), a reader of `v` (WAR).
+        let txn = buffer(&["r"], &["w", "v"]);
+        for pattern in 0..8u8 {
+            let want = ConflictFlags {
+                waw: pattern & 1 != 0,
+                raw: pattern & 2 != 0,
+                war: pattern & 4 != 0,
+            };
+            let mut table = ReservationTable::new();
+            table.reserve(10, &txn);
+            if want.waw {
+                table.reserve(1, &buffer(&[], &["w"]));
+            }
+            if want.raw {
+                table.reserve(2, &buffer(&[], &["r"]));
+            }
+            if want.war {
+                table.reserve(3, &buffer(&["v"], &[]));
+            }
+            let got = ConflictFlags {
+                waw: table.waw(10, &txn),
+                raw: table.raw(10, &txn),
+                war: table.war(10, &txn),
+            };
+            assert_eq!(got, want, "the batch yields the intended flags");
+            let aborts = table.decide(10, &txn, CommitRule::Reordering) == Decision::Abort;
+            assert_eq!(want.loses(), aborts, "{want:?}");
+        }
     }
 }

@@ -259,7 +259,6 @@ fn run_scenario(
     cfg.bug = bug;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let chaos = cfg.chaos.clone();
 
     let graph =
@@ -372,7 +371,7 @@ fn run_scenario(
             eprintln!("HIST {e:?}");
         }
     }
-    let summary = check_history(&events, rule).map_err(|e| format!("history check: {e}"))?;
+    let summary = check_history(&events).map_err(|e| format!("history check: {e}"))?;
     // At least one committed upgrade must survive; a crash that rewinds
     // past the upgrade's epoch cut legitimately re-arms and re-commits it
     // in the new lineage, so the count may exceed one.

@@ -30,7 +30,6 @@ fn serial_history_run(script: &FaultScript) -> String {
     cfg.chaos = ChaosPlan::from_script(script.clone());
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let n = 3usize;
     for i in 0..n {
@@ -59,7 +58,7 @@ fn serial_history_run(script: &FaultScript) -> String {
     rt.shutdown();
     // A deterministic weather run must still be a valid serializable
     // history — duplicates and delays change nothing observable.
-    check_history(&history.events(), rule).expect("weathered serial run stays serializable");
+    check_history(&history.events()).expect("weathered serial run stays serializable");
     history.to_json_canonical()
 }
 
@@ -86,11 +85,8 @@ proptest! {
 
 /// Builds the contended scenario the reservation regression needs: an
 /// errored transfer (ghost target) whose buffered write shares a key with a
-/// healthy deposit in the same batch. Returns the recorded events and the
-/// configured commit rule.
-fn errored_plus_healthy_batch(
-    inject_bug: bool,
-) -> (Vec<se_chaos::HistoryEvent>, stateful_entities::CommitRule) {
+/// healthy deposit in the same batch. Returns the recorded events.
+fn errored_plus_healthy_batch(inject_bug: bool) -> Vec<se_chaos::HistoryEvent> {
     let program = se_workloads::ycsb_program();
     let mut cfg = StateflowConfig::fast_test(3);
     // Generous interval so both transactions land in one batch.
@@ -98,7 +94,6 @@ fn errored_plus_healthy_batch(
     cfg.bug = inject_bug.then_some(stateful_entities::BugLever::ReserveErrored);
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     rt.create("Account", "src", vec![("balance".into(), Value::Int(100))])
         .unwrap();
@@ -125,7 +120,7 @@ fn errored_plus_healthy_batch(
         "the deposit lands either way — the bug only costs a retry round"
     );
     rt.shutdown();
-    (history.events(), rule)
+    history.events()
 }
 
 /// Acceptance: reverting the errored-txn reservation fix behind the
@@ -134,16 +129,16 @@ fn errored_plus_healthy_batch(
 #[test]
 fn injected_reserve_bug_is_caught_by_history_checker() {
     // Control: the fixed protocol records a clean, serializable history.
-    let (events, rule) = errored_plus_healthy_batch(false);
-    let summary = check_history(&events, rule).expect("fixed protocol passes the checker");
+    let events = errored_plus_healthy_batch(false);
+    let summary = check_history(&events).expect("fixed protocol passes the checker");
     assert_eq!(summary.failed, 1, "the ghost transfer hard-fails");
     assert_eq!(summary.retries, 0, "no retry without the bug");
 
     // Bugged: the errored writer reserves, WAW-aborting the healthy
     // deposit — a decision the recorded access sets cannot justify.
-    let (events, rule) = errored_plus_healthy_batch(true);
-    let err = check_history(&events, rule)
-        .expect_err("the checker must flag the regressed reservation path");
+    let events = errored_plus_healthy_batch(true);
+    let err =
+        check_history(&events).expect_err("the checker must flag the regressed reservation path");
     assert!(
         err.message
             .contains("aborted without a justifying conflict"),
@@ -197,7 +192,6 @@ fn stateflow_message_weather_stays_serializable() {
     let chaos = cfg.chaos.clone();
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let n = 4usize;
     se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
@@ -221,7 +215,7 @@ fn stateflow_message_weather_stays_serializable() {
         "the weather must actually hit ({} faults fired)",
         chaos.msg_faults_fired()
     );
-    let summary = check_history(&history.events(), rule).expect("weathered run serializable");
+    let summary = check_history(&history.events()).expect("weathered run serializable");
     assert_eq!(summary.surviving_commits, 60);
     let total: i64 = (0..n)
         .map(|i| {

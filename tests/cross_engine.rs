@@ -404,7 +404,6 @@ fn recorded_history_is_serializable_and_replays_to_oracle() {
         cfg.pipeline_depth = pipeline_depth;
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = stateful_entities::CommitRule::Reordering;
         let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
         se_workloads::load_accounts(rt.as_ref(), n, 8, 1000);
         let waiters: Vec<_> = (0..60)
@@ -422,7 +421,7 @@ fn recorded_history_is_serializable_and_replays_to_oracle() {
                 .expect("no error");
         }
         let events = history.events();
-        let summary = check_history(&events, rule)
+        let summary = check_history(&events)
             .unwrap_or_else(|e| panic!("[depth {pipeline_depth}] history check: {e}"));
         assert_eq!(
             summary.surviving_commits, 60,

@@ -39,7 +39,6 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
     let history = History::new();
     let mut cfg = cfg;
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let program = se_workloads::ycsb_program();
     let graph = stateful_entities::compile(&program).unwrap();
     let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);
@@ -71,7 +70,7 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
         rt.stats().recoveries.get() >= 1,
         "the crash must trigger at least one restore round"
     );
-    check_history(&history.events(), rule).expect("post-crash disk recovery stays serializable");
+    check_history(&history.events()).expect("post-crash disk recovery stays serializable");
     for i in 0..n {
         assert_eq!(
             rt.call(acct(i), "balance", vec![]).unwrap(),
@@ -136,7 +135,6 @@ fn torn_and_lost_tails_recover_to_last_durable_prefix() {
         let chaos = cfg.chaos.clone();
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = stateful_entities::CommitRule::Reordering;
         let program = se_workloads::ycsb_program();
         let rt = Arc::new(deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap());
         let n = 6usize;
@@ -162,7 +160,7 @@ fn torn_and_lost_tails_recover_to_last_durable_prefix() {
             1,
             "[{kind:?}] the disk fault must be consumed at crash time"
         );
-        check_history(&history.events(), rule)
+        check_history(&history.events())
             .unwrap_or_else(|e| panic!("[{kind:?}] recovery violated serializability: {e}"));
         let total: i64 = (0..n)
             .map(|i| {
@@ -244,7 +242,6 @@ fn serial_history_run(mode: DurabilityMode) -> String {
     cfg.snapshot_every_batches = 2;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let n = 3usize;
     for i in 0..n {
@@ -269,7 +266,7 @@ fn serial_history_run(mode: DurabilityMode) -> String {
         }
     }
     rt.shutdown();
-    check_history(&history.events(), rule).expect("serial run serializable");
+    check_history(&history.events()).expect("serial run serializable");
     history.to_json_canonical()
 }
 

@@ -245,12 +245,11 @@ fn pipelined_crash_with_batches_in_flight_conserves_money() {
 fn assert_serializable_and_replays(
     label: &str,
     events: &[se_chaos::HistoryEvent],
-    rule: stateful_entities::CommitRule,
     program: &se_lang::Program,
     load: impl Fn(&dyn EntityRuntime),
 ) -> se_chaos::CheckSummary {
-    let summary = se_chaos::check_history(events, rule)
-        .unwrap_or_else(|e| panic!("[{label}] history check: {e}"));
+    let summary =
+        se_chaos::check_history(events).unwrap_or_else(|e| panic!("[{label}] history check: {e}"));
     let order = se_chaos::serial_order(events).unwrap();
     let oracle = deploy(program, RuntimeChoice::Local).unwrap();
     load(oracle.as_ref());
@@ -357,7 +356,6 @@ fn duplicated_hop_into_a_local_continuation_is_dropped() {
     let chaos = cfg.chaos.clone();
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     load(rt.as_ref());
     // Concurrent forwards over one chain: every pair conflicts, so the
@@ -381,7 +379,7 @@ fn duplicated_hop_into_a_local_continuation_is_dropped() {
         4,
         "every scripted duplicate must fire"
     );
-    let summary = assert_serializable_and_replays("relay", &history.events(), rule, &program, load);
+    let summary = assert_serializable_and_replays("relay", &history.events(), &program, load);
     assert_eq!(summary.surviving_commits, 12);
 }
 
@@ -402,7 +400,6 @@ fn depth_one_hot_key_retries_drain_through_solo_batches() {
     cfg.max_batch = 8;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     let load = |rt: &dyn EntityRuntime| se_workloads::load_accounts(rt, n, 8, 1000);
     load(rt.as_ref());
@@ -436,7 +433,7 @@ fn depth_one_hot_key_retries_drain_through_solo_batches() {
             }
         }
     }
-    let summary = assert_serializable_and_replays("depth 1", &events, rule, &program, load);
+    let summary = assert_serializable_and_replays("depth 1", &events, &program, load);
     assert_eq!(summary.surviving_commits, 80);
     assert!(summary.retries > 0, "the hot key must force retries");
     // Lone requests are solo batches too, so retries are a lower bound.
@@ -630,8 +627,7 @@ fn stateflow_crash_without_snapshots_replays_the_whole_source() {
         .filter(|e| matches!(e, HistoryEvent::Root { .. }))
         .count();
     assert!(polled >= OPS / 8, "the crash came after {polled} requests");
-    let rule = stateful_entities::CommitRule::Reordering;
-    let summary = assert_serializable_and_replays("replay from 0", &events, rule, &program, load);
+    let summary = assert_serializable_and_replays("replay from 0", &events, &program, load);
     assert_eq!(summary.surviving_commits, OPS + ACCOUNTS);
 }
 

@@ -72,7 +72,6 @@ fn redeploy_routes_new_roots_and_migrates_exactly_once() {
     let mut cfg = StateflowConfig::fast_test(3);
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let (counters, per) = (3usize, 8usize);
     let rt = upgraded_counter_run(cfg, counters, per);
     for i in 0..counters {
@@ -89,7 +88,7 @@ fn redeploy_routes_new_roots_and_migrates_exactly_once() {
         );
     }
     rt.shutdown();
-    let summary = check_history(&history.events(), rule).expect("upgraded run stays serializable");
+    let summary = check_history(&history.events()).expect("upgraded run stays serializable");
     assert_eq!(summary.upgrades, 1, "exactly one committed upgrade");
 }
 
@@ -135,7 +134,6 @@ fn histories_without_upgrade_carry_no_version_events() {
     cfg.net.time_scale = 0.0;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
     rt.create("Counter", &se_workloads::key_name(0), vec![])
         .unwrap();
@@ -143,7 +141,7 @@ fn histories_without_upgrade_carry_no_version_events() {
         rt.call(counter(0), "incr", vec![Value::Int(1)]).unwrap();
     }
     rt.shutdown();
-    check_history(&history.events(), rule).expect("serializable");
+    check_history(&history.events()).expect("serializable");
     let json = history.to_json_canonical();
     for marker in [
         "BatchVersion",
@@ -207,7 +205,6 @@ fn crash_near_upgrade_replays_from_wal_and_commits() {
         let chaos = cfg.chaos.clone();
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = stateful_entities::CommitRule::Reordering;
         let (counters, per) = (3usize, 8usize);
         let rt = upgraded_counter_run(cfg, counters, per);
         assert_eq!(
@@ -233,7 +230,7 @@ fn crash_near_upgrade_replays_from_wal_and_commits() {
             );
         }
         rt.shutdown();
-        let summary = check_history(&history.events(), rule)
+        let summary = check_history(&history.events())
             .unwrap_or_else(|e| panic!("[after {after_events}] history check: {e}"));
         assert!(
             summary.upgrades >= 1,
@@ -262,7 +259,6 @@ fn injected_torn_upgrade_is_caught_by_checker() {
         cfg.batch_interval = Duration::from_millis(1);
         let history = History::new();
         cfg.history = Some(history.clone());
-        let rule = stateful_entities::CommitRule::Reordering;
         let graph = stateful_entities::compile(&se_lang::programs::counter_program()).unwrap();
         let rt = std::sync::Arc::new(StateflowRuntime::deploy(graph, cfg));
         for i in 0..3 {
@@ -290,7 +286,7 @@ fn injected_torn_upgrade_is_caught_by_checker() {
             .expect("redeploy completes even under the bug");
         writer.join().unwrap();
         rt.shutdown();
-        check_history(&history.events(), rule)
+        check_history(&history.events())
             .map(|_| ())
             .map_err(|e| e.to_string())
     }
@@ -337,7 +333,6 @@ fn arb_upgrade_responses(v1: &Program, v2: &Program) -> (Vec<Result<Value, Strin
     cfg.net.time_scale = 0.0;
     let history = History::new();
     cfg.history = Some(history.clone());
-    let rule = stateful_entities::CommitRule::Reordering;
     let graph = stateful_entities::compile(v1).unwrap();
     let rt = StateflowRuntime::deploy(graph, cfg);
     rt.create("ArbCaller", "a1", vec![]).unwrap();
@@ -352,7 +347,7 @@ fn arb_upgrade_responses(v1: &Program, v2: &Program) -> (Vec<Result<Value, Strin
     rt.redeploy(v2).expect("generated v2 must redeploy");
     drive(&rt, 7);
     rt.shutdown();
-    let summary = check_history(&history.events(), rule).expect("serializable");
+    let summary = check_history(&history.events()).expect("serializable");
     (out, summary.upgrades)
 }
 
