@@ -1,22 +1,14 @@
-//! # redeploy_bench — live-upgrade cost: recompile and switchover latency
+//! # redeploy_bench — live-upgrade switchover latency
 //!
-//! Two questions the live-upgrade design must answer with numbers:
-//!
-//! * **Compile cost** — a redeploy recompiles only the methods whose source
-//!   changed ([`se_compiler::compile_upgrade`]); everything else reuses the
-//!   previous version's split artifacts. The bench times a full from-scratch
-//!   compile of the v2 program against the incremental path and reports the
-//!   reuse ratio alongside.
-//! * **Switchover latency** — a live `redeploy()` seals the pipeline, cuts
-//!   the pre-upgrade epoch, runs the per-entity `__migrate__` pass on every
-//!   partition, and only then routes new roots to v2. The bench measures
-//!   that client-observed wall time on both engines across an entity-count
-//!   ladder, with a light open-loop load running so the drain is realistic.
+//! A live `redeploy()` compiles v2 from scratch, seals the pipeline, cuts
+//! the pre-upgrade epoch, runs the per-entity `__migrate__` pass on every
+//! partition, and only then routes new roots to v2. The bench measures that
+//! client-observed wall time on both engines across an entity-count ladder,
+//! with a light open-loop load running so the drain is realistic.
 //!
 //! Env knobs:
 //!   SE_REDEPLOY_ENTITIES  comma ladder of entity counts   (default 64,512,4096)
 //!   SE_REDEPLOY_REPS      switchovers timed per cell      (default 3)
-//!   SE_REDEPLOY_COMPILE_REPS  compile timings per mode    (default 20)
 //!
 //! Output: `bench_results/redeploy_bench.json`, uniform bench row schema.
 
@@ -73,47 +65,6 @@ fn row(label: String, system: &str, samples: &[f64]) -> Row {
         fsync_p99_ms: 0.0,
         commit: String::new(),
     }
-}
-
-/// Times the from-scratch compile of v2 against the incremental redeploy
-/// path (v1 graph + v2 source), returning both sample sets and the reuse
-/// stats of the incremental path.
-fn compile_cells(reps: usize) -> Vec<Row> {
-    let v1 = se_workloads::ycsb_program();
-    let v2 = se_workloads::ycsb_program_v2();
-    let opts = se_compiler::CompileOptions::default();
-    let base = se_compiler::compile_with(&v1, &opts).expect("v1 compiles");
-
-    let mut full_ms = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        se_compiler::compile_with(&v2, &opts).expect("v2 compiles");
-        full_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let mut incr_ms = Vec::with_capacity(reps);
-    let mut stats = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let (_, recompile) = se_compiler::compile_upgrade(&base, &v2, &opts).expect("upgrade");
-        incr_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        stats = Some(recompile);
-    }
-    let stats = stats.expect("at least one rep");
-    eprintln!(
-        "  compile: full {:.3} ms, incremental {:.3} ms ({}/{} methods reused)",
-        stats_ms(&full_ms).0,
-        stats_ms(&incr_ms).0,
-        stats.methods_reused,
-        stats.methods_total,
-    );
-    vec![
-        row("compile-full".into(), "se-compiler", &full_ms).with_param("reps", reps),
-        row("compile-incremental".into(), "se-compiler", &incr_ms)
-            .with_param("reps", reps)
-            .with_param("methods_total", stats.methods_total)
-            .with_param("methods_reused", stats.methods_reused)
-            .with_param("methods_recompiled", stats.methods_recompiled),
-    ]
 }
 
 /// The two live-upgrade-capable engines, held concretely so the bench can
@@ -204,13 +155,9 @@ fn switchover_cell(engine: &str, entities: usize, reps: usize) -> Row {
 fn main() {
     let ladder = env_ladder("SE_REDEPLOY_ENTITIES", &[64, 512, 4096]);
     let reps = env_usize("SE_REDEPLOY_REPS", 3).max(1);
-    let compile_reps = env_usize("SE_REDEPLOY_COMPILE_REPS", 20).max(1);
 
-    println!(
-        "redeploy_bench: entities ladder {ladder:?}, {reps} switchovers/cell, \
-         {compile_reps} compile reps"
-    );
-    let mut rows = compile_cells(compile_reps);
+    println!("redeploy_bench: entities ladder {ladder:?}, {reps} switchovers/cell");
+    let mut rows = Vec::new();
     for &entities in &ladder {
         for engine in ["stateflow", "statefun"] {
             rows.push(switchover_cell(engine, entities, reps));
@@ -218,7 +165,7 @@ fn main() {
     }
     emit(
         "redeploy_bench",
-        "Live-upgrade cost: incremental recompile vs full, and epoch-boundary switchover latency vs entity count",
+        "Live-upgrade cost: epoch-boundary switchover latency vs entity count",
         &rows,
     );
 }

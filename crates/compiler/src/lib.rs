@@ -5,7 +5,7 @@
 //! splitting into continuation-passing block CFGs, live-variable analysis,
 //! state-machine derivation, and dataflow-graph assembly.
 //!
-//! Entry point: [`compile`] (or [`compile_with`] for options).
+//! Entry point: [`compile`].
 //!
 //! ```
 //! let program = se_lang::programs::figure1_program();
@@ -25,7 +25,5 @@ pub mod split;
 
 pub use callgraph::CallGraph;
 pub use normalize::{normalize_method, normalize_program};
-pub use pipeline::{
-    compile, compile_upgrade, compile_with, stats, CompileOptions, CompileStats, RecompileStats,
-};
+pub use pipeline::{compile, stats, CompileStats};
 pub use split::split_method;

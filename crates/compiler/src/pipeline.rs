@@ -30,61 +30,12 @@ use crate::callgraph::CallGraph;
 use crate::normalize::normalize_program;
 use crate::split::split_method;
 
-/// Compiler configuration.
-#[derive(Debug, Clone)]
-pub struct CompileOptions {
-    /// Parallelism assigned to every operator (per-class overrides are a
-    /// deployment concern; the paper partitions every entity).
-    pub default_parallelism: usize,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self {
-            default_parallelism: 4,
-        }
-    }
-}
-
-/// Compiles a program with default options.
-pub fn compile(program: &Program) -> Result<DataflowGraph, Vec<LangError>> {
-    compile_with(program, &CompileOptions::default())
-}
-
 /// Compiles a program into the deployable dataflow-graph IR.
-pub fn compile_with(
-    program: &Program,
-    options: &CompileOptions,
-) -> Result<DataflowGraph, Vec<LangError>> {
-    compile_inner(program, options, None).map(|(g, _)| g)
-}
-
-/// Incrementally recompiles `program` as the next version after `prev`.
 ///
-/// The expensive passes — function splitting and state-machine derivation —
-/// run only for methods whose *normalized* AST differs from the previous
-/// version's ([`CompiledClass`] keeps the normalized class, so the
-/// comparison is a structural `PartialEq` on post-normalization method
-/// bodies; formatting-identical deploys cost nothing). Splitting depends
-/// only on the class name and the method body, never on sibling methods or
-/// attribute declarations, which is what makes per-method reuse sound.
-///
-/// Static analysis and call-graph construction still run over the whole new
-/// program: they are whole-program properties and are cheap relative to
-/// splitting. The produced graph carries `prev.version + 1`.
-pub fn compile_upgrade(
-    prev: &DataflowGraph,
-    program: &Program,
-    options: &CompileOptions,
-) -> Result<(DataflowGraph, RecompileStats), Vec<LangError>> {
-    compile_inner(program, options, Some(prev))
-}
-
-fn compile_inner(
-    program: &Program,
-    options: &CompileOptions,
-    prev: Option<&DataflowGraph>,
-) -> Result<(DataflowGraph, RecompileStats), Vec<LangError>> {
+/// The graph carries [`se_ir::INITIAL_VERSION`]; a live redeploy compiles
+/// the new program through this same call and stamps the next version on
+/// the result.
+pub fn compile(program: &Program) -> Result<DataflowGraph, Vec<LangError>> {
     // Pass 1: static analysis.
     se_lang::typecheck::check_program(program)?;
 
@@ -97,29 +48,13 @@ fn compile_inner(
     let callgraph = CallGraph::build(&normalized)?;
     callgraph.check_no_recursion().map_err(|e| vec![e])?;
 
-    // Passes 4–5: split every method, derive machines — reusing the previous
-    // version's artifacts for any method whose normalized AST is unchanged.
-    let mut recompile = RecompileStats::default();
+    // Passes 4–5: split every method, derive machines.
     let mut classes = Vec::with_capacity(normalized.classes.len());
     let mut errors = Vec::new();
     for class in &normalized.classes {
-        let prev_class = prev.and_then(|g| g.program.class(class.name));
         let mut methods = Vec::with_capacity(class.methods.len());
         let mut machines = Vec::with_capacity(class.methods.len());
         for method in &class.methods {
-            recompile.methods_total += 1;
-            let reusable = prev_class.and_then(|pc| {
-                let unchanged = pc.class.method(method.name) == Some(method);
-                let idx = pc.methods.iter().position(|m| m.name == method.name)?;
-                unchanged.then(|| (pc.methods[idx].clone(), pc.machines[idx].clone()))
-            });
-            if let Some((compiled, machine)) = reusable {
-                recompile.methods_reused += 1;
-                machines.push(machine);
-                methods.push(compiled);
-                continue;
-            }
-            recompile.methods_recompiled += 1;
             match split_method(class.name.as_str(), method) {
                 Ok(compiled) => {
                     machines.push(StateMachine::from_method(&compiled));
@@ -147,7 +82,6 @@ fn compile_inner(
         .map(|(i, c)| OperatorSpec {
             id: OperatorId(i),
             class_name: c.class.name,
-            parallelism: options.default_parallelism,
         })
         .collect();
 
@@ -192,39 +126,12 @@ fn compile_inner(
         kind: EdgeKind::Loopback,
     });
 
-    let graph = DataflowGraph {
+    Ok(DataflowGraph {
         program: compiled,
         operators,
         edges,
-        version: prev.map_or(se_ir::INITIAL_VERSION, |g| g.version + 1),
-    };
-    Ok((graph, recompile))
-}
-
-/// What an incremental redeploy ([`compile_upgrade`]) actually did: of all
-/// methods in the new program, how many were carried over unchanged and how
-/// many went through splitting again. `reused + recompiled == total`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecompileStats {
-    /// Methods in the new program.
-    pub methods_total: usize,
-    /// Methods whose previous artifacts were reused verbatim.
-    pub methods_reused: usize,
-    /// Methods that were re-split (changed, new, or new class).
-    pub methods_recompiled: usize,
-}
-
-impl RecompileStats {
-    /// Publishes redeploy cost into the shared `se-obs` registry as
-    /// `compiler.redeploy.*` gauges (overwritten by each redeploy).
-    pub fn publish(&self, obs: &se_obs::Obs) {
-        obs.gauge("compiler.redeploy.methods_total")
-            .set(self.methods_total as i64);
-        obs.gauge("compiler.redeploy.methods_reused")
-            .set(self.methods_reused as i64);
-        obs.gauge("compiler.redeploy.methods_recompiled")
-            .set(self.methods_recompiled as i64);
-    }
+        version: se_ir::INITIAL_VERSION,
+    })
 }
 
 /// Aggregate statistics of a compiled graph (used by the compiler
@@ -349,18 +256,6 @@ mod tests {
             .build();
         let errs = compile(&Program::new(vec![node])).unwrap_err();
         assert!(errs[0].to_string().contains("recursive"), "{errs:?}");
-    }
-
-    #[test]
-    fn parallelism_option_respected() {
-        let g = compile_with(
-            &counter_program(),
-            &CompileOptions {
-                default_parallelism: 7,
-            },
-        )
-        .unwrap();
-        assert_eq!(g.operators[0].parallelism, 7);
     }
 
     #[test]

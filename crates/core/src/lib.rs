@@ -39,7 +39,7 @@ pub use se_chaos::{
     check_history, check_statefun_history, serial_order, ChaosPlan, CheckError, CheckSummary,
     DiskFault, DiskFaultKind, FaultScript, FsyncFaultAction, History, ScriptConfig, SerialOp,
 };
-pub use se_compiler::{compile, compile_with, stats, CompileOptions, CompileStats};
+pub use se_compiler::{compile, stats, CompileStats};
 pub use se_dataflow::{
     DurableOptions, DurableStore, EntityRuntime, FsyncPolicy, NetConfig, ResponseWaiter,
 };

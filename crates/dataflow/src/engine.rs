@@ -3,7 +3,7 @@
 //! The paper compiles one IR "into different dataflow engines". What differs
 //! between the engines is the protocol; what surrounds it is the same and
 //! lives here once, in [`EngineCore`]: compiling a graph to bytecode and
-//! registering it as a version, the incremental recompile of a live upgrade,
+//! registering it as a version, the from-scratch compile of a live upgrade,
 //! the [`WaiterMap`] that answers clients, the shutdown-checked submit, the
 //! thread set, and the observability handles with their end-of-run dump. A
 //! runtime owns one core and adds only its protocol and its upgrade
@@ -73,15 +73,6 @@ impl WaiterMap {
     }
 }
 
-/// The newest deployed version: the baseline the next
-/// [`EngineCore::redeploy`] compiles against. Incremental recompilation
-/// diffs against this graph, and the VM reuses this version's bytecode for
-/// unchanged classes.
-struct CurrentDeploy {
-    graph: Arc<DataflowGraph>,
-    vm: Arc<se_vm::VmProgram>,
-}
-
 /// One deployment's engine-independent state (see the module docs). The
 /// shared handles are public: a runtime hands clones of them to its threads.
 pub struct EngineCore {
@@ -100,9 +91,9 @@ pub struct EngineCore {
     pub timers: ComponentTimers,
     /// Consistent-snapshot storage for recovery and queries.
     pub snapshots: Arc<SnapshotStore<StateStore>>,
-    /// Baseline for the next redeploy. The lock also serializes concurrent
-    /// redeploys: each version compiles against its immediate predecessor.
-    current: Mutex<CurrentDeploy>,
+    /// The newest deployed version. The lock serializes concurrent
+    /// redeploys: each one numbers its graph after its predecessor's.
+    current: Mutex<u64>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Periodic `metrics.json` snapshot thread, if configured; stopped at
     /// shutdown before the final dump.
@@ -116,13 +107,7 @@ impl EngineCore {
         let graph = Arc::new(graph);
         let obs = se_obs::Obs::new(obs);
         let obs_snapshots = Mutex::new(obs.spawn_periodic_snapshots());
-        let compile_start = obs.now_ns();
-        let vm = Arc::new(se_vm::VmProgram::compile(&graph.program));
-        obs.stage_span(se_obs::Stage::VmCompile, 0, compile_start, obs.now_ns());
-        obs.counter("vm.compile_runs").inc();
-        if obs.enabled() {
-            se_compiler::stats(&graph).publish(&obs);
-        }
+        let vm = lower(&obs, &graph, obs.now_ns());
         let registry = VersionRegistry::new(Arc::clone(&graph), Arc::clone(&vm) as _);
         obs.gauge("deploy.active_version").set(graph.version as i64);
         EngineCore {
@@ -132,7 +117,7 @@ impl EngineCore {
             timers: ComponentTimers::new(&obs),
             obs,
             snapshots: Arc::new(SnapshotStore::new()),
-            current: Mutex::new(CurrentDeploy { graph, vm }),
+            current: Mutex::new(graph.version),
             threads: Mutex::default(),
             obs_snapshots,
         }
@@ -166,9 +151,8 @@ impl EngineCore {
         waiter
     }
 
-    /// Live code upgrade: compiles `program` as the next version after the
-    /// current deploy (incrementally — unchanged methods reuse the previous
-    /// version's split artifacts and bytecode), registers it, and runs the
+    /// Live code upgrade: compiles `program` from scratch as the next
+    /// version after the current deploy, registers it, and runs the
     /// engine's `switch` to it, which blocks until the engine has switched.
     /// Then the version becomes active, and versions older than the
     /// *previous* deploy are evicted: they have drained, and keeping the
@@ -180,36 +164,18 @@ impl EngineCore {
         switch: impl FnOnce(u64) -> Result<(), LangError>,
     ) -> Result<u64, Vec<LangError>> {
         let mut cur = self.current.lock();
-        let prev_version = cur.graph.version;
+        let prev_version = *cur;
         let compile_start = self.obs.now_ns();
-        let (graph, recompile) = se_compiler::compile_upgrade(
-            &cur.graph,
-            program,
-            &se_compiler::CompileOptions::default(),
-        )?;
+        let mut graph = se_compiler::compile(program)?;
+        graph.version = prev_version + 1;
         let graph = Arc::new(graph);
-        let vm = Arc::new(se_vm::VmProgram::compile_reusing(
-            &graph.program,
-            Some((&cur.graph.program, &cur.vm)),
-        ));
+        let vm = lower(&self.obs, &graph, compile_start);
         let version = graph.version;
-        let compile_end = self.obs.now_ns();
-        self.obs.stage_span(
-            se_obs::Stage::VmCompile,
-            version,
-            compile_start,
-            compile_end,
-        );
-        self.obs.counter("vm.compile_runs").inc();
-        if self.obs.enabled() {
-            recompile.publish(&self.obs);
-        }
-        self.registry
-            .insert(version, Arc::clone(&graph), Arc::clone(&vm) as _);
+        self.registry.insert(version, graph, vm);
         switch(version).map_err(|e| vec![e])?;
         self.registry.set_active(version);
         self.obs.gauge("deploy.active_version").set(version as i64);
-        *cur = CurrentDeploy { graph, vm };
+        *cur = version;
         self.registry.evict_below(prev_version);
         Ok(version)
     }
@@ -232,6 +198,24 @@ impl EngineCore {
         }
         first
     }
+}
+
+/// Lowers `graph` to bytecode, timing the span from `start_ns` (a redeploy
+/// counts its graph compile too), and publishes the graph's `compiler.*`
+/// shape so the gauges always describe the newest version.
+fn lower(obs: &se_obs::Obs, graph: &DataflowGraph, start_ns: u64) -> Arc<se_vm::VmProgram> {
+    let vm = Arc::new(se_vm::VmProgram::compile(&graph.program));
+    obs.stage_span(
+        se_obs::Stage::VmCompile,
+        graph.version,
+        start_ns,
+        obs.now_ns(),
+    );
+    obs.counter("vm.compile_runs").inc();
+    if obs.enabled() {
+        se_compiler::stats(graph).publish(obs);
+    }
+    vm
 }
 
 #[cfg(test)]

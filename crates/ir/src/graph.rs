@@ -148,8 +148,6 @@ pub struct OperatorSpec {
     pub id: OperatorId,
     /// Entity class this operator hosts.
     pub class_name: ClassName,
-    /// Number of parallel partitions.
-    pub parallelism: usize,
 }
 
 /// The full IR: compiled classes plus graph topology.
@@ -165,8 +163,8 @@ pub struct DataflowGraph {
     pub operators: Vec<OperatorSpec>,
     /// Topology edges.
     pub edges: Vec<EdgeSpec>,
-    /// Program version: 1 for an initial deploy, incremented by each
-    /// incremental redeploy (see `se_compiler::compile_upgrade`).
+    /// Program version: 1 for an initial deploy; a live redeploy stamps
+    /// the previous version + 1 on its freshly compiled graph.
     pub version: u64,
 }
 
@@ -199,8 +197,8 @@ impl DataflowGraph {
                 .unwrap_or_default();
             let _ = writeln!(
                 out,
-                "  op{} [shape=record, label=\"{{{} x{}|{}}}\"];",
-                op.id.0, op.class_name, op.parallelism, methods
+                "  op{} [shape=record, label=\"{{{}|{}}}\"];",
+                op.id.0, op.class_name, methods
             );
         }
         let name = |n: &NodeRef| match n {
@@ -261,7 +259,6 @@ mod tests {
             operators: vec![OperatorSpec {
                 id: OperatorId(0),
                 class_name: "Counter".into(),
-                parallelism: 2,
             }],
             edges: vec![
                 EdgeSpec {
@@ -293,6 +290,6 @@ mod tests {
     fn dot_render() {
         let dot = tiny_graph().to_dot();
         assert!(dot.contains("ingress -> op0"));
-        assert!(dot.contains("Counter x2"));
+        assert!(dot.contains("{Counter|get(1 blocks)}"));
     }
 }

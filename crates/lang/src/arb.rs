@@ -395,9 +395,9 @@ pub fn arb_migration_body() -> BoxedStrategy<Vec<Stmt>> {
 /// shape of [`arb_two_class_program`]: v2 keeps the caller class (and the
 /// callee's `bump`) byte-identical, replaces the callee's `poke` body with a
 /// freshly generated one, and adds a generated `__migrate__` method to the
-/// callee — so one upgrade exercises incremental recompilation (unchanged
-/// methods reuse their artifacts), versioned routing (the changed `poke`)
-/// and checked state migration, all against well-typed programs.
+/// callee — so one upgrade exercises unchanged methods, versioned routing
+/// (the changed `poke`) and checked state migration, all against
+/// well-typed programs.
 pub fn arb_upgrade_pair() -> BoxedStrategy<(Program, Program, i64, i64)> {
     (
         (

@@ -352,8 +352,7 @@ impl ClassBuilder {
     /// Reopens an existing class for extension — the natural way to author
     /// a v2 for a live upgrade: start from the deployed class, add
     /// attributes, methods, and a `__migrate__` body. Methods left
-    /// untouched stay byte-identical, which is what lets the incremental
-    /// redeploy reuse their compiled form.
+    /// untouched stay byte-identical to the deployed ones.
     pub fn from_class(class: EntityClass) -> Self {
         Self {
             name: class.name,

@@ -144,7 +144,7 @@ pub fn counter_program() -> Program {
 /// - a `__migrate__` method that seeds `shadow = count * 10` exactly once
 ///   at the upgrade boundary (migrate-exactly-once tests assert that later
 ///   `incr` calls do not touch it);
-/// - `get` is byte-identical to v1, so incremental recompilation reuses it.
+/// - `get` is byte-identical to v1.
 pub fn counter_v2_program() -> Program {
     let counter = ClassBuilder::new("Counter")
         .attr_default("counter_id", Type::Str, Value::Str(String::new()))

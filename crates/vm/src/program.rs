@@ -90,70 +90,29 @@ impl VmProgram {
     /// overflow) would otherwise silently forfeit the VM speedup, hence the
     /// warning.
     pub fn compile(program: &CompiledProgram) -> VmProgram {
-        VmProgram::compile_reusing(program, None)
-    }
-
-    /// [`VmProgram::compile`] for a redeploy: reuses the previous version's
-    /// bytecode for every class that is structurally unchanged.
-    ///
-    /// Reuse granularity is the *class*, not the method: a [`VmClass`] owns
-    /// one constant pool shared by all its methods, so re-lowering a single
-    /// changed method would intern into a different pool than its unchanged
-    /// siblings index into. A class is carried over verbatim when its whole
-    /// [`se_ir::CompiledClass`] compares equal to the previous version's;
-    /// otherwise every method of that class is re-lowered together.
-    pub fn compile_reusing(
-        program: &CompiledProgram,
-        prev: Option<(&CompiledProgram, &VmProgram)>,
-    ) -> VmProgram {
         let mut classes = Vec::with_capacity(program.classes.len());
         let mut index = Vec::new();
         let mut skipped = Vec::new();
         for compiled in &program.classes {
-            let reusable = prev.and_then(|(prev_ir, prev_vm)| {
-                prev_ir
-                    .class(compiled.class.name)
-                    .filter(|pc| *pc == compiled)?;
-                let class = prev_vm
-                    .classes
-                    .iter()
-                    .find(|c| c.class == compiled.class.name)?;
-                Some((class, prev_vm))
-            });
-            let vm_class = match reusable {
-                Some((prev_class, prev_vm)) => {
-                    // Carried-over classes keep their previous skip records.
-                    skipped.extend(
-                        prev_vm
-                            .skipped
-                            .iter()
-                            .filter(|(c, _, _)| *c == compiled.class.name)
-                            .cloned(),
-                    );
-                    prev_class.clone()
-                }
-                None => {
-                    let mut pool = crate::lower::PoolBuilder::default();
-                    let mut methods = Vec::with_capacity(compiled.methods.len());
-                    for method in &compiled.methods {
-                        match crate::lower::lower_method(&mut pool, method) {
-                            Ok(vm_method) => methods.push(vm_method),
-                            Err(e) => {
-                                eprintln!(
-                                    "warning: se-vm could not lower {}.{} ({e}); \
-                                     it will run on the interpreter",
-                                    compiled.class.name, method.name
-                                );
-                                skipped.push((compiled.class.name, method.name, e));
-                            }
-                        }
-                    }
-                    VmClass {
-                        class: compiled.class.name,
-                        pool: pool.finish(),
-                        methods,
+            let mut pool = crate::lower::PoolBuilder::default();
+            let mut methods = Vec::with_capacity(compiled.methods.len());
+            for method in &compiled.methods {
+                match crate::lower::lower_method(&mut pool, method) {
+                    Ok(vm_method) => methods.push(vm_method),
+                    Err(e) => {
+                        eprintln!(
+                            "warning: se-vm could not lower {}.{} ({e}); \
+                             it will run on the interpreter",
+                            compiled.class.name, method.name
+                        );
+                        skipped.push((compiled.class.name, method.name, e));
                     }
                 }
+            }
+            let vm_class = VmClass {
+                class: compiled.class.name,
+                pool: pool.finish(),
+                methods,
             };
             for (mi, m) in vm_class.methods.iter().enumerate() {
                 index.push(((vm_class.class, m.name), (classes.len() as u32, mi as u32)));

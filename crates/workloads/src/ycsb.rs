@@ -99,8 +99,7 @@ pub fn ycsb_program() -> Program {
 }
 
 /// Version 2 of the YCSB+T account entity, for live-upgrade scenarios: every
-/// v1 method is byte-identical (so an incremental redeploy reuses all of
-/// them), plus a new `audit_epoch` attribute whose `__migrate__` body bumps
+/// v1 method is byte-identical, plus a new `audit_epoch` attribute whose `__migrate__` body bumps
 /// it once per applied upgrade and an `audits` probe reading it back.
 /// Workload semantics are untouched, so a run that upgrades mid-stream must
 /// still replay cleanly through the v1 Local oracle.
