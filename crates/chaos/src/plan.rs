@@ -47,7 +47,8 @@ pub enum CrashPoint {
 pub enum Seam {
     /// StateFlow coordinator → worker (`Exec`/`Reserve`/`Commit`).
     CoordToWorker,
-    /// StateFlow worker → coordinator (`ExecDone`/`Flags`/`CommitAck`).
+    /// StateFlow worker → coordinator (`ExecDone`/`Flags`; commits are
+    /// applied locally and report nothing back).
     WorkerToCoord,
     /// StateFlow worker → worker (chain hops, solo commit records).
     WorkerToWorker,

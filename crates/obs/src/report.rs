@@ -203,7 +203,8 @@ pub fn batch_lanes(events: &[SpanEvent]) -> Vec<BatchLane> {
             id: ev.id,
             ..BatchLane::default()
         });
-        // A batch id appears once per run; last write wins if replayed.
+        // A batch id appears once per run, its commit once per worker;
+        // last write wins.
         lane.stages[col] = (ev.start_ns, ev.end_ns);
     }
     let mut out: Vec<BatchLane> = lanes.into_values().collect();

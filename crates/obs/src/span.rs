@@ -32,7 +32,9 @@ pub enum Stage {
     BatchExec,
     /// Reservation aggregation + commit/abort decision on the coordinator.
     BatchDecide,
-    /// Decision broadcast → all workers applied/confirmed the batch.
+    /// One worker's commit of a batch: from the commit record's receipt
+    /// (or, on a solo batch's deciding worker, the decision) until its
+    /// writes are applied, WAL append included. Recorded once per worker.
     BatchCommit,
     /// WAL frame append (buffered write, excludes fsync).
     WalAppend,

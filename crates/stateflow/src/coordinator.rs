@@ -43,11 +43,17 @@
 //! speed instead of one round trip per transaction. At
 //! `pipeline_depth = 1` the window degenerates to "seal only when idle".
 //!
+//! Nothing reports a commit back: as in Aria, every worker applies commit
+//! records locally in batch order, and the coordinator frees a batch's slot
+//! the moment it decides. The one thing that must wait for those commits,
+//! an epoch cut, waits at the workers: a `Snapshot` carries `through`, the
+//! first batch it excludes, and each worker contributes once its own
+//! committed-batch watermark reaches it.
+//!
 //! Chaos hardening: data-plane messages (`Exec`/`Reserve`/`Commit` out,
-//! `ExecDone`/`Flags`/`CommitAck` in) may be duplicated, delayed or
-//! quarantined by a scripted [`ChaosPlan`], so every per-message state
-//! transition here is idempotent — flag reports are deduplicated per
-//! worker, commit acks are tracked as per-batch worker sets, and stale
+//! `ExecDone`/`Flags` in) may be duplicated, delayed or quarantined by a
+//! scripted [`ChaosPlan`], so every per-message state transition here is
+//! idempotent — flag reports are deduplicated per worker, and stale
 //! completions are dropped. Control-plane traffic (the round's messages
 //! and acks, failure notifications) bypasses injection: it models the
 //! failure detector and alignment protocol the engine assumes reliable.
@@ -243,8 +249,8 @@ enum RoundKind {
 /// One open quiesce round: what it is for, and who still owes an ack.
 struct Round {
     kind: RoundKind,
-    /// Workers whose ack is outstanding — a set, not a counter, by the
-    /// same duplicate-proofing rule as `pending_acks`.
+    /// Workers whose ack is outstanding — a set, not a counter, so each
+    /// worker's ack counts once.
     waiting: BTreeSet<usize>,
 }
 
@@ -296,18 +302,9 @@ pub struct Coordinator {
     batches_since_snapshot: u64,
     epoch: Epoch,
     mode: Mode,
-    /// Sealed batches that have not finished their commit round, at most
+    /// Sealed batches that have not been decided yet, at most
     /// `pipeline_depth` of them, keyed by batch id.
     in_flight: BTreeMap<BatchId, InFlightBatch>,
-    /// Workers whose commit ack for a batch is still outstanding. Tracked
-    /// as sets (not a counter) so duplicated acks cannot unlock a snapshot
-    /// early; they only gate snapshots.
-    pending_acks: BTreeMap<BatchId, BTreeSet<usize>>,
-    /// Commit acks that arrived before their batch was finalized: a solo
-    /// batch's deciding worker acks right after its `ExecDone`, and a
-    /// chaos-delayed `ExecDone` can lose the race. Held only for batches
-    /// still in flight, drained when the batch finalizes.
-    early_acks: BTreeMap<BatchId, BTreeSet<usize>>,
     /// Per-worker newest durable-on-disk epoch, from snapshot acks. Only
     /// populated with durability on.
     durable_epochs: BTreeMap<usize, Option<Epoch>>,
@@ -320,10 +317,6 @@ pub struct Coordinator {
     /// Obs: when the current pending-batch queue started filling (the
     /// `batch_seal` span start). `None` while the queue is empty or off.
     queue_since_ns: Option<u64>,
-    /// Obs: decision timestamp per batch whose commit acks are still
-    /// outstanding (the `batch_commit` span start). Only populated while
-    /// tracing/metrics are on.
-    commit_started_ns: BTreeMap<BatchId, u64>,
     /// Program version new roots are stamped with at seal time.
     active_version: u64,
     /// Consumed-but-uncommitted upgrades, FIFO. While non-empty the
@@ -379,12 +372,9 @@ impl Coordinator {
             epoch: 0,
             mode: Mode::Running,
             in_flight: BTreeMap::new(),
-            pending_acks: BTreeMap::new(),
-            early_acks: BTreeMap::new(),
             durable_epochs: BTreeMap::new(),
             durable_floor: None,
             queue_since_ns: None,
-            commit_started_ns: BTreeMap::new(),
             active_version: INITIAL_VERSION,
             pending_upgrades: VecDeque::new(),
             upgrades: Vec::new(),
@@ -421,39 +411,6 @@ impl Coordinator {
                 w,
                 mk(),
                 self.control_delay(),
-            );
-        }
-    }
-
-    /// Arms the per-worker commit-ack set for a finalized batch, crediting
-    /// any acks that raced ahead of the finalization.
-    fn arm_pending_acks(&mut self, batch_id: BatchId) {
-        let mut pending: BTreeSet<usize> = (0..self.workers.len()).collect();
-        if let Some(early) = self.early_acks.remove(&batch_id) {
-            for w in early {
-                pending.remove(&w);
-            }
-        }
-        if !pending.is_empty() {
-            self.pending_acks.insert(batch_id, pending);
-        }
-    }
-
-    /// Obs: opens (or immediately closes) the `batch_commit` span for a
-    /// just-decided batch. The span runs decision → last commit ack; if all
-    /// acks raced ahead of the decision it closes as a point.
-    fn track_commit_span(&mut self, batch_id: BatchId, decided_ns: u64) {
-        if !self.obs.enabled() {
-            return;
-        }
-        if self.pending_acks.contains_key(&batch_id) {
-            self.commit_started_ns.insert(batch_id, decided_ns);
-        } else {
-            self.obs.stage_span(
-                se_obs::Stage::BatchCommit,
-                batch_id,
-                decided_ns,
-                self.obs.now_ns(),
             );
         }
     }
@@ -586,16 +543,14 @@ impl Coordinator {
         }
     }
 
-    /// Whether the pipeline has fully drained: no in-flight batch, no
-    /// pending work, and every commit acknowledged — every consumed request
-    /// is then reflected in worker state, so (state, source offset) is a
-    /// consistent cut. Every `Cut` round opens on this condition (a
+    /// Whether the pipeline has fully drained: no in-flight batch and no
+    /// pending work — every consumed request is then decided, and every
+    /// batch below `next_batch` has its commit record on the way to the
+    /// workers, so (the workers' state through `next_batch`, source offset)
+    /// is a consistent cut. Every `Cut` round opens on this condition (a
     /// `Restore` round forces it by dropping the scheduling state).
     fn drained(&self) -> bool {
-        self.in_flight.is_empty()
-            && self.queue.is_empty()
-            && self.fallback_queue.is_empty()
-            && self.pending_acks.is_empty()
+        self.in_flight.is_empty() && self.queue.is_empty() && self.fallback_queue.is_empty()
     }
 
     /// Cuts an epoch — opens a `Cut` round — once one is wanted and the
@@ -632,9 +587,11 @@ impl Coordinator {
                 self.snapshots
                     .put_source_offset(epoch, "requests", self.reader.offset());
                 let durable_floor = self.durable_floor;
+                let through = self.next_batch;
                 self.broadcast(|| WorkerMsg::Snapshot {
                     gen,
                     epoch,
+                    through,
                     durable_floor,
                 });
             }
@@ -865,7 +822,6 @@ impl Coordinator {
             | CoordMsg::CreateDone { gen, .. }
             | CoordMsg::ExecDone { gen, .. }
             | CoordMsg::Flags { gen, .. }
-            | CoordMsg::CommitAck { gen, .. }
             | CoordMsg::SnapshotAck { gen, .. }
             | CoordMsg::MigrateAck { gen, .. } => *gen,
         };
@@ -908,30 +864,6 @@ impl Coordinator {
                 flags,
                 ..
             } => self.on_flags(batch, worker, flags),
-            CoordMsg::CommitAck { batch, worker, .. } => {
-                // Set-removal is naturally idempotent under duplicated
-                // acks; an ack for a batch that is neither pending nor in
-                // flight is stale and ignored.
-                if let Some(pending) = self.pending_acks.get_mut(&batch) {
-                    pending.remove(&worker);
-                    if pending.is_empty() {
-                        self.pending_acks.remove(&batch);
-                        if let Some(start) = self.commit_started_ns.remove(&batch) {
-                            self.obs.stage_span(
-                                se_obs::Stage::BatchCommit,
-                                batch,
-                                start,
-                                self.obs.now_ns(),
-                            );
-                        }
-                    }
-                } else if self.in_flight.contains_key(&batch) {
-                    // Raced ahead of the batch's ExecDone (solo batches
-                    // ack immediately): credit it when the batch finalizes.
-                    self.early_acks.entry(batch).or_default().insert(worker);
-                }
-                self.cut_epoch(false);
-            }
             CoordMsg::SnapshotAck {
                 epoch,
                 worker,
@@ -1039,9 +971,9 @@ impl Coordinator {
     }
 
     /// Closes a batch: broadcasts the commit decision, answers clients,
-    /// requeues aborted transactions, and frees the pipeline slot without
-    /// waiting for commit acks (workers order commit application by batch
-    /// id via their watermarks; acks only gate epoch cuts).
+    /// requeues aborted transactions, and frees the pipeline slot. Nothing
+    /// comes back: workers apply commit records in batch order through
+    /// their watermarks, and an epoch cut waits for them there (`through`).
     ///
     /// `retry` is the reservation round's verdict: the conflict losers,
     /// ascending. A solo batch has no decision to broadcast: its final-hop
@@ -1091,12 +1023,6 @@ impl Coordinator {
                 Vec::new()
             }
         };
-        // One ack per worker arrives either way: for a solo batch the
-        // deciding worker's own, and one from each peer applying the
-        // broadcast record.
-        self.arm_pending_acks(batch_id);
-        self.track_commit_span(batch_id, decided_ns);
-
         // Respond to committed and hard-failed transactions (the latter are
         // answered with their error and counted apart — they never commit).
         let mut committed = 0u64;
@@ -1222,8 +1148,6 @@ impl Coordinator {
         self.queue.clear();
         self.fallback_queue.clear();
         self.in_flight.clear();
-        self.pending_acks.clear();
-        self.early_acks.clear();
         self.roots.clear();
         self.batch_deadline = None;
         self.batches_since_snapshot = 0;

@@ -148,6 +148,12 @@ pub enum WorkerMsg {
         gen: u64,
         /// Epoch to contribute to.
         epoch: Epoch,
+        /// The coordinator's next batch id when the round opened. Every
+        /// batch below it is decided (the round opens on a drained
+        /// pipeline), but its commit record may still be on its way here:
+        /// the worker holds the marker until its watermark reaches
+        /// `through`, so the cut includes every one of those commits.
+        through: BatchId,
         /// Cluster durable floor: the minimum epoch every partition has
         /// made durable on disk, per the last completed snapshot round.
         /// A durable worker may compact its WAL below it — no recovery
@@ -209,15 +215,6 @@ pub enum CoordMsg {
         worker: usize,
         /// Flags for transactions with accesses on this partition.
         flags: Vec<(TxnId, ConflictFlags)>,
-    },
-    /// Commit phase finished on this worker.
-    CommitAck {
-        /// Fencing generation.
-        gen: u64,
-        /// Batch id.
-        batch: BatchId,
-        /// Acknowledging worker.
-        worker: usize,
     },
     /// Snapshot contribution stored.
     SnapshotAck {

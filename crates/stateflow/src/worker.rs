@@ -14,6 +14,12 @@
 //! has been applied locally — every execution still reads exactly the
 //! snapshot Aria's serial batch order prescribes.
 //!
+//! The same watermark holds the epoch cut. Commits report nothing back to
+//! the coordinator, so a `Snapshot` marker may overtake a commit record of
+//! a batch below its `through`; the worker parks the marker and takes the
+//! cut once its watermark reaches `through` ([`Worker::try_cut`]). The
+//! round holds sealing, so no later batch can reach the worker meanwhile.
+//!
 //! One thread per partition, as in the paper's deployment: the worker owns
 //! its store and every piece of protocol state outright. A chain segment —
 //! the entry hop plus any same-partition continuations — runs on that
@@ -23,7 +29,8 @@
 //! next partition). A batch of one transaction — the coordinator seals
 //! every lone request and every serial-fallback retry that way — is *solo*:
 //! its final-hop worker decides, applies and answers it with no
-//! reservation round ([`Worker::commit_solo`]); only batches of two or more
+//! reservation round ([`Worker::commit_solo`]), then sends the commit
+//! record to its peers; only batches of two or more
 //! see a `Reserve`. The store is never mutated inside a batch's execution
 //! window (the commit of batch *B* requires every `ExecDone` of *B*, and
 //! the watermark defers batch *B+1*'s executions until that commit
@@ -46,7 +53,7 @@ use std::sync::Arc;
 use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
 use se_chaos::{CrashPoint, HistoryEvent, Seam};
 use se_dataflow::{
-    send_with_chaos, timer, DelayReceiver, DelaySender, DurableOptions, DurableStore,
+    send_with_chaos, timer, DelayReceiver, DelaySender, DurableOptions, DurableStore, Epoch,
     SnapshotStore, StateStore,
 };
 use se_ir::{
@@ -59,8 +66,17 @@ use crate::config::{BugLever, DurabilityMode, StateflowConfig};
 use crate::msg::{ConflictFlags, CoordMsg, WorkerMsg};
 
 /// A commit record as applied by a worker: the batch's transactions
-/// (ascending) and the subset whose effects must be discarded.
-type CommitRecord = (Arc<Vec<TxnId>>, Arc<BTreeSet<TxnId>>);
+/// (ascending), the subset whose effects must be discarded, and when it was
+/// received (obs clock; 0 with observability off) — the `batch_commit`
+/// span start.
+type CommitRecord = (Arc<Vec<TxnId>>, Arc<BTreeSet<TxnId>>, u64);
+
+/// A `Snapshot` marker held until the watermark reaches `through`.
+struct ParkedCut {
+    epoch: Epoch,
+    through: BatchId,
+    durable_floor: Option<Epoch>,
+}
 
 /// An `Exec` message parked until its batch becomes runnable.
 struct DeferredExec {
@@ -118,6 +134,9 @@ pub struct Worker {
     watermark: CommitWatermark<CommitRecord>,
     /// Execs of batches whose predecessor has not committed locally yet.
     deferred: BTreeMap<BatchId, VecDeque<DeferredExec>>,
+    /// The open `Cut` round's marker, until this worker has applied every
+    /// commit below its `through`.
+    parked_cut: Option<ParkedCut>,
     inbox: DelayReceiver<WorkerMsg>,
     peers: Vec<DelaySender<WorkerMsg>>,
     coord: DelaySender<CoordMsg>,
@@ -187,6 +206,7 @@ impl Worker {
             reserved: BTreeSet::new(),
             watermark: CommitWatermark::new(),
             deferred: BTreeMap::new(),
+            parked_cut: None,
             inbox,
             peers,
             coord,
@@ -308,35 +328,16 @@ impl Worker {
             }
             WorkerMsg::Snapshot {
                 epoch,
+                through,
                 durable_floor,
                 ..
             } => {
-                debug_assert!(
-                    self.deferred.is_empty(),
-                    "snapshots only cut at a drained pipeline \
-                     (worker {}, deferred batches {:?}, watermark at {})",
-                    self.id,
-                    self.deferred.keys().collect::<Vec<_>>(),
-                    self.watermark.next_expected()
-                );
-                // Durable epoch cut first: the marker append (fsynced per
-                // policy) is what makes the epoch durable, and costs only
-                // the dirty set already in the log — O(dirty), not O(state).
-                let durable = self.durable.as_mut().map(|d| {
-                    d.cut_epoch(epoch, &self.store).expect("cut durable epoch");
-                    if let Some(floor) = durable_floor {
-                        d.compact_below(floor).expect("compact WAL");
-                    }
-                    d.last_durable_epoch()
-                });
-                self.snapshots
-                    .put(epoch, self.node_name(), self.store.clone());
-                self.send_coord_ctl(CoordMsg::SnapshotAck {
-                    gen: self.gen,
+                self.parked_cut = Some(ParkedCut {
                     epoch,
-                    worker: self.id,
-                    durable: durable.flatten(),
+                    through,
+                    durable_floor,
                 });
+                self.try_cut();
             }
             WorkerMsg::Migrate { version, .. } => self.handle_migrate(version),
             WorkerMsg::Restore { .. } | WorkerMsg::Shutdown => unreachable!("handled in run()"),
@@ -502,8 +503,9 @@ impl Worker {
     /// Chain finished (with a result or an error): report to the
     /// coordinator, and for solo batches decide + commit right here.
     fn finish_chain(&mut self, batch: BatchId, txn: TxnId, response: Response, solo: bool) {
+        let errored = response.result.is_err();
         if solo {
-            self.commit_solo(batch, txn, response.result.is_err());
+            self.commit_solo(batch, txn, errored);
         }
         self.send_coord(CoordMsg::ExecDone {
             gen: self.gen,
@@ -512,15 +514,7 @@ impl Worker {
             response,
         });
         if solo {
-            // The coordinator counts one CommitAck per worker and batch;
-            // peers ack through handle_commit, this worker acks its local
-            // application. Sent after ExecDone (same channel, FIFO) so the
-            // coordinator has registered the solo batch's completion first.
-            self.send_coord(CoordMsg::CommitAck {
-                gen: self.gen,
-                batch,
-                worker: self.id,
-            });
+            self.send_solo_record(batch, txn, errored);
             self.drain_deferred();
         }
     }
@@ -528,23 +522,23 @@ impl Worker {
     /// Commits a solo batch — one transaction, a lone request or a
     /// serial-fallback retry — at its final hop. A lone transaction can
     /// never lose a conflict, so the decision is locally determined: commit
-    /// unless the chain errored. The worker applies its own buffered writes,
-    /// advances its watermark, and sends the commit record to its peers (who
-    /// hold any remote hops' buffers). No reservation round and no
-    /// coordinator round trip, which is what lets a request at an idle
-    /// engine finish in one hop to the coordinator and consecutive hot-key
-    /// retries chain back-to-back on the owning worker.
+    /// unless the chain errored. The worker applies its own buffered writes
+    /// and advances its watermark; its peers (who hold any remote hops'
+    /// buffers) get the commit record from [`Worker::send_solo_record`]. No
+    /// reservation round and no coordinator round trip, which is what lets
+    /// a request at an idle engine finish in one hop to the coordinator and
+    /// consecutive hot-key retries chain back-to-back on the owning worker.
     ///
-    /// The record leaves before the `ExecDone`: on a shared core the peers'
-    /// acks then tend to reach the coordinator's inbox before it runs, so
-    /// one wake-up takes the answer and every ack. Answering first lowers
-    /// latency a little but costs the coordinator about one more wake-up
-    /// per request.
+    /// The answer leaves before the record: the peers apply it without a
+    /// word back to the coordinator, so the peers' turn is off the answer
+    /// path and wakes nobody. An epoch cut that needs the peers' writes
+    /// waits for the record at their watermarks.
     fn commit_solo(&mut self, batch: BatchId, txn: TxnId, errored: bool) {
         debug_assert!(
             self.watermark.runnable(batch),
             "solo batch {batch} committing out of order"
         );
+        let decided_ns = self.obs.now_ns();
         let local = self.buffers.remove(&batch);
         self.expected_hops.remove(&batch);
         if !errored {
@@ -553,6 +547,16 @@ impl Worker {
             }
         }
         self.watermark.advance_past(batch);
+        self.obs.stage_span(
+            se_obs::Stage::BatchCommit,
+            batch,
+            decided_ns,
+            self.obs.now_ns(),
+        );
+    }
+
+    /// Sends a committed solo batch's record to every peer.
+    fn send_solo_record(&self, batch: BatchId, txn: TxnId, errored: bool) {
         let txns = Arc::new(vec![txn]);
         let aborted: Arc<BTreeSet<TxnId>> = Arc::new(if errored {
             BTreeSet::from([txn])
@@ -652,19 +656,66 @@ impl Worker {
     }
 
     /// The commit phase: apply records in batch order (buffering any that
-    /// arrive early), then release execs the advance unblocked. Records for
-    /// already-committed batches (duplicates) are absorbed by the
-    /// watermark.
+    /// arrive early), then release execs the advance unblocked and take a
+    /// parked epoch cut it completed. Records for already-committed batches
+    /// (duplicates) are absorbed by the watermark.
     fn handle_commit(
         &mut self,
         batch: BatchId,
         txns: Arc<Vec<TxnId>>,
         aborted: Arc<BTreeSet<TxnId>>,
     ) {
-        for (batch, (txns, aborted)) in self.watermark.offer(batch, (txns, aborted)) {
+        let record = (txns, aborted, self.obs.now_ns());
+        for (batch, (txns, aborted, received_ns)) in self.watermark.offer(batch, record) {
             self.apply_commit(batch, &txns, &aborted);
+            self.obs.stage_span(
+                se_obs::Stage::BatchCommit,
+                batch,
+                received_ns,
+                self.obs.now_ns(),
+            );
         }
         self.drain_deferred();
+        self.try_cut();
+    }
+
+    /// Takes the parked epoch cut once every batch below its `through` has
+    /// committed here: durable epoch cut first (the marker append, fsynced
+    /// per policy, is what makes the epoch durable, and costs only the
+    /// dirty set already in the log — O(dirty), not O(state)), then the
+    /// in-memory contribution and the ack.
+    fn try_cut(&mut self) {
+        let next = self.watermark.next_expected();
+        let Some(ParkedCut {
+            epoch,
+            durable_floor,
+            ..
+        }) = self.parked_cut.take_if(|c| next >= c.through)
+        else {
+            return;
+        };
+        debug_assert!(
+            self.deferred.is_empty(),
+            "snapshots only cut at a drained pipeline \
+             (worker {}, deferred batches {:?}, watermark at {next})",
+            self.id,
+            self.deferred.keys().collect::<Vec<_>>(),
+        );
+        let durable = self.durable.as_mut().map(|d| {
+            d.cut_epoch(epoch, &self.store).expect("cut durable epoch");
+            if let Some(floor) = durable_floor {
+                d.compact_below(floor).expect("compact WAL");
+            }
+            d.last_durable_epoch()
+        });
+        self.snapshots
+            .put(epoch, self.node_name(), self.store.clone());
+        self.send_coord_ctl(CoordMsg::SnapshotAck {
+            gen: self.gen,
+            epoch,
+            worker: self.id,
+            durable: durable.flatten(),
+        });
     }
 
     /// Installs one batch's committed writes in ascending id order and
@@ -686,11 +737,6 @@ impl Worker {
             }
             self.apply_writes(batch, buffer);
         }
-        self.send_coord(CoordMsg::CommitAck {
-            gen: self.gen,
-            batch,
-            worker: self.id,
-        });
     }
 
     fn apply_writes(&mut self, batch: BatchId, buffer: TxnBuffer) {
@@ -791,6 +837,7 @@ impl Worker {
         self.expected_hops.clear();
         self.reserved.clear();
         self.deferred.clear();
+        self.parked_cut = None;
         self.dead = true;
         // Failure notification models the failure detector: not faulted.
         self.send_coord_ctl(CoordMsg::WorkerFailed {
@@ -799,12 +846,13 @@ impl Worker {
         });
     }
 
-    fn handle_restore(&mut self, gen: u64, epoch: Option<se_dataflow::Epoch>, next_batch: BatchId) {
+    fn handle_restore(&mut self, gen: u64, epoch: Option<Epoch>, next_batch: BatchId) {
         self.gen = gen;
         self.buffers.clear();
         self.expected_hops.clear();
         self.reserved.clear();
         self.deferred.clear();
+        self.parked_cut = None;
         self.watermark.reset(next_batch);
         let reached = if let Some(d) = &mut self.durable {
             // Disk recovery: base snapshot + WAL replay to the target cut,

@@ -940,9 +940,10 @@ fn worker_failed_without_a_scripted_crash_is_an_invariant_violation() {
 
 /// A batch is solo iff it holds one transaction. A lone request goes out as
 /// a solo `Exec` and its `ExecDone` is the commit record: the client is
-/// answered with no reservation round, and only the epoch cut still waits
-/// for every worker's `CommitAck`. Two requests queued together remain one
-/// regular batch that reserves.
+/// answered with no reservation round, and the epoch cut opens as the batch
+/// closes — no worker acknowledges a commit. Its `Snapshot` carries
+/// `through: 1`, so each worker contributes once it has applied batch 0.
+/// Two requests queued together remain one regular batch that reserves.
 #[test]
 fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
     use se_ir::Response;
@@ -982,21 +983,15 @@ fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
     assert_eq!(rig.stats.commits.get(), 1, "counted before the answer");
     assert_eq!(rig.stats.solo_batches.get(), 1);
 
-    // The epoch cut waits for the commit ack of every worker.
-    let ack = |worker| CoordMsg::CommitAck {
-        gen: 0,
-        batch: 0,
-        worker,
-    };
-    rig.send(ack(0));
-    rig.assert_quiet(Duration::from_millis(50));
-    rig.send(ack(1));
+    // The cut opens as the solo batch closes, with nothing acknowledged:
+    // the workers hold it until their watermarks pass batch 0.
     rig.expect_all("Snapshot", &|m| {
         matches!(
             m,
             WorkerMsg::Snapshot {
                 gen: 0,
                 epoch: 1,
+                through: 1,
                 ..
             }
         )

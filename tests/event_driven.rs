@@ -48,7 +48,7 @@ fn idle_engine_does_not_run(choice: RuntimeChoice, threads: &str) {
     let rt = deploy(&program, choice).unwrap();
     let account = rt.create("Account", "idle", vec![]).unwrap();
     rt.call(account, "read", vec![]).unwrap();
-    // Let the trailing commit acks of that request land.
+    // Let the trailing commit record of that request land.
     std::thread::sleep(Duration::from_millis(50));
 
     assert!(timeslices(threads) > 0, "no thread is named {threads}*");
@@ -85,11 +85,12 @@ fn idle_statefun_does_not_run() {
 }
 
 /// A lone request is a solo batch: its final-hop worker commits it and
-/// answers through one `ExecDone`, with no reservation round behind it. So
-/// sequential calls cost the coordinator about two timeslices each (the
-/// append, the answer) and the workers about two between them (the owner's
-/// `Exec`, the peer's commit record). A `Reserve`/`Flags`/`Commit` round per
-/// call puts the coordinator above three and the workers above four.
+/// answers through one `ExecDone`, with no reservation round behind it, and
+/// the peer applies the commit record without a word back. So sequential
+/// calls cost the coordinator about two timeslices each (the append, the
+/// answer) and the workers about two between them (the owner's `Exec`, the
+/// peer's commit record). A `Reserve`/`Flags`/`Commit` round per call puts
+/// the coordinator above three and the workers above four.
 #[cfg(target_os = "linux")]
 #[test]
 fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
@@ -119,7 +120,7 @@ fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
             _ => rt.call(account, "deposit", vec![Value::Int(1)]).unwrap(),
         };
     }
-    // Let the last call's trailing commit acks land.
+    // Let the last call's trailing commit record land.
     std::thread::sleep(Duration::from_millis(50));
     let coord = timeslices("stateflow-coord") - coord_before;
     let workers = timeslices("stateflow-worke") - workers_before;

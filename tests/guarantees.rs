@@ -383,6 +383,93 @@ fn duplicated_hop_into_a_local_continuation_is_dropped() {
     assert_eq!(summary.surviving_commits, 12);
 }
 
+/// A cut marker that overtakes a commit record. A lone cross-partition
+/// transfer is a solo batch: `from`'s owner decides it at the final hop,
+/// answers, and only then sends the commit record to `to`'s owner, which
+/// buffered the deposit at the earlier hop. That record is scripted 50 ms
+/// late, so epoch 1's `Snapshot` — opened as the batch closed, with
+/// `through: 1` — reaches `to`'s owner first. The worker must hold the
+/// marker until the record has applied: epoch 1 holds the deposit in the
+/// snapshot store and, with the WAL on, on disk, where `recover(Some(1))`
+/// restores it.
+#[test]
+fn a_cut_marker_that_overtakes_a_commit_record_waits_for_it() {
+    use se_chaos::{History, MessageFault, MsgFaultKind, Seam};
+    use se_dataflow::{DurableOptions, DurableStore};
+    use stateful_entities::DurabilityMode;
+    let workers = 2usize;
+    let key_on = |partition: usize| {
+        (0..)
+            .map(se_workloads::key_name)
+            .find(|k| se_ir::partition_for(k, workers) == partition)
+            .unwrap()
+    };
+    let (from_key, to_key) = (key_on(0), key_on(1));
+    let (from, to) = (
+        EntityRef::new("Account", &from_key),
+        EntityRef::new("Account", &to_key),
+    );
+    let program = se_workloads::ycsb_program();
+    let load = |rt: &dyn EntityRuntime| {
+        for key in [&from_key, &to_key] {
+            rt.create("Account", key, vec![("balance".into(), Value::Int(100))])
+                .unwrap();
+        }
+    };
+    let balance =
+        |state: &se_dataflow::StateStore| state.get(&to).and_then(|s| s.get("balance")).cloned();
+    for mode in [DurabilityMode::Off, DurabilityMode::Wal] {
+        let mut cfg = StateflowConfig::fast_test(workers);
+        cfg.snapshot_every_batches = 1;
+        cfg.durability.mode = mode;
+        let dir = std::env::temp_dir().join(format!(
+            "se-cut-overtakes-commit-{}-{mode:?}",
+            std::process::id()
+        ));
+        cfg.durability.dir = Some(dir.clone());
+        // The third worker-to-worker message: the hop into `to`, the hop
+        // back into `from`, then the solo commit record to `to`'s owner.
+        cfg.chaos = ChaosPlan::from_script(FaultScript {
+            messages: vec![MessageFault {
+                seam: Seam::WorkerToWorker,
+                nth: 2,
+                kind: MsgFaultKind::Delay { extra_us: 50_000 },
+            }],
+            ..FaultScript::default()
+        });
+        let chaos = cfg.chaos.clone();
+        let history = History::new();
+        cfg.history = Some(history.clone());
+        let graph = stateful_entities::compile(&program).unwrap();
+        let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);
+        load(&rt);
+        let moved = rt.call(from, "transfer", vec![Value::Ref(to), Value::Int(7)]);
+        assert_eq!(moved.unwrap(), Value::Bool(true));
+        // Sealing holds while the cut's round is open: this read is
+        // answered only once every worker contributed to epoch 1.
+        assert_eq!(rt.call(to, "balance", vec![]).unwrap(), Value::Int(107));
+        assert_eq!(chaos.msg_faults_fired(), 1, "the commit record ran late");
+        let epoch_1 = rt.snapshots().get(1, "worker1");
+        let epoch_1 = epoch_1.expect("worker1 contributed to epoch 1");
+        assert_eq!(balance(&epoch_1), Some(Value::Int(107)), "[{mode:?}]");
+        rt.shutdown();
+        assert_serializable_and_replays(&format!("{mode:?}"), &history.events(), &program, load);
+        if mode == DurabilityMode::Wal {
+            let mut disk = DurableStore::open(
+                dir.join("worker1"),
+                "worker1",
+                ChaosPlan::none(),
+                DurableOptions::default(),
+            )
+            .unwrap();
+            let (state, reached) = disk.recover(Some(1)).unwrap();
+            assert_eq!(reached, Some(1));
+            assert_eq!(balance(&state), Some(Value::Int(107)), "recovered epoch 1");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// Serial-fallback batches are solo at every pipeline depth: a depth-1
 /// hot-key run (Zipfian transfers, Aria's serial fallback) must drain its
 /// retries through `Solo` batches — one transaction each, committed at the
@@ -444,27 +531,28 @@ fn depth_one_hot_key_retries_drain_through_solo_batches() {
     );
 }
 
-/// Regression for the snapshot pipeline-drain barrier at depth 4: the crash
-/// is scripted at a *commit-application* point, so it lands while the
-/// coordinator is draining toward a snapshot cut — batches decided, commit
-/// records in flight, commit acks only partially collected (the one timing
-/// window a crash counted in exec events cannot pin down). Recovery must
-/// fence the half-committed window and replay to the oracle state.
+/// Regression for the snapshot barrier at depth 4: the crash is scripted at
+/// a *commit-application* point, so it lands while a snapshot cut waits on
+/// the workers' watermarks — batches decided, commit records in flight,
+/// markers held by the workers still missing one (the one timing window a
+/// crash counted in exec events cannot pin down). Recovery must fence the
+/// half-committed window and replay to the oracle state.
 #[test]
 fn crash_while_snapshot_barrier_drains_replays_to_oracle_state() {
     let mut cfg = StateflowConfig::fast_test(3);
     cfg.pipeline_depth = 4;
     cfg.max_batch = 4;
-    // Snapshot after every batch: the drain barrier (in-flight empty + all
-    // commit acks) is armed almost continuously.
+    // Snapshot after every batch: the barrier (a drained coordinator, then
+    // every worker's watermark at the marker's `through`) is armed almost
+    // continuously.
     cfg.snapshot_every_batches = 1;
     cfg.chaos = ChaosPlan::from_script(FaultScript {
         crashes: vec![CrashFault {
             node: "worker1".into(),
             point: CrashPoint::Commit,
             // Dies applying its 6th commit record: by then several batches
-            // are in flight and peers' acks for the current batch are
-            // already (or not yet) at the coordinator — a partial drain.
+            // are in flight and peers have (or have not yet) applied the
+            // current batch — a partial drain.
             after_events: 6,
         }],
         ..FaultScript::default()
@@ -483,7 +571,7 @@ fn crash_while_snapshot_barrier_drains_replays_to_oracle_state() {
         // Deposits are commutative, so the oracle state is schedule-
         // independent; the crash mid-drain must lose or duplicate nothing.
         // Bursts with short pauses let the pipeline drain repeatedly, so
-        // snapshot cuts (and their ack-draining windows) happen mid-run.
+        // snapshot cuts (and their commit-draining windows) happen mid-run.
         let waiters: Vec<_> = (0..90)
             .map(|i| {
                 let amount = (i % 7 + 1) as i64;
@@ -503,8 +591,8 @@ fn crash_while_snapshot_barrier_drains_replays_to_oracle_state() {
         }
         assert_eq!(chaos.crashes_fired(), 1, "the commit-point crash must fire");
         assert_eq!(rt.stats().recoveries.get(), 1);
-        // Let the final batch's commit acks land so the trailing snapshot
-        // completes before the count is read.
+        // Let the final batch's commit records land so the trailing
+        // snapshot completes before the count is read.
         std::thread::sleep(Duration::from_millis(60));
         snapshots_seen = rt.stats().snapshots.get();
         for i in 0..n {
