@@ -14,7 +14,12 @@
 //! 2. **Exactly-once.** A request may commit at most once per recovery
 //!    lineage: two commits of the same request without an intervening
 //!    recovery (which rolls the later one's predecessor back) are a
-//!    duplicated effect.
+//!    duplicated effect. A decision belongs to the lineage its batch was
+//!    *sealed* in, not to where it lands in the history: a worker that
+//!    decides a solo batch may finish it after the coordinator has fenced
+//!    its lineage (the `Restore` is still queued behind the `Exec`), so its
+//!    `Decided` can follow the `Recovery` event. Batch ids never repeat
+//!    across lineages, so the seal names the lineage.
 //! 3. **Retry monotonicity.** An aborted transaction must re-enter a
 //!    strictly later batch with the same id, and no decided retry may
 //!    dangle at the end of a quiesced run.
@@ -130,11 +135,11 @@ pub fn check_history(events: &[HistoryEvent]) -> Result<CheckSummary, CheckError
     let mut summary = CheckSummary::default();
     // (batch, txn) -> merged access sets across partitions.
     let mut accesses: HashMap<(u64, u64), AccessSets> = HashMap::new();
-    // batch -> sealed (txns, kind).
-    let mut sealed: BTreeMap<u64, (Vec<u64>, BatchKindTag)> = BTreeMap::new();
+    // batch -> sealed (txns, kind, lineage it was sealed in).
+    let mut sealed: BTreeMap<u64, (Vec<u64>, BatchKindTag, usize)> = BTreeMap::new();
     let mut last_sealed: Option<u64> = None;
     let mut decided: BTreeSet<u64> = BTreeSet::new();
-    // request -> recovery epoch of its last commit (for exactly-once).
+    // request -> lineage of its last commit (for exactly-once).
     let mut committed_at: HashMap<u64, usize> = HashMap::new();
     // (epoch, batch, txn, worker) -> first recorded sets. A partition's
     // reservation round for a transaction runs exactly once per lineage, so
@@ -196,7 +201,7 @@ pub fn check_history(events: &[HistoryEvent]) -> Result<CheckSummary, CheckError
                         }
                     }
                 }
-                sealed.insert(*batch, (txns.clone(), *kind));
+                sealed.insert(*batch, (txns.clone(), *kind, recovery_epoch));
             }
             HistoryEvent::Access {
                 worker,
@@ -254,7 +259,7 @@ pub fn check_history(events: &[HistoryEvent]) -> Result<CheckSummary, CheckError
                 failed,
                 retried,
             } => {
-                let Some((txns, sealed_kind)) = sealed.get(batch) else {
+                let Some((txns, sealed_kind, lineage)) = sealed.get(batch) else {
                     return err(format!("batch {batch} decided but never sealed"));
                 };
                 if !decided.insert(*batch) {
@@ -282,8 +287,8 @@ pub fn check_history(events: &[HistoryEvent]) -> Result<CheckSummary, CheckError
                 }
                 // Exactly-once: a request re-commits only across a recovery.
                 for o in committed {
-                    if let Some(epoch) = committed_at.insert(o.request, recovery_epoch) {
-                        if epoch == recovery_epoch {
+                    if let Some(epoch) = committed_at.insert(o.request, *lineage) {
+                        if epoch == *lineage {
                             return err(format!(
                                 "request {} committed twice (txn {} in batch {batch}) \
                                  without an intervening recovery",
@@ -428,12 +433,14 @@ fn verify_decisions(
 
 /// Derives the equivalent serial order of the surviving commits.
 ///
-/// Surviving commit of a request = its **last** commit in the history: a
-/// commit rolled back by a recovery is always replayed (and re-committed)
-/// later, while a commit covered by the restored snapshot is never
-/// replayed. Batches are ordered by id; within a batch, committed
-/// transactions are topologically ordered so that a transaction reading a
-/// key precedes the transaction writing it — every execution in a batch
+/// Surviving commit of a request = its commit from the **latest lineage**
+/// (the lineage its batch was sealed in, as in [`check_history`]), the
+/// later one in the history on a tie: a commit rolled back by a recovery
+/// is always replayed (and re-committed) in a later lineage, while a commit
+/// covered by the restored snapshot is never replayed. Batches are ordered
+/// by id; within a batch, committed transactions are topologically ordered
+/// so that a transaction reading a key precedes the transaction writing
+/// it — every execution in a batch
 /// read the batch-start snapshot, so readers serialize before writers
 /// (Aria's deterministic reordering; the graph is acyclic because the
 /// commit rule always aborts a read-write cycle). Ties break by
@@ -442,8 +449,11 @@ pub fn serial_order(events: &[HistoryEvent]) -> Result<Vec<SerialOp>, CheckError
     // txn -> root info (replays record fresh Root events per new txn id).
     let mut roots: HashMap<u64, (u64, EntityRef, String, Vec<Value>)> = HashMap::new();
     let mut accesses: HashMap<(u64, u64), AccessSets> = HashMap::new();
-    // request -> (batch, txn, result) of its last commit.
-    let mut last_commit: HashMap<u64, (u64, u64, Result<Value, String>)> = HashMap::new();
+    // batch -> lineage it was sealed in.
+    let mut sealed_in: HashMap<u64, usize> = HashMap::new();
+    let mut lineage = 0usize;
+    // request -> (lineage, batch, txn, result) of its surviving commit.
+    let mut last_commit: HashMap<u64, (usize, u64, u64, Result<Value, String>)> = HashMap::new();
     for event in events {
         match event {
             HistoryEvent::Root {
@@ -466,11 +476,19 @@ pub fn serial_order(events: &[HistoryEvent]) -> Result<Vec<SerialOp>, CheckError
                 slot.reads.extend(reads.iter().copied());
                 slot.writes.extend(writes.iter().copied());
             }
+            HistoryEvent::Sealed { batch, .. } => {
+                sealed_in.insert(*batch, lineage);
+            }
+            HistoryEvent::Recovery { .. } => lineage += 1,
             HistoryEvent::Decided {
                 batch, committed, ..
             } => {
+                let at = sealed_in.get(batch).copied().unwrap_or(lineage);
                 for o in committed {
-                    last_commit.insert(o.request, (*batch, o.txn, o.result.clone()));
+                    if last_commit.get(&o.request).is_none_or(|c| c.0 <= at) {
+                        let commit = (at, *batch, o.txn, o.result.clone());
+                        last_commit.insert(o.request, commit);
+                    }
                 }
             }
             _ => {}
@@ -479,7 +497,7 @@ pub fn serial_order(events: &[HistoryEvent]) -> Result<Vec<SerialOp>, CheckError
 
     // Group surviving commits per batch.
     let mut by_batch: BTreeMap<u64, Vec<CommitEntry>> = BTreeMap::new();
-    for (request, (batch, txn, result)) in last_commit {
+    for (request, (_, batch, txn, result)) in last_commit {
         by_batch
             .entry(batch)
             .or_default()
@@ -964,6 +982,68 @@ mod tests {
         let order = serial_order(&events).unwrap();
         assert_eq!(order.len(), 1);
         assert_eq!(order[0].txn, 5, "the replayed commit survives");
+    }
+
+    /// A worker finished a solo batch of a lineage the coordinator had
+    /// already fenced (its `Restore` was queued behind the `Exec`), so the
+    /// batch's `Decided` lands after the `Recovery`. It belongs to the
+    /// lineage it was sealed in: the replay's commit of the same request is
+    /// no duplicate, and it is the one that survives.
+    #[test]
+    fn solo_batch_decided_after_the_recovery_that_fenced_it_passes() {
+        let commit = |batch: u64, txn: u64, balance: i64| HistoryEvent::Decided {
+            batch,
+            kind: BatchKindTag::Solo,
+            committed: vec![TxnOutcome {
+                txn,
+                request: 10,
+                result: Ok(Value::Int(balance)),
+            }],
+            failed: vec![],
+            retried: vec![],
+        };
+        let sealed = |batch: u64, txn: u64| HistoryEvent::Sealed {
+            batch,
+            txns: vec![txn],
+            kind: BatchKindTag::Solo,
+        };
+        let recovery = HistoryEvent::Recovery {
+            gen: 1,
+            source_offset: 0,
+        };
+        let events = vec![
+            root(0, 10, "a"),
+            sealed(0, 0),
+            recovery.clone(),
+            commit(0, 0, 1),
+            root(5, 10, "a"),
+            sealed(1, 5),
+            commit(1, 5, 2),
+        ];
+        let s = check_history(&events).unwrap();
+        assert_eq!((s.commits, s.surviving_commits, s.recoveries), (2, 1, 1));
+        let order = serial_order(&events).unwrap();
+        assert_eq!(order.len(), 1);
+        assert_eq!(
+            (order[0].txn, order[0].result.clone()),
+            (5, Ok(Value::Int(2))),
+            "the replay's commit survives"
+        );
+        // Even a fenced decision that lands after the replay's commit does
+        // not displace it: the replay was sealed in the later lineage.
+        let late = vec![
+            root(0, 10, "a"),
+            sealed(0, 0),
+            recovery,
+            root(5, 10, "a"),
+            sealed(1, 5),
+            commit(1, 5, 2),
+            commit(0, 0, 1),
+        ];
+        check_history(&late).unwrap();
+        let order = serial_order(&late).unwrap();
+        assert_eq!(order.len(), 1);
+        assert_eq!(order[0].txn, 5, "the replay's commit survives");
     }
 
     #[test]

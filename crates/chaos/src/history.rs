@@ -80,7 +80,11 @@ pub enum HistoryEvent {
         /// Entities written on this partition.
         writes: Vec<EntityRef>,
     },
-    /// (Coordinator) A batch's commit decision.
+    /// (Coordinator for a regular batch; the final-hop worker for a solo
+    /// batch, recorded before it answers the client) A batch's commit
+    /// decision. A worker may record a solo batch's decision after the
+    /// `Recovery` that fenced its lineage; the checker attributes it to the
+    /// lineage the batch was sealed in.
     Decided {
         /// Batch id.
         batch: u64,

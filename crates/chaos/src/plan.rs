@@ -47,8 +47,10 @@ pub enum CrashPoint {
 pub enum Seam {
     /// StateFlow coordinator → worker (`Exec`/`Reserve`/`Commit`).
     CoordToWorker,
-    /// StateFlow worker → coordinator (`ExecDone`/`Flags`; commits are
-    /// applied locally and report nothing back).
+    /// StateFlow worker → coordinator (`ExecDone`/`Flags` of regular
+    /// batches, and the `SoloDone` notice that frees a solo batch's slot
+    /// after its worker answered the client; commits are applied locally
+    /// and report nothing back).
     WorkerToCoord,
     /// StateFlow worker → worker (chain hops, solo commit records).
     WorkerToWorker,

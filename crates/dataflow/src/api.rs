@@ -72,8 +72,10 @@ pub trait EntityRuntime: Send + Sync {
     /// Human-readable engine name (for reports).
     fn name(&self) -> &str;
 
-    /// Creates an entity instance, blocking until it is durable in the
-    /// owning partition.
+    /// Creates an entity instance, blocking until the owning partition has
+    /// applied it. A durable StateFlow partition logs it first; the frame
+    /// reaches the disk per the fsync policy, with the next epoch cut at
+    /// the latest.
     fn create(
         &self,
         class: &str,

@@ -40,11 +40,21 @@
 //! torn file under a name recovery reads. [`DurableStore::open`] and
 //! [`DurableStore::recover`] delete any `*.tmp` such a crash left behind.
 //!
+//! **When frames reach the kernel.** The WAL writer keeps appended frames
+//! in process memory and hands them to the kernel at these points only:
+//! with every cut (under every fsync policy), before every fsync attempt,
+//! every `WRITE_CHUNK` bytes, before compaction reads the log, and on a
+//! clean close. A commit or create between two cuts therefore costs no
+//! system call.
+//!
 //! **Crash simulation** ([`DurableStore::simulate_crash`]): a plain process
-//! crash keeps every written byte (the page cache survives the process);
-//! only scripted power-loss faults (`se-chaos`'s `DiskFaultKind`) damage
-//! the unsynced tail — torn/lost tail, a frame-aware bit flip, a vanished
-//! base snapshot.
+//! crash keeps every byte handed to the kernel (the page cache survives the
+//! process) and loses the writer's pending frames with the process memory.
+//! That loses nothing recovery reads: every pending frame follows the
+//! newest cut, and recovery replays only up to a cut and truncates the log
+//! there. Only scripted power-loss faults (`se-chaos`'s `DiskFaultKind`)
+//! damage the unsynced part of the file — torn/lost tail, a frame-aware
+//! bit flip, a vanished base snapshot.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -55,11 +65,7 @@ use se_chaos::{ChaosPlan, DiskFaultKind};
 use se_lang::{EntityRef, EntityState, Symbol, Value};
 
 use crate::state::StateStore;
-use crate::wal::{put_create_frame, read_wal, FsyncPolicy, WalRecord, WalWriter};
-
-/// A base snapshot is encoded into a buffer of about this size before each
-/// `write(2)`: a handful of writes per base, not one per entity.
-const BASE_WRITE_CHUNK: usize = 256 << 10;
+use crate::wal::{put_create_frame, read_wal, FsyncPolicy, WalRecord, WalWriter, WRITE_CHUNK};
 
 /// Name of the log a compaction builds before renaming it over `wal.log`.
 const WAL_TMP: &str = "wal.log.tmp";
@@ -279,7 +285,8 @@ impl DurableStore {
     pub fn cut_epoch(&mut self, epoch: u64, state: &StateStore) -> io::Result<()> {
         let t0 = self.obs.now_ns();
         self.append(&WalRecord::EpochCut { epoch })?;
-        let end = self.writer()?.written_len();
+        // The cut was handed to the kernel with everything before it.
+        let end = self.writer()?.flushed_len();
         self.cuts.push((epoch, end));
         self.cuts_since_base += 1;
         if self.cuts_since_base >= self.opts.full_snapshot_every {
@@ -294,19 +301,19 @@ impl DurableStore {
     /// Writes a full base snapshot at `epoch` (tmp + rename, every frame
     /// CRC'd, fsynced before the rename so a crash never leaves a torn
     /// base under the final name). Frames are encoded straight from the
-    /// borrowed state into one buffer, written every `BASE_WRITE_CHUNK`.
+    /// borrowed state into one buffer, written every `WRITE_CHUNK`.
     fn write_base(&mut self, epoch: u64, state: &StateStore) -> io::Result<()> {
         let tmp = self.dir.join(format!("base-{epoch:020}.tmp"));
         {
             let mut f = fs::File::create(&tmp)?;
             let mut buf = WalRecord::BaseRef { epoch }.encode_frame();
-            buf.reserve(BASE_WRITE_CHUNK);
+            buf.reserve(WRITE_CHUNK);
             // Deterministic file bytes: entities in key order.
             let mut entities: Vec<(&EntityRef, &EntityState)> = state.iter().collect();
             entities.sort_by_key(|(r, _)| **r);
             for (entity, st) in entities {
                 put_create_frame(&mut buf, entity, st);
-                if buf.len() >= BASE_WRITE_CHUNK {
+                if buf.len() >= WRITE_CHUNK {
                     f.write_all(&buf)?;
                     buf.clear();
                 }
@@ -552,6 +559,9 @@ impl DurableStore {
             return Ok(());
         };
         let t0 = self.obs.now_ns();
+        // The copy below reads the file: pending frames go to the kernel
+        // first.
+        self.writer()?.flush()?;
         let wal = self.wal_path();
         let mut old = fs::File::open(&wal)?;
         if cut_end > old.metadata()?.len() {
@@ -594,18 +604,19 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Simulates this partition crashing: closes the writer and applies the
-    /// chaos plan's next crash-time disk fault (if any). Without a fault,
-    /// every written byte survives — the page cache outlives the process.
+    /// Simulates this partition crashing: discards the writer's pending
+    /// frames (process memory dies with the process) and applies the chaos
+    /// plan's next crash-time disk fault (if any) to the bytes the kernel
+    /// holds. Without a fault, every byte handed to the kernel survives —
+    /// the page cache outlives the process.
     pub fn simulate_crash(&mut self) -> io::Result<()> {
-        let (written, synced) = match &self.writer {
-            Some(w) => (w.written_len(), w.synced_len()),
+        let (flushed, synced) = match self.writer.take() {
+            Some(w) => w.discard(),
             None => {
                 let len = fs::metadata(self.wal_path()).map(|m| m.len()).unwrap_or(0);
                 (len, len)
             }
         };
-        self.writer = None;
         let Some(fault) = self.plan.crash_disk_fault(&self.node) else {
             return Ok(());
         };
@@ -621,7 +632,7 @@ impl DurableStore {
             DiskFaultKind::TornTail { bytes } => {
                 // The tail is cut mid-record, but never into synced data.
                 if wal.exists() {
-                    let keep = written.saturating_sub(bytes).max(synced);
+                    let keep = flushed.saturating_sub(bytes).max(synced);
                     let f = fs::OpenOptions::new().write(true).open(&wal)?;
                     f.set_len(keep)?;
                 }
@@ -657,7 +668,8 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Bytes currently in the log (written, not necessarily synced).
+    /// Bytes appended to the log: handed to the kernel or still pending,
+    /// not necessarily synced.
     pub fn wal_len(&self) -> u64 {
         self.writer.as_ref().map(|w| w.written_len()).unwrap_or(0)
     }
@@ -825,6 +837,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Frames appended after the newest cut live in process memory only:
+    /// a crash with no disk fault discards them, and recovery lands exactly
+    /// on the last cut — under `Never` too, whose cuts reach the kernel
+    /// without a sync.
+    #[test]
+    fn crash_after_post_cut_appends_recovers_exactly_the_last_cut() {
+        for policy in [FsyncPolicy::OnEpoch, FsyncPolicy::Never] {
+            let dir = tempdir(&format!("post-cut-{policy}"));
+            let mut store =
+                DurableStore::open(&dir, "w0", ChaosPlan::none(), opts(policy, 100)).unwrap();
+            let mut state = StateStore::new();
+            populate(&mut store, &mut state, 3);
+            let (_, cut_end) = *store.cuts.last().unwrap();
+            store.log_create(acct("late"), &EntityState::new()).unwrap();
+            store.log_commit(99, &commit_writes("k1", 1234)).unwrap();
+            assert_eq!(
+                fs::metadata(store.wal_path()).unwrap().len(),
+                cut_end,
+                "{policy}: the post-cut frames are still pending"
+            );
+            store.simulate_crash().unwrap();
+            assert_eq!(fs::metadata(store.wal_path()).unwrap().len(), cut_end);
+            let (recovered, reached) = store.recover(Some(3)).unwrap();
+            assert_eq!(reached, Some(3), "{policy}");
+            assert_eq!(recovered.len(), 3, "{policy}: no entity past the cut");
+            for e in 1..=3i64 {
+                let got = recovered.get(&acct(&format!("k{e}"))).unwrap();
+                assert_eq!(got.get("balance"), Some(&Value::Int(e)), "{policy}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn missing_snapshot_falls_back_to_full_replay() {
         let dir = tempdir("missing-snap");
@@ -968,7 +1013,7 @@ mod tests {
             };
             expected.extend_from_slice(&record.encode_frame());
         }
-        assert!(expected.len() > 2 * BASE_WRITE_CHUNK);
+        assert!(expected.len() > 2 * WRITE_CHUNK);
         assert_eq!(fs::read(store.base_path(1)).unwrap(), expected);
         let loaded = store.load_base(1).unwrap().expect("base reads back");
         assert_eq!(loaded.len(), 700);

@@ -7,12 +7,19 @@
 //! format and the two halves of its contract:
 //!
 //! * **Writer** ([`WalWriter`]): length-prefixed, CRC-checksummed frames,
-//!   appended with plain `write(2)` (no userspace buffering, so a process
-//!   crash loses nothing the OS accepted) and group-committed under a
-//!   configurable [`FsyncPolicy`]. The writer tracks `written_len` vs
+//!   encoded straight into one owned buffer, which goes to the kernel in
+//!   one `write(2)` only at these points: before every fsync attempt, with
+//!   every `EpochCut`/`VersionCut` under *every* policy (so even
+//!   [`FsyncPolicy::Never`] keeps its cuts in the page cache), when the
+//!   buffer reaches `WRITE_CHUNK` (256 KiB), before compaction reads the
+//!   log, and on a clean close (`Drop`). Frames appended after the newest
+//!   cut live only in process memory and die with a crash — which loses
+//!   nothing recovery reads, since recovery replays to a cut and truncates
+//!   the log there. Commits are group-committed under a configurable
+//!   [`FsyncPolicy`]. The writer tracks the bytes handed to the kernel vs
 //!   `synced_len`: only the synced prefix survives a *power-loss-style*
 //!   fault (`se-chaos`'s torn/lost tail scripts); a plain process crash
-//!   keeps everything written.
+//!   keeps everything handed to the kernel.
 //! * **Reader** ([`read_wal`]): scans frames and **stops cleanly at the
 //!   first length or checksum mismatch** — a torn tail truncates the log to
 //!   its last valid prefix, it never panics and never silently skips over a
@@ -47,6 +54,11 @@ use se_lang::{EntityRef, EntityState, Symbol, Value};
 
 /// Frame header: `len` + `crc`, both `u32`.
 pub const FRAME_HEADER: usize = 8;
+
+/// Pending frames (the WAL writer's buffer) and base snapshots are handed
+/// to the kernel in writes of about this size: a handful of `write(2)`s
+/// per chunk of log, not one per record.
+pub(crate) const WRITE_CHUNK: usize = 256 << 10;
 
 /// Hard ceiling on a single record's payload (64 MiB). A corrupted length
 /// prefix below this bound is caught by the CRC; above it we refuse the
@@ -132,9 +144,10 @@ fn crc32_bytewise(bytes: &[u8]) -> u32 {
 
 /// When the WAL writer calls `fsync`.
 ///
-/// Group commit: appends always hit the file immediately (they survive a
-/// process crash); the policy only chooses when the *synced* prefix — the
-/// part that survives power loss / torn-tail faults — advances.
+/// Group commit: the policy only chooses when the *synced* prefix — the
+/// part that survives power loss / torn-tail faults — advances. Every
+/// policy hands pending frames to the kernel at each cut, so a process
+/// crash keeps every cut.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Sync after every committed batch apply. Maximum durability, one
@@ -147,8 +160,9 @@ pub enum FsyncPolicy {
     /// Sync every `n` appends, and at every epoch cut.
     EveryN(u32),
     /// Never sync. Nothing is durable against power loss; process crashes
-    /// still keep everything written. Exists for benchmarks and for chaos
-    /// scenarios that exercise the multi-round restore fallback.
+    /// still keep every cut and the frames before it. Exists for
+    /// benchmarks and for chaos scenarios that exercise the multi-round
+    /// restore fallback.
     Never,
 }
 
@@ -547,12 +561,17 @@ fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
 // Writer.
 // ---------------------------------------------------------------------------
 
-/// Appends framed records to a log file with group commit.
+/// Appends framed records to a log file with group commit. Frames collect
+/// in memory and reach the file only at the hand-off points listed in the
+/// module docs.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    written: u64,
+    /// Frames appended since the last hand-off to the kernel.
+    pending: Vec<u8>,
+    /// Bytes handed to the kernel: the file's length.
+    flushed: u64,
     synced: u64,
     policy: FsyncPolicy,
     unsynced_appends: u32,
@@ -580,7 +599,8 @@ impl WalWriter {
         let mut w = WalWriter {
             file,
             path: path.to_path_buf(),
-            written: 0,
+            pending: Vec::new(),
+            flushed: 0,
             synced: 0,
             policy,
             unsynced_appends: 0,
@@ -608,7 +628,8 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
-            written: valid_len,
+            pending: Vec::new(),
+            flushed: valid_len,
             synced: valid_len,
             policy,
             unsynced_appends: 0,
@@ -632,12 +653,15 @@ impl WalWriter {
         }
     }
 
+    /// Encodes one frame into the pending buffer; no system call unless
+    /// the buffer reached [`WRITE_CHUNK`].
     fn append_raw(&mut self, record: &WalRecord) -> io::Result<()> {
         let t0 = self.obs.now_ns();
-        let frame = record.encode_frame();
-        self.file.write_all(&frame)?;
-        self.written += frame.len() as u64;
+        put_frame(&mut self.pending, |out| record.encode_into(out));
         self.unsynced_appends += 1;
+        if self.pending.len() >= WRITE_CHUNK {
+            self.flush()?;
+        }
         self.obs.stage_span(
             se_obs::Stage::WalAppend,
             Self::record_span_id(record),
@@ -647,9 +671,23 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Hands the pending frames to the kernel in one `write(2)`: from then
+    /// on they survive a process crash (not power loss — that takes a
+    /// sync). A no-op with nothing pending.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        self.file.write_all(&self.pending)?;
+        self.flushed += self.pending.len() as u64;
+        self.pending.clear();
+        Ok(())
+    }
+
     /// Appends one record and group-commits per the fsync policy. Epoch
     /// cuts sync under every policy except [`FsyncPolicy::Never`] — an
-    /// epoch is durable exactly when its cut record is.
+    /// epoch is durable exactly when its cut record is — and reach the
+    /// kernel under every policy, `Never` included.
     ///
     /// `fault` is consulted only when a sync is actually attempted (so
     /// chaos scripts count *fsyncs*, not appends): it can stall the sync or
@@ -673,6 +711,9 @@ impl WalWriter {
             FsyncPolicy::EveryN(n) => is_cut || self.unsynced_appends >= n,
             FsyncPolicy::Never => false,
         };
+        if is_cut || should_sync {
+            self.flush()?;
+        }
         if should_sync {
             match fault() {
                 FsyncFaultAction::Fail => {}
@@ -686,21 +727,37 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Unconditionally fsyncs and advances the synced prefix.
+    /// Unconditionally hands pending frames to the kernel, fsyncs and
+    /// advances the synced prefix.
     pub fn force_sync(&mut self) -> io::Result<()> {
+        self.flush()?;
         let t0 = self.obs.now_ns();
         self.file.sync_data()?;
-        self.synced = self.written;
+        self.synced = self.flushed;
         self.unsynced_appends = 0;
         // Span id: the byte offset the sync advanced the durable prefix to.
         self.obs
-            .stage_span(se_obs::Stage::WalFsync, self.written, t0, self.obs.now_ns());
+            .stage_span(se_obs::Stage::WalFsync, self.flushed, t0, self.obs.now_ns());
         Ok(())
     }
 
-    /// Bytes written (survive a process crash).
+    /// Bytes appended: handed to the kernel or still pending.
     pub fn written_len(&self) -> u64 {
-        self.written
+        self.flushed + self.pending.len() as u64
+    }
+
+    /// Bytes handed to the kernel (survive a process crash): the file's
+    /// length.
+    pub fn flushed_len(&self) -> u64 {
+        self.flushed
+    }
+
+    /// Closes the writer as a crash does: the pending frames die with the
+    /// process memory, nothing more reaches the file. Returns the bytes the
+    /// kernel holds and the synced prefix — what disk faults act on.
+    pub fn discard(mut self) -> (u64, u64) {
+        self.pending.clear();
+        (self.flushed, self.synced)
     }
 
     /// Bytes fsynced (survive power loss / torn-tail faults).
@@ -711,6 +768,14 @@ impl WalWriter {
     /// Path of the underlying file.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+impl Drop for WalWriter {
+    /// A clean close hands the pending frames to the kernel (a crash goes
+    /// through [`WalWriter::discard`] instead).
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -893,7 +958,16 @@ mod tests {
         for record in sample_records().into_iter().skip(1) {
             w.append(&record, || FsyncFaultAction::Proceed).unwrap();
         }
+        // A clean close hands every pending frame to the kernel.
+        drop(w);
         let full = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(
+            full,
+            sample_records()
+                .iter()
+                .map(|r| r.encode_frame().len() as u64)
+                .sum::<u64>()
+        );
         // Cut the file at every possible length: the scan must never panic,
         // never invent records, and always return a prefix of the originals.
         let originals = sample_records();
@@ -928,6 +1002,8 @@ mod tests {
             )],
         };
         w.append(&record, || FsyncFaultAction::Proceed).unwrap();
+        // A clean close hands the pending commit frame to the kernel.
+        drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a bit in the last payload byte (the balance's MSB).
         let last = bytes.len() - 1;
@@ -944,6 +1020,63 @@ mod tests {
         let buggy = read_wal(&path, true).unwrap();
         assert_eq!(buggy.records.len(), 2);
         assert_ne!(buggy.records[1].1, record);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Frames appended between cuts stay in the writer's buffer: they
+    /// reach the file at the next cut (under every policy), once the buffer
+    /// holds `WRITE_CHUNK` bytes, or when the writer is dropped. What
+    /// reaches it is byte for byte the records' `encode_frame`s, so the
+    /// on-disk format is unchanged.
+    #[test]
+    fn pending_frames_reach_the_file_at_a_cut_a_full_chunk_or_drop() {
+        let dir = tempdir("wal-handoff");
+        let path = dir.join("wal.log");
+        let file_len = || std::fs::metadata(&path).unwrap().len();
+        let frames = |records: &[WalRecord]| -> Vec<u8> {
+            records.iter().flat_map(|r| r.encode_frame()).collect()
+        };
+        let records = sample_records();
+        for policy in [FsyncPolicy::OnEpoch, FsyncPolicy::Never] {
+            let mut w = WalWriter::create(&path, 0, policy, se_obs::Obs::noop()).unwrap();
+            let base = file_len();
+            assert_eq!(base, w.written_len(), "the BaseRef is synced at create");
+            // Create + Commit: appended, not written.
+            for record in &records[1..3] {
+                w.append(record, || FsyncFaultAction::Proceed).unwrap();
+            }
+            assert_eq!(file_len(), base, "{policy}: no write(2) between cuts");
+            assert_eq!(w.written_len(), frames(&records[..3]).len() as u64);
+            // The EpochCut carries them to the kernel.
+            w.append(&records[3], || FsyncFaultAction::Proceed).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), frames(&records[..4]));
+            assert_eq!(w.flushed_len(), w.written_len());
+            // A clean close writes what is pending.
+            w.append(&records[1], || FsyncFaultAction::Proceed).unwrap();
+            assert_eq!(file_len(), frames(&records[..4]).len() as u64);
+            drop(w);
+            let mut expected = frames(&records[..4]);
+            expected.extend(records[1].encode_frame());
+            assert_eq!(std::fs::read(&path).unwrap(), expected, "{policy}");
+        }
+        // A full chunk goes out without waiting for a cut.
+        let big = WalRecord::Commit {
+            batch: 1,
+            writes: vec![(
+                EntityRef::new("Account", "a"),
+                vec![(Symbol::from("blob"), Value::Bytes(vec![7; 4096]))],
+            )],
+        };
+        let frame = big.encode_frame().len();
+        let mut w = WalWriter::create(&path, 0, FsyncPolicy::Never, se_obs::Obs::noop()).unwrap();
+        let base = file_len();
+        let mut appended = 0;
+        while file_len() == base {
+            w.append(&big, || FsyncFaultAction::Proceed).unwrap();
+            appended += 1;
+        }
+        assert!(appended * frame >= WRITE_CHUNK && (appended - 1) * frame < WRITE_CHUNK);
+        assert_eq!(file_len(), w.written_len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,10 +4,11 @@
 //! "StateFlow requires a single core coordinator, and the rest are used for
 //! its workers" (§4). The coordinator sequences transactions (assigning
 //! globally ordered ids), drives batches through Aria's three phases and
-//! answers clients through the runtime's [`WaiterMap`] (a decided batch's
-//! answers in one `complete_all` pass; creates and upgrade commits one at a
-//! time). Everything that touches state *outside* a transaction
-//! happens at a consistent cut, through one primitive:
+//! answers the clients of what it decides through the runtime's
+//! [`WaiterMap`]: a regular batch's answers in one `complete_all` pass, an
+//! upgrade commit on its own. Creates and solo batches are answered by the
+//! worker that applies them. Everything that touches state *outside* a
+//! transaction happens at a consistent cut, through one primitive:
 //!
 //! **The round.** Sealing stops, the pipeline drains (`drained`), one
 //! control message goes to every worker (`open_round`), each worker owes
@@ -38,10 +39,12 @@
 //! transaction — a serial-fallback retry, or a lone request that found the
 //! queue otherwise empty. A lone transaction cannot lose a conflict, so a
 //! solo batch skips the reservation round and commits at its final hop
-//! without a coordinator round trip: a request arriving at an idle engine
-//! costs `Exec` → `ExecDone`, and hot-key retry storms drain at execution
-//! speed instead of one round trip per transaction. At
-//! `pipeline_depth = 1` the window degenerates to "seal only when idle".
+//! without a coordinator round trip: the final-hop worker counts, records
+//! and answers it, then sends `SoloDone`, which only frees the slot. A
+//! request arriving at an idle engine costs `Exec` → answer, and hot-key
+//! retry storms drain at execution speed instead of one round trip per
+//! transaction. At `pipeline_depth = 1` the window degenerates to "seal
+//! only when idle".
 //!
 //! Nothing reports a commit back: as in Aria, every worker applies commit
 //! records locally in batch order, and the coordinator frees a batch's slot
@@ -51,12 +54,13 @@
 //! committed-batch watermark reaches it.
 //!
 //! Chaos hardening: data-plane messages (`Exec`/`Reserve`/`Commit` out,
-//! `ExecDone`/`Flags` in) may be duplicated, delayed or quarantined by a
-//! scripted [`ChaosPlan`], so every per-message state transition here is
-//! idempotent — flag reports are deduplicated per worker, and stale
-//! completions are dropped. Control-plane traffic (the round's messages
-//! and acks, failure notifications) bypasses injection: it models the
-//! failure detector and alignment protocol the engine assumes reliable.
+//! `ExecDone`/`SoloDone`/`Flags` in) may be duplicated, delayed or
+//! quarantined by a scripted [`ChaosPlan`], so every per-message state
+//! transition here is idempotent — flag reports are deduplicated per
+//! worker, and stale completions are dropped. Control-plane traffic (the
+//! round's messages and acks, failure notifications) bypasses injection:
+//! it models the failure detector and alignment protocol the engine
+//! assumes reliable.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -158,9 +162,9 @@ enum BatchStage {
 
 /// The kind of a batch, a function of its size alone: one transaction is a
 /// solo batch — it cannot lose a conflict, so it skips reservation and its
-/// final-hop worker decides and commits it locally, the coordinator merely
-/// recording the outcome — and more are a regular batch (executes,
-/// reserves, decides), the only kind a reservation can change.
+/// final-hop worker decides, commits and answers it locally, the
+/// coordinator merely freeing its slot — and more are a regular batch
+/// (executes, reserves, decides), the only kind a reservation can change.
 fn batch_kind(txns: &[TxnId]) -> BatchKindTag {
     if txns.len() == 1 {
         BatchKindTag::Solo
@@ -819,8 +823,8 @@ impl Coordinator {
         let gen = match &msg {
             CoordMsg::WorkerFailed { .. } => self.gen,
             CoordMsg::RestoreAck { gen, .. }
-            | CoordMsg::CreateDone { gen, .. }
             | CoordMsg::ExecDone { gen, .. }
+            | CoordMsg::SoloDone { gen, .. }
             | CoordMsg::Flags { gen, .. }
             | CoordMsg::SnapshotAck { gen, .. }
             | CoordMsg::MigrateAck { gen, .. } => *gen,
@@ -849,15 +853,13 @@ impl Coordinator {
                 }
                 _ => false,
             }),
-            CoordMsg::CreateDone {
-                request, result, ..
-            } => self.waiters.complete(request, result.map(|()| Value::Unit)),
             CoordMsg::ExecDone {
                 batch,
                 txn,
                 response,
                 ..
             } => self.on_exec_done(batch, txn, response),
+            CoordMsg::SoloDone { batch, txn, .. } => self.on_solo_done(batch, txn),
             CoordMsg::Flags {
                 batch,
                 worker,
@@ -911,30 +913,44 @@ impl Coordinator {
             batch.sealed_ns,
             batch.exec_done_ns,
         );
-        match batch_kind(&batch.txns) {
-            BatchKindTag::Solo => {
-                // The final-hop worker already decided and committed; this
-                // is the commit record.
-                self.close_batch(batch_id, None);
-            }
-            BatchKindTag::Regular => {
-                let txns = Arc::clone(&batch.txns);
-                let errors = Arc::new(batch.errors.clone());
-                batch.stage = BatchStage::Deciding {
-                    flags: HashMap::new(),
-                    reported: BTreeSet::new(),
-                };
-                let gen = self.gen;
-                self.broadcast_chaos(move || WorkerMsg::Reserve {
-                    gen,
-                    batch: batch_id,
-                    txns: Arc::clone(&txns),
-                    errors: Arc::clone(&errors),
-                });
-                // Entering the reservation round unblocks sealing the next
-                // batch (checked each loop turn in maybe_seal_batches).
-            }
+        let txns = Arc::clone(&batch.txns);
+        let errors = Arc::new(batch.errors.clone());
+        batch.stage = BatchStage::Deciding {
+            flags: HashMap::new(),
+            reported: BTreeSet::new(),
+        };
+        let gen = self.gen;
+        self.broadcast_chaos(move || WorkerMsg::Reserve {
+            gen,
+            batch: batch_id,
+            txns: Arc::clone(&txns),
+            errors: Arc::clone(&errors),
+        });
+        // Entering the reservation round unblocks sealing the next batch
+        // (checked each loop turn in maybe_seal_batches).
+    }
+
+    /// A solo batch's final-hop worker decided, committed, counted,
+    /// recorded and answered it: all that is left here is the pipeline
+    /// slot. A duplicated or stale notice finds no batch.
+    fn on_solo_done(&mut self, batch_id: BatchId, txn: TxnId) {
+        if self
+            .in_flight
+            .get(&batch_id)
+            .is_none_or(|b| *b.txns != [txn])
+        {
+            return;
         }
+        let batch = self.in_flight.remove(&batch_id).expect("checked above");
+        // On the coordinator's timeline the worker's decision is a point at
+        // the notice.
+        let done_ns = self.obs.now_ns();
+        let stage_span = |stage, start| self.obs.stage_span(stage, batch_id, start, done_ns);
+        stage_span(se_obs::Stage::BatchExec, batch.sealed_ns);
+        stage_span(se_obs::Stage::BatchDecide, done_ns);
+        self.roots.remove(&txn);
+        self.batches_since_snapshot += 1;
+        self.cut_epoch(false);
     }
 
     fn on_flags(
@@ -967,20 +983,18 @@ impl Coordinator {
         let retry = (batch.txns.iter().copied())
             .filter(|txn| !batch.errors.contains(txn) && lost(txn))
             .collect();
-        self.close_batch(batch_id, Some(retry));
+        self.close_batch(batch_id, retry);
     }
 
-    /// Closes a batch: broadcasts the commit decision, answers clients,
-    /// requeues aborted transactions, and frees the pipeline slot. Nothing
-    /// comes back: workers apply commit records in batch order through
-    /// their watermarks, and an epoch cut waits for them there (`through`).
+    /// Closes a regular batch: broadcasts the commit decision, answers
+    /// clients, requeues aborted transactions, and frees the pipeline slot.
+    /// Nothing comes back: workers apply commit records in batch order
+    /// through their watermarks, and an epoch cut waits for them there
+    /// (`through`).
     ///
     /// `retry` is the reservation round's verdict: the conflict losers,
-    /// ascending. A solo batch has no decision to broadcast: its final-hop
-    /// worker already decided it (commit unless errored), applied its
-    /// writes and sent the record to its peers — the `ExecDone` doubles as
-    /// the commit record, so the slot frees after one worker→coordinator hop.
-    fn close_batch(&mut self, batch_id: BatchId, retry: Option<Vec<TxnId>>) {
+    /// ascending. (Solo batches are closed by [`Self::on_solo_done`].)
+    fn close_batch(&mut self, batch_id: BatchId, retry: Vec<TxnId>) {
         let Some(batch) = self.in_flight.remove(&batch_id) else {
             return;
         };
@@ -991,38 +1005,24 @@ impl Coordinator {
             exec_done_ns,
             ..
         } = batch;
-        let kind = batch_kind(&txns);
-        let decided_ns = self.obs.now_ns();
-        let retry = match retry {
-            Some(retry) => {
-                self.obs.stage_span(
-                    se_obs::Stage::BatchDecide,
-                    batch_id,
-                    exec_done_ns,
-                    decided_ns,
-                );
-                // Workers discard the effects of errored chains and of the
-                // conflict losers alike.
-                let aborted: Arc<BTreeSet<TxnId>> =
-                    Arc::new(errors.iter().chain(&retry).copied().collect());
-                let txns = Arc::clone(&txns);
-                let gen = self.gen;
-                self.broadcast_chaos(move || WorkerMsg::Commit {
-                    gen,
-                    batch: batch_id,
-                    txns: Arc::clone(&txns),
-                    aborted: Arc::clone(&aborted),
-                });
-                retry
-            }
-            None => {
-                // The decision happened at the final-hop worker; on the
-                // coordinator's timeline it is a point at the commit record.
-                self.obs
-                    .stage_span(se_obs::Stage::BatchDecide, batch_id, decided_ns, decided_ns);
-                Vec::new()
-            }
-        };
+        self.obs.stage_span(
+            se_obs::Stage::BatchDecide,
+            batch_id,
+            exec_done_ns,
+            self.obs.now_ns(),
+        );
+        // Workers discard the effects of errored chains and of the conflict
+        // losers alike.
+        let aborted: Arc<BTreeSet<TxnId>> =
+            Arc::new(errors.iter().chain(&retry).copied().collect());
+        let commit_txns = Arc::clone(&txns);
+        let gen = self.gen;
+        self.broadcast_chaos(move || WorkerMsg::Commit {
+            gen,
+            batch: batch_id,
+            txns: Arc::clone(&commit_txns),
+            aborted: Arc::clone(&aborted),
+        });
         // Respond to committed and hard-failed transactions (the latter are
         // answered with their error and counted apart — they never commit).
         let mut committed = 0u64;
@@ -1064,12 +1064,9 @@ impl Coordinator {
         self.stats.failed.add(failed);
         self.stats.aborts.add(retry.len() as u64);
         self.stats.batches.inc();
-        if kind == BatchKindTag::Solo {
-            self.stats.solo_batches.inc();
-        }
         self.record(|| HistoryEvent::Decided {
             batch: batch_id,
-            kind,
+            kind: BatchKindTag::Regular,
             committed: committed_outcomes,
             failed: failed_outcomes,
             retried: retry.clone(),

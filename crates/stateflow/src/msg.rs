@@ -10,7 +10,7 @@ use std::sync::Arc;
 use se_aria::{BatchId, TxnId};
 use se_dataflow::Epoch;
 use se_ir::{Invocation, RequestId, Response};
-use se_lang::{LangError, Value};
+use se_lang::Value;
 
 /// A client-issued request, as appended to the replayable request source.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,10 +111,11 @@ pub enum WorkerMsg {
         hop: u32,
         /// The event to process.
         inv: Invocation,
-        /// A single-transaction fallback batch that commits at the final
-        /// hop: the executing worker decides (commit unless errored),
-        /// applies its own writes, and broadcasts the commit record to its
-        /// peers — no coordinator round trip.
+        /// A single-transaction batch that commits at the final hop: the
+        /// executing worker decides (commit unless errored), applies its
+        /// own writes, answers the client, and then tells the coordinator
+        /// and sends the commit record to its peers — no coordinator round
+        /// trip on the answer path.
         solo: bool,
     },
     /// Execute the reservation phase for a sealed batch.
@@ -193,7 +194,8 @@ pub enum WorkerMsg {
 /// Worker → coordinator messages.
 #[derive(Debug, Clone)]
 pub enum CoordMsg {
-    /// A transaction's chain finished (successfully or with an error).
+    /// A regular batch's transaction finished its chain (successfully or
+    /// with an error); solo batches report [`CoordMsg::SoloDone`] instead.
     ExecDone {
         /// Fencing generation.
         gen: u64,
@@ -252,14 +254,16 @@ pub enum CoordMsg {
         /// minimum so every partition rejoins at the same cut.
         reached: Option<Epoch>,
     },
-    /// Entity creation finished.
-    CreateDone {
+    /// A solo batch's final-hop worker decided, committed, counted and
+    /// answered it: the coordinator only frees the batch's pipeline slot.
+    /// Carries no response — the client already has it.
+    SoloDone {
         /// Fencing generation.
         gen: u64,
-        /// Request to acknowledge.
-        request: RequestId,
-        /// Result of the create.
-        result: Result<(), LangError>,
+        /// The solo batch.
+        batch: BatchId,
+        /// Its one transaction.
+        txn: TxnId,
     },
     /// The worker crashed (failure injection fired).
     WorkerFailed {

@@ -82,6 +82,7 @@ impl StateflowRuntime {
                 rx,
                 worker_txs.clone(),
                 coord_tx.clone(),
+                Arc::clone(&core.waiters),
                 Arc::clone(&core.snapshots),
                 core.obs.clone(),
             );

@@ -28,13 +28,18 @@
 //! performs its protocol action (report, solo commit, or forward to the
 //! next partition). A batch of one transaction — the coordinator seals
 //! every lone request and every serial-fallback retry that way — is *solo*:
-//! its final-hop worker decides, applies and answers it with no
-//! reservation round ([`Worker::commit_solo`]), then sends the commit
-//! record to its peers; only batches of two or more
-//! see a `Reserve`. The store is never mutated inside a batch's execution
-//! window (the commit of batch *B* requires every `ExecDone` of *B*, and
-//! the watermark defers batch *B+1*'s executions until that commit
-//! applied), so the order segments of one batch run in changes no outcome.
+//! its final-hop worker decides and applies it with no reservation round
+//! ([`Worker::commit_solo`]), counts and records the decision, and answers
+//! the client through the runtime's [`WaiterMap`] itself
+//! ([`Worker::answer_solo`]); only then does it tell the coordinator
+//! (`SoloDone`, which frees the pipeline slot) and send the commit record
+//! to its peers. Creates are answered the same way, by the owning worker
+//! once the entity is logged and inserted. Only batches of two or more
+//! see a `Reserve`, and only their answers go through the coordinator.
+//! The store is never mutated inside a batch's execution window (the
+//! commit of regular batch *B* requires every `ExecDone` of *B*, and the
+//! watermark defers batch *B+1*'s executions until that commit applied),
+//! so the order segments of one batch run in changes no outcome.
 //!
 //! Chaos hardening: with a scripted [`se_chaos::ChaosPlan`] armed, any
 //! data-plane message may arrive duplicated, late or not at all (until a
@@ -51,10 +56,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
-use se_chaos::{CrashPoint, HistoryEvent, Seam};
+use se_chaos::{BatchKindTag, CrashPoint, HistoryEvent, Seam, TxnOutcome};
 use se_dataflow::{
     send_with_chaos, timer, DelayReceiver, DelaySender, DurableOptions, DurableStore, Epoch,
-    SnapshotStore, StateStore,
+    SnapshotStore, StateStore, WaiterMap,
 };
 use se_ir::{
     partition_for, process_invocation_with, Invocation, Response, StepEffect, VersionRegistry,
@@ -63,6 +68,7 @@ use se_lang::LangError;
 use se_obs::Histogram;
 
 use crate::config::{BugLever, DurabilityMode, StateflowConfig};
+use crate::coordinator::CoordStats;
 use crate::msg::{ConflictFlags, CoordMsg, WorkerMsg};
 
 /// A commit record as applied by a worker: the batch's transactions
@@ -88,8 +94,8 @@ struct DeferredExec {
 
 /// How a chain segment ended.
 enum SegmentOutcome {
-    /// The chain finished: report `ExecDone` (and for solo batches decide
-    /// and commit first).
+    /// The chain finished: report `ExecDone` (for solo batches decide,
+    /// commit and answer instead).
     Respond(Response),
     /// The chain suspended at a cross-partition call: forward `inv` to
     /// `owner` at chain position `hop`.
@@ -140,6 +146,14 @@ pub struct Worker {
     inbox: DelayReceiver<WorkerMsg>,
     peers: Vec<DelaySender<WorkerMsg>>,
     coord: DelaySender<CoordMsg>,
+    /// The runtime's waiter map: this worker answers the creates and solo
+    /// batches it finishes. Only the first answer finds its waiter, so a
+    /// replay's answer for an already-answered request is dropped here.
+    waiters: Arc<WaiterMap>,
+    /// The decision counters (`coord.*`), shared through the registry with
+    /// the coordinator's handle: a solo batch is counted where it is
+    /// decided.
+    stats: CoordStats,
     snapshots: Arc<SnapshotStore<StateStore>>,
     /// The component timers this worker feeds (`timer.*` histograms).
     read_timer: Arc<Histogram>,
@@ -170,6 +184,7 @@ impl Worker {
         inbox: DelayReceiver<WorkerMsg>,
         peers: Vec<DelaySender<WorkerMsg>>,
         coord: DelaySender<CoordMsg>,
+        waiters: Arc<WaiterMap>,
         snapshots: Arc<SnapshotStore<StateStore>>,
         obs: se_obs::Obs,
     ) -> Self {
@@ -210,6 +225,8 @@ impl Worker {
             inbox,
             peers,
             coord,
+            waiters,
+            stats: CoordStats::register(&obs),
             snapshots,
             read_timer: timer(&obs, "state_read"),
             exec_timer: timer(&obs, "function_execution"),
@@ -280,11 +297,8 @@ impl Worker {
                 ..
             } => {
                 let result = self.handle_create(&class, &key, init);
-                self.send_coord_ctl(CoordMsg::CreateDone {
-                    gen: self.gen,
-                    request,
-                    result,
-                });
+                self.waiters
+                    .complete(request, result.map(|()| se_lang::Value::Unit));
             }
             WorkerMsg::Exec {
                 batch,
@@ -345,7 +359,7 @@ impl Worker {
     }
 
     /// Control-plane send to the coordinator: never faulted (acks of
-    /// restore/snapshot/create model reliable infrastructure channels).
+    /// restore/snapshot/migrate model reliable infrastructure channels).
     fn send_coord_ctl(&self, msg: CoordMsg) {
         self.coord.send_after(msg, self.cfg.net.f2f_latency(64));
     }
@@ -500,23 +514,31 @@ impl Worker {
         }
     }
 
-    /// Chain finished (with a result or an error): report to the
-    /// coordinator, and for solo batches decide + commit right here.
+    /// Chain finished (with a result or an error). A regular batch's
+    /// transaction reports to the coordinator, which decides the batch. A
+    /// solo batch is decided right here: commit, count and record, answer —
+    /// and only then the `SoloDone` that frees the coordinator's slot and
+    /// the commit record for the peers, both off the answer path.
     fn finish_chain(&mut self, batch: BatchId, txn: TxnId, response: Response, solo: bool) {
-        let errored = response.result.is_err();
-        if solo {
-            self.commit_solo(batch, txn, errored);
+        if !solo {
+            self.send_coord(CoordMsg::ExecDone {
+                gen: self.gen,
+                batch,
+                txn,
+                response,
+            });
+            return;
         }
-        self.send_coord(CoordMsg::ExecDone {
+        let errored = response.result.is_err();
+        self.commit_solo(batch, txn, errored);
+        self.answer_solo(batch, txn, response);
+        self.send_coord(CoordMsg::SoloDone {
             gen: self.gen,
             batch,
             txn,
-            response,
         });
-        if solo {
-            self.send_solo_record(batch, txn, errored);
-            self.drain_deferred();
-        }
+        self.send_solo_record(batch, txn, errored);
+        self.drain_deferred();
     }
 
     /// Commits a solo batch — one transaction, a lone request or a
@@ -526,13 +548,15 @@ impl Worker {
     /// and advances its watermark; its peers (who hold any remote hops'
     /// buffers) get the commit record from [`Worker::send_solo_record`]. No
     /// reservation round and no coordinator round trip, which is what lets
-    /// a request at an idle engine finish in one hop to the coordinator and
-    /// consecutive hot-key retries chain back-to-back on the owning worker.
+    /// a request at an idle engine be answered by the worker that ran it
+    /// ([`Worker::answer_solo`]) and consecutive hot-key retries chain
+    /// back-to-back on the owning worker.
     ///
-    /// The answer leaves before the record: the peers apply it without a
-    /// word back to the coordinator, so the peers' turn is off the answer
-    /// path and wakes nobody. An epoch cut that needs the peers' writes
-    /// waits for the record at their watermarks.
+    /// The answer leaves before the `SoloDone` and the record: the
+    /// coordinator only frees the slot, and the peers apply the record
+    /// without a word back, so neither turn is on the answer path. An
+    /// epoch cut that needs the peers' writes waits for the record at
+    /// their watermarks.
     fn commit_solo(&mut self, batch: BatchId, txn: TxnId, errored: bool) {
         debug_assert!(
             self.watermark.runnable(batch),
@@ -553,6 +577,41 @@ impl Worker {
             decided_ns,
             self.obs.now_ns(),
         );
+    }
+
+    /// Counts a committed solo batch, records its decision, and only then
+    /// answers the client by moving the response into its waiter: a client
+    /// woken by its answer may at once read the stats or snapshot the
+    /// history and must see the decision that produced it.
+    fn answer_solo(&self, batch: BatchId, txn: TxnId, response: Response) {
+        let errored = response.result.is_err();
+        if errored {
+            self.stats.failed.inc();
+        } else {
+            self.stats.commits.inc();
+        }
+        self.stats.batches.inc();
+        self.stats.solo_batches.inc();
+        self.record(|| {
+            let outcome = vec![TxnOutcome {
+                txn,
+                request: response.request.0,
+                result: response.result.clone().map_err(|e| e.to_string()),
+            }];
+            let (committed, failed) = if errored {
+                (Vec::new(), outcome)
+            } else {
+                (outcome, Vec::new())
+            };
+            HistoryEvent::Decided {
+                batch,
+                kind: BatchKindTag::Solo,
+                committed,
+                failed,
+                retried: Vec::new(),
+            }
+        });
+        self.waiters.complete(response.request, response.result);
     }
 
     /// Sends a committed solo batch's record to every peer.

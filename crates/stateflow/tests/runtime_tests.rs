@@ -939,11 +939,13 @@ fn worker_failed_without_a_scripted_crash_is_an_invariant_violation() {
 }
 
 /// A batch is solo iff it holds one transaction. A lone request goes out as
-/// a solo `Exec` and its `ExecDone` is the commit record: the client is
-/// answered with no reservation round, and the epoch cut opens as the batch
-/// closes — no worker acknowledges a commit. Its `Snapshot` carries
-/// `through: 1`, so each worker contributes once it has applied batch 0.
-/// Two requests queued together remain one regular batch that reserves.
+/// a solo `Exec`, and its final-hop worker answers it: the coordinator
+/// never completes a solo request's waiter nor counts its decision. The
+/// worker's `SoloDone` only frees the slot — the epoch cut opens as the
+/// batch closes, no worker acknowledges a commit, and a duplicate notice
+/// finds no batch. The `Snapshot` carries `through: 1`, so each worker
+/// contributes once it has applied batch 0. Two requests queued together
+/// remain one regular batch that reserves.
 #[test]
 fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
     use se_ir::Response;
@@ -962,6 +964,11 @@ fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
             result: Ok(Value::Int(request as i64)),
         },
     };
+    let solo_done = CoordMsg::SoloDone {
+        gen: 0,
+        batch: 0,
+        txn: 0,
+    };
 
     let (request, answer) = rig.waiters.register();
     rig.invoke(request.0, "a");
@@ -977,14 +984,11 @@ fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
     }
     // No `Reserve` (nor anything else) follows a lone transaction's `Exec`.
     rig.assert_quiet(Duration::from_millis(50));
-    rig.send(done(0, 0, request.0));
-    let got = answer.wait_timeout(WAIT).expect("the ExecDone answers");
-    assert_eq!(got.unwrap(), Value::Int(request.0 as i64));
-    assert_eq!(rig.stats.commits.get(), 1, "counted before the answer");
-    assert_eq!(rig.stats.solo_batches.get(), 1);
+    rig.send(solo_done.clone());
 
-    // The cut opens as the solo batch closes, with nothing acknowledged:
-    // the workers hold it until their watermarks pass batch 0.
+    // The notice frees the slot, so the cut opens as the solo batch closes,
+    // with nothing acknowledged: the workers hold it until their
+    // watermarks pass batch 0.
     rig.expect_all("Snapshot", &|m| {
         matches!(
             m,
@@ -996,6 +1000,14 @@ fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
             }
         )
     });
+    // The answer, and its count, are the worker's.
+    assert!(answer.wait_timeout(Duration::ZERO).is_none());
+    assert_eq!(rig.stats.commits.get(), 0);
+    assert_eq!(rig.stats.batches.get(), 0);
+    assert_eq!(rig.stats.solo_batches.get(), 0);
+    assert!(!rig.waiters.is_empty(), "the waiter is left to the worker");
+    // A duplicate notice finds no batch.
+    rig.send(solo_done);
 
     // Appended while the cut holds sealing: both queue, and seal together
     // once the round completes.
@@ -1033,8 +1045,62 @@ fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
         "Reserve",
         &|m| matches!(m, WorkerMsg::Reserve { gen: 0, batch: 1, txns, .. } if txns.len() == 2),
     );
-    assert_eq!(rig.stats.solo_batches.get(), 1);
+    assert!(answer.wait_timeout(Duration::ZERO).is_none());
     rig.stop();
+}
+
+/// The worker that decides a solo batch answers it, and counts and records
+/// the decision first: the moment a lone call returns, its commit is in
+/// `coord.commits` and `coord.solo_batches` and its `Decided` is in the
+/// history — no settle loop, no wait for the coordinator's notice.
+#[test]
+fn a_solo_answer_arrives_counted_and_recorded() {
+    use se_chaos::{BatchKindTag, History, HistoryEvent};
+
+    let mut cfg = StateflowConfig::fast_test(2);
+    cfg.batch_interval = Duration::ZERO; // every lone call seals at once
+    let history = History::new();
+    cfg.history = Some(history.clone());
+    let rt = deploy(&account_program(), cfg);
+    let accounts = ["a", "b"].map(|k| rt.create("Account", k, vec![]).unwrap());
+    for i in 0..200u64 {
+        let account = accounts[i as usize % 2];
+        let got = if i % 2 == 0 {
+            rt.call(account, "deposit", vec![Value::Int(1)])
+        } else {
+            rt.call(account, "balance", vec![])
+        };
+        let got = got.unwrap();
+        let stats = rt.stats();
+        assert_eq!(stats.commits.get(), i + 1, "call {i} answered uncounted");
+        assert_eq!(stats.solo_batches.get(), i + 1, "call {i}: not solo");
+        assert_eq!(stats.batches.get(), i + 1);
+        let events = history.events();
+        let decided = events
+            .iter()
+            .rev()
+            .find_map(|e| match e {
+                HistoryEvent::Decided {
+                    kind, committed, ..
+                } => Some((*kind, committed.clone())),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("call {i} answered before its decision was recorded"));
+        assert_eq!(decided.0, BatchKindTag::Solo);
+        assert_eq!(decided.1.len(), 1);
+        assert_eq!(
+            decided.1[0].result,
+            Ok(got),
+            "call {i}: recorded != answered"
+        );
+        let decisions = events
+            .iter()
+            .filter(|e| matches!(e, HistoryEvent::Decided { .. }))
+            .count();
+        assert_eq!(decisions as u64, i + 1, "call {i}");
+    }
+    assert_eq!(get_balance(&rt, "a") + get_balance(&rt, "b"), 100);
+    rt.shutdown();
 }
 
 /// The batch timer is the one timer the coordinator owns: a lone queued

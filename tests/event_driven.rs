@@ -84,13 +84,15 @@ fn idle_statefun_does_not_run() {
     idle_engine_does_not_run(RuntimeChoice::Statefun(cfg), "statefun-");
 }
 
-/// A lone request is a solo batch: its final-hop worker commits it and
-/// answers through one `ExecDone`, with no reservation round behind it, and
-/// the peer applies the commit record without a word back. So sequential
-/// calls cost the coordinator about two timeslices each (the append, the
-/// answer) and the workers about two between them (the owner's `Exec`, the
-/// peer's commit record). A `Reserve`/`Flags`/`Commit` round per call puts
-/// the coordinator above three and the workers above four.
+/// A lone request is a solo batch: its final-hop worker commits and
+/// answers it, with no reservation round behind it, then sends the
+/// coordinator a `SoloDone` that only frees the slot, and the peer applies
+/// the commit record without a word back. So sequential calls cost the
+/// coordinator about two timeslices each (the append, the `SoloDone`, which
+/// is off the answer path) and the workers about two between them (the
+/// owner's `Exec`, the peer's commit record). A `Reserve`/`Flags`/`Commit`
+/// round per call puts the coordinator above three and the workers above
+/// four.
 #[cfg(target_os = "linux")]
 #[test]
 fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
