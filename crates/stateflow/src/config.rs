@@ -90,12 +90,15 @@ pub enum BugLever {
 ///
 /// Defaults mirror the paper's setup (§4): "StateFlow requires a single core
 /// coordinator, and the rest are used for its workers" — 1 coordinator plus
-/// one worker per remaining core, never fewer than the paper's 5 (see
-/// [`default_workers`]).
+/// one partition per remaining core, never fewer than the paper's 5 (see
+/// [`default_workers`]). How many threads run them is derived, not
+/// configured: one per core, never more than one per role
+/// (`shell::threads_for`).
 #[derive(Debug, Clone)]
 pub struct StateflowConfig {
-    /// Number of worker threads (state partitions); each runs its
-    /// partition's chain segments on its own thread.
+    /// Number of workers, i.e. state partitions; each runs its partition's
+    /// chain segments on the engine thread that hosts it (one thread per
+    /// engine core hosts one or more workers, see [`crate::shell`]).
     pub workers: usize,
     /// Network latency model.
     pub net: NetConfig,
@@ -113,7 +116,7 @@ pub struct StateflowConfig {
     pub snapshot_every_batches: u64,
     /// Synthetic per-invocation-step service time, modeling the work the
     /// authors' Python prototype spends per event (object construction,
-    /// dispatch, bookkeeping). Burned on the worker thread, so saturation
+    /// dispatch, bookkeeping). Burned on the engine thread, so saturation
     /// under load emerges naturally.
     pub service_time: Duration,
     /// Fault injection: scripted crashes (per incarnation, at chosen
@@ -175,11 +178,12 @@ impl StateflowConfig {
     }
 }
 
-/// The default worker count: one per available core minus the coordinator's,
-/// floored at the paper deployment's 5 workers. Derived (not hard-coded) so
-/// a default deployment actually uses the machine it runs on; the floor
-/// keeps partitioning behavior identical to the paper's setup on small
-/// hosts, where workers time-share cores exactly as threads always have.
+/// The default worker (partition) count: one per available core minus the
+/// coordinator's, floored at the paper deployment's 5 partitions. Derived
+/// (not hard-coded) so a default deployment actually uses the machine it
+/// runs on; the floor keeps partitioning behavior identical to the paper's
+/// setup on small hosts, where several partitions share an engine thread
+/// (`shell::host_of`).
 pub fn default_workers() -> usize {
     let available = std::thread::available_parallelism()
         .map(|p| p.get())

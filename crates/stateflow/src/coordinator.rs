@@ -2,7 +2,12 @@
 //! the quiesce round behind snapshots, live upgrades and recovery.
 //!
 //! "StateFlow requires a single core coordinator, and the rest are used for
-//! its workers" (§4). The coordinator sequences transactions (assigning
+//! its workers" (§4). The coordinator is a role, not a thread: it gets a
+//! thread of its own when the engine has a core to spare, and shares the
+//! one thread with every worker on a one-core engine ([`crate::shell`]).
+//! Either way its thread runs `Coordinator::turn` (the source work) and
+//! hands it its messages (`Coordinator::handle`); `Coordinator::deadline`
+//! is its one timer. The coordinator sequences transactions (assigning
 //! globally ordered ids), drives batches through Aria's three phases and
 //! answers the clients of what it decides through the runtime's
 //! [`WaiterMap`]: a regular batch's answers in one `complete_all` pass, an
@@ -69,15 +74,13 @@ use std::time::{Duration, Instant};
 
 use se_aria::{BatchId, TxnId};
 use se_chaos::{BatchKindTag, HistoryEvent, Seam, TxnOutcome};
-use se_dataflow::{
-    send_with_chaos, DelayReceiver, DelaySender, Epoch, SnapshotStore, SourceReader, StateStore,
-    WaiterMap,
-};
+use se_dataflow::{Epoch, SnapshotStore, SourceReader, StateStore, WaiterMap};
 use se_ir::{partition_for, Invocation, InvocationKind, RequestId, Response, INITIAL_VERSION};
 use se_lang::Value;
 
 use crate::config::{BugLever, StateflowConfig};
-use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, WorkerMsg};
+use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, Envelope, WorkerMsg};
+use crate::shell::Routes;
 
 /// Shared counters exposed to tests and benchmarks — registry-backed
 /// `se-obs` handles published under `coord.*` (and the log's
@@ -277,11 +280,10 @@ enum Mode {
     Round(Round),
 }
 
-/// The coordinator thread.
+/// The coordinator role: its handlers run on the thread that hosts it.
 pub struct Coordinator {
     cfg: StateflowConfig,
-    workers: Vec<DelaySender<WorkerMsg>>,
-    inbox: DelayReceiver<CoordMsg>,
+    routes: Routes,
     reader: SourceReader<ClientRequest>,
     /// The runtime's waiter map: a client is answered by request id, and
     /// only the first answer finds its waiter, so the answer a recovery
@@ -342,12 +344,11 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Creates the coordinator (run on its own thread).
+    /// Creates the coordinator (hosted by a [`crate::shell::Shell`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cfg: StateflowConfig,
-        workers: Vec<DelaySender<WorkerMsg>>,
-        inbox: DelayReceiver<CoordMsg>,
+        routes: Routes,
         reader: SourceReader<ClientRequest>,
         waiters: Arc<WaiterMap>,
         snapshots: Arc<SnapshotStore<StateStore>>,
@@ -357,8 +358,7 @@ impl Coordinator {
     ) -> Self {
         Self {
             cfg,
-            workers,
-            inbox,
+            routes,
             reader,
             waiters,
             snapshots,
@@ -388,7 +388,7 @@ impl Coordinator {
     }
 
     fn owner_of(&self, key: &str) -> usize {
-        partition_for(key, self.workers.len())
+        partition_for(key, self.routes.workers())
     }
 
     fn control_delay(&self) -> Duration {
@@ -399,21 +399,21 @@ impl Coordinator {
 
     /// Control-plane broadcast: never faulted.
     fn broadcast(&self, mk: impl Fn() -> WorkerMsg) {
-        for w in &self.workers {
-            w.send_after(mk(), self.control_delay());
+        for w in 0..self.routes.workers() {
+            self.routes
+                .send(Envelope::Worker(w, mk()), self.control_delay());
         }
     }
 
     /// Data-plane broadcast (`Reserve`/`Commit`): runs through the chaos
     /// seam, so scripted faults can drop, duplicate or delay per worker.
     fn broadcast_chaos(&self, mk: impl Fn() -> WorkerMsg) {
-        for w in &self.workers {
-            send_with_chaos(
+        for w in 0..self.routes.workers() {
+            self.routes.send_with_chaos(
                 &self.cfg.chaos,
                 Seam::CoordToWorker,
                 &self.cfg.net,
-                w,
-                mk(),
+                Envelope::Worker(w, mk()),
                 self.control_delay(),
             );
         }
@@ -427,58 +427,33 @@ impl Coordinator {
         }
     }
 
-    /// The coordinator loop: event-driven, one turn per event.
-    ///
-    /// A turn consumes what the source holds (freeing the records below
-    /// `replay_floor`), seals what the window and the
-    /// batch timer allow, and handles every message already due. Only a
-    /// turn that found no message blocks, on the inbox, until one of
-    /// exactly three things: a **message** comes due (worker traffic, and
-    /// every simulated hop delay or chaos quarantine — those are due times
-    /// in the inbox's delay heap), a **wake** (the source fires the inbox's
-    /// waker on every append, and shutdown fires it too — the runtime
-    /// registers it with the source at deploy), or **`batch_deadline`**, the
-    /// only timer the coordinator owns — and it counts only while the window
-    /// is open, since a batch the pipeline cannot take is unblocked by a
-    /// message, not by time.
-    ///
-    /// The park is keyed on "no wake since the last turn" (the waker's
-    /// token), never on "the source has unread records": records are left
-    /// unread on purpose behind a pending `Redeploy` and during a `Restore`
-    /// round. An append there costs one empty turn and the coordinator
-    /// parks again; whatever ends the round is a message, and the turn it
-    /// starts drains the source. A busy coordinator never sleeps, an idle
-    /// one never wakes.
-    pub fn run(mut self) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                self.broadcast(|| WorkerMsg::Shutdown);
-                return;
-            }
-            let cursor = self.reader.offset();
-            self.drain_source();
-            if self.reader.offset() != cursor {
-                let freed = self.reader.truncate_below(self.replay_floor());
-                self.stats.log_truncated.add(freed);
-            }
-            self.cut_epoch(true);
-            self.maybe_seal_batches();
-            // Drain every due message before blocking: decide rounds for
-            // batch N+1 must not queue behind the apply traffic of batch N
-            // when many completions land at once. Bounded per turn —
-            // try_recv only yields messages already due.
-            let mut handled = false;
-            while let Some(msg) = self.inbox.try_recv() {
-                self.handle(msg);
-                handled = true;
-            }
-            if !handled {
-                let deadline = self.batch_deadline.filter(|_| self.window_open());
-                if let Some(msg) = self.inbox.recv_until(deadline) {
-                    self.handle(msg);
-                }
-            }
+    /// The coordinator's source work, run by its thread at the start of
+    /// every turn ([`crate::shell::Shell::run`]): consume what the source
+    /// holds (freeing the records below `replay_floor`), then cut and seal
+    /// what the pipeline and the batch timer allow. Returns `false` once
+    /// shutdown is requested: the coordinator has told every worker to stop,
+    /// and has stopped.
+    pub(crate) fn turn(&mut self) -> bool {
+        if self.shutdown.load(Ordering::SeqCst) {
+            self.broadcast(|| WorkerMsg::Shutdown);
+            return false;
         }
+        let cursor = self.reader.offset();
+        self.drain_source();
+        if self.reader.offset() != cursor {
+            let freed = self.reader.truncate_below(self.replay_floor());
+            self.stats.log_truncated.add(freed);
+        }
+        self.cut_epoch(true);
+        self.maybe_seal_batches();
+        true
+    }
+
+    /// The only timer the coordinator owns: `batch_deadline`, and only
+    /// while the window is open — a batch the pipeline cannot take is
+    /// unblocked by a message, not by time.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.batch_deadline.filter(|_| self.window_open())
     }
 
     fn drain_source(&mut self) {
@@ -500,16 +475,15 @@ impl Coordinator {
             match req.op {
                 ClientOp::Create { class, key, init } => {
                     let owner = self.owner_of(&key);
-                    self.workers[owner].send_after(
-                        WorkerMsg::Create {
-                            gen: self.gen,
-                            request: req.request,
-                            class,
-                            key,
-                            init,
-                        },
-                        self.control_delay(),
-                    );
+                    let create = WorkerMsg::Create {
+                        gen: self.gen,
+                        request: req.request,
+                        class,
+                        key,
+                        init,
+                    };
+                    self.routes
+                        .send(Envelope::Worker(owner, create), self.control_delay());
                 }
                 ClientOp::Invoke(inv) => {
                     let txn = self.next_txn;
@@ -587,7 +561,7 @@ impl Coordinator {
         let gen = self.gen;
         match kind {
             RoundKind::Cut { epoch, .. } => {
-                self.snapshots.begin_epoch(epoch, self.workers.len());
+                self.snapshots.begin_epoch(epoch, self.routes.workers());
                 self.snapshots
                     .put_source_offset(epoch, "requests", self.reader.offset());
                 let durable_floor = self.durable_floor;
@@ -622,7 +596,7 @@ impl Coordinator {
         }
         let round = Round {
             kind,
-            waiting: (0..self.workers.len()).collect(),
+            waiting: (0..self.routes.workers()).collect(),
         };
         match kind {
             RoundKind::Migrate { version, .. } if self.cfg.bug == Some(BugLever::TornUpgrade) => {
@@ -639,7 +613,7 @@ impl Coordinator {
     }
 
     /// The one ack handler of every round kind (stale generations are
-    /// already fenced, see [`Coordinator::handle`]): `accept` matches the
+    /// already fenced, see `Coordinator::handle`): `accept` matches the
     /// ack against the open round, and the last ack closes the round and
     /// runs its completion.
     fn on_round_ack(&mut self, worker: usize, accept: impl Fn(&mut RoundKind) -> bool) {
@@ -766,19 +740,19 @@ impl Coordinator {
             let inv = self.roots[txn].clone().at_version(self.active_version);
             let owner = self.owner_of(inv.target.key.as_str());
             let bytes = inv.approx_size();
-            send_with_chaos(
+            let exec = WorkerMsg::Exec {
+                gen: self.gen,
+                batch,
+                txn: *txn,
+                hop: 0,
+                inv,
+                solo,
+            };
+            self.routes.send_with_chaos(
                 &self.cfg.chaos,
                 Seam::CoordToWorker,
                 &self.cfg.net,
-                &self.workers[owner],
-                WorkerMsg::Exec {
-                    gen: self.gen,
-                    batch,
-                    txn: *txn,
-                    hop: 0,
-                    inv,
-                    solo,
-                },
+                Envelope::Worker(owner, exec),
                 self.cfg.net.f2f_latency(bytes),
             );
         }
@@ -816,7 +790,8 @@ impl Coordinator {
         true
     }
 
-    fn handle(&mut self, msg: CoordMsg) {
+    /// Handles one message addressed to the coordinator.
+    pub(crate) fn handle(&mut self, msg: CoordMsg) {
         // The generation fence: anything a worker sent before the last
         // restore round opened is stale — except a failure notification,
         // which always starts a recovery.
@@ -973,7 +948,7 @@ impl Coordinator {
         for (txn, f) in new_flags {
             flags.entry(txn).or_default().merge(f);
         }
-        if reported.len() < self.workers.len() {
+        if reported.len() < self.routes.workers() {
             return;
         }
         // All partitions reported: decide which transactions lost a
@@ -1093,7 +1068,7 @@ impl Coordinator {
     /// fall back to it and needs its source offset) and licenses WAL
     /// compaction below it on the next snapshot marker.
     fn update_durable_floor(&mut self) {
-        if self.durable_epochs.len() < self.workers.len() {
+        if self.durable_epochs.len() < self.routes.workers() {
             return;
         }
         // `None` (nothing durable yet) orders below every epoch.

@@ -8,7 +8,8 @@
 //! protocol, with cyclic function-to-function channels, consistent
 //! snapshots, and a replayable source for rollback-recovery.
 //!
-//! Topology: one coordinator thread + N worker threads (partitions).
+//! Topology: one coordinator + N workers (partitions), hosted on one engine
+//! thread per core ([`shell`]).
 //! Protocol per batch: execute-on-snapshot (chains hop between workers over
 //! internal delay channels) → reserve → decide (WAW/RAW/WAR, optional
 //! deterministic reordering) → commit in transaction-id order → respond;
@@ -26,6 +27,7 @@ pub mod coordinator;
 pub mod msg;
 pub mod query;
 pub mod runtime;
+pub mod shell;
 pub mod worker;
 
 pub use config::{default_workers, BugLever, DurabilityConfig, DurabilityMode, StateflowConfig};

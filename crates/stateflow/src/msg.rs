@@ -187,7 +187,7 @@ pub enum WorkerMsg {
         /// deferred waiting for commits that died with the old generation.
         next_batch: BatchId,
     },
-    /// Stop the worker thread.
+    /// Stop the worker; its thread leaves once every role it hosts stopped.
     Shutdown,
 }
 
@@ -272,6 +272,17 @@ pub enum CoordMsg {
         /// Crashed worker.
         worker: usize,
     },
+}
+
+/// An engine thread's inbox entry: a protocol message and the role it is
+/// addressed to. One thread may host the coordinator and several workers
+/// (see [`crate::shell`]), so the address travels with the message.
+#[derive(Debug, Clone)]
+pub enum Envelope {
+    /// To the coordinator.
+    Coord(CoordMsg),
+    /// To the worker with this id.
+    Worker(usize, WorkerMsg),
 }
 
 #[cfg(test)]

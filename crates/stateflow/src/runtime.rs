@@ -3,23 +3,24 @@
 //! The engine shell — deploy staging, live-upgrade compilation, the waiter
 //! map, the thread set, observability and shutdown — is the shared
 //! [`EngineCore`]. What this file adds is StateFlow's protocol around it:
-//! the replayable request source, the coordinator and worker threads with
-//! their channels, the `Redeploy` source record that switches a live
-//! upgrade, and the WAL directory a durable deployment owns.
+//! the replayable request source, the coordinator and the workers on their
+//! engine threads ([`crate::shell`]), the `Redeploy` source record that
+//! switches a live upgrade, and the WAL directory a durable deployment owns.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use se_dataflow::{
-    delay_channel, ComponentTimers, DelaySender, EngineCore, EntityRuntime, ReplayableSource,
-    ResponseWaiter, SnapshotStore, SourceReader, StateStore, Waker,
+    delay_channel, ComponentTimers, EngineCore, EntityRuntime, ReplayableSource, ResponseWaiter,
+    SnapshotStore, SourceReader, StateStore, Waker,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId};
 use se_lang::{EntityRef, LangError, Value};
 
 use crate::config::{DurabilityMode, StateflowConfig};
 use crate::coordinator::{CoordStats, Coordinator};
-use crate::msg::{ClientOp, ClientRequest, CoordMsg, WorkerMsg};
+use crate::msg::{ClientOp, ClientRequest, Envelope};
+use crate::shell::{host_of, threads_for, Routes, Shell};
 use crate::worker::Worker;
 
 /// A deployed StateFlow application: coordinator + workers over the compiled
@@ -28,12 +29,10 @@ pub struct StateflowRuntime {
     core: EngineCore,
     cfg: StateflowConfig,
     source: ReplayableSource<ClientRequest>,
-    /// Ends the coordinator's wait: every append fires it, and `shutdown`.
+    /// Ends the coordinator thread's wait: every append fires it, and
+    /// `shutdown`.
     coord_waker: Waker,
     stats: Arc<CoordStats>,
-    /// The runtime's own senders, held for the deployment's lifetime so no
-    /// queue is seen closed while a late message may still be sent.
-    _senders: (Vec<DelaySender<WorkerMsg>>, DelaySender<CoordMsg>),
     /// A durability directory this runtime created itself (config left
     /// `durability.dir` unset): removed at shutdown. User-provided
     /// directories are never touched.
@@ -67,39 +66,46 @@ impl StateflowRuntime {
         let stats = Arc::new(CoordStats::register(&core.obs));
         let source = ReplayableSource::new();
 
-        let (coord_tx, coord_rx) = delay_channel::<CoordMsg>();
+        // One engine thread per core, the coordinator on thread 0.
+        let threads = threads_for(cfg.workers);
+        let (txs, inboxes): (Vec<_>, Vec<_>) =
+            (0..threads).map(|_| delay_channel::<Envelope>()).unzip();
+        let routes = Routes::new(
+            txs[0].clone(),
+            (0..cfg.workers)
+                .map(|id| txs[host_of(id, threads)].clone())
+                .collect(),
+        );
         // The source is the one thing the coordinator watches that is not a
-        // message: its appends end the inbox wait.
-        let coord_waker = coord_rx.waker();
+        // message: its appends end its thread's wait.
+        let coord_waker = inboxes[0].waker();
         source.wake_on_append(coord_waker.clone());
-        let (worker_txs, worker_rxs): (Vec<_>, Vec<_>) =
-            (0..cfg.workers).map(|_| delay_channel()).unzip();
-        for (id, rx) in worker_rxs.into_iter().enumerate() {
-            let worker = Worker::new(
+        let mut hosted: Vec<Vec<Worker>> = (0..threads).map(|_| Vec::new()).collect();
+        for id in 0..cfg.workers {
+            hosted[host_of(id, threads)].push(Worker::new(
                 id,
                 cfg.clone(),
                 Arc::clone(&core.registry),
-                rx,
-                worker_txs.clone(),
-                coord_tx.clone(),
+                routes.clone(),
                 Arc::clone(&core.waiters),
                 Arc::clone(&core.snapshots),
                 core.obs.clone(),
-            );
-            core.spawn(format!("stateflow-worker{id}"), move || worker.run());
+            ));
         }
-        let coordinator = Coordinator::new(
+        let mut coordinator = Some(Coordinator::new(
             cfg.clone(),
-            worker_txs.clone(),
-            coord_rx,
+            routes,
             SourceReader::at(&source, 0),
             Arc::clone(&core.waiters),
             Arc::clone(&core.snapshots),
             Arc::clone(&stats),
             core.obs.clone(),
             Arc::clone(&core.shutdown),
-        );
-        core.spawn("stateflow-coordinator".into(), move || coordinator.run());
+        ));
+        for (inbox, workers) in inboxes.into_iter().zip(hosted) {
+            let shell = Shell::new(inbox, coordinator.take(), workers);
+            core.spawn(shell.name(), move || shell.run());
+        }
 
         Self {
             core,
@@ -107,7 +113,6 @@ impl StateflowRuntime {
             source,
             coord_waker,
             stats,
-            _senders: (worker_txs, coord_tx),
             owned_durability_dir,
         }
     }
@@ -210,10 +215,11 @@ impl EntityRuntime for StateflowRuntime {
     }
 
     fn shutdown(&self) {
-        // The woken coordinator sees the flag and tells the workers.
+        // The woken coordinator sees the flag and tells the workers; each
+        // thread leaves once every role it hosts has stopped.
         let first = self.core.shutdown(|| self.coord_waker.wake());
         // The runtime-owned durability dir dies with the deployment (all
-        // worker threads have joined, so no WAL is still being written).
+        // engine threads have joined, so no WAL is still being written).
         if let Some(dir) = self.owned_durability_dir.as_ref().filter(|_| first) {
             let _ = std::fs::remove_dir_all(dir);
         }

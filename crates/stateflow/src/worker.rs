@@ -20,13 +20,16 @@
 //! cut once its watermark reaches `through` ([`Worker::try_cut`]). The
 //! round holds sealing, so no later batch can reach the worker meanwhile.
 //!
-//! One thread per partition, as in the paper's deployment: the worker owns
-//! its store and every piece of protocol state outright. A chain segment —
-//! the entry hop plus any same-partition continuations — runs on that
-//! thread through [`Worker::run_segment`], against the committed snapshot
-//! overlaid with the transaction's buffer; [`Worker::run_exec`] then
-//! performs its protocol action (report, solo commit, or forward to the
-//! next partition). A batch of one transaction — the coordinator seals
+//! A worker is a partition, not a thread: it owns its store and every piece
+//! of protocol state outright, and the engine thread that hosts it
+//! ([`crate::shell`]) hands it each message addressed to it
+//! (`Worker::handle`). That thread may host other workers and the
+//! coordinator too; partitions are the unit of state, threads the unit of
+//! CPU. A chain segment — the entry hop plus any same-partition
+//! continuations — runs in one handler call through [`Worker::run_segment`],
+//! against the committed snapshot overlaid with the transaction's buffer;
+//! [`Worker::run_exec`] then performs its protocol action (report, solo
+//! commit, or forward to the next partition). A batch of one transaction — the coordinator seals
 //! every lone request and every serial-fallback retry that way — is *solo*:
 //! its final-hop worker decides and applies it with no reservation round
 //! ([`Worker::commit_solo`]), counts and records the decision, and answers
@@ -58,8 +61,7 @@ use std::sync::Arc;
 use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
 use se_chaos::{BatchKindTag, CrashPoint, HistoryEvent, Seam, TxnOutcome};
 use se_dataflow::{
-    send_with_chaos, timer, DelayReceiver, DelaySender, DurableOptions, DurableStore, Epoch,
-    SnapshotStore, StateStore, WaiterMap,
+    timer, DurableOptions, DurableStore, Epoch, SnapshotStore, StateStore, WaiterMap,
 };
 use se_ir::{
     partition_for, process_invocation_with, Invocation, Response, StepEffect, VersionRegistry,
@@ -69,7 +71,8 @@ use se_obs::Histogram;
 
 use crate::config::{BugLever, DurabilityMode, StateflowConfig};
 use crate::coordinator::CoordStats;
-use crate::msg::{ConflictFlags, CoordMsg, WorkerMsg};
+use crate::msg::{ConflictFlags, CoordMsg, Envelope, WorkerMsg};
+use crate::shell::Routes;
 
 /// A commit record as applied by a worker: the batch's transactions
 /// (ascending), the subset whose effects must be discarded, and when it was
@@ -110,7 +113,7 @@ enum SegmentOutcome {
     },
 }
 
-/// A worker thread's state and message loop.
+/// A worker's state and message handler.
 pub struct Worker {
     id: usize,
     /// `worker<id>`, computed once: the chaos hooks consult it on every
@@ -143,9 +146,8 @@ pub struct Worker {
     /// The open `Cut` round's marker, until this worker has applied every
     /// commit below its `through`.
     parked_cut: Option<ParkedCut>,
-    inbox: DelayReceiver<WorkerMsg>,
-    peers: Vec<DelaySender<WorkerMsg>>,
-    coord: DelaySender<CoordMsg>,
+    /// Where the coordinator and every partition (this one too) live.
+    routes: Routes,
     /// The runtime's waiter map: this worker answers the creates and solo
     /// batches it finishes. Only the first answer finds its waiter, so a
     /// replay's answer for an already-answered request is dropped here.
@@ -175,15 +177,13 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// Creates a worker (call [`Worker::run`] on its own thread).
+    /// Creates a worker (hosted by a [`crate::shell::Shell`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: usize,
         cfg: StateflowConfig,
         registry: Arc<VersionRegistry>,
-        inbox: DelayReceiver<WorkerMsg>,
-        peers: Vec<DelaySender<WorkerMsg>>,
-        coord: DelaySender<CoordMsg>,
+        routes: Routes,
         waiters: Arc<WaiterMap>,
         snapshots: Arc<SnapshotStore<StateStore>>,
         obs: se_obs::Obs,
@@ -222,9 +222,7 @@ impl Worker {
             watermark: CommitWatermark::new(),
             deferred: BTreeMap::new(),
             parked_cut: None,
-            inbox,
-            peers,
-            coord,
+            routes,
             waiters,
             stats: CoordStats::register(&obs),
             snapshots,
@@ -243,35 +241,28 @@ impl Worker {
         &self.name
     }
 
-    /// The message loop; returns when a `Shutdown` message arrives or all
-    /// senders disconnect.
-    pub fn run(mut self) {
-        loop {
-            // Everything a worker reacts to is a message (shutdown too), so
-            // it blocks with no timer; `None` is closure or a stray wake.
-            let Some(msg) = self.inbox.recv_until(None) else {
-                if self.inbox.is_closed() {
-                    return;
-                }
-                continue;
-            };
-            match msg {
-                WorkerMsg::Shutdown => return,
-                WorkerMsg::Restore {
-                    gen,
-                    epoch,
-                    next_batch,
-                } => self.handle_restore(gen, epoch, next_batch),
-                // Everything else is fenced by generation and ignored while
-                // "crashed".
-                m => {
-                    if self.dead || self.msg_gen(&m) < self.gen {
-                        continue;
-                    }
-                    self.dispatch(m);
-                }
-            }
+    /// This worker's partition number.
+    pub(crate) fn id(&self) -> usize {
+        self.id
+    }
+
+    /// Handles one message addressed to this worker. Everything a worker
+    /// reacts to is a message, so it owns no timer. Returns `false` on
+    /// `Shutdown`: the worker has stopped.
+    pub(crate) fn handle(&mut self, msg: WorkerMsg) -> bool {
+        match msg {
+            WorkerMsg::Shutdown => return false,
+            WorkerMsg::Restore {
+                gen,
+                epoch,
+                next_batch,
+            } => self.handle_restore(gen, epoch, next_batch),
+            // Everything else is fenced by generation and ignored while
+            // "crashed".
+            m if self.dead || self.msg_gen(&m) < self.gen => {}
+            m => self.dispatch(m),
         }
+        true
     }
 
     fn msg_gen(&self, m: &WorkerMsg) -> u64 {
@@ -354,24 +345,26 @@ impl Worker {
                 self.try_cut();
             }
             WorkerMsg::Migrate { version, .. } => self.handle_migrate(version),
-            WorkerMsg::Restore { .. } | WorkerMsg::Shutdown => unreachable!("handled in run()"),
+            WorkerMsg::Restore { .. } | WorkerMsg::Shutdown => {
+                unreachable!("handled in handle()")
+            }
         }
     }
 
     /// Control-plane send to the coordinator: never faulted (acks of
     /// restore/snapshot/migrate model reliable infrastructure channels).
     fn send_coord_ctl(&self, msg: CoordMsg) {
-        self.coord.send_after(msg, self.cfg.net.f2f_latency(64));
+        self.routes
+            .send(Envelope::Coord(msg), self.cfg.net.f2f_latency(64));
     }
 
     /// Data-plane send to the coordinator: runs through the chaos seam.
     fn send_coord(&self, msg: CoordMsg) {
-        send_with_chaos(
+        self.routes.send_with_chaos(
             &self.cfg.chaos,
             Seam::WorkerToCoord,
             &self.cfg.net,
-            &self.coord,
-            msg,
+            Envelope::Coord(msg),
             self.cfg.net.f2f_latency(64),
         );
     }
@@ -466,19 +459,19 @@ impl Worker {
             SegmentOutcome::Respond(response) => self.finish_chain(batch, txn, response, solo),
             SegmentOutcome::Emit { owner, hop, inv } => {
                 let bytes = inv.approx_size();
-                send_with_chaos(
+                let exec = WorkerMsg::Exec {
+                    gen: self.gen,
+                    batch,
+                    txn,
+                    hop,
+                    inv,
+                    solo,
+                };
+                self.routes.send_with_chaos(
                     &self.cfg.chaos,
                     Seam::WorkerToWorker,
                     &self.cfg.net,
-                    &self.peers[owner],
-                    WorkerMsg::Exec {
-                        gen: self.gen,
-                        batch,
-                        txn,
-                        hop,
-                        inv,
-                        solo,
-                    },
+                    Envelope::Worker(owner, exec),
                     self.cfg.net.f2f_latency(bytes),
                 );
             }
@@ -622,21 +615,18 @@ impl Worker {
         } else {
             BTreeSet::new()
         });
-        for (peer, sender) in self.peers.iter().enumerate() {
-            if peer == self.id {
-                continue;
-            }
-            send_with_chaos(
+        for peer in (0..self.routes.workers()).filter(|&p| p != self.id) {
+            let record = WorkerMsg::Commit {
+                gen: self.gen,
+                batch,
+                txns: Arc::clone(&txns),
+                aborted: Arc::clone(&aborted),
+            };
+            self.routes.send_with_chaos(
                 &self.cfg.chaos,
                 Seam::WorkerToWorker,
                 &self.cfg.net,
-                sender,
-                WorkerMsg::Commit {
-                    gen: self.gen,
-                    batch,
-                    txns: Arc::clone(&txns),
-                    aborted: Arc::clone(&aborted),
-                },
+                Envelope::Worker(peer, record),
                 self.cfg.net.f2f_latency(64),
             );
         }
@@ -1002,7 +992,7 @@ impl Worker {
                 }
                 StepEffect::Emit(next) => {
                     hop += 1;
-                    let owner = partition_for(next.target.key.as_str(), self.peers.len());
+                    let owner = partition_for(next.target.key.as_str(), self.routes.workers());
                     if owner == self.id {
                         // Same-partition call: continue locally, no hop message.
                         next_hop = hop + 1;

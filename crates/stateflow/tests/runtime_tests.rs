@@ -552,18 +552,19 @@ fn overhead_timers_record_with_observability_off() {
     assert!(!rt.timers().report().is_empty());
 }
 
-/// A coordinator on its own thread with the test thread playing both
-/// workers: every step is a channel handshake. The coordinator blocks with
-/// no timeout, so whatever a test expects of it either happens because
-/// something woke it or never happens (`WAIT` turns "never" into a failure).
+/// A coordinator alone on its engine thread with the test thread playing
+/// both workers, each behind an inbox of its own: every step is a channel
+/// handshake. The coordinator's thread blocks with no timeout, so whatever a
+/// test expects of it either happens because something woke it or never
+/// happens (`WAIT` turns "never" into a failure).
 struct CoordRig {
     source: se_dataflow::ReplayableSource<se_stateflow::msg::ClientRequest>,
     waiters: Arc<se_dataflow::WaiterMap>,
     snapshots: Arc<se_dataflow::SnapshotStore<se_dataflow::StateStore>>,
     stats: Arc<se_stateflow::coordinator::CoordStats>,
-    coord_tx: se_dataflow::DelaySender<se_stateflow::msg::CoordMsg>,
+    coord_tx: se_dataflow::DelaySender<se_stateflow::msg::Envelope>,
     coord_waker: se_dataflow::Waker,
-    workers: Vec<se_dataflow::DelayReceiver<se_stateflow::msg::WorkerMsg>>,
+    workers: Vec<se_dataflow::DelayReceiver<se_stateflow::msg::Envelope>>,
     shutdown: Arc<std::sync::atomic::AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
     /// The coordinator thread's `/proc` task directory (Linux only).
@@ -574,6 +575,7 @@ impl CoordRig {
     fn start(cfg: StateflowConfig) -> CoordRig {
         use se_dataflow::{delay_channel, ReplayableSource, SnapshotStore, SourceReader};
         use se_stateflow::coordinator::{CoordStats, Coordinator};
+        use se_stateflow::shell::{Routes, Shell};
         let source = ReplayableSource::new();
         let waiters = Arc::new(se_dataflow::WaiterMap::default());
         let snapshots = Arc::new(SnapshotStore::new());
@@ -586,8 +588,7 @@ impl CoordRig {
             (0..cfg.workers).map(|_| delay_channel()).unzip();
         let coordinator = Coordinator::new(
             cfg,
-            worker_txs,
-            coord_rx,
+            Routes::new(coord_tx.clone(), worker_txs),
             SourceReader::at(&source, 0),
             Arc::clone(&waiters),
             Arc::clone(&snapshots),
@@ -601,7 +602,7 @@ impl CoordRig {
             dir_tx
                 .send(dir.map(|d| std::path::Path::new("/proc").join(d)))
                 .unwrap();
-            coordinator.run()
+            Shell::new(coord_rx, Some(coordinator), Vec::new()).run()
         });
         CoordRig {
             source,
@@ -618,7 +619,16 @@ impl CoordRig {
     }
 
     fn send(&self, msg: se_stateflow::msg::CoordMsg) {
-        self.coord_tx.send(msg);
+        self.coord_tx.send(se_stateflow::msg::Envelope::Coord(msg));
+    }
+
+    /// The next message to worker `id` within `within`, checked to be
+    /// addressed to that worker.
+    fn recv(&self, id: usize, within: Duration) -> Option<se_stateflow::msg::WorkerMsg> {
+        match self.workers[id].recv_timeout(within)? {
+            se_stateflow::msg::Envelope::Worker(to, msg) if to == id => Some(msg),
+            other => panic!("worker {id}'s inbox got {other:?}"),
+        }
     }
 
     /// Appends a root invocation of `Account(key).balance()`.
@@ -639,8 +649,8 @@ impl CoordRig {
 
     /// Every worker receives one message matching `matcher` (a broadcast).
     fn expect_all(&self, what: &str, matcher: &dyn Fn(&se_stateflow::msg::WorkerMsg) -> bool) {
-        for rx in &self.workers {
-            let msg = rx.recv_timeout(WAIT).unwrap_or_else(|| panic!("no {what}"));
+        for id in 0..self.workers.len() {
+            let msg = self.recv(id, WAIT).unwrap_or_else(|| panic!("no {what}"));
             assert!(matcher(&msg), "expected {what}, got {msg:?}");
         }
     }
@@ -648,9 +658,7 @@ impl CoordRig {
     /// The `Exec` of the next sealed single-key batch, from `key`'s owner.
     fn expect_exec(&self, key: &str) -> se_stateflow::msg::WorkerMsg {
         let owner = se_ir::partition_for(key, self.workers.len());
-        let msg = self.workers[owner]
-            .recv_timeout(WAIT)
-            .expect("a sealed batch");
+        let msg = self.recv(owner, WAIT).expect("a sealed batch");
         assert!(
             matches!(msg, se_stateflow::msg::WorkerMsg::Exec { .. }),
             "expected Exec, got {msg:?}"
@@ -670,8 +678,8 @@ impl CoordRig {
             Some((cpu_ns, fields.nth(1)??))
         };
         let before = self.task_dir.as_deref().and_then(sched);
-        for rx in &self.workers {
-            let msg = rx.recv_timeout(window / self.workers.len() as u32);
+        for id in 0..self.workers.len() {
+            let msg = self.recv(id, window / self.workers.len() as u32);
             assert!(msg.is_none(), "unexpected {msg:?}");
         }
         let after = self.task_dir.as_deref().and_then(sched);

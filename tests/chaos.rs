@@ -14,6 +14,8 @@ use se_chaos::{
 use stateful_entities::prelude::*;
 use stateful_entities::{StateflowConfig, StatefunConfig};
 
+mod one_cpu;
+
 const WAIT: Duration = Duration::from_secs(60);
 
 fn acct(i: usize) -> EntityRef {
@@ -152,6 +154,18 @@ fn injected_reserve_bug_is_caught_by_history_checker() {
 /// watermark's in-order buffering.
 #[test]
 fn stateflow_message_weather_stays_serializable() {
+    stateflow_message_weather();
+}
+
+/// The same weather on a one-core engine, where the coordinator and all
+/// three workers share one thread: every delayed, duplicated or quarantined
+/// copy is a future-due message to a co-located role.
+#[test]
+fn stateflow_message_weather_stays_serializable_on_one_core() {
+    one_cpu::on_one_cpu(stateflow_message_weather);
+}
+
+fn stateflow_message_weather() {
     let program = se_workloads::ycsb_program();
     let mut cfg = StateflowConfig::fast_test(3);
     cfg.pipeline_depth = 4;

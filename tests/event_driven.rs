@@ -17,6 +17,8 @@ use std::time::{Duration, Instant};
 use stateful_entities::prelude::*;
 use stateful_entities::{StateflowConfig, StatefunConfig};
 
+mod one_cpu;
+
 /// One deployment at a time: thread names do not say whose they are.
 static ONE_ENGINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -24,9 +26,10 @@ fn one_engine() -> std::sync::MutexGuard<'static, ()> {
     ONE_ENGINE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Timeslices run so far by this process's threads named `prefix*`.
+/// Timeslices run so far by each of this process's threads named
+/// `prefix*`.
 #[cfg(target_os = "linux")]
-fn timeslices(prefix: &str) -> u64 {
+fn threads_timeslices(prefix: &str) -> Vec<u64> {
     let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
     tasks
         .filter_map(|task| {
@@ -36,7 +39,13 @@ fn timeslices(prefix: &str) -> u64 {
             let slices = stat.split_whitespace().nth(2)?.parse::<u64>().ok()?;
             name.starts_with(prefix).then_some(slices)
         })
-        .sum()
+        .collect()
+}
+
+/// Timeslices run so far by this process's threads named `prefix*`.
+#[cfg(target_os = "linux")]
+fn timeslices(prefix: &str) -> u64 {
+    threads_timeslices(prefix).iter().sum()
 }
 
 /// Deploys, serves one create and one call, then watches the engine's
@@ -87,12 +96,16 @@ fn idle_statefun_does_not_run() {
 /// A lone request is a solo batch: its final-hop worker commits and
 /// answers it, with no reservation round behind it, then sends the
 /// coordinator a `SoloDone` that only frees the slot, and the peer applies
-/// the commit record without a word back. So sequential calls cost the
-/// coordinator about two timeslices each (the append, the `SoloDone`, which
-/// is off the answer path) and the workers about two between them (the
-/// owner's `Exec`, the peer's commit record). A `Reserve`/`Flags`/`Commit`
-/// round per call puts the coordinator above three and the workers above
-/// four.
+/// the commit record without a word back. With a thread per role, as on
+/// three or more cores, sequential calls cost the coordinator's thread
+/// about two timeslices each (the append, the `SoloDone`, which is off the
+/// answer path) and the worker threads about two between them (the owner's
+/// `Exec`, the peer's commit record). Where workers share a thread, the
+/// record to a co-located peer is a push onto the running thread and costs
+/// no timeslice, and on one core the coordinator's thread runs every role
+/// and the worker rows read 0: neither side then exceeds its two. A
+/// `Reserve`/`Flags`/`Commit` round per call puts the coordinator above
+/// three and the workers above four.
 #[cfg(target_os = "linux")]
 #[test]
 fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
@@ -134,6 +147,52 @@ fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
     assert!(
         per_call(workers) <= 2.5,
         "the workers ran {workers} timeslices for {CALLS} calls"
+    );
+    rt.shutdown();
+}
+
+/// Deployed from a thread pinned to one CPU, StateFlow runs one engine
+/// thread, which hosts the coordinator and both workers. A sequential call
+/// then wakes it once, for the append: the `Exec`, the `SoloDone` and the
+/// peer's commit record are pushes onto the running thread's own queue, and
+/// each is handled in the same turn. With a thread per role the same calls
+/// cost about five timeslices each.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_one_core_stateflow_runs_one_timeslice_per_call() {
+    let _turn = one_engine();
+    let mut cfg = StateflowConfig::fast_test(2);
+    // No simulated hop, no batch timer, no snapshot round (as above).
+    cfg.net.time_scale = 0.0;
+    cfg.batch_interval = Duration::ZERO;
+    cfg.snapshot_every_batches = 0;
+    let program = se_workloads::ycsb_program();
+    // The engine thread keeps the pin; this thread gets its mask back.
+    let rt = one_cpu::on_one_cpu(|| deploy(&program, RuntimeChoice::Stateflow(cfg))).unwrap();
+    let accounts = [
+        rt.create("Account", "left", vec![]).unwrap(),
+        rt.create("Account", "right", vec![]).unwrap(),
+    ];
+    rt.call(accounts[0], "read", vec![]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    // Counted once the engine has run: a thread names itself when it starts.
+    let threads = threads_timeslices("stateflow-").len();
+    assert_eq!(threads, 1, "a one-core deployment runs {threads} threads");
+
+    const CALLS: u64 = 200;
+    let before = timeslices("stateflow-");
+    for i in 0..CALLS {
+        let account = accounts[i as usize % 2];
+        match i % 4 {
+            0 | 1 => rt.call(account, "read", vec![]).unwrap(),
+            _ => rt.call(account, "deposit", vec![Value::Int(1)]).unwrap(),
+        };
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let ran = timeslices("stateflow-") - before;
+    assert!(
+        ran as f64 / CALLS as f64 <= 1.5,
+        "the engine ran {ran} timeslices for {CALLS} calls"
     );
     rt.shutdown();
 }

@@ -13,6 +13,8 @@ use se_chaos::{ChaosPlan, CrashFault, CrashPoint, FaultScript};
 use stateful_entities::prelude::*;
 use stateful_entities::{CheckpointMode, StateflowConfig, StatefunConfig};
 
+mod one_cpu;
+
 const WAIT: Duration = Duration::from_secs(60);
 
 /// Flash-sale scenario: every user affords exactly one purchase.
@@ -394,6 +396,18 @@ fn duplicated_hop_into_a_local_continuation_is_dropped() {
 /// restores it.
 #[test]
 fn a_cut_marker_that_overtakes_a_commit_record_waits_for_it() {
+    cut_marker_overtakes_commit_record("spread");
+}
+
+/// The same on a one-core engine, where both workers and the coordinator
+/// share one thread: the late record is a future-due message from a worker
+/// to a co-located one, and the thread must wake for it on its own.
+#[test]
+fn a_cut_marker_that_overtakes_a_commit_record_waits_for_it_on_one_core() {
+    one_cpu::on_one_cpu(|| cut_marker_overtakes_commit_record("one-core"));
+}
+
+fn cut_marker_overtakes_commit_record(tag: &str) {
     use se_chaos::{History, MessageFault, MsgFaultKind, Seam};
     use se_dataflow::{DurableOptions, DurableStore};
     use stateful_entities::DurabilityMode;
@@ -423,7 +437,7 @@ fn a_cut_marker_that_overtakes_a_commit_record_waits_for_it() {
         cfg.snapshot_every_batches = 1;
         cfg.durability.mode = mode;
         let dir = std::env::temp_dir().join(format!(
-            "se-cut-overtakes-commit-{}-{mode:?}",
+            "se-cut-overtakes-commit-{}-{tag}-{mode:?}",
             std::process::id()
         ));
         cfg.durability.dir = Some(dir.clone());
@@ -445,6 +459,14 @@ fn a_cut_marker_that_overtakes_a_commit_record_waits_for_it() {
         load(&rt);
         let moved = rt.call(from, "transfer", vec![Value::Ref(to), Value::Int(7)]);
         assert_eq!(moved.unwrap(), Value::Bool(true));
+        // The answer leaves before the notice that lets the coordinator
+        // open the cut, so the next request could still seal ahead of it.
+        // `from`'s owner contributing to epoch 1 shows the round is open.
+        let opened = std::time::Instant::now();
+        while rt.snapshots().get(1, "worker0").is_none() {
+            assert!(opened.elapsed() < WAIT, "epoch 1's round never opened");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Sealing holds while the cut's round is open: this read is
         // answered only once every worker contributed to epoch 1.
         assert_eq!(rt.call(to, "balance", vec![]).unwrap(), Value::Int(107));
