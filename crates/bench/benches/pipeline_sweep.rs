@@ -11,7 +11,12 @@
 //! * **Compute-bound, conflict-free** (workload C, uniform keys): bodies
 //!   are loop-heavy `spin` calls with no writes, so Aria batches carry no
 //!   conflicts and the partition count (`workers`) is the lever —
-//!   throughput should scale with it until cores run out.
+//!   throughput should scale with it until cores run out. StateFlow runs
+//!   its roles on min(cores, `workers` + 1) engine threads; in the sleep
+//!   mode this bench defaults to, cores counts a simulated core per role,
+//!   so every partition keeps a thread of its own on any host. Under
+//!   `SE_SERVICE_SLEEP=0` cores is the deploying thread's
+//!   `available_parallelism()`, and past it partitions share threads.
 //! * **Contended** (workloads A/T, Zipfian keys): serial-fallback retries
 //!   dominate (solo batches commit at their final hop, overlapping up to
 //!   `pipeline_depth` deep).

@@ -6,7 +6,9 @@
 //! state and threads the unit of CPU, so a deployment runs its coordinator
 //! and its `workers` partitions on M = min(cores, `workers` + 1) threads,
 //! where cores is the deploying thread's `available_parallelism()`
-//! (`threads_for`). At M = 1 the one thread hosts every role. Otherwise
+//! (`threads_for`); under sleep-mode service time, which simulates a core
+//! per role (`se_dataflow::net::service_sleeps`), cores is `workers` + 1.
+//! At M = 1 the one thread hosts every role. Otherwise
 //! the coordinator keeps thread 0 to itself and worker *i* runs on thread
 //! 1 + *i* mod (M − 1) (`host_of`); at M = `workers` + 1 that is one
 //! thread per role.
@@ -29,9 +31,15 @@ use crate::msg::Envelope;
 use crate::worker::Worker;
 
 /// The number of engine threads for `workers` partitions: one per core the
-/// calling thread may run on, and never more than one per role.
+/// calling thread may run on, and never more than one per role. A sleeping
+/// service burn leaves its core free, so sleep mode stands for a cluster
+/// with a core per role, and its roles get a thread each whatever the host.
 pub(crate) fn threads_for(workers: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = if se_dataflow::net::service_sleeps() {
+        workers + 1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    };
     cores.min(workers + 1)
 }
 
@@ -127,6 +135,10 @@ impl Shell {
     ///
     /// A turn runs the coordinator's source work (`Coordinator::turn`), if
     /// this thread hosts it, and then hands every due message to its role.
+    /// The source work also follows every message the coordinator handles,
+    /// as in a loop of the coordinator's own: a decision that frees a
+    /// pipeline slot seals the next batch at once, not after the hosted
+    /// workers' queued traffic, which would only grow the batch.
     /// Only a turn that handled no message blocks, on the inbox, until one of
     /// exactly three things: a **message** comes due (every simulated hop
     /// delay and chaos quarantine is a due time in the inbox's heap), a
@@ -141,21 +153,19 @@ impl Shell {
     /// append there costs one empty turn; whatever ends the round is a
     /// message, and the turn it starts drains the source.
     pub fn run(mut self) {
-        loop {
-            if self.coordinator.as_mut().is_some_and(|c| !c.turn()) {
-                self.coordinator = None;
-            }
-            if self.coordinator.is_none() && self.workers.is_empty() {
-                return;
-            }
+        while self.source_work() {
             // Every due message, before blocking: a decide round for batch
             // N+1 must not queue behind the apply traffic of batch N. What a
             // handler sends to a co-located role is due at once when the
             // simulated hop is zero, and is handled in this same turn.
             let mut handled = false;
             while let Some(envelope) = self.inbox.try_recv() {
+                let to_coord = matches!(envelope, Envelope::Coord(_));
                 self.deliver(envelope);
                 handled = true;
+                if to_coord && !self.source_work() {
+                    return;
+                }
             }
             if !handled {
                 let deadline = self.coordinator.as_ref().and_then(Coordinator::deadline);
@@ -164,6 +174,15 @@ impl Shell {
                 }
             }
         }
+    }
+
+    /// The coordinator's source work, if this thread hosts it. Returns
+    /// `false` once every hosted role has stopped.
+    fn source_work(&mut self) -> bool {
+        if self.coordinator.as_mut().is_some_and(|c| !c.turn()) {
+            self.coordinator = None;
+        }
+        self.coordinator.is_some() || !self.workers.is_empty()
     }
 
     /// Hands `envelope` to its role. A message to a role that has stopped
