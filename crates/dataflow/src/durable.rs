@@ -658,11 +658,6 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Whether the writer is open (the partition is live).
-    pub fn is_open(&self) -> bool {
-        self.writer.is_some()
-    }
-
     /// The partition directory.
     pub fn dir(&self) -> &Path {
         &self.dir

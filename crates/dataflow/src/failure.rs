@@ -21,6 +21,9 @@ use crate::net::NetConfig;
 /// Only *data-plane* messages go through here; control-plane traffic
 /// (restore, snapshot markers, failure notifications) is sent directly —
 /// the engines assume a reliable failure detector and alignment channel.
+/// StateFlow makes that choice in one place, `Routes::route` in
+/// `se_stateflow::shell`, by message kind; StateFun calls this at its two
+/// remote-function seams.
 pub fn send_with_chaos<T: Clone>(
     plan: &ChaosPlan,
     seam: Seam,

@@ -43,14 +43,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Whether the operator produces a boolean.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// Whether the operator is a short-circuiting logical connective.
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
@@ -294,13 +286,6 @@ pub struct Method {
     /// root invocation is a transaction anyway; the flag is carried as
     /// metadata so non-transactional runtimes can reject such methods.
     pub transactional: bool,
-}
-
-impl Method {
-    /// Declared parameter names in order.
-    pub fn param_names(&self) -> Vec<Symbol> {
-        self.params.iter().map(|p| p.name).collect()
-    }
 }
 
 /// An attribute (instance variable) declaration of an entity class.

@@ -153,14 +153,6 @@ pub fn append(l: Expr, x: Expr) -> Expr {
 pub fn contains(coll: Expr, x: Expr) -> Expr {
     Expr::Builtin(Builtin::Contains, vec![coll, x])
 }
-/// `get(map, key)`
-pub fn map_get(m: Expr, k: Expr) -> Expr {
-    Expr::Builtin(Builtin::Get, vec![m, k])
-}
-/// `put(map, key, value)` — new map with entry set.
-pub fn map_put(m: Expr, k: Expr, v: Expr) -> Expr {
-    Expr::Builtin(Builtin::Put, vec![m, k, v])
-}
 /// `zeros(n)` — n zero bytes.
 pub fn zeros(n: Expr) -> Expr {
     Expr::Builtin(Builtin::Zeros, vec![n])

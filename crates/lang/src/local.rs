@@ -57,11 +57,6 @@ impl LocalStore {
         self.entities.get(r)
     }
 
-    /// Direct mutable access to an entity's state (tests only).
-    pub fn state_mut(&mut self, r: &EntityRef) -> Option<&mut EntityState> {
-        self.entities.get_mut(r)
-    }
-
     /// Number of entities in the store.
     pub fn len(&self) -> usize {
         self.entities.len()

@@ -47,11 +47,6 @@ pub fn check_program(program: &Program) -> Result<(), Vec<LangError>> {
     }
 }
 
-/// Convenience wrapper returning only the first error.
-pub fn check_program_first_err(program: &Program) -> Result<(), LangError> {
-    check_program(program).map_err(|mut v| v.remove(0))
-}
-
 fn check_class(program: &Program, class: &EntityClass, errors: &mut Vec<LangError>) {
     let ctx = |msg: String| LangError::analysis(format!("class `{}`: {}", class.name, msg));
 

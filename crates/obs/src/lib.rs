@@ -140,12 +140,6 @@ impl ObsConfig {
         }
         cfg
     }
-
-    /// Same config with a different mode (builder-style convenience).
-    pub fn with_mode(mut self, mode: ObsMode) -> ObsConfig {
-        self.mode = mode;
-        self
-    }
 }
 
 struct ObsInner {

@@ -55,17 +55,6 @@ impl Default for DurabilityConfig {
     }
 }
 
-impl DurabilityConfig {
-    /// WAL durability in a specific directory with the default knobs.
-    pub fn wal_in(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            mode: DurabilityMode::Wal,
-            dir: Some(dir.into()),
-            ..Self::default()
-        }
-    }
-}
-
 /// Test-only regression levers: each re-introduces one real, historical
 /// bug so the chaos harness can prove its checker catches it. Never set
 /// outside tests; `chaos_explore` maps `SE_CHAOS_INJECT_BUG` onto it.

@@ -7,12 +7,13 @@
 //! one thread with every worker on a one-core engine ([`crate::shell`]).
 //! Either way its thread runs `Coordinator::turn` (the source work) and
 //! hands it its messages (`Coordinator::handle`); `Coordinator::deadline`
-//! is its one timer. The coordinator sequences transactions (assigning
-//! globally ordered ids), drives batches through Aria's three phases and
-//! answers the clients of what it decides through the runtime's
-//! [`WaiterMap`]: a regular batch's answers in one `complete_all` pass, an
-//! upgrade commit on its own. Creates and solo batches are answered by the
-//! worker that applies them. Everything that touches state *outside* a
+//! is its one timer. It does no I/O: what it sends goes onto its outbox
+//! (`out`) for the shell to route, the answers to the clients of what it
+//! decides go onto `answers` (a regular batch's answers, an upgrade
+//! commit's) for the shell to deliver after the sends, and time enters
+//! only as `turn(now)`. The coordinator sequences transactions (assigning
+//! globally ordered ids) and drives batches through Aria's three phases.
+//! Creates and solo batches are answered by the worker that applies them. Everything that touches state *outside* a
 //! transaction happens at a consistent cut, through one primitive:
 //!
 //! **The round.** Sealing stops, the pipeline drains (`drained`), one
@@ -60,38 +61,33 @@
 //!
 //! Chaos hardening: data-plane messages (`Exec`/`Reserve`/`Commit` out,
 //! `ExecDone`/`SoloDone`/`Flags` in) may be duplicated, delayed or
-//! quarantined by a scripted [`ChaosPlan`], so every per-message state
+//! quarantined by a scripted `ChaosPlan`, so every per-message state
 //! transition here is idempotent — flag reports are deduplicated per
 //! worker, and stale completions are dropped. Control-plane traffic (the
 //! round's messages and acks, failure notifications) bypasses injection:
 //! it models the failure detector and alignment protocol the engine
-//! assumes reliable.
+//! assumes reliable. Which message is which is decided in one place, by
+//! message kind: the shell's `route` ([`crate::shell`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use se_aria::{BatchId, TxnId};
-use se_chaos::{BatchKindTag, HistoryEvent, Seam, TxnOutcome};
-use se_dataflow::{Epoch, SnapshotStore, SourceReader, StateStore, WaiterMap};
+use se_chaos::{BatchKindTag, HistoryEvent, TxnOutcome};
+use se_dataflow::{Epoch, SnapshotStore, SourceReader, StateStore};
 use se_ir::{partition_for, Invocation, InvocationKind, RequestId, Response, INITIAL_VERSION};
 use se_lang::Value;
 
 use crate::config::{BugLever, StateflowConfig};
 use crate::msg::{ClientOp, ClientRequest, ConflictFlags, CoordMsg, Envelope, WorkerMsg};
-use crate::shell::Routes;
 
 /// Shared counters exposed to tests and benchmarks — registry-backed
 /// `se-obs` handles published under `coord.*` (and the log's
 /// `stateflow.log_truncated`), so the engine's decision
 /// counts and the observability snapshot come from one source (they used to
 /// be a private `AtomicU64` struct the exporters could not see).
-///
-/// Totals are *derived*, never double-tracked: there is deliberately no
-/// separate "finished transactions" counter — use
-/// [`CoordStats::finished_txns`], which is `commits + failed` by
-/// construction and therefore cannot drift from its parts.
 #[derive(Debug, Clone)]
 pub struct CoordStats {
     /// Batches decided (committed or solo-finalized).
@@ -132,12 +128,6 @@ impl CoordStats {
             recoveries: obs.counter("coord.recoveries"),
             log_truncated: obs.counter("stateflow.log_truncated"),
         }
-    }
-
-    /// Transactions that reached a final answer (committed or failed).
-    /// Derived from one source so it cannot disagree with its addends.
-    pub fn finished_txns(&self) -> u64 {
-        self.commits.get() + self.failed.get()
     }
 }
 
@@ -283,12 +273,14 @@ enum Mode {
 /// The coordinator role: its handlers run on the thread that hosts it.
 pub struct Coordinator {
     cfg: StateflowConfig,
-    routes: Routes,
+    /// What the handlers sent, in order, for the shell to route.
+    pub(crate) out: Vec<Envelope>,
+    /// The clients' answers, for the shell to deliver once `out` is on its
+    /// way: a decided batch's commit records then reach the workers ahead
+    /// of the client wake-ups. Only the first answer to a request finds its
+    /// waiter, so the answer a recovery replays is dropped there.
+    pub(crate) answers: Vec<Response>,
     reader: SourceReader<ClientRequest>,
-    /// The runtime's waiter map: a client is answered by request id, and
-    /// only the first answer finds its waiter, so the answer a recovery
-    /// replays for an already-answered request is dropped here.
-    waiters: Arc<WaiterMap>,
     snapshots: Arc<SnapshotStore<StateStore>>,
     stats: Arc<CoordStats>,
     obs: se_obs::Obs,
@@ -303,6 +295,8 @@ pub struct Coordinator {
     fallback_queue: VecDeque<TxnId>,
     /// Root invocation per pending or in-flight transaction.
     roots: HashMap<TxnId, Invocation>,
+    /// When `queue` seals even if not full; set exactly while it is not
+    /// empty.
     batch_deadline: Option<Instant>,
     next_batch: BatchId,
     batches_since_snapshot: u64,
@@ -348,9 +342,7 @@ impl Coordinator {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cfg: StateflowConfig,
-        routes: Routes,
         reader: SourceReader<ClientRequest>,
-        waiters: Arc<WaiterMap>,
         snapshots: Arc<SnapshotStore<StateStore>>,
         stats: Arc<CoordStats>,
         obs: se_obs::Obs,
@@ -358,9 +350,9 @@ impl Coordinator {
     ) -> Self {
         Self {
             cfg,
-            routes,
+            out: Vec::new(),
+            answers: Vec::new(),
             reader,
-            waiters,
             snapshots,
             stats,
             obs,
@@ -388,35 +380,13 @@ impl Coordinator {
     }
 
     fn owner_of(&self, key: &str) -> usize {
-        partition_for(key, self.routes.workers())
+        partition_for(key, self.cfg.workers)
     }
 
-    fn control_delay(&self) -> Duration {
-        // Flat delay for control-plane messages keeps per-worker channels
-        // FIFO (creates must not be overtaken by snapshot markers).
-        self.cfg.net.f2f_latency(64)
-    }
-
-    /// Control-plane broadcast: never faulted.
-    fn broadcast(&self, mk: impl Fn() -> WorkerMsg) {
-        for w in 0..self.routes.workers() {
-            self.routes
-                .send(Envelope::Worker(w, mk()), self.control_delay());
-        }
-    }
-
-    /// Data-plane broadcast (`Reserve`/`Commit`): runs through the chaos
-    /// seam, so scripted faults can drop, duplicate or delay per worker.
-    fn broadcast_chaos(&self, mk: impl Fn() -> WorkerMsg) {
-        for w in 0..self.routes.workers() {
-            self.routes.send_with_chaos(
-                &self.cfg.chaos,
-                Seam::CoordToWorker,
-                &self.cfg.net,
-                Envelope::Worker(w, mk()),
-                self.control_delay(),
-            );
-        }
+    /// Sends one `mk()` to every worker.
+    fn broadcast(&mut self, mk: impl Fn() -> WorkerMsg) {
+        let sends = (0..self.cfg.workers).map(|w| Envelope::Worker(w, mk()));
+        self.out.extend(sends);
     }
 
     /// Appends to the recorded history, if recording is on. The closure
@@ -427,25 +397,25 @@ impl Coordinator {
         }
     }
 
-    /// The coordinator's source work, run by its thread at the start of
-    /// every turn ([`crate::shell::Shell::run`]): consume what the source
-    /// holds (freeing the records below `replay_floor`), then cut and seal
-    /// what the pipeline and the batch timer allow. Returns `false` once
-    /// shutdown is requested: the coordinator has told every worker to stop,
-    /// and has stopped.
-    pub(crate) fn turn(&mut self) -> bool {
+    /// The coordinator's source work at `now`, run by its thread at the
+    /// start of every turn ([`crate::shell::Shell::run`]): consume what the
+    /// source holds (freeing the records below `replay_floor`), then cut and
+    /// seal what the pipeline and the batch timer allow. Returns `false`
+    /// once shutdown is requested: the coordinator has told every worker to
+    /// stop, and has stopped.
+    pub(crate) fn turn(&mut self, now: Instant) -> bool {
         if self.shutdown.load(Ordering::SeqCst) {
             self.broadcast(|| WorkerMsg::Shutdown);
             return false;
         }
         let cursor = self.reader.offset();
-        self.drain_source();
+        self.drain_source(now);
         if self.reader.offset() != cursor {
             let freed = self.reader.truncate_below(self.replay_floor());
             self.stats.log_truncated.add(freed);
         }
         self.cut_epoch(true);
-        self.maybe_seal_batches();
+        while self.window_open() && self.seal_next_batch(now) {}
         true
     }
 
@@ -456,7 +426,7 @@ impl Coordinator {
         self.batch_deadline.filter(|_| self.window_open())
     }
 
-    fn drain_source(&mut self) {
+    fn drain_source(&mut self, now: Instant) {
         // Requests are not consumed while restoring: the generation fence
         // must be in place first.
         if matches!(&self.mode, Mode::Round(r) if matches!(r.kind, RoundKind::Restore { .. })) {
@@ -482,8 +452,7 @@ impl Coordinator {
                         key,
                         init,
                     };
-                    self.routes
-                        .send(Envelope::Worker(owner, create), self.control_delay());
+                    self.out.push(Envelope::Worker(owner, create));
                 }
                 ClientOp::Invoke(inv) => {
                     let txn = self.next_txn;
@@ -501,7 +470,7 @@ impl Coordinator {
                     self.roots.insert(txn, inv);
                     self.queue.push_back(txn);
                     if self.batch_deadline.is_none() {
-                        self.batch_deadline = Some(Instant::now() + self.cfg.batch_interval);
+                        self.batch_deadline = Some(now + self.cfg.batch_interval);
                     }
                     if self.obs.enabled() && self.queue_since_ns.is_none() {
                         self.queue_since_ns = Some(self.obs.now_ns());
@@ -561,7 +530,7 @@ impl Coordinator {
         let gen = self.gen;
         match kind {
             RoundKind::Cut { epoch, .. } => {
-                self.snapshots.begin_epoch(epoch, self.routes.workers());
+                self.snapshots.begin_epoch(epoch, self.cfg.workers);
                 self.snapshots
                     .put_source_offset(epoch, "requests", self.reader.offset());
                 let durable_floor = self.durable_floor;
@@ -596,7 +565,7 @@ impl Coordinator {
         }
         let round = Round {
             kind,
-            waiting: (0..self.routes.workers()).collect(),
+            waiting: (0..self.cfg.workers).collect(),
         };
         match kind {
             RoundKind::Migrate { version, .. } if self.cfg.bug == Some(BugLever::TornUpgrade) => {
@@ -665,7 +634,8 @@ impl Coordinator {
                 });
                 self.record(|| HistoryEvent::UpgradeCommitted { version, epoch });
                 if let Some(request) = p.request {
-                    self.waiters.complete(request, Ok(Value::Unit));
+                    let result = Ok(Value::Unit);
+                    self.answers.push(Response { request, result });
                 }
             }
             RoundKind::Restore { target, floor } => {
@@ -680,13 +650,6 @@ impl Coordinator {
         }
     }
 
-    /// Seals as many batches as the pipeline window allows. A new batch may
-    /// start once every in-flight regular batch has entered its reservation
-    /// round and fewer than `pipeline_depth` batches are in flight.
-    fn maybe_seal_batches(&mut self) {
-        while self.window_open() && self.seal_next_batch() {}
-    }
-
     /// Whether the pipeline would take a batch now: no round holds sealing,
     /// a slot is free, and every in-flight regular batch has entered its
     /// reservation round. While it is closed only a message can open it.
@@ -696,11 +659,11 @@ impl Coordinator {
             && self.in_flight.values().all(|b| !b.blocks_sealing())
     }
 
-    /// Seals and dispatches one batch if one is ready; returns whether it
-    /// did. Serial-fallback transactions run first, one per batch; otherwise
-    /// the batch takes up to `max_batch` transactions from the queue. Either
-    /// way its kind follows from its size ([`batch_kind`]).
-    fn seal_next_batch(&mut self) -> bool {
+    /// Seals and dispatches one batch if one is ready at `now`; returns
+    /// whether it did. Serial-fallback transactions run first, one per
+    /// batch; otherwise the batch takes up to `max_batch` transactions from
+    /// the queue. Either way its kind follows from its size ([`batch_kind`]).
+    fn seal_next_batch(&mut self, now: Instant) -> bool {
         let (txns, fallback): (Vec<TxnId>, bool) =
             if let Some(txn) = self.fallback_queue.pop_front() {
                 (vec![txn], true)
@@ -709,7 +672,7 @@ impl Coordinator {
                     return false;
                 }
                 let full = self.queue.len() >= self.cfg.max_batch;
-                let due = self.batch_deadline.is_some_and(|d| Instant::now() >= d);
+                let due = self.batch_deadline.is_some_and(|d| now >= d);
                 if !full && !due {
                     return false;
                 }
@@ -739,7 +702,6 @@ impl Coordinator {
             // stays on its original version until it drains.
             let inv = self.roots[txn].clone().at_version(self.active_version);
             let owner = self.owner_of(inv.target.key.as_str());
-            let bytes = inv.approx_size();
             let exec = WorkerMsg::Exec {
                 gen: self.gen,
                 batch,
@@ -748,16 +710,13 @@ impl Coordinator {
                 inv,
                 solo,
             };
-            self.routes.send_with_chaos(
-                &self.cfg.chaos,
-                Seam::CoordToWorker,
-                &self.cfg.net,
-                Envelope::Worker(owner, exec),
-                self.cfg.net.f2f_latency(bytes),
-            );
+            self.out.push(Envelope::Worker(owner, exec));
         }
-        self.batch_deadline =
-            (!self.queue.is_empty()).then(|| Instant::now() + self.cfg.batch_interval);
+        if !fallback {
+            // Only a regular seal takes from the queue: a fallback seal must
+            // not postpone the requests already waiting there.
+            self.batch_deadline = (!self.queue.is_empty()).then(|| now + self.cfg.batch_interval);
+        }
         let mut sealed_ns = 0;
         if self.obs.enabled() {
             sealed_ns = self.obs.now_ns();
@@ -895,14 +854,14 @@ impl Coordinator {
             reported: BTreeSet::new(),
         };
         let gen = self.gen;
-        self.broadcast_chaos(move || WorkerMsg::Reserve {
+        self.broadcast(move || WorkerMsg::Reserve {
             gen,
             batch: batch_id,
             txns: Arc::clone(&txns),
             errors: Arc::clone(&errors),
         });
         // Entering the reservation round unblocks sealing the next batch
-        // (checked each loop turn in maybe_seal_batches).
+        // (checked on the turn that follows this message).
     }
 
     /// A solo batch's final-hop worker decided, committed, counted,
@@ -948,7 +907,7 @@ impl Coordinator {
         for (txn, f) in new_flags {
             flags.entry(txn).or_default().merge(f);
         }
-        if reported.len() < self.routes.workers() {
+        if reported.len() < self.cfg.workers {
             return;
         }
         // All partitions reported: decide which transactions lost a
@@ -992,7 +951,7 @@ impl Coordinator {
             Arc::new(errors.iter().chain(&retry).copied().collect());
         let commit_txns = Arc::clone(&txns);
         let gen = self.gen;
-        self.broadcast_chaos(move || WorkerMsg::Commit {
+        self.broadcast(move || WorkerMsg::Commit {
             gen,
             batch: batch_id,
             txns: Arc::clone(&commit_txns),
@@ -1002,7 +961,6 @@ impl Coordinator {
         // answered with their error and counted apart — they never commit).
         let mut committed = 0u64;
         let mut failed = 0u64;
-        let mut answers: Vec<Response> = Vec::new();
         let mut committed_outcomes: Vec<TxnOutcome> = Vec::new();
         let mut failed_outcomes: Vec<TxnOutcome> = Vec::new();
         let recording = self.cfg.history.is_some();
@@ -1029,11 +987,11 @@ impl Coordinator {
                         committed_outcomes.push(outcome);
                     }
                 }
-                answers.push(resp);
+                self.answers.push(resp);
             }
         }
-        // Count and record the decision *before* answering clients: a
-        // client woken by its response may immediately read the stats or
+        // Count and record the decision here, before the shell answers the
+        // clients: a client woken by its response may at once read the stats or
         // snapshot the history and must see the commit that produced it.
         self.stats.commits.add(committed);
         self.stats.failed.add(failed);
@@ -1046,7 +1004,6 @@ impl Coordinator {
             failed: failed_outcomes,
             retried: retry.clone(),
         });
-        self.waiters.complete_all(answers);
 
         // Aborted transactions keep their (lower) ids so the oldest can
         // never lose again — also across overlapping batches: anything
@@ -1054,9 +1011,6 @@ impl Coordinator {
         // transaction still enters its next batch as the lowest id there.
         // They run as Aria's serial fallback: one solo batch each.
         self.fallback_queue.extend(retry);
-        if !self.queue.is_empty() && self.batch_deadline.is_none() {
-            self.batch_deadline = Some(Instant::now() + self.cfg.batch_interval);
-        }
 
         self.batches_since_snapshot += 1;
         self.cut_epoch(false);
@@ -1068,7 +1022,7 @@ impl Coordinator {
     /// fall back to it and needs its source offset) and licenses WAL
     /// compaction below it on the next snapshot marker.
     fn update_durable_floor(&mut self) {
-        if self.durable_epochs.len() < self.routes.workers() {
+        if self.durable_epochs.len() < self.cfg.workers {
             return;
         }
         // `None` (nothing durable yet) orders below every epoch.
@@ -1202,5 +1156,103 @@ impl Coordinator {
         self.obs
             .gauge("deploy.active_version")
             .set(self.active_version as i64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use se_dataflow::ReplayableSource;
+    use se_lang::EntityRef;
+
+    use super::*;
+
+    /// A serial-fallback seal takes nothing from the queue, so it must not
+    /// restart the queue's batch timer: a request waiting behind a
+    /// contended batch seals `batch_interval` after it arrived, however
+    /// many retries seal meanwhile. Driven by hand, with synthetic instants:
+    /// no thread, no sleep, no shell.
+    #[test]
+    fn a_fallback_seal_does_not_postpone_the_queued_batch() {
+        let interval = Duration::from_millis(10);
+        let mut cfg = StateflowConfig::fast_test(2);
+        cfg.batch_interval = interval;
+        cfg.pipeline_depth = 4;
+        let source = ReplayableSource::new();
+        let mut coord = Coordinator::new(
+            cfg,
+            SourceReader::at(&source, 0),
+            Arc::new(SnapshotStore::new()),
+            Arc::new(CoordStats::default()),
+            se_obs::Obs::noop(),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let invoke = |request: u64, key: &str| {
+            let target = EntityRef::new("Account", key);
+            let inv = Invocation::root(RequestId(request), target, "balance", vec![]);
+            source.append(ClientRequest {
+                request: RequestId(request),
+                op: ClientOp::Invoke(inv),
+            });
+        };
+        // The transactions whose `Exec` the coordinator sent since the last
+        // look.
+        let sealed = |coord: &mut Coordinator| -> Vec<TxnId> {
+            (coord.out.drain(..))
+                .filter_map(|sent| match sent {
+                    Envelope::Worker(_, WorkerMsg::Exec { txn, .. }) => Some(txn),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        // 1. A two-transaction regular batch seals at its deadline.
+        let t0 = Instant::now();
+        invoke(0, "a");
+        invoke(1, "b");
+        assert!(coord.turn(t0));
+        assert_eq!(sealed(&mut coord), []);
+        assert!(coord.turn(t0 + interval));
+        assert_eq!(sealed(&mut coord), [0, 1]);
+
+        // 2. A third request queues at t1, behind the executing batch.
+        let t1 = t0 + 2 * interval;
+        invoke(2, "c");
+        assert!(coord.turn(t1));
+        assert_eq!(sealed(&mut coord), []);
+
+        // 3. Both chains finish, and txn 1 loses a WAW on worker 0.
+        for txn in [0, 1] {
+            let response = Response {
+                request: RequestId(txn),
+                result: Ok(Value::Unit),
+            };
+            coord.handle(CoordMsg::ExecDone {
+                gen: 0,
+                batch: 0,
+                txn,
+                response,
+            });
+        }
+        let waw = ConflictFlags {
+            waw: true,
+            ..ConflictFlags::default()
+        };
+        for (worker, flags) in [(0, vec![(1, waw)]), (1, Vec::new())] {
+            coord.handle(CoordMsg::Flags {
+                gen: 0,
+                batch: 0,
+                worker,
+                flags,
+            });
+        }
+
+        // 4. The retry seals alone on the next turn, at t1 + I/2; request 3
+        // still seals at its own deadline, t1 + I, not I after the retry.
+        assert!(coord.turn(t1 + interval / 2));
+        assert_eq!(sealed(&mut coord), [1]);
+        assert!(coord.turn(t1 + interval));
+        assert_eq!(sealed(&mut coord), [2]);
     }
 }

@@ -75,6 +75,9 @@ impl StateflowRuntime {
             (0..cfg.workers)
                 .map(|id| txs[host_of(id, threads)].clone())
                 .collect(),
+            cfg.chaos.clone(),
+            cfg.net.clone(),
+            Arc::clone(&core.waiters),
         );
         // The source is the one thing the coordinator watches that is not a
         // message: its appends end its thread's wait.
@@ -86,7 +89,6 @@ impl StateflowRuntime {
                 id,
                 cfg.clone(),
                 Arc::clone(&core.registry),
-                routes.clone(),
                 Arc::clone(&core.waiters),
                 Arc::clone(&core.snapshots),
                 core.obs.clone(),
@@ -94,16 +96,14 @@ impl StateflowRuntime {
         }
         let mut coordinator = Some(Coordinator::new(
             cfg.clone(),
-            routes,
             SourceReader::at(&source, 0),
-            Arc::clone(&core.waiters),
             Arc::clone(&core.snapshots),
             Arc::clone(&stats),
             core.obs.clone(),
             Arc::clone(&core.shutdown),
         ));
         for (inbox, workers) in inboxes.into_iter().zip(hosted) {
-            let shell = Shell::new(inbox, coordinator.take(), workers);
+            let shell = Shell::new(inbox, routes.clone(), coordinator.take(), workers);
             core.spawn(shell.name(), move || shell.run());
         }
 

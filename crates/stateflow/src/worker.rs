@@ -25,7 +25,12 @@
 //! ([`crate::shell`]) hands it each message addressed to it
 //! (`Worker::handle`). That thread may host other workers and the
 //! coordinator too; partitions are the unit of state, threads the unit of
-//! CPU. A chain segment — the entry hop plus any same-partition
+//! CPU. It does no I/O: what it sends goes onto its outbox (`out`), and
+//! the shell picks each message's seam, plane and simulated delay. What a
+//! handler releases (the execs a commit made runnable, a parked cut) the
+//! shell runs one routed step at a time (`Worker::resume`).
+//!
+//! A chain segment — the entry hop plus any same-partition
 //! continuations — runs in one handler call through [`Worker::run_segment`],
 //! against the committed snapshot overlaid with the transaction's buffer;
 //! [`Worker::run_exec`] then performs its protocol action (report, solo
@@ -59,7 +64,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use se_aria::{BatchId, CommitWatermark, ReservationTable, TxnBuffer, TxnId};
-use se_chaos::{BatchKindTag, CrashPoint, HistoryEvent, Seam, TxnOutcome};
+use se_chaos::{BatchKindTag, CrashPoint, HistoryEvent, TxnOutcome};
 use se_dataflow::{
     timer, DurableOptions, DurableStore, Epoch, SnapshotStore, StateStore, WaiterMap,
 };
@@ -72,7 +77,6 @@ use se_obs::Histogram;
 use crate::config::{BugLever, DurabilityMode, StateflowConfig};
 use crate::coordinator::CoordStats;
 use crate::msg::{ConflictFlags, CoordMsg, Envelope, WorkerMsg};
-use crate::shell::Routes;
 
 /// A commit record as applied by a worker: the batch's transactions
 /// (ascending), the subset whose effects must be discarded, and when it was
@@ -146,8 +150,8 @@ pub struct Worker {
     /// The open `Cut` round's marker, until this worker has applied every
     /// commit below its `through`.
     parked_cut: Option<ParkedCut>,
-    /// Where the coordinator and every partition (this one too) live.
-    routes: Routes,
+    /// What the handlers sent, in order, for the shell to route.
+    pub(crate) out: Vec<Envelope>,
     /// The runtime's waiter map: this worker answers the creates and solo
     /// batches it finishes. Only the first answer finds its waiter, so a
     /// replay's answer for an already-answered request is dropped here.
@@ -183,7 +187,6 @@ impl Worker {
         id: usize,
         cfg: StateflowConfig,
         registry: Arc<VersionRegistry>,
-        routes: Routes,
         waiters: Arc<WaiterMap>,
         snapshots: Arc<SnapshotStore<StateStore>>,
         obs: se_obs::Obs,
@@ -222,7 +225,7 @@ impl Worker {
             watermark: CommitWatermark::new(),
             deferred: BTreeMap::new(),
             parked_cut: None,
-            routes,
+            out: Vec::new(),
             waiters,
             stats: CoordStats::register(&obs),
             snapshots,
@@ -342,7 +345,6 @@ impl Worker {
                     through,
                     durable_floor,
                 });
-                self.try_cut();
             }
             WorkerMsg::Migrate { version, .. } => self.handle_migrate(version),
             WorkerMsg::Restore { .. } | WorkerMsg::Shutdown => {
@@ -351,22 +353,9 @@ impl Worker {
         }
     }
 
-    /// Control-plane send to the coordinator: never faulted (acks of
-    /// restore/snapshot/migrate model reliable infrastructure channels).
-    fn send_coord_ctl(&self, msg: CoordMsg) {
-        self.routes
-            .send(Envelope::Coord(msg), self.cfg.net.f2f_latency(64));
-    }
-
-    /// Data-plane send to the coordinator: runs through the chaos seam.
-    fn send_coord(&self, msg: CoordMsg) {
-        self.routes.send_with_chaos(
-            &self.cfg.chaos,
-            Seam::WorkerToCoord,
-            &self.cfg.net,
-            Envelope::Coord(msg),
-            self.cfg.net.f2f_latency(64),
-        );
+    /// Sends `msg` to the coordinator.
+    fn send_coord(&mut self, msg: CoordMsg) {
+        self.out.push(Envelope::Coord(msg));
     }
 
     /// Appends to the recorded history, if recording is on.
@@ -458,7 +447,6 @@ impl Worker {
         match outcome {
             SegmentOutcome::Respond(response) => self.finish_chain(batch, txn, response, solo),
             SegmentOutcome::Emit { owner, hop, inv } => {
-                let bytes = inv.approx_size();
                 let exec = WorkerMsg::Exec {
                     gen: self.gen,
                     batch,
@@ -467,26 +455,22 @@ impl Worker {
                     inv,
                     solo,
                 };
-                self.routes.send_with_chaos(
-                    &self.cfg.chaos,
-                    Seam::WorkerToWorker,
-                    &self.cfg.net,
-                    Envelope::Worker(owner, exec),
-                    self.cfg.net.f2f_latency(bytes),
-                );
+                self.out.push(Envelope::Worker(owner, exec));
             }
         }
     }
 
-    /// Runs execs whose batch became runnable after a watermark advance.
-    fn drain_deferred(&mut self) {
-        loop {
-            if self.dead {
-                return;
-            }
+    /// The work a handler leaves behind, one step per call: the next exec
+    /// a watermark advance made runnable, else the parked epoch cut the
+    /// advance completed. Returns whether it did either. The shell calls it
+    /// after every handler until it returns `false`, routing what each step
+    /// sent before the next one runs, so a chain of deferred execs sends
+    /// each hop, `ExecDone` and `SoloDone` as soon as it is made.
+    pub(crate) fn resume(&mut self) -> bool {
+        while !self.dead {
             let batch = self.watermark.next_expected();
             let Some(queue) = self.deferred.get_mut(&batch) else {
-                return;
+                break;
             };
             let Some(item) = queue.pop_front() else {
                 self.deferred.remove(&batch);
@@ -495,16 +479,17 @@ impl Worker {
             if queue.is_empty() {
                 // Drop the entry before running: a solo commit at the end
                 // of the exec advances the watermark past this batch,
-                // after which the loop would never revisit (and clean) its
-                // key.
+                // after which no step would revisit (and clean) its key.
                 self.deferred.remove(&batch);
             }
+            // A solo commit may advance the watermark; the next step
+            // re-resolves the runnable batch from scratch. A batch's queue
+            // only holds work that arrived before the batch became
+            // runnable, so an advance past it cannot strand items.
             self.run_exec(batch, item.txn, item.hop, item.inv, item.solo);
-            // A solo commit may have advanced the watermark; re-resolve
-            // the runnable batch from scratch. A
-            // batch's queue only holds work that arrived before the batch
-            // became runnable, so an advance past it cannot strand items.
+            return true;
         }
+        self.try_cut()
     }
 
     /// Chain finished (with a result or an error). A regular batch's
@@ -531,7 +516,6 @@ impl Worker {
             txn,
         });
         self.send_solo_record(batch, txn, errored);
-        self.drain_deferred();
     }
 
     /// Commits a solo batch — one transaction, a lone request or a
@@ -608,27 +592,21 @@ impl Worker {
     }
 
     /// Sends a committed solo batch's record to every peer.
-    fn send_solo_record(&self, batch: BatchId, txn: TxnId, errored: bool) {
+    fn send_solo_record(&mut self, batch: BatchId, txn: TxnId, errored: bool) {
         let txns = Arc::new(vec![txn]);
         let aborted: Arc<BTreeSet<TxnId>> = Arc::new(if errored {
             BTreeSet::from([txn])
         } else {
             BTreeSet::new()
         });
-        for peer in (0..self.routes.workers()).filter(|&p| p != self.id) {
+        for peer in (0..self.cfg.workers).filter(|&p| p != self.id) {
             let record = WorkerMsg::Commit {
                 gen: self.gen,
                 batch,
                 txns: Arc::clone(&txns),
                 aborted: Arc::clone(&aborted),
             };
-            self.routes.send_with_chaos(
-                &self.cfg.chaos,
-                Seam::WorkerToWorker,
-                &self.cfg.net,
-                Envelope::Worker(peer, record),
-                self.cfg.net.f2f_latency(64),
-            );
+            self.out.push(Envelope::Worker(peer, record));
         }
     }
 
@@ -705,9 +683,9 @@ impl Worker {
     }
 
     /// The commit phase: apply records in batch order (buffering any that
-    /// arrive early), then release execs the advance unblocked and take a
-    /// parked epoch cut it completed. Records for already-committed batches
-    /// (duplicates) are absorbed by the watermark.
+    /// arrive early); the execs the advance unblocked and a parked epoch cut
+    /// it completed follow in [`Worker::resume`]. Records for
+    /// already-committed batches (duplicates) are absorbed by the watermark.
     fn handle_commit(
         &mut self,
         batch: BatchId,
@@ -724,16 +702,14 @@ impl Worker {
                 self.obs.now_ns(),
             );
         }
-        self.drain_deferred();
-        self.try_cut();
     }
 
     /// Takes the parked epoch cut once every batch below its `through` has
     /// committed here: durable epoch cut first (the marker append, fsynced
     /// per policy, is what makes the epoch durable, and costs only the
     /// dirty set already in the log — O(dirty), not O(state)), then the
-    /// in-memory contribution and the ack.
-    fn try_cut(&mut self) {
+    /// in-memory contribution and the ack. Returns whether it cut.
+    fn try_cut(&mut self) -> bool {
         let next = self.watermark.next_expected();
         let Some(ParkedCut {
             epoch,
@@ -741,7 +717,7 @@ impl Worker {
             ..
         }) = self.parked_cut.take_if(|c| next >= c.through)
         else {
-            return;
+            return false;
         };
         debug_assert!(
             self.deferred.is_empty(),
@@ -759,12 +735,13 @@ impl Worker {
         });
         self.snapshots
             .put(epoch, self.node_name(), self.store.clone());
-        self.send_coord_ctl(CoordMsg::SnapshotAck {
+        self.send_coord(CoordMsg::SnapshotAck {
             gen: self.gen,
             epoch,
             worker: self.id,
             durable: durable.flatten(),
         });
+        true
     }
 
     /// Installs one batch's committed writes in ascending id order and
@@ -866,7 +843,7 @@ impl Worker {
             t0,
             self.obs.now_ns(),
         );
-        self.send_coord_ctl(CoordMsg::MigrateAck {
+        self.send_coord(CoordMsg::MigrateAck {
             gen: self.gen,
             version,
             worker: self.id,
@@ -888,8 +865,9 @@ impl Worker {
         self.deferred.clear();
         self.parked_cut = None;
         self.dead = true;
-        // Failure notification models the failure detector: not faulted.
-        self.send_coord_ctl(CoordMsg::WorkerFailed {
+        // The failure notification models the failure detector: control
+        // plane, never faulted.
+        self.send_coord(CoordMsg::WorkerFailed {
             gen: self.gen,
             worker: self.id,
         });
@@ -924,7 +902,7 @@ impl Worker {
         // The next incarnation begins: re-arm the chaos plan's per-node
         // counters so a multi-crash script can kill this worker again.
         self.cfg.chaos.notify_restart(self.node_name());
-        self.send_coord_ctl(CoordMsg::RestoreAck {
+        self.send_coord(CoordMsg::RestoreAck {
             gen,
             worker: self.id,
             reached,
@@ -992,7 +970,7 @@ impl Worker {
                 }
                 StepEffect::Emit(next) => {
                     hop += 1;
-                    let owner = partition_for(next.target.key.as_str(), self.routes.workers());
+                    let owner = partition_for(next.target.key.as_str(), self.cfg.workers);
                     if owner == self.id {
                         // Same-partition call: continue locally, no hop message.
                         next_hop = hop + 1;

@@ -586,11 +586,16 @@ impl CoordRig {
         source.wake_on_append(coord_waker.clone());
         let (worker_txs, workers): (Vec<_>, Vec<_>) =
             (0..cfg.workers).map(|_| delay_channel()).unzip();
+        let routes = Routes::new(
+            coord_tx.clone(),
+            worker_txs,
+            cfg.chaos.clone(),
+            cfg.net.clone(),
+            Arc::clone(&waiters),
+        );
         let coordinator = Coordinator::new(
             cfg,
-            Routes::new(coord_tx.clone(), worker_txs),
             SourceReader::at(&source, 0),
-            Arc::clone(&waiters),
             Arc::clone(&snapshots),
             Arc::clone(&stats),
             se_obs::Obs::noop(),
@@ -602,7 +607,7 @@ impl CoordRig {
             dir_tx
                 .send(dir.map(|d| std::path::Path::new("/proc").join(d)))
                 .unwrap();
-            Shell::new(coord_rx, Some(coordinator), Vec::new()).run()
+            Shell::new(coord_rx, routes, Some(coordinator), Vec::new()).run()
         });
         CoordRig {
             source,
