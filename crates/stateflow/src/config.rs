@@ -82,7 +82,7 @@ pub enum BugLever {
 /// one partition per remaining core, never fewer than the paper's 5 (see
 /// [`default_workers`]). How many threads run them is derived, not
 /// configured: one per core, never more than one per role
-/// (`shell::threads_for`).
+/// (`se_dataflow::shell::threads_for`).
 #[derive(Debug, Clone)]
 pub struct StateflowConfig {
     /// Number of workers, i.e. state partitions; each runs its partition's
@@ -172,7 +172,7 @@ impl StateflowConfig {
 /// (not hard-coded) so a default deployment actually uses the machine it
 /// runs on; the floor keeps partitioning behavior identical to the paper's
 /// setup on small hosts, where several partitions share an engine thread
-/// (`shell::host_of`).
+/// (`shell::layout`).
 pub fn default_workers() -> usize {
     let available = std::thread::available_parallelism()
         .map(|p| p.get())

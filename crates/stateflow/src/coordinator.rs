@@ -398,7 +398,7 @@ impl Coordinator {
     }
 
     /// The coordinator's source work at `now`, run by its thread at the
-    /// start of every turn ([`crate::shell::Shell::run`]): consume what the
+    /// start of every turn ([`se_dataflow::shell::run`]): consume what the
     /// source holds (freeing the records below `replay_floor`), then cut and
     /// seal what the pipeline and the batch timer allow. Returns `false`
     /// once shutdown is requested: the coordinator has told every worker to

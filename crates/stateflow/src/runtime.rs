@@ -20,7 +20,7 @@ use se_lang::{EntityRef, LangError, Value};
 use crate::config::{DurabilityMode, StateflowConfig};
 use crate::coordinator::{CoordStats, Coordinator};
 use crate::msg::{ClientOp, ClientRequest, Envelope};
-use crate::shell::{host_of, threads_for, Routes, Shell};
+use crate::shell::{layout, Routes, Shell};
 use crate::worker::Worker;
 
 /// A deployed StateFlow application: coordinator + workers over the compiled
@@ -67,13 +67,14 @@ impl StateflowRuntime {
         let source = ReplayableSource::new();
 
         // One engine thread per core, the coordinator on thread 0.
-        let threads = threads_for(cfg.workers);
-        let (txs, inboxes): (Vec<_>, Vec<_>) =
-            (0..threads).map(|_| delay_channel::<Envelope>()).unzip();
+        let layout = layout(cfg.workers);
+        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..layout.threads())
+            .map(|_| delay_channel::<Envelope>())
+            .unzip();
         let routes = Routes::new(
-            txs[0].clone(),
+            txs[layout.front(0)].clone(),
             (0..cfg.workers)
-                .map(|id| txs[host_of(id, threads)].clone())
+                .map(|id| txs[layout.back(id)].clone())
                 .collect(),
             cfg.chaos.clone(),
             cfg.net.clone(),
@@ -81,11 +82,11 @@ impl StateflowRuntime {
         );
         // The source is the one thing the coordinator watches that is not a
         // message: its appends end its thread's wait.
-        let coord_waker = inboxes[0].waker();
+        let coord_waker = inboxes[layout.front(0)].waker();
         source.wake_on_append(coord_waker.clone());
-        let mut hosted: Vec<Vec<Worker>> = (0..threads).map(|_| Vec::new()).collect();
+        let mut hosted: Vec<Vec<Worker>> = (0..layout.threads()).map(|_| Vec::new()).collect();
         for id in 0..cfg.workers {
-            hosted[host_of(id, threads)].push(Worker::new(
+            hosted[layout.back(id)].push(Worker::new(
                 id,
                 cfg.clone(),
                 Arc::clone(&core.registry),
@@ -103,8 +104,8 @@ impl StateflowRuntime {
             Arc::clone(&core.shutdown),
         ));
         for (inbox, workers) in inboxes.into_iter().zip(hosted) {
-            let shell = Shell::new(inbox, routes.clone(), coordinator.take(), workers);
-            core.spawn(shell.name(), move || shell.run());
+            let shell = Shell::new(routes.clone(), coordinator.take(), workers);
+            core.spawn(shell.name(), move || se_dataflow::shell::run(inbox, shell));
         }
 
         Self {

@@ -1,33 +1,19 @@
-//! The engine threads: one per engine core, each a thin loop over the roles
-//! it hosts.
+//! StateFlow's half of the engine threads ([`se_dataflow::shell`]): where
+//! its roles run, and how its protocol messages travel.
 //!
 //! "StateFlow requires a single core coordinator, and the rest are used for
-//! its workers" (§4). The rule counts cores. Partitions are the unit of
-//! state and threads the unit of CPU, so a deployment runs its coordinator
-//! and its `workers` partitions on M = min(cores, `workers` + 1) threads,
-//! where cores is the deploying thread's `available_parallelism()`
-//! (`threads_for`); under sleep-mode service time, which simulates a core
-//! per role (`se_dataflow::net::service_sleeps`), cores is `workers` + 1.
-//! At M = 1 the one thread hosts every role. Otherwise
-//! the coordinator keeps thread 0 to itself and worker *i* runs on thread
-//! 1 + *i* mod (M − 1) (`host_of`); at M = `workers` + 1 that is one
-//! thread per role.
+//! its workers" (§4). A deployment runs its coordinator and its `workers`
+//! partitions on M = `threads_for(workers + 1)` threads. At M = 1 the one
+//! thread hosts every role. Otherwise the coordinator keeps thread 0 to
+//! itself and worker *i* runs on thread 1 + *i* mod (M − 1) (`layout`); at
+//! M = `workers` + 1 that is one thread per role.
 //!
-//! Each thread owns one delay queue of [`Envelope`]s. A push to the running
-//! thread costs one lock and no syscall, since nobody is parked on it. A
-//! delayed message to a co-located role is a due time in the same heap, so
-//! the thread's one blocking receive times every hosted role's messages
-//! along with the coordinator's batch deadline.
-//!
-//! The roles do no I/O: a handler decides *what* to send and pushes it onto
-//! its role's outbox (`out`), and time enters the coordinator only as the
-//! `now` of `Coordinator::turn`. The shell reads the clock and drains the
-//! outboxes after every turn, handler call and step of a worker's deferred
-//! execs (`Worker::resume`), so one exec's sends are on their way while the
-//! next runs; a turn's seals and creates leave together at its end. The
+//! Time enters the coordinator only as the `now` of `Coordinator::turn`,
+//! which also follows every message the coordinator handles. The
 //! coordinator's client answers (`Coordinator::answers`) follow its sends,
-//! so commit records leave before the client wake-ups. The outboxes drain
-//! into `Routes::route`, the one place that decides *how* a protocol
+//! so commit records leave before the client wake-ups. A worker's deferred
+//! execs run one routed step at a time (`Worker::resume`). The outboxes
+//! drain into `Routes::route`, the one place that decides *how* a protocol
 //! message travels: to the inbox of the thread hosting its addressee,
 //! through the seam its sender and receiver name, faultable or not by its
 //! kind — the data plane (`Exec`, `Reserve`, `Commit`, `ExecDone`,
@@ -42,33 +28,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use se_chaos::{ChaosPlan, Seam};
-use se_dataflow::{send_with_chaos, DelayReceiver, DelaySender, NetConfig, WaiterMap};
+use se_dataflow::shell::threads_for;
+use se_dataflow::{send_with_chaos, DelaySender, Layout, NetConfig, Roles, WaiterMap};
 
 use crate::coordinator::Coordinator;
 use crate::msg::{CoordMsg, Envelope, WorkerMsg};
 use crate::worker::Worker;
 
-/// The number of engine threads for `workers` partitions: one per core the
-/// calling thread may run on, and never more than one per role. A sleeping
-/// service burn leaves its core free, so sleep mode stands for a cluster
-/// with a core per role, and its roles get a thread each whatever the host.
-pub(crate) fn threads_for(workers: usize) -> usize {
-    let cores = if se_dataflow::net::service_sleeps() {
-        workers + 1
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    };
-    cores.min(workers + 1)
-}
-
-/// The thread, of `threads`, that hosts worker `id`: thread 0 with only one
-/// thread, else one of the threads after the coordinator's, round robin.
-pub(crate) fn host_of(id: usize, threads: usize) -> usize {
-    if threads == 1 {
-        0
-    } else {
-        1 + id % (threads - 1)
-    }
+/// Where the coordinator (front) and the `workers` partitions (back) run.
+pub(crate) fn layout(workers: usize) -> Layout {
+    Layout::new(threads_for(workers + 1), 1)
 }
 
 /// How every StateFlow protocol message travels (see the module doc): the
@@ -157,10 +126,9 @@ fn data_plane(envelope: &Envelope) -> bool {
     }
 }
 
-/// One engine thread: the roles it hosts, the inbox they share, and the
-/// routes their outboxes drain into.
+/// The StateFlow roles one engine thread hosts ([`se_dataflow::shell::run`]
+/// drives them), and the routes their outboxes drain into.
 pub struct Shell {
-    inbox: DelayReceiver<Envelope>,
     routes: Routes,
     coordinator: Option<Coordinator>,
     /// The hosted workers that have not stopped, ascending by id.
@@ -168,16 +136,10 @@ pub struct Shell {
 }
 
 impl Shell {
-    /// A thread over `inbox` hosting `coordinator` (if any) and `workers`
-    /// (ascending by id), sending through `routes`.
-    pub fn new(
-        inbox: DelayReceiver<Envelope>,
-        routes: Routes,
-        coordinator: Option<Coordinator>,
-        workers: Vec<Worker>,
-    ) -> Shell {
+    /// A thread hosting `coordinator` (if any) and `workers` (ascending by
+    /// id), sending through `routes`.
+    pub fn new(routes: Routes, coordinator: Option<Coordinator>, workers: Vec<Worker>) -> Shell {
         Shell {
-            inbox,
             routes,
             coordinator,
             workers,
@@ -192,79 +154,46 @@ impl Shell {
             _ => "stateflow-coordinator".into(),
         }
     }
+}
 
-    /// The thread's loop; returns once every hosted role has stopped.
-    ///
-    /// A turn runs the coordinator's source work (`Coordinator::turn`), if
-    /// this thread hosts it, and then hands every due message to its role.
-    /// The source work also follows every message the coordinator handles,
-    /// as in a loop of the coordinator's own: a decision that frees a
-    /// pipeline slot seals the next batch at once, not after the hosted
-    /// workers' queued traffic, which would only grow the batch.
-    /// Only a turn that handled no message blocks, on the inbox, until one of
-    /// exactly three things: a **message** comes due (every simulated hop
-    /// delay and chaos quarantine is a due time in the inbox's heap), a
-    /// **wake** (the source fires the coordinator thread's waker on every
-    /// append, and shutdown fires it too), or the coordinator's
-    /// `Coordinator::deadline`, the one timer any role owns. A busy thread
-    /// never sleeps, an idle one never wakes.
+impl Roles for Shell {
+    type Envelope = Envelope;
+
+    /// The coordinator's source work, if this thread hosts it.
     ///
     /// The park is keyed on "no message since the last turn", never on "the
     /// source has unread records": the coordinator leaves records unread on
     /// purpose behind a pending `Redeploy` and during a `Restore` round. An
     /// append there costs one empty turn; whatever ends the round is a
     /// message, and the turn it starts drains the source.
-    pub fn run(mut self) {
-        while self.source_work() {
-            // Every due message, before blocking: a decide round for batch
-            // N+1 must not queue behind the apply traffic of batch N. What a
-            // handler sends to a co-located role is due at once when the
-            // simulated hop is zero, and is handled in this same turn.
-            let mut handled = false;
-            while let Some(envelope) = self.inbox.try_recv() {
-                let to_coord = matches!(envelope, Envelope::Coord(_));
-                self.deliver(envelope);
-                handled = true;
-                if to_coord && !self.source_work() {
-                    return;
-                }
-            }
-            if !handled {
-                let deadline = self.coordinator.as_ref().and_then(Coordinator::deadline);
-                if let Some(envelope) = self.inbox.recv_until(deadline) {
-                    self.deliver(envelope);
-                }
-            }
-        }
-    }
-
-    /// The coordinator's source work, if this thread hosts it, at the wall
-    /// clock's `now`. Returns `false` once every hosted role has stopped.
-    fn source_work(&mut self) -> bool {
+    fn turn(&mut self, now: Instant) -> bool {
         if let Some(c) = &mut self.coordinator {
-            let live = c.turn(Instant::now());
-            self.routes.flush_coordinator(c);
-            if !live {
+            if !c.turn(now) {
+                self.routes.flush_coordinator(c);
                 self.coordinator = None;
             }
         }
         self.coordinator.is_some() || !self.workers.is_empty()
     }
 
-    /// Hands `envelope` to its role, routing what it sends; a worker then
-    /// resumes what the handler left behind, one routed step at a time. A
-    /// message to a role that has stopped is dropped.
-    fn deliver(&mut self, envelope: Envelope) {
+    /// A message to a role that has stopped is dropped. The coordinator's
+    /// source work follows every message it handles, as in a loop of its
+    /// own: a decision that frees a pipeline slot seals the next batch at
+    /// once, not after the hosted workers' queued traffic, which would only
+    /// grow the batch. A worker then resumes what its handler left behind,
+    /// one routed step at a time.
+    fn deliver(&mut self, envelope: Envelope) -> bool {
         match envelope {
-            Envelope::Coord(msg) => {
-                if let Some(c) = &mut self.coordinator {
+            Envelope::Coord(msg) => match &mut self.coordinator {
+                Some(c) => {
                     c.handle(msg);
-                    self.routes.flush_coordinator(c);
+                    true
                 }
-            }
+                None => false,
+            },
             Envelope::Worker(id, msg) => {
                 let Some(at) = self.workers.iter().position(|w| w.id() == id) else {
-                    return;
+                    return false;
                 };
                 let worker = &mut self.workers[at];
                 let live = worker.handle(msg);
@@ -275,8 +204,21 @@ impl Shell {
                 if !live {
                     self.workers.remove(at);
                 }
+                false
             }
         }
+    }
+
+    /// The coordinator's outbox: `deliver` routes a worker's after each of
+    /// its steps.
+    fn flush(&mut self) {
+        if let Some(c) = &mut self.coordinator {
+            self.routes.flush_coordinator(c);
+        }
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.coordinator.as_ref().and_then(Coordinator::deadline)
     }
 }
 
@@ -287,7 +229,7 @@ mod tests {
     use std::time::Duration;
 
     use se_chaos::{FaultScript, MessageFault, MsgFaultKind};
-    use se_dataflow::delay_channel;
+    use se_dataflow::{delay_channel, DelayReceiver};
     use se_ir::{Invocation, RequestId, Response};
     use se_lang::{EntityRef, Value};
 

@@ -17,7 +17,7 @@
 //! The same watermark holds the epoch cut. Commits report nothing back to
 //! the coordinator, so a `Snapshot` marker may overtake a commit record of
 //! a batch below its `through`; the worker parks the marker and takes the
-//! cut once its watermark reaches `through` ([`Worker::try_cut`]). The
+//! cut once its watermark reaches `through` (`Worker::try_cut`). The
 //! round holds sealing, so no later batch can reach the worker meanwhile.
 //!
 //! A worker is a partition, not a thread: it owns its store and every piece
@@ -31,15 +31,15 @@
 //! shell runs one routed step at a time (`Worker::resume`).
 //!
 //! A chain segment — the entry hop plus any same-partition
-//! continuations — runs in one handler call through [`Worker::run_segment`],
+//! continuations — runs in one handler call through `Worker::run_segment`,
 //! against the committed snapshot overlaid with the transaction's buffer;
-//! [`Worker::run_exec`] then performs its protocol action (report, solo
+//! `Worker::run_exec` then performs its protocol action (report, solo
 //! commit, or forward to the next partition). A batch of one transaction — the coordinator seals
 //! every lone request and every serial-fallback retry that way — is *solo*:
 //! its final-hop worker decides and applies it with no reservation round
-//! ([`Worker::commit_solo`]), counts and records the decision, and answers
+//! (`Worker::commit_solo`), counts and records the decision, and answers
 //! the client through the runtime's [`WaiterMap`] itself
-//! ([`Worker::answer_solo`]); only then does it tell the coordinator
+//! (`Worker::answer_solo`); only then does it tell the coordinator
 //! (`SoloDone`, which frees the pipeline slot) and send the commit record
 //! to its peers. Creates are answered the same way, by the owning worker
 //! once the entity is logged and inserted. Only batches of two or more

@@ -607,7 +607,7 @@ impl CoordRig {
             dir_tx
                 .send(dir.map(|d| std::path::Path::new("/proc").join(d)))
                 .unwrap();
-            Shell::new(coord_rx, routes, Some(coordinator), Vec::new()).run()
+            se_dataflow::shell::run(coord_rx, Shell::new(routes, Some(coordinator), Vec::new()))
         });
         CoordRig {
             source,

@@ -1,5 +1,5 @@
-//! Records flowing through the broker topics and the remote-function
-//! channels of the StateFun-style runtime.
+//! Records flowing through the broker topics of the StateFun-style runtime,
+//! and the envelopes its roles send each other.
 
 use se_dataflow::Epoch;
 use se_ir::{Invocation, RequestId, Response, StepEffect};
@@ -54,7 +54,7 @@ pub enum SfRecord {
 /// A request from a partition task to the remote function runtime: the
 /// event plus the target entity's current state, shipped both ways — the
 /// paper's observation that "all functions need to go to an external Python
-/// runtime, [so] the cost of reads and writes are the same due to the
+/// runtime, \[so\] the cost of reads and writes are the same due to the
 /// network costs" (§4).
 #[derive(Debug, Clone)]
 pub struct RemoteRequest {
@@ -87,4 +87,20 @@ pub struct RemoteResponse {
     pub new_state: EntityState,
     /// What to do next: loop a continuation back or answer the client.
     pub effect: StepEffect,
+}
+
+/// A message between StateFun's roles, routed to the inbox of the engine
+/// thread that hosts its addressee (see [`crate::runtime`]).
+#[derive(Debug, Clone)]
+pub enum Envelope {
+    /// To the thread of remote worker [`RemoteRequest::seq`] mod the worker
+    /// count, across the `RemoteRequest` seam.
+    Request(RemoteRequest),
+    /// To partition task `.0`, across the `RemoteResponse` seam.
+    Response(usize, RemoteResponse),
+    /// To the controller: partition task `.0` crashed.
+    TaskFailed(usize),
+    /// To every engine thread: something the roles watch but are not sent —
+    /// the recovery generation, the shutdown flag — has changed.
+    Look,
 }

@@ -2,37 +2,61 @@
 //!
 //! The engine shell — deploy staging, live-upgrade compilation, the waiter
 //! map, the thread set, observability and shutdown — is the shared
-//! [`EngineCore`]. What this file adds is StateFun's protocol around it: the
-//! broker with its ingress and egress topics, the partition tasks, the
-//! remote function pool, the egress thread that answers clients, the
-//! checkpoint/recovery controller, and the per-partition `Upgrade` markers
-//! that switch a live upgrade.
+//! [`EngineCore`], and the roles run on the engine threads of
+//! [`se_dataflow::shell`]. What this file adds is StateFun's protocol around
+//! them: the broker with its ingress and egress topics, where each role
+//! runs, how their messages travel (`Routes`), the egress reader that
+//! answers clients, the checkpoint/recovery controller, and the
+//! per-partition `Upgrade` markers that switch a live upgrade.
+//!
+//! **Where the roles run.** P partition tasks, R remote workers, the egress
+//! reader and the controller run on M = `threads_for(P + R + 2)` threads.
+//! "The Statefun deployment uses half its CPUs for messaging and state
+//! within the Apache Flink cluster and the other half for execution in a
+//! remote stateless function runtime" (§4): the tasks, the egress reader
+//! and the controller, in that order, run round robin on the first threads,
+//! and the remote workers on the other ⌊M/2⌋ — never more than R, and never
+//! fewer than leave one thread per Flink-side role. At M = 1 the one thread
+//! hosts every role; under sleep mode each role has a thread. A thread is
+//! named after its lowest task (`statefun-task<i>`), else its lowest remote
+//! worker (`statefun-remote<i>`), else `statefun-egress`, else
+//! `statefun-controller`.
+//!
+//! **How messages travel.** The roles push [`Envelope`]s, and `Routes::route`
+//! alone sends them: a [`RemoteRequest`](crate::record::RemoteRequest) to remote worker `seq` mod R and a
+//! [`RemoteResponse`](crate::record::RemoteResponse) back to its task, each across its chaos seam and after
+//! the remote hop of its payload; a crash notice to the controller, and the
+//! controller's `Look`s, at once and unfaulted. The broker is shared memory:
+//! each partition's consumer registers its thread's waker, so a produce to a
+//! partition consumed on the running thread costs one `fetch_or`.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use se_broker::{Broker, BrokerError};
+use se_chaos::{ChaosPlan, Seam};
+use se_dataflow::shell::threads_for;
 use se_dataflow::{
-    delay_channel, ComponentTimers, EngineCore, EntityRuntime, ResponseWaiter, SnapshotStore,
-    StateStore, Waker,
+    delay_channel, send_with_chaos, ComponentTimers, DelaySender, EngineCore, EntityRuntime, Epoch,
+    Layout, NetConfig, ResponseWaiter, Roles, SnapshotStore, StateStore, WaiterMap, Waker,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId};
 use se_lang::{EntityRef, LangError, Value};
 
 use crate::config::{CheckpointMode, StatefunConfig};
-use crate::record::{topics, SfRecord};
-use crate::remote::run_remote_worker;
-use crate::task::{CtlMsg, PartitionTask, RecoveryCtl};
+use crate::record::{topics, Envelope, SfRecord};
+use crate::remote::RemoteWorker;
+use crate::task::{PartitionTask, RecoveryCtl};
 
 /// A deployed StateFun-style application.
 pub struct StatefunRuntime {
     core: EngineCore,
     cfg: StatefunConfig,
     broker: Broker<SfRecord>,
-    /// One per partition task, the remote workers' shared queue and the
-    /// egress thread: what `shutdown` fires so parked threads see the flag.
-    wakers: Vec<Waker>,
+    /// Ends the wait of the controller's thread: `shutdown` fires it, and
+    /// the controller has every other thread look at the flag.
+    controller_waker: Waker,
     recovery: Arc<RecoveryCtl>,
 }
 
@@ -53,158 +77,85 @@ impl StatefunRuntime {
         broker.create_topic(topics::INGRESS, cfg.partitions);
         broker.create_topic(topics::EGRESS, 1);
         let recovery = Arc::new(RecoveryCtl::default());
-        let (ctl_tx, ctl_rx) = delay_channel::<CtlMsg>();
 
-        // Remote-function channels: one shared request queue, one response
-        // channel per partition task.
-        let (pool_tx, pool_rx) = delay_channel();
-        let pool_rx = Arc::new(pool_rx);
-        let (resp_txs, resp_rxs): (Vec<_>, Vec<_>) =
-            (0..cfg.partitions).map(|_| delay_channel()).unzip();
-
-        // A task parks on its response channel; produces to its ingress
-        // partition, recovery and shutdown reach it through that channel's
-        // waker.
-        let task_wakers: Vec<Waker> = resp_rxs.iter().map(|rx| rx.waker()).collect();
-        for (id, waker) in task_wakers.iter().enumerate() {
+        // The Flink side in front (tasks, egress, controller), the remote
+        // workers behind; see the module doc.
+        let (p, r) = (cfg.partitions, cfg.remote_workers);
+        let threads = threads_for(p + r + 2);
+        let back = r.min((threads / 2).max(threads.saturating_sub(p + 2)));
+        let layout = Layout::new(threads, threads - back);
+        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..threads).map(|_| delay_channel()).unzip();
+        let routes = Routes {
+            inboxes: txs,
+            layout,
+            partitions: p,
+            remote_workers: r,
+            chaos: cfg.chaos.clone(),
+            net: cfg.net.clone(),
+        };
+        let mut hosted: Vec<Hosted> = (0..threads)
+            .map(|_| Hosted {
+                routes: routes.clone(),
+                shutdown: Arc::clone(&core.shutdown),
+                tasks: Vec::new(),
+                remote: None,
+                egress: None,
+                controller: None,
+            })
+            .collect();
+        for id in 0..p {
+            let thread = layout.front(id);
             broker
-                .wake_on_produce(topics::INGRESS, id, waker.clone())
+                .wake_on_produce(topics::INGRESS, id, inboxes[thread].waker())
                 .expect("ingress partition exists");
-        }
-        // The egress thread parks on a queue nobody sends to: only its
-        // waker, fired by produces to the egress topic and by shutdown, and
-        // the next response's `visible_at` end the wait. Its sender stays
-        // with the thread, so the queue never reads as closed.
-        let (egress_open, egress_park) = delay_channel::<()>();
-        broker
-            .wake_on_produce(topics::EGRESS, 0, egress_park.waker())
-            .expect("egress partition exists");
-        let mut wakers = task_wakers.clone();
-        wakers.push(pool_rx.waker());
-        wakers.push(egress_park.waker());
-
-        for (id, resp_rx) in resp_rxs.into_iter().enumerate() {
             let task = PartitionTask::new(
                 id,
                 cfg.clone(),
                 broker.clone(),
-                Arc::clone(&core.registry),
-                Arc::clone(&core.waiters),
-                pool_tx.clone(),
-                resp_rx,
-                Arc::clone(&core.snapshots),
+                &core,
                 Arc::clone(&recovery),
-                ctl_tx.clone(),
-                Arc::clone(&core.shutdown),
-                core.obs.clone(),
             );
-            core.spawn(format!("statefun-task{id}"), move || task.run());
+            hosted[thread].tasks.push(task);
         }
-        for id in 0..cfg.remote_workers {
-            let cfg2 = cfg.clone();
-            let registry2 = Arc::clone(&core.registry);
-            let rx = Arc::clone(&pool_rx);
-            let responders = resp_txs.clone();
-            let sd = Arc::clone(&core.shutdown);
-            let obs2 = core.obs.clone();
-            core.spawn(format!("statefun-remote{id}"), move || {
-                run_remote_worker(cfg2, registry2, rx, responders, obs2, sd)
-            });
+        for id in 0..r {
+            let remote = &mut hosted[layout.back(id)].remote;
+            remote.get_or_insert_with(|| RemoteWorker::new(id, cfg.clone(), &core));
         }
-
-        // Egress dispatcher: completes client waiters. Parks the way a
-        // partition task does, until a response is visible.
-        {
-            let broker2 = broker.clone();
-            let waiters2 = Arc::clone(&core.waiters);
-            let sd = Arc::clone(&core.shutdown);
-            let log_truncated = core.obs.counter("statefun.log_truncated");
-            core.spawn("statefun-egress".into(), move || {
-                let _open = egress_open;
-                let mut offset = 0u64;
-                while !sd.load(Ordering::SeqCst) {
-                    let Ok(records) = broker2.fetch(topics::EGRESS, 0, offset, 64) else {
-                        return;
-                    };
-                    let Some(last) = records.last() else {
-                        let Ok(visible_at) = broker2.next_visible_at(topics::EGRESS, 0, offset)
-                        else {
-                            return;
-                        };
-                        egress_park.recv_until(visible_at);
-                        continue;
-                    };
-                    offset = last.offset + 1;
-                    // First response wins; replayed duplicates find no
-                    // waiter and are dropped.
-                    let answers = records.into_iter().filter_map(|rec| match rec.value {
-                        SfRecord::Response(resp) => Some(resp),
-                        _ => None,
-                    });
-                    waiters2.complete_all(answers.collect());
-                    // The egress reader never rewinds: a recovery replays
-                    // responses to new offsets, so everything read is
-                    // garbage.
-                    if let Ok(n) = broker2.truncate_below(topics::EGRESS, 0, offset) {
-                        log_truncated.add(n);
-                    }
-                }
-            });
-        }
-
-        // Checkpoint + recovery controller. Blocks on the control channel
-        // until a task reports a failure or the next barrier is due (the
-        // one timer it owns). The tasks hold the only senders, so the
-        // channel disconnects — and the controller exits — once every task
-        // has left at shutdown.
-        {
-            let broker2 = broker.clone();
-            let cfg2 = cfg.clone();
-            let snapshots2 = Arc::clone(&core.snapshots);
-            let recovery2 = Arc::clone(&recovery);
-            core.spawn("statefun-controller".into(), move || {
-                let mut epoch = 0u64;
-                let interval = match cfg2.checkpoint {
-                    CheckpointMode::Transactional { interval } => Some(interval),
-                    CheckpointMode::None => None,
-                };
-                let mut next_barrier = interval.map(|i| Instant::now() + i);
-                loop {
-                    match ctl_rx.recv_until(next_barrier) {
-                        Some(CtlMsg::TaskFailed(_)) => {
-                            recovery2.begin(&snapshots2);
-                            // Every task restores, the parked ones (crashed
-                            // or idle) included.
-                            task_wakers.iter().for_each(Waker::wake);
-                        }
-                        None if ctl_rx.is_closed() => return,
-                        None => {}
-                    }
-                    if let (Some(nb), Some(i)) = (next_barrier, interval) {
-                        if Instant::now() >= nb {
-                            epoch += 1;
-                            snapshots2.begin_epoch(epoch, cfg2.partitions);
-                            for p in 0..cfg2.partitions {
-                                let _ = broker2.produce_to(
-                                    topics::INGRESS,
-                                    p,
-                                    "",
-                                    SfRecord::Barrier { epoch },
-                                    0,
-                                );
-                            }
-                            next_barrier = Some(Instant::now() + i);
-                        }
-                    }
-                }
-            });
+        let thread = layout.front(p);
+        broker
+            .wake_on_produce(topics::EGRESS, 0, inboxes[thread].waker())
+            .expect("egress partition exists");
+        hosted[thread].egress = Some(Egress {
+            broker: broker.clone(),
+            waiters: Arc::clone(&core.waiters),
+            offset: 0,
+            next: None,
+            log_truncated: core.obs.counter("statefun.log_truncated"),
+        });
+        let thread = layout.front(p + 1);
+        let controller_waker = inboxes[thread].waker();
+        hosted[thread].controller = Some(Controller {
+            broker: broker.clone(),
+            snapshots: Arc::clone(&core.snapshots),
+            recovery: Arc::clone(&recovery),
+            partitions: p,
+            interval: match cfg.checkpoint {
+                CheckpointMode::Transactional { interval } => Some(interval),
+                CheckpointMode::None => None,
+            },
+            next_barrier: None,
+            epoch: 0,
+            out: Vec::new(),
+        });
+        for (inbox, roles) in inboxes.into_iter().zip(hosted) {
+            core.spawn(roles.name(), move || se_dataflow::shell::run(inbox, roles));
         }
 
         Self {
             core,
             cfg,
             broker,
-            wakers,
+            controller_waker,
             recovery,
         }
     }
@@ -255,7 +206,7 @@ impl StatefunRuntime {
     /// Live code upgrade (compilation and version bookkeeping:
     /// [`EngineCore::redeploy`]). The switch is an [`SfRecord::Upgrade`]
     /// marker on every ingress partition. Each partition task applies it at
-    /// its aligned drain boundary (in-flight dispatches complete first),
+    /// its aligned boundary (once its in-flight dispatches have completed),
     /// backfills + migrates its slice of entity state, stamps later roots
     /// with the new version, and acknowledges the marker through the waiter
     /// map; this call blocks until every partition has, or until shutdown
@@ -327,15 +278,233 @@ impl EntityRuntime for StatefunRuntime {
     }
 
     fn shutdown(&self) {
-        // End every wait a thread may be parked in. (The controller follows
-        // the tasks out, see `deploy`.)
-        self.core
-            .shutdown(|| self.wakers.iter().for_each(Waker::wake));
+        // The woken controller has every thread look at the flag; each
+        // leaves on its next turn.
+        self.core.shutdown(|| self.controller_waker.wake());
     }
 }
 
 impl Drop for StatefunRuntime {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// How every StateFun message travels (see the module doc): the thread
+/// inboxes, where each addressee runs, the chaos plan and the hop-cost
+/// model. Only the engine threads hold it, each a copy, so an inbox stays
+/// open while any thread lives.
+#[derive(Clone)]
+struct Routes {
+    /// One inbox per engine thread.
+    inboxes: Vec<DelaySender<Envelope>>,
+    layout: Layout,
+    partitions: usize,
+    remote_workers: usize,
+    chaos: ChaosPlan,
+    net: NetConfig,
+}
+
+impl Routes {
+    fn route(&self, envelope: Envelope) {
+        let (thread, seam, bytes) = match &envelope {
+            Envelope::Request(req) => {
+                let worker = req.seq as usize % self.remote_workers;
+                let bytes = req.state.approx_size() + req.inv.approx_size();
+                (self.layout.back(worker), Seam::RemoteRequest, bytes)
+            }
+            Envelope::Response(task, resp) => {
+                let bytes = resp.new_state.approx_size();
+                (self.layout.front(*task), Seam::RemoteResponse, bytes)
+            }
+            // The control plane: at once, and never faulted.
+            Envelope::TaskFailed(_) => {
+                let controller = self.layout.front(self.partitions + 1);
+                self.inboxes[controller].send(envelope);
+                return;
+            }
+            Envelope::Look => {
+                for inbox in &self.inboxes {
+                    inbox.send(Envelope::Look);
+                }
+                return;
+            }
+        };
+        let delay = self.net.remote_fn_latency(bytes);
+        send_with_chaos(
+            &self.chaos,
+            seam,
+            &self.net,
+            &self.inboxes[thread],
+            envelope,
+            delay,
+        );
+    }
+}
+
+/// The StateFun roles one engine thread hosts ([`se_dataflow::shell::run`]
+/// drives them), and the routes their outboxes drain into.
+struct Hosted {
+    routes: Routes,
+    shutdown: Arc<AtomicBool>,
+    tasks: Vec<PartitionTask>,
+    remote: Option<RemoteWorker>,
+    egress: Option<Egress>,
+    controller: Option<Controller>,
+}
+
+impl Hosted {
+    /// The thread's name, after its first role (see the module doc).
+    fn name(&self) -> String {
+        match (self.tasks.first(), &self.remote, &self.egress) {
+            (Some(task), _, _) => format!("statefun-task{}", task.id()),
+            (None, Some(remote), _) => format!("statefun-remote{}", remote.id()),
+            (None, None, Some(_)) => "statefun-egress".into(),
+            (None, None, None) => "statefun-controller".into(),
+        }
+    }
+}
+
+impl Roles for Hosted {
+    type Envelope = Envelope;
+
+    /// The controller's timer, the tasks' ingress and the egress topic, in
+    /// that order: a task that answers in its turn is read out in the same
+    /// one. Returns `false` once shutdown is requested.
+    fn turn(&mut self, now: Instant) -> bool {
+        if self.shutdown.load(Ordering::SeqCst) {
+            if let Some(c) = &mut self.controller {
+                c.out.push(Envelope::Look);
+            }
+            return false;
+        }
+        if let Some(c) = &mut self.controller {
+            c.turn(now);
+        }
+        self.tasks.iter_mut().for_each(PartitionTask::turn);
+        if let Some(e) = &mut self.egress {
+            e.turn();
+        }
+        true
+    }
+
+    fn deliver(&mut self, envelope: Envelope) -> bool {
+        match envelope {
+            Envelope::Request(req) => {
+                if let Some(remote) = &mut self.remote {
+                    remote.handle(req);
+                }
+            }
+            Envelope::Response(id, resp) => {
+                if let Some(task) = self.tasks.iter_mut().find(|t| t.id() == id) {
+                    task.on_response(resp);
+                }
+            }
+            Envelope::TaskFailed(_) => {
+                if let Some(c) = &mut self.controller {
+                    c.on_task_failed();
+                }
+            }
+            // The turn that follows every handled message looks.
+            Envelope::Look => {}
+        }
+        false
+    }
+
+    fn flush(&mut self) {
+        let tasks = self.tasks.iter_mut().map(|t| &mut t.out);
+        let remote = self.remote.iter_mut().map(|w| &mut w.out);
+        let controller = self.controller.iter_mut().map(|c| &mut c.out);
+        for out in tasks.chain(remote).chain(controller) {
+            for envelope in out.drain(..) {
+                self.routes.route(envelope);
+            }
+        }
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        let tasks = self.tasks.iter().filter_map(|t| t.next);
+        let egress = self.egress.as_ref().and_then(|e| e.next);
+        let barrier = self.controller.as_ref().and_then(|c| c.next_barrier);
+        tasks.chain(egress).chain(barrier).min()
+    }
+}
+
+/// The egress reader: answers clients from the egress topic. The first
+/// response wins; a replayed duplicate finds no waiter and is dropped.
+struct Egress {
+    broker: Broker<SfRecord>,
+    waiters: Arc<WaiterMap>,
+    offset: u64,
+    /// When the next unread response is (or was) visible.
+    next: Option<Instant>,
+    log_truncated: se_obs::Counter,
+}
+
+impl Egress {
+    fn turn(&mut self) {
+        let Ok(records) = self.broker.fetch(topics::EGRESS, 0, self.offset, 64) else {
+            return;
+        };
+        if let Some(last) = records.last() {
+            self.offset = last.offset + 1;
+            let answers = records.into_iter().filter_map(|rec| match rec.value {
+                SfRecord::Response(resp) => Some(resp),
+                _ => None,
+            });
+            self.waiters.complete_all(answers.collect());
+            // The egress reader never rewinds: a recovery replays responses
+            // to new offsets, so everything read is garbage.
+            if let Ok(n) = self.broker.truncate_below(topics::EGRESS, 0, self.offset) {
+                self.log_truncated.add(n);
+            }
+        }
+        let next = self.broker.next_visible_at(topics::EGRESS, 0, self.offset);
+        self.next = next.ok().flatten();
+    }
+}
+
+/// The checkpoint and recovery controller. Its one timer is the barrier
+/// interval, armed by its first turn.
+struct Controller {
+    broker: Broker<SfRecord>,
+    snapshots: Arc<SnapshotStore<StateStore>>,
+    recovery: Arc<RecoveryCtl>,
+    partitions: usize,
+    interval: Option<Duration>,
+    next_barrier: Option<Instant>,
+    epoch: Epoch,
+    /// The `Look` the engine thread routes.
+    out: Vec<Envelope>,
+}
+
+impl Controller {
+    /// Injects the next epoch's barrier into every ingress partition once
+    /// the interval has passed.
+    fn turn(&mut self, now: Instant) {
+        let Some(interval) = self.interval else {
+            return;
+        };
+        match self.next_barrier {
+            Some(at) if at > now => return,
+            Some(_) => {
+                self.epoch += 1;
+                let epoch = self.epoch;
+                self.snapshots.begin_epoch(epoch, self.partitions);
+                for p in 0..self.partitions {
+                    let barrier = SfRecord::Barrier { epoch };
+                    let _ = self.broker.produce_to(topics::INGRESS, p, "", barrier, 0);
+                }
+            }
+            None => {}
+        }
+        self.next_barrier = Some(now + interval);
+    }
+
+    /// A task crashed: every task restores, the crashed and the idle ones
+    /// included.
+    fn on_task_failed(&mut self) {
+        self.recovery.begin(&self.snapshots);
+        self.out.push(Envelope::Look);
     }
 }

@@ -13,26 +13,39 @@
 //! split-function chains can observe each other's partial effects — the
 //! race the paper explicitly acknowledges (§3). `tests` in this crate and
 //! the `statefun_anomaly` integration test demonstrate it.
+//!
+//! A task is a handler on the engine thread that hosts it (see
+//! [`crate::runtime`]). Its turn (`PartitionTask::turn`) applies a begun
+//! recovery and reads the ingress records already visible; a remote
+//! response reaches it as a message (`PartitionTask::on_response`). What it
+//! sends — a [`RemoteRequest`] per dispatch, a crash notice to the
+//! controller — it pushes onto its outbox, and the thread routes it. The
+//! broker is shared memory: the task produces to it directly, and a produce
+//! to its ingress partition fires its thread's waker.
+//!
+//! Checkpoint barriers and live upgrades are aligned: they run with no
+//! dispatch in flight. A task that reads one while dispatches are out holds
+//! it, reads no further ingress, and runs it on the turn its last in-flight
+//! response installs. Nothing blocks, so a remote worker on the same thread
+//! runs the dispatches the task waits for.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use se_broker::{Broker, ConsumerRecord};
-use se_chaos::{CrashPoint, HistoryEvent, Seam};
-use se_dataflow::{
-    send_with_chaos, timer, DelayReceiver, DelaySender, Epoch, SnapshotStore, StateStore, WaiterMap,
-};
+use se_chaos::{CrashPoint, HistoryEvent};
+use se_dataflow::{timer, EngineCore, Epoch, SnapshotStore, StateStore, WaiterMap};
 use se_ir::{
     Invocation, InvocationKind, RequestId, Response, StepEffect, VersionRegistry, INITIAL_VERSION,
 };
 use se_lang::{EntityRef, LangError};
 
 use crate::config::{CheckpointMode, StatefunConfig};
-use crate::record::{topics, RemoteRequest, RemoteResponse, SfRecord};
+use crate::record::{topics, Envelope, RemoteRequest, RemoteResponse, SfRecord};
 
 /// Shared recovery signal: the controller bumps `gen` and sets the epoch to
 /// restore; tasks observe the bump and reset themselves.
@@ -103,14 +116,7 @@ impl RecoveryCtl {
     }
 }
 
-/// Controller notifications.
-#[derive(Debug)]
-pub enum CtlMsg {
-    /// A task crashed (failure injection fired).
-    TaskFailed(usize),
-}
-
-/// One partition task (run on its own thread).
+/// One partition task.
 pub struct PartitionTask {
     id: usize,
     /// `task<id>`, computed once: the chaos hooks consult it on every
@@ -145,8 +151,16 @@ pub struct PartitionTask {
     /// Staged produces (Transactional mode) as `(topic, key, record,
     /// bytes)`: flushed at epoch boundaries.
     staged: Vec<(&'static str, String, SfRecord, usize)>,
-    pool_tx: DelaySender<RemoteRequest>,
-    resp_rx: DelayReceiver<RemoteResponse>,
+    /// A barrier or upgrade read while dispatches were in flight: it runs
+    /// once the last of them installs, and no ingress is read until then.
+    held: Option<SfRecord>,
+    /// When the task wants a turn with no message: once its next ingress
+    /// record shows, the one instant nobody announces (a produce wakes the
+    /// thread when it happens, which with a broker hop is before the record
+    /// may be consumed).
+    pub(crate) next: Option<Instant>,
+    /// The dispatches and crash notices the engine thread routes.
+    pub(crate) out: Vec<Envelope>,
     snapshots: Arc<SnapshotStore<StateStore>>,
     /// The component timers this task feeds (`timer.*` histograms).
     serialization_timer: Arc<se_obs::Histogram>,
@@ -154,8 +168,6 @@ pub struct PartitionTask {
     /// `statefun.log_truncated`: ingress records freed below the floor.
     log_truncated: se_obs::Counter,
     recovery: Arc<RecoveryCtl>,
-    ctl_tx: DelaySender<CtlMsg>,
-    shutdown: Arc<AtomicBool>,
     obs: se_obs::Obs,
     gen: u64,
     dead: bool,
@@ -163,46 +175,39 @@ pub struct PartitionTask {
 }
 
 impl PartitionTask {
-    /// Creates a partition task.
-    #[allow(clippy::too_many_arguments)]
+    /// Partition task `id` of the deployment `core`, consuming ingress
+    /// partition `id` of `broker`.
     pub fn new(
         id: usize,
         cfg: StatefunConfig,
         broker: Broker<SfRecord>,
-        registry: Arc<VersionRegistry>,
-        waiters: Arc<WaiterMap>,
-        pool_tx: DelaySender<RemoteRequest>,
-        resp_rx: DelayReceiver<RemoteResponse>,
-        snapshots: Arc<SnapshotStore<StateStore>>,
+        core: &EngineCore,
         recovery: Arc<RecoveryCtl>,
-        ctl_tx: DelaySender<CtlMsg>,
-        shutdown: Arc<AtomicBool>,
-        obs: se_obs::Obs,
     ) -> Self {
+        let obs = core.obs.clone();
         Self {
             id,
             name: format!("task{id}"),
             cfg,
             broker,
-            registry,
+            registry: Arc::clone(&core.registry),
             active_version: INITIAL_VERSION,
             upgrades: Vec::new(),
-            waiters,
+            waiters: Arc::clone(&core.waiters),
             store: StateStore::new(),
             offset: 0,
             inflight: HashMap::new(),
             next_seq: 0,
             waiting: HashMap::new(),
             staged: Vec::new(),
-            pool_tx,
-            resp_rx,
-            snapshots,
+            held: None,
+            next: None,
+            out: Vec::new(),
+            snapshots: Arc::clone(&core.snapshots),
             serialization_timer: timer(&obs, "state_serialization"),
             storage_timer: timer(&obs, "state_storage"),
             log_truncated: obs.counter("statefun.log_truncated"),
             recovery,
-            ctl_tx,
-            shutdown,
             obs,
             gen: 0,
             dead: false,
@@ -214,66 +219,41 @@ impl PartitionTask {
         matches!(self.cfg.checkpoint, CheckpointMode::Transactional { .. })
     }
 
-    /// The task loop: event-driven, one turn per event.
-    ///
-    /// A turn applies every remote response already due and handles every
-    /// ingress record already visible. Only a turn that found no record
-    /// blocks, on the response channel, until one of: a **response** comes
-    /// due; a **wake** — the broker fires this channel's waker on every
-    /// produce to the task's ingress partition, the controller when it
-    /// bumps the recovery generation, the runtime at shutdown; or the next
-    /// ingress record's **`visible_at`**, the one instant nobody announces
-    /// (a produce wakes the task when it happens, which with a broker hop
-    /// is before the record may be consumed). A crashed task waits the same
-    /// way, with nothing to time: only the generation bump (or shutdown)
-    /// concerns it. A busy task never sleeps, an idle one never wakes.
-    pub fn run(mut self) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // Recovery signal?
-            let g = self.recovery.gen.load(Ordering::SeqCst);
-            if g > self.gen {
-                self.restore(g);
-            }
-            if self.dead {
-                // Whatever still arrives belongs to the dead incarnation.
-                let _ = self.resp_rx.recv_until(None);
-                continue;
-            }
+    /// The task's index, which is also its ingress partition.
+    pub(crate) fn id(&self) -> usize {
+        self.id
+    }
 
-            // Apply due remote responses first (they unblock waiting keys).
-            while let Some(resp) = self.resp_rx.try_recv() {
-                self.on_response(resp);
-            }
-
-            let records = match self.broker.fetch(topics::INGRESS, self.id, self.offset, 32) {
-                Ok(r) => r,
-                Err(_) => return,
-            };
-            if records.is_empty() {
-                let next = self
-                    .broker
-                    .next_visible_at(topics::INGRESS, self.id, self.offset);
-                let Ok(visible_at) = next else {
-                    return;
-                };
-                if let Some(resp) = self.resp_rx.recv_until(visible_at) {
-                    self.on_response(resp);
-                }
-                continue;
-            }
+    /// The task's turn: applies a recovery the controller has begun, then
+    /// handles the ingress records already visible — unless it is crashed
+    /// (only a recovery concerns it then) or holds an aligned record.
+    pub(crate) fn turn(&mut self) {
+        let g = self.recovery.gen.load(Ordering::SeqCst);
+        if g > self.gen {
+            self.restore(g);
+        }
+        self.next = None;
+        if self.dead || self.held.is_some() {
+            return;
+        }
+        if let Ok(records) = self.broker.fetch(topics::INGRESS, self.id, self.offset, 32) {
             self.handle_batch(records);
+        }
+        if !self.dead && self.held.is_none() {
+            let next = self
+                .broker
+                .next_visible_at(topics::INGRESS, self.id, self.offset);
+            self.next = next.ok().flatten();
         }
     }
 
-    /// Handles one fetched batch in offset order, up to a crash or shutdown.
+    /// Handles one fetched batch in offset order, up to a crash or a held
+    /// record; the rest is fetched again.
     fn handle_batch(&mut self, records: Vec<ConsumerRecord<SfRecord>>) {
         for rec in records {
             self.offset = rec.offset + 1;
             self.handle_record(rec.value);
-            if self.dead || self.shutdown.load(Ordering::SeqCst) {
+            if self.dead || self.held.is_some() {
                 break;
             }
         }
@@ -325,7 +305,9 @@ impl PartitionTask {
                     self.crash();
                     return;
                 }
-                self.on_barrier(epoch);
+                if self.transactional() && epoch > self.last_epoch {
+                    self.align(SfRecord::Barrier { epoch });
+                }
             }
             SfRecord::Upgrade { version, request } => {
                 // Crash-mid-upgrade window: the marker consumed but the
@@ -335,7 +317,13 @@ impl PartitionTask {
                     self.crash();
                     return;
                 }
-                self.on_upgrade(version, request);
+                // A replayed or duplicated marker for a version this
+                // incarnation already runs (e.g. the restored snapshot
+                // post-dates the switch) needs nothing, and its
+                // acknowledgement was already given.
+                if version > self.active_version {
+                    self.align(SfRecord::Upgrade { version, request });
+                }
             }
             SfRecord::Response(_) => { /* egress records never reach ingress */ }
         }
@@ -373,7 +361,6 @@ impl PartitionTask {
         // a plain clone would be a refcount bump and the experiment's
         // state-serialization component would measure nothing.
         let shipped = self.serialization_timer.time(|| state.deep_clone());
-        let bytes = shipped.approx_size() + inv.approx_size();
         let seq = self.next_seq;
         self.next_seq += 1;
         self.inflight.insert(target, seq);
@@ -385,23 +372,18 @@ impl PartitionTask {
                 method: inv.method.to_string(),
             });
         }
-        send_with_chaos(
-            &self.cfg.chaos,
-            Seam::RemoteRequest,
-            &self.cfg.net,
-            &self.pool_tx,
-            RemoteRequest {
-                gen: self.gen,
-                task: self.id,
-                seq,
-                inv,
-                state: shipped,
-            },
-            self.cfg.net.remote_fn_latency(bytes),
-        );
+        self.out.push(Envelope::Request(RemoteRequest {
+            gen: self.gen,
+            task: self.id,
+            seq,
+            inv,
+            state: shipped,
+        }));
     }
 
-    fn on_response(&mut self, resp: RemoteResponse) {
+    /// Installs a remote response, and runs a held aligned record once no
+    /// dispatch is left in flight.
+    pub(crate) fn on_response(&mut self, resp: RemoteResponse) {
         // Accept only the response to the entity's *current* outstanding
         // dispatch of this incarnation: a duplicated request produces two
         // responses, and a quarantined response can arrive after a newer
@@ -443,6 +425,11 @@ impl PartitionTask {
                 self.waiting.remove(&resp.entity);
             }
         }
+        if self.inflight.is_empty() {
+            if let Some(rec) = self.held.take() {
+                self.run_aligned(rec);
+            }
+        }
     }
 
     fn emit_egress(&mut self, r: Response) {
@@ -462,31 +449,28 @@ impl PartitionTask {
         }
     }
 
-    /// The sync point checkpoint barriers and live upgrades share: waits
-    /// until no dispatch is in flight, applying responses as they arrive.
-    fn drain_inflight(&mut self) {
-        // The deadline avoids wedging the partition on a lost response;
-        // after shutdown the remote workers may be gone for good.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !self.inflight.is_empty()
-            && std::time::Instant::now() < deadline
-            && !self.shutdown.load(Ordering::SeqCst)
-        {
-            if let Some(resp) = self.resp_rx.recv_until(Some(deadline)) {
-                self.on_response(resp);
-            }
+    /// The sync point checkpoint barriers and live upgrades share: `rec`
+    /// runs with no dispatch in flight, now or once the last one installs.
+    fn align(&mut self, rec: SfRecord) {
+        if self.inflight.is_empty() {
+            self.run_aligned(rec);
+        } else {
+            self.held = Some(rec);
         }
     }
 
-    /// Aligned barrier: drain in-flight work, snapshot, then flush staged
-    /// produces — flush-after-snapshot makes replay duplicate-free.
-    fn on_barrier(&mut self, epoch: Epoch) {
-        if !self.transactional() || epoch <= self.last_epoch {
-            return;
+    fn run_aligned(&mut self, rec: SfRecord) {
+        match rec {
+            SfRecord::Barrier { epoch } => self.on_barrier(epoch),
+            SfRecord::Upgrade { version, request } => self.on_upgrade(version, request),
+            _ => {}
         }
-        // Every dispatched invocation must complete so its effects are in
-        // the snapshot.
-        self.drain_inflight();
+    }
+
+    /// Aligned barrier: every dispatched invocation has completed, so its
+    /// effects are in the snapshot; then flush staged produces —
+    /// flush-after-snapshot makes replay duplicate-free.
+    fn on_barrier(&mut self, epoch: Epoch) {
         let state = self.store.clone();
         if !self.recovery.put_snapshot(
             self.gen,
@@ -519,23 +503,16 @@ impl PartitionTask {
         }
     }
 
-    /// Applies a live upgrade: aligned drain (the same sync point a
-    /// checkpoint barrier uses — the switch lands with zero dispatches in
-    /// flight), [`se_ir::VersionEntry::migrate_entity`] over this
+    /// Applies a live upgrade at the sync point a checkpoint barrier uses —
+    /// the switch lands with zero dispatches in flight:
+    /// [`se_ir::VersionEntry::migrate_entity`] over this
     /// partition's slice of the store, then the root-stamping version bump.
     /// Completing `request` acknowledges the switch straight to the blocked
     /// `redeploy` call, which returns once every partition has switched. A
     /// task that crashes mid-upgrade re-applies the switch on replay; its
     /// acknowledgement then finds no waiter, which is harmless.
     fn on_upgrade(&mut self, version: u64, request: RequestId) {
-        // Replayed or duplicated marker for a version this incarnation
-        // already runs (e.g. the restored snapshot post-dates the switch):
-        // nothing to do, and its acknowledgement was already given.
-        if version <= self.active_version {
-            return;
-        }
         let t0 = self.obs.now_ns();
-        self.drain_inflight();
         let entry = self.registry.resolve(version);
         // O(1) copy-on-write clones: the pass replaces entries as it goes.
         let entities: Vec<(EntityRef, se_lang::EntityState)> = self
@@ -584,8 +561,9 @@ impl PartitionTask {
         self.inflight.clear();
         self.waiting.clear();
         self.staged.clear();
+        self.held = None;
         self.dead = true;
-        self.ctl_tx.send(CtlMsg::TaskFailed(self.id));
+        self.out.push(Envelope::TaskFailed(self.id));
     }
 
     fn restore(&mut self, gen: u64) {
@@ -600,6 +578,7 @@ impl PartitionTask {
         self.inflight.clear();
         self.waiting.clear();
         self.staged.clear();
+        self.held = None;
         // Rewind upgrades past the restored offset: the replayed log will
         // re-deliver their `Upgrade` records and redo the migration from
         // the restored (pre-upgrade) state. Upgrades at or below the offset
@@ -639,6 +618,8 @@ fn fmt_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -688,23 +669,14 @@ mod tests {
             broker.create_topic(topics::EGRESS, 1);
             let recovery = Arc::new(RecoveryCtl::default());
             let snapshots = Arc::clone(&core.snapshots);
-            let (pool_tx, _) = se_dataflow::delay_channel();
-            let (ctl_tx, _) = se_dataflow::delay_channel();
             let tasks = (0..2)
                 .map(|id| {
                     PartitionTask::new(
                         id,
                         cfg.clone(),
                         broker.clone(),
-                        Arc::clone(&core.registry),
-                        Arc::clone(&core.waiters),
-                        pool_tx.clone(),
-                        se_dataflow::delay_channel().1,
-                        Arc::clone(&snapshots),
+                        &core,
                         Arc::clone(&recovery),
-                        ctl_tx.clone(),
-                        Arc::clone(&core.shutdown),
-                        core.obs.clone(),
                     )
                 })
                 .collect();

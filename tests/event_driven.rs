@@ -198,9 +198,11 @@ fn a_one_core_stateflow_runs_one_timeslice_per_call() {
 }
 
 /// With checkpoints on, an idle StateFun deployment keeps exactly one timer:
-/// the controller's barrier interval. The controller runs about once per
-/// barrier; the egress thread, which an idle barrier gives nothing to
-/// answer, stays parked; and shutdown is as prompt as without checkpoints.
+/// the controller's barrier interval. Per barrier the engine runs about
+/// twice — the controller's timer, then the barrier records turning visible
+/// to the tasks — and nothing else runs: the egress reader, which an idle
+/// barrier gives nothing to answer, and the remote workers share threads
+/// that stay parked. Shutdown is as prompt as without checkpoints.
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_statefun_with_checkpoints_runs_per_barrier() {
@@ -216,22 +218,13 @@ fn idle_statefun_with_checkpoints_runs_per_barrier() {
 
     let idle = Duration::from_millis(500);
     let barriers = (idle.as_millis() / interval.as_millis()) as u64;
-    let controller_before = timeslices("statefun-contro");
-    let egress_before = timeslices("statefun-egress");
-    assert!(
-        controller_before > 0 && egress_before > 0,
-        "threads not found"
-    );
+    let before = timeslices("statefun-");
+    assert!(before > 0, "threads not found");
     std::thread::sleep(idle);
-    let controller = timeslices("statefun-contro") - controller_before;
-    let egress = timeslices("statefun-egress") - egress_before;
+    let ran = timeslices("statefun-") - before;
     assert!(
-        controller <= 2 * barriers,
-        "the controller ran {controller} timeslices for {barriers} barriers"
-    );
-    assert!(
-        egress < 5,
-        "the egress thread ran {egress} timeslices in {idle:?} of idleness"
+        ran <= 2 * barriers,
+        "the engine ran {ran} timeslices for {barriers} barriers"
     );
 
     let asked = Instant::now();
@@ -241,6 +234,52 @@ fn idle_statefun_with_checkpoints_runs_per_barrier() {
         took < Duration::from_millis(50),
         "an idle engine with checkpoints took {took:?} to shut down"
     );
+}
+
+/// Deployed from a thread pinned to one CPU, StateFun runs one engine
+/// thread, which hosts both partition tasks, both remote workers, the
+/// egress reader and the controller. A sequential call then wakes it once,
+/// for the produce: the remote request and its response are pushes onto
+/// the running thread's own queue, and the egress record's produce finds
+/// the thread running. With a thread per role the same calls cost about
+/// five timeslices each.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_one_core_statefun_runs_one_timeslice_per_call() {
+    let _turn = one_engine();
+    let mut cfg = StatefunConfig::fast_test(2);
+    // No broker hop, no remote hop, no service time: every timeslice
+    // counted below is a message of the request path.
+    cfg.net.time_scale = 0.0;
+    let program = se_workloads::ycsb_program();
+    // The engine thread keeps the pin; this thread gets its mask back.
+    let rt = one_cpu::on_one_cpu(|| deploy(&program, RuntimeChoice::Statefun(cfg))).unwrap();
+    let accounts = [
+        rt.create("Account", "left", vec![]).unwrap(),
+        rt.create("Account", "right", vec![]).unwrap(),
+    ];
+    rt.call(accounts[0], "read", vec![]).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    // Counted once the engine has run: a thread names itself when it starts.
+    let threads = threads_timeslices("statefun-").len();
+    assert_eq!(threads, 1, "a one-core deployment runs {threads} threads");
+
+    const CALLS: u64 = 200;
+    let before = timeslices("statefun-");
+    for i in 0..CALLS {
+        let account = accounts[i as usize % 2];
+        match i % 4 {
+            0 | 1 => rt.call(account, "read", vec![]).unwrap(),
+            _ => rt.call(account, "deposit", vec![Value::Int(1)]).unwrap(),
+        };
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let ran = timeslices("statefun-") - before;
+    assert!(
+        ran as f64 / CALLS as f64 <= 1.5,
+        "the engine ran {ran} timeslices for {CALLS} calls"
+    );
+    rt.shutdown();
 }
 
 /// With a broker hop, a record is produced well before it may be consumed.

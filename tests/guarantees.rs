@@ -87,6 +87,15 @@ fn stateflow_serializability_holds_under_contention() {
 
 #[test]
 fn statefun_documented_race_violates_invariants() {
+    statefun_documented_race();
+}
+
+#[test]
+fn statefun_documented_race_violates_invariants_on_one_core() {
+    one_cpu::on_one_cpu(statefun_documented_race);
+}
+
+fn statefun_documented_race() {
     let program = stateful_entities::programs::figure1_program();
     let mut cfg = StatefunConfig::fast_test(2);
     // Widen the suspension window (price-call round trip) so the
@@ -161,6 +170,15 @@ fn exactly_once_stateflow_through_facade() {
 
 #[test]
 fn exactly_once_statefun_through_facade() {
+    exactly_once_statefun();
+}
+
+#[test]
+fn exactly_once_statefun_through_facade_on_one_core() {
+    one_cpu::on_one_cpu(exactly_once_statefun);
+}
+
+fn exactly_once_statefun() {
     let program = se_workloads::ycsb_program();
     let mut cfg = StatefunConfig::fast_test(3);
     cfg.checkpoint = CheckpointMode::Transactional {
@@ -749,6 +767,15 @@ fn stateflow_crash_without_snapshots_replays_the_whole_source() {
 /// the arithmetic of the ops.
 #[test]
 fn statefun_crash_after_truncation_replays_exactly_once() {
+    statefun_crash_after_truncation();
+}
+
+#[test]
+fn statefun_crash_after_truncation_replays_exactly_once_on_one_core() {
+    one_cpu::on_one_cpu(statefun_crash_after_truncation);
+}
+
+fn statefun_crash_after_truncation() {
     use se_chaos::{check_statefun_history, History};
     use stateful_entities::StatefunRuntime;
 

@@ -1,6 +1,7 @@
-//! Pins the calling thread to one CPU. A StateFlow deployment made there
-//! sees `available_parallelism() == 1` and hosts its coordinator and every
-//! worker on one engine thread, which inherits the pin.
+//! Pins the calling thread to one CPU. A deployment made there sees
+//! `available_parallelism() == 1` and hosts every role (StateFlow's
+//! coordinator and workers, StateFun's tasks, remote workers, egress reader
+//! and controller) on one engine thread, which inherits the pin.
 
 /// Runs `f` with the calling thread restricted to the first CPU it may use,
 /// then restores the thread's CPU mask (also when `f` panics).

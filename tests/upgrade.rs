@@ -5,7 +5,7 @@
 //! any version machinery into the recorded history of runs that never
 //! upgrade.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -13,6 +13,8 @@ use se_chaos::{check_history, ChaosPlan, CrashFault, CrashPoint, FaultScript, Hi
 use se_lang::arb;
 use stateful_entities::prelude::*;
 use stateful_entities::{BugLever, DurabilityMode, StateflowConfig, StateflowRuntime};
+
+mod one_cpu;
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -401,6 +403,15 @@ proptest! {
 /// per-task `SfUpgrade` events passing the statefun checker.
 #[test]
 fn statefun_redeploy_routes_and_migrates_exactly_once() {
+    statefun_redeploy_routes_and_migrates();
+}
+
+#[test]
+fn statefun_redeploy_routes_and_migrates_exactly_once_on_one_core() {
+    one_cpu::on_one_cpu(statefun_redeploy_routes_and_migrates);
+}
+
+fn statefun_redeploy_routes_and_migrates() {
     use se_chaos::check_statefun_history;
     use stateful_entities::{StatefunConfig, StatefunRuntime};
     let mut cfg = StatefunConfig::fast_test(3);
@@ -462,6 +473,15 @@ fn statefun_redeploy_routes_and_migrates_exactly_once() {
 /// incarnation and the arithmetic still holds.
 #[test]
 fn statefun_crash_near_upgrade_recovers_and_commits() {
+    statefun_crash_near_upgrade();
+}
+
+#[test]
+fn statefun_crash_near_upgrade_recovers_and_commits_on_one_core() {
+    one_cpu::on_one_cpu(statefun_crash_near_upgrade);
+}
+
+fn statefun_crash_near_upgrade() {
     use se_chaos::check_statefun_history;
     use stateful_entities::{CheckpointMode, StatefunConfig, StatefunRuntime};
     for after_events in [4u64, 10] {
@@ -519,6 +539,65 @@ fn statefun_crash_near_upgrade_recovers_and_commits() {
         check_statefun_history(&history.events())
             .unwrap_or_else(|e| panic!("[after {after_events}] statefun checker: {e}"));
     }
+}
+
+/// On one core a partition task shares its thread with the remote workers
+/// its checkpoint barriers and its upgrade wait for, so an aligned record
+/// cannot be a blocking wait: the task holds it and runs it once its last
+/// in-flight dispatch installs. Barriers every 5 ms and a live upgrade, both
+/// with calls in flight: every call answers, the upgrade acknowledges,
+/// epochs keep completing, and the whole run takes a fraction of the 10 s a
+/// blocked barrier once gave up after.
+#[test]
+fn statefun_barriers_and_an_upgrade_align_on_one_core() {
+    use stateful_entities::{CheckpointMode, StatefunConfig, StatefunRuntime};
+    one_cpu::on_one_cpu(|| {
+        let started = Instant::now();
+        let mut cfg = StatefunConfig::fast_test(2);
+        cfg.checkpoint = CheckpointMode::Transactional {
+            interval: Duration::from_millis(5),
+        };
+        let graph = stateful_entities::compile(&se_lang::programs::counter_program()).unwrap();
+        let rt = StatefunRuntime::deploy(graph, cfg);
+        let (counters, per) = (3usize, 20usize);
+        for i in 0..counters {
+            rt.create("Counter", &se_workloads::key_name(i), vec![])
+                .unwrap();
+        }
+        let calls = |rt: &StatefunRuntime| -> Vec<_> {
+            (0..counters * per)
+                .map(|i| rt.call_async(counter(i % counters), "incr", vec![Value::Int(1)]))
+                .collect()
+        };
+        let before = calls(&rt);
+        let v2 = rt.redeploy(&se_lang::programs::counter_v2_program());
+        assert_eq!(v2.expect("the upgrade acknowledges"), 2);
+        let after = calls(&rt);
+        for w in before.into_iter().chain(after) {
+            w.wait_timeout(WAIT)
+                .expect("every call answers")
+                .expect("no error");
+        }
+        for i in 0..counters {
+            assert_eq!(
+                rt.call(counter(i), "get", vec![]).unwrap(),
+                Value::Int(3 * per as i64),
+                "counter {i}: k v1 incrs + k doubled v2 incrs"
+            );
+        }
+        let reached = rt
+            .snapshots()
+            .latest_complete()
+            .expect("an epoch completed");
+        while rt.snapshots().latest_complete() == Some(reached) {
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "epoch {reached} is still the latest complete one"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        rt.shutdown();
+    });
 }
 
 /// Reads across the switchover: heavy pre-upgrade traffic runs the v1
