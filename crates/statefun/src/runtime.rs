@@ -16,11 +16,11 @@
 //! remote stateless function runtime" (§4): the tasks, the egress reader
 //! and the controller, in that order, run round robin on the first threads,
 //! and the remote workers on the other ⌊M/2⌋ — never more than R, and never
-//! fewer than leave one thread per Flink-side role. At M = 1 the one thread
-//! hosts every role; under sleep mode each role has a thread. A thread is
-//! named after its lowest task (`statefun-task<i>`), else its lowest remote
-//! worker (`statefun-remote<i>`), else `statefun-egress`, else
-//! `statefun-controller`.
+//! fewer than M − P − 2, so that no thread is left without a role. At M = 1
+//! the one thread hosts every role; under sleep mode each role has a
+//! thread. A thread is named after its lowest task (`statefun-task<i>`),
+//! else its remote worker (`statefun-remote<i>`), else `statefun-egress`,
+//! else `statefun-controller`.
 //!
 //! **How messages travel.** The roles push [`Envelope`]s, and `Routes::route`
 //! alone sends them: a [`RemoteRequest`](crate::record::RemoteRequest) to remote worker `seq` mod R and a
