@@ -26,6 +26,10 @@
 //! that receive fold into one. The owner's rule is the mirror image: after
 //! a receive returns, look at everything watched *before* blocking again.
 //!
+//! **One receiver.** A queue has one receiving thread at a time: the
+//! thread that owns it, which alone parks on it. Receives must not run
+//! concurrently on one queue.
+//!
 //! **Cost.** A receiver announces that it parks in one atomic word, changed
 //! only under the queue lock. `send*` and the last sender's drop read it
 //! under the queue lock and `wake` in its single `fetch_or`, and all three
@@ -67,7 +71,7 @@ impl<T> Ord for Entry<T> {
 /// `Shared::park` bit: a wake is pending (set by [`Waker::wake`], taken by
 /// the receive it ends).
 const WOKEN: usize = 1;
-/// `Shared::park` unit above the `WOKEN` bit: one parked receive.
+/// `Shared::park` bit: the receive is inside its condvar wait.
 const PARKED: usize = 2;
 
 struct Shared<T> {
@@ -75,10 +79,9 @@ struct Shared<T> {
     queue: Mutex<(BinaryHeap<Reverse<Entry<T>>>, u64)>,
     available: Condvar,
     senders: AtomicUsize,
-    /// `WOKEN` bit + `PARKED` × the number of receives inside a condvar
-    /// wait. The count changes only under the `queue` lock, so whoever holds
-    /// that lock reads it exactly; `wake` reads it lock-free and takes the
-    /// lock only when it is non-zero.
+    /// The `WOKEN` and `PARKED` bits. `PARKED` changes only under the
+    /// `queue` lock, so whoever holds that lock reads it exactly; `wake`
+    /// reads it lock-free and takes the lock only when it is set.
     park: AtomicUsize,
 }
 
@@ -99,14 +102,14 @@ impl<T> Clone for DelaySender<T> {
 impl<T> Drop for DelaySender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last sender gone: wake every parked receive so it can observe
+            // Last sender gone: wake a parked receive so it can observe
             // closure — read under the lock, or one that just read a
             // non-zero sender count would start waiting after this check.
             let guard = self.shared.queue.lock();
-            let parked = self.shared.park.load(Ordering::SeqCst) >= PARKED;
+            let parked = self.shared.park.load(Ordering::SeqCst) & PARKED != 0;
             drop(guard);
             if parked {
-                self.shared.available.notify_all();
+                self.shared.available.notify_one();
             }
         }
     }
@@ -120,7 +123,7 @@ impl<T> DelaySender<T> {
         let seq = guard.1;
         guard.1 += 1;
         guard.0.push(Reverse(Entry { due, seq, msg }));
-        let parked = self.shared.park.load(Ordering::SeqCst) >= PARKED;
+        let parked = self.shared.park.load(Ordering::SeqCst) & PARKED != 0;
         drop(guard);
         if parked {
             self.shared.available.notify_one();
@@ -187,7 +190,7 @@ impl<T> DelayReceiver<T> {
             // the waker's `fetch_or` came first and shows up here, or it
             // sees the announcement and notifies once the wait has begun
             // (it passes through the lock this thread holds until then).
-            if park.fetch_add(PARKED, Ordering::SeqCst) & WOKEN == 0 {
+            if park.fetch_or(PARKED, Ordering::SeqCst) & WOKEN == 0 {
                 match head_due.into_iter().chain(deadline).min() {
                     Some(until) => {
                         self.shared.available.wait_until(&mut guard, until);
@@ -195,8 +198,8 @@ impl<T> DelayReceiver<T> {
                     None => self.shared.available.wait(&mut guard),
                 }
             }
-            if park.fetch_sub(PARKED, Ordering::SeqCst) & WOKEN != 0 {
-                park.fetch_and(!WOKEN, Ordering::SeqCst);
+            // Leave the wait, and take a wake that ended it.
+            if park.fetch_and(!(PARKED | WOKEN), Ordering::SeqCst) & WOKEN != 0 {
                 // A message that came due meanwhile is worth more than the
                 // wake: the owner looks around after either.
                 return Self::pop_due(&mut guard, Instant::now());
@@ -228,8 +231,8 @@ impl<T> DelayReceiver<T> {
             let before = shared.park.fetch_or(WOKEN, Ordering::SeqCst);
             // An already pending wake has its notify under way (or will be
             // found by the receive's own check): nothing to add.
-            if before >= PARKED && before & WOKEN == 0 {
-                // The parked count is read lock-free here: pass through the
+            if before == PARKED {
+                // The parked bit is read lock-free here: pass through the
                 // lock so the notify lands after the wait began.
                 drop(shared.queue.lock());
                 shared.available.notify_one();
@@ -260,7 +263,7 @@ impl<T> DelayReceiver<T> {
         T: Send + 'static,
     {
         let shared = Arc::clone(&self.shared);
-        move || shared.park.load(Ordering::SeqCst) >= PARKED
+        move || shared.park.load(Ordering::SeqCst) & PARKED != 0
     }
 }
 
@@ -389,7 +392,7 @@ mod tests {
 
     /// Spins until a receive on `rx` is inside its condvar wait.
     fn until_parked<T>(rx: &DelayReceiver<T>) {
-        while rx.shared.park.load(Ordering::SeqCst) < PARKED {
+        while rx.shared.park.load(Ordering::SeqCst) & PARKED == 0 {
             std::thread::yield_now();
         }
     }

@@ -93,8 +93,8 @@ pub struct RemoteResponse {
 /// thread that hosts its addressee (see [`crate::runtime`]).
 #[derive(Debug, Clone)]
 pub enum Envelope {
-    /// To the thread of remote worker [`RemoteRequest::seq`] mod the worker
-    /// count, across the `RemoteRequest` seam.
+    /// To remote thread [`RemoteRequest::seq`] mod the number of remote
+    /// threads, across the `RemoteRequest` seam.
     Request(RemoteRequest),
     /// To partition task `.0`, across the `RemoteResponse` seam.
     Response(usize, RemoteResponse),

@@ -20,15 +20,19 @@
 //! the one thread hosts every role; under sleep mode each role has a
 //! thread. A thread is named after its lowest task (`statefun-task<i>`),
 //! else its remote worker (`statefun-remote<i>`), else `statefun-egress`,
-//! else `statefun-controller`.
+//! else `statefun-controller`. The remote side's capacity is therefore its
+//! share of the cores, not R: at M = 2 one thread serves every remote
+//! worker.
 //!
 //! **How messages travel.** The roles push [`Envelope`]s, and `Routes::route`
-//! alone sends them: a [`RemoteRequest`](crate::record::RemoteRequest) to remote worker `seq` mod R and a
-//! [`RemoteResponse`](crate::record::RemoteResponse) back to its task, each across its chaos seam and after
-//! the remote hop of its payload; a crash notice to the controller, and the
-//! controller's `Look`s, at once and unfaulted. The broker is shared memory:
-//! each partition's consumer registers its thread's waker, so a produce to a
-//! partition consumed on the running thread costs one `fetch_or`.
+//! alone sends them: a [`RemoteRequest`](crate::record::RemoteRequest) to
+//! remote thread `seq` mod (number of remote threads), so each gets an even
+//! share, and a [`RemoteResponse`](crate::record::RemoteResponse) back to
+//! its task, each across its chaos seam and after the remote hop of its
+//! payload; a crash notice to the controller, and the controller's `Look`s,
+//! at once and unfaulted. The broker is shared memory: each partition's
+//! consumer registers its thread's waker, so a produce to a partition
+//! consumed on the running thread costs one `fetch_or`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,7 +93,6 @@ impl StatefunRuntime {
             inboxes: txs,
             layout,
             partitions: p,
-            remote_workers: r,
             chaos: cfg.chaos.clone(),
             net: cfg.net.clone(),
         };
@@ -300,7 +303,6 @@ struct Routes {
     inboxes: Vec<DelaySender<Envelope>>,
     layout: Layout,
     partitions: usize,
-    remote_workers: usize,
     chaos: ChaosPlan,
     net: NetConfig,
 }
@@ -309,9 +311,12 @@ impl Routes {
     fn route(&self, envelope: Envelope) {
         let (thread, seam, bytes) = match &envelope {
             Envelope::Request(req) => {
-                let worker = req.seq as usize % self.remote_workers;
                 let bytes = req.state.approx_size() + req.inv.approx_size();
-                (self.layout.back(worker), Seam::RemoteRequest, bytes)
+                (
+                    self.layout.back(req.seq as usize),
+                    Seam::RemoteRequest,
+                    bytes,
+                )
             }
             Envelope::Response(task, resp) => {
                 let bytes = resp.new_state.approx_size();

@@ -116,6 +116,14 @@ impl RecoveryCtl {
     }
 }
 
+/// An ingress record that runs with no dispatch in flight: a checkpoint
+/// barrier of an epoch, or a live upgrade to a version, acknowledged to a
+/// request.
+enum Aligned {
+    Barrier(Epoch),
+    Upgrade(u64, RequestId),
+}
+
 /// One partition task.
 pub struct PartitionTask {
     id: usize,
@@ -153,7 +161,7 @@ pub struct PartitionTask {
     staged: Vec<(&'static str, String, SfRecord, usize)>,
     /// A barrier or upgrade read while dispatches were in flight: it runs
     /// once the last of them installs, and no ingress is read until then.
-    held: Option<SfRecord>,
+    held: Option<Aligned>,
     /// When the task wants a turn with no message: once its next ingress
     /// record shows, the one instant nobody announces (a produce wakes the
     /// thread when it happens, which with a broker hop is before the record
@@ -306,7 +314,7 @@ impl PartitionTask {
                     return;
                 }
                 if self.transactional() && epoch > self.last_epoch {
-                    self.align(SfRecord::Barrier { epoch });
+                    self.align(Aligned::Barrier(epoch));
                 }
             }
             SfRecord::Upgrade { version, request } => {
@@ -322,7 +330,7 @@ impl PartitionTask {
                 // post-dates the switch) needs nothing, and its
                 // acknowledgement was already given.
                 if version > self.active_version {
-                    self.align(SfRecord::Upgrade { version, request });
+                    self.align(Aligned::Upgrade(version, request));
                 }
             }
             SfRecord::Response(_) => { /* egress records never reach ingress */ }
@@ -451,7 +459,7 @@ impl PartitionTask {
 
     /// The sync point checkpoint barriers and live upgrades share: `rec`
     /// runs with no dispatch in flight, now or once the last one installs.
-    fn align(&mut self, rec: SfRecord) {
+    fn align(&mut self, rec: Aligned) {
         if self.inflight.is_empty() {
             self.run_aligned(rec);
         } else {
@@ -459,11 +467,10 @@ impl PartitionTask {
         }
     }
 
-    fn run_aligned(&mut self, rec: SfRecord) {
+    fn run_aligned(&mut self, rec: Aligned) {
         match rec {
-            SfRecord::Barrier { epoch } => self.on_barrier(epoch),
-            SfRecord::Upgrade { version, request } => self.on_upgrade(version, request),
-            _ => {}
+            Aligned::Barrier(epoch) => self.on_barrier(epoch),
+            Aligned::Upgrade(version, request) => self.on_upgrade(version, request),
         }
     }
 
