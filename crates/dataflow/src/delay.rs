@@ -30,16 +30,42 @@
 //! thread that owns it, which alone parks on it. Receives must not run
 //! concurrently on one queue.
 //!
+//! **Polling.** A receive that finds nothing due and no wake token first
+//! polls, for up to its queue's window `w`: it looks at the send count and
+//! the wake token, without the queue lock, and yields the CPU between looks
+//! so that a thread sharing the core still runs. The deadline and the
+//! head's due time cut the poll short, and so does the first yield that let
+//! another thread run. KVM polls only while its CPU has no other runnable
+//! task, and likewise a thread that shares its core parks rather than hand
+//! the core back and forth at every look. Only then does the receive park.
+//!
+//! The window follows Linux KVM's adaptive halt-polling (`halt_poll_ns`):
+//! a park whose idle time — from finding nothing due to the park's end —
+//! was at most `POLL_CAP` but longer than `w` doubles `w`, starting at
+//! `POLL_START` (KVM's `halt_poll_ns_grow_start`, 10 µs) and never going
+//! above `POLL_CAP` (KVM's default `halt_poll_ns`, 200 µs); an idle time
+//! above `POLL_CAP` resets `w` to 0, and a receive the poll served leaves
+//! it as it is. A fresh queue starts at 0, so a client's one-shot
+//! [`crate::ResponseWaiter`] never polls, and an idle or timer-driven
+//! thread (one woken every few milliseconds) falls back to 0 and parks at
+//! once. A thread whose work arrives less than `POLL_CAP` apart stays on
+//! its core instead. The trade is CPU: at more than one arrival per
+//! `POLL_CAP`, a thread spends its whole core polling, which an engine
+//! thread may, since it owns its core (one engine thread per core, see
+//! [`crate::shell`]).
+//!
 //! **Cost.** A receiver announces that it parks in one atomic word, changed
 //! only under the queue lock. `send*` and the last sender's drop read it
 //! under the queue lock and `wake` in its single `fetch_or`, and all three
 //! skip the condvar — an unconditional `futex` syscall in `std` — unless a
-//! receive is actually parked. Waking, sending to or closing a busy
-//! receiver costs no syscall.
+//! receive is actually parked. Waking, sending to or closing a busy or
+//! polling receiver costs no syscall, and a send costs one atomic add more
+//! (the count a poll watches). A look of the poll costs two syscalls, the
+//! yield and the read of the thread's context-switch count.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,15 +100,41 @@ const WOKEN: usize = 1;
 /// `Shared::park` bit: the receive is inside its condvar wait.
 const PARKED: usize = 2;
 
+/// The first nonzero poll window (KVM's `halt_poll_ns_grow_start`).
+const POLL_START: Duration = Duration::from_micros(10);
+/// The largest poll window, and the idle time above which the window
+/// resets to 0 (KVM's default `halt_poll_ns`).
+const POLL_CAP: Duration = Duration::from_micros(200);
+
+/// The poll window after a park that ended `idle` after its receive found
+/// nothing due, given the window `w` it polled for; see the module docs.
+fn next_window(w: Duration, idle: Duration) -> Duration {
+    if idle > POLL_CAP {
+        Duration::ZERO
+    } else if idle <= w {
+        w
+    } else if w.is_zero() {
+        POLL_START
+    } else {
+        (2 * w).min(POLL_CAP)
+    }
+}
+
 struct Shared<T> {
-    /// The pending messages and the next sequence number.
-    queue: Mutex<(BinaryHeap<Reverse<Entry<T>>>, u64)>,
+    /// The pending messages.
+    queue: Mutex<BinaryHeap<Reverse<Entry<T>>>>,
+    /// Messages ever sent, the next one's sequence number; advanced only
+    /// under the `queue` lock, read lock-free by a polling receive.
+    sent: AtomicU64,
     available: Condvar,
     senders: AtomicUsize,
     /// The `WOKEN` and `PARKED` bits. `PARKED` changes only under the
     /// `queue` lock, so whoever holds that lock reads it exactly; `wake`
     /// reads it lock-free and takes the lock only when it is set.
     park: AtomicUsize,
+    /// The poll window in nanoseconds; read and written by the receive
+    /// alone.
+    window_ns: AtomicU64,
 }
 
 /// Sending half of a delay queue. Cloning adds a sender.
@@ -120,9 +172,8 @@ impl<T> DelaySender<T> {
     pub fn send_after(&self, msg: T, delay: Duration) {
         let due = Instant::now() + delay;
         let mut guard = self.shared.queue.lock();
-        let seq = guard.1;
-        guard.1 += 1;
-        guard.0.push(Reverse(Entry { due, seq, msg }));
+        let seq = self.shared.sent.fetch_add(1, Ordering::SeqCst);
+        guard.push(Reverse(Entry { due, seq, msg }));
         let parked = self.shared.park.load(Ordering::SeqCst) & PARKED != 0;
         drop(guard);
         if parked {
@@ -157,15 +208,40 @@ pub struct DelayReceiver<T> {
 }
 
 /// The lock-protected half of [`Shared`], as a receive holds it.
-type QueueGuard<'a, T> = MutexGuard<'a, (BinaryHeap<Reverse<Entry<T>>>, u64)>;
+type QueueGuard<'a, T> = MutexGuard<'a, BinaryHeap<Reverse<Entry<T>>>>;
 
 impl<T> DelayReceiver<T> {
     /// Pops the head if it is due at `now`.
     fn pop_due(guard: &mut QueueGuard<'_, T>, now: Instant) -> Option<T> {
-        if guard.0.peek().is_none_or(|Reverse(e)| e.due > now) {
+        if guard.peek().is_none_or(|Reverse(e)| e.due > now) {
             return None;
         }
-        guard.0.pop().map(|Reverse(e)| e.msg)
+        guard.pop().map(|Reverse(e)| e.msg)
+    }
+
+    /// The current poll window.
+    fn window(&self) -> Duration {
+        Duration::from_nanos(self.shared.window_ns.load(Ordering::Relaxed))
+    }
+
+    /// Looks, without the queue lock and yielding the CPU between looks,
+    /// until a message is sent after `sent` messages, a wake is pending, or
+    /// `until` passes. Returns `false`, early, once a yield let another
+    /// thread run on this CPU: the receive then parks.
+    fn poll(&self, sent: u64, until: Instant) -> bool {
+        let shared = &*self.shared;
+        let preempted = || switches().map(|(_, involuntary)| involuntary);
+        let before = preempted();
+        while shared.sent.load(Ordering::SeqCst) == sent
+            && shared.park.load(Ordering::SeqCst) & WOKEN == 0
+            && Instant::now() < until
+        {
+            std::thread::yield_now();
+            if before.is_some() && preempted() != before {
+                return false;
+            }
+        }
+        true
     }
 
     /// Receives the next due message, blocking until one is due, a
@@ -173,18 +249,32 @@ impl<T> DelayReceiver<T> {
     /// returned), `deadline` passes, or all senders are dropped and the
     /// queue holds no due-or-future message — `None` in the last three
     /// cases. With `deadline = None` nothing but a message, a wake or
-    /// closure ends the wait.
+    /// closure ends the wait. Polls before it parks; see the module docs.
     pub fn recv_until(&self, deadline: Option<Instant>) -> Option<T> {
         let park = &self.shared.park;
         let mut guard = self.shared.queue.lock();
+        // When this receive first found nothing due: its idle time's start.
+        let mut idle_since = None;
+        let mut may_poll = true;
         loop {
             let now = Instant::now();
             if let Some(msg) = Self::pop_due(&mut guard, now) {
                 return Some(msg);
             }
-            let head_due = guard.0.peek().map(|Reverse(e)| e.due);
+            let head_due = guard.peek().map(|Reverse(e)| e.due);
             if (head_due.is_none() && self.is_closed()) || deadline.is_some_and(|d| d <= now) {
                 return None;
+            }
+            let since = *idle_since.get_or_insert(now);
+            let poll_end =
+                (head_due.into_iter().chain(deadline)).fold(since + self.window(), Instant::min);
+            if may_poll && now < poll_end && park.load(Ordering::SeqCst) & WOKEN == 0 {
+                // Read under the lock: every later send moves it.
+                let sent = self.shared.sent.load(Ordering::SeqCst);
+                drop(guard);
+                may_poll = self.poll(sent, poll_end);
+                guard = self.shared.queue.lock();
+                continue;
             }
             // Announce the park, then look for a wake that raced it: either
             // the waker's `fetch_or` came first and shows up here, or it
@@ -197,6 +287,9 @@ impl<T> DelayReceiver<T> {
                     }
                     None => self.shared.available.wait(&mut guard),
                 }
+                let w = next_window(self.window(), since.elapsed());
+                let w_ns = w.as_nanos() as u64;
+                self.shared.window_ns.store(w_ns, Ordering::Relaxed);
             }
             // Leave the wait, and take a wake that ended it.
             if park.fetch_and(!(PARKED | WOKEN), Ordering::SeqCst) & WOKEN != 0 {
@@ -242,7 +335,7 @@ impl<T> DelayReceiver<T> {
 
     /// Number of queued (due or pending) messages.
     pub fn len(&self) -> usize {
-        self.shared.queue.lock().0.len()
+        self.shared.queue.lock().len()
     }
 
     /// Whether the queue is empty.
@@ -267,13 +360,38 @@ impl<T> DelayReceiver<T> {
     }
 }
 
+/// The calling thread's context switches so far, voluntary and
+/// involuntary (`ru_nvcsw`, `ru_nivcsw`): a park counts a voluntary one, a
+/// `yield_now` that let another thread run an involuntary one.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn switches() -> Option<(i64, i64)> {
+    extern "C" {
+        fn getrusage(who: i32, usage: *mut [i64; 18]) -> i32;
+    }
+    const RUSAGE_THREAD: i32 = 1;
+    let mut usage = [0i64; 18];
+    // SAFETY: on 64-bit Linux `struct rusage` is two `timeval`s and
+    // fourteen `long`s, eighteen 8-byte words, so the kernel writes exactly
+    // `usage`; `ru_nvcsw` and `ru_nivcsw` are the last two.
+    let rc = unsafe { getrusage(RUSAGE_THREAD, &mut usage) };
+    (rc == 0).then_some((usage[16], usage[17]))
+}
+
+/// Elsewhere a poll cannot tell that it shares its CPU, and runs its window.
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn switches() -> Option<(i64, i64)> {
+    None
+}
+
 /// Creates a connected delay-queue pair.
 pub fn delay_channel<T>() -> (DelaySender<T>, DelayReceiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new((BinaryHeap::new(), 0)),
+        queue: Mutex::new(BinaryHeap::new()),
+        sent: AtomicU64::new(0),
         available: Condvar::new(),
         senders: AtomicUsize::new(1),
         park: AtomicUsize::new(0),
+        window_ns: AtomicU64::new(0),
     });
     (
         DelaySender {
@@ -495,6 +613,123 @@ mod tests {
             tx.send(2);
             assert_eq!(receiver.join().unwrap(), vec![0, 1, 2, 3, 4, 5]);
         });
+    }
+
+    #[test]
+    fn the_window_grows_from_start_to_the_cap_and_resets_above_it() {
+        let us = Duration::from_micros;
+        let zero = Duration::ZERO;
+        assert_eq!(next_window(zero, us(50)), POLL_START, "first step");
+        assert_eq!(next_window(POLL_START, us(50)), 2 * POLL_START);
+        assert_eq!(next_window(us(160), us(180)), POLL_CAP, "capped");
+        assert_eq!(next_window(POLL_CAP, POLL_CAP), POLL_CAP);
+        assert_eq!(next_window(us(40), us(30)), us(40), "idle within w");
+        assert_eq!(next_window(POLL_CAP, us(201)), zero, "idle above the cap");
+        assert_eq!(next_window(zero, us(201)), zero);
+    }
+
+    /// Runs `receive` with `rx`'s poll window set to `window`; returns what
+    /// it returned and whether it parked, told by the calling thread's
+    /// voluntary context switches (`None` where they cannot be read).
+    fn parks<T, R>(
+        rx: &DelayReceiver<T>,
+        window: Duration,
+        receive: impl FnOnce(&DelayReceiver<T>) -> R,
+    ) -> Option<(R, bool)> {
+        let w_ns = window.as_nanos() as u64;
+        rx.shared.window_ns.store(w_ns, Ordering::Relaxed);
+        let (before, _) = switches()?;
+        let got = receive(rx);
+        let (after, _) = switches()?;
+        Some((got, after != before))
+    }
+
+    // A poll that another thread preempts parks, as it should, and spoils
+    // one try of the two tests below; each passes on one try of five.
+
+    #[test]
+    fn a_message_due_inside_the_window_is_polled_for_not_parked_for() {
+        let clean = (0..5).any(|_| {
+            let (tx, rx) = delay_channel();
+            tx.send_after(7, Duration::from_micros(100));
+            let got = parks(&rx, POLL_CAP, |rx| rx.recv_until(None));
+            got.is_none_or(|(got, parked)| {
+                assert_eq!(got, Some(7));
+                !parked
+            })
+        });
+        assert!(
+            clean,
+            "every receive parked for a message due inside its window"
+        );
+    }
+
+    #[test]
+    fn a_wake_inside_the_window_is_polled_for_not_parked_for() {
+        // The wake needs a second CPU to land while the receive polls.
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        let clean = (0..5).any(|_| {
+            let (tx, rx) = delay_channel::<u8>();
+            let waker = rx.waker();
+            let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let receiver = std::thread::spawn({
+                let started = Arc::clone(&started);
+                move || {
+                    parks(&rx, POLL_CAP, |rx| {
+                        started.store(true, Ordering::SeqCst);
+                        rx.recv_until(None)
+                    })
+                }
+            });
+            while !started.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            // 20 µs after the receive began, well inside its window.
+            let wake_at = Instant::now() + Duration::from_micros(20);
+            while Instant::now() < wake_at {
+                std::hint::spin_loop();
+            }
+            waker.wake();
+            let got = watchdog(move || receiver.join().unwrap());
+            drop(tx);
+            got.is_none_or(|(got, parked)| {
+                assert_eq!(got, None, "a wake ends the receive with None");
+                !parked
+            })
+        });
+        assert!(
+            clean,
+            "every receive parked before a wake inside its window"
+        );
+    }
+
+    #[test]
+    fn a_fresh_queue_never_polls() {
+        // A client's `ResponseWaiter` is a fresh queue per request: its
+        // receive parks at once, even for a message due well inside what
+        // would be a window.
+        let (tx, rx) = delay_channel();
+        assert_eq!(rx.window(), Duration::ZERO);
+        tx.send_after(3, Duration::from_micros(100));
+        let Some((got, parked)) = parks(&rx, Duration::ZERO, |rx| rx.recv_until(None)) else {
+            return;
+        };
+        assert_eq!(got, Some(3));
+        assert!(parked, "a fresh queue's receive did not park");
+    }
+
+    #[test]
+    fn a_park_longer_than_the_cap_resets_the_window() {
+        let (tx, rx) = delay_channel::<u8>();
+        rx.shared
+            .window_ns
+            .store(POLL_CAP.as_nanos() as u64, Ordering::Relaxed);
+        // Polls for the cap, then parks until the deadline: idle 5 ms.
+        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), None);
+        assert_eq!(rx.window(), Duration::ZERO);
+        drop(tx);
     }
 
     #[test]

@@ -107,8 +107,13 @@ pub trait Roles {
 /// of exactly three things: a **message** comes due (every simulated hop
 /// delay and chaos quarantine is a due time in the inbox's heap), a **wake**
 /// (whoever changes what a role watches — a source, a broker partition, the
-/// shutdown flag — fires this inbox's waker), or [`Roles::deadline`]. A busy
-/// thread never sleeps, an idle one never wakes.
+/// shutdown flag — fires this inbox's waker), or [`Roles::deadline`]. Before
+/// it parks, the receive polls for as long as its adaptive window
+/// ([`crate::delay`], "Polling"): a thread whose work came moments ago stays
+/// on its core and takes the next message or wake without being woken, and
+/// one idle for longer than the window's cap parks at once. A busy thread
+/// never sleeps, an idle one never wakes, and a thread polls only while its
+/// work arrives less than the cap apart.
 pub fn run<R: Roles>(inbox: DelayReceiver<R::Envelope>, mut roles: R) {
     while turn(&mut roles) {
         // Every due message, before blocking: what a handler sends to a

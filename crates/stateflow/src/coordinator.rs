@@ -299,6 +299,8 @@ pub struct Coordinator {
     /// empty.
     batch_deadline: Option<Instant>,
     next_batch: BatchId,
+    /// Batches sealed since the last epoch cut (or restore); a periodic
+    /// cut is wanted from `snapshot_every_batches` on.
     batches_since_snapshot: u64,
     epoch: Epoch,
     mode: Mode,
@@ -321,7 +323,8 @@ pub struct Coordinator {
     active_version: u64,
     /// Consumed-but-uncommitted upgrades, FIFO. While non-empty the
     /// coordinator stops consuming the source: requests appended after a
-    /// `Redeploy` record must run on the new version.
+    /// `Redeploy` record must run on the new version. (It stops as well
+    /// while a periodic cut is wanted, see [`Self::snapshot_wanted`].)
     pending_upgrades: VecDeque<PendingUpgrade>,
     /// Committed upgrades of this run, ascending by version; recovery
     /// rewinds this list against the restored cut.
@@ -399,8 +402,9 @@ impl Coordinator {
 
     /// The coordinator's source work at `now`, run by its thread at the
     /// start of every turn ([`se_dataflow::shell::run`]): consume what the
-    /// source holds (freeing the records below `replay_floor`), then cut and
-    /// seal what the pipeline and the batch timer allow. Returns `false`
+    /// source holds (freeing the records below `replay_floor`), then cut
+    /// whichever epoch is wanted once drained, and seal what the pipeline and
+    /// the batch timer allow. Returns `false`
     /// once shutdown is requested: the coordinator has told every worker to
     /// stop, and has stopped.
     pub(crate) fn turn(&mut self, now: Instant) -> bool {
@@ -415,6 +419,7 @@ impl Coordinator {
             self.stats.log_truncated.add(freed);
         }
         self.cut_epoch(true);
+        self.cut_epoch(false);
         while self.window_open() && self.seal_next_batch(now) {}
         true
     }
@@ -435,8 +440,10 @@ impl Coordinator {
         loop {
             // Consumption pauses at a `Redeploy` record: everything
             // appended after it must run on the new version, so it waits
-            // behind the upgrade's epoch boundary.
-            if !self.pending_upgrades.is_empty() {
+            // behind the upgrade's epoch boundary. It pauses as well while
+            // a periodic cut is wanted: the pipeline then drains, and the
+            // cut opens, however closely the requests follow each other.
+            if !self.pending_upgrades.is_empty() || self.snapshot_wanted() {
                 return;
             }
             let Some(req) = self.reader.poll() else {
@@ -500,17 +507,24 @@ impl Coordinator {
         self.in_flight.is_empty() && self.queue.is_empty() && self.fallback_queue.is_empty()
     }
 
+    /// Whether the periodic snapshot is due: `snapshot_every_batches`
+    /// batches were sealed since the last cut. Also true while its `Cut`
+    /// round is open.
+    fn snapshot_wanted(&self) -> bool {
+        self.cfg.snapshot_every_batches > 0
+            && self.batches_since_snapshot >= self.cfg.snapshot_every_batches
+    }
+
     /// Cuts an epoch — opens a `Cut` round — once one is wanted and the
     /// pipeline has drained. With `upgrade` the cut is the front pending
     /// upgrade's epoch boundary (wanted as soon as an upgrade is queued);
-    /// otherwise it is the periodic snapshot (wanted every
-    /// `snapshot_every_batches` batches).
+    /// otherwise it is the periodic snapshot ([`Self::snapshot_wanted`]).
+    /// Either stops the source's consumption until its round completes.
     fn cut_epoch(&mut self, upgrade: bool) {
         let wanted = if upgrade {
             !self.pending_upgrades.is_empty()
         } else {
-            self.cfg.snapshot_every_batches > 0
-                && self.batches_since_snapshot >= self.cfg.snapshot_every_batches
+            self.snapshot_wanted()
         };
         if !wanted || !matches!(self.mode, Mode::Running) || !self.drained() {
             return;
@@ -686,6 +700,7 @@ impl Coordinator {
         let kind = batch_kind(&txns);
         let batch = self.next_batch;
         self.next_batch += 1;
+        self.batches_since_snapshot += 1;
         self.record(|| HistoryEvent::Sealed {
             batch,
             txns: txns.clone(),
@@ -883,7 +898,6 @@ impl Coordinator {
         stage_span(se_obs::Stage::BatchExec, batch.sealed_ns);
         stage_span(se_obs::Stage::BatchDecide, done_ns);
         self.roots.remove(&txn);
-        self.batches_since_snapshot += 1;
         self.cut_epoch(false);
     }
 
@@ -1011,8 +1025,6 @@ impl Coordinator {
         // transaction still enters its next batch as the lowest id there.
         // They run as Aria's serial fallback: one solo batch each.
         self.fallback_queue.extend(retry);
-
-        self.batches_since_snapshot += 1;
         self.cut_epoch(false);
     }
 
@@ -1168,6 +1180,28 @@ mod tests {
 
     use super::*;
 
+    /// A coordinator reading `source` from its start, driven by hand.
+    fn coordinator(cfg: StateflowConfig, source: &ReplayableSource<ClientRequest>) -> Coordinator {
+        Coordinator::new(
+            cfg,
+            SourceReader::at(source, 0),
+            Arc::new(SnapshotStore::new()),
+            Arc::new(CoordStats::default()),
+            se_obs::Obs::noop(),
+            Arc::new(AtomicBool::new(false)),
+        )
+    }
+
+    /// Appends request `request`, a read of the account `key`.
+    fn invoke(source: &ReplayableSource<ClientRequest>, request: u64, key: &str) {
+        let target = EntityRef::new("Account", key);
+        let inv = Invocation::root(RequestId(request), target, "balance", vec![]);
+        source.append(ClientRequest {
+            request: RequestId(request),
+            op: ClientOp::Invoke(inv),
+        });
+    }
+
     /// A serial-fallback seal takes nothing from the queue, so it must not
     /// restart the queue's batch timer: a request waiting behind a
     /// contended batch seals `batch_interval` after it arrived, however
@@ -1180,22 +1214,8 @@ mod tests {
         cfg.batch_interval = interval;
         cfg.pipeline_depth = 4;
         let source = ReplayableSource::new();
-        let mut coord = Coordinator::new(
-            cfg,
-            SourceReader::at(&source, 0),
-            Arc::new(SnapshotStore::new()),
-            Arc::new(CoordStats::default()),
-            se_obs::Obs::noop(),
-            Arc::new(AtomicBool::new(false)),
-        );
-        let invoke = |request: u64, key: &str| {
-            let target = EntityRef::new("Account", key);
-            let inv = Invocation::root(RequestId(request), target, "balance", vec![]);
-            source.append(ClientRequest {
-                request: RequestId(request),
-                op: ClientOp::Invoke(inv),
-            });
-        };
+        let mut coord = coordinator(cfg, &source);
+        let invoke = |request: u64, key: &str| invoke(&source, request, key);
         // The transactions whose `Exec` the coordinator sent since the last
         // look.
         let sealed = |coord: &mut Coordinator| -> Vec<TxnId> {
@@ -1254,5 +1274,72 @@ mod tests {
         assert_eq!(sealed(&mut coord), [1]);
         assert!(coord.turn(t1 + interval));
         assert_eq!(sealed(&mut coord), [2]);
+    }
+
+    /// A periodic cut is wanted every `snapshot_every_batches` sealed
+    /// batches, and from then on the source waits for it. Here each request
+    /// is appended before the previous batch's `SoloDone` is handled, so
+    /// the pipeline never drains while the coordinator consumes: the cut
+    /// opens only because consumption pauses, and then it opens after
+    /// exactly N batches every time.
+    #[test]
+    fn a_wanted_cut_opens_after_exactly_n_back_to_back_batches() {
+        const N: u64 = 4;
+        let mut cfg = StateflowConfig::fast_test(2);
+        cfg.batch_interval = Duration::ZERO;
+        cfg.snapshot_every_batches = N;
+        let source = ReplayableSource::new();
+        let mut coord = coordinator(cfg, &source);
+        let now = Instant::now();
+        // Solo batches sealed and not yet done, oldest first.
+        let mut executing: VecDeque<(BatchId, TxnId)> = VecDeque::new();
+        // `through` of every `Snapshot` marker sent.
+        let mut cuts: Vec<BatchId> = Vec::new();
+        for request in 0..3 * N + 2 {
+            let before = executing.len();
+            invoke(&source, request, ["a", "b"][request as usize % 2]);
+            assert!(coord.turn(now));
+            let mut out: VecDeque<Envelope> = coord.out.drain(..).collect();
+            // The previous batch finishes only after the next request came.
+            let mut done = executing.drain(..before).collect::<VecDeque<_>>();
+            loop {
+                while let Some(sent) = out.pop_front() {
+                    match sent {
+                        Envelope::Worker(
+                            _,
+                            WorkerMsg::Exec {
+                                batch, txn, solo, ..
+                            },
+                        ) => {
+                            assert!(solo, "one request per batch");
+                            executing.push_back((batch, txn));
+                        }
+                        Envelope::Worker(worker, WorkerMsg::Snapshot { epoch, through, .. }) => {
+                            if worker == 0 {
+                                cuts.push(through);
+                            }
+                            coord.handle(CoordMsg::SnapshotAck {
+                                gen: 0,
+                                epoch,
+                                worker,
+                                durable: None,
+                            });
+                        }
+                        _ => {}
+                    }
+                }
+                // What the shell runs after a handled message.
+                assert!(coord.turn(now));
+                out.extend(coord.out.drain(..));
+                if out.is_empty() {
+                    let Some((batch, txn)) = done.pop_front() else {
+                        break;
+                    };
+                    coord.handle(CoordMsg::SoloDone { gen: 0, batch, txn });
+                    out.extend(coord.out.drain(..));
+                }
+            }
+        }
+        assert_eq!(cuts, [N, 2 * N, 3 * N], "a Snapshot every {N} batches");
     }
 }
