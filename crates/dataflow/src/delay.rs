@@ -266,8 +266,11 @@ impl<T> DelayReceiver<T> {
                 return None;
             }
             let since = *idle_since.get_or_insert(now);
-            let poll_end =
-                (head_due.into_iter().chain(deadline)).fold(since + self.window(), Instant::min);
+            let window_end = since + self.window();
+            let poll_end = head_due
+                .into_iter()
+                .chain(deadline)
+                .fold(window_end, Instant::min);
             if may_poll && now < poll_end && park.load(Ordering::SeqCst) & WOKEN == 0 {
                 // Read under the lock: every later send moves it.
                 let sent = self.shared.sent.load(Ordering::SeqCst);

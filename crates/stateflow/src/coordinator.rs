@@ -403,10 +403,10 @@ impl Coordinator {
     /// The coordinator's source work at `now`, run by its thread at the
     /// start of every turn ([`se_dataflow::shell::run`]): consume what the
     /// source holds (freeing the records below `replay_floor`), then cut
-    /// whichever epoch is wanted once drained, and seal what the pipeline and
-    /// the batch timer allow. Returns `false`
-    /// once shutdown is requested: the coordinator has told every worker to
-    /// stop, and has stopped.
+    /// whichever epoch is wanted once drained, and seal what the pipeline
+    /// and the batch timer allow. Returns `false` once shutdown is
+    /// requested: the coordinator has told every worker to stop, and has
+    /// stopped.
     pub(crate) fn turn(&mut self, now: Instant) -> bool {
         if self.shutdown.load(Ordering::SeqCst) {
             self.broadcast(|| WorkerMsg::Shutdown);

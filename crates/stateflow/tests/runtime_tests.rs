@@ -674,11 +674,7 @@ impl CoordRig {
     /// Asserts that no worker hears anything for `window` — and, on Linux,
     /// that the coordinator spends that window parked rather than spinning
     /// on whatever it is deliberately not consuming: `schedstat` counts the
-    /// thread's on-CPU nanoseconds and its timeslices. The count starts
-    /// once the coordinator's poll after its last message is over (at most
-    /// 200 µs, see `se_dataflow::delay`): a poll that shares its CPU with
-    /// this thread yields it at every look, and each look back is a
-    /// timeslice.
+    /// thread's on-CPU nanoseconds and its timeslices.
     fn assert_quiet(&self, window: Duration) {
         let sched = |dir: &std::path::Path| -> Option<(u64, u64)> {
             let text = std::fs::read_to_string(dir.join("schedstat")).ok()?;
@@ -686,7 +682,6 @@ impl CoordRig {
             let cpu_ns = fields.next()??;
             Some((cpu_ns, fields.nth(1)??))
         };
-        std::thread::sleep(Duration::from_millis(1));
         let before = self.task_dir.as_deref().and_then(sched);
         for id in 0..self.workers.len() {
             let msg = self.recv(id, window / self.workers.len() as u32);
