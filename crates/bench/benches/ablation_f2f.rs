@@ -15,7 +15,6 @@
 //! f2f-hop per additional call).
 
 use std::io::Write as _;
-use std::time::Duration;
 
 use se_core::{deploy, RuntimeChoice};
 use se_dataflow::LatencySummary;
@@ -39,11 +38,7 @@ fn main() {
             let choice = if system == "statefun" {
                 RuntimeChoice::Statefun(se_bench::statefun_bench_config())
             } else {
-                let mut cfg = se_bench::stateflow_bench_config();
-                // Sequential closed-loop calls: a short batch interval keeps
-                // the measurement about transport, not batching.
-                cfg.batch_interval = Duration::from_millis(1).mul_f64(se_bench::time_scale());
-                RuntimeChoice::Stateflow(cfg)
+                RuntimeChoice::Stateflow(se_bench::stateflow_bench_config())
             };
             let rt = deploy(&program, choice).expect("deploy");
             // Wire C0 → C1 → … → Cdepth.

@@ -62,7 +62,7 @@ pub fn key_count() -> usize {
 /// few ms; the remote-function HTTP hop slightly less; internal channels an
 /// order of magnitude less. StateFun pays broker round trips on ingress,
 /// loopback and egress plus remote-runtime round trips per function;
-/// StateFlow pays internal hops plus its batch interval.
+/// StateFlow pays internal hops.
 pub fn bench_net() -> NetConfig {
     NetConfig {
         broker_hop: Duration::from_micros(8_000),
@@ -88,13 +88,11 @@ pub fn statefun_bench_config() -> StatefunConfig {
 }
 
 /// StateFlow deployment for benches: 1 coordinator + 5 workers (the paper's
-/// split of 6 system cores), 10 ms batches, snapshots off during
-/// measurement.
+/// split of 6 system cores), snapshots off during measurement.
 pub fn stateflow_bench_config() -> StateflowConfig {
     StateflowConfig {
         workers: 5,
         net: bench_net(),
-        batch_interval: Duration::from_millis(10).mul_f64(time_scale()),
         snapshot_every_batches: 0,
         service_time: Duration::from_micros(300),
         obs: se_obs::ObsConfig::from_env("stateflow-bench"),

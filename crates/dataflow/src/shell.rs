@@ -96,7 +96,10 @@ pub trait Roles {
     /// Routes everything the hosted roles pushed onto their outboxes.
     fn flush(&mut self);
 
-    /// The earliest instant a hosted role wants a turn without a message.
+    /// The earliest instant a hosted role wants a turn without a message:
+    /// StateFun's checkpoint barrier or the next broker record's
+    /// `visible_at`. StateFlow's roles hold no timer (its coordinator seals
+    /// when its pipeline window opens), so its shell returns `None`.
     fn deadline(&self) -> Option<Instant>;
 }
 

@@ -91,7 +91,11 @@ pub struct StateflowConfig {
     pub workers: usize,
     /// Network latency model.
     pub net: NetConfig,
-    /// How long the coordinator waits to fill a batch before sealing it.
+    /// Inert, and `deploy` rejects any value but zero: the coordinator
+    /// seals when its pipeline window opens. Kept only while the benchmark
+    /// sets `batch_interval: Duration::ZERO` (`benchmark/src/workload.rs`).
+    #[doc(hidden)]
+    #[deprecated(note = "inert: the coordinator seals when its pipeline window opens")]
     pub batch_interval: Duration,
     /// Maximum transactions per batch.
     pub max_batch: usize,
@@ -132,11 +136,12 @@ pub struct StateflowConfig {
 }
 
 impl Default for StateflowConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             workers: default_workers(),
             net: NetConfig::default(),
-            batch_interval: Duration::from_millis(10),
+            batch_interval: Duration::ZERO,
             max_batch: 512,
             pipeline_depth: 4,
             snapshot_every_batches: 16,
@@ -157,7 +162,6 @@ impl StateflowConfig {
         Self {
             workers,
             net: NetConfig::fast_test(),
-            batch_interval: Duration::from_millis(2),
             max_batch: 256,
             snapshot_every_batches: 4,
             service_time: Duration::from_micros(10),
@@ -228,11 +232,10 @@ mod tests {
         let d = StateflowConfig::default();
         let t = StateflowConfig::fast_test(3);
         assert_eq!(t.workers, 3);
-        assert!(t.batch_interval < d.batch_interval && t.service_time < d.service_time);
+        assert!(t.service_time < d.service_time);
         let reset = StateflowConfig {
             workers: d.workers,
             net: d.net.clone(),
-            batch_interval: d.batch_interval,
             max_batch: d.max_batch,
             snapshot_every_batches: d.snapshot_every_batches,
             service_time: d.service_time,

@@ -6,15 +6,18 @@
 //! thread of its own when the engine has a core to spare, and shares the
 //! one thread with every worker on a one-core engine ([`crate::shell`]).
 //! Either way its thread runs `Coordinator::turn` (the source work) and
-//! hands it its messages (`Coordinator::handle`); `Coordinator::deadline`
-//! is its one timer. It does no I/O: what it sends goes onto its outbox
-//! (`out`) for the shell to route, the answers to the clients of what it
-//! decides go onto `answers` (a regular batch's answers, an upgrade
-//! commit's) for the shell to deliver after the sends, and time enters
-//! only as `turn(now)`. The coordinator sequences transactions (assigning
-//! globally ordered ids) and drives batches through Aria's three phases.
-//! Creates and solo batches are answered by the worker that applies them. Everything that touches state *outside* a
-//! transaction happens at a consistent cut, through one primitive:
+//! hands it its messages (`Coordinator::handle`). It does no I/O and holds
+//! no clock: what it sends goes onto its outbox (`out`) for the shell to
+//! route, and its clients' answers (a regular batch's, an upgrade
+//! commit's) onto `answers`, delivered after the sends. It sequences
+//! transactions (globally ordered ids) and drives batches through Aria's
+//! three phases; the worker that applies a create or a solo batch answers
+//! it. A non-empty queue seals, up to `max_batch`, on the first turn the
+//! pipeline window is open: a lone request seals at once, and what queues
+//! while a regular batch executes seals together once it opens the window,
+//! so batches grow with the load, as in group commit, without a timer.
+//! Everything that touches state *outside* a transaction happens at a
+//! consistent cut, through one primitive:
 //!
 //! **The round.** Sealing stops, the pipeline drains (`drained`), one
 //! control message goes to every worker (`open_round`), each worker owes
@@ -72,7 +75,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use se_aria::{BatchId, TxnId};
 use se_chaos::{BatchKindTag, HistoryEvent, TxnOutcome};
@@ -295,9 +297,6 @@ pub struct Coordinator {
     fallback_queue: VecDeque<TxnId>,
     /// Root invocation per pending or in-flight transaction.
     roots: HashMap<TxnId, Invocation>,
-    /// When `queue` seals even if not full; set exactly while it is not
-    /// empty.
-    batch_deadline: Option<Instant>,
     next_batch: BatchId,
     /// Batches sealed since the last epoch cut (or restore); a periodic
     /// cut is wanted from `snapshot_every_batches` on.
@@ -365,7 +364,6 @@ impl Coordinator {
             queue: VecDeque::new(),
             fallback_queue: VecDeque::new(),
             roots: HashMap::new(),
-            batch_deadline: None,
             next_batch: 0,
             batches_since_snapshot: 0,
             epoch: 0,
@@ -400,38 +398,31 @@ impl Coordinator {
         }
     }
 
-    /// The coordinator's source work at `now`, run by its thread at the
-    /// start of every turn ([`se_dataflow::shell::run`]): consume what the
-    /// source holds (freeing the records below `replay_floor`), then cut
-    /// whichever epoch is wanted once drained, and seal what the pipeline
-    /// and the batch timer allow. Returns `false` once shutdown is
-    /// requested: the coordinator has told every worker to stop, and has
-    /// stopped.
-    pub(crate) fn turn(&mut self, now: Instant) -> bool {
+    /// The coordinator's source work, run by its thread at the start of
+    /// every turn and after every message it handles
+    /// ([`se_dataflow::shell::run`]): consume what the source holds
+    /// (freeing the records below `replay_floor`), then cut whichever epoch
+    /// is wanted once drained, and seal what the pipeline window allows.
+    /// Returns `false` once shutdown is requested: the coordinator has told
+    /// every worker to stop, and has stopped.
+    pub(crate) fn turn(&mut self) -> bool {
         if self.shutdown.load(Ordering::SeqCst) {
             self.broadcast(|| WorkerMsg::Shutdown);
             return false;
         }
         let cursor = self.reader.offset();
-        self.drain_source(now);
+        self.drain_source();
         if self.reader.offset() != cursor {
             let freed = self.reader.truncate_below(self.replay_floor());
             self.stats.log_truncated.add(freed);
         }
         self.cut_epoch(true);
         self.cut_epoch(false);
-        while self.window_open() && self.seal_next_batch(now) {}
+        while self.window_open() && self.seal_next_batch() {}
         true
     }
 
-    /// The only timer the coordinator owns: `batch_deadline`, and only
-    /// while the window is open — a batch the pipeline cannot take is
-    /// unblocked by a message, not by time.
-    pub(crate) fn deadline(&self) -> Option<Instant> {
-        self.batch_deadline.filter(|_| self.window_open())
-    }
-
-    fn drain_source(&mut self, now: Instant) {
+    fn drain_source(&mut self) {
         // Requests are not consumed while restoring: the generation fence
         // must be in place first.
         if matches!(&self.mode, Mode::Round(r) if matches!(r.kind, RoundKind::Restore { .. })) {
@@ -476,9 +467,6 @@ impl Coordinator {
                     });
                     self.roots.insert(txn, inv);
                     self.queue.push_back(txn);
-                    if self.batch_deadline.is_none() {
-                        self.batch_deadline = Some(now + self.cfg.batch_interval);
-                    }
                     if self.obs.enabled() && self.queue_since_ns.is_none() {
                         self.queue_since_ns = Some(self.obs.now_ns());
                     }
@@ -673,23 +661,17 @@ impl Coordinator {
             && self.in_flight.values().all(|b| !b.blocks_sealing())
     }
 
-    /// Seals and dispatches one batch if one is ready at `now`; returns
-    /// whether it did. Serial-fallback transactions run first, one per
-    /// batch; otherwise the batch takes up to `max_batch` transactions from
-    /// the queue. Either way its kind follows from its size ([`batch_kind`]).
-    fn seal_next_batch(&mut self, now: Instant) -> bool {
+    /// Seals and dispatches one batch if anything is queued; returns whether
+    /// it did. Serial-fallback transactions run first, one per batch;
+    /// otherwise the batch takes up to `max_batch` transactions from the
+    /// queue. Either way its kind follows from its size ([`batch_kind`]).
+    fn seal_next_batch(&mut self) -> bool {
         let (txns, fallback): (Vec<TxnId>, bool) =
             if let Some(txn) = self.fallback_queue.pop_front() {
                 (vec![txn], true)
+            } else if self.queue.is_empty() {
+                return false;
             } else {
-                if self.queue.is_empty() {
-                    return false;
-                }
-                let full = self.queue.len() >= self.cfg.max_batch;
-                let due = self.batch_deadline.is_some_and(|d| now >= d);
-                if !full && !due {
-                    return false;
-                }
                 let take = self.queue.len().min(self.cfg.max_batch);
                 (self.queue.drain(..take).collect(), false)
             };
@@ -726,11 +708,6 @@ impl Coordinator {
                 solo,
             };
             self.out.push(Envelope::Worker(owner, exec));
-        }
-        if !fallback {
-            // Only a regular seal takes from the queue: a fallback seal must
-            // not postpone the requests already waiting there.
-            self.batch_deadline = (!self.queue.is_empty()).then(|| now + self.cfg.batch_interval);
         }
         let mut sealed_ns = 0;
         if self.obs.enabled() {
@@ -1087,7 +1064,6 @@ impl Coordinator {
         self.fallback_queue.clear();
         self.in_flight.clear();
         self.roots.clear();
-        self.batch_deadline = None;
         self.batches_since_snapshot = 0;
         self.rewind_upgrades(target, offset);
         self.open_round(RoundKind::Restore {
@@ -1173,14 +1149,13 @@ impl Coordinator {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use se_dataflow::ReplayableSource;
     use se_lang::EntityRef;
 
     use super::*;
 
-    /// A coordinator reading `source` from its start, driven by hand.
+    /// A coordinator reading `source` from its start, driven by hand: no
+    /// thread, no sleep, no shell.
     fn coordinator(cfg: StateflowConfig, source: &ReplayableSource<ClientRequest>) -> Coordinator {
         Coordinator::new(
             cfg,
@@ -1202,78 +1177,140 @@ mod tests {
         });
     }
 
-    /// A serial-fallback seal takes nothing from the queue, so it must not
-    /// restart the queue's batch timer: a request waiting behind a
-    /// contended batch seals `batch_interval` after it arrived, however
-    /// many retries seal meanwhile. Driven by hand, with synthetic instants:
-    /// no thread, no sleep, no shell.
-    #[test]
-    fn a_fallback_seal_does_not_postpone_the_queued_batch() {
-        let interval = Duration::from_millis(10);
-        let mut cfg = StateflowConfig::fast_test(2);
-        cfg.batch_interval = interval;
-        cfg.pipeline_depth = 4;
-        let source = ReplayableSource::new();
-        let mut coord = coordinator(cfg, &source);
-        let invoke = |request: u64, key: &str| invoke(&source, request, key);
-        // The transactions whose `Exec` the coordinator sent since the last
-        // look.
-        let sealed = |coord: &mut Coordinator| -> Vec<TxnId> {
-            (coord.out.drain(..))
-                .filter_map(|sent| match sent {
-                    Envelope::Worker(_, WorkerMsg::Exec { txn, .. }) => Some(txn),
-                    _ => None,
-                })
-                .collect()
+    /// The (batch, transaction) of every `Exec` the coordinator sent since
+    /// the last look.
+    fn sealed(coord: &mut Coordinator) -> Vec<(BatchId, TxnId)> {
+        (coord.out.drain(..))
+            .filter_map(|sent| match sent {
+                Envelope::Worker(_, WorkerMsg::Exec { batch, txn, .. }) => Some((batch, txn)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// What the shell does with a message to the coordinator: handle it,
+    /// then run the turn that follows; returns what that sealed.
+    fn step(coord: &mut Coordinator, msg: CoordMsg) -> Vec<(BatchId, TxnId)> {
+        coord.handle(msg);
+        assert!(coord.turn());
+        sealed(coord)
+    }
+
+    /// `txn` of regular batch `batch` finished executing.
+    fn exec_done(batch: BatchId, txn: TxnId) -> CoordMsg {
+        let response = Response {
+            request: RequestId(txn),
+            result: Ok(Value::Unit),
         };
-
-        // 1. A two-transaction regular batch seals at its deadline.
-        let t0 = Instant::now();
-        invoke(0, "a");
-        invoke(1, "b");
-        assert!(coord.turn(t0));
-        assert_eq!(sealed(&mut coord), []);
-        assert!(coord.turn(t0 + interval));
-        assert_eq!(sealed(&mut coord), [0, 1]);
-
-        // 2. A third request queues at t1, behind the executing batch.
-        let t1 = t0 + 2 * interval;
-        invoke(2, "c");
-        assert!(coord.turn(t1));
-        assert_eq!(sealed(&mut coord), []);
-
-        // 3. Both chains finish, and txn 1 loses a WAW on worker 0.
-        for txn in [0, 1] {
-            let response = Response {
-                request: RequestId(txn),
-                result: Ok(Value::Unit),
-            };
-            coord.handle(CoordMsg::ExecDone {
-                gen: 0,
-                batch: 0,
-                txn,
-                response,
-            });
+        CoordMsg::ExecDone {
+            gen: 0,
+            batch,
+            txn,
+            response,
         }
+    }
+
+    /// `worker`'s flags for `batch`: a WAW on each of `lost`.
+    fn flags(batch: BatchId, worker: usize, lost: &[TxnId]) -> CoordMsg {
         let waw = ConflictFlags {
             waw: true,
             ..ConflictFlags::default()
         };
-        for (worker, flags) in [(0, vec![(1, waw)]), (1, Vec::new())] {
-            coord.handle(CoordMsg::Flags {
-                gen: 0,
-                batch: 0,
-                worker,
-                flags,
-            });
+        CoordMsg::Flags {
+            gen: 0,
+            batch,
+            worker,
+            flags: lost.iter().map(|&txn| (txn, waw)).collect(),
         }
+    }
 
-        // 4. The retry seals alone on the next turn, at t1 + I/2; request 3
-        // still seals at its own deadline, t1 + I, not I after the retry.
-        assert!(coord.turn(t1 + interval / 2));
-        assert_eq!(sealed(&mut coord), [1]);
-        assert!(coord.turn(t1 + interval));
-        assert_eq!(sealed(&mut coord), [2]);
+    /// The default configuration holds no timer: one append and one turn
+    /// put the lone request's `Exec` on the outbox.
+    #[test]
+    fn a_lone_request_seals_on_the_first_turn_at_the_default_config() {
+        let source = ReplayableSource::new();
+        let mut coord = coordinator(StateflowConfig::default(), &source);
+        invoke(&source, 0, "a");
+        assert!(coord.turn());
+        assert_eq!(sealed(&mut coord), [(0, 0)]);
+    }
+
+    /// Serial-fallback retries seal first, one per batch, and the requests
+    /// queued behind the contended batch seal on the first turn the window
+    /// opens after that. At depth 1 the retry takes the one slot and its
+    /// `SoloDone` gives it back; the queue waits for nothing else.
+    #[test]
+    fn a_fallback_seal_does_not_postpone_the_queued_batch() {
+        let mut cfg = StateflowConfig::fast_test(2);
+        cfg.pipeline_depth = 1;
+        let source = ReplayableSource::new();
+        let mut coord = coordinator(cfg, &source);
+
+        // 1. Two requests appended together seal as one regular batch.
+        invoke(&source, 0, "a");
+        invoke(&source, 1, "b");
+        assert!(coord.turn());
+        assert_eq!(sealed(&mut coord), [(0, 0), (0, 1)]);
+
+        // 2. Two more queue behind it: the window is closed.
+        invoke(&source, 2, "c");
+        invoke(&source, 3, "d");
+        assert!(coord.turn());
+        assert_eq!(sealed(&mut coord), []);
+
+        // 3. Both chains finish; the decision holds the one slot.
+        assert_eq!(step(&mut coord, exec_done(0, 0)), []);
+        assert_eq!(step(&mut coord, exec_done(0, 1)), []);
+
+        // 4. Txn 1 loses a WAW on worker 0: its retry seals alone, first.
+        assert_eq!(step(&mut coord, flags(0, 0, &[1])), []);
+        assert_eq!(step(&mut coord, flags(0, 1, &[])), [(1, 1)]);
+
+        // 5. The retry's notice opens the window, and that very turn seals
+        // the queued requests together.
+        let solo_done = CoordMsg::SoloDone {
+            gen: 0,
+            batch: 1,
+            txn: 1,
+        };
+        assert_eq!(step(&mut coord, solo_done), [(2, 2), (2, 3)]);
+    }
+
+    /// Batches grow under load without a timer: requests appended while a
+    /// regular batch executes seal together on the turn its last `Flags`
+    /// opens the window (depth 1 holds the slot through the decision), the
+    /// first `max_batch` of them in one batch and the rest when that batch
+    /// is decided in turn.
+    #[test]
+    fn requests_queued_behind_an_executing_batch_seal_together_up_to_max_batch() {
+        let mut cfg = StateflowConfig::fast_test(2);
+        cfg.pipeline_depth = 1;
+        cfg.max_batch = 4;
+        let source = ReplayableSource::new();
+        let mut coord = coordinator(cfg, &source);
+        invoke(&source, 0, "a");
+        invoke(&source, 1, "b");
+        assert!(coord.turn());
+        assert_eq!(sealed(&mut coord), [(0, 0), (0, 1)]);
+
+        // Six requests arrive while batch 0 executes and decides.
+        for request in 2..8 {
+            invoke(&source, request, ["a", "b"][request as usize % 2]);
+            assert!(coord.turn());
+            assert_eq!(sealed(&mut coord), []);
+        }
+        for msg in [exec_done(0, 0), exec_done(0, 1), flags(0, 0, &[])] {
+            assert_eq!(step(&mut coord, msg), []);
+        }
+        let batch1 = [(1, 2), (1, 3), (1, 4), (1, 5)];
+        assert_eq!(step(&mut coord, flags(0, 1, &[])), batch1);
+
+        // The two left over seal once batch 1 is decided.
+        for txn in 2..6 {
+            assert_eq!(step(&mut coord, exec_done(1, txn)), []);
+        }
+        assert_eq!(step(&mut coord, flags(1, 0, &[])), []);
+        assert_eq!(step(&mut coord, flags(1, 1, &[])), [(2, 6), (2, 7)]);
     }
 
     /// A periodic cut is wanted every `snapshot_every_batches` sealed
@@ -1286,11 +1323,9 @@ mod tests {
     fn a_wanted_cut_opens_after_exactly_n_back_to_back_batches() {
         const N: u64 = 4;
         let mut cfg = StateflowConfig::fast_test(2);
-        cfg.batch_interval = Duration::ZERO;
         cfg.snapshot_every_batches = N;
         let source = ReplayableSource::new();
         let mut coord = coordinator(cfg, &source);
-        let now = Instant::now();
         // Solo batches sealed and not yet done, oldest first.
         let mut executing: VecDeque<(BatchId, TxnId)> = VecDeque::new();
         // `through` of every `Snapshot` marker sent.
@@ -1298,7 +1333,7 @@ mod tests {
         for request in 0..3 * N + 2 {
             let before = executing.len();
             invoke(&source, request, ["a", "b"][request as usize % 2]);
-            assert!(coord.turn(now));
+            assert!(coord.turn());
             let mut out: VecDeque<Envelope> = coord.out.drain(..).collect();
             // The previous batch finishes only after the next request came.
             let mut done = executing.drain(..before).collect::<VecDeque<_>>();
@@ -1329,7 +1364,7 @@ mod tests {
                     }
                 }
                 // What the shell runs after a handled message.
-                assert!(coord.turn(now));
+                assert!(coord.turn());
                 out.extend(coord.out.drain(..));
                 if out.is_empty() {
                     let Some((batch, txn)) = done.pop_front() else {

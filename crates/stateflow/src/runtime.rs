@@ -47,6 +47,12 @@ impl StateflowRuntime {
             cfg.pipeline_depth >= 1,
             "pipeline_depth 0 would never seal a batch"
         );
+        #[allow(deprecated)]
+        let inert = cfg.batch_interval.is_zero();
+        assert!(
+            inert,
+            "a non-zero batch interval: the coordinator has no timer"
+        );
         // WAL durability needs a directory; deployments that did not pick
         // one get a unique temp dir owned (and removed) by this runtime.
         let owned_durability_dir = (cfg.durability.mode == DurabilityMode::Wal

@@ -8,11 +8,12 @@
 //! itself and worker *i* runs on thread 1 + *i* mod (M − 1) (`layout`); at
 //! M = `workers` + 1 that is one thread per role.
 //!
-//! Time enters the coordinator only as the `now` of `Coordinator::turn`,
-//! which also follows every message the coordinator handles. The
-//! coordinator's client answers (`Coordinator::answers`) follow its sends,
-//! so commit records leave before the client wake-ups. A worker's deferred
-//! execs run one routed step at a time (`Worker::resume`). The outboxes
+//! No timer of StateFlow's wakes a thread: the coordinator seals when its
+//! pipeline window opens, and its turn (`Coordinator::turn`), which also
+//! follows every message it handles, takes no `now`. Its client answers
+//! (`Coordinator::answers`) follow its sends, so commit records leave
+//! before the client wake-ups. A worker's deferred execs run one routed
+//! step at a time (`Worker::resume`). The outboxes
 //! drain into `Routes::route`, the one place that decides *how* a protocol
 //! message travels: to the inbox of the thread hosting its addressee,
 //! through the seam its sender and receiver name, faultable or not by its
@@ -159,16 +160,17 @@ impl Shell {
 impl Roles for Shell {
     type Envelope = Envelope;
 
-    /// The coordinator's source work, if this thread hosts it.
+    /// The coordinator's source work, if this thread hosts it (it reads
+    /// no clock, so `now` goes unused).
     ///
     /// The park is keyed on "no message since the last turn", never on "the
     /// source has unread records": the coordinator leaves records unread on
     /// purpose behind a pending `Redeploy` and during a `Restore` round. An
     /// append there costs one empty turn; whatever ends the round is a
     /// message, and the turn it starts drains the source.
-    fn turn(&mut self, now: Instant) -> bool {
+    fn turn(&mut self, _now: Instant) -> bool {
         if let Some(c) = &mut self.coordinator {
-            if !c.turn(now) {
+            if !c.turn() {
                 self.routes.flush_coordinator(c);
                 self.coordinator = None;
             }
@@ -217,8 +219,9 @@ impl Roles for Shell {
         }
     }
 
+    /// None: StateFlow's roles wait on messages and wakes, never on time.
     fn deadline(&self) -> Option<Instant> {
-        self.coordinator.as_ref().and_then(Coordinator::deadline)
+        None
     }
 }
 

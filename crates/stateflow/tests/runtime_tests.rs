@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use se_chaos::{ChaosPlan, CrashFault, CrashPoint, FaultScript};
+use se_chaos::{ChaosPlan, CrashFault, CrashPoint, FaultScript, MessageFault, MsgFaultKind, Seam};
 use se_compiler::compile;
 use se_dataflow::EntityRuntime;
 use se_lang::builder::*;
@@ -51,6 +51,30 @@ fn account_program() -> Program {
         )
         .build();
     Program::new(vec![account])
+}
+
+/// Delays the first `n` messages the workers send the coordinator by
+/// `HOLD`. Those messages are what frees a pipeline slot (`SoloDone`, the
+/// last `Flags`) or lets a regular batch enter its reservation round (the
+/// last `ExecDone`), so once the first batches hold them the window stays
+/// closed, and the requests appended meanwhile queue and seal together. At
+/// `pipeline_depth` N, holding the first N closes it within the first N
+/// batches, solo or regular.
+fn hold_window(n: usize) -> ChaosPlan {
+    const HOLD: Duration = Duration::from_millis(50);
+    let messages = (0..n as u64)
+        .map(|nth| MessageFault {
+            seam: Seam::WorkerToCoord,
+            nth,
+            kind: MsgFaultKind::Delay {
+                extra_us: HOLD.as_micros() as u64,
+            },
+        })
+        .collect();
+    ChaosPlan::from_script(FaultScript {
+        messages,
+        ..FaultScript::default()
+    })
 }
 
 fn deploy(program: &Program, cfg: StateflowConfig) -> StateflowRuntime {
@@ -170,7 +194,8 @@ fn concurrent_transfers_conserve_total_balance() {
 fn contention_causes_aborts_but_everything_commits() {
     let program = account_program();
     let mut cfg = StateflowConfig::fast_test(4);
-    cfg.batch_interval = Duration::from_millis(5); // let batches fill up
+    // The held window lets batches fill up.
+    cfg.chaos = hold_window(cfg.pipeline_depth);
     let rt = Arc::new(deploy(&program, cfg));
     // Everyone hammers the same two accounts: WAW conflicts guaranteed.
     rt.create(
@@ -214,11 +239,16 @@ fn contention_causes_aborts_but_everything_commits() {
 fn errored_chain_does_not_abort_healthy_transactions() {
     let program = account_program();
     let mut cfg = StateflowConfig::fast_test(3);
-    // Generous interval so both transactions land in one batch.
-    cfg.batch_interval = Duration::from_millis(30);
+    // Both transactions land in one batch: a read of src holds the one
+    // slot while they queue behind it.
+    cfg.pipeline_depth = 1;
+    cfg.chaos = hold_window(1);
     let rt = deploy(&program, cfg);
-    rt.create("Account", "src", vec![("balance".into(), Value::Int(100))])
+    let src = rt
+        .create("Account", "src", vec![("balance".into(), Value::Int(100))])
         .unwrap();
+    assert_eq!(rt.call(src, "balance", vec![]).unwrap(), Value::Int(100));
+    let committed_before = rt.stats().commits.get();
     // t0 (lower id): withdraws from src (a buffered write), then errors on
     // the unknown transfer target. t1 (higher id): deposits into src — a
     // WAW on src against the errored t0.
@@ -250,7 +280,12 @@ fn errored_chain_does_not_abort_healthy_transactions() {
     );
     assert_eq!(stats.failed.get(), 1, "the errored chain counts as failed");
     assert_eq!(
-        stats.commits.get(),
+        stats.batches.get() - stats.solo_batches.get(),
+        1,
+        "the two transactions shared one regular batch (the read was solo)"
+    );
+    assert_eq!(
+        stats.commits.get() - committed_before,
         1,
         "only the deposit commits — hard failures must not inflate commits"
     );
@@ -265,7 +300,7 @@ fn pipelined_hot_key_contention_commits_exactly_once() {
     let program = account_program();
     let mut cfg = StateflowConfig::fast_test(4);
     cfg.pipeline_depth = 4;
-    cfg.batch_interval = Duration::from_millis(5); // let batches fill up
+    cfg.chaos = hold_window(cfg.pipeline_depth); // let batches fill up
     let rt = Arc::new(deploy(&program, cfg));
     rt.create(
         "Account",
@@ -714,9 +749,9 @@ impl CoordRig {
 /// replaces it ends below its target (one "disk" fell short) and re-opens at
 /// the floor, and the coordinator still comes back to `Running` with the
 /// upgrade committed exactly once on the surviving lineage. No step sleeps
-/// and — with `batch_interval = 0` — no timer exists anywhere in it: the
-/// coordinator is parked between steps, and each append from the test
-/// thread is what produces the next broadcast or `Exec`.
+/// and no timer exists anywhere in it: the coordinator is parked between
+/// steps, and each append from the test thread is what produces the next
+/// broadcast or `Exec`.
 #[test]
 fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
     use se_chaos::{History, HistoryEvent};
@@ -730,7 +765,6 @@ fn crash_inside_cut_migrate_chain_and_two_round_restore_commit_upgrade_once() {
     // replays. The rig has no real worker, so this one never fires.
     cfg.chaos = ChaosPlan::single_crash("worker1", u64::MAX);
     cfg.snapshot_every_batches = 0; // only the upgrade cuts epochs
-    cfg.batch_interval = Duration::ZERO; // a batch seals on the turn it fills
     let history = History::new();
     cfg.history = Some(history.clone());
     let mut rig = CoordRig::start(cfg);
@@ -927,7 +961,6 @@ fn worker_failed_without_a_scripted_crash_is_an_invariant_violation() {
 
     let mut cfg = StateflowConfig::fast_test(2);
     cfg.snapshot_every_batches = 0;
-    cfg.batch_interval = Duration::ZERO; // a batch seals on the turn it fills
     let mut rig = CoordRig::start(cfg);
     rig.invoke(1, "a");
     assert!(matches!(
@@ -966,7 +999,6 @@ fn a_lone_request_is_a_solo_batch_and_two_queued_requests_reserve() {
 
     let mut cfg = StateflowConfig::fast_test(2);
     cfg.snapshot_every_batches = 1; // cut an epoch after every batch
-    cfg.batch_interval = Duration::ZERO;
     let mut rig = CoordRig::start(cfg);
     let done = |batch, txn, request: u64| CoordMsg::ExecDone {
         gen: 0,
@@ -1071,7 +1103,6 @@ fn a_solo_answer_arrives_counted_and_recorded() {
     use se_chaos::{BatchKindTag, History, HistoryEvent};
 
     let mut cfg = StateflowConfig::fast_test(2);
-    cfg.batch_interval = Duration::ZERO; // every lone call seals at once
     let history = History::new();
     cfg.history = Some(history.clone());
     let rt = deploy(&account_program(), cfg);
@@ -1114,48 +1145,4 @@ fn a_solo_answer_arrives_counted_and_recorded() {
     }
     assert_eq!(get_balance(&rt, "a") + get_balance(&rt, "b"), 100);
     rt.shutdown();
-}
-
-/// The batch timer is the one timer the coordinator owns: a lone queued
-/// request seals when `batch_interval` runs out — not at once, not never —
-/// and a queue that reaches `max_batch` seals without waiting for it.
-#[test]
-fn a_batch_seals_at_its_deadline_or_when_full_whichever_is_first() {
-    use se_stateflow::msg::WorkerMsg;
-
-    let mut cfg = StateflowConfig::fast_test(1);
-    cfg.snapshot_every_batches = 0;
-    cfg.batch_interval = Duration::from_millis(20);
-    cfg.max_batch = 4;
-    let mut rig = CoordRig::start(cfg.clone());
-    let appended = std::time::Instant::now();
-    rig.invoke(1, "a");
-    rig.expect_exec("a");
-    let waited = appended.elapsed();
-    assert!(
-        waited >= cfg.batch_interval,
-        "sealed {waited:?} after the append, before the deadline"
-    );
-    // (No upper bound on a shared host; `expect_exec` bounds it at `WAIT`.)
-    rig.stop();
-
-    // A deadline far beyond `WAIT`: only the fill can seal this batch.
-    cfg.batch_interval = 10 * WAIT;
-    let mut rig = CoordRig::start(cfg);
-    for request in 1..=4 {
-        rig.invoke(request, "a");
-    }
-    for txn in 0..4 {
-        match rig.expect_exec("a") {
-            WorkerMsg::Exec {
-                batch: 0, txn: t, ..
-            } => assert_eq!(t, txn),
-            other => panic!("expected batch 0, got {other:?}"),
-        }
-    }
-    // The fifth request is alone again and waits for a timer that is not
-    // coming — parked, not spinning.
-    rig.invoke(5, "a");
-    rig.assert_quiet(Duration::from_millis(100));
-    rig.stop();
 }

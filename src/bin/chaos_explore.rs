@@ -249,11 +249,9 @@ fn run_scenario(
         // upgrade window; at test-speed hops the window is microseconds
         // wide. Real-time slow control-plane hops (the directed scenario
         // overrides the ambient time scale) stretch the migration round
-        // trip to ~10 ms while a short batch interval keeps records
-        // sealing through it.
+        // trip to ~10 ms, and records keep sealing through it.
         cfg.net.time_scale = 1.0;
         cfg.net.f2f_hop = Duration::from_millis(5);
-        cfg.batch_interval = Duration::from_millis(1);
     }
     cfg.chaos = ChaosPlan::from_script(script.clone());
     cfg.bug = bug;

@@ -91,14 +91,26 @@ proptest! {
 fn errored_plus_healthy_batch(inject_bug: bool) -> Vec<se_chaos::HistoryEvent> {
     let program = se_workloads::ycsb_program();
     let mut cfg = StateflowConfig::fast_test(3);
-    // Generous interval so both transactions land in one batch.
-    cfg.batch_interval = Duration::from_millis(30);
+    // Both transactions land in one batch: a read of src holds the one
+    // pipeline slot while they queue, its `SoloDone` (the first message to
+    // the coordinator) delayed 50 ms.
+    cfg.pipeline_depth = 1;
+    cfg.chaos = ChaosPlan::from_script(FaultScript {
+        messages: vec![MessageFault {
+            seam: Seam::WorkerToCoord,
+            nth: 0,
+            kind: MsgFaultKind::Delay { extra_us: 50_000 },
+        }],
+        ..FaultScript::default()
+    });
     cfg.bug = inject_bug.then_some(stateful_entities::BugLever::ReserveErrored);
     let history = History::new();
     cfg.history = Some(history.clone());
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
-    rt.create("Account", "src", vec![("balance".into(), Value::Int(100))])
+    let src = rt
+        .create("Account", "src", vec![("balance".into(), Value::Int(100))])
         .unwrap();
+    assert_eq!(rt.call(src, "balance", vec![]).unwrap(), Value::Int(100));
     // t0 (lower id): withdraws from src (a buffered write), then errors on
     // the unknown transfer target. t1 (higher id): deposits into src.
     let w0 = rt.call_async(

@@ -501,15 +501,31 @@ fn ycsb_program_runs_on_all_engines() {
 /// batch-lifecycle, WAL *and* VM probes are all live — once with
 /// `SE_OBS=off` and once with `SE_OBS=trace`, and compares the canonical
 /// history serializations byte for byte.
+///
+/// Each burst seals as one batch whatever the scheduler does: every
+/// message to the coordinator is held 50 ms, and `pipeline_depth`
+/// sequential reads before the burst saturate the pipeline with solo
+/// batches whose `SoloDone`s are held, so the burst queues whole.
 #[test]
 fn obs_trace_vs_off_histories_are_byte_identical() {
-    use se_chaos::History;
+    use se_chaos::{BatchKindTag, ChaosPlan, FaultScript, History, HistoryEvent};
+    use se_chaos::{MessageFault, MsgFaultKind, Seam};
     use stateful_entities::DurabilityMode;
     let n = 8usize;
+    let depth = 4;
     let run = |mode: se_obs::ObsMode| {
         let program = se_workloads::ycsb_program();
         let mut cfg = StateflowConfig::fast_test(3);
-        cfg.pipeline_depth = 4;
+        cfg.pipeline_depth = depth;
+        let hold = (0..64).map(|nth| MessageFault {
+            seam: Seam::WorkerToCoord,
+            nth,
+            kind: MsgFaultKind::Delay { extra_us: 50_000 },
+        });
+        cfg.chaos = ChaosPlan::from_script(FaultScript {
+            messages: hold.collect(),
+            ..FaultScript::default()
+        });
         cfg.durability.mode = DurabilityMode::Wal;
         cfg.snapshot_every_batches = 0;
         cfg.obs = se_obs::ObsConfig {
@@ -533,6 +549,10 @@ fn obs_trace_vs_off_histories_are_byte_identical() {
         // multi-hop chains, so the schedule is fully pinned and any
         // divergence is an obs write-path leak, not retry noise.
         for round in 0..2i64 {
+            for i in 0..depth {
+                let account = EntityRef::new("Account", se_workloads::key_name(i));
+                rt.call(account, "balance", vec![]).unwrap();
+            }
             let waiters: Vec<_> = (0..n / 2)
                 .map(|p| {
                     rt.call_async(
@@ -555,6 +575,13 @@ fn obs_trace_vs_off_histories_are_byte_identical() {
             }
         }
         rt.shutdown();
+        let bursts = (history.events().iter())
+            .filter(|e| {
+                matches!(e, HistoryEvent::Sealed { txns, kind: BatchKindTag::Regular, .. }
+                    if txns.len() == n / 2)
+            })
+            .count();
+        assert_eq!(bursts, 2, "each burst seals as one batch");
         history.to_json_canonical()
     };
     let off = run(se_obs::ObsMode::Off);

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use se_chaos::{
     check_history, ChaosPlan, CrashFault, CrashPoint, DiskFault, DiskFaultKind, FaultScript,
-    History,
+    History, MessageFault, MsgFaultKind, Seam,
 };
 use stateful_entities::prelude::*;
 use stateful_entities::{DurabilityMode, StateflowConfig};
@@ -90,19 +90,27 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
 fn crash_at_each_protocol_point_recovers_from_disk() {
     for point in [CrashPoint::Exec, CrashPoint::Reserve, CrashPoint::Commit] {
         let mut cfg = durable_cfg(3);
-        // Batches seal when full, long before a deadline far beyond the
-        // 4 ms between bursts: at least 9 regular batches of 8 whatever the
-        // scheduler does, so the fifth reservation round — the scripted
-        // crash — always exists (a lone transaction is a solo batch and
-        // reserves nothing).
+        // The first `pipeline_depth` messages to the coordinator are held
+        // for 200 ms, far beyond the ≈ 40 ms the client takes to append:
+        // the window closes within the first batches (those messages free
+        // their slots or end their execution), every later request queues
+        // meanwhile, and it drains in at least 9 regular batches of 8
+        // whatever the scheduler does. So the fifth reservation round — the
+        // scripted crash — always exists (a lone transaction is a solo
+        // batch and reserves nothing).
         cfg.max_batch = 8;
-        cfg.batch_interval = Duration::from_millis(50);
+        let hold = (0..cfg.pipeline_depth as u64).map(|nth| MessageFault {
+            seam: Seam::WorkerToCoord,
+            nth,
+            kind: MsgFaultKind::Delay { extra_us: 200_000 },
+        });
         cfg.chaos = ChaosPlan::from_script(FaultScript {
             crashes: vec![CrashFault {
                 node: "worker1".into(),
                 point,
                 after_events: 5,
             }],
+            messages: hold.collect(),
             ..FaultScript::default()
         });
         crashed_durable_run_matches_oracle(cfg, 80);

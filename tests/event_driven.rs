@@ -138,10 +138,9 @@ fn idle_statefun_does_not_run() {
 fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
     let _turn = one_engine();
     let mut cfg = StateflowConfig::fast_test(2);
-    // No simulated hop, no batch timer, no snapshot round: every timeslice
-    // counted below is a message of the request path.
+    // No simulated hop and no snapshot round: every timeslice counted
+    // below is a message of the request path.
     cfg.net.time_scale = 0.0;
-    cfg.batch_interval = Duration::ZERO;
     cfg.snapshot_every_batches = 0;
     let program = se_workloads::ycsb_program();
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap();
@@ -189,9 +188,8 @@ fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
 fn a_one_core_stateflow_runs_one_timeslice_per_call() {
     let _turn = one_engine();
     let mut cfg = StateflowConfig::fast_test(2);
-    // No simulated hop, no batch timer, no snapshot round (as above).
+    // No simulated hop, no snapshot round (as above).
     cfg.net.time_scale = 0.0;
-    cfg.batch_interval = Duration::ZERO;
     cfg.snapshot_every_batches = 0;
     let program = se_workloads::ycsb_program();
     // The engine thread keeps the pin; this thread gets its mask back.
@@ -306,9 +304,8 @@ fn back_to_back_calls(rt: &dyn EntityRuntime, threads: &str) -> Vec<u64> {
 #[test]
 fn back_to_back_stateflow_calls_keep_the_engine_on_its_core() {
     let mut cfg = StateflowConfig::fast_test(2);
-    // No simulated hop, no batch timer, no snapshot round (as above).
+    // No simulated hop, no snapshot round (as above).
     cfg.net.time_scale = 0.0;
-    cfg.batch_interval = Duration::ZERO;
     cfg.snapshot_every_batches = 0;
     back_to_back_calls_keep_the_engine_on_its_core(RuntimeChoice::Stateflow(cfg), "stateflow-");
 }

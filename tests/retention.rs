@@ -130,12 +130,10 @@ fn statefun(checkpoint: CheckpointMode) -> RuntimeChoice {
 }
 
 /// The default StateFlow deployment (no crash scripted) in `durability`
-/// mode. A lone request seals at once instead of waiting out the batch
-/// timer.
+/// mode.
 fn stateflow(durability: DurabilityMode) -> RuntimeChoice {
     let mut cfg = StateflowConfig {
         net: untimed_net(),
-        batch_interval: Duration::ZERO,
         ..StateflowConfig::default()
     };
     cfg.durability.mode = durability;

@@ -258,7 +258,6 @@ fn injected_torn_upgrade_is_caught_by_checker() {
         // window — with test-speed hops the window is a few µs wide and the
         // race almost never materializes.
         cfg.net.f2f_hop = Duration::from_millis(5);
-        cfg.batch_interval = Duration::from_millis(1);
         let history = History::new();
         cfg.history = Some(history.clone());
         let graph = stateful_entities::compile(&se_lang::programs::counter_program()).unwrap();
