@@ -11,8 +11,9 @@
 //! * StateFun ≈ flat across A/B and zipf/uniform (no locking, every op pays
 //!   the same broker + remote-runtime round trips);
 //! * StateFlow below StateFun on A and B (internal f2f, no Kafka);
-//! * StateFlow-T the highest cell, but the transactional overhead stays
-//!   moderate for a 2-read + 2-write transaction.
+//! * StateFlow-T the highest cell (by mean: at p99 it can share A's
+//!   histogram bucket), but the transactional overhead stays moderate for a
+//!   2-read + 2-write transaction.
 
 use se_bench::{emit, fig3_requests, key_count, Row};
 use se_core::{deploy, RuntimeChoice};
@@ -73,21 +74,23 @@ fn main() {
     emit("fig3", "Figure 3 — p99 latency, YCSB @ 100 RPS", &rows);
 
     // Shape checks (warnings, not failures: measurement noise happens).
-    let p99 = |sys: &str, label: &str| {
-        rows.iter()
-            .find(|r| r.system == sys && r.label == label)
-            .map(|r| r.p99_ms)
-    };
+    // T and A on StateFlow differ by less than a latency-histogram bucket
+    // at p99, so they are compared by their exact means (sum / count).
+    let cell = |sys: &str, label: &str| rows.iter().find(|r| r.system == sys && r.label == label);
     if let (Some(sf_a), Some(fl_a), Some(fl_t)) = (
-        p99("statefun", "A-zipfian"),
-        p99("stateflow", "A-zipfian"),
-        p99("stateflow", "T-zipfian"),
+        cell("statefun", "A-zipfian"),
+        cell("stateflow", "A-zipfian"),
+        cell("stateflow", "T-zipfian"),
     ) {
-        if fl_a >= sf_a {
-            eprintln!("WARN: expected StateFlow < StateFun on A-zipfian ({fl_a:.2} vs {sf_a:.2})");
+        let (sf_a99, fl_a99) = (sf_a.p99_ms, fl_a.p99_ms);
+        if fl_a99 >= sf_a99 {
+            eprintln!(
+                "WARN: expected StateFlow < StateFun on A-zipfian p99 ({fl_a99:.2} vs {sf_a99:.2})"
+            );
         }
+        let (fl_t, fl_a) = (fl_t.mean_ms, fl_a.mean_ms);
         if fl_t <= fl_a {
-            eprintln!("WARN: expected T above A on StateFlow ({fl_t:.2} vs {fl_a:.2})");
+            eprintln!("WARN: expected T above A on StateFlow, mean ({fl_t:.3} vs {fl_a:.3} ms)");
         }
     }
 }

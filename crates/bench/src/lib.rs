@@ -87,6 +87,19 @@ pub fn statefun_bench_config() -> StatefunConfig {
     }
 }
 
+/// StateFun's remote capacity in requests per second of un-scaled time,
+/// for one invocation per request: the remote threads, each burning
+/// `service_time` per invocation. A deployment runs its roles on M =
+/// `threads_for(P + R + 2)` engine threads and gives the remote workers
+/// ⌊M/2⌋ of them, never more than R and never fewer than M − P − 2 (the
+/// paper's half split; see `se_statefun::runtime`).
+pub fn statefun_remote_capacity_rps(cfg: &StatefunConfig) -> f64 {
+    let (p, r) = (cfg.partitions, cfg.remote_workers);
+    let threads = se_dataflow::shell::threads_for(p + r + 2);
+    let remote = r.min((threads / 2).max(threads.saturating_sub(p + 2)));
+    remote.max(1) as f64 / cfg.service_time.as_secs_f64()
+}
+
 /// StateFlow deployment for benches: 1 coordinator + 5 workers (the paper's
 /// split of 6 system cores), snapshots off during measurement.
 pub fn stateflow_bench_config() -> StateflowConfig {

@@ -8,18 +8,24 @@
 //! properties that matter:
 //!
 //! * **topics with key-hashed partitions** (stable routing, see
-//!   [`se_ir::partition_for`]);
+//!   [`se_ir::partition_for`]); a key picks its record's partition at
+//!   produce and is not stored;
 //! * **offset-addressed, replayable logs** — each partition is a
 //!   [`ReplayableSource`]: reading does not consume, so a recovering
 //!   consumer re-reads from the offset its snapshot recorded. Records go
 //!   only when the consumer truncates below the floor its recovery can
-//!   still reach ([`Broker::truncate_below`]); offsets stay absolute;
+//!   still reach ([`Topic::truncate_below`]); offsets stay absolute;
 //! * **hop latency** — a record becomes *visible* to consumers only after
 //!   the produce+consume network cost from [`NetConfig`] has elapsed.
 //!
+//! A name is looked up once: [`Broker::topic`] resolves it to a [`Topic`]
+//! handle, which holds the partitions and serves every produce and read
+//! with no broker-wide lock. [`Broker::produce`] and [`Broker::fetch`] by
+//! name delegate to it.
+//!
 //! Nobody blocks in the broker: a consumer registers its inbox's waker with
-//! [`Broker::wake_on_produce`] and parks on that inbox until the instant
-//! [`Broker::next_visible_at`] names.
+//! [`Topic::wake_on_produce`] and parks on that inbox until the instant
+//! [`Topic::next_visible_at`] names.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,14 +67,11 @@ impl std::error::Error for BrokerError {}
 pub struct ConsumerRecord<T> {
     /// Offset within the partition.
     pub offset: u64,
-    /// Producer-supplied routing key.
-    pub key: String,
     /// Payload.
     pub value: T,
 }
 
 struct Entry<T> {
-    key: String,
     value: T,
     visible_at: Instant,
 }
@@ -76,25 +79,135 @@ struct Entry<T> {
 /// One partition's log.
 type Partition<T> = ReplayableSource<Entry<T>>;
 
-struct Inner<T> {
-    topics: Mutex<HashMap<String, Arc<[Partition<T>]>>>,
+struct TopicInner<T> {
+    name: String,
+    partitions: Box<[Partition<T>]>,
     net: NetConfig,
     /// Scripted outage windows: affected produces become visible late,
     /// and log order stalls consumers behind them — the broker is "down".
     chaos: ChaosPlan,
 }
 
-/// A shareable broker handle.
-pub struct Broker<T> {
-    inner: Arc<Inner<T>>,
+/// A resolved topic: its partitions, and the broker's network model and
+/// chaos plan. Cloning shares it.
+#[derive(Clone)]
+pub struct Topic<T> {
+    inner: Arc<TopicInner<T>>,
 }
 
-impl<T> Clone for Broker<T> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
+impl<T: Clone> Topic<T> {
+    /// The partition a record routed by `key` goes to.
+    pub fn partition_for(&self, key: &str) -> usize {
+        partition_for(key, self.inner.partitions.len())
     }
+
+    fn partition(&self, partition: usize) -> Result<&Partition<T>, BrokerError> {
+        self.inner
+            .partitions
+            .get(partition)
+            .ok_or_else(|| BrokerError::UnknownPartition {
+                topic: self.inner.name.clone(),
+                partition,
+            })
+    }
+
+    /// Appends a record to `p`, visible once the produce and consume hops
+    /// (plus any scripted outage delay) have elapsed; returns its offset.
+    fn append(&self, p: &Partition<T>, value: T, bytes: usize) -> u64 {
+        let net = &self.inner.net;
+        let mut delay = net.broker_latency(bytes) * 2;
+        if let Some(extra_us) = self.inner.chaos.broker_delay() {
+            delay += net.scaled(Duration::from_micros(extra_us));
+        }
+        p.append(Entry {
+            value,
+            visible_at: Instant::now() + delay,
+        })
+    }
+
+    /// Produces a record to the partition `key` routes it to; `bytes` is
+    /// the payload size used for the latency model. Returns `(partition,
+    /// offset)`.
+    ///
+    /// The record becomes visible to consumers only after the produce and
+    /// consume hops have elapsed — that is the Kafka round-trip cost the
+    /// paper attributes StateFun's latency to.
+    pub fn produce(&self, key: &str, value: T, bytes: usize) -> (usize, u64) {
+        let partition = self.partition_for(key);
+        let offset = self.append(&self.inner.partitions[partition], value, bytes);
+        (partition, offset)
+    }
+
+    /// Produces a record to an explicit partition, bypassing key routing.
+    /// Used for control records that must reach *every* partition, e.g.
+    /// checkpoint barriers, and for records whose partition was picked
+    /// earlier.
+    pub fn produce_to(&self, partition: usize, value: T, bytes: usize) -> Result<u64, BrokerError> {
+        let p = self.partition(partition)?;
+        Ok(self.append(p, value, bytes))
+    }
+
+    /// Registers the waker of the thread that consumes `partition` through
+    /// [`Topic::fetch`]: every later produce to it fires the waker — at
+    /// the produce, not at visibility; the consumer times that itself from
+    /// [`Topic::next_visible_at`]. A partition wakes one consumer;
+    /// registering a second waker panics.
+    pub fn wake_on_produce(&self, partition: usize, waker: Waker) -> Result<(), BrokerError> {
+        self.partition(partition)?.wake_on_append(waker);
+        Ok(())
+    }
+
+    /// Fetches up to `max` *visible* records from `offset` onward.
+    pub fn fetch(
+        &self,
+        partition: usize,
+        offset: u64,
+        max: usize,
+    ) -> Result<Vec<ConsumerRecord<T>>, BrokerError> {
+        let records = self.partition(partition)?.read_from(offset, |tail| {
+            let now = Instant::now();
+            // Offsets must be consumed in order; stop at the first
+            // not-yet-visible record to preserve log order.
+            (tail.take(max))
+                .take_while(|e| e.visible_at <= now)
+                .zip(offset..)
+                .map(|(e, offset)| ConsumerRecord {
+                    offset,
+                    value: e.value.clone(),
+                })
+                .collect()
+        });
+        Ok(records)
+    }
+
+    /// When the record at `offset` becomes (or became) visible; `None`
+    /// while nothing is produced there yet. Offsets are consumed in order,
+    /// so this is the instant an empty [`Topic::fetch`] from `offset`
+    /// stops being empty.
+    pub fn next_visible_at(
+        &self,
+        partition: usize,
+        offset: u64,
+    ) -> Result<Option<Instant>, BrokerError> {
+        let p = self.partition(partition)?;
+        Ok(p.read_from(offset, |mut tail| tail.next().map(|e| e.visible_at)))
+    }
+
+    /// Frees one partition's records below `offset`: its consumer's
+    /// recovery can no longer reach them (see
+    /// [`ReplayableSource::truncate_below`]). Returns how many were freed;
+    /// a later fetch below `offset` panics.
+    pub fn truncate_below(&self, partition: usize, offset: u64) -> Result<u64, BrokerError> {
+        Ok(self.partition(partition)?.truncate_below(offset))
+    }
+}
+
+/// A shareable broker handle.
+#[derive(Clone)]
+pub struct Broker<T> {
+    topics: Arc<Mutex<HashMap<String, Topic<T>>>>,
+    net: NetConfig,
+    chaos: ChaosPlan,
 }
 
 impl<T: Clone> Broker<T> {
@@ -106,70 +219,32 @@ impl<T: Clone> Broker<T> {
     /// A broker with the given network model and a chaos plan whose outage
     /// windows delay record visibility.
     pub fn with_chaos(net: NetConfig, chaos: ChaosPlan) -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                topics: Mutex::new(HashMap::new()),
-                net,
-                chaos,
-            }),
-        }
-    }
-
-    /// Appends a record to `p`, visible once the produce and consume hops
-    /// (plus any scripted outage delay) have elapsed; returns its offset.
-    fn append(&self, p: &Partition<T>, key: &str, value: T, bytes: usize) -> u64 {
-        let mut delay = self.inner.net.broker_latency(bytes) * 2;
-        if let Some(extra_us) = self.inner.chaos.broker_delay() {
-            delay += self.inner.net.scaled(Duration::from_micros(extra_us));
-        }
-        p.append(Entry {
-            key: key.to_owned(),
-            value,
-            visible_at: Instant::now() + delay,
-        })
+        let topics = Arc::default();
+        Self { topics, net, chaos }
     }
 
     /// Creates a topic with `partitions` partitions (idempotent).
     pub fn create_topic(&self, name: &str, partitions: usize) {
         assert!(partitions > 0, "topics need at least one partition");
-        let mut topics = self.inner.topics.lock();
-        topics
-            .entry(name.to_owned())
-            .or_insert_with(|| (0..partitions).map(|_| Partition::new()).collect());
+        let mut topics = self.topics.lock();
+        topics.entry(name.to_owned()).or_insert_with(|| Topic {
+            inner: Arc::new(TopicInner {
+                name: name.to_owned(),
+                partitions: (0..partitions).map(|_| Partition::new()).collect(),
+                net: self.net.clone(),
+                chaos: self.chaos.clone(),
+            }),
+        });
     }
 
-    fn topic(&self, name: &str) -> Result<Arc<[Partition<T>]>, BrokerError> {
-        self.inner
-            .topics
-            .lock()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| BrokerError::UnknownTopic(name.to_owned()))
+    /// Resolves a topic by name, once: the handle serves every later
+    /// produce and read.
+    pub fn topic(&self, name: &str) -> Result<Topic<T>, BrokerError> {
+        let topic = self.topics.lock().get(name).cloned();
+        topic.ok_or_else(|| BrokerError::UnknownTopic(name.to_owned()))
     }
 
-    /// Runs `f` on one partition of a topic.
-    fn with_partition<R>(
-        &self,
-        topic: &str,
-        partition: usize,
-        f: impl FnOnce(&Partition<T>) -> R,
-    ) -> Result<R, BrokerError> {
-        let t = self.topic(topic)?;
-        let p = t
-            .get(partition)
-            .ok_or_else(|| BrokerError::UnknownPartition {
-                topic: topic.to_owned(),
-                partition,
-            })?;
-        Ok(f(p))
-    }
-
-    /// Produces a record routed by `key`; `bytes` is the payload size used
-    /// for the latency model. Returns `(partition, offset)`.
-    ///
-    /// The record becomes visible to consumers only after the produce and
-    /// consume hops have elapsed — that is the Kafka round-trip cost the
-    /// paper attributes StateFun's latency to.
+    /// [`Topic::produce`] on the topic named `topic`.
     pub fn produce(
         &self,
         topic: &str,
@@ -177,41 +252,10 @@ impl<T: Clone> Broker<T> {
         value: T,
         bytes: usize,
     ) -> Result<(usize, u64), BrokerError> {
-        let t = self.topic(topic)?;
-        let partition = partition_for(key, t.len());
-        let offset = self.append(&t[partition], key, value, bytes);
-        Ok((partition, offset))
+        Ok(self.topic(topic)?.produce(key, value, bytes))
     }
 
-    /// Produces a record to an explicit partition, bypassing key routing.
-    /// Used for control records that must reach *every* partition, e.g.
-    /// checkpoint barriers.
-    pub fn produce_to(
-        &self,
-        topic: &str,
-        partition: usize,
-        key: &str,
-        value: T,
-        bytes: usize,
-    ) -> Result<u64, BrokerError> {
-        self.with_partition(topic, partition, |p| self.append(p, key, value, bytes))
-    }
-
-    /// Registers the waker of the thread that consumes a partition through
-    /// [`Broker::fetch`]: every later produce to it fires the waker — at
-    /// the produce, not at visibility; the consumer times that itself from
-    /// [`Broker::next_visible_at`]. A partition wakes one consumer;
-    /// registering a second waker panics.
-    pub fn wake_on_produce(
-        &self,
-        topic: &str,
-        partition: usize,
-        waker: Waker,
-    ) -> Result<(), BrokerError> {
-        self.with_partition(topic, partition, |p| p.wake_on_append(waker))
-    }
-
-    /// Fetches up to `max` *visible* records from `offset` onward.
+    /// [`Topic::fetch`] on the topic named `topic`.
     pub fn fetch(
         &self,
         topic: &str,
@@ -219,50 +263,7 @@ impl<T: Clone> Broker<T> {
         offset: u64,
         max: usize,
     ) -> Result<Vec<ConsumerRecord<T>>, BrokerError> {
-        self.with_partition(topic, partition, |p| {
-            p.read_from(offset, |tail| {
-                let now = Instant::now();
-                // Offsets must be consumed in order; stop at the first
-                // not-yet-visible record to preserve log order.
-                (tail.take(max))
-                    .take_while(|e| e.visible_at <= now)
-                    .zip(offset..)
-                    .map(|(e, offset)| ConsumerRecord {
-                        offset,
-                        key: e.key.clone(),
-                        value: e.value.clone(),
-                    })
-                    .collect()
-            })
-        })
-    }
-
-    /// When the record at `offset` becomes (or became) visible; `None`
-    /// while nothing is produced there yet. Offsets are consumed in order,
-    /// so this is the instant an empty [`Broker::fetch`] from `offset`
-    /// stops being empty.
-    pub fn next_visible_at(
-        &self,
-        topic: &str,
-        partition: usize,
-        offset: u64,
-    ) -> Result<Option<Instant>, BrokerError> {
-        self.with_partition(topic, partition, |p| {
-            p.read_from(offset, |mut tail| tail.next().map(|e| e.visible_at))
-        })
-    }
-
-    /// Frees one partition's records below `offset`: its consumer's
-    /// recovery can no longer reach them (see
-    /// [`ReplayableSource::truncate_below`]). Returns how many were freed;
-    /// a later fetch below `offset` panics.
-    pub fn truncate_below(
-        &self,
-        topic: &str,
-        partition: usize,
-        offset: u64,
-    ) -> Result<u64, BrokerError> {
-        self.with_partition(topic, partition, |p| p.truncate_below(offset))
+        self.topic(topic)?.fetch(partition, offset, max)
     }
 }
 
@@ -280,6 +281,20 @@ mod tests {
         b
     }
 
+    /// The `events` topic of [`broker`].
+    fn events() -> Topic<String> {
+        broker().topic("events").unwrap()
+    }
+
+    /// A one-partition topic with a `hop` broker hop.
+    fn slow_topic(hop: Duration, partitions: usize) -> Topic<String> {
+        let mut net = NetConfig::fast_test();
+        net.broker_hop = hop;
+        let b = Broker::new(net);
+        b.create_topic("t", partitions);
+        b.topic("t").unwrap()
+    }
+
     #[test]
     fn produce_fetch_roundtrip() {
         let b = broker();
@@ -288,7 +303,92 @@ mod tests {
         let got = b.fetch("events", p, 0, 10).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].value, "hello");
-        assert_eq!(got[0].key, "alice");
+    }
+
+    #[test]
+    fn a_handle_round_trip_equals_one_through_the_name_wrappers() {
+        let (by_name, by_handle) = (broker(), events());
+        for (i, key) in ["alice", "bob", "alice", "carol"].into_iter().enumerate() {
+            let via_name = by_name.produce("events", key, format!("m{i}"), 0);
+            assert_eq!(
+                via_name.unwrap(),
+                by_handle.produce(key, format!("m{i}"), 0)
+            );
+        }
+        for p in 0..4 {
+            let via_name = by_name.fetch("events", p, 0, 10).unwrap();
+            assert_eq!(via_name, by_handle.fetch(p, 0, 10).unwrap());
+        }
+        // A handle resolved later sees what the name wrappers produced.
+        let late = by_name.topic("events").unwrap();
+        let p = late.partition_for("alice");
+        let values: Vec<_> = late.fetch(p, 0, 10).unwrap();
+        assert_eq!(
+            values.iter().map(|r| &r.value[..]).collect::<Vec<_>>(),
+            ["m0", "m2"]
+        );
+    }
+
+    #[test]
+    fn one_key_always_lands_in_one_partition() {
+        let t = events();
+        let keys = ["alice", "bob", "carol", "dave", "erin", "frank", "k", ""];
+        for round in 0..3 {
+            for key in keys {
+                let (p, _) = t.produce(key, format!("{key}{round}"), 0);
+                assert_eq!(p, t.partition_for(key));
+                assert_eq!(p, partition_for(key, 4));
+            }
+        }
+        // Each partition holds exactly the records of the keys routed to it.
+        for p in 0..4 {
+            let mut got: Vec<String> = t
+                .fetch(p, 0, 100)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.value)
+                .collect();
+            got.sort();
+            let mut want: Vec<String> = (0..3)
+                .flat_map(|round| {
+                    keys.iter()
+                        .filter(|k| partition_for(k, 4) == p)
+                        .map(move |k| format!("{k}{round}"))
+                })
+                .collect();
+            want.sort();
+            assert_eq!(got, want, "partition {p}");
+        }
+    }
+
+    #[test]
+    fn reads_at_or_past_the_end_are_empty_and_offsets_stay_absolute() {
+        let t = events();
+        for i in 0..3 {
+            t.produce_to(1, format!("m{i}"), 0).unwrap();
+        }
+        let at_end = |t: &Topic<String>, offset: u64| {
+            for o in [offset, offset + 1, offset + 100] {
+                assert!(t.fetch(1, o, 10).unwrap().is_empty(), "fetch at {o}");
+                assert_eq!(t.next_visible_at(1, o).unwrap(), None, "next at {o}");
+            }
+        };
+        at_end(&t, 3);
+        assert!(t.next_visible_at(1, 2).unwrap().is_some());
+        assert_eq!(t.truncate_below(1, 2).unwrap(), 2);
+        at_end(&t, 3);
+        assert_eq!(t.fetch(1, 2, 10).unwrap()[0].offset, 2);
+        // Truncated to the end: still absolute, and the next produce
+        // continues the count.
+        assert_eq!(t.truncate_below(1, 3).unwrap(), 1);
+        at_end(&t, 3);
+        assert_eq!(t.produce_to(1, "m3".into(), 0).unwrap(), 3);
+        let got = t.fetch(1, 3, 10).unwrap();
+        assert_eq!((got[0].offset, &got[0].value[..]), (3, "m3"));
+        at_end(&t, 4);
+        // An untouched partition is empty from offset 0.
+        assert!(t.fetch(0, 0, 10).unwrap().is_empty());
+        assert_eq!(t.next_visible_at(0, 0).unwrap(), None);
     }
 
     #[test]
@@ -302,26 +402,20 @@ mod tests {
 
     #[test]
     fn visibility_delay_enforced() {
-        let mut net = NetConfig::fast_test();
-        net.broker_hop = Duration::from_millis(30);
-        let b = Broker::new(net);
-        b.create_topic("t", 1);
+        let t = slow_topic(Duration::from_millis(30), 1);
         let (_tx, rx) = se_dataflow::delay_channel::<u8>();
-        b.wake_on_produce("t", 0, rx.waker()).unwrap();
+        t.wake_on_produce(0, rx.waker()).unwrap();
         let before = Instant::now();
-        b.produce("t", "k", "v".to_string(), 0).unwrap();
-        assert!(
-            b.fetch("t", 0, 0, 10).unwrap().is_empty(),
-            "not visible yet"
-        );
-        let visible_at = b.next_visible_at("t", 0, 0).unwrap().expect("produced");
+        t.produce("k", "v".to_string(), 0);
+        assert!(t.fetch(0, 0, 10).unwrap().is_empty(), "not visible yet");
+        let visible_at = t.next_visible_at(0, 0).unwrap().expect("produced");
         assert!(visible_at >= before + Duration::from_millis(60), "two hops");
         // The produce's wake ends the first receive; the second lasts
         // until the record shows.
         assert_eq!(rx.recv_until(Some(visible_at)), None);
         assert_eq!(rx.recv_until(Some(visible_at)), None);
         assert!(Instant::now() >= visible_at);
-        assert_eq!(b.fetch("t", 0, 0, 10).unwrap().len(), 1);
+        assert_eq!(t.fetch(0, 0, 10).unwrap().len(), 1);
     }
 
     #[test]
@@ -360,9 +454,15 @@ mod tests {
             b.fetch("nope", 0, 0, 1).unwrap_err(),
             BrokerError::UnknownTopic("nope".into())
         );
+        assert!(b.topic("nope").is_err());
         assert!(matches!(
             b.fetch("events", 99, 0, 1).unwrap_err(),
             BrokerError::UnknownPartition { .. }
+        ));
+        let t = b.topic("events").unwrap();
+        assert!(matches!(
+            t.produce_to(4, "v".into(), 0).unwrap_err(),
+            BrokerError::UnknownPartition { partition: 4, .. }
         ));
     }
 
@@ -390,55 +490,50 @@ mod tests {
 
     #[test]
     fn produce_fires_the_partition_waker_and_tells_when_it_shows() {
-        let mut net = NetConfig::fast_test();
-        net.broker_hop = Duration::from_millis(20);
-        let b = Broker::new(net);
-        b.create_topic("t", 2);
+        let t = slow_topic(Duration::from_millis(20), 2);
         let (_tx, rx) = se_dataflow::delay_channel::<u8>();
-        b.wake_on_produce("t", 1, rx.waker()).unwrap();
-        assert_eq!(b.next_visible_at("t", 1, 0).unwrap(), None);
+        t.wake_on_produce(1, rx.waker()).unwrap();
+        assert_eq!(t.next_visible_at(1, 0).unwrap(), None);
         let before = Instant::now();
-        b.produce_to("t", 1, "k", "v".to_string(), 0).unwrap();
+        t.produce_to(1, "v".to_string(), 0).unwrap();
         // The wake comes with the produce (this untimed receive would hang
         // without it), ahead of visibility.
         assert_eq!(rx.recv_until(None), None);
-        assert!(b.fetch("t", 1, 0, 10).unwrap().is_empty());
-        let visible_at = b.next_visible_at("t", 1, 0).unwrap().expect("produced");
+        assert!(t.fetch(1, 0, 10).unwrap().is_empty());
+        let visible_at = t.next_visible_at(1, 0).unwrap().expect("produced");
         assert!(visible_at >= before + Duration::from_millis(40));
         // Blocking until that instant is exactly enough.
         assert_eq!(rx.recv_until(Some(visible_at)), None);
-        assert_eq!(b.fetch("t", 1, 0, 10).unwrap().len(), 1);
+        assert_eq!(t.fetch(1, 0, 10).unwrap().len(), 1);
         // The other partition has no waker and is left alone.
-        b.produce_to("t", 0, "k", "v".to_string(), 0).unwrap();
+        t.produce_to(0, "v".to_string(), 0).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_millis(10)), None);
     }
 
     #[test]
     fn truncation_keeps_offsets_absolute_per_partition() {
-        let b = broker();
-        let p = partition_for("dave", 4);
+        let t = events();
+        let p = t.partition_for("dave");
         let other = (p + 1) % 4;
         for i in 0..5 {
-            b.produce("events", "dave", format!("m{i}"), 0).unwrap();
-            b.produce_to("events", other, "k", format!("o{i}"), 0)
-                .unwrap();
+            t.produce("dave", format!("m{i}"), 0);
+            t.produce_to(other, format!("o{i}"), 0).unwrap();
         }
-        assert_eq!(b.truncate_below("events", p, 3).unwrap(), 3);
-        assert_eq!(b.truncate_below("events", p, 3).unwrap(), 0, "no-op");
-        let got = b.fetch("events", p, 3, 10).unwrap();
+        assert_eq!(t.truncate_below(p, 3).unwrap(), 3);
+        assert_eq!(t.truncate_below(p, 3).unwrap(), 0, "no-op");
+        let got = t.fetch(p, 3, 10).unwrap();
         assert_eq!(got.iter().map(|r| r.offset).collect::<Vec<_>>(), [3, 4]);
         assert_eq!(got[0].value, "m3");
-        assert!(b.next_visible_at("events", p, 4).unwrap().is_some());
-        assert_eq!(b.next_visible_at("events", p, 5).unwrap(), None);
-        let (_, o) = b.produce("events", "dave", "m5".into(), 0).unwrap();
-        assert_eq!(o, 5);
-        assert_eq!(b.fetch("events", p, 5, 10).unwrap()[0].value, "m5");
+        assert!(t.next_visible_at(p, 4).unwrap().is_some());
+        assert_eq!(t.next_visible_at(p, 5).unwrap(), None);
+        assert_eq!(t.produce("dave", "m5".into(), 0).1, 5);
+        assert_eq!(t.fetch(p, 5, 10).unwrap()[0].value, "m5");
         // The neighbouring partition keeps its whole log.
-        assert_eq!(b.fetch("events", other, 0, 10).unwrap().len(), 5);
-        assert_eq!(b.truncate_below("events", other, 99).unwrap(), 5, "clamps");
-        assert!(b.fetch("events", other, 5, 10).unwrap().is_empty());
+        assert_eq!(t.fetch(other, 0, 10).unwrap().len(), 5);
+        assert_eq!(t.truncate_below(other, 99).unwrap(), 5, "clamps");
+        assert!(t.fetch(other, 5, 10).unwrap().is_empty());
         assert!(matches!(
-            b.truncate_below("events", 99, 1).unwrap_err(),
+            t.truncate_below(99, 1).unwrap_err(),
             BrokerError::UnknownPartition { .. }
         ));
     }
@@ -446,11 +541,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "invariant: no read below a source's truncation floor")]
     fn fetch_below_the_floor_panics() {
-        let b = broker();
+        let t = events();
         for i in 0..3 {
-            b.produce_to("events", 0, "k", format!("m{i}"), 0).unwrap();
+            t.produce_to(0, format!("m{i}"), 0).unwrap();
         }
-        b.truncate_below("events", 0, 2).unwrap();
-        let _ = b.fetch("events", 0, 1, 10);
+        t.truncate_below(0, 2).unwrap();
+        let _ = t.fetch(0, 1, 10);
     }
 }

@@ -18,9 +18,10 @@
 //!
 //! The roles do no I/O. A handler decides *what* to send and pushes it onto
 //! its role's outbox, and time enters a role only as the `now` of
-//! [`Roles::turn`]. The loop ([`run`]) reads the clock and has the engine
-//! route the outboxes ([`Roles::flush`]) after every turn and handler, so
-//! one handler's sends are on their way while the next runs.
+//! [`Roles::turn`]: the wall clock, which the loop ([`run`]) alone reads,
+//! and only when a hosted role asks for it. The loop has the engine route
+//! the outboxes ([`Roles::flush`]) after every turn and handler, so one
+//! handler's sends are on their way while the next runs.
 //! The engine's route alone decides *how* a message travels: to the inbox of
 //! the thread hosting its addressee, through the chaos seam it crosses, and
 //! after its simulated hop.
@@ -85,9 +86,11 @@ pub trait Roles {
     /// What the roles send each other: one thread's inbox holds them.
     type Envelope;
 
-    /// Work no message brings — a source or broker read, a due timer — at
-    /// `now`. Returns `false` once every hosted role has stopped.
-    fn turn(&mut self, now: Instant) -> bool;
+    /// Work no message brings — a source or broker read, a due timer.
+    /// `now` reads the wall clock; a turn that times nothing (StateFlow's
+    /// every turn) leaves it uncalled. Returns `false` once every hosted
+    /// role has stopped.
+    fn turn(&mut self, now: impl FnOnce() -> Instant) -> bool;
 
     /// Hands `envelope` to its role. Returns whether the hosted roles'
     /// turn should follow at once, before the next queued message.
@@ -137,9 +140,9 @@ pub fn run<R: Roles>(inbox: DelayReceiver<R::Envelope>, mut roles: R) {
     }
 }
 
-/// The roles' turn at the wall clock's `now`, routed.
+/// The roles' turn, with the wall clock to read if they need it, routed.
 fn turn<R: Roles>(roles: &mut R) -> bool {
-    let live = roles.turn(Instant::now());
+    let live = roles.turn(Instant::now);
     roles.flush();
     live
 }

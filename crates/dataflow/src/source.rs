@@ -18,6 +18,7 @@
 //! [`Waker`] with the one source it consumes, so every append ends the wait.
 
 use std::collections::{vec_deque, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -32,6 +33,9 @@ struct Log<T> {
 
 struct Inner<T> {
     log: Mutex<Log<T>>,
+    /// The offset the next append gets, written under `log`'s lock: a read
+    /// at or past it is empty without taking the lock.
+    end: AtomicU64,
     /// Fired on every append: how the consumer, parked on its own inbox,
     /// learns of it.
     waker: OnceLock<Waker>,
@@ -65,6 +69,7 @@ impl<T> ReplayableSource<T> {
                     base: 0,
                     events: VecDeque::new(),
                 }),
+                end: AtomicU64::new(0),
                 waker: OnceLock::new(),
             }),
         }
@@ -75,6 +80,7 @@ impl<T> ReplayableSource<T> {
         let mut log = self.inner.log.lock();
         log.events.push_back(event);
         let off = log.base + (log.events.len() - 1) as u64;
+        self.inner.end.store(off + 1, Ordering::Release);
         drop(log);
         if let Some(waker) = self.inner.waker.get() {
             waker.wake();
@@ -83,13 +89,17 @@ impl<T> ReplayableSource<T> {
     }
 
     /// Runs `f` on the events from `offset` on (empty past the end), under
-    /// one lock however many it looks at.
+    /// one lock however many it looks at; at or past the end, under none.
     ///
     /// # Panics
     /// If `offset` is below the floor: a reader there was promised records
     /// its consumer already released, so the recovery floor was computed
     /// wrong.
     pub fn read_from<R>(&self, offset: u64, f: impl FnOnce(vec_deque::Iter<'_, T>) -> R) -> R {
+        // The floor never passes the end, so no read here is below it.
+        if offset >= self.inner.end.load(Ordering::Acquire) {
+            return f(VecDeque::new().iter());
+        }
         let log = self.inner.log.lock();
         // An invariant, not input validation: offsets come from the
         // consumer's own cursor or from a snapshot at or above the floor it
@@ -196,6 +206,24 @@ mod tests {
         assert_eq!(read_all(&src, 1), vec!["b"]);
         assert!(read_all(&src, 2).is_empty());
         assert!(read_all(&src, 7).is_empty(), "past the end is empty");
+    }
+
+    #[test]
+    fn a_read_at_or_past_the_end_takes_no_lock() {
+        let src = ReplayableSource::new();
+        src.append(1);
+        src.truncate_below(1);
+        let (tx, rx) = crate::delay_channel::<bool>();
+        let reader = src.clone();
+        let held = src.inner.log.lock();
+        std::thread::spawn(move || {
+            let empty = [1, 2, 9].map(|o| reader.read_from(o, |mut t| t.next().is_none()));
+            tx.send(empty == [true; 3]);
+        });
+        let answered = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        assert_eq!(answered, Some(true), "the read waited for the lock");
+        assert_eq!(src.append(2), 1, "the end survives truncation");
     }
 
     #[test]

@@ -161,14 +161,14 @@ impl Roles for Shell {
     type Envelope = Envelope;
 
     /// The coordinator's source work, if this thread hosts it (it reads
-    /// no clock, so `now` goes unused).
+    /// no clock, so `now` is never called).
     ///
     /// The park is keyed on "no message since the last turn", never on "the
     /// source has unread records": the coordinator leaves records unread on
     /// purpose behind a pending `Redeploy` and during a `Restore` round. An
     /// append there costs one empty turn; whatever ends the round is a
     /// message, and the turn it starts drains the source.
-    fn turn(&mut self, _now: Instant) -> bool {
+    fn turn(&mut self, _now: impl FnOnce() -> Instant) -> bool {
         if let Some(c) = &mut self.coordinator {
             if !c.turn() {
                 self.routes.flush_coordinator(c);

@@ -32,13 +32,16 @@
 //! payload; a crash notice to the controller, and the controller's `Look`s,
 //! at once and unfaulted. The broker is shared memory: each partition's
 //! consumer registers its thread's waker, so a produce to a partition
-//! consumed on the running thread costs one `fetch_or`.
+//! consumed on the running thread costs one `fetch_or`. Deploy resolves the
+//! two topics once ([`se_broker::Topic`]); the client, the tasks, the
+//! egress reader and the controller each hold the handles they use, so no
+//! produce or read looks a topic up by name.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use se_broker::{Broker, BrokerError};
+use se_broker::{Broker, BrokerError, Topic};
 use se_chaos::{ChaosPlan, Seam};
 use se_dataflow::shell::threads_for;
 use se_dataflow::{
@@ -57,7 +60,7 @@ use crate::task::{PartitionTask, RecoveryCtl};
 pub struct StatefunRuntime {
     core: EngineCore,
     cfg: StatefunConfig,
-    broker: Broker<SfRecord>,
+    ingress: Topic<SfRecord>,
     /// Ends the wait of the controller's thread: `shutdown` fires it, and
     /// the controller has every other thread look at the flag.
     controller_waker: Waker,
@@ -80,6 +83,8 @@ impl StatefunRuntime {
         let broker = Broker::with_chaos(cfg.net.clone(), cfg.chaos.clone());
         broker.create_topic(topics::INGRESS, cfg.partitions);
         broker.create_topic(topics::EGRESS, 1);
+        let ingress = broker.topic(topics::INGRESS).expect("created above");
+        let egress = broker.topic(topics::EGRESS).expect("created above");
         let recovery = Arc::new(RecoveryCtl::default());
 
         // The Flink side in front (tasks, egress, controller), the remote
@@ -108,16 +113,11 @@ impl StatefunRuntime {
             .collect();
         for id in 0..p {
             let thread = layout.front(id);
-            broker
-                .wake_on_produce(topics::INGRESS, id, inboxes[thread].waker())
+            ingress
+                .wake_on_produce(id, inboxes[thread].waker())
                 .expect("ingress partition exists");
-            let task = PartitionTask::new(
-                id,
-                cfg.clone(),
-                broker.clone(),
-                &core,
-                Arc::clone(&recovery),
-            );
+            let recovery = Arc::clone(&recovery);
+            let task = PartitionTask::new(id, cfg.clone(), &ingress, &egress, &core, recovery);
             hosted[thread].tasks.push(task);
         }
         for id in 0..r {
@@ -125,11 +125,11 @@ impl StatefunRuntime {
             remote.get_or_insert_with(|| RemoteWorker::new(id, cfg.clone(), &core));
         }
         let thread = layout.front(p);
-        broker
-            .wake_on_produce(topics::EGRESS, 0, inboxes[thread].waker())
+        egress
+            .wake_on_produce(0, inboxes[thread].waker())
             .expect("egress partition exists");
         hosted[thread].egress = Some(Egress {
-            broker: broker.clone(),
+            topic: egress,
             waiters: Arc::clone(&core.waiters),
             offset: 0,
             next: None,
@@ -138,7 +138,7 @@ impl StatefunRuntime {
         let thread = layout.front(p + 1);
         let controller_waker = inboxes[thread].waker();
         hosted[thread].controller = Some(Controller {
-            broker: broker.clone(),
+            ingress: ingress.clone(),
             snapshots: Arc::clone(&core.snapshots),
             recovery: Arc::clone(&recovery),
             partitions: p,
@@ -157,7 +157,7 @@ impl StatefunRuntime {
         Self {
             core,
             cfg,
-            broker,
+            ingress,
             controller_waker,
             recovery,
         }
@@ -221,7 +221,7 @@ impl StatefunRuntime {
                 .map(|p| {
                     self.submit(|request| {
                         let marker = SfRecord::Upgrade { version, request };
-                        self.broker.produce_to(topics::INGRESS, p, "", marker, 0)
+                        self.ingress.produce_to(p, marker, 0)
                     })
                 })
                 .collect();
@@ -248,7 +248,7 @@ impl EntityRuntime for StatefunRuntime {
                 key: key.to_owned(),
                 init,
             };
-            self.broker.produce(topics::INGRESS, key, rec, 128)
+            Ok(self.ingress.produce(key, rec, 128))
         });
         waiter.wait()?;
         Ok(EntityRef::new(class, key))
@@ -268,8 +268,7 @@ impl EntityRuntime for StatefunRuntime {
             };
             let bytes = inv.approx_size();
             let key = target.key.as_str();
-            self.broker
-                .produce(topics::INGRESS, key, SfRecord::Invoke(inv), bytes)
+            Ok(self.ingress.produce(key, SfRecord::Invoke(inv), bytes))
         })
     }
 
@@ -375,8 +374,9 @@ impl Roles for Hosted {
 
     /// The controller's timer, the tasks' ingress and the egress topic, in
     /// that order: a task that answers in its turn is read out in the same
-    /// one. Returns `false` once shutdown is requested.
-    fn turn(&mut self, now: Instant) -> bool {
+    /// one. Only the controller's timer reads `now`. Returns `false` once
+    /// shutdown is requested.
+    fn turn(&mut self, now: impl FnOnce() -> Instant) -> bool {
         if self.shutdown.load(Ordering::SeqCst) {
             if let Some(c) = &mut self.controller {
                 c.out.push(Envelope::Look);
@@ -438,7 +438,7 @@ impl Roles for Hosted {
 /// The egress reader: answers clients from the egress topic. The first
 /// response wins; a replayed duplicate finds no waiter and is dropped.
 struct Egress {
-    broker: Broker<SfRecord>,
+    topic: Topic<SfRecord>,
     waiters: Arc<WaiterMap>,
     offset: u64,
     /// When the next unread response is (or was) visible.
@@ -448,7 +448,7 @@ struct Egress {
 
 impl Egress {
     fn turn(&mut self) {
-        let Ok(records) = self.broker.fetch(topics::EGRESS, 0, self.offset, 64) else {
+        let Ok(records) = self.topic.fetch(0, self.offset, 64) else {
             return;
         };
         if let Some(last) = records.last() {
@@ -460,11 +460,11 @@ impl Egress {
             self.waiters.complete_all(answers.collect());
             // The egress reader never rewinds: a recovery replays responses
             // to new offsets, so everything read is garbage.
-            if let Ok(n) = self.broker.truncate_below(topics::EGRESS, 0, self.offset) {
+            if let Ok(n) = self.topic.truncate_below(0, self.offset) {
                 self.log_truncated.add(n);
             }
         }
-        let next = self.broker.next_visible_at(topics::EGRESS, 0, self.offset);
+        let next = self.topic.next_visible_at(0, self.offset);
         self.next = next.ok().flatten();
     }
 }
@@ -472,7 +472,7 @@ impl Egress {
 /// The checkpoint and recovery controller. Its one timer is the barrier
 /// interval, armed by its first turn.
 struct Controller {
-    broker: Broker<SfRecord>,
+    ingress: Topic<SfRecord>,
     snapshots: Arc<SnapshotStore<StateStore>>,
     recovery: Arc<RecoveryCtl>,
     partitions: usize,
@@ -485,11 +485,12 @@ struct Controller {
 
 impl Controller {
     /// Injects the next epoch's barrier into every ingress partition once
-    /// the interval has passed.
-    fn turn(&mut self, now: Instant) {
+    /// the interval has passed. Reads `now` only with checkpoints on.
+    fn turn(&mut self, now: impl FnOnce() -> Instant) {
         let Some(interval) = self.interval else {
             return;
         };
+        let now = now();
         match self.next_barrier {
             Some(at) if at > now => return,
             Some(_) => {
@@ -498,7 +499,7 @@ impl Controller {
                 self.snapshots.begin_epoch(epoch, self.partitions);
                 for p in 0..self.partitions {
                     let barrier = SfRecord::Barrier { epoch };
-                    let _ = self.broker.produce_to(topics::INGRESS, p, "", barrier, 0);
+                    let _ = self.ingress.produce_to(p, barrier, 0);
                 }
             }
             None => {}

@@ -20,8 +20,9 @@
 //! response reaches it as a message (`PartitionTask::on_response`). What it
 //! sends — a [`RemoteRequest`] per dispatch, a crash notice to the
 //! controller — it pushes onto its outbox, and the thread routes it. The
-//! broker is shared memory: the task produces to it directly, and a produce
-//! to its ingress partition fires its thread's waker.
+//! broker is shared memory: the task produces to it directly, through the
+//! topic handles deploy resolved, and a produce to its ingress partition
+//! fires its thread's waker.
 //!
 //! Checkpoint barriers and live upgrades are aligned: they run with no
 //! dispatch in flight. A task that reads one while dispatches are out holds
@@ -36,7 +37,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use se_broker::{Broker, ConsumerRecord};
+use se_broker::{ConsumerRecord, Topic};
 use se_chaos::{CrashPoint, HistoryEvent};
 use se_dataflow::{timer, EngineCore, Epoch, SnapshotStore, StateStore, WaiterMap};
 use se_ir::{
@@ -45,7 +46,7 @@ use se_ir::{
 use se_lang::{EntityRef, LangError};
 
 use crate::config::{CheckpointMode, StatefunConfig};
-use crate::record::{topics, Envelope, RemoteRequest, RemoteResponse, SfRecord};
+use crate::record::{Envelope, RemoteRequest, RemoteResponse, SfRecord};
 
 /// Shared recovery signal: the controller bumps `gen` and sets the epoch to
 /// restore; tasks observe the bump and reset themselves.
@@ -131,7 +132,11 @@ pub struct PartitionTask {
     /// ingress record, and the hot path must not allocate per call.
     name: String,
     cfg: StatefunConfig,
-    broker: Broker<SfRecord>,
+    /// The ingress topic: this task reads partition `id`, and a
+    /// continuation goes to its target's partition.
+    ingress: Topic<SfRecord>,
+    /// The egress topic, one partition: responses to clients.
+    egress: Topic<SfRecord>,
     /// All live program versions: roots are stamped with this task's
     /// [`PartitionTask::active_version`]; in-flight and queued work resolves
     /// through the registry at whatever version its root was stamped with.
@@ -156,9 +161,9 @@ pub struct PartitionTask {
     /// Monotonic dispatch counter feeding `inflight` sequence numbers.
     next_seq: u64,
     waiting: HashMap<EntityRef, VecDeque<Invocation>>,
-    /// Staged produces (Transactional mode) as `(topic, key, record,
-    /// bytes)`: flushed at epoch boundaries.
-    staged: Vec<(&'static str, String, SfRecord, usize)>,
+    /// Staged produces (Transactional mode) as `(partition, record,
+    /// bytes)`, each to its record's topic: flushed at epoch boundaries.
+    staged: Vec<(usize, SfRecord, usize)>,
     /// A barrier or upgrade read while dispatches were in flight: it runs
     /// once the last of them installs, and no ingress is read until then.
     held: Option<Aligned>,
@@ -183,12 +188,13 @@ pub struct PartitionTask {
 }
 
 impl PartitionTask {
-    /// Partition task `id` of the deployment `core`, consuming ingress
-    /// partition `id` of `broker`.
+    /// Partition task `id` of the deployment `core`, consuming partition
+    /// `id` of `ingress` and answering on `egress`.
     pub fn new(
         id: usize,
         cfg: StatefunConfig,
-        broker: Broker<SfRecord>,
+        ingress: &Topic<SfRecord>,
+        egress: &Topic<SfRecord>,
         core: &EngineCore,
         recovery: Arc<RecoveryCtl>,
     ) -> Self {
@@ -197,7 +203,8 @@ impl PartitionTask {
             id,
             name: format!("task{id}"),
             cfg,
-            broker,
+            ingress: ingress.clone(),
+            egress: egress.clone(),
             registry: Arc::clone(&core.registry),
             active_version: INITIAL_VERSION,
             upgrades: Vec::new(),
@@ -244,13 +251,11 @@ impl PartitionTask {
         if self.dead || self.held.is_some() {
             return;
         }
-        if let Ok(records) = self.broker.fetch(topics::INGRESS, self.id, self.offset, 32) {
+        if let Ok(records) = self.ingress.fetch(self.id, self.offset, 32) {
             self.handle_batch(records);
         }
         if !self.dead && self.held.is_none() {
-            let next = self
-                .broker
-                .next_visible_at(topics::INGRESS, self.id, self.offset);
+            let next = self.ingress.next_visible_at(self.id, self.offset);
             self.next = next.ok().flatten();
         }
     }
@@ -274,7 +279,7 @@ impl PartitionTask {
 
     /// Frees this task's ingress records below `offset`.
     fn truncate_below(&self, offset: u64) {
-        if let Ok(n) = self.broker.truncate_below(topics::INGRESS, self.id, offset) {
+        if let Ok(n) = self.ingress.truncate_below(self.id, offset) {
             self.log_truncated.add(n);
         }
     }
@@ -417,8 +422,8 @@ impl PartitionTask {
                 // Continuation loops back through the broker — the Kafka
                 // round trip the paper attributes StateFun's latency to.
                 let bytes = next.approx_size();
-                let key = next.target.key;
-                self.emit(topics::INGRESS, key.as_str(), SfRecord::Invoke(next), bytes);
+                let partition = self.ingress.partition_for(next.target.key.as_str());
+                self.emit(partition, SfRecord::Invoke(next), bytes);
             }
             StepEffect::Respond(r) => self.emit_egress(r),
         }
@@ -441,20 +446,25 @@ impl PartitionTask {
     }
 
     fn emit_egress(&mut self, r: Response) {
-        // The egress topic has a single partition, so the key is
-        // informational; format the request id into a stack buffer instead
-        // of paying a heap allocation per response record.
-        let mut buf = [0u8; 20];
-        let key = fmt_u64(r.request.0, &mut buf);
-        self.emit(topics::EGRESS, key, SfRecord::Response(r), 64);
+        self.emit(0, SfRecord::Response(r), 64);
     }
 
-    fn emit(&mut self, topic: &'static str, key: &str, rec: SfRecord, bytes: usize) {
+    /// Produces `rec` to `partition` of its topic — egress for a response,
+    /// else ingress — now, or at the next barrier in Transactional mode.
+    fn emit(&mut self, partition: usize, rec: SfRecord, bytes: usize) {
         if self.transactional() {
-            self.staged.push((topic, key.to_owned(), rec, bytes));
+            self.staged.push((partition, rec, bytes));
         } else {
-            let _ = self.broker.produce(topic, key, rec, bytes);
+            self.produce(partition, rec, bytes);
         }
+    }
+
+    fn produce(&self, partition: usize, rec: SfRecord, bytes: usize) {
+        let topic = match rec {
+            SfRecord::Response(_) => &self.egress,
+            _ => &self.ingress,
+        };
+        let _ = topic.produce_to(partition, rec, bytes);
     }
 
     /// The sync point checkpoint barriers and live upgrades share: `rec`
@@ -493,8 +503,8 @@ impl PartitionTask {
         }
         self.last_epoch = epoch;
         // Flush the epoch's staged outputs.
-        for (topic, key, rec, bytes) in std::mem::take(&mut self.staged) {
-            let _ = self.broker.produce(topic, &key, rec, bytes);
+        for (partition, rec, bytes) in std::mem::take(&mut self.staged) {
+            self.produce(partition, rec, bytes);
         }
         // Recovery rewinds to the latest complete epoch or a later one, so
         // this task's ingress below its offset there is never read again.
@@ -608,26 +618,12 @@ impl PartitionTask {
     }
 }
 
-/// Formats `n` in decimal into `buf`, returning the textual slice — a
-/// heap-allocation-free `u64::to_string` for per-record routing keys.
-fn fmt_u64(mut n: u64, buf: &mut [u8; 20]) -> &str {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII")
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::record::topics;
 
     #[test]
     fn replay_floor_is_fenced_by_a_begun_recovery() {
@@ -656,7 +652,7 @@ mod tests {
     /// first, and task0 has crashed: the recovery restores epoch 1.
     struct Rig {
         _core: se_dataflow::EngineCore,
-        broker: Broker<SfRecord>,
+        ingress: Topic<SfRecord>,
         snapshots: Arc<SnapshotStore<StateStore>>,
         recovery: Arc<RecoveryCtl>,
         tasks: Vec<PartitionTask>,
@@ -671,34 +667,29 @@ mod tests {
             cfg.net.time_scale = 0.0;
             let graph = se_compiler::compile(&se_lang::programs::counter_program()).unwrap();
             let core = se_dataflow::EngineCore::new(graph, &cfg.obs);
-            let broker = Broker::new(cfg.net.clone());
+            let broker = se_broker::Broker::new(cfg.net.clone());
             broker.create_topic(topics::INGRESS, 2);
             broker.create_topic(topics::EGRESS, 1);
+            let ingress = broker.topic(topics::INGRESS).unwrap();
+            let egress = broker.topic(topics::EGRESS).unwrap();
             let recovery = Arc::new(RecoveryCtl::default());
             let snapshots = Arc::clone(&core.snapshots);
             let tasks = (0..2)
                 .map(|id| {
-                    PartitionTask::new(
-                        id,
-                        cfg.clone(),
-                        broker.clone(),
-                        &core,
-                        Arc::clone(&recovery),
-                    )
+                    let recovery = Arc::clone(&recovery);
+                    PartitionTask::new(id, cfg.clone(), &ingress, &egress, &core, recovery)
                 })
                 .collect();
             for epoch in 1..=3 {
                 snapshots.begin_epoch(epoch, 2);
                 for p in 0..2 {
                     let barrier = SfRecord::Barrier { epoch };
-                    broker
-                        .produce_to(topics::INGRESS, p, "", barrier, 0)
-                        .unwrap();
+                    ingress.produce_to(p, barrier, 0).unwrap();
                 }
             }
             let mut rig = Rig {
                 _core: core,
-                broker,
+                ingress,
                 snapshots,
                 recovery,
                 tasks,
@@ -714,10 +705,7 @@ mod tests {
         /// if they lie below the partition's truncation floor.
         fn consume(&mut self, id: usize, max: usize) {
             let task = &mut self.tasks[id];
-            let records = self
-                .broker
-                .fetch(topics::INGRESS, id, task.offset, max)
-                .unwrap();
+            let records = self.ingress.fetch(id, task.offset, max).unwrap();
             task.handle_batch(records);
         }
 
@@ -757,13 +745,5 @@ mod tests {
         assert_eq!(rig.snapshots.latest_complete(), Some(1), "task0 owes 2");
         rig.restore_and_replay(0);
         assert_eq!(rig.snapshots.latest_complete(), Some(3));
-    }
-
-    #[test]
-    fn fmt_u64_matches_to_string() {
-        for n in [0u64, 1, 9, 10, 42, 12345, u64::MAX] {
-            let mut buf = [0u8; 20];
-            assert_eq!(fmt_u64(n, &mut buf), n.to_string());
-        }
     }
 }
