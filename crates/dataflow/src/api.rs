@@ -7,23 +7,31 @@
 //! StateFlow runtime all implement [`EntityRuntime`], and everything above
 //! (examples, workloads, benchmarks) is written against it.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use se_lang::{EntityRef, LangError, Value};
 
-use crate::delay::{delay_channel, DelayReceiver, DelaySender};
+use crate::delay::{oneshot, OneshotReceiver, OneshotSender};
 
-/// A pending response to an asynchronous invocation: the receiving end of a
-/// delay queue, so a client parks in [`DelayReceiver::recv_until`] like any
-/// engine thread, and a completion signals only a waiter actually parked.
+/// A pending response to an asynchronous invocation: the waiting half of a
+/// one-shot slot. [`ResponseWaiter::wait`] polls for the calling thread's
+/// window before it parks, as an engine thread's receive does, so a client
+/// that calls back to back takes each answer on its own core, and a
+/// completion signals only a waiter actually parked.
 pub struct ResponseWaiter {
-    rx: DelayReceiver<Result<Value, LangError>>,
+    rx: OneshotReceiver<Result<Value, LangError>>,
+}
+
+/// What a waiter whose completer was dropped unanswered gets: the runtime
+/// shut down.
+fn shut_down() -> Result<Value, LangError> {
+    Err(LangError::runtime("runtime shut down before responding"))
 }
 
 impl ResponseWaiter {
-    /// Creates a waiter and the sender used to complete it.
+    /// Creates a waiter and the completer used to answer it.
     pub fn new() -> (ResponseCompleter, ResponseWaiter) {
-        let (tx, rx) = delay_channel();
+        let (tx, rx) = oneshot(shut_down);
         (ResponseCompleter { tx }, ResponseWaiter { rx })
     }
 
@@ -34,34 +42,32 @@ impl ResponseWaiter {
         w
     }
 
-    /// Blocks until the response arrives. Nobody holds this queue's waker,
-    /// so the receive ends only with the answer or with the completer gone,
+    /// Blocks until the response arrives, or the completer is dropped,
     /// which means the runtime shut down.
     pub fn wait(self) -> Result<Value, LangError> {
-        self.rx
-            .recv_until(None)
-            .unwrap_or_else(|| Err(LangError::runtime("runtime shut down before responding")))
+        self.rx.wait_until(None).unwrap_or_else(shut_down)
     }
 
     /// Blocks up to `timeout`; `None` on timeout.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Value, LangError>> {
-        self.rx.recv_timeout(timeout)
+        self.rx.wait_until(Some(Instant::now() + timeout))
     }
 
-    /// Non-blocking poll.
+    /// Non-blocking poll: one atomic load while the response is pending.
     pub fn try_wait(&self) -> Option<Result<Value, LangError>> {
         self.rx.try_recv()
     }
 }
 
-/// Completion side of a [`ResponseWaiter`].
+/// Completion side of a [`ResponseWaiter`]. Dropped unanswered, it fails
+/// the waiter with "runtime shut down before responding".
 pub struct ResponseCompleter {
-    tx: DelaySender<Result<Value, LangError>>,
+    tx: OneshotSender<Result<Value, LangError>>,
 }
 
 impl ResponseCompleter {
-    /// Delivers the response; the first of several is the one a waiter
-    /// sees, and one nobody waits for any more is dropped with the queue.
+    /// Delivers the response; the first of several is the one the waiter
+    /// sees.
     pub fn complete(&self, result: Result<Value, LangError>) {
         self.tx.send(result);
     }
@@ -140,8 +146,9 @@ mod tests {
         assert_eq!(w.wait().unwrap(), Value::Int(1));
     }
 
-    /// Runs `wait` on another thread, and `release` once that wait is
-    /// parked; returns what the wait returned.
+    /// Runs `wait` on a fresh thread, which parks at once (its poll window
+    /// is 0), and `release` once that wait is parked; returns what the
+    /// wait returned.
     fn parked_wait(release: impl FnOnce(ResponseCompleter)) -> Result<Value, LangError> {
         let (c, w) = ResponseWaiter::new();
         let parked = w.rx.park_probe();
@@ -160,8 +167,29 @@ mod tests {
     }
 
     #[test]
-    fn parked_wait_fails_when_the_last_completer_drops() {
+    fn parked_wait_fails_when_the_completer_drops() {
         let got = parked_wait(drop);
         assert!(got.unwrap_err().to_string().contains("shut down"));
+    }
+
+    #[test]
+    fn a_dropped_completer_fails_try_wait_and_wait_timeout() {
+        let (c, w) = ResponseWaiter::new();
+        drop(c);
+        let got = w.try_wait().expect("answered by the drop");
+        assert!(got.unwrap_err().to_string().contains("shut down"));
+        let (c, w) = ResponseWaiter::new();
+        drop(c);
+        let got = w.wait_timeout(Duration::from_secs(5)).expect("answered");
+        assert!(got.unwrap_err().to_string().contains("shut down"));
+    }
+
+    #[test]
+    fn a_complete_after_a_timeout_still_reaches_the_waiter() {
+        let (c, w) = ResponseWaiter::new();
+        assert!(w.wait_timeout(Duration::from_millis(5)).is_none());
+        c.complete(Ok(Value::Int(8)));
+        drop(c);
+        assert_eq!(w.wait().unwrap(), Value::Int(8));
     }
 }

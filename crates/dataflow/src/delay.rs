@@ -1,8 +1,9 @@
 //! A delay queue: the in-process stand-in for a network link, and the one
 //! thing an engine thread parks on. [`DelayReceiver::recv_until`] is the
-//! only blocking call in the engine crates (`se-dataflow`, `se-broker`,
-//! `se-stateflow`, `se-statefun`) and this file holds their only condvar;
-//! a client's [`crate::ResponseWaiter`] is a delay queue too.
+//! only blocking call of an engine thread in the engine crates
+//! (`se-dataflow`, `se-broker`, `se-stateflow`, `se-statefun`), and this
+//! file holds their only condvars: the queue's, and that of the one-shot
+//! slot ([`oneshot`]) a client's [`crate::ResponseWaiter`] waits on.
 //!
 //! Senders enqueue messages with a delivery delay; the receiver sees a
 //! message only once its delivery instant has passed. This is how simulated
@@ -30,39 +31,48 @@
 //! thread that owns it, which alone parks on it. Receives must not run
 //! concurrently on one queue.
 //!
-//! **Polling.** A receive that finds nothing due and no wake token first
-//! polls, for up to its queue's window `w`: it looks at the send count and
-//! the wake token, without the queue lock, and yields the CPU between looks
-//! so that a thread sharing the core still runs. The deadline and the
-//! head's due time cut the poll short, and so does the first yield that let
-//! another thread run. KVM polls only while its CPU has no other runnable
-//! task, and likewise a thread that shares its core parks rather than hand
-//! the core back and forth at every look. Only then does the receive park.
+//! **Polling.** A receive that finds nothing due and no wake token, and a
+//! slot wait that finds no answer, first poll, for up to the waiting
+//! thread's window `w`: a receive looks at the send count and the wake
+//! token, a slot wait at the slot's park word, without a lock, and both
+//! yield the CPU between looks so that a thread sharing the core still
+//! runs. The deadline and the head's due time cut the poll short, and so
+//! does the first yield that let another thread run. KVM polls only while
+//! its CPU has no other runnable task, and likewise a thread that shares
+//! its core parks rather than hand the core back and forth at every look.
+//! Only then does the wait park.
 //!
 //! The window follows Linux KVM's adaptive halt-polling (`halt_poll_ns`):
-//! a park whose idle time — from finding nothing due to the park's end —
-//! was at most `POLL_CAP` but longer than `w` doubles `w`, starting at
-//! `POLL_START` (KVM's `halt_poll_ns_grow_start`, 10 µs) and never going
-//! above `POLL_CAP` (KVM's default `halt_poll_ns`, 200 µs); an idle time
-//! above `POLL_CAP` resets `w` to 0, and a receive the poll served leaves
-//! it as it is. A fresh queue starts at 0, so a client's one-shot
-//! [`crate::ResponseWaiter`] never polls, and an idle or timer-driven
-//! thread (one woken every few milliseconds) falls back to 0 and parks at
-//! once. A thread whose work arrives less than `POLL_CAP` apart stays on
-//! its core instead. The trade is CPU: at more than one arrival per
-//! `POLL_CAP`, a thread spends its whole core polling, which an engine
-//! thread may, since it owns its core (one engine thread per core, see
-//! [`crate::shell`]).
+//! a park whose idle time — from finding nothing to take to the park's
+//! end — was at most `POLL_CAP` but longer than `w` doubles `w`, starting
+//! at `POLL_START` (KVM's `halt_poll_ns_grow_start`, 10 µs) and never
+//! going above `POLL_CAP` (KVM's default `halt_poll_ns`, 200 µs); an idle
+//! time above `POLL_CAP` resets `w` to 0, and a wait the poll served leaves
+//! it as it is. The window belongs to the waiting thread, not to what it
+//! waits on: an engine thread's inbox receives and a client's answer waits
+//! follow the same rule, and a client that calls back to back keeps its
+//! window from one fresh slot to the next. A fresh thread starts at 0 and
+//! parks at once, and an idle or timer-driven thread (one woken every few
+//! milliseconds) falls back to 0. A thread whose work arrives less than
+//! `POLL_CAP` apart stays on its core instead. The trade is CPU: at more
+//! than one arrival per `POLL_CAP`, a thread spends its whole core polling,
+//! which an engine thread may, since it owns its core (one engine thread
+//! per core, see [`crate::shell`]), and a client that blocks on call after
+//! call spends its own.
 //!
-//! **Cost.** A receiver announces that it parks in one atomic word, changed
-//! only under the queue lock. `send*` and the last sender's drop read it
-//! under the queue lock and `wake` in its single `fetch_or`, and all three
-//! skip the condvar — an unconditional `futex` syscall in `std` — unless a
-//! receive is actually parked. Waking, sending to or closing a busy or
-//! polling receiver costs no syscall, and a send costs one atomic add more
-//! (the count a poll watches). A look of the poll costs two syscalls, the
-//! yield and the read of the thread's context-switch count.
+//! **Cost.** A waiter announces that it parks in one atomic word, changed
+//! only under its lock. A queue's `send*` and last sender's drop and a
+//! slot's fill read it under that lock and `wake` in its single
+//! `fetch_or`, and all of them skip the condvar — an unconditional `futex`
+//! syscall in `std` — unless a wait is actually parked. Waking, sending to,
+//! answering or closing a busy or polling waiter costs no syscall, and a
+//! send costs one atomic add more (the count a poll watches). A look of the
+//! poll costs two syscalls, the yield and the read of the thread's
+//! context-switch count. A slot holds one value and no heap of its own:
+//! one allocation per request, and a wait that finds its answer pending
+//! reads one atomic word.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -94,10 +104,10 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// `Shared::park` bit: a wake is pending (set by [`Waker::wake`], taken by
-/// the receive it ends).
+/// Park-word bit: a wake is pending (set by [`Waker::wake`], taken by the
+/// receive it ends); on a slot, the slot is filled.
 const WOKEN: usize = 1;
-/// `Shared::park` bit: the receive is inside its condvar wait.
+/// Park-word bit: the waiter is inside its condvar wait.
 const PARKED: usize = 2;
 
 /// The first nonzero poll window (KVM's `halt_poll_ns_grow_start`).
@@ -120,6 +130,37 @@ fn next_window(w: Duration, idle: Duration) -> Duration {
     }
 }
 
+thread_local! {
+    /// The calling thread's poll window; see the module docs.
+    static WINDOW: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
+
+/// The calling thread's poll window.
+fn window() -> Duration {
+    WINDOW.with(Cell::get)
+}
+
+/// Moves the calling thread's window on after a park whose idle time began
+/// at `since`.
+fn parked_since(since: Instant) {
+    WINDOW.with(|w| w.set(next_window(w.get(), since.elapsed())));
+}
+
+/// Looks at `ready`, yielding the CPU between looks, until it holds or
+/// `until` passes. Returns `false`, early, once a yield let another thread
+/// run on this CPU: the wait then parks.
+fn poll(until: Instant, ready: impl Fn() -> bool) -> bool {
+    let preempted = || switches().map(|(_, involuntary)| involuntary);
+    let before = preempted();
+    while !ready() && Instant::now() < until {
+        std::thread::yield_now();
+        if before.is_some() && preempted() != before {
+            return false;
+        }
+    }
+    true
+}
+
 struct Shared<T> {
     /// The pending messages.
     queue: Mutex<BinaryHeap<Reverse<Entry<T>>>>,
@@ -132,9 +173,6 @@ struct Shared<T> {
     /// `queue` lock, so whoever holds that lock reads it exactly; `wake`
     /// reads it lock-free and takes the lock only when it is set.
     park: AtomicUsize,
-    /// The poll window in nanoseconds; read and written by the receive
-    /// alone.
-    window_ns: AtomicU64,
 }
 
 /// Sending half of a delay queue. Cloning adds a sender.
@@ -219,29 +257,14 @@ impl<T> DelayReceiver<T> {
         guard.pop().map(|Reverse(e)| e.msg)
     }
 
-    /// The current poll window.
-    fn window(&self) -> Duration {
-        Duration::from_nanos(self.shared.window_ns.load(Ordering::Relaxed))
-    }
-
-    /// Looks, without the queue lock and yielding the CPU between looks,
-    /// until a message is sent after `sent` messages, a wake is pending, or
-    /// `until` passes. Returns `false`, early, once a yield let another
-    /// thread run on this CPU: the receive then parks.
+    /// Polls, without the queue lock, until a message is sent after `sent`
+    /// messages, a wake is pending, or `until` passes; see [`poll`].
     fn poll(&self, sent: u64, until: Instant) -> bool {
         let shared = &*self.shared;
-        let preempted = || switches().map(|(_, involuntary)| involuntary);
-        let before = preempted();
-        while shared.sent.load(Ordering::SeqCst) == sent
-            && shared.park.load(Ordering::SeqCst) & WOKEN == 0
-            && Instant::now() < until
-        {
-            std::thread::yield_now();
-            if before.is_some() && preempted() != before {
-                return false;
-            }
-        }
-        true
+        poll(until, || {
+            shared.sent.load(Ordering::SeqCst) != sent
+                || shared.park.load(Ordering::SeqCst) & WOKEN != 0
+        })
     }
 
     /// Receives the next due message, blocking until one is due, a
@@ -266,7 +289,7 @@ impl<T> DelayReceiver<T> {
                 return None;
             }
             let since = *idle_since.get_or_insert(now);
-            let window_end = since + self.window();
+            let window_end = since + window();
             let poll_end = head_due
                 .into_iter()
                 .chain(deadline)
@@ -290,9 +313,7 @@ impl<T> DelayReceiver<T> {
                     }
                     None => self.shared.available.wait(&mut guard),
                 }
-                let w = next_window(self.window(), since.elapsed());
-                let w_ns = w.as_nanos() as u64;
-                self.shared.window_ns.store(w_ns, Ordering::Relaxed);
+                parked_since(since);
             }
             // Leave the wait, and take a wake that ended it.
             if park.fetch_and(!(PARKED | WOKEN), Ordering::SeqCst) & WOKEN != 0 {
@@ -350,17 +371,6 @@ impl<T> DelayReceiver<T> {
     pub fn is_closed(&self) -> bool {
         self.shared.senders.load(Ordering::SeqCst) == 0
     }
-
-    /// Tells whether a receive on this queue is inside its condvar wait,
-    /// also after the receiver itself moved to the thread that parks.
-    #[cfg(test)]
-    pub(crate) fn park_probe(&self) -> impl Fn() -> bool + Send + 'static
-    where
-        T: Send + 'static,
-    {
-        let shared = Arc::clone(&self.shared);
-        move || shared.park.load(Ordering::SeqCst) & PARKED != 0
-    }
 }
 
 /// The calling thread's context switches so far, voluntary and
@@ -394,13 +404,145 @@ pub fn delay_channel<T>() -> (DelaySender<T>, DelayReceiver<T>) {
         available: Condvar::new(),
         senders: AtomicUsize::new(1),
         park: AtomicUsize::new(0),
-        window_ns: AtomicU64::new(0),
     });
     (
         DelaySender {
             shared: Arc::clone(&shared),
         },
         DelayReceiver { shared },
+    )
+}
+
+/// The shared half of a one-shot slot.
+struct Slot<T> {
+    /// The value, from the fill until the receiver takes it.
+    value: Mutex<Option<T>>,
+    filled: Condvar,
+    /// The `WOKEN` (filled) and `PARKED` bits, both changed only under the
+    /// `value` lock; a wait reads `WOKEN` lock-free.
+    park: AtomicUsize,
+}
+
+/// Filling half of a one-shot slot; see [`oneshot`].
+pub struct OneshotSender<T> {
+    slot: Arc<Slot<T>>,
+    /// What a sender dropped unfilled fills the slot with.
+    closed: fn() -> T,
+}
+
+impl<T> OneshotSender<T> {
+    /// Fills the slot with `value` unless it is filled already: the first
+    /// fill wins, and later ones are dropped.
+    pub fn send(&self, value: T) {
+        let mut cell = self.slot.value.lock();
+        let before = self.slot.park.fetch_or(WOKEN, Ordering::SeqCst);
+        if before & WOKEN != 0 {
+            return;
+        }
+        *cell = Some(value);
+        drop(cell);
+        if before & PARKED != 0 {
+            self.slot.filled.notify_one();
+        }
+    }
+}
+
+impl<T> Drop for OneshotSender<T> {
+    fn drop(&mut self) {
+        // Only this sender fills the slot: a filled one is left alone,
+        // without its lock.
+        if self.slot.park.load(Ordering::SeqCst) & WOKEN == 0 {
+            self.send((self.closed)());
+        }
+    }
+}
+
+/// Waiting half of a one-shot slot; see [`oneshot`].
+pub struct OneshotReceiver<T> {
+    slot: Arc<Slot<T>>,
+}
+
+impl<T> OneshotReceiver<T> {
+    /// Whether the slot is filled: one atomic load.
+    fn filled(&self) -> bool {
+        self.slot.park.load(Ordering::SeqCst) & WOKEN != 0
+    }
+
+    /// Takes the value if the slot is filled; one atomic load while it is
+    /// not. `None` also once the value was taken.
+    pub fn try_recv(&self) -> Option<T> {
+        if !self.filled() {
+            return None;
+        }
+        self.slot.value.lock().take()
+    }
+
+    /// Takes the value, waiting until the slot is filled or `deadline`
+    /// passes (`None` then, and once the value was taken). With
+    /// `deadline = None` only the fill ends the wait. Polls for the calling
+    /// thread's window before it parks, as [`DelayReceiver::recv_until`]
+    /// does; see the module docs.
+    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<T> {
+        if self.filled() {
+            return self.slot.value.lock().take();
+        }
+        // This wait's idle time starts now.
+        let since = Instant::now();
+        let poll_end = deadline.into_iter().fold(since + window(), Instant::min);
+        if since < poll_end {
+            poll(poll_end, || self.filled());
+        }
+        let slot = &*self.slot;
+        let mut value = slot.value.lock();
+        if self.filled() || deadline.is_some_and(|d| d <= Instant::now()) {
+            return value.take();
+        }
+        // Announced under the lock that every fill takes: a fill either
+        // came first and shows above, or sees the bit and notifies once
+        // the wait has begun.
+        slot.park.fetch_or(PARKED, Ordering::SeqCst);
+        while !self.filled() {
+            match deadline {
+                Some(until) => {
+                    if slot.filled.wait_until(&mut value, until).timed_out() {
+                        break;
+                    }
+                }
+                None => slot.filled.wait(&mut value),
+            }
+        }
+        slot.park.fetch_and(!PARKED, Ordering::SeqCst);
+        parked_since(since);
+        value.take()
+    }
+
+    /// Tells whether a wait on this slot is inside its condvar wait, also
+    /// after the receiver itself moved to the thread that parks.
+    #[cfg(test)]
+    pub(crate) fn park_probe(&self) -> impl Fn() -> bool + Send + 'static
+    where
+        T: Send + 'static,
+    {
+        let slot = Arc::clone(&self.slot);
+        move || slot.park.load(Ordering::SeqCst) & PARKED != 0
+    }
+}
+
+/// Creates a one-shot slot: the sender fills it once, and the receiver
+/// takes the value, waiting for it if need be. A sender dropped unfilled
+/// fills it with `closed()`, so no wait outlasts its sender.
+pub fn oneshot<T>(closed: fn() -> T) -> (OneshotSender<T>, OneshotReceiver<T>) {
+    let slot = Arc::new(Slot {
+        value: Mutex::new(None),
+        filled: Condvar::new(),
+        park: AtomicUsize::new(0),
+    });
+    (
+        OneshotSender {
+            slot: Arc::clone(&slot),
+            closed,
+        },
+        OneshotReceiver { slot },
     )
 }
 
@@ -631,31 +773,62 @@ mod tests {
         assert_eq!(next_window(zero, us(201)), zero);
     }
 
-    /// Runs `receive` with `rx`'s poll window set to `window`; returns what
-    /// it returned and whether it parked, told by the calling thread's
-    /// voluntary context switches (`None` where they cannot be read).
-    fn parks<T, R>(
-        rx: &DelayReceiver<T>,
-        window: Duration,
-        receive: impl FnOnce(&DelayReceiver<T>) -> R,
-    ) -> Option<(R, bool)> {
-        let w_ns = window.as_nanos() as u64;
-        rx.shared.window_ns.store(w_ns, Ordering::Relaxed);
+    /// Runs `receive` with the calling thread's poll window set to
+    /// `window`; returns what it returned and whether it parked, told by
+    /// the thread's voluntary context switches (`None` where they cannot be
+    /// read).
+    fn parks<R>(window: Duration, receive: impl FnOnce() -> R) -> Option<(R, bool)> {
+        WINDOW.with(|w| w.set(window));
         let (before, _) = switches()?;
-        let got = receive(rx);
+        let got = receive();
         let (after, _) = switches()?;
         Some((got, after != before))
     }
 
+    /// Whether a second CPU can run a sender while a wait polls.
+    fn two_cpus() -> bool {
+        std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
+    }
+
+    /// Runs `wait` on a thread of its own with its poll window set to
+    /// `window`, and `act` on this thread `after` the wait began; returns
+    /// what [`parks`] returned.
+    fn act_during<R: Send + 'static>(
+        window: Duration,
+        wait: impl FnOnce() -> R + Send + 'static,
+        after: Duration,
+        act: impl FnOnce(),
+    ) -> Option<(R, bool)> {
+        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let waiter = std::thread::spawn({
+            let started = Arc::clone(&started);
+            move || {
+                parks(window, || {
+                    started.store(true, Ordering::SeqCst);
+                    wait()
+                })
+            }
+        });
+        while !started.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        let act_at = Instant::now() + after;
+        while Instant::now() < act_at {
+            std::hint::spin_loop();
+        }
+        act();
+        watchdog(move || waiter.join().unwrap())
+    }
+
     // A poll that another thread preempts parks, as it should, and spoils
-    // one try of the two tests below; each passes on one try of five.
+    // one try of the three tests below; each passes on one try of five.
 
     #[test]
     fn a_message_due_inside_the_window_is_polled_for_not_parked_for() {
         let clean = (0..5).any(|_| {
             let (tx, rx) = delay_channel();
             tx.send_after(7, Duration::from_micros(100));
-            let got = parks(&rx, POLL_CAP, |rx| rx.recv_until(None));
+            let got = parks(POLL_CAP, || rx.recv_until(None));
             got.is_none_or(|(got, parked)| {
                 assert_eq!(got, Some(7));
                 !parked
@@ -670,32 +843,19 @@ mod tests {
     #[test]
     fn a_wake_inside_the_window_is_polled_for_not_parked_for() {
         // The wake needs a second CPU to land while the receive polls.
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        if !two_cpus() {
             return;
         }
         let clean = (0..5).any(|_| {
             let (tx, rx) = delay_channel::<u8>();
             let waker = rx.waker();
-            let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let receiver = std::thread::spawn({
-                let started = Arc::clone(&started);
-                move || {
-                    parks(&rx, POLL_CAP, |rx| {
-                        started.store(true, Ordering::SeqCst);
-                        rx.recv_until(None)
-                    })
-                }
-            });
-            while !started.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
             // 20 µs after the receive began, well inside its window.
-            let wake_at = Instant::now() + Duration::from_micros(20);
-            while Instant::now() < wake_at {
-                std::hint::spin_loop();
-            }
-            waker.wake();
-            let got = watchdog(move || receiver.join().unwrap());
+            let got = act_during(
+                POLL_CAP,
+                move || rx.recv_until(None),
+                Duration::from_micros(20),
+                || waker.wake(),
+            );
             drop(tx);
             got.is_none_or(|(got, parked)| {
                 assert_eq!(got, None, "a wake ends the receive with None");
@@ -709,30 +869,117 @@ mod tests {
     }
 
     #[test]
-    fn a_fresh_queue_never_polls() {
-        // A client's `ResponseWaiter` is a fresh queue per request: its
-        // receive parks at once, even for a message due well inside what
-        // would be a window.
-        let (tx, rx) = delay_channel();
-        assert_eq!(rx.window(), Duration::ZERO);
-        tx.send_after(3, Duration::from_micros(100));
-        let Some((got, parked)) = parks(&rx, Duration::ZERO, |rx| rx.recv_until(None)) else {
+    fn an_answer_inside_the_window_is_polled_for_not_parked_for() {
+        // The answer needs a second CPU to land while the wait polls.
+        if !two_cpus() {
             return;
-        };
-        assert_eq!(got, Some(3));
-        assert!(parked, "a fresh queue's receive did not park");
+        }
+        let clean = (0..5).any(|_| {
+            let (tx, rx) = oneshot(|| 0);
+            let got = act_during(
+                POLL_CAP,
+                move || rx.wait_until(None),
+                Duration::from_micros(20),
+                || tx.send(5),
+            );
+            got.is_none_or(|(got, parked)| {
+                assert_eq!(got, Some(5));
+                !parked
+            })
+        });
+        assert!(clean, "every wait parked for an answer inside its window");
+    }
+
+    #[test]
+    fn a_fresh_thread_never_polls() {
+        // A client's first blocking call, or an engine thread's first
+        // receive, parks at once, even for a message or an answer due well
+        // inside what would be a window.
+        let fresh = std::thread::spawn(|| {
+            assert_eq!(window(), Duration::ZERO);
+            let (tx, rx) = delay_channel();
+            tx.send_after(3, Duration::from_micros(100));
+            let got = parks(window(), || rx.recv_until(None));
+            got.is_none_or(|(got, parked)| {
+                assert_eq!(got, Some(3));
+                parked
+            })
+        });
+        assert!(fresh.join().unwrap(), "a fresh thread's receive polled");
+        // A wait that starts late may find its answer already there, and
+        // rightly not park; one of five tries parks.
+        let parked = (0..5).any(|_| {
+            let (tx, rx) = oneshot(|| 0);
+            let got = act_during(
+                Duration::ZERO,
+                move || rx.wait_until(None),
+                Duration::from_micros(100),
+                || tx.send(3),
+            );
+            got.is_none_or(|(got, parked)| {
+                assert_eq!(got, Some(3));
+                parked
+            })
+        });
+        assert!(parked, "a fresh thread's slot wait polled");
     }
 
     #[test]
     fn a_park_longer_than_the_cap_resets_the_window() {
         let (tx, rx) = delay_channel::<u8>();
-        rx.shared
-            .window_ns
-            .store(POLL_CAP.as_nanos() as u64, Ordering::Relaxed);
+        WINDOW.with(|w| w.set(POLL_CAP));
         // Polls for the cap, then parks until the deadline: idle 5 ms.
         assert_eq!(rx.recv_timeout(Duration::from_millis(5)), None);
-        assert_eq!(rx.window(), Duration::ZERO);
+        assert_eq!(window(), Duration::ZERO);
         drop(tx);
+        // The same for a slot wait: the window is the thread's.
+        let (tx, rx) = oneshot(|| 0);
+        WINDOW.with(|w| w.set(POLL_CAP));
+        let deadline = Instant::now() + Duration::from_millis(5);
+        assert_eq!(rx.wait_until(Some(deadline)), None);
+        assert_eq!(window(), Duration::ZERO);
+        drop(tx);
+    }
+
+    #[test]
+    fn the_first_fill_of_a_slot_wins() {
+        let (tx, rx) = oneshot(|| 0);
+        assert_eq!(rx.try_recv(), None, "empty");
+        tx.send(1);
+        tx.send(2);
+        drop(tx); // filled: the drop adds nothing
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(rx.try_recv(), None, "taken");
+        assert_eq!(rx.wait_until(None), None, "taken, and does not block");
+    }
+
+    #[test]
+    fn a_dropped_sender_fills_a_parked_wait_with_its_closing_value() {
+        let (tx, rx) = oneshot(|| -1);
+        let parked = rx.park_probe();
+        watchdog(move || {
+            let waiter = std::thread::spawn(move || rx.wait_until(None));
+            while !parked() {
+                std::thread::yield_now();
+            }
+            drop(tx);
+            assert_eq!(waiter.join().unwrap(), Some(-1));
+        });
+    }
+
+    #[test]
+    fn a_slot_wait_returns_none_at_its_deadline() {
+        let (tx, rx) = oneshot(|| 0);
+        let start = Instant::now();
+        let deadline = start + Duration::from_millis(30);
+        assert_eq!(rx.wait_until(Some(deadline)), None);
+        assert!(Instant::now() >= deadline, "returned before its deadline");
+        // A deadline already past returns at once, without parking.
+        let got = parks(POLL_CAP, || rx.wait_until(Some(start)));
+        assert!(got.is_none_or(|(got, parked)| got.is_none() && !parked));
+        // The answer is still taken after a timeout.
+        tx.send(4);
+        assert_eq!(rx.wait_until(Some(start)), Some(4));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   engine core, each driving the I/O-free roles it hosts;
 //! * [`net`] — the simulated cluster network (per-hop latency, time scale);
 //! * [`delay`] — delay queues imposing hop latency without blocking senders,
-//!   and the one place an engine thread parks;
+//!   and the one place an engine thread parks; the one-shot slot a client's
+//!   answer waits in;
 //! * [`state`] — per-partition entity state stores;
 //! * [`snapshot`] — consistent-snapshot (epoch) storage for exactly-once;
 //! * [`source`] — the replayable, offset-addressed log (request sources and

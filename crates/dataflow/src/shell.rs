@@ -114,7 +114,7 @@ pub trait Roles {
 /// delay and chaos quarantine is a due time in the inbox's heap), a **wake**
 /// (whoever changes what a role watches — a source, a broker partition, the
 /// shutdown flag — fires this inbox's waker), or [`Roles::deadline`]. Before
-/// it parks, the receive polls for as long as its adaptive window
+/// it parks, the receive polls for as long as the thread's adaptive window
 /// ([`crate::delay`], "Polling"): a thread whose work came moments ago stays
 /// on its core and takes the next message or wake without being woken, and
 /// one idle for longer than the window's cap parks at once. A busy thread

@@ -24,10 +24,13 @@ mod one_cpu;
 
 /// StateFun's allocations per call: 30.5 while every broker record copied
 /// its routing key in at produce and out at fetch; 27.5 since a key only
-/// picks the partition.
-const STATEFUN_ALLOCS_PER_CALL: f64 = 27.5;
-/// StateFlow's allocations per call, the companion row.
-const STATEFLOW_ALLOCS_PER_CALL: f64 = 27.0;
+/// picks the partition; 26.5 since a client's answer waits in a one-shot
+/// slot, not in a delay queue's heap.
+const STATEFUN_ALLOCS_PER_CALL: f64 = 26.5;
+/// StateFlow's allocations per call, the companion row: 27.0 while a
+/// client's answer waited in a delay queue's heap; 26.0 since it waits in a
+/// one-shot slot.
+const STATEFLOW_ALLOCS_PER_CALL: f64 = 26.0;
 /// How far a count may read over its budget. The smallest per-call cost,
 /// one allocation in every `update` or every `read`, adds 0.5; a map that
 /// grows once in the measured window adds under 0.01.

@@ -8,13 +8,15 @@
 //!
 //! An engine thread polls for a moment before it parks (the adaptive window
 //! of `se_dataflow::delay`), so back-to-back requests find it on its core,
-//! while an idle one stops polling and spends no CPU.
+//! while an idle one stops polling and spends no CPU. A client blocked on
+//! an answer polls the same way, for its own thread's window.
 //!
 //! The Linux tests read the kernel's own count of how often a thread was
 //! put on a CPU, and of its time on a CPU
-//! (`/proc/self/task/<tid>/schedstat`, third and first field). Engine
-//! threads are told apart by name, and the tests take turns, so the count
-//! is of one deployment.
+//! (`/proc/self/task/<tid>/schedstat`, third and first field; a client
+//! reads its own in `/proc/thread-self/schedstat`). Engine threads are told
+//! apart by name, and the tests take turns, so the count is of one
+//! deployment.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -236,14 +238,20 @@ fn a_one_core_stateflow_runs_one_timeslice_per_call() {
 /// which resets the window and costs a few timeslices while it regrows, so
 /// the bound holds for three rounds of up to ten, not for every one.
 /// Skipped when this thread may run only on the engine's CPU (e.g. under
-/// `taskset -c 0`), where the one-core tests above hold instead.
+/// `taskset -c 0`), where the one-core tests above hold instead. `who`
+/// names what `slices` counts the timeslices of: the engine, or the client.
 #[cfg(target_os = "linux")]
-fn back_to_back_calls_keep_the_engine_on_its_core(choice: RuntimeChoice, threads: &str) {
+fn back_to_back_calls_keep_on_core(
+    choice: RuntimeChoice,
+    threads: &str,
+    who: &str,
+    slices: impl Fn() -> u64,
+) {
     let _turn = one_engine();
     let program = se_workloads::ycsb_program();
     // The engine thread keeps the pin; this thread gets its mask back.
     let rt = one_cpu::on_one_cpu(|| deploy(&program, choice)).unwrap();
-    let ran = one_cpu::off_that_cpu(|| back_to_back_calls(&*rt, threads));
+    let ran = one_cpu::off_that_cpu(|| back_to_back_calls(&*rt, threads, slices));
     rt.shutdown();
     let Some(rounds) = ran else {
         eprintln!("skipped: the client may run only on the engine's CPU");
@@ -252,26 +260,34 @@ fn back_to_back_calls_keep_the_engine_on_its_core(choice: RuntimeChoice, threads
     let kept = rounds.iter().filter(|&&ran| kept_its_core(ran)).count();
     assert!(
         kept >= 3,
-        "the engine ran {rounds:?} timeslices in rounds of {ROUND_CALLS} back-to-back calls"
+        "{who} ({threads}*) ran {rounds:?} timeslices in rounds of {ROUND_CALLS} back-to-back calls"
     );
+}
+
+/// Timeslices run so far by the calling thread.
+#[cfg(target_os = "linux")]
+fn own_timeslices() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("procfs");
+    let field = stat.split_whitespace().nth(2).expect("three fields");
+    field.parse().expect("a count")
 }
 
 /// Calls per round of [`back_to_back_calls`].
 #[cfg(target_os = "linux")]
 const ROUND_CALLS: u64 = 100;
 
-/// Whether a round of [`ROUND_CALLS`] calls ran the engine at most 0.2
-/// timeslices per call.
+/// Whether a round of [`ROUND_CALLS`] calls ran the engine, or the
+/// client, at most 0.2 timeslices per call.
 #[cfg(target_os = "linux")]
 fn kept_its_core(ran: u64) -> bool {
     ran as f64 / ROUND_CALLS as f64 <= 0.2
 }
 
-/// Makes rounds of back-to-back calls on `rt`, until three of them keep
-/// the engine on its core or ten ran; returns the timeslices that its
-/// threads named `threads*` ran in each round.
+/// Makes rounds of back-to-back calls on `rt`, whose threads are named
+/// `threads*`, until three of them kept their core by `slices` or ten
+/// ran; returns what `slices` grew by in each round.
 #[cfg(target_os = "linux")]
-fn back_to_back_calls(rt: &dyn EntityRuntime, threads: &str) -> Vec<u64> {
+fn back_to_back_calls(rt: &dyn EntityRuntime, threads: &str, slices: impl Fn() -> u64) -> Vec<u64> {
     let accounts = [
         rt.create("Account", "left", vec![]).unwrap(),
         rt.create("Account", "right", vec![]).unwrap(),
@@ -283,7 +299,8 @@ fn back_to_back_calls(rt: &dyn EntityRuntime, threads: &str) -> Vec<u64> {
             _ => rt.call(account, "deposit", vec![Value::Int(1)]).unwrap(),
         };
     };
-    // Warm-up: the engine's window grows while the calls come.
+    // Warm-up: the engine's and the client's windows grow while the calls
+    // come.
     (0..50).for_each(call);
     let threads_now = threads_timeslices(threads).len();
     assert_eq!(
@@ -293,9 +310,9 @@ fn back_to_back_calls(rt: &dyn EntityRuntime, threads: &str) -> Vec<u64> {
 
     let mut rounds = Vec::new();
     while rounds.len() < 10 && rounds.iter().filter(|&&ran| kept_its_core(ran)).count() < 3 {
-        let before = timeslices(threads);
+        let before = slices();
         (0..ROUND_CALLS).for_each(call);
-        rounds.push(timeslices(threads) - before);
+        rounds.push(slices() - before);
     }
     rounds
 }
@@ -307,7 +324,12 @@ fn back_to_back_stateflow_calls_keep_the_engine_on_its_core() {
     // No simulated hop, no snapshot round (as above).
     cfg.net.time_scale = 0.0;
     cfg.snapshot_every_batches = 0;
-    back_to_back_calls_keep_the_engine_on_its_core(RuntimeChoice::Stateflow(cfg), "stateflow-");
+    back_to_back_calls_keep_on_core(
+        RuntimeChoice::Stateflow(cfg),
+        "stateflow-",
+        "the engine",
+        || timeslices("stateflow-"),
+    );
 }
 
 #[cfg(target_os = "linux")]
@@ -316,7 +338,38 @@ fn back_to_back_statefun_calls_keep_the_engine_on_its_core() {
     let mut cfg = StatefunConfig::fast_test(2);
     // No broker hop, no remote hop, no service time (as above).
     cfg.net.time_scale = 0.0;
-    back_to_back_calls_keep_the_engine_on_its_core(RuntimeChoice::Statefun(cfg), "statefun-");
+    back_to_back_calls_keep_on_core(
+        RuntimeChoice::Statefun(cfg),
+        "statefun-",
+        "the engine",
+        || timeslices("statefun-"),
+    );
+}
+
+/// The client's twin of the two tests above. A client that calls back to
+/// back waits for each answer polling for its own thread's window, as the
+/// engine thread polls for its next request, so once the window has grown
+/// over the warm-up the calling thread takes each answer on its core, and
+/// is switched in far less than once per call. A client that parks for
+/// every answer is switched in about once per call, when the engine wakes
+/// it. Counted from the calling thread's own schedstat, with the bound,
+/// the rounds and the skip of the engine's tests, on both engines.
+#[cfg(target_os = "linux")]
+#[test]
+fn back_to_back_blocking_calls_keep_the_client_on_its_core() {
+    let mut stateflow = StateflowConfig::fast_test(2);
+    // No simulated hop, no snapshot round, no service time (as above).
+    stateflow.net.time_scale = 0.0;
+    stateflow.snapshot_every_batches = 0;
+    let mut statefun = StatefunConfig::fast_test(2);
+    statefun.net.time_scale = 0.0;
+    let engines = [
+        (RuntimeChoice::Stateflow(stateflow), "stateflow-"),
+        (RuntimeChoice::Statefun(statefun), "statefun-"),
+    ];
+    for (choice, threads) in engines {
+        back_to_back_calls_keep_on_core(choice, threads, "the client", own_timeslices);
+    }
 }
 
 /// With checkpoints on, an idle StateFun deployment keeps exactly one timer:
