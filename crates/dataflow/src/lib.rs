@@ -7,7 +7,8 @@
 //!   and live-upgrade compilation, the client waiter map, the thread set,
 //!   observability and shutdown;
 //! * [`shell`] — the engine-thread loop both engines run: one thread per
-//!   engine core, each driving the I/O-free roles it hosts;
+//!   engine core, each driving the I/O-free roles it hosts, and the post
+//!   that carries their messages through the chaos seams;
 //! * [`net`] — the simulated cluster network (per-hop latency, time scale);
 //! * [`delay`] — delay queues imposing hop latency without blocking senders,
 //!   and the one place an engine thread parks; the one-shot slot a client's
@@ -16,8 +17,7 @@
 //! * [`snapshot`] — consistent-snapshot (epoch) storage for exactly-once;
 //! * [`source`] — the replayable, offset-addressed log (request sources and
 //!   broker partitions alike);
-//! * [`failure`] — scripted fault injection (re-exported from `se-chaos`)
-//!   plus the seam-injection send helper;
+//! * [`failure`] — scripted fault injection (re-exported from `se-chaos`);
 //! * [`wal`] — the per-partition append-only write-ahead log (CRC-framed
 //!   records, group-commit fsync policies, torn-tail-safe reader);
 //! * [`durable`] — the durable layer over [`wal`]: incremental epoch
@@ -45,10 +45,10 @@ pub use api::{EntityRuntime, ResponseCompleter, ResponseWaiter};
 pub use delay::{delay_channel, DelayReceiver, DelaySender, Waker};
 pub use durable::{DurableOptions, DurableStore};
 pub use engine::{EngineCore, WaiterMap};
-pub use failure::{send_with_chaos, ChaosPlan, CrashPoint, MsgFaultAction, Seam};
+pub use failure::{ChaosPlan, CrashPoint, MsgFaultAction, Seam};
 pub use metrics::{timer, ComponentTimers, LatencySummary};
 pub use net::{burn, NetConfig};
-pub use shell::{Layout, Roles};
+pub use shell::{Address, Layout, Post, Roles};
 pub use snapshot::{Epoch, SnapshotStore, DEFAULT_SNAPSHOT_RETENTION};
 pub use source::{ReplayableSource, SourceReader};
 pub use state::StateStore;

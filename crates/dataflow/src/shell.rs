@@ -1,5 +1,5 @@
 //! The engine threads both engines run: one per engine core, each a thin
-//! loop over the roles it hosts.
+//! loop over the roles it hosts, and the one post between them.
 //!
 //! Partitions are the unit of state and threads the unit of CPU. A
 //! deployment with `roles` roles runs them on M = min(cores, `roles`)
@@ -19,16 +19,19 @@
 //! The roles do no I/O. A handler decides *what* to send and pushes it onto
 //! its role's outbox, and time enters a role only as the `now` of
 //! [`Roles::turn`]: the wall clock, which the loop ([`run`]) alone reads,
-//! and only when a hosted role asks for it. The loop has the engine route
+//! and only when a hosted role asks for it. The loop has the engine empty
 //! the outboxes ([`Roles::flush`]) after every turn and handler, so one
 //! handler's sends are on their way while the next runs.
-//! The engine's route alone decides *how* a message travels: to the inbox of
-//! the thread hosting its addressee, through the chaos seam it crosses, and
-//! after its simulated hop.
+//! The engine decides only *where* a message goes: its [`Address`], the
+//! thread hosting its addressee, the seam it crosses and whether that seam
+//! may fault it. The [`Post`] alone carries it there: through the chaos
+//! plan, after its simulated hop, into that thread's inbox.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crate::delay::DelayReceiver;
+use crate::delay::{delay_channel, DelayReceiver, DelaySender};
+use crate::failure::{ChaosPlan, MsgFaultAction, Seam};
+use crate::net::NetConfig;
 
 /// The number of engine threads for `roles` roles: one per core the calling
 /// thread may run on, and never more than one per role. A sleeping service
@@ -81,6 +84,90 @@ impl Layout {
     }
 }
 
+/// Where a message goes and how it travels: all an engine decides of an
+/// envelope it hands the [`Post`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Address {
+    /// The thread hosting the addressee.
+    pub thread: usize,
+    /// The seam crossed, whose hop delays the message; none arrives at once.
+    pub seam: Option<Seam>,
+    /// Whether the chaos plan may fault it at its seam: the data plane.
+    pub faultable: bool,
+    /// The bytes it carries, which lengthen its hop.
+    pub bytes: usize,
+}
+
+/// The one place a protocol message is sent: an inbox per engine thread,
+/// the chaos plan and the hop model. Each engine thread holds a copy, so an
+/// inbox stays open while any thread lives.
+#[derive(Clone)]
+pub struct Post<E> {
+    inboxes: Vec<DelaySender<E>>,
+    chaos: ChaosPlan,
+    net: NetConfig,
+}
+
+impl<E: Clone> Post<E> {
+    /// A post to `threads` new inboxes, faulting by `chaos` and delaying by
+    /// `net`, and the inboxes' receiving ends, one per thread.
+    pub fn new(threads: usize, chaos: ChaosPlan, net: NetConfig) -> (Self, Vec<DelayReceiver<E>>) {
+        let (inboxes, receivers) = (0..threads).map(|_| delay_channel()).unzip();
+        let post = Post {
+            inboxes,
+            chaos,
+            net,
+        };
+        (post, receivers)
+    }
+
+    /// Sends `envelope` into the inbox of `to.thread`. A message that
+    /// crosses a seam takes that seam's hop for its bytes (StateFlow's
+    /// function-to-function channel, StateFun's remote-function call) and,
+    /// if faultable, whatever the chaos plan scripts for the seam's next
+    /// faultable message; a fault's delay is scaled by the time scale, so a
+    /// script means the same at every `SE_TIME_SCALE`. Only faultable
+    /// messages count towards a seam's n-th.
+    pub fn send(&self, to: Address, envelope: E) {
+        let inbox = &self.inboxes[to.thread];
+        let Some(seam) = to.seam else {
+            inbox.send(envelope);
+            return;
+        };
+        let hop = match seam {
+            Seam::CoordToWorker | Seam::WorkerToCoord | Seam::WorkerToWorker => {
+                self.net.f2f_latency(to.bytes)
+            }
+            Seam::RemoteRequest | Seam::RemoteResponse => self.net.remote_fn_latency(to.bytes),
+        };
+        let action = match to.faultable {
+            true => self.chaos.on_message(seam),
+            false => MsgFaultAction::Deliver,
+        };
+        let after = |us| hop + self.net.scaled(Duration::from_micros(us));
+        match action {
+            MsgFaultAction::Deliver => inbox.send_after(envelope, hop),
+            // A quarantine is a drop that preserves liveness: with a
+            // recovery in between the late copy is generation-fenced (a
+            // true loss); without one the run merely stalls.
+            MsgFaultAction::Quarantine { extra_us } | MsgFaultAction::Delay { extra_us } => {
+                inbox.send_after(envelope, after(extra_us));
+            }
+            MsgFaultAction::Duplicate { gap_us } => {
+                inbox.send_after(envelope.clone(), hop);
+                inbox.send_after(envelope, after(gap_us));
+            }
+        }
+    }
+
+    /// Sends `envelope` to every thread, at once and never faulted.
+    pub fn broadcast(&self, envelope: E) {
+        for inbox in &self.inboxes {
+            inbox.send(envelope.clone());
+        }
+    }
+}
+
 /// The roles one engine thread hosts, as the loop drives them.
 pub trait Roles {
     /// What the roles send each other: one thread's inbox holds them.
@@ -96,7 +183,7 @@ pub trait Roles {
     /// turn should follow at once, before the next queued message.
     fn deliver(&mut self, envelope: Self::Envelope) -> bool;
 
-    /// Routes everything the hosted roles pushed onto their outboxes.
+    /// Posts everything the hosted roles pushed onto their outboxes.
     fn flush(&mut self);
 
     /// The earliest instant a hosted role wants a turn without a message:
@@ -140,14 +227,14 @@ pub fn run<R: Roles>(inbox: DelayReceiver<R::Envelope>, mut roles: R) {
     }
 }
 
-/// The roles' turn, with the wall clock to read if they need it, routed.
+/// The roles' turn, with the wall clock to read if they need it, posted.
 fn turn<R: Roles>(roles: &mut R) -> bool {
     let live = roles.turn(Instant::now);
     roles.flush();
     live
 }
 
-/// Hands `envelope` to its role, routed.
+/// Hands `envelope` to its role, posted.
 fn deliver<R: Roles>(roles: &mut R, envelope: R::Envelope) -> bool {
     let again = roles.deliver(envelope);
     roles.flush();
@@ -156,6 +243,10 @@ fn deliver<R: Roles>(roles: &mut R, envelope: R::Envelope) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use se_chaos::{FaultScript, MessageFault, MsgFaultKind};
+
     use super::*;
 
     #[test]
@@ -175,5 +266,124 @@ mod tests {
             (0..3).map(|i| halves.back(i)).collect::<Vec<_>>(),
             [2, 3, 2]
         );
+    }
+
+    /// A post to one thread under a plan that faults message `nth` on
+    /// `seam` by `kind`.
+    fn post(
+        seam: Seam,
+        nth: u64,
+        kind: MsgFaultKind,
+        net: NetConfig,
+    ) -> (Post<u8>, DelayReceiver<u8>) {
+        let chaos = ChaosPlan::from_script(FaultScript {
+            messages: vec![MessageFault { seam, nth, kind }],
+            ..FaultScript::default()
+        });
+        let (post, mut inboxes) = Post::new(1, chaos, net);
+        (post, inboxes.remove(0))
+    }
+
+    /// A data-plane message to thread 0 across `seam`.
+    fn data(seam: Seam) -> Address {
+        Address {
+            thread: 0,
+            seam: Some(seam),
+            faultable: true,
+            bytes: 0,
+        }
+    }
+
+    #[test]
+    fn deliver_passes_through() {
+        let (post, mut inboxes) = Post::new(1, ChaosPlan::none(), NetConfig::fast_test());
+        post.send(data(Seam::WorkerToWorker), 7u8);
+        assert_eq!(
+            inboxes.remove(0).recv_timeout(Duration::from_millis(100)),
+            Some(7)
+        );
+    }
+
+    #[test]
+    fn duplicate_sends_two_copies() {
+        let duplicate = MsgFaultKind::Duplicate { gap_us: 0 };
+        let (post, rx) = post(Seam::WorkerToWorker, 0, duplicate, NetConfig::fast_test());
+        post.send(data(Seam::WorkerToWorker), 7);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Some(7));
+        assert_eq!(rx.recv_timeout(Duration::from_millis(100)), Some(7));
+        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), None);
+    }
+
+    #[test]
+    fn quarantine_holds_the_message_back() {
+        let drop = MsgFaultKind::Drop {
+            quarantine_us: 60_000,
+        };
+        let (post, rx) = post(Seam::WorkerToWorker, 0, drop, NetConfig::fast_test());
+        post.send(data(Seam::WorkerToWorker), 7);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(5)),
+            None,
+            "still quarantined"
+        );
+        assert_eq!(rx.recv_timeout(Duration::from_millis(200)), Some(7));
+    }
+
+    #[test]
+    fn quarantine_scales_with_time_scale() {
+        let drop = MsgFaultKind::Drop {
+            quarantine_us: 10_000_000,
+        };
+        let net = NetConfig {
+            time_scale: 0.0,
+            ..NetConfig::fast_test()
+        };
+        let (post, rx) = post(Seam::WorkerToWorker, 0, drop, net);
+        post.send(data(Seam::WorkerToWorker), 7);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(100)),
+            Some(7),
+            "a 10s quarantine at scale 0 is immediate"
+        );
+    }
+
+    #[test]
+    fn broadcast_reaches_every_thread_at_once() {
+        let (post, inboxes) = Post::new(3, ChaosPlan::none(), NetConfig::fast_test());
+        post.broadcast(7u8);
+        for inbox in &inboxes {
+            assert_eq!(inbox.try_recv(), Some(7));
+        }
+    }
+
+    /// A control-plane send, with no seam or unfaultable on one, leaves
+    /// the seam's count alone: the first data-plane message after them is
+    /// still its n-th 0, and is the one the plan drops.
+    #[test]
+    fn control_plane_sends_do_not_advance_the_seam_count() {
+        // Hops cost nothing, so whatever is not held back is due at once.
+        let net = NetConfig {
+            f2f_hop: Duration::ZERO,
+            ..NetConfig::fast_test()
+        };
+        let drop = MsgFaultKind::Drop {
+            quarantine_us: 60_000_000,
+        };
+        let (post, rx) = post(Seam::WorkerToCoord, 0, drop, net);
+        let unfaultable = Address {
+            faultable: false,
+            ..data(Seam::WorkerToCoord)
+        };
+        let no_seam = Address {
+            seam: None,
+            ..unfaultable
+        };
+        post.send(no_seam, 1);
+        post.send(unfaultable, 2);
+        post.send(data(Seam::WorkerToCoord), 3);
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(rx.try_recv(), None, "the data-plane message is held back");
+        assert_eq!(rx.len(), 1, "and sent once");
     }
 }

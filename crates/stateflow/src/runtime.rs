@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use se_dataflow::{
-    delay_channel, ComponentTimers, EngineCore, EntityRuntime, ReplayableSource, ResponseWaiter,
+    ComponentTimers, EngineCore, EntityRuntime, Post, ReplayableSource, ResponseWaiter,
     SnapshotStore, SourceReader, StateStore, Waker,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId};
@@ -19,8 +19,8 @@ use se_lang::{EntityRef, LangError, Value};
 
 use crate::config::{DurabilityMode, StateflowConfig};
 use crate::coordinator::{CoordStats, Coordinator};
-use crate::msg::{ClientOp, ClientRequest, Envelope};
-use crate::shell::{layout, Routes, Shell};
+use crate::msg::{ClientOp, ClientRequest};
+use crate::shell::{layout, Shell};
 use crate::worker::Worker;
 
 /// A deployed StateFlow application: coordinator + workers over the compiled
@@ -74,18 +74,7 @@ impl StateflowRuntime {
 
         // One engine thread per core, the coordinator on thread 0.
         let layout = layout(cfg.workers);
-        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..layout.threads())
-            .map(|_| delay_channel::<Envelope>())
-            .unzip();
-        let routes = Routes::new(
-            txs[layout.front(0)].clone(),
-            (0..cfg.workers)
-                .map(|id| txs[layout.back(id)].clone())
-                .collect(),
-            cfg.chaos.clone(),
-            cfg.net.clone(),
-            Arc::clone(&core.waiters),
-        );
+        let (post, inboxes) = Post::new(layout.threads(), cfg.chaos.clone(), cfg.net.clone());
         // The source is the one thing the coordinator watches that is not a
         // message: its appends end its thread's wait.
         let coord_waker = inboxes[layout.front(0)].waker();
@@ -110,7 +99,8 @@ impl StateflowRuntime {
             Arc::clone(&core.shutdown),
         ));
         for (inbox, workers) in inboxes.into_iter().zip(hosted) {
-            let shell = Shell::new(routes.clone(), coordinator.take(), workers);
+            let waiters = Arc::clone(&core.waiters);
+            let shell = Shell::new(post.clone(), layout, waiters, coordinator.take(), workers);
             core.spawn(shell.name(), move || se_dataflow::shell::run(inbox, shell));
         }
 

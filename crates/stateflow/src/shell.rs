@@ -1,5 +1,5 @@
 //! StateFlow's half of the engine threads ([`se_dataflow::shell`]): where
-//! its roles run, and how its protocol messages travel.
+//! its roles run, and where its protocol messages go.
 //!
 //! "StateFlow requires a single core coordinator, and the rest are used for
 //! its workers" (§4). A deployment runs its coordinator and its `workers`
@@ -12,25 +12,25 @@
 //! pipeline window opens, and its turn (`Coordinator::turn`), which also
 //! follows every message it handles, takes no `now`. Its client answers
 //! (`Coordinator::answers`) follow its sends, so commit records leave
-//! before the client wake-ups. A worker's deferred execs run one routed
-//! step at a time (`Worker::resume`). The outboxes
-//! drain into `Routes::route`, the one place that decides *how* a protocol
-//! message travels: to the inbox of the thread hosting its addressee,
-//! through the seam its sender and receiver name, faultable or not by its
-//! kind — the data plane (`Exec`, `Reserve`, `Commit`, `ExecDone`,
-//! `SoloDone`, `Flags`) may be duplicated, delayed or quarantined, while
-//! the control plane (creates, the quiesce round, failure notices,
-//! shutdown) models the reliable failure detector and alignment channel the
-//! engine assumes — and after `f2f_latency` of an `Exec`'s invocation, else
-//! of 64 bytes. That flat delay keeps the control plane FIFO per worker: a
-//! create is never overtaken by a snapshot marker.
+//! before the client wake-ups. A worker's deferred execs run one posted
+//! step at a time (`Worker::resume`). The outboxes drain into the shared
+//! [`Post`], and `address` alone decides *where* a protocol message goes:
+//! to the thread hosting its addressee, across the seam its sender and
+//! receiver name, faultable or not by its kind — the data plane (`Exec`,
+//! `Reserve`, `Commit`, `ExecDone`, `SoloDone`, `Flags`) may be duplicated,
+//! delayed or quarantined, while the control plane (creates, the quiesce
+//! round, failure notices, shutdown) models the reliable failure detector
+//! and alignment channel the engine assumes — carrying an `Exec`'s
+//! invocation, else 64 bytes, over the function-to-function hop. That flat
+//! size keeps the control plane FIFO per worker: a create is never
+//! overtaken by a snapshot marker.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use se_chaos::{ChaosPlan, Seam};
+use se_chaos::Seam;
 use se_dataflow::shell::threads_for;
-use se_dataflow::{send_with_chaos, DelaySender, Layout, NetConfig, Roles, WaiterMap};
+use se_dataflow::{Address, Layout, Post, Roles, WaiterMap};
 
 use crate::coordinator::Coordinator;
 use crate::msg::{CoordMsg, Envelope, WorkerMsg};
@@ -41,75 +41,31 @@ pub(crate) fn layout(workers: usize) -> Layout {
     Layout::new(threads_for(workers + 1), 1)
 }
 
-/// How every StateFlow protocol message travels (see the module doc): the
-/// thread inboxes, the chaos plan and the hop-cost model, and the waiters
-/// the coordinator's answers go to. Only the shells hold it, each a copy,
-/// so a thread's inbox stays open while any shell lives.
-#[derive(Clone)]
-pub struct Routes {
-    coord: DelaySender<Envelope>,
-    workers: Vec<DelaySender<Envelope>>,
-    chaos: ChaosPlan,
-    net: NetConfig,
-    waiters: Arc<WaiterMap>,
+/// Where `envelope` goes under `layout`, pushed by the coordinator if
+/// `from_coord`, else by a worker (see the module doc).
+fn address(layout: &Layout, from_coord: bool, envelope: &Envelope) -> Address {
+    let (thread, seam) = match (envelope, from_coord) {
+        (Envelope::Coord(_), _) => (layout.front(0), Seam::WorkerToCoord),
+        (Envelope::Worker(id, _), true) => (layout.back(*id), Seam::CoordToWorker),
+        (Envelope::Worker(id, _), false) => (layout.back(*id), Seam::WorkerToWorker),
+    };
+    let bytes = match envelope {
+        Envelope::Worker(_, WorkerMsg::Exec { inv, .. }) => inv.approx_size(),
+        _ => 64,
+    };
+    Address {
+        thread,
+        seam: Some(seam),
+        faultable: data_plane(envelope),
+        bytes,
+    }
 }
 
-impl Routes {
-    /// Routes to the coordinator through `coord` and to worker *i* through
-    /// `workers[i]`, faulting the data plane by `chaos`, delaying every
-    /// hop by `net`, and answering the coordinator's clients in `waiters`.
-    pub fn new(
-        coord: DelaySender<Envelope>,
-        workers: Vec<DelaySender<Envelope>>,
-        chaos: ChaosPlan,
-        net: NetConfig,
-        waiters: Arc<WaiterMap>,
-    ) -> Routes {
-        Routes {
-            coord,
-            workers,
-            chaos,
-            net,
-            waiters,
-        }
-    }
-
-    /// Sends `envelope`, pushed by the coordinator if `from_coord`, else by
-    /// a worker: to its addressee's inbox, after its simulated hop, and
-    /// through the chaos seam it crosses if it is data plane.
-    pub(crate) fn route(&self, from_coord: bool, envelope: Envelope) {
-        let (inbox, seam) = match (&envelope, from_coord) {
-            (Envelope::Coord(_), _) => (&self.coord, Seam::WorkerToCoord),
-            (Envelope::Worker(id, _), true) => (&self.workers[*id], Seam::CoordToWorker),
-            (Envelope::Worker(id, _), false) => (&self.workers[*id], Seam::WorkerToWorker),
-        };
-        let bytes = match &envelope {
-            Envelope::Worker(_, WorkerMsg::Exec { inv, .. }) => inv.approx_size(),
-            _ => 64,
-        };
-        let delay = self.net.f2f_latency(bytes);
-        if data_plane(&envelope) {
-            send_with_chaos(&self.chaos, seam, &self.net, inbox, envelope, delay);
-        } else {
-            inbox.send_after(envelope, delay);
-        }
-    }
-
-    /// Routes everything in `out`, in order, leaving it empty.
-    fn flush(&self, from_coord: bool, out: &mut Vec<Envelope>) {
-        for envelope in out.drain(..) {
-            self.route(from_coord, envelope);
-        }
-    }
-
-    /// Routes the coordinator's outbox, then answers its clients in one
-    /// pass: a decided batch's commit records are on their way before the
-    /// client wake-ups, a syscall each, run.
-    fn flush_coordinator(&self, c: &mut Coordinator) {
-        self.flush(true, &mut c.out);
-        if !c.answers.is_empty() {
-            self.waiters.complete_all(std::mem::take(&mut c.answers));
-        }
+/// Posts everything in `out`, pushed by the coordinator if `from_coord`,
+/// in order, leaving it empty.
+fn post_all(post: &Post<Envelope>, layout: &Layout, from_coord: bool, out: &mut Vec<Envelope>) {
+    for envelope in out.drain(..) {
+        post.send(address(layout, from_coord, &envelope), envelope);
     }
 }
 
@@ -128,9 +84,12 @@ fn data_plane(envelope: &Envelope) -> bool {
 }
 
 /// The StateFlow roles one engine thread hosts ([`se_dataflow::shell::run`]
-/// drives them), and the routes their outboxes drain into.
+/// drives them), the post their outboxes drain into, and the waiters the
+/// coordinator's answers complete.
 pub struct Shell {
-    routes: Routes,
+    post: Post<Envelope>,
+    layout: Layout,
+    waiters: Arc<WaiterMap>,
     coordinator: Option<Coordinator>,
     /// The hosted workers that have not stopped, ascending by id.
     workers: Vec<Worker>,
@@ -138,10 +97,19 @@ pub struct Shell {
 
 impl Shell {
     /// A thread hosting `coordinator` (if any) and `workers` (ascending by
-    /// id), sending through `routes`.
-    pub fn new(routes: Routes, coordinator: Option<Coordinator>, workers: Vec<Worker>) -> Shell {
+    /// id), placed by `layout`, sending through `post` and answering the
+    /// coordinator's clients in `waiters`.
+    pub fn new(
+        post: Post<Envelope>,
+        layout: Layout,
+        waiters: Arc<WaiterMap>,
+        coordinator: Option<Coordinator>,
+        workers: Vec<Worker>,
+    ) -> Shell {
         Shell {
-            routes,
+            post,
+            layout,
+            waiters,
             coordinator,
             workers,
         }
@@ -171,7 +139,7 @@ impl Roles for Shell {
     fn turn(&mut self, _now: impl FnOnce() -> Instant) -> bool {
         if let Some(c) = &mut self.coordinator {
             if !c.turn() {
-                self.routes.flush_coordinator(c);
+                self.flush();
                 self.coordinator = None;
             }
         }
@@ -183,7 +151,7 @@ impl Roles for Shell {
     /// own: a decision that frees a pipeline slot seals the next batch at
     /// once, not after the hosted workers' queued traffic, which would only
     /// grow the batch. A worker then resumes what its handler left behind,
-    /// one routed step at a time.
+    /// one posted step at a time.
     fn deliver(&mut self, envelope: Envelope) -> bool {
         match envelope {
             Envelope::Coord(msg) => match &mut self.coordinator {
@@ -199,9 +167,9 @@ impl Roles for Shell {
                 };
                 let worker = &mut self.workers[at];
                 let live = worker.handle(msg);
-                self.routes.flush(false, &mut worker.out);
+                post_all(&self.post, &self.layout, false, &mut worker.out);
                 while live && worker.resume() {
-                    self.routes.flush(false, &mut worker.out);
+                    post_all(&self.post, &self.layout, false, &mut worker.out);
                 }
                 if !live {
                     self.workers.remove(at);
@@ -211,11 +179,17 @@ impl Roles for Shell {
         }
     }
 
-    /// The coordinator's outbox: `deliver` routes a worker's after each of
-    /// its steps.
+    /// The coordinator's outbox, then its client answers in one pass: a
+    /// decided batch's commit records are on their way before the client
+    /// wake-ups, a syscall each, run. `deliver` posts a worker's outbox
+    /// after each of its steps.
     fn flush(&mut self) {
-        if let Some(c) = &mut self.coordinator {
-            self.routes.flush_coordinator(c);
+        let Some(c) = &mut self.coordinator else {
+            return;
+        };
+        post_all(&self.post, &self.layout, true, &mut c.out);
+        if !c.answers.is_empty() {
+            self.waiters.complete_all(std::mem::take(&mut c.answers));
         }
     }
 
@@ -229,61 +203,18 @@ impl Roles for Shell {
 mod tests {
     use std::collections::BTreeSet;
     use std::sync::Arc;
-    use std::time::Duration;
 
-    use se_chaos::{FaultScript, MessageFault, MsgFaultKind};
-    use se_dataflow::{delay_channel, DelayReceiver};
     use se_ir::{Invocation, RequestId, Response};
     use se_lang::{EntityRef, Value};
 
     use super::*;
 
-    const SEAMS: [Seam; 3] = [
-        Seam::CoordToWorker,
-        Seam::WorkerToWorker,
-        Seam::WorkerToCoord,
-    ];
-
-    /// Routes to one coordinator inbox and two worker inboxes, quarantining
-    /// every message on `seams` for a minute; hops cost nothing, so
-    /// whatever is not held back is due at once.
-    fn routes(seams: &[Seam]) -> (Routes, [DelayReceiver<Envelope>; 3]) {
-        let messages = (seams.iter())
-            .flat_map(|&seam| {
-                (0..16).map(move |nth| MessageFault {
-                    seam,
-                    nth,
-                    kind: MsgFaultKind::Drop {
-                        quarantine_us: 60_000_000,
-                    },
-                })
-            })
-            .collect();
-        let chaos = ChaosPlan::from_script(FaultScript {
-            messages,
-            ..FaultScript::default()
-        });
-        let net = NetConfig {
-            f2f_hop: Duration::ZERO,
-            per_kib: Duration::ZERO,
-            ..NetConfig::fast_test()
-        };
-        let (coord, coord_rx) = delay_channel();
-        let (w0, w0_rx) = delay_channel();
-        let (w1, w1_rx) = delay_channel();
-        let waiters = Arc::new(WaiterMap::default());
-        let routes = Routes::new(coord, vec![w0, w1], chaos, net, waiters);
-        (routes, [coord_rx, w0_rx, w1_rx])
-    }
-
-    /// The inbox `envelope` is addressed to, of `inboxes`.
-    fn inbox_of<'a>(
-        inboxes: &'a [DelayReceiver<Envelope>; 3],
-        envelope: &Envelope,
-    ) -> &'a DelayReceiver<Envelope> {
+    /// The thread `envelope` is addressed to at M = 3: the coordinator
+    /// alone on thread 0, workers 0 and 1 on threads 1 and 2.
+    fn thread_of(envelope: &Envelope) -> usize {
         match envelope {
-            Envelope::Coord(_) => &inboxes[0],
-            Envelope::Worker(id, _) => &inboxes[1 + id],
+            Envelope::Coord(_) => 0,
+            Envelope::Worker(id, _) => 1 + id,
         }
     }
 
@@ -375,27 +306,20 @@ mod tests {
         ]
     }
 
-    /// The routing policy: every data-plane kind is faulted on its own seam
-    /// and no other, every control-plane kind is due at once under a plan
-    /// that quarantines all three StateFlow seams, and control messages to
-    /// one worker arrive in the order they were sent.
+    /// The addressing policy: every data-plane kind is faultable on its
+    /// own seam, and every control-plane kind crosses its seam unfaulted
+    /// and with the same 64 bytes, so control messages to one worker take
+    /// the same hop and arrive in the order they were sent.
     #[test]
-    fn route_faults_each_data_kind_on_its_seam_and_never_the_control_plane() {
+    fn address_faults_each_data_kind_on_its_seam_and_never_the_control_plane() {
+        let layout = Layout::new(3, 1);
         for (from_coord, envelope, seam) in data_plane() {
-            let (all, inboxes) = routes(&SEAMS);
-            all.route(from_coord, envelope.clone());
-            let held = inbox_of(&inboxes, &envelope);
-            assert!(held.try_recv().is_none(), "{envelope:?} is not faulted");
-            assert_eq!(held.len(), 1, "{envelope:?} was not sent once");
-
-            let others: Vec<Seam> = SEAMS.into_iter().filter(|&s| s != seam).collect();
-            let (elsewhere, inboxes) = routes(&others);
-            elsewhere.route(from_coord, envelope.clone());
-            let due = inbox_of(&inboxes, &envelope).try_recv();
-            assert!(due.is_some(), "{envelope:?} is faulted off {seam:?}");
+            let to = address(&layout, from_coord, &envelope);
+            assert_eq!(to.thread, thread_of(&envelope), "{envelope:?}");
+            assert_eq!(to.seam, Some(seam), "{envelope:?}");
+            assert!(to.faultable, "{envelope:?} is not faulted");
         }
 
-        let (all, inboxes) = routes(&SEAMS);
         let to_worker = [
             WorkerMsg::Create {
                 gen: 0,
@@ -441,24 +365,21 @@ mod tests {
             },
             CoordMsg::WorkerFailed { gen: 0, worker: 0 },
         ];
-        let sent: Vec<(bool, Envelope)> = (to_worker.into_iter())
-            .map(|msg| (true, Envelope::Worker(0, msg)))
+        let sent = (to_worker.into_iter())
+            .map(|msg| (true, Envelope::Worker(0, msg), Seam::CoordToWorker))
             .chain(
-                to_coord
-                    .into_iter()
-                    .map(|msg| (false, Envelope::Coord(msg))),
-            )
-            .collect();
-        for (from_coord, envelope) in &sent {
-            all.route(*from_coord, envelope.clone());
-        }
-        for (_, envelope) in &sent {
-            let got = inbox_of(&inboxes, envelope).try_recv();
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{:?}", Some(envelope)),
-                "control messages are due at once, in the order sent"
+                (to_coord.into_iter())
+                    .map(|msg| (false, Envelope::Coord(msg), Seam::WorkerToCoord)),
             );
+        for (from_coord, envelope, seam) in sent {
+            let to = address(&layout, from_coord, &envelope);
+            let want = Address {
+                thread: thread_of(&envelope),
+                seam: Some(seam),
+                faultable: false,
+                bytes: 64,
+            };
+            assert_eq!(to, want, "{envelope:?}");
         }
     }
 }

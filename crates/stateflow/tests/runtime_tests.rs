@@ -588,16 +588,18 @@ fn overhead_timers_record_with_observability_off() {
 }
 
 /// A coordinator alone on its engine thread with the test thread playing
-/// both workers, each behind an inbox of its own: every step is a channel
-/// handshake. The coordinator's thread blocks with no timeout, so whatever a
-/// test expects of it either happens because something woke it or never
-/// happens (`WAIT` turns "never" into a failure).
+/// both workers, each behind an inbox of its own: StateFlow's layout at
+/// 1 + W threads, the coordinator's inbox 0 and worker *i*'s inbox 1 + *i*
+/// of one post. Every step is a channel handshake. The coordinator's
+/// thread blocks with no timeout, so whatever a test expects of it either
+/// happens because something woke it or never happens (`WAIT` turns
+/// "never" into a failure).
 struct CoordRig {
     source: se_dataflow::ReplayableSource<se_stateflow::msg::ClientRequest>,
     waiters: Arc<se_dataflow::WaiterMap>,
     snapshots: Arc<se_dataflow::SnapshotStore<se_dataflow::StateStore>>,
     stats: Arc<se_stateflow::coordinator::CoordStats>,
-    coord_tx: se_dataflow::DelaySender<se_stateflow::msg::Envelope>,
+    post: se_dataflow::Post<se_stateflow::msg::Envelope>,
     coord_waker: se_dataflow::Waker,
     workers: Vec<se_dataflow::DelayReceiver<se_stateflow::msg::Envelope>>,
     shutdown: Arc<std::sync::atomic::AtomicBool>,
@@ -608,26 +610,19 @@ struct CoordRig {
 
 impl CoordRig {
     fn start(cfg: StateflowConfig) -> CoordRig {
-        use se_dataflow::{delay_channel, ReplayableSource, SnapshotStore, SourceReader};
+        use se_dataflow::{Layout, Post, ReplayableSource, SnapshotStore, SourceReader};
         use se_stateflow::coordinator::{CoordStats, Coordinator};
-        use se_stateflow::shell::{Routes, Shell};
+        use se_stateflow::shell::Shell;
         let source = ReplayableSource::new();
         let waiters = Arc::new(se_dataflow::WaiterMap::default());
         let snapshots = Arc::new(SnapshotStore::new());
         let stats = Arc::new(CoordStats::default());
         let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (coord_tx, coord_rx) = delay_channel();
+        let layout = Layout::new(1 + cfg.workers, 1);
+        let (post, mut workers) = Post::new(layout.threads(), cfg.chaos.clone(), cfg.net.clone());
+        let coord_rx = workers.remove(0);
         let coord_waker = coord_rx.waker();
         source.wake_on_append(coord_waker.clone());
-        let (worker_txs, workers): (Vec<_>, Vec<_>) =
-            (0..cfg.workers).map(|_| delay_channel()).unzip();
-        let routes = Routes::new(
-            coord_tx.clone(),
-            worker_txs,
-            cfg.chaos.clone(),
-            cfg.net.clone(),
-            Arc::clone(&waiters),
-        );
         let coordinator = Coordinator::new(
             cfg,
             SourceReader::at(&source, 0),
@@ -636,20 +631,27 @@ impl CoordRig {
             se_obs::Obs::noop(),
             Arc::clone(&shutdown),
         );
+        let shell = Shell::new(
+            post.clone(),
+            layout,
+            Arc::clone(&waiters),
+            Some(coordinator),
+            Vec::new(),
+        );
         let (dir_tx, dir_rx) = std::sync::mpsc::channel();
         let thread = std::thread::spawn(move || {
             let dir = std::fs::read_link("/proc/thread-self").ok();
             dir_tx
                 .send(dir.map(|d| std::path::Path::new("/proc").join(d)))
                 .unwrap();
-            se_dataflow::shell::run(coord_rx, Shell::new(routes, Some(coordinator), Vec::new()))
+            se_dataflow::shell::run(coord_rx, shell)
         });
         CoordRig {
             source,
             waiters,
             snapshots,
             stats,
-            coord_tx,
+            post,
             coord_waker,
             workers,
             shutdown,
@@ -659,7 +661,14 @@ impl CoordRig {
     }
 
     fn send(&self, msg: se_stateflow::msg::CoordMsg) {
-        self.coord_tx.send(se_stateflow::msg::Envelope::Coord(msg));
+        let at_once = se_dataflow::Address {
+            thread: 0,
+            seam: None,
+            faultable: false,
+            bytes: 0,
+        };
+        self.post
+            .send(at_once, se_stateflow::msg::Envelope::Coord(msg));
     }
 
     /// The next message to worker `id` within `within`, checked to be

@@ -11,7 +11,7 @@
 //!
 //! A worker is a handler: it takes one [`RemoteRequest`] and pushes the
 //! [`RemoteResponse`] onto its outbox. The engine thread that hosts it
-//! routes the response, across the `RemoteResponse` seam and after the
+//! posts the response, across the `RemoteResponse` seam and after the
 //! remote hop, to the inbox of the issuing task's thread.
 
 use std::sync::Arc;
@@ -40,7 +40,7 @@ pub struct RemoteWorker {
     split_overhead: Arc<se_obs::Histogram>,
     execution: Arc<se_obs::Histogram>,
     serialization: Arc<se_obs::Histogram>,
-    /// The responses the engine thread routes after every request.
+    /// The responses the engine thread posts after every request.
     pub(crate) out: Vec<Envelope>,
 }
 

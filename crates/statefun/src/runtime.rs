@@ -5,7 +5,7 @@
 //! [`EngineCore`], and the roles run on the engine threads of
 //! [`se_dataflow::shell`]. What this file adds is StateFun's protocol around
 //! them: the broker with its ingress and egress topics, where each role
-//! runs, how their messages travel (`Routes`), the egress reader that
+//! runs, where their messages go (`address`), the egress reader that
 //! answers clients, the checkpoint/recovery controller, and the
 //! per-partition `Upgrade` markers that switch a live upgrade.
 //!
@@ -24,29 +24,30 @@
 //! share of the cores, not R: at M = 2 one thread serves every remote
 //! worker.
 //!
-//! **How messages travel.** The roles push [`Envelope`]s, and `Routes::route`
-//! alone sends them: a [`RemoteRequest`](crate::record::RemoteRequest) to
-//! remote thread `seq` mod (number of remote threads), so each gets an even
-//! share, and a [`RemoteResponse`](crate::record::RemoteResponse) back to
-//! its task, each across its chaos seam and after the remote hop of its
-//! payload; a crash notice to the controller, and the controller's `Look`s,
-//! at once and unfaulted. The broker is shared memory: each partition's
-//! consumer registers its thread's waker, so a produce to a partition
-//! consumed on the running thread costs one `fetch_or`. Deploy resolves the
-//! two topics once ([`se_broker::Topic`]); the client, the tasks, the
-//! egress reader and the controller each hold the handles they use, so no
-//! produce or read looks a topic up by name.
+//! **How messages travel.** The roles push [`Envelope`]s, and `address`
+//! alone decides where each goes; the shared [`Post`] carries it there. A
+//! [`RemoteRequest`](crate::record::RemoteRequest) goes to remote thread
+//! `seq` mod (number of remote threads), so each gets an even share, and a
+//! [`RemoteResponse`](crate::record::RemoteResponse) back to its task, each
+//! across its chaos seam and after the remote hop of its payload; a crash
+//! notice goes to the controller, and the controller's `Look`s to every
+//! thread, at once and unfaulted. The broker is shared memory: each
+//! partition's consumer registers its thread's waker, so a produce to a
+//! partition consumed on the running thread costs one `fetch_or`. Deploy
+//! resolves the two topics once ([`se_broker::Topic`]); the client, the
+//! tasks, the egress reader and the controller each hold the handles they
+//! use, so no produce or read looks a topic up by name.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use se_broker::{Broker, BrokerError, Topic};
-use se_chaos::{ChaosPlan, Seam};
+use se_chaos::Seam;
 use se_dataflow::shell::threads_for;
 use se_dataflow::{
-    delay_channel, send_with_chaos, ComponentTimers, DelaySender, EngineCore, EntityRuntime, Epoch,
-    Layout, NetConfig, ResponseWaiter, Roles, SnapshotStore, StateStore, WaiterMap, Waker,
+    Address, ComponentTimers, EngineCore, EntityRuntime, Epoch, Layout, Post, ResponseWaiter,
+    Roles, SnapshotStore, StateStore, WaiterMap, Waker,
 };
 use se_ir::{DataflowGraph, Invocation, InvocationKind, RequestId};
 use se_lang::{EntityRef, LangError, Value};
@@ -93,17 +94,12 @@ impl StatefunRuntime {
         let threads = threads_for(p + r + 2);
         let back = r.min((threads / 2).max(threads.saturating_sub(p + 2)));
         let layout = Layout::new(threads, threads - back);
-        let (txs, inboxes): (Vec<_>, Vec<_>) = (0..threads).map(|_| delay_channel()).unzip();
-        let routes = Routes {
-            inboxes: txs,
-            layout,
-            partitions: p,
-            chaos: cfg.chaos.clone(),
-            net: cfg.net.clone(),
-        };
+        let (post, inboxes) = Post::new(threads, cfg.chaos.clone(), cfg.net.clone());
         let mut hosted: Vec<Hosted> = (0..threads)
             .map(|_| Hosted {
-                routes: routes.clone(),
+                post: post.clone(),
+                layout,
+                partitions: p,
                 shutdown: Arc::clone(&core.shutdown),
                 tasks: Vec::new(),
                 remote: None,
@@ -292,64 +288,41 @@ impl Drop for StatefunRuntime {
     }
 }
 
-/// How every StateFun message travels (see the module doc): the thread
-/// inboxes, where each addressee runs, the chaos plan and the hop-cost
-/// model. Only the engine threads hold it, each a copy, so an inbox stays
-/// open while any thread lives.
-#[derive(Clone)]
-struct Routes {
-    /// One inbox per engine thread.
-    inboxes: Vec<DelaySender<Envelope>>,
-    layout: Layout,
-    partitions: usize,
-    chaos: ChaosPlan,
-    net: NetConfig,
-}
-
-impl Routes {
-    fn route(&self, envelope: Envelope) {
-        let (thread, seam, bytes) = match &envelope {
-            Envelope::Request(req) => {
-                let bytes = req.state.approx_size() + req.inv.approx_size();
-                (
-                    self.layout.back(req.seq as usize),
-                    Seam::RemoteRequest,
-                    bytes,
-                )
-            }
-            Envelope::Response(task, resp) => {
-                let bytes = resp.new_state.approx_size();
-                (self.layout.front(*task), Seam::RemoteResponse, bytes)
-            }
-            // The control plane: at once, and never faulted.
-            Envelope::TaskFailed(_) => {
-                let controller = self.layout.front(self.partitions + 1);
-                self.inboxes[controller].send(envelope);
-                return;
-            }
-            Envelope::Look => {
-                for inbox in &self.inboxes {
-                    inbox.send(Envelope::Look);
-                }
-                return;
-            }
-        };
-        let delay = self.net.remote_fn_latency(bytes);
-        send_with_chaos(
-            &self.chaos,
-            seam,
-            &self.net,
-            &self.inboxes[thread],
-            envelope,
-            delay,
-        );
-    }
+/// Where `envelope` goes under `layout` with `partitions` tasks (see the
+/// module doc); `None` for a `Look`, which goes to every thread.
+fn address(layout: &Layout, partitions: usize, envelope: &Envelope) -> Option<Address> {
+    let (thread, seam, bytes) = match envelope {
+        Envelope::Request(req) => {
+            let bytes = req.state.approx_size() + req.inv.approx_size();
+            (
+                layout.back(req.seq as usize),
+                Some(Seam::RemoteRequest),
+                bytes,
+            )
+        }
+        Envelope::Response(task, resp) => {
+            let bytes = resp.new_state.approx_size();
+            (layout.front(*task), Some(Seam::RemoteResponse), bytes)
+        }
+        // The control plane: at once, and never faulted.
+        Envelope::TaskFailed(_) => (layout.front(partitions + 1), None, 0),
+        Envelope::Look => return None,
+    };
+    let faultable = seam.is_some();
+    Some(Address {
+        thread,
+        seam,
+        faultable,
+        bytes,
+    })
 }
 
 /// The StateFun roles one engine thread hosts ([`se_dataflow::shell::run`]
-/// drives them), and the routes their outboxes drain into.
+/// drives them), and the post their outboxes drain into.
 struct Hosted {
-    routes: Routes,
+    post: Post<Envelope>,
+    layout: Layout,
+    partitions: usize,
     shutdown: Arc<AtomicBool>,
     tasks: Vec<PartitionTask>,
     remote: Option<RemoteWorker>,
@@ -422,7 +395,10 @@ impl Roles for Hosted {
         let controller = self.controller.iter_mut().map(|c| &mut c.out);
         for out in tasks.chain(remote).chain(controller) {
             for envelope in out.drain(..) {
-                self.routes.route(envelope);
+                match address(&self.layout, self.partitions, &envelope) {
+                    Some(to) => self.post.send(to, envelope),
+                    None => self.post.broadcast(envelope),
+                }
             }
         }
     }
@@ -479,7 +455,7 @@ struct Controller {
     interval: Option<Duration>,
     next_barrier: Option<Instant>,
     epoch: Epoch,
-    /// The `Look` the engine thread routes.
+    /// The `Look` the engine thread posts.
     out: Vec<Envelope>,
 }
 
@@ -512,5 +488,75 @@ impl Controller {
     fn on_task_failed(&mut self) {
         self.recovery.begin(&self.snapshots);
         self.out.push(Envelope::Look);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use se_ir::{Invocation, RequestId, Response, StepEffect};
+    use se_lang::{EntityRef, EntityState, Value};
+
+    use super::*;
+    use crate::record::{RemoteRequest, RemoteResponse};
+
+    /// Every envelope kind, at M = 1 and at M = 4 with two threads in front
+    /// (`Layout::new(4, 2)`): requests alternate between the back threads,
+    /// a response returns to its task's front thread, a crash notice goes
+    /// unfaulted to the controller's, and a `Look` to every thread.
+    #[test]
+    fn address_sends_each_kind_to_its_thread_across_its_seam() {
+        const P: usize = 2;
+        let entity = EntityRef::new("Account", "a");
+        let inv = Invocation::root(RequestId(7), entity, "read", vec![]);
+        let request = |seq| {
+            Envelope::Request(RemoteRequest {
+                gen: 0,
+                task: 0,
+                seq,
+                inv: inv.clone(),
+                state: EntityState::new(),
+            })
+        };
+        let response = |task| {
+            let resp = RemoteResponse {
+                gen: 0,
+                seq: 0,
+                entity,
+                new_state: EntityState::new(),
+                effect: StepEffect::Respond(Response {
+                    request: RequestId(7),
+                    result: Ok(Value::Unit),
+                }),
+            };
+            Envelope::Response(task, resp)
+        };
+        for layout in [Layout::new(1, 1), Layout::new(4, 2)] {
+            let to = |envelope: &Envelope| address(&layout, P, envelope);
+            for seq in 0..4 {
+                let to = to(&request(seq)).expect("one thread");
+                let back = layout.back(seq as usize);
+                assert_eq!(to.thread, back, "request {seq}");
+                assert_eq!((to.seam, to.faultable), (Some(Seam::RemoteRequest), true));
+            }
+            if layout.threads() == 4 {
+                let threads: Vec<_> = (0..4)
+                    .map(|seq| to(&request(seq)).unwrap().thread)
+                    .collect();
+                assert_eq!(threads, [2, 3, 2, 3], "requests alternate");
+            }
+            for task in 0..P {
+                let to = to(&response(task)).expect("one thread");
+                assert_eq!(to.thread, layout.front(task), "response to task {task}");
+                assert_eq!((to.seam, to.faultable), (Some(Seam::RemoteResponse), true));
+            }
+            let controller = Address {
+                thread: layout.front(P + 1),
+                seam: None,
+                faultable: false,
+                bytes: 0,
+            };
+            assert_eq!(to(&Envelope::TaskFailed(0)), Some(controller));
+            assert_eq!(to(&Envelope::Look), None, "a Look goes to every thread");
+        }
     }
 }

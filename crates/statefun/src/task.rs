@@ -19,7 +19,7 @@
 //! recovery and reads the ingress records already visible; a remote
 //! response reaches it as a message (`PartitionTask::on_response`). What it
 //! sends — a [`RemoteRequest`] per dispatch, a crash notice to the
-//! controller — it pushes onto its outbox, and the thread routes it. The
+//! controller — it pushes onto its outbox, and the thread posts it. The
 //! broker is shared memory: the task produces to it directly, through the
 //! topic handles deploy resolved, and a produce to its ingress partition
 //! fires its thread's waker.
@@ -172,7 +172,7 @@ pub struct PartitionTask {
     /// thread when it happens, which with a broker hop is before the record
     /// may be consumed).
     pub(crate) next: Option<Instant>,
-    /// The dispatches and crash notices the engine thread routes.
+    /// The dispatches and crash notices the engine thread posts.
     pub(crate) out: Vec<Envelope>,
     snapshots: Arc<SnapshotStore<StateStore>>,
     /// The component timers this task feeds (`timer.*` histograms).

@@ -16,7 +16,10 @@
 //! (`/proc/self/task/<tid>/schedstat`, third and first field; a client
 //! reads its own in `/proc/thread-self/schedstat`). Engine threads are told
 //! apart by name, and the tests take turns, so the count is of one
-//! deployment.
+//! deployment. Each bound on timeslices also reports the same threads'
+//! wait on a run queue over the same window (the second field): a host
+//! busy with other work shows there, and an engine that wakes too often
+//! does not.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,8 +36,9 @@ fn one_engine() -> std::sync::MutexGuard<'static, ()> {
     ONE_ENGINE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Schedstat field `field` (0: nanoseconds on a CPU, 2: timeslices run) of
-/// each of this process's threads named `prefix*`.
+/// Schedstat field `field` (0: nanoseconds on a CPU, 1: nanoseconds
+/// waiting on a run queue, 2: timeslices run) of each of this process's
+/// threads named `prefix*`.
 #[cfg(target_os = "linux")]
 fn threads_schedstat(prefix: &str, field: usize) -> Vec<u64> {
     let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
@@ -56,10 +60,43 @@ fn threads_timeslices(prefix: &str) -> Vec<u64> {
     threads_schedstat(prefix, 2)
 }
 
-/// Timeslices run so far by this process's threads named `prefix*`.
+/// Timeslices run, and time spent runnable but waiting for a CPU: what a
+/// bound on timeslices reports, so that a failure tells a busy host from
+/// an engine that wakes too often.
 #[cfg(target_os = "linux")]
-fn timeslices(prefix: &str) -> u64 {
-    threads_timeslices(prefix).iter().sum()
+#[derive(Clone, Copy)]
+struct Sched {
+    slices: u64,
+    waited: Duration,
+}
+
+#[cfg(target_os = "linux")]
+impl std::ops::Sub for Sched {
+    type Output = Sched;
+
+    fn sub(self, before: Sched) -> Sched {
+        Sched {
+            slices: self.slices - before.slices,
+            waited: self.waited.saturating_sub(before.waited),
+        }
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl std::fmt::Display for Sched {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        let (slices, waited) = (self.slices, self.waited);
+        write!(f, "{slices} timeslices ({waited:?} waiting on a run queue)")
+    }
+}
+
+/// What this process's threads named `prefix*` have run and waited so far.
+#[cfg(target_os = "linux")]
+fn sched(prefix: &str) -> Sched {
+    Sched {
+        slices: threads_timeslices(prefix).iter().sum(),
+        waited: Duration::from_nanos(threads_schedstat(prefix, 1).iter().sum()),
+    }
 }
 
 /// CPU time used so far by this process's threads named `prefix*`.
@@ -82,16 +119,16 @@ fn idle_engine_does_not_run(choice: RuntimeChoice, threads: &str) {
     // Let the trailing commit record of that request land.
     std::thread::sleep(Duration::from_millis(50));
 
-    assert!(timeslices(threads) > 0, "no thread is named {threads}*");
-    let before = timeslices(threads);
+    assert!(sched(threads).slices > 0, "no thread is named {threads}*");
+    let before = sched(threads);
     let cpu_before = cpu_time(threads);
     std::thread::sleep(Duration::from_millis(500));
-    let ran = timeslices(threads) - before;
+    let ran = sched(threads) - before;
     let cpu = cpu_time(threads) - cpu_before;
     // A thread polling every 500 µs alone would run a thousand times.
     assert!(
-        ran < 50,
-        "{threads}* threads ran {ran} timeslices in 500 ms of idleness"
+        ran.slices < 50,
+        "{threads}* threads ran {ran} in 500 ms of idleness"
     );
     // One that kept polling would use the whole half second.
     assert!(
@@ -154,8 +191,8 @@ fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
     std::thread::sleep(Duration::from_millis(50));
 
     const CALLS: u64 = 200;
-    let coord_before = timeslices("stateflow-coord");
-    let workers_before = timeslices("stateflow-worke");
+    let coord_before = sched("stateflow-coord");
+    let workers_before = sched("stateflow-worke");
     for i in 0..CALLS {
         let account = accounts[i as usize % 2];
         match i % 4 {
@@ -165,16 +202,16 @@ fn sequential_stateflow_calls_run_each_side_about_twice_per_call() {
     }
     // Let the last call's trailing commit record land.
     std::thread::sleep(Duration::from_millis(50));
-    let coord = timeslices("stateflow-coord") - coord_before;
-    let workers = timeslices("stateflow-worke") - workers_before;
-    let per_call = |slices: u64| slices as f64 / CALLS as f64;
+    let coord = sched("stateflow-coord") - coord_before;
+    let workers = sched("stateflow-worke") - workers_before;
+    let per_call = |ran: Sched| ran.slices as f64 / CALLS as f64;
     assert!(
         per_call(coord) <= 2.5,
-        "the coordinator ran {coord} timeslices for {CALLS} calls"
+        "the coordinator ran {coord} for {CALLS} calls"
     );
     assert!(
         per_call(workers) <= 2.5,
-        "the workers ran {workers} timeslices for {CALLS} calls"
+        "the workers ran {workers} for {CALLS} calls"
     );
     rt.shutdown();
 }
@@ -207,7 +244,7 @@ fn a_one_core_stateflow_runs_one_timeslice_per_call() {
     assert_eq!(threads, 1, "a one-core deployment runs {threads} threads");
 
     const CALLS: u64 = 200;
-    let before = timeslices("stateflow-");
+    let before = sched("stateflow-");
     for i in 0..CALLS {
         let account = accounts[i as usize % 2];
         match i % 4 {
@@ -216,10 +253,10 @@ fn a_one_core_stateflow_runs_one_timeslice_per_call() {
         };
     }
     std::thread::sleep(Duration::from_millis(50));
-    let ran = timeslices("stateflow-") - before;
+    let ran = sched("stateflow-") - before;
     assert!(
-        ran as f64 / CALLS as f64 <= 1.5,
-        "the engine ran {ran} timeslices for {CALLS} calls"
+        ran.slices as f64 / CALLS as f64 <= 1.5,
+        "the engine ran {ran} for {CALLS} calls"
     );
     rt.shutdown();
 }
@@ -245,7 +282,7 @@ fn back_to_back_calls_keep_on_core(
     choice: RuntimeChoice,
     threads: &str,
     who: &str,
-    slices: impl Fn() -> u64,
+    slices: impl Fn() -> Sched,
 ) {
     let _turn = one_engine();
     let program = se_workloads::ycsb_program();
@@ -258,18 +295,26 @@ fn back_to_back_calls_keep_on_core(
         return;
     };
     let kept = rounds.iter().filter(|&&ran| kept_its_core(ran)).count();
+    let rounds: Vec<String> = rounds.iter().map(Sched::to_string).collect();
     assert!(
         kept >= 3,
-        "{who} ({threads}*) ran {rounds:?} timeslices in rounds of {ROUND_CALLS} back-to-back calls"
+        "{who} ({threads}*) ran, in rounds of {ROUND_CALLS} back-to-back calls: {}",
+        rounds.join(", ")
     );
 }
 
-/// Timeslices run so far by the calling thread.
+/// What the calling thread has run and waited so far.
 #[cfg(target_os = "linux")]
-fn own_timeslices() -> u64 {
+fn own_sched() -> Sched {
     let stat = std::fs::read_to_string("/proc/thread-self/schedstat").expect("procfs");
-    let field = stat.split_whitespace().nth(2).expect("three fields");
-    field.parse().expect("a count")
+    let field = |i: usize| -> u64 {
+        let field = stat.split_whitespace().nth(i).expect("three fields");
+        field.parse().expect("a count")
+    };
+    Sched {
+        slices: field(2),
+        waited: Duration::from_nanos(field(1)),
+    }
 }
 
 /// Calls per round of [`back_to_back_calls`].
@@ -279,15 +324,19 @@ const ROUND_CALLS: u64 = 100;
 /// Whether a round of [`ROUND_CALLS`] calls ran the engine, or the
 /// client, at most 0.2 timeslices per call.
 #[cfg(target_os = "linux")]
-fn kept_its_core(ran: u64) -> bool {
-    ran as f64 / ROUND_CALLS as f64 <= 0.2
+fn kept_its_core(ran: Sched) -> bool {
+    ran.slices as f64 / ROUND_CALLS as f64 <= 0.2
 }
 
 /// Makes rounds of back-to-back calls on `rt`, whose threads are named
 /// `threads*`, until three of them kept their core by `slices` or ten
 /// ran; returns what `slices` grew by in each round.
 #[cfg(target_os = "linux")]
-fn back_to_back_calls(rt: &dyn EntityRuntime, threads: &str, slices: impl Fn() -> u64) -> Vec<u64> {
+fn back_to_back_calls(
+    rt: &dyn EntityRuntime,
+    threads: &str,
+    slices: impl Fn() -> Sched,
+) -> Vec<Sched> {
     let accounts = [
         rt.create("Account", "left", vec![]).unwrap(),
         rt.create("Account", "right", vec![]).unwrap(),
@@ -328,7 +377,7 @@ fn back_to_back_stateflow_calls_keep_the_engine_on_its_core() {
         RuntimeChoice::Stateflow(cfg),
         "stateflow-",
         "the engine",
-        || timeslices("stateflow-"),
+        || sched("stateflow-"),
     );
 }
 
@@ -342,7 +391,7 @@ fn back_to_back_statefun_calls_keep_the_engine_on_its_core() {
         RuntimeChoice::Statefun(cfg),
         "statefun-",
         "the engine",
-        || timeslices("statefun-"),
+        || sched("statefun-"),
     );
 }
 
@@ -368,7 +417,7 @@ fn back_to_back_blocking_calls_keep_the_client_on_its_core() {
         (RuntimeChoice::Statefun(statefun), "statefun-"),
     ];
     for (choice, threads) in engines {
-        back_to_back_calls_keep_on_core(choice, threads, "the client", own_timeslices);
+        back_to_back_calls_keep_on_core(choice, threads, "the client", own_sched);
     }
 }
 
@@ -398,12 +447,12 @@ fn idle_statefun_with_checkpoints_runs_per_barrier() {
 
     let idle = Duration::from_millis(500);
     let barriers = (idle.as_millis() / interval.as_millis()) as u64;
-    let before = timeslices("statefun-");
+    let before = sched("statefun-");
     std::thread::sleep(idle);
-    let ran = timeslices("statefun-") - before;
+    let ran = sched("statefun-") - before;
     assert!(
-        2 * ran <= 5 * barriers,
-        "the engine ran {ran} timeslices for {barriers} barriers"
+        2 * ran.slices <= 5 * barriers,
+        "the engine ran {ran} for {barriers} barriers"
     );
 
     let asked = Instant::now();
@@ -444,7 +493,7 @@ fn a_one_core_statefun_runs_one_timeslice_per_call() {
     assert_eq!(threads, 1, "a one-core deployment runs {threads} threads");
 
     const CALLS: u64 = 200;
-    let before = timeslices("statefun-");
+    let before = sched("statefun-");
     for i in 0..CALLS {
         let account = accounts[i as usize % 2];
         match i % 4 {
@@ -453,10 +502,10 @@ fn a_one_core_statefun_runs_one_timeslice_per_call() {
         };
     }
     std::thread::sleep(Duration::from_millis(50));
-    let ran = timeslices("statefun-") - before;
+    let ran = sched("statefun-") - before;
     assert!(
-        ran as f64 / CALLS as f64 <= 1.5,
-        "the engine ran {ran} timeslices for {CALLS} calls"
+        ran.slices as f64 / CALLS as f64 <= 1.5,
+        "the engine ran {ran} for {CALLS} calls"
     );
     rt.shutdown();
 }
@@ -479,7 +528,7 @@ fn statefun_task_wakes_when_the_record_becomes_visible() {
     let account = rt.create("Account", "hop", vec![]).unwrap();
 
     #[cfg(target_os = "linux")]
-    let ran_before = timeslices("statefun-task");
+    let ran_before = sched("statefun-task");
     const CALLS: u32 = 5;
     let latencies: Vec<Duration> = (0..CALLS)
         .map(|_| {
@@ -505,10 +554,10 @@ fn statefun_task_wakes_when_the_record_becomes_visible() {
     // forty times while the record is on its way.
     #[cfg(target_os = "linux")]
     {
-        let ran = timeslices("statefun-task") - ran_before;
+        let ran = sched("statefun-task") - ran_before;
         assert!(
-            ran <= u64::from(CALLS) * 6,
-            "the task ran {ran} timeslices for {CALLS} calls"
+            ran.slices <= u64::from(CALLS) * 6,
+            "the task ran {ran} for {CALLS} calls"
         );
     }
     rt.shutdown();
