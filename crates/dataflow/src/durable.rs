@@ -55,6 +55,13 @@
 //! there. Only scripted power-loss faults (`se-chaos`'s `DiskFaultKind`)
 //! damage the unsynced part of the file — torn/lost tail, a frame-aware
 //! bit flip, a vanished base snapshot.
+//!
+//! Under `every-commit` and `on-epoch` that unsynced part is empty: frames
+//! reach the kernel at a cut or a sync, and each such hand-off is synced
+//! too, so a process crash leaves exactly the synced prefix (an epoch
+//! whose frames pass `WRITE_CHUNK` is the one exception under `on-epoch`).
+//! Tail and bit-flip faults therefore act only under `never`, or after a
+//! scripted `FailedFsync` left a flushed cut unsynced.
 
 use std::collections::BTreeMap;
 use std::fs;

@@ -5,7 +5,6 @@
 //! oracle-equal state, even when the crash is paired with scripted disk
 //! damage (torn/lost tails, bit flips, missing snapshot files).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use se_chaos::{
@@ -13,7 +12,7 @@ use se_chaos::{
     History, MessageFault, MsgFaultKind, Seam,
 };
 use stateful_entities::prelude::*;
-use stateful_entities::{DurabilityMode, StateflowConfig};
+use stateful_entities::{DurabilityMode, FsyncPolicy, ResponseWaiter, StateflowConfig};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -30,11 +29,38 @@ fn durable_cfg(workers: usize) -> StateflowConfig {
     cfg
 }
 
-/// Commutative deposits against a Local-runtime oracle, a scripted crash on
-/// `worker1`, history recording, and a post-run audit: crash fired, at least
-/// one recovery ran, the history is serializable, and every balance equals
-/// the oracle's.
-fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
+/// `durable_cfg` where a crash finds the log's tail handed to the kernel
+/// but not synced, so a scripted tail or bit-flip fault has bytes to
+/// damage. Under the default `on-epoch` policy frames reach the kernel only
+/// at a cut, which fsyncs them too: a crash finds exactly the synced prefix
+/// and those faults change nothing. Under `never` only the log's first
+/// frame is synced, as long as no base snapshot is written: a base raises
+/// the cluster durable floor, and the compaction that follows fsyncs the
+/// log it rewrites.
+fn unsynced_tail_cfg(workers: usize) -> StateflowConfig {
+    let mut cfg = durable_cfg(workers);
+    cfg.durability.fsync = FsyncPolicy::Never;
+    cfg.durability.full_snapshot_every = u64::MAX;
+    cfg
+}
+
+/// Waits for every response in `waiters`, which must all succeed.
+fn settle(waiters: &mut Vec<ResponseWaiter>) {
+    for w in waiters.drain(..) {
+        w.wait_timeout(WAIT)
+            .expect("completes after recovery")
+            .expect("no error");
+    }
+}
+
+/// Commutative deposits against a Local-runtime oracle, a scripted crash,
+/// history recording, and a post-run audit: crash fired, at least one
+/// recovery ran, the history is serializable, and every balance equals the
+/// oracle's. Returns the restore rounds the run took.
+///
+/// The client sends in tens: a stream with a 4 ms pause before each ten, or
+/// with `waves`, each ten only once the previous ten have answered.
+fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize, waves: bool) -> u64 {
     let chaos = cfg.chaos.clone();
     let history = History::new();
     let mut cfg = cfg;
@@ -46,28 +72,29 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
     let n = 5usize;
     se_workloads::load_accounts(&rt, n, 8, 200);
     se_workloads::load_accounts(oracle.as_ref(), n, 8, 200);
-    let waiters: Vec<_> = (0..ops)
-        .map(|i| {
-            let amount = (i % 9 + 1) as i64;
-            oracle
-                .call(acct(i % n), "deposit", vec![Value::Int(amount)])
-                .unwrap();
-            // Short pauses spread the batches out so the crash lands while
-            // snapshots (and WAL epoch cuts) are interleaved with commits.
-            if i % 10 == 0 {
+    let mut waiters = Vec::new();
+    for i in 0..ops {
+        let amount = (i % 9 + 1) as i64;
+        oracle
+            .call(acct(i % n), "deposit", vec![Value::Int(amount)])
+            .unwrap();
+        // Pauses, or waits for the previous ten, spread the batches out so
+        // the crash lands while snapshots (and WAL epoch cuts) are
+        // interleaved with commits.
+        if i % 10 == 0 {
+            if waves {
+                settle(&mut waiters);
+            } else {
                 std::thread::sleep(Duration::from_millis(4));
             }
-            rt.call_async(acct(i % n), "deposit", vec![Value::Int(amount)])
-        })
-        .collect();
-    for w in waiters {
-        w.wait_timeout(WAIT)
-            .expect("completes after recovery")
-            .expect("no error");
+        }
+        waiters.push(rt.call_async(acct(i % n), "deposit", vec![Value::Int(amount)]));
     }
+    settle(&mut waiters);
     assert_eq!(chaos.crashes_fired(), 1, "the scripted crash must fire");
+    let rounds = rt.stats().recoveries.get();
     assert!(
-        rt.stats().recoveries.get() >= 1,
+        rounds >= 1,
         "the crash must trigger at least one restore round"
     );
     check_history(&history.events()).expect("post-crash disk recovery stays serializable");
@@ -80,6 +107,7 @@ fn crashed_durable_run_matches_oracle(cfg: StateflowConfig, ops: usize) {
     }
     rt.shutdown();
     oracle.shutdown();
+    rounds
 }
 
 /// Tentpole acceptance: a worker crash at each of the three protocol points
@@ -113,26 +141,38 @@ fn crash_at_each_protocol_point_recovers_from_disk() {
             messages: hold.collect(),
             ..FaultScript::default()
         });
-        crashed_durable_run_matches_oracle(cfg, 80);
+        crashed_durable_run_matches_oracle(cfg, 80, false);
     }
 }
 
 /// Power-loss faults: the crashed worker's unsynced WAL tail is torn
 /// mid-record or lost entirely. Recovery must replay the last durable
 /// prefix and rejoin cleanly — zero checker violations, money conserved.
+///
+/// The fault must cost the crashed worker the restore target's cut, the
+/// last frame its log handed to the kernel, so the cluster needs a second
+/// restore round at a lower epoch. The client sends waves of twelve, each
+/// once the previous one has answered. `worker1` owns `user1`, `user2` and
+/// `user4`, and a transfer runs on its source, its target, then its source
+/// again, so every six transfers run nine hops on `worker1`: at least 135
+/// over the run and at most 36 in the first wave, where each transfer runs
+/// at most twice (a retry is a solo batch). Each wave seals at least two
+/// batches (transfers `i` and `i + 6` share a source account, so they
+/// conflict if they share a batch), so an epoch cuts before the next wave
+/// is read, and the 60th hop falls after a cut in every run.
 #[test]
 fn torn_and_lost_tails_recover_to_last_durable_prefix() {
     for kind in [
         DiskFaultKind::TornTail { bytes: 37 },
         DiskFaultKind::LostTail,
     ] {
-        let mut cfg = durable_cfg(3);
+        let mut cfg = unsynced_tail_cfg(3);
         cfg.pipeline_depth = 2;
         cfg.chaos = ChaosPlan::from_script(FaultScript {
             crashes: vec![CrashFault {
                 node: "worker1".into(),
-                point: CrashPoint::Commit,
-                after_events: 6,
+                point: CrashPoint::Exec,
+                after_events: 60,
             }],
             disk: vec![DiskFault {
                 node: "worker1".into(),
@@ -144,29 +184,31 @@ fn torn_and_lost_tails_recover_to_last_durable_prefix() {
         let history = History::new();
         cfg.history = Some(history.clone());
         let program = se_workloads::ycsb_program();
-        let rt = Arc::new(deploy(&program, RuntimeChoice::Stateflow(cfg)).unwrap());
+        let graph = stateful_entities::compile(&program).unwrap();
+        let rt = stateful_entities::StateflowRuntime::deploy(graph, cfg);
         let n = 6usize;
-        se_workloads::load_accounts(rt.as_ref().as_ref(), n, 16, 500);
-        let waiters: Vec<_> = (0..90)
-            .map(|i| {
-                if i % 12 == 0 {
-                    std::thread::sleep(Duration::from_millis(3));
-                }
-                rt.call_async(
-                    acct(i % n),
-                    "transfer",
-                    vec![Value::Ref(acct((i + 2) % n)), Value::Int(3)],
-                )
-            })
-            .collect();
-        for w in waiters {
-            w.wait_timeout(WAIT).expect("completes").expect("no error");
+        se_workloads::load_accounts(&rt, n, 16, 500);
+        let mut waiters = Vec::new();
+        for i in 0..90 {
+            if i % 12 == 0 {
+                settle(&mut waiters);
+            }
+            waiters.push(rt.call_async(
+                acct(i % n),
+                "transfer",
+                vec![Value::Ref(acct((i + 2) % n)), Value::Int(3)],
+            ));
         }
+        settle(&mut waiters);
         assert_eq!(chaos.crashes_fired(), 1, "[{kind:?}] crash must fire");
         assert_eq!(
             chaos.disk_faults_fired(),
             1,
             "[{kind:?}] the disk fault must be consumed at crash time"
+        );
+        assert!(
+            rt.stats().recoveries.get() >= 2,
+            "[{kind:?}] the fault left the crashed worker's newest cut intact"
         );
         check_history(&history.events())
             .unwrap_or_else(|e| panic!("[{kind:?}] recovery violated serializability: {e}"));
@@ -184,17 +226,24 @@ fn torn_and_lost_tails_recover_to_last_durable_prefix() {
 }
 
 /// Silent corruption: one bit flips inside the last unsynced WAL data
-/// record. The CRC must catch it, recovery truncates at the damaged frame
-/// (possibly falling back an epoch, which forces a cluster-wide extra
-/// restore round), and the replayed run still matches the oracle.
+/// record. The CRC must catch it, recovery truncates at the damaged frame,
+/// which precedes the restore target's cut, so the cluster falls back in a
+/// second restore round, and the replayed run still matches the oracle.
+///
+/// `worker0` owns only `user0`, which gets two deposits in each wave of
+/// ten, so it runs 16 to 32 execs (a transaction retries at most once, as a
+/// solo batch). Each wave seals at least two batches (its two deposits on
+/// one account conflict if they share one), so an epoch cuts before the
+/// next wave is read: the first wave runs at most four of `worker0`'s execs,
+/// and the tenth falls after a cut in every run.
 #[test]
 fn bitflipped_wal_record_is_caught_by_checksum() {
-    let mut cfg = durable_cfg(3);
+    let mut cfg = unsynced_tail_cfg(3);
     cfg.chaos = ChaosPlan::from_script(FaultScript {
         crashes: vec![CrashFault {
             node: "worker0".into(),
             point: CrashPoint::Exec,
-            after_events: 18,
+            after_events: 10,
         }],
         disk: vec![DiskFault {
             node: "worker0".into(),
@@ -202,7 +251,17 @@ fn bitflipped_wal_record_is_caught_by_checksum() {
         }],
         ..FaultScript::default()
     });
-    crashed_durable_run_matches_oracle(cfg, 80);
+    let chaos = cfg.chaos.clone();
+    let rounds = crashed_durable_run_matches_oracle(cfg, 80, true);
+    assert_eq!(
+        chaos.disk_faults_fired(),
+        1,
+        "the bit flip must be consumed"
+    );
+    assert!(
+        rounds >= 2,
+        "the flip left the crashed worker's newest cut intact"
+    );
 }
 
 /// Missing-base fault plus fsync weather: the newest base snapshot file is
@@ -237,7 +296,7 @@ fn missing_snapshot_and_fsync_weather_still_recover() {
         ],
         ..FaultScript::default()
     });
-    crashed_durable_run_matches_oracle(cfg, 80);
+    crashed_durable_run_matches_oracle(cfg, 80, false);
 }
 
 /// One logically deterministic serial run, parameterized by durability
@@ -380,7 +439,7 @@ fn snapshots_reclaim_wal_space() {
         }],
         ..FaultScript::default()
     });
-    crashed_durable_run_matches_oracle(cfg, 200);
+    crashed_durable_run_matches_oracle(cfg, 200, false);
     assert!(
         wal_bytes(&crashed_dir) > 0,
         "crashed run must leave a WAL behind"
