@@ -6,17 +6,10 @@
 //! modes so host-load drift hits both sides equally; samples are pooled
 //! across rounds before taking the median.
 //!
-//! The assertion is `metrics_median ≤ off_median × (1 + pct) + floor`: a
-//! relative bound (default 5%, the ISSUE budget) plus an absolute floor
-//! (default 750 µs) because 5% of a ~3 ms simulated-network median is
-//! smaller than OS scheduling noise on a shared CI host.
-//!
-//! Env knobs:
-//!   SE_OVERHEAD_DEPTH   chain depth                (default 4)
-//!   SE_OVERHEAD_REPS    timed calls per mode/round (default 200)
-//!   SE_OVERHEAD_ROUNDS  interleaved A/B rounds     (default 3)
-//!   SE_OVERHEAD_PCT     relative budget            (default 0.05)
-//!   SE_OVERHEAD_FLOOR_US absolute noise floor, µs  (default 750)
+//! The assertion is `metrics_median ≤ off_median × (1 + PCT) + FLOOR_US`:
+//! a relative bound of 5% plus an absolute floor of 750 µs, because 5% of a
+//! sub-millisecond median is smaller than OS scheduling noise on a shared
+//! CI host.
 //!
 //! Exit codes: 0 within budget, 1 over budget.
 
@@ -26,28 +19,17 @@ use std::time::Instant;
 use se_core::{deploy, RuntimeChoice, StateflowConfig};
 use se_lang::{EntityRef, Value};
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
+// Chain depth, timed calls per mode and round, interleaved rounds, and the
+// budget: relative, plus an absolute floor in µs.
+const DEPTH: usize = 4;
+const REPS: usize = 200;
+const ROUNDS: usize = 3;
+const PCT: f64 = 0.05;
+const FLOOR_US: f64 = 750.0;
 
 /// Runs one deployment in `mode` and returns per-call latencies in ns.
-fn run_once(
-    mode: se_obs::ObsMode,
-    depth: usize,
-    reps: usize,
-    dump_dir: &std::path::Path,
-) -> Vec<f64> {
-    let program = se_lang::programs::chain_program(depth);
+fn run_once(mode: se_obs::ObsMode, dump_dir: &std::path::Path) -> Vec<f64> {
+    let program = se_lang::programs::chain_program(DEPTH);
     let mut cfg = StateflowConfig::fast_test(2);
     cfg.obs = se_obs::ObsConfig {
         mode,
@@ -56,8 +38,8 @@ fn run_once(
         ..Default::default()
     };
     let rt = deploy(&program, RuntimeChoice::Stateflow(cfg)).expect("deploy");
-    for i in (0..=depth).rev() {
-        let init = if i < depth {
+    for i in (0..=DEPTH).rev() {
+        let init = if i < DEPTH {
             vec![(
                 "next".to_string(),
                 Value::Ref(EntityRef::new(format!("C{}", i + 1), "n")),
@@ -69,12 +51,12 @@ fn run_once(
     }
     let target = EntityRef::new("C0", "n");
     // Warmup: JIT nothing, but fill batches/queues to steady state.
-    for _ in 0..(reps / 10).max(10) {
+    for _ in 0..REPS / 10 {
         rt.call(target, "relay", vec![Value::Int(1)])
             .expect("warmup call");
     }
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
+    let mut samples = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
         let t = Instant::now();
         rt.call(target, "relay", vec![Value::Int(1)])
             .expect("timed call");
@@ -90,26 +72,19 @@ fn median(samples: &mut [f64]) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let depth = env_usize("SE_OVERHEAD_DEPTH", 4);
-    let reps = env_usize("SE_OVERHEAD_REPS", 200).max(10);
-    let rounds = env_usize("SE_OVERHEAD_ROUNDS", 3).max(1);
-    let pct = env_f64("SE_OVERHEAD_PCT", 0.05);
-    let floor_ns = env_f64("SE_OVERHEAD_FLOOR_US", 750.0) * 1e3;
-
     let dump_dir = std::env::temp_dir().join(format!("se-obs-overhead-{}", std::process::id()));
     println!(
-        "obs_overhead: chain depth {depth}, {reps} calls x {rounds} rounds per mode, \
-         budget {:.1}% + {:.0} us floor",
-        pct * 100.0,
-        floor_ns / 1e3
+        "obs_overhead: chain depth {DEPTH}, {REPS} calls x {ROUNDS} rounds per mode, \
+         budget {:.1}% + {FLOOR_US:.0} us floor",
+        PCT * 100.0
     );
 
     let mut off = Vec::new();
     let mut metrics = Vec::new();
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         // Interleave modes so slow-host drift cancels instead of biasing.
-        off.extend(run_once(se_obs::ObsMode::Off, depth, reps, &dump_dir));
-        metrics.extend(run_once(se_obs::ObsMode::Metrics, depth, reps, &dump_dir));
+        off.extend(run_once(se_obs::ObsMode::Off, &dump_dir));
+        metrics.extend(run_once(se_obs::ObsMode::Metrics, &dump_dir));
         eprintln!("  round {} done", round + 1);
     }
     let _ = std::fs::remove_dir_all(&dump_dir);
@@ -117,7 +92,7 @@ fn main() -> ExitCode {
     let off_med = median(&mut off);
     let metrics_med = median(&mut metrics);
     let delta_pct = (metrics_med - off_med) / off_med * 100.0;
-    let budget = off_med * (1.0 + pct) + floor_ns;
+    let budget = off_med * (1.0 + PCT) + FLOOR_US * 1e3;
     println!(
         "  SE_OBS=off     median {:9.3} ms\n  SE_OBS=metrics median {:9.3} ms  ({:+.2}%)\n  budget {:9.3} ms",
         off_med / 1e6,

@@ -35,9 +35,6 @@ pub mod history;
 pub mod plan;
 pub mod script;
 
-#[cfg(feature = "arb")]
-pub mod arb;
-
 pub use check::{
     check_history, check_statefun_history, serial_order, CheckError, CheckSummary, SerialOp,
 };

@@ -430,8 +430,10 @@ mod tests {
 
     #[test]
     fn same_seed_same_script() {
+        // 256 seeds spread over the whole range, its ends included.
         let cfg = ScriptConfig::stateflow(3);
-        for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
+        let spread = (0..255u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for seed in spread.chain([u64::MAX]) {
             let a = FaultScript::generate(seed, &cfg);
             let b = FaultScript::generate(seed, &cfg);
             assert_eq!(a, b, "seed {seed} must be reproducible");

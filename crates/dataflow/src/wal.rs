@@ -178,7 +178,9 @@ impl std::fmt::Display for FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parses the `SE_FSYNC` / config-file spelling produced by `Display`.
+    /// Parses the spelling `Display` produces: `chaos_explore`'s sampled
+    /// scenarios and `recovery_bench`'s `SE_RECOVERY_FSYNC` name a policy
+    /// this way.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim() {
             "every-commit" => Some(FsyncPolicy::EveryCommit),
